@@ -47,10 +47,9 @@ fleet-smoke:
 	dune exec bench/main.exe -- fleet
 	dune exec bin/grc.exe -- soak --scenario fleet --nodes 4 --runs 3 --duration 0.5
 
-# Parallel-runtime smoke (docs/PARALLEL.md): `--domains 1` must be
-# byte-identical to the sequential path (trace + stdout diff), a
-# `--domains 2` run must complete clean, and the fleet chaos soak
-# must hold its invariants with node event streams on two domains.
+# Fleet-runtime smoke (docs/PARALLEL.md): `--domains 1`, `2` and `3`
+# must write byte-identical traces and stdout, and the fleet chaos
+# soak must hold its invariants with node event streams on two domains.
 par-smoke: build
 	sh scripts/par_smoke.sh
 

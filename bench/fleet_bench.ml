@@ -1,6 +1,6 @@
 (* Ablation H — fleet-wide guardrails over merged shards.
 
-   Four nodes on one shared clock each feed their own latency shard;
+   Four nodes on one fleet clock each feed their own latency shard;
    a fleet-wide QUANTILE guardrail on the control engine reads the
    merged view. At t=2s one node's latency regime degrades, dragging
    the fleet p99 over the bound: the guardrail must fire from the
@@ -32,8 +32,11 @@ guardrail fleet-tail-latency {
 }
 |}
 
+(* Returns the verdict and every trace channel (control, then nodes). *)
 let run_once ~domains =
-  let fleet = Fleet.create ~nodes:n_nodes ~seed:7 ~domains ~engine:!Common.engine () in
+  let fleet =
+    Fleet.create ~nodes:n_nodes ~seed:7 ~tracing:true ~domains ~engine:!Common.engine ()
+  in
   let replaced = Array.make n_nodes 0 in
   Array.iteri
     (fun id node ->
@@ -106,19 +109,19 @@ let run_once ~domains =
   Printf.printf "  verdict                      %s\n"
     (if ok then "OK: fired from merged state == naive oracle; canary confined"
      else "MISMATCH");
-  ok
+  let traces =
+    List.map Guardrails.Trace_export.chrome_string
+      (Fleet.tracer fleet :: Array.to_list (Array.map D.tracer (Fleet.nodes fleet)))
+  in
+  (ok, traces)
 
 let run ~json:_ =
   Common.section "Ablation H — fleet-wide aggregation (4 nodes, merged QUANTILE)";
-  let seq_ok = run_once ~domains:1 in
-  (* Same rig under the parallel epoch-barrier runtime: the merged
-     oracle checkpoints, the firing and the canary confinement must
-     all reach the same verdict with node shards on their own
-     domains. (The 5ms feeders tie with epoch boundaries, so traces
-     are not compared byte-for-byte here — the verdict is the
-     contract, see docs/PARALLEL.md on boundary ties.) *)
-  Common.section "Ablation H' — same rig on the parallel runtime (--domains 2)";
-  let par_ok = run_once ~domains:2 in
-  Printf.printf "  parallel verdict agrees      %s\n"
-    (if seq_ok = par_ok then "yes" else "NO");
-  if not (seq_ok && par_ok) then exit 1
+  let one_ok, one_traces = run_once ~domains:1 in
+  (* Same rig with node shards on two domains: the verdict and every
+     trace channel must match the one-domain run byte for byte. *)
+  Common.section "Ablation H' — same rig on two domains (--domains 2)";
+  let two_ok, two_traces = run_once ~domains:2 in
+  let same_traces = one_traces = two_traces in
+  Printf.printf "  traces byte-identical        %s\n" (if same_traces then "yes" else "NO");
+  if not (one_ok && two_ok && same_traces) then exit 1

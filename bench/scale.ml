@@ -71,9 +71,9 @@ let run_fleet_with ~nodes ~monitors ~domains =
     wall,
     Common.compact_monitors_json (Guardrails.Fleet.control fleet) )
 
-(* The sweep is (nodes, monitors, domains) triples: the historical
-   sequential grid, plus a wide-fleet parallel grid (up to 64 nodes)
-   that exercises the epoch-barrier runtime at every domain count.
+(* The sweep is (nodes, monitors, domains) triples: a one-domain
+   grid, plus a wide-fleet grid (up to 64 nodes) that runs the
+   epoch-barrier runtime at every domain count.
    Speedup on a multi-core host comes from the node phases running
    concurrently; Common.host_cores stamps the ceiling. *)
 let fleet_counts () =

@@ -548,12 +548,12 @@ let domains_arg ~cmd =
     & info [ "domains" ] ~docv:"K|auto"
         ~doc:
           (Printf.sprintf
-             "OCaml domains for fleet execution (default 1). With K > 1, $(b,%s) runs each \
-              node's kernel on its own domain under the deterministic epoch-barrier protocol \
-              (see docs/PARALLEL.md): identical REPORTs, actions and merged-store state for \
-              every K, only wall-clock changes. $(b,auto) resolves to the runtime's \
-              recommended domain count clamped to --nodes. Clamped to the node count; 1 is \
-              bit-identical to the historical sequential path."
+             "OCaml domains for fleet execution (default 1). $(b,%s) runs the node kernels \
+              under the deterministic epoch-barrier protocol (see docs/PARALLEL.md), spread \
+              over K domains; 1 runs them inline on the main domain. The same spec, seed and \
+              --nodes give byte-identical traces and output for every K; only wall-clock \
+              changes. $(b,auto) resolves to the runtime's recommended domain count. Clamped \
+              to the node count."
              cmd))
 
 let run_cmd =

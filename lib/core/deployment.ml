@@ -9,7 +9,6 @@ type t = {
   store : Gr_runtime.Feature_store.t;
   engine : Gr_runtime.Engine.t;
   tracer : Gr_trace.Tracer.t;
-  attach_sim : bool;
   (* Newest first; O(1) install. Accessors present install order. *)
   mutable monitors_rev : (Gr_runtime.Engine.handle * Gr_compiler.Monitor.t) list;
 }
@@ -31,12 +30,10 @@ let attach_tracer t =
   | Some prev when prev != t.tracer -> warn_takeover ~channel:"hook"
   | _ -> ());
   Gr_kernel.Hooks.set_tracer t.kernel.hooks t.tracer;
-  if t.attach_sim then begin
-    (match Gr_sim.Engine.tracer t.kernel.engine with
-    | Some prev when prev != t.tracer -> warn_takeover ~channel:"sim"
-    | _ -> ());
-    Gr_sim.Engine.set_tracer t.kernel.engine t.tracer
-  end
+  (match Gr_sim.Engine.tracer t.kernel.engine with
+  | Some prev when prev != t.tracer -> warn_takeover ~channel:"sim"
+  | _ -> ());
+  Gr_sim.Engine.set_tracer t.kernel.engine t.tracer
 
 let detach_tracer t =
   (match Gr_kernel.Hooks.tracer t.kernel.hooks with
@@ -47,17 +44,11 @@ let detach_tracer t =
   | _ -> ()
 
 let owns_tracer t =
-  (match Gr_kernel.Hooks.tracer t.kernel.hooks with
-  | Some prev -> prev == t.tracer
-  | None -> false)
-  && ((not t.attach_sim)
-     ||
-     match Gr_sim.Engine.tracer t.kernel.engine with
-     | Some prev -> prev == t.tracer
-     | None -> false)
+  let mine = function Some prev -> prev == t.tracer | None -> false in
+  mine (Gr_kernel.Hooks.tracer t.kernel.hooks) && mine (Gr_sim.Engine.tracer t.kernel.engine)
 
 let create ~kernel ?config ?(store_capacity = 4096) ?(tracing = false)
-    ?(trace_capacity = 65536) ?(attach_sim = true) ?node_id ?engine () =
+    ?(trace_capacity = 65536) ?node_id ?engine () =
   let tracer =
     Gr_trace.Tracer.create
       ~clock:(fun () -> Gr_kernel.Kernel.now kernel)
@@ -71,7 +62,7 @@ let create ~kernel ?config ?(store_capacity = 4096) ?(tracing = false)
   Gr_runtime.Feature_store.set_tracer store tracer;
   Option.iter (Gr_runtime.Feature_store.set_node_id store) node_id;
   let engine = Gr_runtime.Engine.create ~kernel ~store ?config ~tracer ?engine () in
-  let t = { kernel; store; engine; tracer; attach_sim; monitors_rev = [] } in
+  let t = { kernel; store; engine; tracer; monitors_rev = [] } in
   attach_tracer t;
   t
 

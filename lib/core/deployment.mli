@@ -28,7 +28,6 @@ val create :
   ?store_capacity:int ->
   ?tracing:bool ->
   ?trace_capacity:int ->
-  ?attach_sim:bool ->
   ?node_id:int ->
   ?engine:Gr_runtime.Vm.tier ->
   unit ->
@@ -40,13 +39,11 @@ val create :
     Metrics and the REPORT channel run regardless.
 
     Creation attaches the deployment's tracer to the kernel's hook
-    table, and — when [attach_sim] is [true], the default — to the
-    sim engine's dispatch channel. Attaching over a tracer that
-    belongs to another deployment logs a takeover warning instead of
-    rewiring silently; use {!detach_tracer} on the old deployment
-    first to hand over cleanly, and {!attach_tracer} to take the
-    channels back later. Fleet nodes pass [~attach_sim:false] because
-    the sim engine (the shared fleet clock) is not theirs to claim.
+    table and to the sim engine's dispatch channel. Attaching over a
+    tracer that belongs to another deployment logs a takeover warning
+    instead of rewiring silently; use {!detach_tracer} on the old
+    deployment first to hand over cleanly, and {!attach_tracer} to
+    take the channels back later.
 
     [node_id] tags every trace event, report and metrics export this
     deployment produces with the owning fleet node's id; single-node
@@ -57,8 +54,7 @@ val create :
     all tiers produce bit-identical results — see {!Gr_runtime.Vm}). *)
 
 val attach_tracer : t -> unit
-(** (Re)claim the kernel's hook — and, unless the deployment was
-    created with [~attach_sim:false], sim — trace channels for this
+(** (Re)claim the kernel's hook and sim trace channels for this
     deployment's tracer. Logs a warning per channel that currently
     carries a different deployment's tracer. Idempotent. *)
 
@@ -68,10 +64,10 @@ val detach_tracer : t -> unit
     untouched. Idempotent. *)
 
 val owns_tracer : t -> bool
-(** [true] iff every channel this deployment attaches to (hooks, plus
-    the sim engine unless created with [~attach_sim:false]) currently
-    carries this deployment's tracer — i.e. its trace output is not
-    being stolen by a later deployment on the same kernel. *)
+(** [true] iff both channels this deployment attaches to (hooks and
+    the sim engine) currently carry this deployment's tracer — i.e.
+    its trace output is not being stolen by a later deployment on the
+    same kernel. *)
 
 val kernel : t -> Gr_kernel.Kernel.t
 val store : t -> Gr_runtime.Feature_store.t

@@ -9,7 +9,7 @@ module Store = Gr_runtime.Feature_store
 type stats = { mutable replaces : int; mutable restores : int; mutable retrains : int;
                mutable pushes : int }
 
-(* A cross-node effect captured on a node domain mid-epoch and applied
+(* A cross-node effect captured in a node phase mid-epoch and applied
    by the control deployment at the next barrier (docs/PARALLEL.md).
    [its] is the node's (skew-adjusted) clock at capture. *)
 type intent_kind =
@@ -18,20 +18,15 @@ type intent_kind =
 
 type intent = { its : Time_ns.t; kind : intent_kind }
 
-(* Sequential: one shared event heap drives control and every node —
-   today's bit-exact path. Parallel: each node kernel owns its engine
-   and advances on a pool of OCaml domains in lock-step epochs; the
-   per-node intent buffers are each written only by their node's
-   domain mid-epoch and drained only at the barrier. *)
-type runtime =
-  | Sequential
-  | Parallel of { domains : int; epoch : Time_ns.t; intents : intent Vec.t array }
-
 type t = {
-  sim : Gr_sim.Engine.t;  (* the fleet clock: shared heap, or the control engine *)
+  sim : Gr_sim.Engine.t;  (* the fleet clock: the control deployment's engine *)
   control : Deployment.t;  (* fleet-level kernel/store/engine; store = global tier *)
   nodes : Node.t array;
-  runtime : runtime;
+  domains : int;
+  epoch : Time_ns.t;
+  intents : intent Vec.t array;
+      (* per node: written only by that node's phase mid-epoch, drained
+         only at the barrier *)
   canaries : (string, int list) Hashtbl.t;  (* policy -> node ids REPLACE targets *)
   forwarded_hooks : (string, unit) Hashtbl.t;
   proxied_policies : (string, unit) Hashtbl.t;
@@ -43,42 +38,23 @@ type t = {
 
 let default_epoch = Time_ns.ms 50
 
-let create_sequential ~nodes:n ~seed ?config ?store_capacity ~tracing ?engine () =
-  let sim = Gr_sim.Engine.create () in
-  let control_kernel = Gr_kernel.Kernel.create_on ~engine:sim ~seed in
-  (* The control deployment claims the sim trace channel (the clock is
-     fleet property); nodes attach hooks-only. *)
+let create ~nodes:n ~seed ?config ?store_capacity ?(tracing = false) ?(domains = 1)
+    ?(epoch = default_epoch) ?engine () =
+  if n < 1 then invalid_arg "Fleet.create: a fleet has at least one node";
+  if Time_ns.compare epoch Time_ns.zero <= 0 then
+    invalid_arg "Fleet.create: epoch must be positive";
+  (* More domains than nodes buys nothing: one task per node per
+     epoch. The domain count only picks how node phases are spread
+     over cores; everything else below is the same for every K. *)
+  let domains = max 1 (min domains n) in
+  (* Every kernel owns its engine; node i is seeded [seed + id + 1].
+     Span ids can't come from a shared counter across domains, so each
+     tracer gets a disjoint arithmetic channel instead: control
+     allocates ids = 0 mod (n+1), node i ids = i+1 mod (n+1), all
+     reproducible with no coordination. *)
   let control =
-    Deployment.create ~kernel:control_kernel ?config ?store_capacity ~tracing ?engine ()
-  in
-  let nodes =
-    Array.init n (fun id ->
-        let kernel = Gr_kernel.Kernel.create_on ~engine:sim ~seed:(seed + id + 1) in
-        Node.create ~kernel ?config ?store_capacity ~tracing ~attach_sim:false ~node_id:id
-          ?engine ())
-  in
-  (* One span context for the whole fleet: node tracers allocate ids
-     from the control tracer's counter, so a cross-node cascade
-     (global save -> node ON_CHANGE check -> fleet action) is a single
-     causal tree no matter which tracer recorded each edge. *)
-  Array.iter
-    (fun node ->
-      Gr_trace.Tracer.share_ctx ~src:(Deployment.tracer control) (Node.tracer node))
-    nodes;
-  (sim, control, nodes, Sequential)
-
-let create_parallel ~nodes:n ~seed ~domains ~epoch ?config ?store_capacity ~tracing ?engine
-    () =
-  (* Every kernel owns its engine: node i's seed is the same
-     [seed + id + 1] the sequential path uses, so each node replays
-     the identical event stream either way — that is what makes the
-     two modes comparable at all. Span ids can't come from a shared
-     counter across domains, so each tracer gets a disjoint arithmetic
-     channel instead: control allocates ids = 0 mod (n+1), node i ids
-     = i+1 mod (n+1), all reproducible with no coordination. *)
-  let control_kernel = Gr_kernel.Kernel.create ~seed in
-  let control =
-    Deployment.create ~kernel:control_kernel ?config ?store_capacity ~tracing ?engine ()
+    Deployment.create ~kernel:(Gr_kernel.Kernel.create ~seed) ?config ?store_capacity ~tracing
+      ?engine ()
   in
   let stride = n + 1 in
   Gr_trace.Tracer.set_span_channel (Deployment.tracer control) ~offset:0 ~stride;
@@ -90,56 +66,39 @@ let create_parallel ~nodes:n ~seed ~domains ~epoch ?config ?store_capacity ~trac
         Gr_trace.Tracer.set_span_channel (Node.tracer node) ~offset:(id + 1) ~stride;
         node)
   in
-  (* A node's GLOBAL save would write the control store from the
-     node's domain mid-epoch; intercept it into the node's intent
-     buffer instead, stamped with the node clock so the barrier can
-     replay it at its original time. *)
+  let global = Deployment.store control in
+  Store.set_shards global (Array.map Node.store nodes);
   Array.iteri
     (fun id node ->
       let kernel = Node.kernel node in
+      Store.set_global_tier (Node.store node) global;
+      (* A node's GLOBAL save would write the control store from the
+         node phase mid-epoch; intercept it into the node's intent
+         buffer instead, stamped with the node clock so the barrier
+         can replay it at its original time. *)
       Store.set_global_publish (Node.store node)
         (Some
            (fun key value ->
              Vec.push intents.(id)
                { its = Gr_kernel.Kernel.now kernel; kind = Global_save { key; value } })))
     nodes;
-  ((Deployment.kernel control).Gr_kernel.Kernel.engine, control, nodes,
-   Parallel { domains; epoch; intents })
-
-let create ~nodes:n ~seed ?config ?store_capacity ?(tracing = false) ?(domains = 1)
-    ?(epoch = default_epoch) ?engine () =
-  if n < 1 then invalid_arg "Fleet.create: a fleet has at least one node";
-  if Time_ns.compare epoch Time_ns.zero <= 0 then
-    invalid_arg "Fleet.create: epoch must be positive";
-  (* More domains than nodes buys nothing: one task per node per
-     epoch. One (or fewer) means no parallelism at all, which is
-     exactly the sequential path — keep it bit-identical by taking
-     that path verbatim. *)
-  let domains = max 1 (min domains n) in
-  let sim, control, nodes, runtime =
-    if domains = 1 then
-      create_sequential ~nodes:n ~seed ?config ?store_capacity ~tracing ?engine ()
-    else create_parallel ~nodes:n ~seed ~domains ~epoch ?config ?store_capacity ~tracing ?engine ()
-  in
-  let global = Deployment.store control in
-  Store.set_shards global (Array.map Node.store nodes);
-  Array.iter (fun node -> Store.set_global_tier (Node.store node) global) nodes;
   (* Replay global-tier writes into every node engine so a node's
      ON_CHANGE(GLOBAL(key)) fires no matter which member saved the
-     key. The control engine already subscribes to its own store. In
-     parallel mode this subscriber only ever runs in the barrier's
-     control phase (node global saves arrive as intents), when the
-     node domains are parked. *)
+     key. The control engine already subscribes to its own store. This
+     subscriber only ever runs in the barrier's control phase (node
+     global saves arrive as intents), when the node phases are parked. *)
   Store.on_save global (fun key _value ->
       if Gr_dsl.Ast.is_global_key key then
         Array.iter
           (fun node -> Gr_runtime.Engine.dispatch_on_change (Node.engine node) key)
           nodes);
   {
-    sim;
+    sim = (Deployment.kernel control).Gr_kernel.Kernel.engine;
     control;
     nodes;
-    runtime;
+    domains;
+    epoch;
+    intents;
     canaries = Hashtbl.create 8;
     forwarded_hooks = Hashtbl.create 8;
     proxied_policies = Hashtbl.create 8;
@@ -154,8 +113,8 @@ let engine t = Deployment.engine t.control
 let tracer t = Deployment.tracer t.control
 let nodes t = Array.copy t.nodes
 let node_count t = Array.length t.nodes
-let domains t = match t.runtime with Sequential -> 1 | Parallel p -> p.domains
-let epoch t = match t.runtime with Sequential -> default_epoch | Parallel p -> p.epoch
+let domains t = t.domains
+let epoch t = t.epoch
 
 let node t id =
   if id < 0 || id >= Array.length t.nodes then invalid_arg "Fleet.node: no such node";
@@ -185,7 +144,7 @@ let load_global t key = Store.load (store t) (Gr_dsl.Ast.global_key key)
    boundary, interleaving replayed intents with its own timers in
    plain (time, seq) order, which is what makes the result independent
    of both the domain count and the pool's scheduling. *)
-let drain_intents t intents =
+let drain_intents t =
   let batch = ref [] in
   Array.iteri
     (fun node vec ->
@@ -196,7 +155,7 @@ let drain_intents t intents =
           incr idx)
         vec;
       Vec.clear vec)
-    intents;
+    t.intents;
   let batch =
     List.sort
       (fun (ta, na, ia, _) (tb, nb, ib, _) -> compare (ta, na, ia) (tb, nb, ib))
@@ -225,41 +184,27 @@ let add_barrier_hook t hook = Vec.push t.barrier_hooks hook
 let fire_barrier_hooks t boundary = Vec.iter (fun hook -> hook boundary) t.barrier_hooks
 
 let run_epochs ?(on_barrier = fun (_ : Time_ns.t) -> ()) t limit =
-  match t.runtime with
-  | Sequential when Vec.is_empty t.barrier_hooks ->
-    Gr_sim.Engine.run_until t.sim limit;
-    on_barrier limit
-  | Sequential ->
-    (* Barrier hooks need boundaries to fire at, so a sequential fleet
-       steps in epoch-sized chunks. run_until fires every event <= the
-       boundary before clamping the clock, so the event stream — and
-       its trace — is byte-identical to the historical one-shot path;
-       the hooks are pure decision points between events. *)
-    Gr_sim.Engine.run_chunked t.sim ~epoch:default_epoch ~limit
-      ~at_barrier:(fire_barrier_hooks t);
-    on_barrier limit
-  | Parallel { domains; epoch; intents } ->
-    let node_engines =
-      Array.map (fun node -> (Deployment.kernel node).Gr_kernel.Kernel.engine) t.nodes
-    in
-    (* Control events stamped exactly at the start time — typically
-       TIMER(0) ticks armed at installation — precede every node event
-       of the first epoch in the sequential order, so run them before
-       the first node phase; each later boundary's control phase
-       already runs boundary-stamped events after that epoch's node
-       phase, which is the sequential order for them too. *)
-    Gr_sim.Engine.run_until t.sim (Gr_sim.Engine.now t.sim);
-    Gr_sim.Pool.with_pool ~domains (fun pool ->
-        Gr_sim.Engine.run_epochs ~pool ~epoch ~limit
-          ~at_barrier:(fun boundary ->
-            drain_intents t intents;
-            Gr_sim.Engine.run_until t.sim boundary;
-            (* Hooks (lifecycle decisions) run before on_barrier
-               (invariant checks) so checkers observe post-decision
-               state at the same boundary. *)
-            fire_barrier_hooks t boundary;
-            on_barrier boundary)
-          node_engines)
+  let node_engines =
+    Array.map (fun node -> (Deployment.kernel node).Gr_kernel.Kernel.engine) t.nodes
+  in
+  (* Control events stamped exactly at the start time — typically
+     TIMER(0) ticks armed at installation — run before the first node
+     phase; each later boundary's control phase runs boundary-stamped
+     control events after that epoch's node phase. *)
+  Gr_sim.Engine.run_until t.sim (Gr_sim.Engine.now t.sim);
+  (* One domain is a pool without workers: node phases run inline, in
+     node order, with no locks or atomics. *)
+  Gr_sim.Pool.with_pool ~domains:t.domains (fun pool ->
+      Gr_sim.Engine.run_epochs ~pool ~epoch:t.epoch ~limit
+        ~at_barrier:(fun boundary ->
+          drain_intents t;
+          Gr_sim.Engine.run_until t.sim boundary;
+          (* Hooks (lifecycle decisions) run before on_barrier
+             (invariant checks) so checkers observe post-decision
+             state at the same boundary. *)
+          fire_barrier_hooks t boundary;
+          on_barrier boundary)
+        node_engines)
 
 let run_until t limit = run_epochs t limit
 
@@ -281,8 +226,8 @@ let model_pushes t = t.stats.pushes
      the paper's train-once/deploy-everywhere fleet shape.
 
    Proxies always execute on the control engine (monitor actions run
-   there), so in parallel mode they mutate node policy state only
-   while the node domains are parked at a barrier. *)
+   there), so they mutate node policy state only while the node
+   phases are parked at a barrier. *)
 
 let node_controls node name =
   Gr_kernel.Policy_slot.Registry.find (Node.kernel node).Gr_kernel.Kernel.registry name
@@ -358,34 +303,21 @@ let proxy_policy t name =
 
 (* A fleet monitor's FUNCTION trigger listens on the control kernel's
    hook table; forward each node's firings of that hook (tagging the
-   origin) so one fleet monitor observes every member's call sites.
-   Sequentially that forward is immediate; in parallel mode a node's
-   firing happens on its own domain mid-epoch, so it is buffered as an
-   intent and replayed at the barrier instead. *)
+   origin) so one fleet monitor observes every member's call sites. A
+   node fires the hook inside its own node phase mid-epoch, so the
+   firing is buffered as an intent and replayed at the barrier. *)
 let forward_hook t hook =
   if not (Hashtbl.mem t.forwarded_hooks hook) then begin
     Hashtbl.replace t.forwarded_hooks hook ();
-    match t.runtime with
-    | Sequential ->
-      let control_hooks = (Deployment.kernel t.control).Gr_kernel.Kernel.hooks in
-      Array.iteri
-        (fun id node ->
-          let id = float_of_int id in
-          ignore
-            (Gr_kernel.Hooks.subscribe (Node.kernel node).Gr_kernel.Kernel.hooks hook
-               (fun args -> Gr_kernel.Hooks.fire control_hooks hook (("node", id) :: args))
-              : Gr_kernel.Hooks.subscription))
-        t.nodes
-    | Parallel { intents; _ } ->
-      Array.iteri
-        (fun id node ->
-          let kernel = Node.kernel node in
-          ignore
-            (Gr_kernel.Hooks.subscribe kernel.Gr_kernel.Kernel.hooks hook (fun args ->
-                 Vec.push intents.(id)
-                   { its = Gr_kernel.Kernel.now kernel; kind = Hook_fire { hook; args } })
-              : Gr_kernel.Hooks.subscription))
-        t.nodes
+    Array.iteri
+      (fun id node ->
+        let kernel = Node.kernel node in
+        ignore
+          (Gr_kernel.Hooks.subscribe kernel.Gr_kernel.Kernel.hooks hook (fun args ->
+               Vec.push t.intents.(id)
+                 { its = Gr_kernel.Kernel.now kernel; kind = Hook_fire { hook; args } })
+            : Gr_kernel.Hooks.subscription))
+      t.nodes
   end
 
 let wire_monitor t (monitor : Gr_compiler.Monitor.t) =
@@ -443,11 +375,8 @@ let install_source_exn t src =
 let violations t = Gr_runtime.Engine.violations (Deployment.engine t.control)
 
 let events_fired t =
-  match t.runtime with
-  | Sequential -> Gr_sim.Engine.events_fired t.sim
-  | Parallel _ ->
-    Array.fold_left
-      (fun acc node ->
-        acc + Gr_sim.Engine.events_fired (Deployment.kernel node).Gr_kernel.Kernel.engine)
-      (Gr_sim.Engine.events_fired t.sim)
-      t.nodes
+  Array.fold_left
+    (fun acc node ->
+      acc + Gr_sim.Engine.events_fired (Deployment.kernel node).Gr_kernel.Kernel.engine)
+    (Gr_sim.Engine.events_fired t.sim)
+    t.nodes

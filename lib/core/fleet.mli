@@ -37,21 +37,19 @@
     forwarded from every node's hook table with a ["node"] argument
     tagging the origin.
 
-    {2 Execution modes}
+    {2 Execution}
 
-    With [~domains:1] (the default) every member kernel shares one
-    event heap and one thread — the historical, bit-exact sequential
-    path. With [~domains:K] (K > 1) each node kernel owns its engine
-    and the fleet advances in lock-step sim-time epochs on K OCaml
-    domains under the epoch-barrier protocol of docs/PARALLEL.md:
-    nodes drain only node-local events mid-epoch, cross-node effects
-    (GLOBAL saves, forwarded FUNCTION hook firings) are buffered as
-    intents and replayed by the control deployment at each barrier in
-    (timestamp, node id, node-local order) order, and
-    REPLACE/RESTORE/RETRAIN broadcasts run in the control phase while
-    node domains are parked. REPORTs, actions and merged-store
-    contents are identical for every K on epoch-aligned workloads;
-    only host wall-clock changes. *)
+    Every node kernel owns its engine and the fleet advances in
+    lock-step sim-time epochs under the epoch-barrier protocol of
+    docs/PARALLEL.md: nodes drain only node-local events mid-epoch,
+    cross-node effects (GLOBAL saves, forwarded FUNCTION hook
+    firings) are buffered as intents and replayed by the control
+    deployment at each barrier in (timestamp, node id, node-local
+    order) order, and REPLACE/RESTORE/RETRAIN broadcasts run in the
+    control phase while node phases are parked. [~domains:K] only
+    picks how many OCaml domains run the node phases (one domain runs
+    them inline): the same [(seed, nodes, epoch)] gives a
+    byte-identical trace for every K; only host wall-clock changes. *)
 
 type t
 
@@ -72,14 +70,13 @@ val create :
     [nodes:1] is a fleet-of-one whose node behaves exactly like a
     standalone {!Deployment}.
 
-    [domains] (default 1) selects the execution mode; it is clamped to
-    [nodes] (more domains than nodes buys nothing) and any value <= 1
-    takes the sequential shared-heap path verbatim. [epoch] (default
-    50ms) is the parallel mode's barrier interval; it must be
-    positive. Shorter epochs tighten cross-node latency (a node sees a
-    peer's GLOBAL save at the next barrier), longer epochs amortize
-    barrier cost. @raise Invalid_argument on bad [nodes] or
-    [epoch].
+    [domains] (default 1) is the number of OCaml domains node phases
+    run on; it is clamped to [1..nodes] (more domains than nodes buys
+    nothing) and never changes the result. [epoch] (default 50ms) is
+    the barrier interval at every domain count; it must be positive.
+    Shorter epochs tighten cross-node latency (a node sees a peer's
+    GLOBAL save at the next barrier), longer epochs amortize barrier
+    cost. @raise Invalid_argument on bad [nodes] or [epoch].
 
     [engine] is the default execution tier for every member engine
     and the control engine (see {!Deployment.create}); monitors over
@@ -87,15 +84,14 @@ val create :
     cross-shard merged reads have no handle fast path. *)
 
 val sim : t -> Gr_sim.Engine.t
-(** The fleet's virtual clock: the shared engine in sequential mode,
-    the control deployment's own engine in parallel mode. Events
-    scheduled here run in the control phase in both modes. *)
+(** The fleet's virtual clock: the control deployment's own engine.
+    Events scheduled here run in the barrier's control phase. *)
 
 val domains : t -> int
-(** The effective domain count (1 = sequential shared-heap mode). *)
+(** The effective domain count, after clamping to [1..nodes]. *)
 
 val epoch : t -> Gr_util.Time_ns.t
-(** The epoch-barrier interval parallel runs advance by. *)
+(** The epoch-barrier interval runs advance by. *)
 
 val default_epoch : Gr_util.Time_ns.t
 (** The default epoch interval (50ms). Single-deployment spec-serving
@@ -176,31 +172,26 @@ val load_global : t -> string -> float
 
 val run_until : t -> Gr_util.Time_ns.t -> unit
 (** Advances the fleet clock; all nodes and the control engine make
-    progress in one deterministic event order. In parallel mode this
-    spawns the domain pool for the duration of the call and runs the
-    epoch-barrier loop ([= run_epochs] without a callback). *)
+    progress in one deterministic event order. With more than one
+    domain this spawns the domain pool for the duration of the call.
+    [= run_epochs] without a callback. *)
 
 val run_epochs : ?on_barrier:(Gr_util.Time_ns.t -> unit) -> t -> Gr_util.Time_ns.t -> unit
-(** Like {!run_until}, with [on_barrier] called sequentially after
-    every epoch's control phase (and once at [limit] in sequential
-    mode, where the whole run is one epoch) — the fault-injection
-    soak's window for checking cross-shard invariants while node
-    domains are parked. *)
+(** Like {!run_until}, with [on_barrier] called on the calling domain
+    after every epoch's control phase (the last boundary is exactly
+    [limit]) — the fault-injection soak's window for checking
+    cross-shard invariants while node phases are parked. *)
 
 val add_barrier_hook : t -> (Gr_util.Time_ns.t -> unit) -> unit
 (** Register a persistent callback invoked at every epoch boundary of
     every subsequent {!run_until}/{!run_epochs} — before any
     [on_barrier] callback, so invariant checkers observe
     post-decision state. This is the promotion decision point for
-    canaried spec rollouts ({!Lifecycle}). A sequential fleet with
-    hooks registered steps in {!epoch}-sized chunks; since the shared
-    heap fires every event up to each boundary either way, the event
-    stream and its trace stay byte-identical to the hook-free path. *)
+    canaried spec rollouts ({!Lifecycle}). *)
 
 val events_fired : t -> int
-(** Total sim events dispatched across every member engine — one
-    shared heap's count in sequential mode, the sum over control and
-    node engines in parallel mode. *)
+(** Total sim events dispatched: the sum over the control and node
+    engines. *)
 
 (** {1 Fleet action counters} *)
 

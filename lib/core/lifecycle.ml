@@ -12,10 +12,10 @@
                                               uninstalled)
 
    Decisions happen only at epoch barriers (Fleet.add_barrier_hook /
-   Gr_sim.Engine.run_chunked), when node domains are parked and the
+   Gr_sim.Engine.run_chunked), when node phases are parked and the
    control engine is quiescent between events — so an install or
-   uninstall never races a check, and a sequential run stays
-   bit-identical to the unchunked one.
+   uninstall never races a check, and a single deployment's chunked
+   run stays bit-identical to the unchunked one.
 
    Invariants the machine maintains:
    - At most one rollout in flight: a push while another version is

@@ -3,9 +3,9 @@
 
     This is {!Deployment} under its fleet name — the types are equal
     and every operation behaves identically. {!Fleet.create} builds
-    one node per member with [~attach_sim:false] (the shared sim
-    clock belongs to the fleet, not to any node) and a distinct
-    [~node_id] so traces, reports and metrics stay attributable. *)
+    one node per member, each on its own kernel and sim engine, with a
+    distinct [~node_id] so traces, reports and metrics stay
+    attributable. *)
 
 include module type of struct
   include Deployment

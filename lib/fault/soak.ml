@@ -78,12 +78,8 @@ type built = {
   b_retrain_runs : int ref;
   b_anomalies : string list ref;
   b_fleet : Guardrails.Fleet.t option;
-      (** parallel fleets drive via {!Guardrails.Fleet.run_epochs}
-          instead of stepping one shared engine *)
-  b_lifecycle : Guardrails.Lifecycle.t option;
-      (** the serve scenario's rollout state machine; its targets also
-          drive via run_epochs so barrier hooks (the promotion
-          decision points) fire *)
+      (** fleets drive via {!Guardrails.Fleet.run_epochs} and check
+          invariants at its barriers instead of stepping one engine *)
 }
 
 let blk_spec =
@@ -152,7 +148,6 @@ let build_blk ~engine ~seed ~duration =
     b_retrain_runs = retrain_runs;
     b_anomalies = ref [];
     b_fleet = None;
-    b_lifecycle = None;
   }
 
 let sched_spec =
@@ -230,7 +225,6 @@ let build_sched ~engine ~seed ~duration =
     b_retrain_runs = ref 0;
     b_anomalies = anomalies;
     b_fleet = None;
-    b_lifecycle = None;
   }
 
 let store_spec =
@@ -288,7 +282,6 @@ let build_store ~engine ~seed ~duration =
     b_retrain_runs = ref 0;
     b_anomalies = ref [];
     b_fleet = None;
-    b_lifecycle = None;
   }
 
 let fleet_spec =
@@ -315,7 +308,7 @@ guardrail fleet-pressure {
 }
 |}
 
-(* Three single-device nodes on one shared clock; fleet guardrails
+(* Three nodes advancing in lock-step epochs; fleet guardrails
    aggregate the merged latency stream and act through the broadcast
    REPLACE proxy. The injector targets node 0 exclusively (see
    [caps_of]), so surviving shards keep feeding the merged view while
@@ -327,7 +320,7 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
   let n = Guardrails.Fleet.node_count fleet in
   (* The broadcast REPLACE proxy flips every node's slot in one action
      execution, so "all slots on fallback" tracks the fleet action
-     exactly; checks only run between sim events. *)
+     exactly; checks only run at epoch barriers. *)
   let expected_fallback = ref false in
   let slots = ref [] in
   let node_devices = ref [||] and node_blk = ref None in
@@ -376,15 +369,12 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
            (if Float.is_nan avg then 0. else avg /. 1000.))
       : Gr_sim.Engine.handle);
   let node0 = Guardrails.Fleet.node fleet 0 in
-  (* The injector runs inside node 0's event stream. In parallel mode
-     that stream executes on node 0's own domain, so fault trace events
-     must go to node 0's tracer — writing the control tracer from
-     another domain would race with the control engine's own events. *)
-  let inj_tracer =
-    if Guardrails.Fleet.domains fleet > 1 then D.tracer node0 else D.tracer control
-  in
+  (* The injector runs inside node 0's event stream, which may execute
+     on its own domain, so fault trace events go to node 0's tracer —
+     writing the control tracer from there would race with the control
+     engine's own events. *)
   let inj =
-    Injector.create ~kernel:(D.kernel node0) ~tracer:inj_tracer ~store:(D.store node0)
+    Injector.create ~kernel:(D.kernel node0) ~tracer:(D.tracer node0) ~store:(D.store node0)
       ~devices:!node_devices ?blk:!node_blk ~seed ()
   in
   {
@@ -397,7 +387,6 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
     b_retrain_runs = ref 0;
     b_anomalies = ref [];
     b_fleet = Some fleet;
-    b_lifecycle = None;
   }
 
 (* The serve scenario: the canaried rollout path under chaos. A fleet
@@ -531,7 +520,7 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
   let control = Guardrails.Fleet.control fleet in
   let store = D.store control in
   let demand_baseline = Store.demand_count store in
-  (* Pushes arrive as shared-engine events — inside the fault storm,
+  (* Pushes arrive as control-engine events — inside the fault storm,
      possibly while a previous rollout is still in flight (those must
      be rejected busy, never wedge the machine). *)
   let push_n = ref 0 in
@@ -601,11 +590,8 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
       if count "rollout.rollback" <> L.rollbacks lc then
         push_anomaly "audit log rollback events diverge from the machine's rollback count");
   let node0 = Guardrails.Fleet.node fleet 0 in
-  let inj_tracer =
-    if Guardrails.Fleet.domains fleet > 1 then D.tracer node0 else D.tracer control
-  in
   let inj =
-    Injector.create ~kernel:(D.kernel node0) ~tracer:inj_tracer ~store:(D.store node0)
+    Injector.create ~kernel:(D.kernel node0) ~tracer:(D.tracer node0) ~store:(D.store node0)
       ~devices:!node_devices ?blk:!node_blk ~seed ()
   in
   {
@@ -617,7 +603,6 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
     b_retrain_runs = ref 0;
     b_anomalies = anomalies;
     b_fleet = Some fleet;
-    b_lifecycle = Some lc;
   }
 
 let build ?(nodes = 3) ?(domains = 1) ?engine ~scenario ~seed ~duration () =
@@ -762,19 +747,17 @@ let run_one ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~pla
   let events = ref 0 in
   (try
      match b.b_fleet with
-     | Some fleet when Guardrails.Fleet.domains fleet > 1 || Option.is_some b.b_lifecycle ->
-       (* Parallel fleet: the per-event stepping loop has no meaning
-          across domains, so invariants are checked at every epoch
-          barrier instead — the only points where node state is
-          quiescent and safe to read from here. Lifecycle targets
-          also drive through run_epochs (at any domain count): the
-          epoch barriers are their promotion decision points, and
-          the scenario's own invariant hook rides the same barrier. *)
+     | Some fleet ->
+       (* Fleets check invariants at every epoch barrier — the only
+          points where node state is quiescent and safe to read from
+          here, at any domain count. Lifecycle targets use the same
+          barriers as their promotion decision points, and the
+          scenario's own invariant hook rides them too. *)
        Guardrails.Fleet.run_epochs fleet duration ~on_barrier:(fun _ ->
            check_cheap ();
            check_oracle ());
        events := Guardrails.Fleet.events_fired fleet
-     | Some _ | None ->
+     | None ->
        let engine = b.b_kernel.engine in
        let continue = ref true in
        while !continue do

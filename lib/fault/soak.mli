@@ -79,13 +79,14 @@ val run_one :
     ["fallback"], learned ["learned"]) registered on the kernel, and
     its end state is reported in [slots] — this is what makes
     [grc verify] counterexample schedules executable end to end.
-    [nodes] (default 3) sizes the ["fleet"] scenario and is ignored
-    by the single-node scenarios. [domains] (default 1) runs the
-    ["fleet"] scenario in parallel epoch-barrier mode
-    (docs/PARALLEL.md); the invariant checks then run at every epoch
-    barrier — the only quiescent points — instead of after every sim
-    event, and the injector's fault traces land on node 0's tracer
-    channel. Ignored by the single-node scenarios. [engine]
+    [nodes] (default 3) sizes the ["fleet"] and ["serve"] scenarios
+    and is ignored by the single-node scenarios. Fleet scenarios run
+    on the epoch-barrier runtime (docs/PARALLEL.md) on [domains]
+    (default 1) OCaml domains; their invariant checks run at every
+    epoch barrier — the only quiescent points — and the injector's
+    fault traces land on node 0's tracer channel. The result does not
+    depend on [domains]. Single-node scenarios ignore it and check
+    after every sim event. [engine]
     selects the monitor execution tier for every deployment the
     scenario builds (default: the JIT tier) — tiers are bit-identical,
     so a soak failure reproduces under any of them unless the tier
@@ -95,7 +96,7 @@ type failure = {
   scenario : string;
   seed : int;
   duration : Gr_util.Time_ns.t;
-  domains : int;  (** execution mode the failure reproduced under *)
+  domains : int;  (** domain count the failure was found under *)
   plan : Fault.plan;  (** as generated *)
   shrunk : Fault.plan;  (** minimal still-failing subset *)
   problems : string list;

@@ -6,16 +6,14 @@ type t = {
   mutable skew : Gr_util.Time_ns.t;
 }
 
-let create_on ~engine ~seed =
+let create ~seed =
   {
-    engine;
+    engine = Gr_sim.Engine.create ();
     hooks = Hooks.create ();
     registry = Policy_slot.Registry.create ();
     rng = Gr_util.Rng.create seed;
     skew = Gr_util.Time_ns.zero;
   }
-
-let create ~seed = create_on ~engine:(Gr_sim.Engine.create ()) ~seed
 
 let now t = Gr_util.Time_ns.add (Gr_sim.Engine.now t.engine) t.skew
 

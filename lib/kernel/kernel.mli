@@ -17,12 +17,6 @@ type t = {
 
 val create : seed:int -> t
 
-val create_on : engine:Gr_sim.Engine.t -> seed:int -> t
-(** Builds a kernel that shares an existing sim engine — how a fleet
-    gives every node kernel the same virtual clock and event queue
-    while each keeps its own hooks, policy registry and seeded random
-    stream. *)
-
 val now : t -> Gr_util.Time_ns.t
 (** The kernel-observed clock: the sim engine's virtual time plus the
     current skew. Everything layered on the kernel (feature-store

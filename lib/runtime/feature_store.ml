@@ -90,7 +90,7 @@ type t = {
   mutable node_id : int;
   mutable global_tier : t option; (* None: this store is its own tier *)
   mutable shards : t array; (* fleet tier: node stores merged under plain keys *)
-  (* Parallel fleet interception: when set, saves that would cross
+  (* Fleet interception: when set, saves that would cross
      into a foreign global tier are handed to this hook instead of
      mutating the tier directly (docs/PARALLEL.md). *)
   mutable global_publish : (string -> float -> unit) option;
@@ -306,11 +306,11 @@ let save_here t key value =
 let set_global_publish t fn = t.global_publish <- fn
 
 let save t key value =
-  (* A global-scoped save from a node normally writes straight into
-     the fleet tier. In a parallel fleet that write would cross domain
-     boundaries mid-epoch, so node stores install a [global_publish]
-     hook that buffers the save as an intent; the control deployment
-     replays it at the epoch barrier in deterministic order. Saves
+  (* A global-scoped save resolves to the fleet tier. From a fleet
+     node that write would cross domain boundaries mid-epoch, so node
+     stores install a [global_publish] hook that buffers the save as
+     an intent; the control deployment replays it at the epoch
+     barrier in deterministic order. Saves
      that stay local (including a fleet tier's own global saves, where
      [resolve] is the store itself) are never intercepted. *)
   match t.global_publish with
@@ -701,12 +701,11 @@ let export_here t ?now ~key ~fn ~window_ns ~param () =
   | None -> (Merge.empty, 0, true)
   | Some e -> (
     (* [?now] lets a merged read cut every member's window with the
-       reader's clock. In a sequential fleet all stores share the sim
-       clock so this changes nothing; in a parallel fleet the shards'
-       clocks sit at the epoch boundary, ahead of the control plane
-       mid-epoch, and using the shard's own clock here would expire
-       samples the naive concat-and-scan oracle (which always cuts
-       with the reading store's clock) still sees. *)
+       reader's clock. In a fleet the shards' clocks sit at the epoch
+       boundary, ahead of the control plane mid-epoch, and using the
+       shard's own clock here would expire samples the naive
+       concat-and-scan oracle (which always cuts with the reading
+       store's clock) still sees. *)
     let now = match now with Some n -> n | None -> t.clock () in
     let streaming =
       if t.force_naive then None else find_demand e ~fn ~window_ns ~param

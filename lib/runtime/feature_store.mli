@@ -255,16 +255,15 @@ val export_state :
     O(1) amortized when the shape has a registered demand (QUANTILE
     pays its in-window suffix), a window scan otherwise. On a
     fleet-tier store this already folds all members. [?now] overrides
-    the window cutoff clock (default: the store's own) — parallel
-    fleets pass the reading store's clock so shards whose clocks sit
-    at the epoch boundary are cut consistently with the merged naive
-    scan. *)
+    the window cutoff clock (default: the store's own) — fleets pass
+    the reading store's clock so shards whose clocks sit at the epoch
+    boundary are cut consistently with the merged naive scan. *)
 
 val set_global_publish : t -> (string -> float -> unit) option -> unit
-(** Parallel-fleet interception hook (docs/PARALLEL.md): when set, a
+(** Fleet interception hook (docs/PARALLEL.md): when set, a
     {!save} of a global-scoped key that would cross into a {e foreign}
     global tier calls the hook instead of writing the tier directly.
-    Node stores in a parallel fleet use it to buffer cross-domain
+    Node stores in a fleet use it to buffer cross-domain
     GLOBAL saves as intents replayed deterministically at the epoch
     barrier. Saves that resolve to the store itself are never
     intercepted; [None] (the default) restores direct writes. *)

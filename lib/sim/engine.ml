@@ -129,7 +129,7 @@ let run_until t limit =
 let run t = while step t do () done
 
 let run_epochs ~pool ~epoch ~limit ~at_barrier engines =
-  (* Lock-step epoch driver for the parallel fleet (docs/PARALLEL.md):
+  (* Lock-step epoch loop for the fleet (docs/PARALLEL.md):
      every engine in [engines] advances to the same epoch boundary on
      the pool — each owns a disjoint event set, so the only sharing is
      the barrier itself — then [at_barrier] runs sequentially on the

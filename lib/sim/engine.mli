@@ -82,7 +82,7 @@ val run_epochs :
     [engines] in lock-step sim-time epochs: each epoch, every engine
     is [run_until] the next boundary in parallel on [pool], then
     [at_barrier boundary] runs sequentially on the calling domain.
-    This is the parallel fleet's substrate (docs/PARALLEL.md): engines
+    This is the fleet runtime's substrate (docs/PARALLEL.md): engines
     must own disjoint event sets and buffer any cross-engine effect
     for the barrier callback. Epochs start at the max of the engines'
     clocks and the last boundary is exactly [limit]. Requires

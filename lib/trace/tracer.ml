@@ -1,15 +1,13 @@
 (* Causal provenance context. Span ids are allocated in emission
-   order, which the single sim clock makes deterministic: the same
-   seed replays the same dispatch sequence, hence the same ids. The
-   context is shared between every tracer riding the same sim engine
-   (fleet control + nodes), so a cross-node effect parents to the
-   dispatch that caused it no matter which tracer records it.
+   order, which the sim clock makes deterministic: the same seed
+   replays the same dispatch sequence, hence the same ids.
 
-   In parallel fleet mode each domain instead owns a private context
-   on a disjoint arithmetic channel: channel [c] of [stride] allocates
-   ids [c, c + stride, c + 2*stride, ..] so merged traces carry
-   globally unique, reproducible span ids (the id mod stride recovers
-   the emitting channel) without any cross-domain coordination. *)
+   In a fleet each tracer (control and every node) owns a private
+   context on a disjoint arithmetic channel: channel [c] of [stride]
+   allocates ids [c, c + stride, c + 2*stride, ..] so merged traces
+   carry globally unique, reproducible span ids (the id mod stride
+   recovers the emitting channel) without any cross-domain
+   coordination. *)
 type span_ctx = { mutable next_span : int; stride : int; mutable current : int option }
 
 let create_ctx ?(offset = 0) ?(stride = 1) () = { next_span = offset; stride; current = None }
@@ -61,10 +59,6 @@ let set_node_id t id =
   t.node_tail <- (match id with None -> [] | Some id -> [ ("node", Event.Int id) ]);
   t.memo_parent <- min_int;
   Metrics.set_node_id t.metrics id
-
-let ctx t = t.ctx
-let set_ctx t ctx = t.ctx <- ctx
-let share_ctx ~src t = t.ctx <- src.ctx
 
 let set_span_channel t ~offset ~stride =
   if offset < 0 || stride < 1 || offset >= stride then

@@ -29,12 +29,6 @@
 
 type t
 
-type span_ctx
-(** The shared provenance state: a span-id allocator and the current
-    causal parent. One per standalone deployment; shared across every
-    tracer of a fleet (control + nodes) so causality crosses node
-    boundaries. *)
-
 val create :
   clock:(unit -> Gr_util.Time_ns.t) ->
   ?capacity:int ->
@@ -67,19 +61,13 @@ val set_node_id : t -> int option -> unit
 (** Change the fleet provenance tag after creation (also restamps the
     metrics registry). Events already in the sinks are unaffected. *)
 
-(* Causal span context. *)
-
-val ctx : t -> span_ctx
-val set_ctx : t -> span_ctx -> unit
-val share_ctx : src:t -> t -> unit
-(** [share_ctx ~src t] makes [t] allocate spans from [src]'s context;
-    the fleet wires every node tracer to the control tracer's context
-    at creation. *)
+(* Causal span context: a span-id allocator and the current causal
+   parent, one per tracer. *)
 
 val set_span_channel : t -> offset:int -> stride:int -> unit
 (** [set_span_channel t ~offset ~stride] replaces [t]'s context with a
-    fresh one allocating ids [offset, offset + stride, ..]. Parallel
-    fleets give each domain's tracer a disjoint channel (control is
+    fresh one allocating ids [offset, offset + stride, ..]. Fleets
+    give each member's tracer a disjoint channel (control is
     channel 0, node [i] channel [i+1], stride [nodes+1]) so merged
     traces carry globally unique span ids with no cross-domain
     coordination; [id mod stride] recovers the emitting channel.
@@ -88,7 +76,7 @@ val set_span_channel : t -> offset:int -> stride:int -> unit
 
 val fresh_span : t -> int
 (** Allocate the next span id (monotonic within the context, advancing
-    by the channel stride — 1 for sequential deployments). *)
+    by the channel stride — 1 for standalone deployments). *)
 
 val current_span : t -> int option
 val set_current : t -> int option -> unit

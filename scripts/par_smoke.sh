@@ -1,12 +1,12 @@
 #!/bin/sh
-# Parallel-runtime smoke (make par-smoke), docs/PARALLEL.md.
+# Fleet-runtime smoke (make par-smoke), docs/PARALLEL.md.
 #
 # End-to-end check of the epoch-barrier runtime through the CLI:
-#   1. `grc run --domains 1` produces a trace and report
-#      byte-identical to the default sequential run (the determinism
-#      contract at its strictest);
-#   2. `grc run --domains 2` on the same fleet spec completes clean;
-#   3. the fleet chaos soak passes with nodes on two domains —
+#   1. `grc run --domains 1`, `2` and `3` on the same fleet spec,
+#      seed and node count write byte-identical traces and stdout
+#      (the determinism contract: the domain count never changes a
+#      result);
+#   2. the fleet chaos soak passes with nodes on two domains —
 #      invariants (merged-aggregate oracle, REPLACE bookkeeping, hook
 #      exception accounting) checked at every epoch barrier while
 #      faults land on node 0.
@@ -23,27 +23,25 @@ fail() {
     exit 1
 }
 
-# 1. Sequential vs --domains 1: byte-identical trace and stdout.
-"$GRC" run specs/fleet_tail_latency.grd --nodes 3 --until 2 \
-    --trace "$TMP/seq.json" > "$TMP/seq.out" \
-    || fail "sequential run failed"
-"$GRC" run specs/fleet_tail_latency.grd --nodes 3 --until 2 --domains 1 \
-    --trace "$TMP/d1.json" > "$TMP/d1.out" \
-    || fail "--domains 1 run failed"
-cmp -s "$TMP/seq.json" "$TMP/d1.json" \
-    || fail "--domains 1 trace diverged from the sequential run"
-# The report text only differs in the trace filename it echoes.
-sed "s/d1\.json/seq.json/" "$TMP/d1.out" | diff -u "$TMP/seq.out" - \
-    || fail "--domains 1 stdout diverged from the sequential run"
+# 1. --domains 1 / 2 / 3: byte-identical trace and stdout. Every run
+# writes the same trace filename (in its own directory) so stdout,
+# which echoes it, can be diffed verbatim.
+for k in 1 2 3; do
+    mkdir "$TMP/d$k"
+    (cd "$TMP/d$k" && "$GRC" run "$ROOT/specs/fleet_tail_latency.grd" --nodes 3 --until 2 \
+        --domains "$k" --trace trace.json > out.txt) \
+        || fail "--domains $k run failed"
+done
+for k in 2 3; do
+    cmp -s "$TMP/d1/trace.json" "$TMP/d$k/trace.json" \
+        || fail "--domains $k trace diverged from --domains 1"
+    diff -u "$TMP/d1/out.txt" "$TMP/d$k/out.txt" \
+        || fail "--domains $k stdout diverged from --domains 1"
+done
 
-# 2. The same spec on the parallel runtime proper.
-"$GRC" run specs/fleet_tail_latency.grd --nodes 3 --until 2 --domains 2 \
-    > /dev/null \
-    || fail "--domains 2 run failed"
-
-# 3. Fleet chaos soak with node event streams on two domains.
+# 2. Fleet chaos soak with node event streams on two domains.
 "$GRC" soak --scenario fleet --nodes 4 --domains 2 --runs 3 --duration 0.5 \
     > "$TMP/soak.out" \
     || { cat "$TMP/soak.out" >&2; fail "fleet soak under --domains 2 failed"; }
 
-echo "par-smoke: OK (--domains 1 byte-identical; --domains 2 run + soak clean)"
+echo "par-smoke: OK (--domains 1/2/3 byte-identical; --domains 2 soak clean)"

@@ -319,7 +319,7 @@ let test_differential () =
       fuzz_cases (List.length shown) (String.concat "\n" shown)
 
 (* ------------------------------------------------------------------ *)
-(* Fleet differential: sequential vs. parallel epoch-barrier mode.    *)
+(* Fleet differential: one domain vs. four, byte for byte.            *)
 (* ------------------------------------------------------------------ *)
 
 module Fleet = Guardrails.Fleet
@@ -327,15 +327,12 @@ module D = Guardrails.Deployment
 
 let fleet_fuzz_cases = 30
 
-(* Distinct prime feeder cadences (µs). Primes above 5000 cannot land
-   on the ms-grained epoch boundaries or monitor timers inside a
-   sub-2s horizon, and two distinct primes first coincide at their
-   product (>= 25 simulated seconds), so cross-node event order is
-   unambiguous and seq/par equality is exact rather than modulo
-   tie-breaking (docs/PARALLEL.md explains why ties are the only
-   wiggle room the protocol leaves). *)
-let fleet_primes =
-  [| 5003; 6007; 7919; 8009; 9973; 12007; 15013; 23003; 31013; 41999; 104729; 149993 |]
+(* Feeder cadence (µs): half land on whole milliseconds, so node events
+   tie with epoch boundaries and control TIMER ticks; the other half
+   fall anywhere. Determinism across domain counts must not depend on
+   which. *)
+let random_cadence rng =
+  (1000 * (3 + Rng.int rng 28)) + if Rng.bool rng then 0 else Rng.int rng 1000
 
 let run_fleet_case i failures violations_seen =
   let fail fmt =
@@ -346,35 +343,20 @@ let run_fleet_case i failures violations_seen =
   let rng = Rng.create (0xF1EE7 + i) in
   let nodes = 2 + Rng.int rng 5 in
   let seed = 101 + Rng.int rng 10_000 in
-  (* Epoch-compatible workload (docs/PARALLEL.md): control-side TIMER
-     periods and the horizon are multiples of the epoch, so every
-     control tick lands on a barrier where both modes have dispatched
-     exactly the same node events. A tick strictly inside an epoch
-     would read the shards' streaming aggregate state as of the
-     enclosing boundary — deterministic, but ahead of the sequential
-     interleaving by up to one epoch. *)
-  let epoch_ms = 10 * (2 + Rng.int rng 9) in
-  let epoch = Time_ns.ms epoch_ms in
-  let limit = Time_ns.ms (epoch_ms * (8 + Rng.int rng 8)) in
+  let epoch = Time_ns.ms (10 * (2 + Rng.int rng 9)) in
+  let limit = Time_ns.ms (100 * (8 + Rng.int rng 8)) in
   let beacon_stride = 1 + Rng.int rng 3 in
-  (* Random permutation of the cadence table: node n feeds "lat" on
-     perm[n], beacon publishers tick on perm[nodes + n]. *)
-  let perm = Array.init (Array.length fleet_primes) (fun j -> j) in
-  for j = Array.length perm - 1 downto 1 do
-    let k = Rng.int rng (j + 1) in
-    let tmp = perm.(j) in
-    perm.(j) <- perm.(k);
-    perm.(k) <- tmp
-  done;
+  let lat_every = Array.init nodes (fun _ -> random_cadence rng) in
+  let beacon_every = Array.init nodes (fun _ -> 10 * random_cadence rng) in
   let source =
     Printf.sprintf
       {|guardrail fz_lat { trigger: { TIMER(0, %dms) } rule: { AVG(lat, 1s) <= %d } action: { REPORT("lat high", lat) } }
         guardrail fz_beacon { trigger: { ON_CHANGE(GLOBAL(beacon)) } rule: { COUNT(GLOBAL(beacon), 1s) <= %d } action: { REPORT("beacon burst", GLOBAL(beacon)) } }
         guardrail fz_act { trigger: { TIMER(0, %dms) } rule: { QUANTILE(lat, 0.9, 1s) <= %d } action: { REPORT("tail", lat) REPLACE("dummy_policy") } }|}
-      (epoch_ms * (1 + Rng.int rng 3))
+      (10 * (2 + Rng.int rng 20))
       (30 + (10 * Rng.int rng 7))
       (Rng.int rng 6)
-      (epoch_ms * (1 + Rng.int rng 5))
+      (10 * (2 + Rng.int rng 40))
       (40 + (10 * Rng.int rng 8))
   in
   let build domains =
@@ -383,12 +365,12 @@ let run_fleet_case i failures violations_seen =
       (fun n node ->
         let krng = (D.kernel node).Gr_kernel.Kernel.rng in
         D.derive_periodic node ~key:"lat"
-          ~every:(Time_ns.us fleet_primes.(perm.(n)))
+          ~every:(Time_ns.us lat_every.(n))
           (fun () -> Rng.float krng 100.);
         if n mod beacon_stride = 0 then
           D.derive_periodic node
             ~key:(Gr_dsl.Ast.global_key "beacon")
-            ~every:(Time_ns.us fleet_primes.(perm.(nodes + n)))
+            ~every:(Time_ns.us beacon_every.(n))
             (fun () -> Rng.float krng 10.);
         Gr_kernel.Policy_slot.Registry.register
           (D.kernel node).Gr_kernel.Kernel.registry "dummy_policy"
@@ -398,27 +380,24 @@ let run_fleet_case i failures violations_seen =
     Fleet.run_until fleet limit;
     fleet
   in
-  let seq = build 1 and par = build 4 in
-  if Fleet.domains seq <> 1 then fail "seq side not sequential";
-  if Fleet.domains par < 2 then fail "par side did not engage domains";
-  let vs, acts_s, aggs_s, gs = Test_par.observables seq in
-  let vp, acts_p, aggs_p, gp = Test_par.observables par in
-  violations_seen := !violations_seen + List.length vs;
-  if List.length vs <> List.length vp then
-    fail "violation counts diverged (seq %d vs par %d)" (List.length vs) (List.length vp)
+  let one = build 1 and four = build 4 in
+  if Fleet.domains four < 2 then fail "K=4 side did not engage domains";
+  let v1, acts_1, aggs_1, g1 = Test_par.observables one in
+  let v4, acts_4, aggs_4, g4 = Test_par.observables four in
+  violations_seen := !violations_seen + List.length v1;
+  if List.length v1 <> List.length v4 then
+    fail "violation counts diverged (K=1 %d vs K=4 %d)" (List.length v1) (List.length v4)
   else
-    List.iter2 (fun a b -> if a <> b then fail "violation record diverged: %s vs %s" a b) vs vp;
-  if acts_s <> acts_p then fail "fleet action counters diverged";
-  if aggs_s <> aggs_p then fail "merged aggregates diverged";
-  if not (gs = gp || (Float.is_nan gs && Float.is_nan gp)) then
-    fail "global-tier beacon value diverged (%h vs %h)" gs gp;
-  List.iter2
-    (fun ts tp ->
-      let es = Test_par.normalized_events ts and ep = Test_par.normalized_events tp in
-      if es <> ep then
-        fail "trace channel diverged (%d vs %d observable events)" (List.length es)
-          (List.length ep))
-    (Test_par.channels seq) (Test_par.channels par)
+    List.iter2 (fun a b -> if a <> b then fail "violation record diverged: %s vs %s" a b) v1 v4;
+  if acts_1 <> acts_4 then fail "fleet action counters diverged";
+  if aggs_1 <> aggs_4 then fail "merged aggregates diverged";
+  if not (g1 = g4 || (Float.is_nan g1 && Float.is_nan g4)) then
+    fail "global-tier beacon value diverged (%h vs %h)" g1 g4;
+  List.iteri
+    (fun channel (t1, t4) ->
+      if Gr_trace.Export.chrome_string t1 <> Gr_trace.Export.chrome_string t4 then
+        fail "trace channel %d not byte-identical" channel)
+    (List.combine (Test_par.channels one) (Test_par.channels four))
 
 let test_fleet_differential () =
   let failures = ref [] in
@@ -451,7 +430,7 @@ let suite =
           "differential: tree/reg/jit/reference 4-way, 500 pinned seeds" `Quick
           test_differential;
         Alcotest.test_case
-          "differential: fleet sequential vs parallel epoch-barrier, 30 pinned seeds" `Quick
+          "differential: fleet K=1 vs K=4 byte-identical traces, 30 pinned seeds" `Quick
           test_fleet_differential;
       ] );
   ]

@@ -1,15 +1,10 @@
-(* Parallel fleet execution (docs/PARALLEL.md): the epoch-barrier
-   protocol's determinism contract, the domain pool, and the
-   splittable RNG it is seeded from.
+(* Fleet execution (docs/PARALLEL.md): the epoch-barrier protocol's
+   determinism contract, the domain pool, and the splittable RNG it is
+   seeded from.
 
-   The load-bearing assertions are the differential ones: a fleet
-   under --domains K must produce the same REPORTs, actions and
-   merged-store contents as the sequential shared-heap path for every
-   K, and identical traces for any two parallel K. The sequential and
-   parallel paths schedule internal bookkeeping differently (shared
-   vs per-node heaps, shared vs strided span counters), so seq-vs-par
-   trace comparison normalizes provenance away; par-vs-par comparison
-   is byte-exact. *)
+   The load-bearing assertion is the differential one: a fleet under
+   --domains K must produce the same REPORTs, actions, merged-store
+   contents and byte-identical traces for every K >= 1. *)
 
 open Gr_util
 module Fleet = Guardrails.Fleet
@@ -67,10 +62,6 @@ let test_rng_split_pure_and_indexed () =
 
 (* ---------- Differential fleet workload ---------- *)
 
-(* Epoch-compatible by construction (docs/PARALLEL.md): node feeders
-   run at prime-microsecond cadences so no node event ever ties with a
-   control TIMER tick or an epoch boundary, and all monitors live on
-   the control engine. *)
 let monitors =
   {|guardrail par_lat { trigger: { TIMER(0, 100ms) } rule: { AVG(lat, 1s) <= 55 } action: { REPORT("lat high", lat) } }
     guardrail par_beacon { trigger: { ON_CHANGE(GLOBAL(beacon)) } rule: { COUNT(GLOBAL(beacon), 1s) <= 5 } action: { REPORT("beacon burst", GLOBAL(beacon)) } }
@@ -123,63 +114,27 @@ let observables fleet =
       agg Gr_dsl.Ast.Quantile 0.9 ),
     Fleet.load_global fleet "beacon" )
 
-(* Trace normalization for seq-vs-par: drop sim dispatch bookkeeping
-   (the two modes dispatch from different heaps) and provenance args
-   (span ids are shared-counter vs strided), keep everything
-   observable: timestamps, names, categories, payloads. *)
-let normalized_events tracer =
-  List.filter_map
-    (fun (e : Event.t) ->
-      if e.cat = "sim" then None
-      else
-        Some
-          ( e.ts,
-            e.cat,
-            e.name,
-            Event.phase_to_string e.ph,
-            List.filter (fun (k, _) -> k <> "span" && k <> "parent") e.args ))
-    (Sink.to_list (Tracer.events tracer))
-
 let channels fleet =
   Fleet.tracer fleet :: Array.to_list (Array.map D.tracer (Fleet.nodes fleet))
 
-let test_par_matches_sequential () =
-  let seq = build ~nodes:4 ~domains:1 ~seed:11 in
-  let par = build ~nodes:4 ~domains:4 ~seed:11 in
-  check_int "seq mode reports domains=1" 1 (Fleet.domains seq);
-  check_int "par mode reports its domain count" 4 (Fleet.domains par);
-  run seq;
-  run par;
-  let vs, acts_s, aggs_s, gs = observables seq in
-  let vp, acts_p, aggs_p, gp = observables par in
-  check_int "same number of violations" (List.length vs) (List.length vp);
-  List.iter2 (fun a b -> Alcotest.(check string) "violation record" a b) vs vp;
-  check_bool "same fleet action counts" true (acts_s = acts_p);
-  check_bool "same merged aggregates" true (aggs_s = aggs_p);
-  check_bool "same global-tier value" true (gs = gp);
-  List.iter2
-    (fun ts tp ->
-      let es = normalized_events ts and ep = normalized_events tp in
-      check_int "same observable event count" (List.length es) (List.length ep);
-      check_bool "same observable events" true (es = ep))
-    (channels seq) (channels par)
-
 let test_par_domain_count_invariant () =
-  (* Any two parallel domain counts: byte-identical traces, span ids
+  (* Every domain count, 1 included: byte-identical traces, span ids
      included — the strided channels depend on topology, not K. *)
-  let a = build ~nodes:4 ~domains:2 ~seed:23 in
-  let b = build ~nodes:4 ~domains:3 ~seed:23 in
-  run a;
-  run b;
-  let oa = observables a and ob = observables b in
-  check_bool "identical observables" true (oa = ob);
-  List.iter2
-    (fun ta tb ->
-      Alcotest.(check string)
-        "byte-identical trace channel"
-        (Gr_trace.Export.chrome_string ta)
-        (Gr_trace.Export.chrome_string tb))
-    (channels a) (channels b)
+  let run_with domains =
+    let fleet = build ~nodes:4 ~domains ~seed:23 in
+    check_int "reports its domain count" domains (Fleet.domains fleet);
+    run fleet;
+    (observables fleet, List.map Gr_trace.Export.chrome_string (channels fleet))
+  in
+  let obs1, traces1 = run_with 1 in
+  List.iter
+    (fun domains ->
+      let obs, traces = run_with domains in
+      check_bool (Printf.sprintf "K=%d observables match K=1" domains) true (obs = obs1);
+      List.iter2
+        (Alcotest.(check string) (Printf.sprintf "K=%d trace channel byte-identical" domains))
+        traces1 traces)
+    [ 2; 3; 4 ]
 
 let test_par_span_channels_disjoint () =
   let fleet = build ~nodes:3 ~domains:2 ~seed:5 in
@@ -331,16 +286,18 @@ let test_grc_domains_cli () =
           (quiet (Printf.sprintf "run %s --nodes 2 --domains auto --until 0.2" spec));
         check_int "soak --domains 0 exits 2" 2
           (quiet "soak --scenario fleet --domains 0 --seed 1 --duration 0.05");
-        (* The determinism contract at the CLI: --domains 1 is the
-           sequential path, so its trace is byte-identical. *)
+        (* The determinism contract at the CLI: the default, --domains 1
+           and --domains 2 write byte-identical traces. *)
         check_int "baseline run exits 0" 0
           (quiet (Printf.sprintf "run %s --nodes 3 --until 1 --trace %s" spec ta));
         check_int "--domains 1 run exits 0" 0
           (quiet (Printf.sprintf "run %s --nodes 3 --until 1 --domains 1 --trace %s" spec tb));
         check_int "--domains 2 run exits 0" 0
           (quiet (Printf.sprintf "run %s --nodes 3 --until 1 --domains 2 --trace %s" spec tc));
-        check_bool "--domains 1 trace byte-identical to sequential" true
-          (read_file ta = read_file tb))
+        check_bool "--domains 1 trace byte-identical to the default" true
+          (read_file ta = read_file tb);
+        check_bool "--domains 2 trace byte-identical to --domains 1" true
+          (read_file tb = read_file tc))
 
 let suite =
   [
@@ -356,8 +313,6 @@ let suite =
           test_rng_split_pure_and_indexed ] );
     ( "par.fleet",
       [
-        Alcotest.test_case "parallel fleet matches sequential observables + traces" `Quick
-          test_par_matches_sequential;
         Alcotest.test_case "domain count never changes the output" `Quick
           test_par_domain_count_invariant;
         Alcotest.test_case "span ids partition into per-channel residues" `Quick

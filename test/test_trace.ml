@@ -398,32 +398,6 @@ let test_selfcost_gating () =
   check_bool "reset keeps it enabled" true (Selfcost.enabled ());
   Selfcost.set_enabled false
 
-(* ---------- Fleet provenance ---------- *)
-
-let test_fleet_shared_span_ctx () =
-  let fleet = Guardrails.Fleet.create ~nodes:2 ~seed:3 ~tracing:true () in
-  let control = Guardrails.Fleet.tracer fleet in
-  let node0 = Guardrails.Deployment.tracer (Guardrails.Fleet.node fleet 0) in
-  let node1 = Guardrails.Deployment.tracer (Guardrails.Fleet.node fleet 1) in
-  (* One allocator across tiers: ids interleave instead of colliding. *)
-  let a = Tracer.fresh_span control in
-  let b = Tracer.fresh_span node0 in
-  let c = Tracer.fresh_span node1 in
-  check_int "node allocates after control" (a + 1) b;
-  check_int "second node continues the sequence" (b + 1) c;
-  (* A causal parent set on the control tier is visible to node
-     emissions, so cross-tier effects parent back to their cause. *)
-  Tracer.set_current control (Some a);
-  Tracer.instant node0 ~cat:"test" "cross";
-  (match Sink.to_list (Tracer.events node0) with
-  | [ e ] ->
-    check_bool "node event parents to control span" true
-      (List.assoc_opt "parent" e.Event.args = Some (Event.Int a));
-    check_bool "node event keeps its node tag" true
-      (List.assoc_opt "node" e.Event.args = Some (Event.Int 0))
-  | l -> Alcotest.failf "expected 1 node event, got %d" (List.length l));
-  Tracer.set_current control None
-
 let suite =
   [
     ( "trace.sink",
@@ -453,8 +427,6 @@ let suite =
         Alcotest.test_case "report chain reconstruction" `Quick test_provenance_reconstruction;
         Alcotest.test_case "actions share the decision" `Quick
           test_provenance_actions_same_decision;
-        Alcotest.test_case "fleet tracers share the span context" `Quick
-          test_fleet_shared_span_ctx;
       ] );
     ( "trace.openmetrics",
       [
