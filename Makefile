@@ -54,9 +54,10 @@ par-smoke: build
 	sh scripts/par_smoke.sh
 
 # Tiered-execution smoke (docs/PERFORMANCE.md): the fig. 2 guardrail
-# run under all three execution tiers (--engine tree/reg/jit) must
-# produce byte-identical traces and reports — the tier-invariance
-# contract checked end to end through the CLI in seconds.
+# and a 3-node fleet spec run under both execution tiers (--engine
+# tree/jit) must produce byte-identical traces and stdout — the
+# tier-invariance contract checked end to end through the CLI in
+# seconds, merged-key reads included.
 jit-smoke: build
 	sh scripts/jit_smoke.sh
 

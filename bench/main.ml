@@ -56,12 +56,12 @@ let set_engine v =
   match Guardrails.Vm.tier_of_string v with
   | Some t -> Common.engine := t
   | None ->
-    Printf.eprintf "bench: --engine expects tree, reg or jit (got %s)\n" v;
+    Printf.eprintf "bench: --engine expects tree or jit (got %s)\n" v;
     exit 2
 
 (* --engine TIER / --engine=TIER pins the monitor execution tier for
    every deployment the experiments build; figures are tier-invariant
-   (make jit-smoke byte-diffs fig2 across all three). *)
+   (make jit-smoke byte-diffs fig2 across both). *)
 let rec strip_engine acc = function
   | [] -> List.rev acc
   | "--engine" :: v :: rest ->

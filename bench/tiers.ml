@@ -1,10 +1,9 @@
 (* Execution tiers — what does one monitor check cost on each engine?
 
    The paper's eBPF story compiles monitors to native code; our answer
-   is the closure template JIT (Gr_runtime.Jit) over the
-   register/superinstruction VM (Vm.compile) over the reference
+   is the closure template JIT (Gr_runtime.Jit) over the reference
    tree-walking interpreter (Vm.run). This experiment measures host
-   ns/check for the three tiers on three monitor shapes:
+   ns/check for both tiers on three monitor shapes:
 
    - listing2: the Figure 2 guardrail's rule, LOAD(k) <= 0.05 —
      3 instructions, the smallest real monitor we ship;
@@ -110,13 +109,9 @@ let build_exec ~tier ~store ~slots rule : unit -> Vm.result =
   | Vm.Tree ->
     let static_cost_ns = Vm.static_cost_ns rule in
     fun () -> Vm.run ~static_cost_ns ~store ~slots rule
-  | Vm.Reg ->
-    let c = Vm.compile ~store ~slots rule in
-    fun () -> Vm.run_compiled c
-  | Vm.Jit -> (
-    match Jit.compile ~store ~slots rule with
-    | Some j -> fun () -> Jit.run j
-    | None -> failwith "tiers: JIT declined a single-store program")
+  | Vm.Jit ->
+    let j = Jit.compile ~store ~slots rule in
+    fun () -> Jit.run j
 
 let assert_equivalent shape (results : (Vm.tier * Vm.result) list) =
   match results with
@@ -174,7 +169,7 @@ let run ~json =
         (fun count ->
           let store = make_store shape in
           (* independent executors share the store, like a fleet of
-             installed monitors; each reg/jit instance owns its frame *)
+             installed monitors; each jit instance owns its frame *)
           let per_tier =
             List.map
               (fun tier ->

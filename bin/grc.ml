@@ -517,28 +517,27 @@ let resolve_domains ~cmd ~nodes = function
     | None -> Error (Printf.sprintf "%s: --domains expects a positive integer or 'auto'" cmd))
 
 (* Shared --engine contract: selects the monitor execution tier
-   (docs/PERFORMANCE.md). Anything but the three tier names is a
+   (docs/PERFORMANCE.md). Anything but the two tier names is a
    usage error — one line on stderr, exit 2. *)
 let resolve_engine ~cmd = function
   | None -> Ok None
   | Some s -> (
     match Guardrails.Vm.tier_of_string s with
     | Some t -> Ok (Some t)
-    | None -> Error (Printf.sprintf "%s: --engine expects tree, reg or jit (got %s)" cmd s))
+    | None -> Error (Printf.sprintf "%s: --engine expects tree or jit (got %s)" cmd s))
 
 let engine_arg ~cmd =
   Cmdliner.Arg.(
     value
     & opt (some string) None
-    & info [ "engine" ] ~docv:"tree|reg|jit"
+    & info [ "engine" ] ~docv:"tree|jit"
         ~doc:
           (Printf.sprintf
              "Monitor execution tier for $(b,%s) (default jit): $(b,tree) is the reference \
-              tree-walking interpreter, $(b,reg) the register/superinstruction VM, $(b,jit) \
-              the closure template JIT (which falls back to reg per-monitor on cross-shard \
-              fleet reads). All tiers are bit-identical in verdicts, cost accounting, store \
-              effects and traces — proven by the cross-tier differential fuzzer — so this is \
-              a pure performance knob."
+              tree-walking interpreter, $(b,jit) the closure template JIT, which runs every \
+              monitor, cross-shard fleet reads included. Both tiers are bit-identical in \
+              verdicts, cost accounting, store effects and traces — proven by the cross-tier \
+              differential fuzzer — so this is a pure performance knob."
              cmd))
 
 let domains_arg ~cmd =

@@ -79,9 +79,9 @@ val create :
     cost. @raise Invalid_argument on bad [nodes] or [epoch].
 
     [engine] is the default execution tier for every member engine
-    and the control engine (see {!Deployment.create}); monitors over
-    GLOBAL keys fall back from the JIT to the register tier because
-    cross-shard merged reads have no handle fast path. *)
+    and the control engine (see {!Deployment.create}). Control
+    monitors run on the JIT too: their cross-shard merged reads go
+    through store handles that always take the exact slow path. *)
 
 val sim : t -> Gr_sim.Engine.t
 (** The fleet's virtual clock: the control deployment's own engine.

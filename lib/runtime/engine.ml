@@ -55,9 +55,9 @@ type state = {
       (** the spec version this monitor came from, when the install
           went through the versioned lifecycle (grc serve) *)
   rule_cost_ns : float;  (** static VM cost of the rule, summed once *)
-  tier : Vm.tier;
-      (** the tier the rule actually executes on after any JIT→Reg
-          fallback (not necessarily the tier requested at install) *)
+  tier : Vm.tier;  (** the tier the rule and SAVE programs execute on *)
+  metrics : Metrics.monitor;
+      (** this monitor's telemetry record, resolved once at install *)
   exec : unit -> Vm.result;
       (** the rule, specialized onto [tier] at install *)
   actions_costed : (Monitor.action * (unit -> Vm.result) option) list;
@@ -177,7 +177,7 @@ and run_actions t st =
   let now = Gr_kernel.Kernel.now t.kernel in
   st.action_firings <- st.action_firings + 1;
   st.last_firing <- Some now;
-  Metrics.record_fire (Metrics.monitor (Tracer.metrics t.tracer) st.monitor.Monitor.name);
+  Metrics.record_fire st.metrics;
   let reported = ref false in
   List.iter
     (fun (action, save_exec) ->
@@ -255,9 +255,7 @@ and run_actions t st =
           match save_exec with Some run -> run () | None -> assert false
         in
         st.overhead_ns <- st.overhead_ns +. result.est_cost_ns;
-        Metrics.record_action_cost
-          (Metrics.monitor (Tracer.metrics t.tracer) st.monitor.Monitor.name)
-          ~cost_ns:result.est_cost_ns;
+        Metrics.record_action_cost st.metrics ~cost_ns:result.est_cost_ns;
         let aspan =
           action_instant t st "SAVE"
             [ ("key", Event.Str key); ("value", Event.Float result.value) ]
@@ -311,9 +309,8 @@ and check ?(via = "manual") t st =
           st.overhead_ns <- st.overhead_ns +. result.est_cost_ns;
           let healthy = Vm.truthy result.value in
           let record () =
-            Metrics.record_check
-              (Metrics.monitor (Tracer.metrics t.tracer) st.monitor.Monitor.name)
-              ~cost_ns:result.est_cost_ns ~insts:result.insts_executed
+            Metrics.record_check st.metrics ~cost_ns:result.est_cost_ns
+              ~insts:result.insts_executed
               ~samples:result.samples_scanned ~violated:(not healthy)
           in
           if Selfcost.enabled () then Selfcost.time Selfcost.Metrics_record record
@@ -390,25 +387,14 @@ let arm_trigger t st (trigger : Monitor.trigger) =
     in
     states := st :: !states
 
-(* Specialize one program onto the requested tier, returning the tier
-   actually used: the JIT declines programs over cross-shard (fleet
-   merged) keys and falls back to the register tier, which shares its
-   operator semantics and superinstructions but reads the store
-   through the generic path. *)
 let build_exec t ~tier ~slots program =
   match (tier : Vm.tier) with
   | Vm.Tree ->
     let static_cost_ns = Vm.static_cost_ns program in
-    (Vm.Tree, fun () -> Vm.run ~static_cost_ns ~store:t.store ~slots program)
-  | Vm.Reg ->
-    let c = Vm.compile ~store:t.store ~slots program in
-    (Vm.Reg, fun () -> Vm.run_compiled c)
-  | Vm.Jit -> (
-    match Jit.compile ~store:t.store ~slots program with
-    | Some j -> (Vm.Jit, fun () -> Jit.run j)
-    | None ->
-      let c = Vm.compile ~store:t.store ~slots program in
-      (Vm.Reg, fun () -> Vm.run_compiled c))
+    fun () -> Vm.run ~static_cost_ns ~store:t.store ~slots program
+  | Vm.Jit ->
+    let j = Jit.compile ~store:t.store ~slots program in
+    fun () -> Jit.run j
 
 let install ?engine ?version t monitor =
   match Gr_compiler.Verify.verify monitor with
@@ -425,9 +411,8 @@ let install ?engine ?version t monitor =
         Feature_store.register_demand t.store ~key:d.key ~fn:d.fn ~window_ns:d.window_ns
           ~param:d.param)
       demands;
-    let requested = match engine with Some e -> e | None -> t.default_tier in
+    let tier = match engine with Some e -> e | None -> t.default_tier in
     let slots = monitor.Monitor.slots in
-    let tier, exec = build_exec t ~tier:requested ~slots monitor.Monitor.rule in
     let st =
       {
         monitor;
@@ -435,14 +420,13 @@ let install ?engine ?version t monitor =
         version;
         rule_cost_ns = Vm.static_cost_ns monitor.Monitor.rule;
         tier;
-        exec;
+        metrics = Metrics.monitor (Tracer.metrics t.tracer) monitor.Monitor.name;
+        exec = build_exec t ~tier ~slots monitor.Monitor.rule;
         actions_costed =
           List.map
             (fun (action : Monitor.action) ->
               match action with
-              | Monitor.Save { value; _ } ->
-                let _, run = build_exec t ~tier:requested ~slots value in
-                (action, Some run)
+              | Monitor.Save { value; _ } -> (action, Some (build_exec t ~tier ~slots value))
               | _ -> (action, None))
             monitor.Monitor.actions;
         demands;

@@ -57,7 +57,7 @@ val create :
     behind {!violations} — is always live.
 
     [?engine] picks the default execution tier monitors are
-    specialized onto at install ({!Vm.tier}; default [Jit]). All
+    specialized onto at install ({!Vm.tier}; default [Jit]). Both
     tiers are bit-identical in results, accounting, store counters
     and trace events, so the choice is a pure performance knob. *)
 
@@ -79,8 +79,9 @@ val install :
     behavior and no trace bytes. *)
 
 val tier : handle -> Vm.tier
-(** The tier the monitor's rule actually executes on — [Reg] when a
-    [Jit] request fell back because the rule reads cross-shard keys. *)
+(** The tier the monitor's rule executes on: the one requested at
+    install. The JIT compiles every program, including rules that read
+    cross-shard keys. *)
 
 val default_tier : t -> Vm.tier
 

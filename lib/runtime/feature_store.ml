@@ -875,6 +875,10 @@ let aggregate t ~key ~fn ~window_ns ~param =
    generation compares instead of hashing the key and walking the
    demand list. Handles never create entries (that would be observable
    through [mem]/[keys]); they cache an entry the first time it exists.
+   Handles are total: a key that reads as a cross-shard merge has no
+   single entry to pin, so its handle is born stale (root generation
+   [stale_gen], which [topo_gen] — starting at 0, only incremented —
+   never matches) and every read takes the exact slow path.
    Correctness guards, checked on every read:
    - [topo_gen] on both the handle's root store and its resolved store:
      any [set_global_tier]/[set_shards] after creation voids the
@@ -893,19 +897,23 @@ type load_handle = {
   lh_store_gen : int;
 }
 
+let stale_gen = -1
+
+(* The root generation a new handle records: [stale_gen] for a merged
+   read, so the handle never takes the pinned fast path. *)
+let root_gen t s key = if sharded s key then stale_gen else t.topo_gen
+
 let load_handle t key =
   let s = resolve t key in
-  if sharded s key then None
-  else
-    Some
-      {
-        lh_root = t;
-        lh_store = s;
-        lh_key = key;
-        lh_entry = Hashtbl.find_opt s.entries key;
-        lh_root_gen = t.topo_gen;
-        lh_store_gen = s.topo_gen;
-      }
+  Some
+    {
+      lh_root = t;
+      lh_store = s;
+      lh_key = key;
+      lh_entry = Hashtbl.find_opt s.entries key;
+      lh_root_gen = root_gen t s key;
+      lh_store_gen = s.topo_gen;
+    }
 
 let handle_load h =
   if h.lh_root.topo_gen <> h.lh_root_gen || h.lh_store.topo_gen <> h.lh_store_gen then
@@ -938,26 +946,19 @@ type agg_handle = {
 
 let agg_handle t ~key ~fn ~window_ns ~param =
   let s = resolve t key in
-  if sharded s key then None
-  else begin
-    let e = Hashtbl.find_opt s.entries key in
-    let d =
-      match e with Some e -> find_demand e ~fn ~window_ns ~param | None -> None
-    in
-    Some
-      {
-        ah_root = t;
-        ah_store = s;
-        ah_key = key;
-        ah_fn = fn;
-        ah_window_ns = window_ns;
-        ah_param = param;
-        ah_entry = e;
-        ah_demand = d;
-        ah_root_gen = t.topo_gen;
-        ah_store_gen = s.topo_gen;
-      }
-  end
+  let e = Hashtbl.find_opt s.entries key in
+  {
+    ah_root = t;
+    ah_store = s;
+    ah_key = key;
+    ah_fn = fn;
+    ah_window_ns = window_ns;
+    ah_param = param;
+    ah_entry = e;
+    ah_demand = (match e with Some e -> find_demand e ~fn ~window_ns ~param | None -> None);
+    ah_root_gen = root_gen t s key;
+    ah_store_gen = s.topo_gen;
+  }
 
 let handle_aggregate h =
   let s = h.ah_store in

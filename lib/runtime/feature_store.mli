@@ -175,14 +175,18 @@ val aggregate :
     instants, same values. Handles self-invalidate — any later
     {!set_global_tier}/{!set_shards}, a [set_force_naive true], or a
     released demand degrades the read to the exact slow path rather
-    than returning stale state. *)
+    than returning stale state.
+
+    Every key gets a handle. A key that reads as a cross-shard merge on
+    the fleet tier has no single entry to pin, so its handle is stale
+    from creation and every read takes the slow path through
+    {!load}/{!aggregate_result}. *)
 
 type load_handle
 
 val load_handle : t -> string -> load_handle option
-(** [None] when the key currently reads as a cross-shard merge on the
-    fleet tier (no single entry to pin); callers fall back to a tier
-    that routes every read dynamically. *)
+(** Always [Some]; the [option] is kept for source compatibility with
+    existing callers. *)
 
 val handle_load : load_handle -> float
 (** Same result and counter effects as [load] on the handle's store. *)
@@ -190,8 +194,7 @@ val handle_load : load_handle -> float
 type agg_handle
 
 val agg_handle :
-  t -> key:string -> fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> agg_handle option
-(** [None] under the same cross-shard condition as {!load_handle}. *)
+  t -> key:string -> fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> agg_handle
 
 val handle_aggregate : agg_handle -> agg_result
 (** Same result, counter effects and trace instant as

@@ -16,18 +16,19 @@ module Ir = Gr_compiler.Ir
      (Feature_store.load_handle / agg_handle): key hashing and demand
      list walks happen once here, not per check — the handles
      self-invalidate on store topology changes and degrade to the
-     exact slow path;
+     exact slow path, and a fleet-merged (sharded) key gets a handle
+     that always takes it, so every program compiles;
    - each remaining instruction becomes a closure from a hand-written
      template library, operator and constant operands baked into the
      closure environment (36 binop shapes: op x {reg·reg, reg·const,
      const·reg});
    - superinstructions: a Load/Agg whose only reader is the next
      emitted step fuses into it. Any binop against a constant fuses
-     with the pending load/agg (the register tier's load-cmp/agg-cmp,
-     generalized to all twelve operators), a pending load·k product
-     fuses into the Add/Sub that consumes it (multiply-accumulate —
-     the inner-loop shape of a distilled linear-model guardrail, one
-     closure per term instead of three), and two pending products
+     with the pending load/agg (load-cmp/agg-cmp over all twelve
+     operators), a pending load·k product fuses into the Add/Sub
+     that consumes it (multiply-accumulate — the inner-loop shape of
+     a distilled linear-model guardrail, one closure per term instead
+     of three), and two pending products
      fuse into their Add/Sub in one step. All arithmetic inside a
      fused body stays unboxed — OCaml only boxes floats that cross a
      closure boundary, which is exactly what fusion eliminates.
@@ -37,20 +38,15 @@ module Ir = Gr_compiler.Ir
    program's, and aggregate steps charge scanned samples in program
    order, so results are bit-identical to Vm.run. Fusion claims only
    the most recently emitted step(s), and only when the fusing
-   instruction is their sole reader — the same legality rule as the
-   register tier: claiming farther back could reorder an aggregate's
-   scanned-sample charge past another charging step. A fused load
-   still executes exactly once, even where the operator's result is
-   known (x/0, AND 0, OR 1): the store's load counter must advance
-   exactly as the interpreters advance it.
+   instruction is their sole reader: claiming farther back could
+   reorder an aggregate's scanned-sample charge past another charging
+   step. A fused load still executes exactly once, even where the
+   operator's result is known (x/0, AND 0, OR 1): the store's load
+   counter must advance exactly as the interpreter advances it.
 
    Frame accesses are unsafe_get/set: every register index was bounds-
    checked by Gr_compiler.Verify before install, the same trust
-   boundary the interpreters rely on.
-
-   [compile] returns [None] — and Engine falls back to the register
-   tier — when any key resolves to a sharded (fleet cross-shard
-   merged) read, which has no handle fast path. *)
+   boundary the interpreter relies on. *)
 
 type t = {
   j_frame : float array;
@@ -189,8 +185,6 @@ type pending =
   | Pmul of { dst : int; h : Feature_store.load_handle; k : float; swap : bool }
   | Pop of (unit -> unit)
 
-exception Unsupported
-
 let compile ~store ~slots (p : Ir.program) =
   let n = max 1 p.n_regs in
   let frame = Array.make n 0. in
@@ -201,14 +195,6 @@ let compile ~store ~slots (p : Ir.program) =
   let charge scanned =
     samples := !samples + scanned;
     cost := !cost +. (float_of_int scanned *. Vm.sample_scan_cost_ns)
-  in
-  let load_handle key =
-    match Feature_store.load_handle store key with Some h -> h | None -> raise Unsupported
-  in
-  let agg_handle ~key ~fn ~window_ns ~param =
-    match Feature_store.agg_handle store ~key ~fn ~window_ns ~param with
-    | Some h -> h
-    | None -> raise Unsupported
   in
   (* the charged value of a pending aggregate — its own step and every
      fused form run exactly this *)
@@ -292,9 +278,12 @@ let compile ~store ~slots (p : Ir.program) =
     | Ir.Const { dst; value } ->
       frame.(dst) <- value;
       const.(dst) <- Some value
-    | Ir.Load { dst; slot } -> emit (Pload { dst; h = load_handle slots.(slot) })
+    | Ir.Load { dst; slot } ->
+      (* always [Some]: handles are total *)
+      emit (Pload { dst; h = Option.get (Feature_store.load_handle store slots.(slot)) })
     | Ir.Agg { dst; fn; slot; window_ns; param } ->
-      emit (Pagg { dst; h = agg_handle ~key:slots.(slot) ~fn ~window_ns ~param })
+      let h = Feature_store.agg_handle store ~key:slots.(slot) ~fn ~window_ns ~param in
+      emit (Pagg { dst; h })
     | Ir.Unop { dst; op; src } -> (
       match const.(src) with
       | Some v ->
@@ -390,19 +379,16 @@ let compile ~store ~slots (p : Ir.program) =
       else fun () -> s dst (Feature_store.handle_load h *. k)
     | Pop f -> f
   in
-  match Array.iter compile_inst p.insts with
-  | exception Unsupported -> None
-  | () ->
-    Some
-      {
-        j_frame = frame;
-        j_steps = Array.of_list (List.rev_map finish !steps);
-        j_result = p.result;
-        j_n_insts = Array.length p.insts;
-        j_static_cost = Ir.static_cost_ns p;
-        j_samples = samples;
-        j_cost = cost;
-      }
+  Array.iter compile_inst p.insts;
+  {
+    j_frame = frame;
+    j_steps = Array.of_list (List.rev_map finish !steps);
+    j_result = p.result;
+    j_n_insts = Array.length p.insts;
+    j_static_cost = Ir.static_cost_ns p;
+    j_samples = samples;
+    j_cost = cost;
+  }
 
 let run j =
   j.j_samples := 0;

@@ -1,4 +1,4 @@
-(** Closure template JIT — execution tier 2.
+(** Closure template JIT — the fast execution tier.
 
     At install time, {!compile} specializes a verified program into a
     chain of closures threaded by tail calls: constants folded at
@@ -15,10 +15,10 @@
 
 type t
 
-val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> t option
-(** [None] when the program reads a sharded (fleet cross-shard merged)
-    key, which has no handle fast path — the engine then falls back to
-    the register tier. Precondition: the program passed
+val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> t
+(** Compiles every verified program. A read of a sharded (fleet
+    cross-shard merged) key goes through a handle that always takes
+    the store's exact slow path. Precondition: the program passed
     {!Gr_compiler.Verify.verify} against these slots. *)
 
 val run : t -> Vm.result

@@ -7,16 +7,11 @@ type result = {
   est_cost_ns : float;
 }
 
-type tier = Tree | Reg | Jit
+type tier = Tree | Jit
 
-let tier_of_string = function
-  | "tree" -> Some Tree
-  | "reg" -> Some Reg
-  | "jit" -> Some Jit
-  | _ -> None
-
-let tier_to_string = function Tree -> "tree" | Reg -> "reg" | Jit -> "jit"
-let all_tiers = [ Tree; Reg; Jit ]
+let tier_of_string = function "tree" -> Some Tree | "jit" -> Some Jit | _ -> None
+let tier_to_string = function Tree -> "tree" | Jit -> "jit"
+let all_tiers = [ Tree; Jit ]
 let truthy v = v <> 0.
 let of_bool b = if b then 1. else 0.
 
@@ -24,10 +19,10 @@ let sample_scan_cost_ns = 0.5
 
 let static_cost_ns = Ir.static_cost_ns
 
-(* The single source of operator semantics for the register and JIT
-   tiers; must stay in exact (bit-for-bit) agreement with the inline
-   matches in [run] below — the cross-tier differential fuzzer in
-   test/test_fuzz.ml pins that equivalence. *)
+(* The JIT's operator semantics for compile-time folding; must stay
+   in exact (bit-for-bit) agreement with the inline matches in [run]
+   below — the cross-tier differential fuzzer in test/test_fuzz.ml
+   pins that equivalence. *)
 let apply_unop op v =
   match (op : Gr_dsl.Ast.unop) with
   | Neg -> -.v
@@ -98,143 +93,6 @@ let run ?static_cost_ns:precomputed ~store ~slots (p : Ir.program) =
   {
     value = regs.(p.result);
     insts_executed = Array.length p.insts;
-    samples_scanned = !samples;
-    est_cost_ns = !cost;
-  }
-
-(* ---------- register / superinstruction tier ----------
-
-   [compile] rewrites a verified program into a flat op array over a
-   persistent register frame:
-   - Const instructions are executed once here — the frame keeps their
-     values across checks (sound: IR is single-assignment and a run
-     always completes before any action can re-enter the VM).
-   - slot indices are resolved to key strings, skipping the per-check
-     [slots.(slot)] indirection.
-   - a Load/Agg immediately followed by a comparison against a
-     constant fuses into one superinstruction when the intermediate
-     register has no other reader — the dominant rule shape
-     [AVG(k, w) <= c] becomes a single dispatch.
-
-   Accounting stays tier-invariant: [insts_executed] reports the
-   original instruction count, the static cost is the original
-   program's, and aggregates are never reordered so per-instruction
-   scanned-sample charges land in program order. *)
-
-type rop =
-  | Rload of { dst : int; key : string }
-  | Ragg of { dst : int; fn : Gr_dsl.Ast.agg; key : string; window_ns : float; param : float }
-  | Rload_cmp of { dst : int; key : string; op : Gr_dsl.Ast.binop; k : float; swap : bool }
-  | Ragg_cmp of {
-      dst : int;
-      fn : Gr_dsl.Ast.agg;
-      key : string;
-      window_ns : float;
-      param : float;
-      op : Gr_dsl.Ast.binop;
-      k : float;
-      swap : bool;
-    }
-  | Runop of { dst : int; op : Gr_dsl.Ast.unop; src : int }
-  | Rbinop of { dst : int; op : Gr_dsl.Ast.binop; lhs : int; rhs : int }
-
-type compiled = {
-  c_store : Feature_store.t;
-  c_frame : float array;
-  c_rops : rop array;
-  c_result : int;
-  c_n_insts : int;
-  c_static_cost : float;
-}
-
-let is_cmp (op : Gr_dsl.Ast.binop) =
-  match op with Lt | Le | Gt | Ge | Eq | Ne -> true | _ -> false
-
-let compile ~store ~slots (p : Ir.program) =
-  let n = max 1 p.n_regs in
-  let frame = Array.make n 0. in
-  let const = Array.make n None in
-  let uses = Ir.use_counts p in
-  let rops = ref [] in
-  let emit r = rops := r :: !rops in
-  Array.iter
-    (fun inst ->
-      match inst with
-      | Ir.Const { dst; value } ->
-        frame.(dst) <- value;
-        const.(dst) <- Some value
-      | Ir.Load { dst; slot } -> emit (Rload { dst; key = slots.(slot) })
-      | Ir.Agg { dst; fn; slot; window_ns; param } ->
-        emit (Ragg { dst; fn; key = slots.(slot); window_ns; param })
-      | Ir.Unop { dst; op; src } -> emit (Runop { dst; op; src })
-      | Ir.Binop { dst; op; lhs; rhs } ->
-        let fused =
-          if not (is_cmp op) then None
-          else
-            (* only the immediately preceding op may fuse: anything
-               farther back could have readers in between, and moving
-               an Agg would shift its scanned-sample charge. *)
-            match !rops with
-            | Rload { dst = r; key } :: rest when r = lhs && const.(rhs) <> None && uses.(r) = 1
-              ->
-              Some (Rload_cmp { dst; key; op; k = Option.get const.(rhs); swap = false } :: rest)
-            | Rload { dst = r; key } :: rest when r = rhs && const.(lhs) <> None && uses.(r) = 1
-              ->
-              Some (Rload_cmp { dst; key; op; k = Option.get const.(lhs); swap = true } :: rest)
-            | Ragg { dst = r; fn; key; window_ns; param } :: rest
-              when r = lhs && const.(rhs) <> None && uses.(r) = 1 ->
-              Some
-                (Ragg_cmp
-                   { dst; fn; key; window_ns; param; op; k = Option.get const.(rhs); swap = false }
-                :: rest)
-            | Ragg { dst = r; fn; key; window_ns; param } :: rest
-              when r = rhs && const.(lhs) <> None && uses.(r) = 1 ->
-              Some
-                (Ragg_cmp
-                   { dst; fn; key; window_ns; param; op; k = Option.get const.(lhs); swap = true }
-                :: rest)
-            | _ -> None
-        in
-        (match fused with
-        | Some rops' -> rops := rops'
-        | None -> emit (Rbinop { dst; op; lhs; rhs })))
-    p.insts;
-  {
-    c_store = store;
-    c_frame = frame;
-    c_rops = Array.of_list (List.rev !rops);
-    c_result = p.result;
-    c_n_insts = Array.length p.insts;
-    c_static_cost = static_cost_ns p;
-  }
-
-let run_compiled c =
-  let frame = c.c_frame and store = c.c_store in
-  let samples = ref 0 in
-  let cost = ref c.c_static_cost in
-  let do_agg ~fn ~key ~window_ns ~param =
-    let r = Feature_store.aggregate_result store ~key ~fn ~window_ns ~param in
-    samples := !samples + r.Feature_store.scanned;
-    cost := !cost +. (float_of_int r.Feature_store.scanned *. sample_scan_cost_ns);
-    r.Feature_store.value
-  in
-  Array.iter
-    (fun rop ->
-      match rop with
-      | Rload { dst; key } -> frame.(dst) <- Feature_store.load store key
-      | Ragg { dst; fn; key; window_ns; param } -> frame.(dst) <- do_agg ~fn ~key ~window_ns ~param
-      | Rload_cmp { dst; key; op; k; swap } ->
-        let v = Feature_store.load store key in
-        frame.(dst) <- (if swap then apply_binop op k v else apply_binop op v k)
-      | Ragg_cmp { dst; fn; key; window_ns; param; op; k; swap } ->
-        let v = do_agg ~fn ~key ~window_ns ~param in
-        frame.(dst) <- (if swap then apply_binop op k v else apply_binop op v k)
-      | Runop { dst; op; src } -> frame.(dst) <- apply_unop op frame.(src)
-      | Rbinop { dst; op; lhs; rhs } -> frame.(dst) <- apply_binop op frame.(lhs) frame.(rhs))
-    c.c_rops;
-  {
-    value = frame.(c.c_result);
-    insts_executed = c.c_n_insts;
     samples_scanned = !samples;
     est_cost_ns = !cost;
   }

@@ -22,26 +22,24 @@ type result = {
 
 (** {1 Execution tiers}
 
-    The same verified program can execute on three tiers:
+    The same verified program can execute on two tiers:
     - [Tree]: the reference tree-walking interpreter ({!run});
-    - [Reg]: the register/superinstruction rewrite ({!compile} +
-      {!run_compiled}) — always available;
-    - [Jit]: the closure template JIT ({!Jit}) — falls back to [Reg]
-      when the program touches cross-shard (fleet-merged) keys.
+    - [Jit]: the closure template JIT ({!Jit}), which compiles every
+      program, including reads of cross-shard (fleet-merged) keys.
 
-    All tiers produce bit-identical {!result}s, store counter effects
+    Both tiers produce bit-identical {!result}s, store counter effects
     and trace events; the cross-tier differential rig in
     test/test_fuzz.ml pins that equivalence. *)
 
-type tier = Tree | Reg | Jit
+type tier = Tree | Jit
 
 val tier_of_string : string -> tier option
-(** Parses ["tree"|"reg"|"jit"] — the CLI's [--engine] values. *)
+(** Parses ["tree"|"jit"] — the CLI's [--engine] values. *)
 
 val tier_to_string : tier -> string
 
 val all_tiers : tier list
-(** [[Tree; Reg; Jit]], in increasing specialization order. *)
+(** [[Tree; Jit]], reference first. *)
 
 val static_cost_ns : Gr_compiler.Ir.program -> float
 (** {!Gr_compiler.Ir.static_cost_ns} — fixed at compile time.
@@ -65,32 +63,12 @@ val truthy : float -> bool
 val of_bool : bool -> float
 (** 1. for [true], 0. for [false] — the VM's boolean encoding. *)
 
-val is_cmp : Gr_dsl.Ast.binop -> bool
-(** True for the six comparison operators — the fusable shapes. *)
-
 val sample_scan_cost_ns : float
 (** Per-sample surcharge (ns) every tier charges for window work. *)
 
 val apply_unop : Gr_dsl.Ast.unop -> float -> float
 
 val apply_binop : Gr_dsl.Ast.binop -> float -> float -> float
-(** Operator semantics shared by the register and JIT tiers; in exact
+(** Operator semantics the JIT folds constants with; in exact
     (bit-for-bit) agreement with {!run}'s inline matches. Division by
     zero yields 0. *)
-
-(** {1 Register / superinstruction tier} *)
-
-type compiled
-(** A program specialized at install time: constants pre-executed into
-    a persistent register frame, slot indices resolved to keys, and
-    load-cmp / agg-cmp pairs fused into superinstructions. *)
-
-val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> compiled
-(** Same precondition as {!run}: the program passed
-    {!Gr_compiler.Verify.verify} against these slots. *)
-
-val run_compiled : compiled -> result
-(** Bit-identical to {!run} on the same store state: same [value],
-    [insts_executed] (the {e original} instruction count),
-    [samples_scanned], [est_cost_ns], store counters and trace
-    instants. Not reentrant: a compiled program owns its frame. *)

@@ -1,11 +1,13 @@
 #!/bin/sh
 # Tiered-execution smoke (make jit-smoke), docs/PERFORMANCE.md.
 #
-# The tier-invariance contract through the CLI: the fig. 2
-# false-submit guardrail run under all three execution tiers —
-# tree-walking reference, register VM, template JIT — must produce
-# byte-identical traces and reports. Any divergence in verdicts,
-# cost accounting, or event ordering shows up as a byte diff.
+# The tier-invariance contract through the CLI: under both execution
+# tiers — tree-walking reference and template JIT —
+#   1. the fig. 2 false-submit guardrail, and
+#   2. the 3-node fleet spec, whose control monitors read merged
+#      (cross-shard) keys,
+# must produce byte-identical traces and stdout. Any divergence in
+# verdicts, cost accounting, or event ordering shows up as a byte diff.
 # Budget: well under 10s.
 set -eu
 
@@ -19,18 +21,23 @@ fail() {
     exit 1
 }
 
-for tier in tree reg jit; do
-    "$GRC" run specs/listing2.grd --until 3 --engine "$tier" \
-        --trace "$TMP/$tier.json" > "$TMP/$tier.out" \
+# Every run writes the same trace filename in its own directory, so
+# stdout, which echoes it, can be diffed verbatim.
+for tier in tree jit; do
+    mkdir "$TMP/$tier" "$TMP/fleet-$tier"
+    (cd "$TMP/$tier" && "$GRC" run "$ROOT/specs/listing2.grd" --until 3 --engine "$tier" \
+        --trace trace.json > out.txt) \
         || fail "--engine $tier run failed"
+    (cd "$TMP/fleet-$tier" && "$GRC" run "$ROOT/specs/fleet_tail_latency.grd" --nodes 3 \
+        --until 10 --engine "$tier" --trace trace.json > out.txt) \
+        || fail "--engine $tier fleet run failed"
 done
 
-for tier in reg jit; do
-    cmp -s "$TMP/tree.json" "$TMP/$tier.json" \
-        || fail "--engine $tier trace diverged from the tree reference"
-    # The report text only differs in the trace filename it echoes.
-    sed "s/$tier\.json/tree.json/" "$TMP/$tier.out" | diff -u "$TMP/tree.out" - \
-        || fail "--engine $tier stdout diverged from the tree reference"
+for run in "" fleet-; do
+    cmp -s "$TMP/${run}tree/trace.json" "$TMP/${run}jit/trace.json" \
+        || fail "--engine jit ${run}trace diverged from the tree reference"
+    diff -u "$TMP/${run}tree/out.txt" "$TMP/${run}jit/out.txt" \
+        || fail "--engine jit ${run}stdout diverged from the tree reference"
 done
 
-echo "jit-smoke: OK (tree/reg/jit traces and reports byte-identical)"
+echo "jit-smoke: OK (tree/jit traces and stdout byte-identical, single node and 3-node fleet)"

@@ -236,7 +236,7 @@ let specs_dir () =
    between runs); the C harness gets gr_load/gr_agg lookup tables
    whose entries are the OCaml store's own answers printed %.17g
    (shortest round-trippable), so any divergence isolates the rule
-   arithmetic itself. Verdicts must agree bit-for-bit, four ways. *)
+   arithmetic itself. Verdicts must agree bit-for-bit, three ways. *)
 let test_corpus_c_vs_tiers () =
   if not (Lazy.force gcc_available) then ()
   else
@@ -368,14 +368,7 @@ int main(void) {
         (fun (m : Monitor.t) c ->
           let slots = m.Monitor.slots and p = m.Monitor.rule in
           let tree = (Vm.run ~store ~slots p).Vm.value in
-          let reg = (Vm.run_compiled (Vm.compile ~store ~slots p)).Vm.value in
-          let jit =
-            match Jit.compile ~store ~slots p with
-            | Some j -> (Jit.run j).Vm.value
-            | None -> Alcotest.failf "%s: JIT declined an unsharded program" m.Monitor.name
-          in
-          if not (same tree reg) then
-            Alcotest.failf "%s: reg diverged from tree (%h vs %h)" m.Monitor.name reg tree;
+          let jit = (Jit.run (Jit.compile ~store ~slots p)).Vm.value in
           if not (same tree jit) then
             Alcotest.failf "%s: jit diverged from tree (%h vs %h)" m.Monitor.name jit tree;
           if not (same tree c) then
@@ -390,7 +383,7 @@ let suite =
         Alcotest.test_case "emitted structure" `Quick test_structure;
         Alcotest.test_case "gcc -Wall -Werror" `Slow test_compiles_with_gcc;
         Alcotest.test_case "differential C vs VM" `Slow test_differential_vs_vm;
-        Alcotest.test_case "specs corpus: C vs tree/reg/jit, bit-exact" `Slow
+        Alcotest.test_case "specs corpus: C vs tree/jit, bit-exact" `Slow
           test_corpus_c_vs_tiers;
       ] );
   ]

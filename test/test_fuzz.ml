@@ -6,15 +6,16 @@
    Differential: random well-typed specs are compiled twice — the
    real pipeline (optimised, streaming aggregates) and a reference
    configuration (unoptimised, naive full-scan aggregates) — and the
-   result is compared four ways: the tree-walking VM, the register
-   VM (Vm.compile), the closure template JIT (Jit.compile), and an
-   independent IR reference interpreter written directly from the
-   semantics in vm.mli. The three engine tiers must agree BIT-exactly
-   — value, instruction count, scanned samples, estimated cost, and
-   store counter effects; the reference comparison allows a rounding
-   tolerance. A divergence means a bug in the optimiser, a VM tier,
-   or the incremental store, and the failure message carries a
-   `grc run --engine` repro line.
+   result is compared three ways: the tree-walking VM, the closure
+   template JIT (Jit.compile), and an independent IR reference
+   interpreter written directly from the semantics in vm.mli. The two
+   engine tiers must agree BIT-exactly — value, instruction count,
+   scanned samples, estimated cost, and store counter effects — on a
+   single store and again on a fleet-tier store whose plain keys read
+   as the merge of two shards; the reference comparison allows a
+   rounding tolerance. A divergence means a bug in the optimiser, a
+   VM tier, or the incremental store, and the failure message carries
+   a `grc run --engine` repro line.
 
    Every case derives from a pinned seed ([0x5EED + i]), so CI runs
    the exact same 500 programs every time and a failure message
@@ -154,6 +155,28 @@ let close a b =
 
 let fuzz_keys = [| "lat"; "rate"; "depth"; "err"; "load_avg" |]
 
+(* The case's 400 pseudo-random saves, advancing [clock]; [store_for n]
+   picks the store save number [n] lands in. *)
+let populate i clock store_for =
+  let rng = Rng.create (0xD1FF + i) in
+  for n = 1 to 400 do
+    clock := Time_ns.add !clock (Time_ns.us (1 + Rng.int rng 4999));
+    let v = if Rng.int rng 50 = 0 then Float.nan else float_of_int (Rng.int rng 17) in
+    Store.save (store_for n) fuzz_keys.(Rng.int rng (Array.length fuzz_keys)) v
+  done
+
+(* A fleet-tier store over two shards, the saves alternating between
+   them: every plain key reads as a cross-shard merge. Demands are
+   registered after the shards are set, so they fan out. *)
+let sharded_store i monitors =
+  let clock = ref Time_ns.zero in
+  let create () = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:1024 () in
+  let fleet = create () and shards = [| create (); create () |] in
+  Store.set_shards fleet shards;
+  List.iter (register_demands fleet) monitors;
+  populate i clock (fun n -> shards.(n mod 2));
+  fleet
+
 let run_case i failures =
   let fail fmt =
     Printf.ksprintf (fun msg -> failures := Printf.sprintf "case %d: %s" i msg :: !failures) fmt
@@ -190,12 +213,8 @@ let run_case i failures =
     let clock = ref Time_ns.zero in
     let store = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:1024 () in
     List.iter (register_demands store) opts;
-    let rng = Rng.create (0xD1FF + i) in
-    for _ = 1 to 400 do
-      clock := Time_ns.add !clock (Time_ns.us (1 + Rng.int rng 4999));
-      let v = if Rng.int rng 50 = 0 then Float.nan else float_of_int (Rng.int rng 17) in
-      Store.save store fuzz_keys.(Rng.int rng (Array.length fuzz_keys)) v
-    done;
+    populate i clock (fun _ -> store);
+    let fleet = sharded_store i opts in
     List.iter2
       (fun (om : Monitor.t) (rm : Monitor.t) ->
         List.iter2
@@ -213,49 +232,47 @@ let run_case i failures =
             (* Cross-tier: the first run above paid any lazy window
                expiry, so from here the store is at a steady state and
                every execution tier must agree bit-for-bit — value,
-               accounting AND store counter effects. *)
+               accounting AND store counter effects. The sharded arm
+               settles its store the same way first. *)
             let slots = om.Monitor.slots in
-            let counters () =
-              (Store.load_count store, Store.agg_hit_count store, Store.agg_miss_count store)
-            in
-            let run_tier tier : Vm.result * (int * int * int) =
-              let (l0, h0, m0) = counters () in
-              let r =
-                match (tier : Vm.tier) with
-                | Vm.Tree -> Vm.run ~store ~slots p_opt
-                | Vm.Reg -> Vm.run_compiled (Vm.compile ~store ~slots p_opt)
-                | Vm.Jit -> (
-                  match Jit.compile ~store ~slots p_opt with
-                  | Some j -> Jit.run j
-                  | None -> Alcotest.failf "case %d: JIT declined an unsharded program" i)
+            let compare_tiers ~arm store =
+              let counters () =
+                (Store.load_count store, Store.agg_hit_count store, Store.agg_miss_count store)
               in
-              let (l1, h1, m1) = counters () in
-              (r, (l1 - l0, h1 - h0, m1 - m0))
+              let run_tier tier : Vm.result * (int * int * int) =
+                let (l0, h0, m0) = counters () in
+                let r =
+                  match (tier : Vm.tier) with
+                  | Vm.Tree -> Vm.run ~store ~slots p_opt
+                  | Vm.Jit -> Jit.run (Jit.compile ~store ~slots p_opt)
+                in
+                let (l1, h1, m1) = counters () in
+                (r, (l1 - l0, h1 - h0, m1 - m0))
+              in
+              let (tree, d_tree) = run_tier Vm.Tree in
+              let (r, d) = run_tier Vm.Jit in
+              let bits = Int64.bits_of_float in
+              if
+                bits r.Vm.value <> bits tree.Vm.value
+                || r.Vm.insts_executed <> tree.Vm.insts_executed
+                || r.Vm.samples_scanned <> tree.Vm.samples_scanned
+                || bits r.Vm.est_cost_ns <> bits tree.Vm.est_cost_ns
+                || d <> d_tree
+              then (
+                let (dl, dh, dm) = d and (tl, th, tm) = d_tree in
+                fail
+                  "%s (%s store): tier jit diverged from tree (value %h/%h insts %d/%d scanned \
+                   %d/%d cost %h/%h counters %d,%d,%d/%d,%d,%d)\n\
+                   repro: save the spec below as f.grd, then `grc run f.grd --engine jit` \
+                   (generator seed 0x%X)\n\
+                   %s"
+                  label arm r.Vm.value tree.Vm.value r.Vm.insts_executed tree.Vm.insts_executed
+                  r.Vm.samples_scanned tree.Vm.samples_scanned r.Vm.est_cost_ns
+                  tree.Vm.est_cost_ns dl dh dm tl th tm (0x5EED + i) src)
             in
-            let (tree, d_tree) = run_tier Vm.Tree in
-            List.iter
-              (fun tier ->
-                let (r, d) = run_tier tier in
-                let bits = Int64.bits_of_float in
-                if
-                  bits r.Vm.value <> bits tree.Vm.value
-                  || r.Vm.insts_executed <> tree.Vm.insts_executed
-                  || r.Vm.samples_scanned <> tree.Vm.samples_scanned
-                  || bits r.Vm.est_cost_ns <> bits tree.Vm.est_cost_ns
-                  || d <> d_tree
-                then (
-                  let (dl, dh, dm) = d and (tl, th, tm) = d_tree in
-                  fail
-                    "%s: tier %s diverged from tree (value %h/%h insts %d/%d scanned %d/%d cost \
-                     %h/%h counters %d,%d,%d/%d,%d,%d)\n\
-                     repro: save the spec below as f.grd, then `grc run f.grd --engine %s` \
-                     (generator seed 0x%X)\n\
-                     %s"
-                    label (Vm.tier_to_string tier) r.Vm.value tree.Vm.value r.Vm.insts_executed
-                    tree.Vm.insts_executed r.Vm.samples_scanned tree.Vm.samples_scanned
-                    r.Vm.est_cost_ns tree.Vm.est_cost_ns dl dh dm tl th tm
-                    (Vm.tier_to_string tier) (0x5EED + i) src))
-              [ Vm.Reg; Vm.Jit ];
+            compare_tiers ~arm:"single" store;
+            ignore (Vm.run ~store:fleet ~slots p_opt : Vm.result);
+            compare_tiers ~arm:"sharded" fleet;
             Store.set_force_naive store true;
             let reference = eval_ref ~store ~slots:rm.Monitor.slots p_ref in
             Store.set_force_naive store false;
@@ -269,7 +286,7 @@ let run_case i failures =
    reported cheaper checks, budget verdicts would change with the
    --engine flag. *)
 let accounting_tier_invariant =
-  QCheck2.Test.make ~name:"cost accounting identical across tree/reg/jit" ~count:200
+  QCheck2.Test.make ~name:"cost accounting identical across tree/jit" ~count:200
     Gen.guardrail_gen (fun g ->
       let src = Gr_dsl.Pretty.spec_to_string [ g ] in
       match Compile.source src with
@@ -293,16 +310,13 @@ let accounting_tier_invariant =
                 (* the first run settles lazy window expiry *)
                 ignore (Vm.run ~store ~slots p : Vm.result);
                 let tree = Vm.run ~static_cost_ns:(Vm.static_cost_ns p) ~store ~slots p in
-                let reg = Vm.run_compiled (Vm.compile ~store ~slots p) in
-                let jit =
-                  match Jit.compile ~store ~slots p with Some j -> Jit.run j | None -> tree
-                in
+                let jit = Jit.run (Jit.compile ~store ~slots p) in
                 let same (a : Vm.result) (b : Vm.result) =
                   a.Vm.insts_executed = b.Vm.insts_executed
                   && a.Vm.samples_scanned = b.Vm.samples_scanned
                   && Int64.bits_of_float a.Vm.est_cost_ns = Int64.bits_of_float b.Vm.est_cost_ns
                 in
-                same tree reg && same tree jit)
+                same tree jit)
               (labeled_programs m))
           monitors)
 
@@ -427,7 +441,7 @@ let suite =
         pinned compiled_monitors_always_verify;
         pinned accounting_tier_invariant;
         Alcotest.test_case
-          "differential: tree/reg/jit/reference 4-way, 500 pinned seeds" `Quick
+          "differential: tree/jit/reference on single and sharded stores, 500 pinned seeds" `Quick
           test_differential;
         Alcotest.test_case
           "differential: fleet K=1 vs K=4 byte-identical traces, 30 pinned seeds" `Quick

@@ -1,10 +1,10 @@
 (* Tier-selection edge cases for the tiered execution engine:
 
-   - the --engine CLI knob rejects garbage with exit 2 and a single
-     diagnostic line (no usage dump, no backtrace);
-   - Engine.install honors the requested tier, and the JIT declines
-     programs whose keys resolve to sharded (fleet-merged) reads —
-     falling back to the register tier, never to an error;
+   - the --engine CLI knob rejects garbage (and the retired [reg]
+     tier) with exit 2 and a single diagnostic line (no usage dump, no
+     backtrace);
+   - Engine.install honors the requested tier, and the JIT runs
+     programs whose keys resolve to sharded (fleet-merged) reads;
    - re-installing a monitor under a different tier keeps the store's
      aggregate demands refcounted correctly: shapes shared across
      installs survive a partial uninstall, and a full uninstall
@@ -43,20 +43,25 @@ let test_engine_flag_garbage () =
         Fun.protect
           ~finally:(fun () -> Sys.remove err)
           (fun () ->
-            let code =
-              Sys.command
-                (Printf.sprintf "%s run %s --engine turbo >/dev/null 2>%s" grc spec err)
-            in
-            check_int "garbage --engine exits 2" 2 code;
-            let ic = open_in err in
-            let lines = ref [] in
-            (try
-               while true do
-                 lines := input_line ic :: !lines
-               done
-             with End_of_file -> ());
-            close_in ic;
-            check_int "diagnostic is a single line" 1 (List.length !lines);
+            List.iter
+              (fun tier ->
+                let code =
+                  Sys.command
+                    (Printf.sprintf "%s run %s --engine %s >/dev/null 2>%s" grc spec tier err)
+                in
+                check_int (Printf.sprintf "--engine %s exits 2" tier) 2 code;
+                let ic = open_in err in
+                let lines = ref [] in
+                (try
+                   while true do
+                     lines := input_line ic :: !lines
+                   done
+                 with End_of_file -> ());
+                close_in ic;
+                check_int
+                  (Printf.sprintf "--engine %s diagnostic is a single line" tier)
+                  1 (List.length !lines))
+              [ "turbo"; "reg" ];
             check_int "soak rejects garbage --engine too" 2
               (Sys.command
                  (Printf.sprintf
@@ -77,10 +82,10 @@ let test_engine_flag_accepted () =
               (Sys.command
                  (Printf.sprintf "%s run %s --until 0.2 --engine %s >/dev/null 2>&1" grc spec
                     tier)))
-          [ "tree"; "reg"; "jit" ])
+          [ "tree"; "jit" ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine.install: tier selection and the sharded-store fallback      *)
+(* Engine.install: tier selection, sharded stores included           *)
 (* ------------------------------------------------------------------ *)
 
 let avg_source =
@@ -109,20 +114,20 @@ let test_requested_tier_honored () =
             (Vm.tier_to_string (Engine.tier h));
         ignore (Engine.check_now engine h : bool);
         Engine.uninstall engine h)
-    [ Vm.Tree; Vm.Reg; Vm.Jit ]
+    Vm.all_tiers
 
-let test_jit_falls_back_on_sharded_store () =
+let test_fleet_monitors_run_on_jit () =
   (* A fleet's control store reads plain keys as the cross-shard
-     merged view — no handle fast path, so a JIT request must come
-     back as the register tier, not an error. Node stores are
-     unsharded: their monitors keep the JIT. *)
+     merged view. Its store handles always take the exact slow path,
+     so fleet control monitors run on the JIT like node monitors do. *)
   let fleet = Fleet.create ~nodes:2 ~seed:3 () in
   (match Fleet.install_source fleet avg_source with
   | Error e -> Alcotest.failf "fleet install: %a" D.pp_error e
   | Ok [ h ] ->
-    if Engine.tier h <> Vm.Reg then
-      Alcotest.failf "fleet monitor should fall back to reg, got %s"
-        (Vm.tier_to_string (Engine.tier h))
+    if Engine.tier h <> Vm.Jit then
+      Alcotest.failf "fleet control monitor should run on the JIT, got %s"
+        (Vm.tier_to_string (Engine.tier h));
+    ignore (Engine.check_now (Fleet.engine fleet) h : bool)
   | Ok _ -> Alcotest.fail "expected one handle");
   match D.install_source (Fleet.node fleet 0) avg_source with
   | Error e -> Alcotest.failf "node install: %a" D.pp_error e
@@ -173,11 +178,10 @@ let test_reinstall_preserves_demands () =
         Engine.uninstall engine h;
         check_int "uninstall releases again" 0 (Store.demand_count store);
         v)
-      [ Vm.Tree; Vm.Reg; Vm.Jit ]
+      Vm.all_tiers
   in
   match verdicts with
-  | [ a; b; c ] ->
-    if not (a = b && b = c) then Alcotest.failf "verdicts differ across tiers: %b %b %b" a b c
+  | [ a; b ] -> if a <> b then Alcotest.failf "verdicts differ across tiers: %b %b" a b
   | _ -> assert false
 
 let suite =
@@ -186,10 +190,10 @@ let suite =
       [
         Alcotest.test_case "grc --engine rejects garbage with exit 2, one line" `Quick
           test_engine_flag_garbage;
-        Alcotest.test_case "grc --engine accepts tree/reg/jit" `Quick test_engine_flag_accepted;
+        Alcotest.test_case "grc --engine accepts tree/jit" `Quick test_engine_flag_accepted;
         Alcotest.test_case "install honors the requested tier" `Quick test_requested_tier_honored;
-        Alcotest.test_case "JIT falls back to reg on sharded stores" `Quick
-          test_jit_falls_back_on_sharded_store;
+        Alcotest.test_case "fleet control monitors run on the JIT" `Quick
+          test_fleet_monitors_run_on_jit;
         Alcotest.test_case "re-install across tiers preserves demand refcounts" `Quick
           test_reinstall_preserves_demands;
       ] );
