@@ -1011,19 +1011,29 @@ let serve_cmd =
                       ("error", J.Str "unknown cmd (expected push|advance|status|quit)");
                     ]
               in
+              (* A client that hangs up mid-exchange loses only its own
+                 connection: the failed read or write drops it and the
+                 daemon keeps serving. *)
               let handle_conn fd =
                 Fun.protect
                   ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
                   (fun () ->
-                    let resp =
-                      match J.parse (read_fd_all fd) with
-                      | Error e ->
-                        J.Obj
-                          [ ("ok", J.Bool false); ("error", J.Str ("bad request: " ^ e)) ]
-                      | Ok req -> dispatch req
-                    in
-                    write_fd_all fd (J.to_string resp ^ "\n"))
+                    match read_fd_all fd with
+                    | exception Unix.Unix_error _ -> ()
+                    | raw -> (
+                      let resp =
+                        match J.parse raw with
+                        | Error e ->
+                          J.Obj
+                            [ ("ok", J.Bool false); ("error", J.Str ("bad request: " ^ e)) ]
+                        | Ok req -> dispatch req
+                      in
+                      try write_fd_all fd (J.to_string resp ^ "\n")
+                      with Unix.Unix_error _ -> ()))
               in
+              (* Writing to a closed peer must fail with EPIPE, not kill
+                 the daemon. *)
+              Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
               if Sys.file_exists socket_path then Sys.remove socket_path;
               let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
               Unix.bind sock (Unix.ADDR_UNIX socket_path);

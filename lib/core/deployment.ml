@@ -60,7 +60,6 @@ let create ~kernel ?config ?(store_capacity = 4096) ?(tracing = false)
       ~capacity_per_key:store_capacity ()
   in
   Gr_runtime.Feature_store.set_tracer store tracer;
-  Option.iter (Gr_runtime.Feature_store.set_node_id store) node_id;
   let engine = Gr_runtime.Engine.create ~kernel ~store ?config ~tracer ?engine () in
   let t = { kernel; store; engine; tracer; monitors_rev = [] } in
   attach_tracer t;

@@ -67,11 +67,10 @@ let create ~nodes:n ~seed ?config ?store_capacity ?(tracing = false) ?(domains =
         node)
   in
   let global = Deployment.store control in
-  Store.set_shards global (Array.map Node.store nodes);
+  Store.link global (Array.map Node.store nodes);
   Array.iteri
     (fun id node ->
       let kernel = Node.kernel node in
-      Store.set_global_tier (Node.store node) global;
       (* A node's GLOBAL save would write the control store from the
          node phase mid-epoch; intercept it into the node's intent
          buffer instead, stamped with the node clock so the barrier

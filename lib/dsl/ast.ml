@@ -60,9 +60,7 @@ let global_prefix = "global::"
 
 let global_key name = global_prefix ^ name
 
-let is_global_key key =
-  let n = String.length global_prefix in
-  String.length key >= n && String.sub key 0 n = global_prefix
+let is_global_key key = String.starts_with ~prefix:global_prefix key
 
 let local_name key =
   if is_global_key key then

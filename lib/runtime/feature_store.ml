@@ -1,29 +1,5 @@
 open Gr_util
 
-(* Scoped keys. The flat string namespace every caller already uses is
-   node-local sugar: a plain key lives in this store instance, while a
-   key carrying the canonical "global::" encoding (what the DSL's
-   GLOBAL(key) qualifier lowers to) is routed to the fleet-wide tier.
-   A standalone store is its own global tier, so single-node behaviour
-   is untouched — the scoped key simply lands in a distinct entry. *)
-module Key = struct
-  type t = Node of int * string | Global of string
-
-  let of_id ~node_id id =
-    if Gr_dsl.Ast.is_global_key id then Global (Gr_dsl.Ast.local_name id)
-    else Node (node_id, id)
-
-  let id = function
-    | Global name -> Gr_dsl.Ast.global_key name
-    | Node (_, name) -> name
-
-  let node_id = function Global _ -> None | Node (i, _) -> Some i
-
-  let to_string = function
-    | Global name -> Printf.sprintf "GLOBAL(%s)" name
-    | Node (i, name) -> Gr_dsl.Ast.node_key i name
-end
-
 (* A demand is one (fn, window, param) aggregate registered against a
    key, kept incrementally so checks don't re-scan the ring.
 
@@ -87,17 +63,13 @@ type t = {
   mutable n_demands : int;
   mutable force_naive : bool;
   mutable tracer : Gr_trace.Tracer.t option;
-  mutable node_id : int;
+  (* Routing, fixed once by [link] before any entry exists. *)
   mutable global_tier : t option; (* None: this store is its own tier *)
   mutable shards : t array; (* fleet tier: node stores merged under plain keys *)
   (* Fleet interception: when set, saves that would cross
      into a foreign global tier are handed to this hook instead of
      mutating the tier directly (docs/PARALLEL.md). *)
   mutable global_publish : (string -> float -> unit) option;
-  (* Bumped whenever key routing changes (global tier / shards), so
-     pre-resolved handles can detect that their cached store is no
-     longer the right one and fall back to the exact slow path. *)
-  mutable topo_gen : int;
 }
 
 let create ~clock ?(capacity_per_key = 4096) () =
@@ -115,33 +87,30 @@ let create ~clock ?(capacity_per_key = 4096) () =
     n_demands = 0;
     force_naive = false;
     tracer = None;
-    node_id = 0;
     global_tier = None;
     shards = [||];
     global_publish = None;
-    topo_gen = 0;
   }
 
 let set_tracer t tracer = t.tracer <- Some tracer
 let clear_tracer t = t.tracer <- None
-let node_id t = t.node_id
-let set_node_id t id = t.node_id <- id
 
-let set_global_tier t g =
-  (if g == t then t.global_tier <- None else t.global_tier <- Some g);
-  t.topo_gen <- t.topo_gen + 1
-
-let global_tier t = match t.global_tier with Some g -> g | None -> t
-
-let set_shards t shards =
-  t.shards <- Array.copy shards;
-  t.topo_gen <- t.topo_gen + 1
-let shards t = Array.copy t.shards
+(* Routing never changes after [link], and [link] only accepts stores
+   that hold no entries yet, so anything resolved later (handles
+   included) stays valid for the store's lifetime. *)
+let link tier shards =
+  let fresh s =
+    Option.is_none s.global_tier && Array.length s.shards = 0 && Hashtbl.length s.entries = 0
+  in
+  if not (fresh tier && Array.for_all fresh shards) then
+    invalid_arg "Feature_store.link: stores must be unlinked and empty";
+  tier.shards <- Array.copy shards;
+  Array.iter (fun s -> s.global_tier <- Some tier) shards
 
 (* Where a key's entry lives: global-scoped keys go to the fleet tier
    (self when standalone), everything else stays here. *)
 let resolve t key =
-  if Gr_dsl.Ast.is_global_key key then global_tier t else t
+  match t.global_tier with Some g when Gr_dsl.Ast.is_global_key key -> g | _ -> t
 
 (* A fleet-tier store answers plain keys as the merged view over its
    own entries plus every node shard; its own table is member 0 so
@@ -348,13 +317,6 @@ let mem t key =
   if sharded t key then List.exists (fun m -> Hashtbl.mem m.entries key) (members t)
   else Hashtbl.mem t.entries key
 
-let keys t =
-  if Array.length t.shards = 0 then
-    List.sort String.compare (List.of_seq (Hashtbl.to_seq_keys t.entries))
-  else
-    List.sort_uniq String.compare
-      (List.concat_map (fun m -> List.of_seq (Hashtbl.to_seq_keys m.entries)) (members t))
-
 (* ---------- demand registration ---------- *)
 
 let find_demand e ~fn ~window_ns ~param =
@@ -526,6 +488,9 @@ let agg_name : Gr_dsl.Ast.agg -> string = function
 
 type agg_result = { value : float; scanned : int; incremental : bool }
 
+(* The naive scan, kept as the oracle the streaming path is
+   property-tested against: it answers reads without a demand and every
+   read under force_naive. *)
 let naive_aggregate t ~key ~fn ~window_ns ~param =
   let values = window_values t ~key ~window_ns in
   let value =
@@ -555,53 +520,6 @@ let naive_aggregate t ~key ~fn ~window_ns ~param =
   in
   { value; scanned = List.length values; incremental = false }
 
-let demand_aggregate t e d ~window_ns ~param =
-  let now = t.clock () in
-  let expired = expire t e d ~now in
-  let base = e.pushes - Ring.length e.samples in
-  let value, extra_scan =
-    match d.fn with
-    | Count -> (float_of_int d.count, 0)
-    | Sum -> (d.sum, 0)
-    | Rate -> (d.sum /. (window_ns /. 1e9), 0)
-    | Avg -> ((if d.count = 0 then 0. else d.sum /. float_of_int d.count), 0)
-    | Min | Max -> (
-      (* Float.min/Float.max propagate NaN, so the naive scan answers
-         NaN whenever one is in the window; the deque (which NaN never
-         enters) defers to the counter to agree. *)
-      if d.nans > 0 then (Float.nan, 0)
-      else
-        match d.extrema with
-        | Some dq -> (( match Deque.front dq with None -> 0. | Some (_, v) -> v), 0)
-        | None -> (0., 0))
-    | Stddev ->
-      if d.count < 2 then (0., 0)
-      else begin
-        let n = float_of_int d.count in
-        let mean = d.sum /. n in
-        (sqrt (Float.max 0. ((d.sumsq /. n) -. (mean *. mean))), 0)
-      end
-    | Delta ->
-      if d.oldest_seq >= e.pushes then (0., 0)
-      else begin
-        let _, oldest = Ring.get e.samples (d.oldest_seq - base) in
-        let _, newest = Ring.get e.samples (Ring.length e.samples - 1) in
-        (newest -. oldest, 0)
-      end
-    | Quantile ->
-      (* No O(1) summary ranks arbitrary quantiles exactly; instead
-         of folding the whole ring, binary-search the cutoff and rank
-         only the in-window suffix. *)
-      let i0 = first_inside e ~now ~window_ns:d.window_ns in
-      let n = Ring.length e.samples - i0 in
-      if n = 0 then (0., 0)
-      else begin
-        let xs = Array.init n (fun i -> snd (Ring.get e.samples (i0 + i))) in
-        (Stats.quantile xs param, n)
-      end
-  in
-  { value; scanned = expired + extra_scan; incremental = true }
-
 (* ---------- cross-shard merge ---------- *)
 
 (* Mergeable summary of one shard's streaming state for a single
@@ -611,7 +529,9 @@ let demand_aggregate t e d ~window_ns ~param =
    multiset behind QUANTILE. [union] is associative with [empty] as
    unit, so a fleet-wide aggregate over N node shards folds N exports
    — each O(1) amortized on the streaming path — instead of
-   re-scanning every shard's window. *)
+   re-scanning every shard's window. [value] is the one place the
+   streaming answer formulas live: single-store and merged reads both
+   answer through it. *)
 module Merge = struct
   type state = {
     count : int;
@@ -670,6 +590,9 @@ module Merge = struct
     | Rate -> s.sum /. (window_ns /. 1e9)
     | Avg -> if s.count = 0 then 0. else s.sum /. float_of_int s.count
     | Min -> (
+      (* Float.min/Float.max propagate NaN, so the naive scan answers
+         NaN whenever one is in the window; the deque (which NaN never
+         enters) defers to the counter to agree. *)
       if s.nans > 0 then Float.nan
       else match s.minv with Some v -> v | None -> 0.)
     | Max -> (
@@ -686,75 +609,80 @@ module Merge = struct
       match (s.newest, s.oldest) with
       | Some (_, nv), Some (_, ov) -> nv -. ov
       | _ -> 0.)
-    | Quantile ->
-      if Array.length s.samples = 0 then 0.
-      else Stats.quantile (Array.copy s.samples) param
+    | Quantile -> if Array.length s.samples = 0 then 0. else Stats.quantile s.samples param
 end
+
+(* A registered demand's state after lazy expiry, plus the samples
+   this read touched: the ones expired now and, for QUANTILE, the
+   in-window suffix. QUANTILE has no exact O(1) summary; instead of
+   folding the whole ring it binary-searches the cutoff and exports
+   only that suffix. *)
+let export_demand t e d ~now =
+  let expired = expire t e d ~now in
+  let base = e.pushes - Ring.length e.samples in
+  match d.fn with
+  | Count | Sum | Rate | Avg | Stddev ->
+    ({ Merge.empty with count = d.count; sum = d.sum; sumsq = d.sumsq; nans = d.nans }, expired)
+  | Min | Max ->
+    let front =
+      match d.extrema with Some dq -> Option.map snd (Deque.front dq) | None -> None
+    in
+    ( {
+        Merge.empty with
+        count = d.count;
+        nans = d.nans;
+        minv = (if d.fn = Min then front else None);
+        maxv = (if d.fn = Max then front else None);
+      },
+      expired )
+  | Delta ->
+    if d.oldest_seq >= e.pushes then (Merge.empty, expired)
+    else
+      ( {
+          Merge.empty with
+          count = d.count;
+          oldest = Some (Ring.get e.samples (d.oldest_seq - base));
+          newest = Some (Ring.get e.samples (Ring.length e.samples - 1));
+        },
+        expired )
+  | Quantile ->
+    let i0 = first_inside e ~now ~window_ns:d.window_ns in
+    let n = Ring.length e.samples - i0 in
+    ( {
+        Merge.empty with
+        count = n;
+        samples = Array.init n (fun i -> snd (Ring.get e.samples (i0 + i)));
+      },
+      expired + n )
+
+(* The streaming read of one store: [Merge.value] of its demand's
+   export. *)
+let demand_result t e d =
+  let state, scanned = export_demand t e d ~now:(t.clock ()) in
+  {
+    value = Merge.value ~fn:d.fn ~window_ns:d.window_ns ~param:d.param state;
+    scanned;
+    incremental = true;
+  }
 
 (* One member's export for a shape, plus read-cost accounting:
    (state, samples scanned, served incrementally). The streaming path
    exports the demand's running state after lazy expiry; without a
    demand (or under force_naive) the state is rebuilt by scanning the
-   in-window suffix. *)
-let export_here t ?now ~key ~fn ~window_ns ~param () =
+   in-window suffix. [now] is the reading store's clock: in a fleet the
+   shards' clocks sit at the epoch boundary, ahead of the control plane
+   mid-epoch, and cutting with a shard's own clock would expire samples
+   the naive concat-and-scan oracle (which always cuts with the reading
+   store's clock) still sees. *)
+let export_here t ~now ~key ~fn ~window_ns ~param =
   match Hashtbl.find_opt t.entries key with
   | None -> (Merge.empty, 0, true)
   | Some e -> (
-    (* [?now] lets a merged read cut every member's window with the
-       reader's clock. In a fleet the shards' clocks sit at the epoch
-       boundary, ahead of the control plane mid-epoch, and using the
-       shard's own clock here would expire samples the naive
-       concat-and-scan oracle (which always cuts with the reading
-       store's clock) still sees. *)
-    let now = match now with Some n -> n | None -> t.clock () in
-    let streaming =
-      if t.force_naive then None else find_demand e ~fn ~window_ns ~param
-    in
+    let streaming = if t.force_naive then None else find_demand e ~fn ~window_ns ~param in
     match streaming with
-    | Some d -> (
-      let expired = expire t e d ~now in
-      let base = e.pushes - Ring.length e.samples in
-      match d.fn with
-      | Count | Sum | Rate | Avg | Stddev ->
-        ( { Merge.empty with count = d.count; sum = d.sum; sumsq = d.sumsq; nans = d.nans },
-          expired,
-          true )
-      | Min | Max ->
-        let front =
-          match d.extrema with
-          | Some dq -> Option.map snd (Deque.front dq)
-          | None -> None
-        in
-        ( {
-            Merge.empty with
-            count = d.count;
-            nans = d.nans;
-            minv = (if d.fn = Min then front else None);
-            maxv = (if d.fn = Max then front else None);
-          },
-          expired,
-          true )
-      | Delta ->
-        if d.oldest_seq >= e.pushes then (Merge.empty, expired, true)
-        else
-          ( {
-              Merge.empty with
-              count = d.count;
-              oldest = Some (Ring.get e.samples (d.oldest_seq - base));
-              newest = Some (Ring.get e.samples (Ring.length e.samples - 1));
-            },
-            expired,
-            true )
-      | Quantile ->
-        let i0 = first_inside e ~now ~window_ns in
-        let n = Ring.length e.samples - i0 in
-        ( {
-            Merge.empty with
-            count = n;
-            samples = Array.init n (fun i -> snd (Ring.get e.samples (i0 + i)));
-          },
-          expired + n,
-          true ))
+    | Some d ->
+      let state, scanned = export_demand t e d ~now in
+      (state, scanned, true)
     | None ->
       let win = member_window e ~now ~window_ns in
       let n = Array.length win in
@@ -777,23 +705,31 @@ let export_here t ?now ~key ~fn ~window_ns ~param () =
         win;
       ({ !st with samples = Array.map snd win }, n, false))
 
-let rec export_state ?now t ~key ~fn ~window_ns ~param =
-  let t = resolve t key in
-  let now = match now with Some n -> n | None -> t.clock () in
-  if sharded t key then
+(* Fold every member of a fleet-tier store into one merged state:
+   (state, samples scanned, whether every member served it
+   incrementally). *)
+let fold_members t ~now ~key ~fn ~window_ns ~param =
+  let scanned = ref 0 in
+  let incremental = ref true in
+  let state =
     List.fold_left
       (fun acc m ->
-        let s =
-          if m == t then
-            let s, _, _ = export_here m ~now ~key ~fn ~window_ns ~param () in
-            s
-          else export_state ~now m ~key ~fn ~window_ns ~param
-        in
+        let s, n, inc = export_here m ~now ~key ~fn ~window_ns ~param in
+        scanned := !scanned + n;
+        if not inc then incremental := false;
         Merge.union acc s)
       Merge.empty (members t)
-  else
-    let s, _, _ = export_here t ~now ~key ~fn ~window_ns ~param () in
-    s
+  in
+  (state, !scanned, !incremental)
+
+let export_state ?now t ~key ~fn ~window_ns ~param =
+  let t = resolve t key in
+  let now = match now with Some n -> n | None -> t.clock () in
+  let state, _, _ =
+    if sharded t key then fold_members t ~now ~key ~fn ~window_ns ~param
+    else export_here t ~now ~key ~fn ~window_ns ~param
+  in
+  state
 
 (* Fleet-tier aggregate over a plain key: fold every member's export
    into one merged state. Under force_naive the whole merged window is
@@ -802,32 +738,19 @@ let rec export_state ?now t ~key ~fn ~window_ns ~param =
 let merged_aggregate t ~key ~fn ~window_ns ~param =
   if t.force_naive then naive_aggregate t ~key ~fn ~window_ns ~param
   else begin
-    let now = t.clock () in
-    let scanned = ref 0 in
-    let incremental = ref true in
-    let fold () =
-      List.fold_left
-        (fun acc m ->
-          let s, n, inc = export_here m ~now ~key ~fn ~window_ns ~param () in
-          scanned := !scanned + n;
-          if not inc then incremental := false;
-          Merge.union acc s)
-        Merge.empty (members t)
-    in
-    let state =
+    let fold () = fold_members t ~now:(t.clock ()) ~key ~fn ~window_ns ~param in
+    let state, scanned, incremental =
       if Gr_trace.Selfcost.enabled () then
         Gr_trace.Selfcost.time Gr_trace.Selfcost.Store_merge fold
       else fold ()
     in
-    {
-      value = Merge.value ~fn ~window_ns ~param state;
-      scanned = !scanned;
-      incremental = !incremental;
-    }
+    { value = Merge.value ~fn ~window_ns ~param state; scanned; incremental }
   end
 
-(* [t] must already be the resolved store for [key]. *)
-let emit_agg_trace t ~key ~fn ~window_ns (r : agg_result) =
+(* Count and trace one aggregate read; [t] must already be the
+   resolved store for [key]. *)
+let record_agg t ~key ~fn ~window_ns (r : agg_result) =
+  if r.incremental then t.agg_hits <- t.agg_hits + 1 else t.agg_misses <- t.agg_misses + 1;
   if tracing t then
     Gr_trace.Tracer.instant (Option.get t.tracer) ~cat:"store"
       ~args:
@@ -837,33 +760,22 @@ let emit_agg_trace t ~key ~fn ~window_ns (r : agg_result) =
           ("samples", Gr_trace.Event.Int r.scanned);
           ("incremental", Gr_trace.Event.Bool r.incremental);
         ]
-      ("agg:" ^ agg_name fn)
+      ("agg:" ^ agg_name fn);
+  r
 
 let aggregate_result t ~key ~fn ~window_ns ~param =
   let t = resolve t key in
   let r =
-    if sharded t key then begin
-      let r = merged_aggregate t ~key ~fn ~window_ns ~param in
-      if r.incremental then t.agg_hits <- t.agg_hits + 1
-      else t.agg_misses <- t.agg_misses + 1;
-      r
-    end
+    if sharded t key then merged_aggregate t ~key ~fn ~window_ns ~param
     else
       match Hashtbl.find_opt t.entries key with
       | Some e when not t.force_naive -> (
         match find_demand e ~fn ~window_ns ~param with
-        | Some d ->
-          t.agg_hits <- t.agg_hits + 1;
-          demand_aggregate t e d ~window_ns ~param
-        | None ->
-          t.agg_misses <- t.agg_misses + 1;
-          naive_aggregate t ~key ~fn ~window_ns ~param)
-      | _ ->
-        t.agg_misses <- t.agg_misses + 1;
-        naive_aggregate t ~key ~fn ~window_ns ~param
+        | Some d -> demand_result t e d
+        | None -> naive_aggregate t ~key ~fn ~window_ns ~param)
+      | _ -> naive_aggregate t ~key ~fn ~window_ns ~param
   in
-  emit_agg_trace t ~key ~fn ~window_ns r;
-  r
+  record_agg t ~key ~fn ~window_ns r
 
 let aggregate t ~key ~fn ~window_ns ~param =
   (aggregate_result t ~key ~fn ~window_ns ~param).value
@@ -871,55 +783,40 @@ let aggregate t ~key ~fn ~window_ns ~param =
 (* ---------- pre-resolved handles (JIT fast path) ----------
 
    A handle pins the resolve step and, lazily, the entry and streaming
-   demand lookups, so the per-check read is a couple of loads and
-   generation compares instead of hashing the key and walking the
-   demand list. Handles never create entries (that would be observable
-   through [mem]/[keys]); they cache an entry the first time it exists.
-   Handles are total: a key that reads as a cross-shard merge has no
-   single entry to pin, so its handle is born stale (root generation
-   [stale_gen], which [topo_gen] — starting at 0, only incremented —
-   never matches) and every read takes the exact slow path.
-   Correctness guards, checked on every read:
-   - [topo_gen] on both the handle's root store and its resolved store:
-     any [set_global_tier]/[set_shards] after creation voids the
-     cached routing and the read degrades to the exact slow path.
-   - [force_naive] and a cached demand's [refs]: a released demand
-     (refs = 0) is no longer maintained, so the handle re-finds or
-     falls back. Demands are only removed when refs reaches 0, so an
-     object with refs > 0 is guaranteed live. *)
+   demand lookups, so the per-check read is a couple of loads instead
+   of hashing the key and walking the demand list. Routing is fixed by
+   [link] before any entry exists, so the resolved store never goes
+   stale. Handles never create entries (that would be observable
+   through [mem]); they cache an entry the first time it exists. A key
+   that reads as a cross-shard merge has no single entry to pin: its
+   handle records [merged] and every read takes the exact slow path.
+   The fast aggregate path still checks [force_naive] and a cached
+   demand's [refs]: a released demand (refs = 0) is no longer
+   maintained, so the handle re-finds or falls back. Demands are only
+   removed when refs reaches 0, so an object with refs > 0 is
+   guaranteed live. *)
 
 type load_handle = {
-  lh_root : t;
-  lh_store : t; (* resolve lh_root lh_key, at creation *)
+  lh_store : t; (* resolve t key, at creation *)
   lh_key : string;
+  lh_merged : bool;
   mutable lh_entry : entry option;
-  lh_root_gen : int;
-  lh_store_gen : int;
 }
-
-let stale_gen = -1
-
-(* The root generation a new handle records: [stale_gen] for a merged
-   read, so the handle never takes the pinned fast path. *)
-let root_gen t s key = if sharded s key then stale_gen else t.topo_gen
 
 let load_handle t key =
   let s = resolve t key in
   Some
     {
-      lh_root = t;
       lh_store = s;
       lh_key = key;
+      lh_merged = sharded s key;
       lh_entry = Hashtbl.find_opt s.entries key;
-      lh_root_gen = root_gen t s key;
-      lh_store_gen = s.topo_gen;
     }
 
 let handle_load h =
-  if h.lh_root.topo_gen <> h.lh_root_gen || h.lh_store.topo_gen <> h.lh_store_gen then
-    load h.lh_root h.lh_key
+  let s = h.lh_store in
+  if h.lh_merged then load s h.lh_key
   else begin
-    let s = h.lh_store in
     s.loads <- s.loads + 1;
     match h.lh_entry with
     | Some e -> e.latest
@@ -932,39 +829,34 @@ let handle_load h =
   end
 
 type agg_handle = {
-  ah_root : t;
   ah_store : t;
   ah_key : string;
   ah_fn : Gr_dsl.Ast.agg;
   ah_window_ns : float;
   ah_param : float;
+  ah_merged : bool;
   mutable ah_entry : entry option;
   mutable ah_demand : demand option;
-  ah_root_gen : int;
-  ah_store_gen : int;
 }
 
 let agg_handle t ~key ~fn ~window_ns ~param =
   let s = resolve t key in
   let e = Hashtbl.find_opt s.entries key in
   {
-    ah_root = t;
     ah_store = s;
     ah_key = key;
     ah_fn = fn;
     ah_window_ns = window_ns;
     ah_param = param;
+    ah_merged = sharded s key;
     ah_entry = e;
     ah_demand = (match e with Some e -> find_demand e ~fn ~window_ns ~param | None -> None);
-    ah_root_gen = root_gen t s key;
-    ah_store_gen = s.topo_gen;
   }
 
 let handle_aggregate h =
   let s = h.ah_store in
-  if h.ah_root.topo_gen <> h.ah_root_gen || s.topo_gen <> h.ah_store_gen || s.force_naive then
-    aggregate_result h.ah_root ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns
-      ~param:h.ah_param
+  if h.ah_merged || s.force_naive then
+    aggregate_result s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
   else begin
     (match h.ah_demand with
     | Some d when d.refs > 0 -> ()
@@ -978,13 +870,8 @@ let handle_aggregate h =
         | None -> None));
     match (h.ah_entry, h.ah_demand) with
     | Some e, Some d when d.refs > 0 ->
-      s.agg_hits <- s.agg_hits + 1;
-      let r = demand_aggregate s e d ~window_ns:h.ah_window_ns ~param:h.ah_param in
-      emit_agg_trace s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns r;
-      r
-    | _ ->
-      aggregate_result h.ah_root ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns
-        ~param:h.ah_param
+      record_agg s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns (demand_result s e d)
+    | _ -> aggregate_result s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
   end
 
 let on_save t fn = Vec.push t.subscribers fn

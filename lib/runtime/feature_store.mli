@@ -21,71 +21,44 @@
     {!save} and expired lazily against the clock on read. QUANTILE
     has no exact O(1) summary and instead binary-searches the
     time-ordered ring for the window cutoff, ranking only the
-    in-window suffix. Aggregates without a registered demand fall
-    back to the naive full scan, which is also kept as the oracle
-    path for equivalence testing ({!set_force_naive}). *)
+    in-window suffix. Every streaming read, on one store or merged
+    across a fleet, exports that state as a {!Merge.state} and
+    answers with {!Merge.value}. Aggregates without a registered
+    demand fall back to the naive full scan, which is also kept as
+    the oracle path for equivalence testing ({!set_force_naive}). *)
 
 type t
 
-(** {1 Scoped keys}
+(** {1 Scoped keys and fleet routing}
 
-    Keys are scoped. The flat string namespace every existing caller
-    uses is {e node-local sugar}: a plain key names state in this
-    store instance. A key carrying the canonical ["global::"] encoding
-    (what the DSL's [GLOBAL(key)] qualifier lowers to, see
-    {!Gr_dsl.Ast.global_key}) is routed to the fleet-wide tier set
-    with {!set_global_tier}. A standalone store is its own global
-    tier, so single-node behaviour is bit-for-bit unchanged. *)
-
-module Key : sig
-  type t = Node of int * string | Global of string
-
-  val of_id : node_id:int -> string -> t
-  (** Structured view of an encoded key, attributing plain keys to
-      [node_id]. *)
-
-  val id : t -> string
-  (** The encoded string form the store's flat API takes. *)
-
-  val node_id : t -> int option
-  (** [None] for global keys. *)
-
-  val to_string : t -> string
-  (** Display form: [node3::key] or [GLOBAL(key)] — what lint
-      diagnostics print when scoping matters. *)
-end
+    Keys are scoped. The flat string namespace every caller uses is
+    {e node-local sugar}: a plain key names state in this store
+    instance. A key carrying the canonical ["global::"] encoding (what
+    the DSL's [GLOBAL(key)] qualifier lowers to, see
+    {!Gr_dsl.Ast.global_key}) is routed to the fleet-wide tier set by
+    {!link}. A standalone store is its own global tier, so single-node
+    behaviour is bit-for-bit unchanged. *)
 
 val create : clock:(unit -> Gr_util.Time_ns.t) -> ?capacity_per_key:int -> unit -> t
 (** [capacity_per_key] defaults to 4096 samples. *)
 
-val node_id : t -> int
-(** Which fleet node this store shard belongs to; 0 for a standalone
-    store. *)
+val link : t -> t array -> unit
+(** [link tier shards] fixes fleet routing once. [tier] becomes the
+    fleet tier over [shards]: its plain keys then read as the {e merged}
+    view — loads answer the newest sample across all members, windowed
+    aggregates fold every member's streaming state with {!Merge.union},
+    and {!window_samples} is the timestamp-sorted concatenation. The
+    tier's own table still participates (member 0), so fleet-level
+    saves of plain keys stay visible. Each shard's ["global::"]-scoped
+    keys route to [tier]: saves, loads, demand registrations and
+    aggregates on them forward there, and its {!on_save} subscribers
+    see the save — the cross-node signalling channel.
 
-val set_node_id : t -> int -> unit
-
-val set_global_tier : t -> t -> unit
-(** Route ["global::"]-scoped keys to the given fleet-tier store.
-    Saves, loads, demand registrations and aggregates on global keys
-    all forward there, and its {!on_save} subscribers see the save —
-    the cross-node signalling channel. Passing the store itself resets
-    to standalone behaviour. *)
-
-val global_tier : t -> t
-(** The store global keys resolve to; the store itself when
-    standalone. *)
-
-val set_shards : t -> t array -> unit
-(** Declare this store the fleet tier over the given node shards.
-    Plain keys then read as the {e merged} view: loads answer the
-    newest sample across all members, windowed aggregates fold every
-    member's streaming state with {!Merge.union}, and
-    {!window_samples} is the timestamp-sorted concatenation. The
-    store's own table still participates (member 0), so fleet-level
-    saves of plain keys stay visible. Register demands after the
-    shards are set so the registration fans out. *)
-
-val shards : t -> t array
+    Routing never changes afterwards. Link before installing monitors
+    or creating handles, so demand registrations fan out and handles
+    resolve to the final routing.
+    @raise Invalid_argument unless every store involved is unlinked
+    and has no entries. *)
 
 val set_tracer : t -> Gr_trace.Tracer.t -> unit
 (** Attach a tracer. When tracing is enabled, every SAVE emits a
@@ -109,7 +82,6 @@ val load : t -> string -> float
 (** Latest value; 0. for a key never saved (LOAD's semantics). *)
 
 val mem : t -> string -> bool
-val keys : t -> string list
 
 (** {1 Aggregate demands} *)
 
@@ -170,16 +142,16 @@ val aggregate :
 
     The JIT tier resolves a read's store routing, entry, and streaming
     demand once at monitor install, reducing the per-check read to a
-    few loads and generation compares. Handle reads are observationally
-    identical to {!load}/{!aggregate_result}: same counters, same trace
-    instants, same values. Handles self-invalidate — any later
-    {!set_global_tier}/{!set_shards}, a [set_force_naive true], or a
-    released demand degrades the read to the exact slow path rather
-    than returning stale state.
+    few loads. Handle reads are observationally identical to
+    {!load}/{!aggregate_result}: same counters, same trace instants,
+    same values. Routing is fixed by {!link} before any handle exists,
+    so a handle's resolved store stays right; a [set_force_naive true]
+    or a released demand degrades the read to the exact slow path
+    rather than returning stale state.
 
     Every key gets a handle. A key that reads as a cross-shard merge on
-    the fleet tier has no single entry to pin, so its handle is stale
-    from creation and every read takes the slow path through
+    the fleet tier has no single entry to pin, so its handle records
+    that at creation and every read takes the slow path through
     {!load}/{!aggregate_result}. *)
 
 type load_handle
@@ -242,8 +214,9 @@ module Merge : sig
       head/tail exactly like the stable merged-window sort. *)
 
   val value : fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> state -> float
-  (** The aggregate a merged state answers — same empty-window and NaN
-      semantics as {!aggregate}. *)
+  (** The aggregate a state answers — same empty-window and NaN
+      semantics as {!aggregate}. Every streaming read answers through
+      it, merged or not. *)
 end
 
 val export_state :

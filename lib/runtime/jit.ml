@@ -14,10 +14,10 @@ module Ir = Gr_compiler.Ir
      bit-identical to the interpreted kind);
    - feature-store reads go through pre-resolved handles
      (Feature_store.load_handle / agg_handle): key hashing and demand
-     list walks happen once here, not per check — the handles
-     self-invalidate on store topology changes and degrade to the
-     exact slow path, and a fleet-merged (sharded) key gets a handle
-     that always takes it, so every program compiles;
+     list walks happen once here, not per check — store routing is
+     fixed before install, a released demand or force_naive degrades
+     a read to the exact slow path, and a fleet-merged (sharded) key
+     gets a handle that always takes it, so every program compiles;
    - each remaining instruction becomes a closure from a hand-written
      template library, operator and constant operands baked into the
      closure environment (36 binop shapes: op x {reg·reg, reg·const,

@@ -12,19 +12,13 @@ type monitor = {
   latency_p50 : Stats.P2.t;
   latency_p90 : Stats.P2.t;
   latency_p99 : Stats.P2.t;
-  latency_hist : Stats.Histogram.t;
 }
 
-type t = { table : (string, monitor) Hashtbl.t; mutable node_id : int option }
+type t = { table : (string, monitor) Hashtbl.t; node_id : int option }
 
 let create () = { table = Hashtbl.create 16; node_id = None }
+let for_node id = { table = Hashtbl.create 16; node_id = Some id }
 let node_id t = t.node_id
-let set_node_id t id = t.node_id <- id
-
-(* Log-scale histogram over check costs: 0.1ns .. 10ms. *)
-let hist_lo = -1.
-let hist_hi = 7.
-let hist_bins = 64
 
 let monitor t name =
   match Hashtbl.find_opt t.table name with
@@ -43,7 +37,6 @@ let monitor t name =
         latency_p50 = Stats.P2.create ~q:0.5;
         latency_p90 = Stats.P2.create ~q:0.9;
         latency_p99 = Stats.P2.create ~q:0.99;
-        latency_hist = Stats.Histogram.create ~lo:hist_lo ~hi:hist_hi ~bins:hist_bins;
       }
     in
     Hashtbl.add t.table name m;
@@ -64,9 +57,7 @@ let record_check m ~cost_ns ~insts ~samples ~violated =
   Stats.Welford.add m.latency cost_ns;
   Stats.P2.add m.latency_p50 cost_ns;
   Stats.P2.add m.latency_p90 cost_ns;
-  Stats.P2.add m.latency_p99 cost_ns;
-  (* Guard log10 against zero-cost checks (empty rules). *)
-  Stats.Histogram.add m.latency_hist (Float.log10 (Float.max cost_ns 0.1))
+  Stats.P2.add m.latency_p99 cost_ns
 
 let record_fire m = m.fires <- m.fires + 1
 let record_action_cost m ~cost_ns = m.vm_cost_ns <- m.vm_cost_ns +. cost_ns
@@ -76,7 +67,7 @@ let latency_quantile m q =
   else if q = 0.5 then Stats.P2.quantile m.latency_p50
   else if q = 0.9 then Stats.P2.quantile m.latency_p90
   else if q = 0.99 then Stats.P2.quantile m.latency_p99
-  else Float.pow 10. (Stats.Histogram.quantile m.latency_hist q)
+  else invalid_arg "Metrics.latency_quantile: q must be 0.5, 0.9 or 0.99"
 
 let num x : Json.t = if Float.is_finite x then Num x else Null
 

@@ -3,12 +3,11 @@
     One record per installed monitor, updated on every rule check and
     action firing by the runtime engine: check/violation/firing
     counts, cumulative estimated VM cost, instruction and
-    sample-scan totals, and a check-latency distribution tracked three
+    sample-scan totals, and a check-latency distribution tracked two
     ways on {!Gr_util.Stats} primitives — a Welford summary
-    (mean/min/max), streaming P² estimators for p50/p90/p99, and a
-    log-scale histogram for arbitrary quantiles. All state is O(1) per
-    monitor, matching the in-kernel-budget constraint (§4.1): nothing
-    here stores per-check samples.
+    (mean/min/max) and streaming P² estimators for p50/p90/p99. All
+    state is O(1) per monitor, matching the in-kernel-budget
+    constraint (§4.1): nothing here stores per-check samples.
 
     This registry is what replaces the engine's aggregate
     [overhead_ns] as the source for per-monitor overhead attribution
@@ -26,15 +25,16 @@ type monitor = {
   latency_p50 : Gr_util.Stats.P2.t;
   latency_p90 : Gr_util.Stats.P2.t;
   latency_p99 : Gr_util.Stats.P2.t;
-  latency_hist : Gr_util.Stats.Histogram.t;  (** over log10(cost ns) *)
 }
 
 type t
 
 val create : unit -> t
 
+val for_node : int -> t
+(** A registry for one fleet node. *)
+
 val node_id : t -> int option
-val set_node_id : t -> int option -> unit
 (** Fleet provenance: which node this registry belongs to. [None]
     (the default, and the only value in single-node deployments)
     leaves {!to_json} output exactly as before. *)
@@ -52,9 +52,9 @@ val record_action_cost : monitor -> cost_ns:float -> unit
 (** Extra VM cost outside the rule itself (SAVE value programs). *)
 
 val latency_quantile : monitor -> float -> float
-(** p50/p90/p99 come from the exact-ish P² estimators; other
-    quantiles interpolate the log-scale histogram. [nan] before the
-    first check. *)
+(** p50/p90/p99 from the exact-ish P² estimators; [nan] before the
+    first check.
+    @raise Invalid_argument for any other [q]. *)
 
 val to_json : t -> Json.t
 (** [{"monitors":[{name, checks, violations, fires, vm_cost_ns, ...,

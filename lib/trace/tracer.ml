@@ -18,21 +18,20 @@ type t = {
   reports : Sink.t;
   metrics : Metrics.t;
   mutable enabled : bool;
-  mutable node_id : int option;
+  node_id : int option;
   mutable ctx : span_ctx;
   (* Tail of the provenance args, [("parent", _); ("node", _)], cached
      per parent: args lists are immutable so every sibling event in a
      causal scope can share the same cells, and steady-state tagging
      allocates only the leading span cell. *)
-  mutable node_tail : (string * Event.arg) list;
+  node_tail : (string * Event.arg) list;
   mutable memo_parent : int;
   mutable memo_tail : (string * Event.arg) list;
 }
 
 let create ~clock ?(capacity = 65536) ?(report_capacity = 16384) ?overflow ?(enabled = false)
     ?node_id () =
-  let metrics = Metrics.create () in
-  Metrics.set_node_id metrics node_id;
+  let metrics = match node_id with Some id -> Metrics.for_node id | None -> Metrics.create () in
   {
     clock;
     events = Sink.create ~capacity ?overflow ();
@@ -53,12 +52,6 @@ let events t = t.events
 let reports t = t.reports
 let metrics t = t.metrics
 let node_id t = t.node_id
-
-let set_node_id t id =
-  t.node_id <- id;
-  t.node_tail <- (match id with None -> [] | Some id -> [ ("node", Event.Int id) ]);
-  t.memo_parent <- min_int;
-  Metrics.set_node_id t.metrics id
 
 let set_span_channel t ~offset ~stride =
   if offset < 0 || stride < 1 || offset >= stride then

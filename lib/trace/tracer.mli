@@ -57,9 +57,6 @@ val reports : t -> Sink.t
 val metrics : t -> Metrics.t
 
 val node_id : t -> int option
-val set_node_id : t -> int option -> unit
-(** Change the fleet provenance tag after creation (also restamps the
-    metrics registry). Events already in the sinks are unaffected. *)
 
 (* Causal span context: a span-id allocator and the current causal
    parent, one per tracer. *)

@@ -172,70 +172,6 @@ module P2 = struct
   let count t = t.n
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if not (hi > lo) then invalid_arg "Histogram.create: hi must exceed lo";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let bins t = Array.length t.counts
-
-  let bin_of t x =
-    let b =
-      int_of_float (float_of_int (bins t) *. (x -. t.lo) /. (t.hi -. t.lo))
-    in
-    Stdlib.max 0 (Stdlib.min (bins t - 1) b)
-
-  let add t x =
-    (* NaN fails every bound comparison and would clamp to bin 0,
-       silently skewing low quantiles. Skip it. *)
-    if Float.is_nan x then ()
-    else begin
-      t.counts.(bin_of t x) <- t.counts.(bin_of t x) + 1;
-      t.total <- t.total + 1
-    end
-
-  let count t = t.total
-  let bin_counts t = Array.copy t.counts
-
-  let bin_center t i =
-    let w = (t.hi -. t.lo) /. float_of_int (bins t) in
-    t.lo +. ((float_of_int i +. 0.5) *. w)
-
-  let quantile t q =
-    if t.total = 0 then nan
-    else begin
-      let target = q *. float_of_int t.total in
-      let rec scan i acc =
-        if i >= bins t then t.hi
-        else begin
-          let acc' = acc +. float_of_int t.counts.(i) in
-          if acc' >= target then begin
-            let w = (t.hi -. t.lo) /. float_of_int (bins t) in
-            let within =
-              if t.counts.(i) = 0 then 0.
-              else (target -. acc) /. float_of_int t.counts.(i)
-            in
-            t.lo +. (w *. (float_of_int i +. within))
-          end
-          else scan (i + 1) acc'
-        end
-      in
-      scan 0 0.
-    end
-
-  let reset t =
-    Array.fill t.counts 0 (bins t) 0;
-    t.total <- 0
-end
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. xs /. float_of_int n

@@ -71,26 +71,6 @@ module P2 : sig
   val count : t -> int
 end
 
-module Histogram : sig
-  (** Fixed-width binned histogram over a closed range; out-of-range
-      samples are clamped to the edge bins. *)
-
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-
-  val add : t -> float -> unit
-  (** NaN samples are ignored. *)
-
-  val count : t -> int
-  val bin_counts : t -> int array
-  val bin_center : t -> int -> float
-  val quantile : t -> float -> float
-  (** Linear-interpolated quantile from bin counts. [nan] when empty. *)
-
-  val reset : t -> unit
-end
-
 val mean : float array -> float
 val variance : float array -> float
 val stddev : float array -> float

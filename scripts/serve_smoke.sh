@@ -13,9 +13,11 @@
 #   4. a guardrail-violating push admits, then auto-rolls-back at the
 #      first verdict (fire rate over --max-fire-rate), restoring the
 #      promoted version;
-#   5. the audit log of the whole session byte-diffs against the
+#   5. a client that sends a request and hangs up without reading the
+#      reply costs only its own connection: the daemon keeps serving;
+#   6. the audit log of the whole session byte-diffs against the
 #      checked-in golden;
-#   6. a --nodes 1 serve session's trace byte-diffs against the same
+#   7. a --nodes 1 serve session's trace byte-diffs against the same
 #      spec under plain `grc run` (the control plane costs zero trace
 #      events on the steady path).
 # Budget: well under 30s.
@@ -96,16 +98,28 @@ grep -q "GRL003" "$TMP/bad.out" || fail "rejection lost its GRL003 diagnostic"
 grep -q '"rollbacks":1' "$TMP/status2.out" || fail "hot push did not roll back"
 grep -q '"version":2' "$TMP/status2.out" || fail "rollback did not restore v2"
 
+# 5. A client that hangs up unread: the reply's write fails with EPIPE,
+#    and the daemon must drop that connection, not die of SIGPIPE.
+python3 - "$SOCK" <<'PY' || fail "hang-up client could not connect"
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b'{"cmd":"status"}')
+s.close()
+PY
+"$GRC" push --socket "$SOCK" --status --json > /dev/null \
+    || fail "daemon stopped serving after a client hung up"
+
 "$GRC" push --socket "$SOCK" --quit > /dev/null || fail "quit failed"
 wait "$SERVE_PID" || fail "daemon exited non-zero"
 
-# 5. The session's decision history, byte for byte.
+# 6. The session's decision history, byte for byte.
 cmp -s scripts/serve_golden_audit.jsonl "$TMP/audit.jsonl" || {
     diff -u scripts/serve_golden_audit.jsonl "$TMP/audit.jsonl" >&2 || true
     fail "audit log diverged from golden"
 }
 
-# 6. serve --nodes 1 vs grc run: byte-identical trace.
+# 7. serve --nodes 1 vs grc run: byte-identical trace.
 "$GRC" serve specs/latency_trend.grd --nodes 1 --hold --seed 42 \
     --socket "$SOCK" --trace "$TMP/serve_trace.json" > /dev/null 2>&1 &
 SERVE_PID=$!
@@ -123,4 +137,4 @@ wait "$SERVE_PID" || fail "single-node daemon exited non-zero"
 cmp -s "$TMP/serve_trace.json" "$TMP/run_trace.json" \
     || fail "serve --nodes 1 trace diverged from grc run"
 
-echo "serve-smoke: OK (push/promote, reject, auto-rollback, golden audit log, run-identical trace)"
+echo "serve-smoke: OK (push/promote, reject, auto-rollback, hang-up client, golden audit log, run-identical trace)"

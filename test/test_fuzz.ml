@@ -167,12 +167,12 @@ let populate i clock store_for =
 
 (* A fleet-tier store over two shards, the saves alternating between
    them: every plain key reads as a cross-shard merge. Demands are
-   registered after the shards are set, so they fan out. *)
+   registered after the stores are linked, so they fan out. *)
 let sharded_store i monitors =
   let clock = ref Time_ns.zero in
   let create () = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:1024 () in
   let fleet = create () and shards = [| create (); create () |] in
-  Store.set_shards fleet shards;
+  Store.link fleet shards;
   List.iter (register_demands fleet) monitors;
   populate i clock (fun n -> shards.(n mod 2));
   fleet

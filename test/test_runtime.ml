@@ -273,8 +273,7 @@ let make_fleet_store ~capacity ~shards:n =
   let mk () = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:capacity () in
   let fleet = mk () in
   let shards = Array.init n (fun _ -> mk ()) in
-  Store.set_shards fleet shards;
-  Array.iter (fun s -> Store.set_global_tier s fleet) shards;
+  Store.link fleet shards;
   (clock, fleet, shards)
 
 (* The fleet analogue of [incremental_equivalence_property]: saves land
@@ -380,7 +379,18 @@ let test_merge_shard_boundary_eviction () =
   check_float "sum after cross-shard retirement" 7.
     (Store.aggregate fleet ~key:"k" ~fn:Gr_dsl.Ast.Sum ~window_ns:1e9 ~param:0.);
   check_float "delta after cross-shard retirement" 1.
-    (Store.aggregate fleet ~key:"k" ~fn:Gr_dsl.Ast.Delta ~window_ns:1e9 ~param:0.)
+    (Store.aggregate fleet ~key:"k" ~fn:Gr_dsl.Ast.Delta ~window_ns:1e9 ~param:0.);
+  (* Routing is fixed once, before any entry exists: [link] refuses a
+     store that already holds an entry and a shard linked a second
+     time. *)
+  let refused = Invalid_argument "Feature_store.link: stores must be unlinked and empty" in
+  let _, used = make_store () and _, tier = make_store () in
+  Store.save used "k" 1.;
+  Alcotest.check_raises "link refuses a store with an entry" refused (fun () ->
+      Store.link tier [| used |]);
+  let _, _, linked = make_fleet_store ~capacity:2 ~shards:1 in
+  Alcotest.check_raises "link refuses a linked shard" refused (fun () ->
+      Store.link tier linked)
 
 (* ---------- VM ---------- *)
 

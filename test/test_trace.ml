@@ -214,6 +214,9 @@ let test_metrics_registry () =
      p > 30. && p < 70.);
   check_bool "p99 above p50" true
     (Metrics.latency_quantile mon 0.99 > Metrics.latency_quantile mon 0.5);
+  Alcotest.check_raises "only p50/p90/p99 are tracked"
+    (Invalid_argument "Metrics.latency_quantile: q must be 0.5, 0.9 or 0.99") (fun () ->
+      ignore (Metrics.latency_quantile mon 0.75));
   match Metrics.to_json m with
   | Json.Obj [ ("monitors", Json.Arr [ row ]) ] ->
     check_int "json checks" 100

@@ -346,22 +346,6 @@ let test_p2_small_n_exact () =
   List.iter (Stats.P2.add p2) [ 3.; 1.; 2. ];
   check_float "exact median below 5 samples" 2. (Stats.P2.quantile p2)
 
-let test_histogram_quantile () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:100. ~bins:100 in
-  for i = 0 to 999 do
-    Stats.Histogram.add h (float_of_int (i mod 100))
-  done;
-  check_bool "median near 50" true (Float.abs (Stats.Histogram.quantile h 0.5 -. 50.) < 2.);
-  check_int "count" 1000 (Stats.Histogram.count h)
-
-let test_histogram_clamps () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  Stats.Histogram.add h (-5.);
-  Stats.Histogram.add h 50.;
-  let counts = Stats.Histogram.bin_counts h in
-  check_int "low clamp" 1 counts.(0);
-  check_int "high clamp" 1 counts.(9)
-
 (* Empty and single-sample estimators must answer (with nan or the
    sample) rather than raise — the metrics registry queries them on
    monitors that have never checked. *)
@@ -370,27 +354,17 @@ let test_stats_empty_and_single () =
   check_bool "empty P2 is nan" true (Float.is_nan (Stats.P2.quantile p2));
   Stats.P2.add p2 42.;
   check_float "single-sample P2" 42. (Stats.P2.quantile p2);
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  check_bool "empty histogram is nan" true (Float.is_nan (Stats.Histogram.quantile h 0.5));
-  Stats.Histogram.add h 4.2;
-  check_bool "single-sample histogram in its bin" true
-    (Float.abs (Stats.Histogram.quantile h 0.5 -. 4.2) <= 1.);
   let w = Stats.Welford.create () in
   check_float "empty Welford mean" 0. (Stats.Welford.mean w)
 
 let test_stats_nan_samples_ignored () =
   (* Before the guard, a NaN sample sent P2's marker search off the
-     end of the height array (past warm-up) and silently landed in
-     the histogram's bin 0. *)
+     end of the height array (past warm-up). *)
   let p2 = Stats.P2.create ~q:0.5 in
   List.iter (Stats.P2.add p2) [ 1.; 2.; nan; 3.; 4.; 5. ];
   Stats.P2.add p2 nan;
   check_int "NaN not counted by P2" 5 (Stats.P2.count p2);
-  check_float "P2 median unpoisoned" 3. (Stats.P2.quantile p2);
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  Stats.Histogram.add h nan;
-  check_int "NaN not counted by histogram" 0 (Stats.Histogram.count h);
-  check_int "bin 0 untouched" 0 (Stats.Histogram.bin_counts h).(0)
+  check_float "P2 median unpoisoned" 3. (Stats.P2.quantile p2)
 
 let test_quantile_interpolation () =
   let xs = [| 1.; 2.; 3.; 4. |] in
@@ -486,8 +460,6 @@ let suite =
         Alcotest.test_case "p2 median" `Quick test_p2_median;
         Alcotest.test_case "p2 p99" `Quick test_p2_p99;
         Alcotest.test_case "p2 exact below 5" `Quick test_p2_small_n_exact;
-        Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-        Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps;
         Alcotest.test_case "empty/single-sample estimators" `Quick test_stats_empty_and_single;
         Alcotest.test_case "nan samples ignored" `Quick test_stats_nan_samples_ignored;
         Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
