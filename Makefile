@@ -80,7 +80,9 @@ tsan-smoke:
 # Observability smoke (docs/OBSERVABILITY.md): traced quickstart whose
 # t=3s REPORT `grc explain` must walk back to its sim dispatch, plus
 # golden-diffed OpenMetrics expositions from `grc run --metrics`
-# (single-node and 2-node fleet; host-time lines filtered).
+# (single-node and 2-node fleet; host-time lines filtered), and the
+# quickstart and 3-node fleet traces checked against committed
+# SHA-256 digests (pins sim dispatch order across revisions).
 obs-smoke: build
 	sh scripts/obs_smoke.sh
 

@@ -1,34 +1,60 @@
 open Gr_util
 
+(* The event queue is a slot pool plus a binary min-heap.
+
+   Each scheduled event owns a slot for as long as it is queued or
+   running: the slot arrays hold its callback, its period (0 for a
+   one-shot event), the exclusive [stop] bound of a periodic event, a
+   generation that is bumped whenever the slot is freed, and the
+   slot's heap position (-1 while it is not queued). The heap orders
+   positions by the key [(time, order)], kept in [int] arrays beside
+   the owning slot, so sifting is plain integer compares and moves.
+
+   A periodic timer keeps its slot and closure for life and re-arms
+   in place, so steady-state dispatch allocates nothing. A handle
+   names [(slot, gen)]; once the slot is freed the generation no
+   longer matches and the handle is inert. *)
 type t = {
   mutable clock : Time_ns.t;
   mutable seq : int;
   mutable fired : int;
-  mutable cancelled : int;
-  queue : event Heap.t;
   mutable tracer : Gr_trace.Tracer.t option;
+  (* slot pool *)
+  mutable run : (t -> unit) array;
+  mutable period : int array;
+  mutable stop : Time_ns.t array;
+  mutable gen : int array;
+  mutable pos : int array;
+  mutable free : int array;
+  mutable nfree : int;
+  (* heap, by position *)
+  mutable key_time : Time_ns.t array;
+  mutable key_order : int array;
+  mutable slot : int array;
+  mutable len : int;
 }
 
-and event = {
-  time : Time_ns.t;
-  order : int;
-  run : t -> unit;
-  mutable live : bool;
-}
+type handle = { engine : t; h_slot : int; h_gen : int }
 
-type handle = { mutable target : event }
-
-let compare_event a b =
-  match Time_ns.compare a.time b.time with 0 -> Int.compare a.order b.order | c -> c
+let nop (_ : t) = ()
 
 let create () =
   {
     clock = Time_ns.zero;
     seq = 0;
     fired = 0;
-    cancelled = 0;
-    queue = Heap.create ~cmp:compare_event;
     tracer = None;
+    run = [||];
+    period = [||];
+    stop = [||];
+    gen = [||];
+    pos = [||];
+    free = [||];
+    nfree = 0;
+    key_time = [||];
+    key_order = [||];
+    slot = [||];
+    len = 0;
   }
 
 let set_tracer t tracer = t.tracer <- Some tracer
@@ -37,15 +63,114 @@ let tracer t = t.tracer
 
 let now t = t.clock
 
-let enqueue t time run =
+(* ---------- heap over (time, order) ---------- *)
+
+let[@inline] before (ta : int) (oa : int) (tb : int) (ob : int) =
+  ta < tb || (ta = tb && oa < ob)
+
+let[@inline] place t i time order s =
+  t.key_time.(i) <- time;
+  t.key_order.(i) <- order;
+  t.slot.(i) <- s;
+  t.pos.(s) <- i
+
+(* Both sifts carry the moving entry in registers and fill the hole
+   it leaves, writing each visited position once. *)
+let rec sift_up t i time order s =
+  if i = 0 then place t 0 time order s
+  else
+    let p = (i - 1) / 2 in
+    let pt = t.key_time.(p) and po = t.key_order.(p) in
+    if before time order pt po then begin
+      place t i pt po t.slot.(p);
+      sift_up t p time order s
+    end
+    else place t i time order s
+
+let rec sift_down t i time order s =
+  let l = (2 * i) + 1 in
+  if l >= t.len then place t i time order s
+  else
+    let r = l + 1 in
+    let c =
+      if r < t.len && before t.key_time.(r) t.key_order.(r) t.key_time.(l) t.key_order.(l)
+      then r
+      else l
+    in
+    let ct = t.key_time.(c) and co = t.key_order.(c) in
+    if before ct co time order then begin
+      place t i ct co t.slot.(c);
+      sift_down t c time order s
+    end
+    else place t i time order s
+
+let push t s time =
+  let order = t.seq in
+  t.seq <- order + 1;
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i time order s
+
+let remove_at t i =
+  t.pos.(t.slot.(i)) <- -1;
+  let last = t.len - 1 in
+  t.len <- last;
+  if i < last then begin
+    let time = t.key_time.(last) and order = t.key_order.(last) and s = t.slot.(last) in
+    let p = (i - 1) / 2 in
+    if i > 0 && before time order t.key_time.(p) t.key_order.(p) then sift_up t i time order s
+    else sift_down t i time order s
+  end
+
+(* ---------- slot pool ---------- *)
+
+let grow t =
+  let cap = Array.length t.gen in
+  let ncap = max 16 (2 * cap) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.run <- extend t.run nop;
+  t.period <- extend t.period 0;
+  t.stop <- extend t.stop 0;
+  t.gen <- extend t.gen 0;
+  t.pos <- extend t.pos (-1);
+  t.free <- extend t.free 0;
+  t.key_time <- extend t.key_time 0;
+  t.key_order <- extend t.key_order 0;
+  t.slot <- extend t.slot 0;
+  (* [grow] runs only when no slot is free; stack the new ones so the
+     lowest index is handed out first. *)
+  for s = ncap - 1 downto cap do
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+  done
+
+let release t s =
+  t.gen.(s) <- t.gen.(s) + 1;
+  t.run.(s) <- nop;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
+let arm t run ~period ~stop time =
+  if t.nfree = 0 then grow t;
+  t.nfree <- t.nfree - 1;
+  let s = t.free.(t.nfree) in
+  t.run.(s) <- run;
+  t.period.(s) <- period;
+  t.stop.(s) <- stop;
+  push t s time;
+  { engine = t; h_slot = s; h_gen = t.gen.(s) }
+
+(* ---------- public API ---------- *)
+
+let schedule_at t time fn =
   if Time_ns.compare time t.clock < 0 then
     invalid_arg "Engine.schedule_at: time is in the past";
-  let ev = { time; order = t.seq; run; live = true } in
-  t.seq <- t.seq + 1;
-  Heap.add t.queue ev;
-  ev
+  arm t fn ~period:0 ~stop:max_int time
 
-let schedule_at t time fn = { target = enqueue t time fn }
 let schedule_after t delay fn = schedule_at t (Time_ns.add t.clock delay) fn
 
 let every t ?start ?stop ~interval fn =
@@ -55,74 +180,66 @@ let every t ?start ?stop ~interval fn =
     | Some s -> Time_ns.max s t.clock
     | None -> Time_ns.add t.clock interval
   in
-  let allowed time = match stop with None -> true | Some s -> Time_ns.compare time s < 0 in
-  let rec tick handle time engine =
-    fn engine;
-    let next = Time_ns.add time interval in
-    if allowed next then handle.target <- enqueue engine next (tick handle next)
-  in
-  if allowed first then begin
-    let rec handle = { target = ev }
-    and ev = { time = first; order = t.seq; run = (fun e -> tick handle first e); live = true } in
-    t.seq <- t.seq + 1;
-    Heap.add t.queue ev;
-    handle
+  let stop = Option.value stop ~default:max_int in
+  if Time_ns.compare first stop < 0 then arm t fn ~period:interval ~stop first
+  else { engine = t; h_slot = -1; h_gen = 0 }
+
+let cancel h =
+  let t = h.engine and s = h.h_slot in
+  if s >= 0 && t.gen.(s) = h.h_gen then begin
+    let i = t.pos.(s) in
+    if i >= 0 then remove_at t i;
+    release t s
   end
-  else { target = { time = first; order = -1; run = (fun _ -> ()); live = false } }
 
-let cancel handle = handle.target.live <- false
+let next_event_time t = if t.len = 0 then None else Some t.key_time.(0)
 
-(* Discard cancelled tombstones sitting at the head of the queue so
-   that peeking reports the next event that will actually run — a
-   tombstone's timestamp must not drive [run_until]'s limit check or a
-   caller's own stepping loop past the limit. *)
-let rec drop_tombstones t =
-  match Heap.peek t.queue with
-  | Some ev when not ev.live ->
-    ignore (Heap.pop t.queue : event option);
-    t.cancelled <- t.cancelled + 1;
-    drop_tombstones t
-  | Some _ | None -> ()
+let dispatch t run order =
+  match t.tracer with
+  | Some tr when Gr_trace.Tracer.enabled tr ->
+    (* Each dispatch roots a causal tree: everything the handler
+       does (hook fires, checks, actions, saves) parents back to
+       this span, directly or transitively. *)
+    let span = Gr_trace.Tracer.fresh_span tr in
+    Gr_trace.Tracer.instant tr ~cat:"sim"
+      ~args:[ ("seq", Gr_trace.Event.Int order) ]
+      ~span "dispatch";
+    let prev = Gr_trace.Tracer.current_span tr in
+    Gr_trace.Tracer.set_current tr (Some span);
+    Fun.protect
+      ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
+      (fun () -> run t)
+  | _ -> run t
 
-let next_event_time t =
-  drop_tombstones t;
-  match Heap.peek t.queue with Some ev -> Some ev.time | None -> None
-
-let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
-    if not ev.live then begin
-      t.cancelled <- t.cancelled + 1;
-      step t
+let step t =
+  if t.len = 0 then false
+  else begin
+    let s = t.slot.(0) and time = t.key_time.(0) and order = t.key_order.(0) in
+    remove_at t 0;
+    let run = t.run.(s) and period = t.period.(s) in
+    t.clock <- time;
+    t.fired <- t.fired + 1;
+    if period = 0 then begin
+      release t s;
+      dispatch t run order
     end
     else begin
-      t.clock <- ev.time;
-      t.fired <- t.fired + 1;
-      (match t.tracer with
-      | Some tr when Gr_trace.Tracer.enabled tr ->
-        (* Each dispatch roots a causal tree: everything the handler
-           does (hook fires, checks, actions, saves) parents back to
-           this span, directly or transitively. *)
-        let span = Gr_trace.Tracer.fresh_span tr in
-        Gr_trace.Tracer.instant tr ~cat:"sim"
-          ~args:[ ("seq", Gr_trace.Event.Int ev.order) ]
-          ~span "dispatch";
-        let prev = Gr_trace.Tracer.current_span tr in
-        Gr_trace.Tracer.set_current tr (Some span);
-        Fun.protect
-          ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
-          (fun () -> ev.run t)
-      | _ -> ev.run t);
-      true
-    end
+      let g = t.gen.(s) in
+      dispatch t run order;
+      (* Re-arm unless the callback cancelled its own handle. The
+         fresh order is drawn after [run] returns, so events the
+         callback scheduled for the same instant stay ahead of it. *)
+      if t.gen.(s) = g then begin
+        let next = Time_ns.add time period in
+        if next < t.stop.(s) then push t s next else release t s
+      end
+    end;
+    true
+  end
 
 let run_until t limit =
-  let continue = ref true in
-  while !continue do
-    match next_event_time t with
-    | Some time when Time_ns.compare time limit <= 0 -> ignore (step t : bool)
-    | Some _ | None -> continue := false
+  while t.len > 0 && t.key_time.(0) <= limit do
+    ignore (step t : bool)
   done;
   if Time_ns.compare t.clock limit < 0 then t.clock <- limit
 
@@ -169,8 +286,6 @@ let run_chunked t ~epoch ~limit ~at_barrier =
     t' := boundary
   done
 
-let pending t =
-  (* Heap may contain cancelled tombstones; count live ones. *)
-  List.length (List.filter (fun ev -> ev.live) (Heap.to_sorted_list t.queue))
+let pending t = t.len
 
 let events_fired t = t.fired

@@ -50,18 +50,21 @@ val every :
     [interval > 0]. *)
 
 val cancel : handle -> unit
-(** Idempotent; a cancelled event never fires again. *)
+(** Idempotent; a cancelled event never fires again. Cancelling a
+    periodic event from inside its own callback stops it: it is not
+    re-armed. A handle whose event has already fired (one-shot) or
+    ended (periodic past [stop]) is inert, even once a later event
+    reuses its queue slot. *)
 
 val step : t -> bool
 (** Runs the single earliest pending event; [false] if none remain. *)
 
 val next_event_time : t -> Gr_util.Time_ns.t option
-(** Timestamp of the next event {!step} would actually run, skipping
-    (and reclaiming) cancelled tombstones — so a caller can drive the
-    engine one event at a time up to a limit and examine invariants
-    between events, as the fault-injection soak does. Previously a
-    tombstone at the queue head could carry [run_until] one live
-    event past its limit; peeking through this function fixes that. *)
+(** Timestamp of the next event {!step} would run, or [None] if the
+    queue is empty — so a caller can drive the engine one event at a
+    time up to a limit and examine invariants between events, as the
+    fault-injection soak does. Cancelled events leave the queue at
+    once and are never reported. *)
 
 val run_until : t -> Gr_util.Time_ns.t -> unit
 (** Runs events with timestamp [<= limit], then advances the clock to
@@ -104,7 +107,8 @@ val run_chunked :
     [epoch > 0]. @raise Invalid_argument otherwise. *)
 
 val pending : t -> int
-(** Number of queued (non-cancelled) events. *)
+(** Number of queued (non-cancelled) events, in O(1). A periodic
+    event is not counted while its own callback runs. *)
 
 val events_fired : t -> int
 (** Total callbacks executed since creation; used by overhead

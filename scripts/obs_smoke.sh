@@ -9,7 +9,11 @@
 #   2. `grc run --metrics` emits the expected OpenMetrics exposition,
 #      single-node and 2-node fleet, golden-diffed after filtering the
 #      selfcost host-time lines (the only host-dependent series —
-#      everything else is sim-deterministic).
+#      everything else is sim-deterministic);
+#   3. the quickstart trace and a traced 3-node fleet run match the
+#      SHA-256 digests in scripts/obs_golden_traces.sha256. Every sim
+#      dispatch in a trace carries its scheduling `seq`, so this pins
+#      event dispatch order across revisions, not just within a build.
 set -eu
 
 ROOT=$(pwd)
@@ -57,4 +61,11 @@ grep -v selfcost_host_ns "$TMP/fleet.prom" > "$TMP/fleet.filtered"
 diff -u scripts/obs_golden_fleet.prom "$TMP/fleet.filtered" \
     || fail "fleet OpenMetrics exposition diverged from golden"
 
-echo "obs-smoke: OK (explained report 0, both OpenMetrics goldens match)"
+# 3. Trace digests: the quickstart trace from step 1 plus a fleet run.
+(cd "$TMP" && "$GRC" run "$ROOT/specs/fleet_tail_latency.grd" --nodes 3 --until 10 \
+    --trace fleet_trace.json > /dev/null) \
+    || fail "grc run --nodes 3 --trace failed"
+(cd "$TMP" && sha256sum -c "$ROOT/scripts/obs_golden_traces.sha256") \
+    || fail "trace digests diverged from scripts/obs_golden_traces.sha256"
+
+echo "obs-smoke: OK (explained report 0, OpenMetrics goldens and trace digests match)"

@@ -326,25 +326,6 @@ let test_grc_exit_codes () =
     check_int "soak on an unknown scenario exits 2" 2 (run "soak --scenario nope --seed 1");
     check_int "a clean soak run exits 0" 0 (run "soak --scenario store --seed 1 --duration 0.05")
 
-(* ------------------------------------------------------------------ *)
-(* Sim engine regression: cancelled tombstones must not leak past     *)
-(* run_until's limit                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_run_until_tombstone () =
-  let e = Gr_sim.Engine.create () in
-  let fired = ref false in
-  let h = Gr_sim.Engine.schedule_at e (Time_ns.ms 10) (fun _ -> ()) in
-  Gr_sim.Engine.cancel h;
-  ignore (Gr_sim.Engine.schedule_at e (Time_ns.ms 100) (fun _ -> fired := true));
-  check "next_event_time skips the tombstone" true
-    (Gr_sim.Engine.next_event_time e = Some (Time_ns.ms 100));
-  Gr_sim.Engine.run_until e (Time_ns.ms 50);
-  check "event past the limit did not fire" false !fired;
-  check_int "clock advanced exactly to the limit" (Time_ns.ms 50) (Gr_sim.Engine.now e);
-  Gr_sim.Engine.run_until e (Time_ns.ms 100);
-  check "event fires once the limit reaches it" true !fired
-
 let suite =
   [
     ( "fault",
@@ -367,7 +348,5 @@ let suite =
         Alcotest.test_case "e2e: DEPRIORITIZE reweights live tasks of the class" `Quick
           test_e2e_deprioritize;
         Alcotest.test_case "grc: bad input exits 2 with no backtrace" `Quick test_grc_exit_codes;
-        Alcotest.test_case "sim: run_until ignores cancelled tombstones" `Quick
-          test_run_until_tombstone;
       ] );
   ]

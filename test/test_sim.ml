@@ -116,6 +116,260 @@ let test_nested_scheduling_cascade () =
   check_int "cascade completes" 10 !depth;
   check_int "time accumulated" (Time_ns.us 9) (Engine.now e)
 
+let test_every_cancel_from_own_callback () =
+  let e = Engine.create () in
+  let count = ref 0 in
+  let self = ref None in
+  self :=
+    Some
+      (Engine.every e ~interval:(Time_ns.ms 10) (fun _ ->
+           incr count;
+           if !count = 2 then Option.iter Engine.cancel !self));
+  Engine.run_until e (Time_ns.ms 100);
+  check_int "fires twice, then stops" 2 !count;
+  check_int "nothing pending" 0 (Engine.pending e)
+
+(* ---------- handle generations ---------- *)
+
+let test_stale_handle_spares_reused_slot () =
+  let e = Engine.create () in
+  let old = Engine.schedule_at e (Time_ns.ms 10) (fun _ -> ()) in
+  Engine.run_until e (Time_ns.ms 10);
+  let fired = ref false in
+  ignore (Engine.schedule_at e (Time_ns.ms 20) (fun _ -> fired := true) : Engine.handle);
+  Engine.cancel old;
+  check_int "new event still pending" 1 (Engine.pending e);
+  Engine.run e;
+  check_bool "new event fires" true !fired
+
+let test_cancel_every_born_past_stop () =
+  let e = Engine.create () in
+  let fired = ref false in
+  ignore (Engine.schedule_at e (Time_ns.ms 5) (fun _ -> fired := true) : Engine.handle);
+  let h =
+    Engine.every e ~start:(Time_ns.ms 30) ~stop:(Time_ns.ms 30) ~interval:(Time_ns.ms 10)
+      (fun _ -> Alcotest.fail "fired at or after stop")
+  in
+  check_int "only the one-shot is queued" 1 (Engine.pending e);
+  Engine.cancel h;
+  check_int "cancel is a no-op" 1 (Engine.pending e);
+  Engine.run e;
+  check_bool "other event unaffected" true !fired
+
+let test_next_event_time_after_cancel () =
+  let e = Engine.create () in
+  let fired = ref false in
+  let h = Engine.schedule_at e (Time_ns.ms 10) (fun _ -> ()) in
+  Engine.cancel h;
+  ignore (Engine.schedule_at e (Time_ns.ms 100) (fun _ -> fired := true) : Engine.handle);
+  Alcotest.(check (option int)) "next event is the live one" (Some (Time_ns.ms 100))
+    (Engine.next_event_time e);
+  Engine.run_until e (Time_ns.ms 50);
+  check_bool "event past the limit did not fire" false !fired;
+  check_int "clock advanced exactly to the limit" (Time_ns.ms 50) (Engine.now e);
+  Engine.run_until e (Time_ns.ms 100);
+  check_bool "event fires once the limit reaches it" true !fired
+
+(* ---------- allocation ---------- *)
+
+let test_periodic_dispatch_allocates_nothing () =
+  let e = Engine.create () in
+  for i = 0 to 49 do
+    ignore
+      (Engine.every e ~start:(Time_ns.us i) ~interval:(Time_ns.us 50) (fun _ -> ())
+        : Engine.handle)
+  done;
+  Engine.run_until e (Time_ns.ms 1);
+  let fired0 = Engine.events_fired e in
+  let w0 = Gc.minor_words () in
+  Engine.run_until e (Time_ns.ms 20);
+  let words = Gc.minor_words () -. w0 in
+  check_bool "dispatched at least 10k events" true (Engine.events_fired e - fired0 >= 10_000);
+  Alcotest.(check (float 0.)) "minor words across run_until" 0. words
+
+(* ---------- differential: engine vs a sorted-list reference ---------- *)
+
+(* What an event's callback does besides logging its firing. *)
+type reaction = Quiet | Cancel_id of int | Spawn of int
+
+type op =
+  | At of int * reaction  (** [schedule_at (now + offset)] *)
+  | After of int * reaction  (** [schedule_after delay] *)
+  | Every of int option * int option * int * reaction
+      (** start and stop relative to now, interval *)
+  | Cancel of int  (** by event id, possibly stale or unknown *)
+  | Run of int  (** [run_until (now + delta)] *)
+
+(* Per [Run]: the firings so far as [(id, time)], the clock and [pending]. *)
+type observation = (int * int) list * int * int
+
+let run_engine ops : observation list =
+  let e = Engine.create () in
+  let handles = Hashtbl.create 16 and log = ref [] and ids = ref 0 in
+  let fresh () =
+    incr ids;
+    !ids - 1
+  in
+  let rec callback id react engine =
+    log := (id, Engine.now engine) :: !log;
+    match react with
+    | Quiet -> ()
+    | Cancel_id k -> Option.iter Engine.cancel (Hashtbl.find_opt handles k)
+    | Spawn d ->
+      let id' = fresh () in
+      Hashtbl.replace handles id' (Engine.schedule_after engine d (callback id' Quiet))
+  in
+  List.filter_map
+    (fun op ->
+      let now = Engine.now e in
+      let add react schedule =
+        let id = fresh () in
+        Hashtbl.replace handles id (schedule (callback id react))
+      in
+      match op with
+      | At (o, r) ->
+        add r (Engine.schedule_at e (now + o));
+        None
+      | After (d, r) ->
+        add r (Engine.schedule_after e d);
+        None
+      | Every (start, stop, interval, r) ->
+        add r
+          (Engine.every e
+             ?start:(Option.map (( + ) now) start)
+             ?stop:(Option.map (( + ) now) stop)
+             ~interval);
+        None
+      | Cancel k ->
+        Option.iter Engine.cancel (Hashtbl.find_opt handles k);
+        None
+      | Run d ->
+        Engine.run_until e (now + d);
+        Some (List.rev !log, Engine.now e, Engine.pending e))
+    ops
+
+(* The reference: a list kept sorted by (time, order), popped from the
+   head. A periodic event leaves the list while its callback runs and
+   is re-inserted with a fresh order afterwards unless the callback
+   cancelled it. *)
+type ref_event = { id : int; time : int; order : int; period : int; stop : int; react : reaction }
+
+let run_reference ops : observation list =
+  let clock = ref 0 and seq = ref 0 and queue = ref [] and log = ref [] and ids = ref 0 in
+  let running = ref None and running_cancelled = ref false in
+  let fresh () =
+    incr ids;
+    !ids - 1
+  in
+  let insert ev =
+    let key e = (e.time, e.order) in
+    let rec go = function
+      | x :: rest when key x < key ev -> x :: go rest
+      | l -> ev :: l
+    in
+    queue := go !queue
+  in
+  let enqueue ~id ~time ~period ~stop react =
+    insert { id; time; order = !seq; period; stop; react };
+    incr seq
+  in
+  let cancel k =
+    if List.exists (fun e -> e.id = k) !queue then queue := List.filter (fun e -> e.id <> k) !queue
+    else if !running = Some k then running_cancelled := true
+  in
+  let react = function
+    | Quiet -> ()
+    | Cancel_id k -> cancel k
+    | Spawn d -> enqueue ~id:(fresh ()) ~time:(!clock + d) ~period:0 ~stop:max_int Quiet
+  in
+  let fire ev =
+    clock := ev.time;
+    log := (ev.id, ev.time) :: !log;
+    if ev.period = 0 then react ev.react
+    else begin
+      running := Some ev.id;
+      running_cancelled := false;
+      react ev.react;
+      running := None;
+      let next = ev.time + ev.period in
+      if (not !running_cancelled) && next < ev.stop then
+        enqueue ~id:ev.id ~time:next ~period:ev.period ~stop:ev.stop ev.react
+    end
+  in
+  let rec run_until limit =
+    match !queue with
+    | ev :: rest when ev.time <= limit ->
+      queue := rest;
+      fire ev;
+      run_until limit
+    | _ -> clock := max !clock limit
+  in
+  List.filter_map
+    (fun op ->
+      let now = !clock in
+      match op with
+      | At (d, r) | After (d, r) ->
+        enqueue ~id:(fresh ()) ~time:(now + d) ~period:0 ~stop:max_int r;
+        None
+      | Every (start, stop, interval, r) ->
+        let id = fresh () in
+        let first = match start with Some s -> max (now + s) now | None -> now + interval in
+        let stop = match stop with Some s -> now + s | None -> max_int in
+        if first < stop then enqueue ~id ~time:first ~period:interval ~stop r;
+        None
+      | Cancel k ->
+        cancel k;
+        None
+      | Run d ->
+        run_until (now + d);
+        Some (List.rev !log, !clock, List.length !queue))
+    ops
+
+let queue_matches_reference =
+  let open QCheck2.Gen in
+  let reaction =
+    frequency
+      [
+        (3, pure Quiet);
+        (2, map (fun k -> Cancel_id k) (int_bound 30));
+        (1, map (fun d -> Spawn d) (int_bound 4));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun o r -> At (o, r)) (int_bound 6) reaction);
+        (2, map2 (fun d r -> After (d, r)) (int_bound 6) reaction);
+        ( 2,
+          map2
+            (fun (start, stop, interval) r -> Every (start, stop, interval, r))
+            (triple (opt (int_range (-3) 10)) (opt (int_bound 30)) (int_range 1 5))
+            reaction );
+        (2, map (fun k -> Cancel k) (int_bound 30));
+        (3, map (fun d -> Run d) (int_bound 12));
+      ]
+  in
+  let print_reaction = function
+    | Quiet -> "quiet"
+    | Cancel_id k -> Printf.sprintf "cancel %d" k
+    | Spawn d -> Printf.sprintf "spawn +%d" d
+  in
+  let print_op = function
+    | At (o, r) -> Printf.sprintf "at +%d (%s)" o (print_reaction r)
+    | After (d, r) -> Printf.sprintf "after %d (%s)" d (print_reaction r)
+    | Every (start, stop, interval, r) ->
+      let o = function Some x -> string_of_int x | None -> "-" in
+      Printf.sprintf "every %d start %s stop %s (%s)" interval (o start) (o stop) (print_reaction r)
+    | Cancel k -> Printf.sprintf "cancel %d" k
+    | Run d -> Printf.sprintf "run +%d" d
+  in
+  QCheck2.Test.make ~name:"queue matches a sorted-list reference" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+    (list_size (int_range 1 60) op)
+    (fun ops ->
+      let ops = ops @ [ Run 40 ] in
+      run_engine ops = run_reference ops)
+
 let suite =
   [
     ( "sim.engine",
@@ -132,5 +386,14 @@ let suite =
         Alcotest.test_case "invalid interval" `Quick test_every_invalid_interval;
         Alcotest.test_case "events_fired counter" `Quick test_events_fired_counter;
         Alcotest.test_case "nested scheduling cascade" `Quick test_nested_scheduling_cascade;
+        Alcotest.test_case "periodic cancels itself" `Quick test_every_cancel_from_own_callback;
+        Alcotest.test_case "stale handle spares a reused slot" `Quick
+          test_stale_handle_spares_reused_slot;
+        Alcotest.test_case "cancel every born past stop" `Quick test_cancel_every_born_past_stop;
+        Alcotest.test_case "next_event_time and run_until after a cancel" `Quick
+          test_next_event_time_after_cancel;
+        Alcotest.test_case "periodic dispatch allocates nothing" `Quick
+          test_periodic_dispatch_allocates_nothing;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED |]) queue_matches_reference;
       ] );
   ]

@@ -1,4 +1,4 @@
-(* Tests for gr_util: PRNG, ring buffer, heap, statistics. *)
+(* Tests for gr_util: PRNG, ring buffer, statistics. *)
 
 open Gr_util
 
@@ -251,39 +251,6 @@ let deque_monotonic_property =
         xs;
       !ok)
 
-(* ---------- Heap ---------- *)
-
-let test_heap_sorts () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.add h 4;
-  Heap.add h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  check_int "peek does not remove" 2 (Heap.length h)
-
-let test_heap_duplicates () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add h) [ 3; 3; 1; 1; 2 ];
-  Alcotest.(check (list int)) "duplicates preserved" [ 1; 1; 2; 3; 3 ] (Heap.to_sorted_list h);
-  check_int "non-destructive" 5 (Heap.length h)
-
-let heap_property =
-  QCheck2.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.add h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
 let ring_property =
   QCheck2.Test.make ~name:"ring keeps the most recent [capacity] elements" ~count:200
     QCheck2.Gen.(pair (int_range 1 20) (list int))
@@ -444,13 +411,6 @@ let suite =
         Alcotest.test_case "both ends" `Quick test_deque_both_ends;
         Alcotest.test_case "wraparound growth" `Quick test_deque_wraparound_growth;
         QCheck_alcotest.to_alcotest deque_monotonic_property;
-      ] );
-    ( "util.heap",
-      [
-        Alcotest.test_case "sorts" `Quick test_heap_sorts;
-        Alcotest.test_case "peek" `Quick test_heap_peek;
-        Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-        QCheck_alcotest.to_alcotest heap_property;
       ] );
     ( "util.stats",
       [
