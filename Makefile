@@ -1,4 +1,4 @@
-.PHONY: all build test fmt fmt-check lint bench bench-smoke soak-smoke fleet-smoke par-smoke jit-smoke tsan-smoke obs-smoke serve-smoke examples-run ci
+.PHONY: all build test fmt fmt-check lint bench bench-smoke soak-smoke fleet-smoke par-smoke jit-smoke tsan-smoke obs-smoke serve-smoke alloc-smoke examples-run ci
 
 all: build
 
@@ -94,6 +94,14 @@ obs-smoke: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
+# Zero-allocation smoke (docs/PERFORMANCE.md): under the release
+# profile perfbench builds, periodic sim dispatch and feature-store
+# saves (by handle and by key, below and at ring capacity) must
+# allocate no minor words. Runs last in `ci`: it leaves _build in the
+# release profile, and the next plain `dune build` rebuilds dev.
+alloc-smoke:
+	sh scripts/alloc_smoke.sh
+
 # Compile and run every file in examples/ end to end.
 examples-run:
 	dune build @examples-run
@@ -111,3 +119,4 @@ ci: fmt-check
 	$(MAKE) obs-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) examples-run
+	$(MAKE) alloc-smoke

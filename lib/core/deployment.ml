@@ -127,12 +127,12 @@ let feedback_cycles t = Gr_compiler.Deps.cycles (installed_monitors t)
 let save t key value = Gr_runtime.Feature_store.save t.store key value
 
 let forward_hook_arg t ~hook ~arg ?key () =
-  let key = Option.value ~default:arg key in
+  let h = Gr_runtime.Feature_store.save_handle t.store (Option.value ~default:arg key) in
   ignore
     (Gr_kernel.Hooks.subscribe t.kernel.hooks hook (fun args ->
-         match List.assoc_opt arg args with
-         | Some v -> save t key v
-         | None -> ())
+         match List.assoc arg args with
+         | v -> Gr_runtime.Feature_store.handle_save h v
+         | exception Not_found -> ())
       : Gr_kernel.Hooks.subscription)
 
 let derive_window_avg t ~src ~dst ~window ~every =
@@ -140,18 +140,21 @@ let derive_window_avg t ~src ~dst ~window ~every =
      so every periodic read is a streaming O(1) hit, not a scan. *)
   Gr_runtime.Feature_store.register_demand t.store ~key:src ~fn:Gr_dsl.Ast.Avg
     ~window_ns:(float_of_int window) ~param:0.;
+  let h = Gr_runtime.Feature_store.save_handle t.store dst in
   ignore
     (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ ->
          let avg =
            Gr_runtime.Feature_store.aggregate t.store ~key:src ~fn:Gr_dsl.Ast.Avg
              ~window_ns:(float_of_int window) ~param:0.
          in
-         save t dst avg)
+         Gr_runtime.Feature_store.handle_save h avg)
       : Gr_sim.Engine.handle)
 
 let derive_periodic t ~key ~every sample =
+  let h = Gr_runtime.Feature_store.save_handle t.store key in
   ignore
-    (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ -> save t key (sample ()))
+    (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ ->
+         Gr_runtime.Feature_store.handle_save h (sample ()))
       : Gr_sim.Engine.handle)
 
 let bind_control_key t ~key callback =

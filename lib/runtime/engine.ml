@@ -60,10 +60,9 @@ type state = {
       (** this monitor's telemetry record, resolved once at install *)
   exec : unit -> Vm.result;
       (** the rule, specialized onto [tier] at install *)
-  actions_costed : (Monitor.action * (unit -> Vm.result) option) list;
-      (** each action paired with its SAVE value program's executor
-          (specialized like the rule; [None] for non-SAVE actions),
-          built at install *)
+  actions_costed : (Monitor.action * save_target option) list;
+      (** each action paired, for a SAVE, with its value program's
+          executor and its store target, both built at install *)
   demands : Gr_compiler.Deps.agg_demand list;
       (** aggregate demands registered with the store on install *)
   mutable installed : bool;
@@ -82,6 +81,10 @@ type state = {
   mutable timer_handles : Gr_sim.Engine.handle list;
   mutable hook_subs : Gr_kernel.Hooks.subscription list;
 }
+
+(* A SAVE action's value program, specialized like the rule, and the
+   save handle of its key. *)
+and save_target = { run : unit -> Vm.result; target : Feature_store.save_handle }
 
 type handle = state
 
@@ -180,7 +183,7 @@ and run_actions t st =
   Metrics.record_fire st.metrics;
   let reported = ref false in
   List.iter
-    (fun (action, save_exec) ->
+    (fun (action, save) ->
       match (action : Monitor.action) with
       | Monitor.Report { message; keys } ->
         reported := true;
@@ -251,9 +254,8 @@ and run_actions t st =
         | Some handler -> with_current t.tracer aspan (fun () -> handler ~cls)
         | None -> Log.warn (fun m -> m "KILL(%s): no handler wired (monitor %s)" cls st.monitor.name))
       | Monitor.Save { key; value = _ } ->
-        let result : Vm.result =
-          match save_exec with Some run -> run () | None -> assert false
-        in
+        let save = Option.get save in
+        let result = save.run () in
         st.overhead_ns <- st.overhead_ns +. result.est_cost_ns;
         Metrics.record_action_cost st.metrics ~cost_ns:result.est_cost_ns;
         let aspan =
@@ -261,7 +263,7 @@ and run_actions t st =
             [ ("key", Event.Str key); ("value", Event.Float result.value) ]
         in
         with_current t.tracer aspan (fun () ->
-            Feature_store.save t.store key result.value))
+            Feature_store.handle_save save.target result.value))
     st.actions_costed;
   if not !reported then report t st ~message:"<violation>" ~snapshot:[]
 
@@ -426,7 +428,13 @@ let install ?engine ?version t monitor =
           List.map
             (fun (action : Monitor.action) ->
               match action with
-              | Monitor.Save { value; _ } -> (action, Some (build_exec t ~tier ~slots value))
+              | Monitor.Save { key; value } ->
+                ( action,
+                  Some
+                    {
+                      run = build_exec t ~tier ~slots value;
+                      target = Feature_store.save_handle t.store key;
+                    } )
               | _ -> (action, None))
             monitor.Monitor.actions;
         demands;

@@ -18,6 +18,12 @@ open Gr_util
    MIN/MAX keep a monotonic deque of (seq, value); DELTA reads the
    ring directly at [oldest_seq]; QUANTILE gathers the in-window
    suffix located by binary search and ranks it. *)
+
+(* The running sums sit in a float-only record, which OCaml stores
+   unboxed: updating them on every save allocates nothing, where a
+   float field of [demand] would box each new value. *)
+type sums = { mutable sum : float; mutable sumsq : float }
+
 type demand = {
   fn : Gr_dsl.Ast.agg;
   window_ns : float;
@@ -25,8 +31,7 @@ type demand = {
   mutable refs : int;
   mutable oldest_seq : int;
   mutable count : int;
-  mutable sum : float;
-  mutable sumsq : float;
+  sums : sums;
   mutable nans : int; (* NaN samples currently in window *)
   mutable extremes : int; (* non-finite or huge samples in window *)
   mutable needs_rebuild : bool;
@@ -41,10 +46,19 @@ type demand = {
    the ring the moment the last one leaves. Legitimate signals stay
    orders of magnitude below the threshold, so rebuilds only happen
    when something (e.g. a fault injector) corrupts a key. *)
-let is_extreme v = (not (Float.is_finite v)) || Float.abs v > 1e11
+let[@inline] is_extreme v = (not (Float.is_finite v)) || Float.abs v > 1e11
 
+(* A key's samples: one ring over two parallel arrays, timestamps in
+   [times] and values unboxed in [values], oldest at slot [head]. The
+   arrays start empty and double on demand up to the store's
+   [capacity_per_key], so a key costs memory in proportion to the
+   samples it holds. [latest] keeps the saved value's own box, so a
+   LOAD returns it without boxing a copy of the newest sample. *)
 type entry = {
-  samples : (Time_ns.t * float) Ring.t;
+  mutable times : Time_ns.t array;
+  mutable values : Float.Array.t;
+  mutable head : int;
+  mutable len : int;
   mutable latest : float;
   mutable pushes : int; (* total saves ever; the next sample's seq *)
   mutable demands : demand list; (* few per key; linear lookup *)
@@ -121,19 +135,99 @@ let members t = t :: Array.to_list t.shards
 
 let tracing t = match t.tracer with Some tr -> Gr_trace.Tracer.enabled tr | None -> false
 
+(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
 let entry t key =
-  match Hashtbl.find_opt t.entries key with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.entries key with
+  | e -> e
+  | exception Not_found ->
     let e =
-      { samples = Ring.create ~capacity:t.capacity_per_key; latest = 0.; pushes = 0; demands = [] }
+      {
+        times = [||];
+        values = Float.Array.create 0;
+        head = 0;
+        len = 0;
+        latest = 0.;
+        pushes = 0;
+        demands = [];
+      }
     in
     Hashtbl.add t.entries key e;
     e
 
-(* ---------- streaming demand maintenance ---------- *)
+(* ---------- the sample ring ---------- *)
 
-let retire t d v =
+(* Index accessors over the [i]-th oldest sample, [0 <= i < len].
+   Inlined so a value read stays an unboxed float. *)
+let[@inline] slot e i =
+  let j = e.head + i in
+  let size = Array.length e.times in
+  if j >= size then j - size else j
+
+let[@inline] time_at e i = Array.unsafe_get e.times (slot e i)
+let[@inline] value_at e i = Float.Array.unsafe_get e.values (slot e i)
+let sample_at e i = (time_at e i, value_at e i)
+
+(* Double the arrays, clamped to the capacity, moving the samples
+   oldest-first to slot 0. *)
+let grow t e =
+  let size = min t.capacity_per_key (max 8 (2 * Array.length e.times)) in
+  let times = Array.make size 0 and values = Float.Array.make size 0. in
+  for i = 0 to e.len - 1 do
+    let j = slot e i in
+    times.(i) <- e.times.(j);
+    Float.Array.set values i (Float.Array.get e.values j)
+  done;
+  e.times <- times;
+  e.values <- values;
+  e.head <- 0
+
+(* Append the newest sample. A full ring overwrites its oldest slot,
+   which the caller has already evicted from every demand. *)
+let push e at v =
+  let size = Array.length e.times in
+  let j =
+    if e.len < size then begin
+      let j = slot e e.len in
+      e.len <- e.len + 1;
+      j
+    end
+    else begin
+      let j = e.head in
+      e.head <- (if j + 1 = size then 0 else j + 1);
+      j
+    end
+  in
+  e.times.(j) <- at;
+  Float.Array.set e.values j v
+
+(* Values of samples [i0 .. len - 1], oldest first. *)
+let values_from e i0 =
+  let a = Array.make (e.len - i0) 0. in
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- value_at e (i0 + i)
+  done;
+  a
+
+(* First index inside the window, found by binary search over the
+   time-ordered samples — O(log n) instead of a full fold. *)
+let first_inside e ~now ~window_ns =
+  let cutoff = now - int_of_float window_ns in
+  let lo = ref 0 and hi = ref e.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if time_at e mid > cutoff then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* ---------- streaming demand maintenance ----------
+
+   [admit] and [retire] take the sample's ring index, not its value:
+   the value is read here, unboxed, where passing it as an argument
+   would box it. *)
+
+let retire t e d i =
+  let v = value_at e i in
+  let s = d.sums in
   d.count <- d.count - 1;
   if Float.is_nan v then d.nans <- d.nans - 1;
   if is_extreme v then begin
@@ -144,13 +238,13 @@ let retire t d v =
     (* Resetting on empty kills floating-point drift: each non-empty
        stretch of the window accumulates its own error, none carries
        over. *)
-    d.sum <- 0.;
-    d.sumsq <- 0.;
+    s.sum <- 0.;
+    s.sumsq <- 0.;
     d.needs_rebuild <- false
   end
   else begin
-    d.sum <- d.sum -. v;
-    d.sumsq <- d.sumsq -. (v *. v);
+    s.sum <- s.sum -. v;
+    s.sumsq <- s.sumsq -. (v *. v);
     (* Catastrophic cancellation: if the retired sample dominated the
        running sums, the subtraction left mostly the rounding error
        accumulated while it was in the window (an adversarial 1e9
@@ -160,15 +254,17 @@ let retire t d v =
        counters handle that case. *)
     if
       (not d.needs_rebuild)
-      && (Float.abs v > Float.abs d.sum || v *. v > d.sumsq)
+      && (Float.abs v > Float.abs s.sum || v *. v > s.sumsq)
     then d.needs_rebuild <- true
   end;
   t.expired <- t.expired + 1
 
-let admit d seq v =
+let admit e d seq i =
+  let v = value_at e i in
+  let s = d.sums in
   d.count <- d.count + 1;
-  d.sum <- d.sum +. v;
-  d.sumsq <- d.sumsq +. (v *. v);
+  s.sum <- s.sum +. v;
+  s.sumsq <- s.sumsq +. (v *. v);
   if Float.is_nan v then d.nans <- d.nans + 1;
   if is_extreme v then d.extremes <- d.extremes + 1;
   match d.extrema with
@@ -185,21 +281,26 @@ let admit d seq v =
       Deque.push_back dq (seq, v)
     end
 
+let rec admit_all e seq i = function
+  | [] -> ()
+  | d :: ds ->
+    admit e d seq i;
+    admit_all e seq i ds
+
 (* Recompute the running state from the retained in-window samples —
    the recovery path after the last poisoning sample leaves the
    window. O(window), but only ever runs at that transition. *)
 let rebuild e d =
   d.needs_rebuild <- false;
   d.count <- 0;
-  d.sum <- 0.;
-  d.sumsq <- 0.;
+  d.sums.sum <- 0.;
+  d.sums.sumsq <- 0.;
   d.nans <- 0;
   d.extremes <- 0;
   (match d.extrema with Some dq -> Deque.clear dq | None -> ());
-  let base = e.pushes - Ring.length e.samples in
+  let base = e.pushes - e.len in
   for seq = d.oldest_seq to e.pushes - 1 do
-    let _, v = Ring.get e.samples (seq - base) in
-    admit d seq v
+    admit e d seq (seq - base)
   done
 
 let maybe_rebuild e d = if d.needs_rebuild then rebuild e d
@@ -208,17 +309,12 @@ let maybe_rebuild e d = if d.needs_rebuild then rebuild e d
    returns how many were retired (the check's amortized scan cost). *)
 let expire t e d ~now =
   let cutoff = now - int_of_float d.window_ns in
-  let base = e.pushes - Ring.length e.samples in
+  let base = e.pushes - e.len in
   let expired = ref 0 in
-  let continue = ref true in
-  while !continue && d.oldest_seq < e.pushes do
-    let at, v = Ring.get e.samples (d.oldest_seq - base) in
-    if at <= cutoff then begin
-      retire t d v;
-      d.oldest_seq <- d.oldest_seq + 1;
-      incr expired
-    end
-    else continue := false
+  while d.oldest_seq < e.pushes && time_at e (d.oldest_seq - base) <= cutoff do
+    retire t e d (d.oldest_seq - base);
+    d.oldest_seq <- d.oldest_seq + 1;
+    incr expired
   done;
   (match d.extrema with
   | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq < d.oldest_seq) dq
@@ -226,34 +322,43 @@ let expire t e d ~now =
   maybe_rebuild e d;
   !expired
 
-(* The ring is about to overwrite its oldest slot: any demand still
-   counting that sample must give it up now, while the value is
-   readable. *)
-let evict_oldest t e =
-  match Ring.oldest e.samples with
-  | None -> ()
-  | Some (_, v) ->
-    let evict_seq = e.pushes - Ring.length e.samples in
-    List.iter
-      (fun d ->
-        if d.oldest_seq <= evict_seq then begin
-          retire t d v;
-          d.oldest_seq <- evict_seq + 1;
-          (match d.extrema with
-          | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq <= evict_seq) dq
-          | None -> ());
-          maybe_rebuild e d
-        end)
-      e.demands
+(* The ring is about to overwrite its oldest sample (index 0, seq
+   [evict_seq]): any demand still counting it must give it up now,
+   while the value is readable. *)
+let rec evict_oldest t e evict_seq = function
+  | [] -> ()
+  | d :: ds ->
+    if d.oldest_seq <= evict_seq then begin
+      retire t e d 0;
+      d.oldest_seq <- evict_seq + 1;
+      (match d.extrema with
+      | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq <= evict_seq) dq
+      | None -> ());
+      maybe_rebuild e d
+    end;
+    evict_oldest t e evict_seq ds
 
-let save_here t key value =
-  let e = entry t key in
+let notify t key value =
+  let subs = t.subscribers in
+  for i = 0 to Vec.length subs - 1 do
+    (* Bound first: where [Vec.get] is not inlined (dev builds),
+       [(Vec.get subs i) key value] compiles to a four-argument
+       application of it, which allocates partial applications. *)
+    let fn = Vec.get subs i in
+    fn key value
+  done
+
+(* Append one sample to [e], the entry of [key] in [t]. *)
+let save_entry t key e value =
+  if e.len = Array.length e.times then begin
+    if e.len < t.capacity_per_key then grow t e
+    else evict_oldest t e (e.pushes - e.len) e.demands
+  end;
+  push e (t.clock ()) value;
   e.latest <- value;
-  if Ring.length e.samples = Ring.capacity e.samples then evict_oldest t e;
-  Ring.push e.samples (t.clock (), value);
   let seq = e.pushes in
-  e.pushes <- e.pushes + 1;
-  List.iter (fun d -> admit d seq value) e.demands;
+  e.pushes <- seq + 1;
+  admit_all e seq (e.len - 1) e.demands;
   t.saves <- t.saves + 1;
   (* Counter events let Chrome/Perfetto plot each key as a time
      series; emitted before subscribers so the SAVE sample precedes
@@ -268,9 +373,9 @@ let save_here t key value =
     Gr_trace.Tracer.set_current tr (Some span);
     Fun.protect
       ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
-      (fun () -> Vec.iter (fun fn -> fn key value) t.subscribers)
+      (fun () -> notify t key value)
   end
-  else Vec.iter (fun fn -> fn key value) t.subscribers
+  else notify t key value
 
 let set_global_publish t fn = t.global_publish <- fn
 
@@ -282,29 +387,29 @@ let save t key value =
      barrier in deterministic order. Saves
      that stay local (including a fleet tier's own global saves, where
      [resolve] is the store itself) are never intercepted. *)
+  let s = resolve t key in
   match t.global_publish with
-  | Some publish when not (resolve t key == t) -> publish key value
-  | _ -> save_here (resolve t key) key value
+  | Some publish when s != t -> publish key value
+  | _ -> save_entry s key (entry s key) value
 
 (* Merged latest for plain keys on a fleet-tier store: the value of
    the newest sample across all members. Ties on the timestamp go to
    the later member, matching the merged window ordering (stable by
    member position). *)
 let merged_load t key =
-  let best = ref None in
+  let best_at = ref min_int and best = ref 0. in
   List.iter
     (fun m ->
       match Hashtbl.find_opt m.entries key with
-      | None -> ()
-      | Some e -> (
-        match Ring.newest e.samples with
-        | None -> ()
-        | Some (at, v) -> (
-          match !best with
-          | Some (at', _) when at' > at -> ()
-          | _ -> best := Some (at, v))))
+      | Some e when e.len > 0 ->
+        let at = time_at e (e.len - 1) in
+        if at >= !best_at then begin
+          best_at := at;
+          best := e.latest
+        end
+      | _ -> ())
     (members t);
-  match !best with Some (_, v) -> v | None -> 0.
+  !best
 
 let load t key =
   let t = resolve t key in
@@ -345,10 +450,9 @@ and register_demand_here t ~key ~fn ~window_ns ~param =
         window_ns;
         param;
         refs = 1;
-        oldest_seq = e.pushes - Ring.length e.samples;
+        oldest_seq = e.pushes - e.len;
         count = 0;
-        sum = 0.;
-        sumsq = 0.;
+        sums = { sum = 0.; sumsq = 0. };
         nans = 0;
         extremes = 0;
         needs_rebuild = false;
@@ -359,12 +463,9 @@ and register_demand_here t ~key ~fn ~window_ns ~param =
     (* Replay retained samples so a demand registered mid-run agrees
        with the scan from its first read; anything already outside the
        window is trimmed by the next expiry. *)
-    let seq = ref d.oldest_seq in
-    Ring.iter
-      (fun (_, v) ->
-        admit d !seq v;
-        incr seq)
-      e.samples;
+    for i = 0 to e.len - 1 do
+      admit e d (d.oldest_seq + i) i
+    done;
     e.demands <- d :: e.demands;
     t.n_demands <- t.n_demands + 1
 
@@ -401,16 +502,10 @@ let demand_shapes t =
 
 (* ---------- windowed reads ---------- *)
 
-(* First ring index inside the window, found by binary search over the
-   time-ordered samples — O(log n) instead of a full fold. *)
-let first_inside e ~now ~window_ns =
-  let cutoff = now - int_of_float window_ns in
-  Ring.bsearch_first (fun (at, _) -> at > cutoff) e.samples
-
 (* In-window (timestamp, value) pairs for one member, oldest first. *)
 let member_window e ~now ~window_ns =
   let i0 = first_inside e ~now ~window_ns in
-  Array.init (Ring.length e.samples - i0) (fun i -> Ring.get e.samples (i0 + i))
+  Array.init (e.len - i0) (fun i -> sample_at e (i0 + i))
 
 (* The merged window of a fleet-tier plain key: every member's
    in-window samples, sorted by timestamp. Each member's slice is
@@ -444,11 +539,12 @@ let window_values t ~key ~window_ns =
     match Hashtbl.find_opt t.entries key with
     | None -> []
     | Some e ->
-      let now = t.clock () in
-      let cutoff = now - int_of_float window_ns in
-      Ring.fold
-        (fun acc (at, v) -> if at > cutoff then v :: acc else acc)
-        [] e.samples
+      let cutoff = t.clock () - int_of_float window_ns in
+      let acc = ref [] in
+      for i = 0 to e.len - 1 do
+        if time_at e i > cutoff then acc := value_at e i :: !acc
+      done;
+      !acc
 
 let window_samples t ~key ~window_ns =
   let t = resolve t key in
@@ -456,9 +552,7 @@ let window_samples t ~key ~window_ns =
   else
     match Hashtbl.find_opt t.entries key with
     | None -> [||]
-    | Some e ->
-      let i0 = first_inside e ~now:(t.clock ()) ~window_ns in
-      Array.init (Ring.length e.samples - i0) (fun i -> snd (Ring.get e.samples (i0 + i)))
+    | Some e -> values_from e (first_inside e ~now:(t.clock ()) ~window_ns)
 
 let samples_in_window t ~key ~window_ns =
   let t = resolve t key in
@@ -468,12 +562,12 @@ let samples_in_window t ~key ~window_ns =
       (fun acc m ->
         match Hashtbl.find_opt m.entries key with
         | None -> acc
-        | Some e -> acc + Ring.length e.samples - first_inside e ~now ~window_ns)
+        | Some e -> acc + e.len - first_inside e ~now ~window_ns)
       0 (members t)
   else
     match Hashtbl.find_opt t.entries key with
     | None -> 0
-    | Some e -> Ring.length e.samples - first_inside e ~now:(t.clock ()) ~window_ns
+    | Some e -> e.len - first_inside e ~now:(t.clock ()) ~window_ns
 
 let agg_name : Gr_dsl.Ast.agg -> string = function
   | Count -> "COUNT"
@@ -529,9 +623,9 @@ let naive_aggregate t ~key ~fn ~window_ns ~param =
    multiset behind QUANTILE. [union] is associative with [empty] as
    unit, so a fleet-wide aggregate over N node shards folds N exports
    — each O(1) amortized on the streaming path — instead of
-   re-scanning every shard's window. [value] is the one place the
-   streaming answer formulas live: single-store and merged reads both
-   answer through it. *)
+   re-scanning every shard's window. [value] (with [running]) is the
+   one place the streaming answer formulas live: single-store and
+   merged reads both answer through it. *)
 module Merge = struct
   type state = {
     count : int;
@@ -583,12 +677,28 @@ module Merge = struct
       samples = Array.append a.samples b.samples;
     }
 
+  (* COUNT/SUM/RATE/AVG/STDDEV from the running sums. Inlined, so a
+     single store's read passes a demand's sums here unboxed instead
+     of boxing them into a [state]. *)
+  let[@inline] running ~fn ~window_ns ~count ~sum ~sumsq =
+    match (fn : Gr_dsl.Ast.agg) with
+    | Count -> float_of_int count
+    | Sum -> sum
+    | Rate -> sum /. (window_ns /. 1e9)
+    | Avg -> if count = 0 then 0. else sum /. float_of_int count
+    | Stddev ->
+      if count < 2 then 0.
+      else begin
+        let n = float_of_int count in
+        let mean = sum /. n in
+        sqrt (Float.max 0. ((sumsq /. n) -. (mean *. mean)))
+      end
+    | Min | Max | Delta | Quantile -> invalid_arg "Merge.running"
+
   let value ~fn ~window_ns ~param s =
     match (fn : Gr_dsl.Ast.agg) with
-    | Count -> float_of_int s.count
-    | Sum -> s.sum
-    | Rate -> s.sum /. (window_ns /. 1e9)
-    | Avg -> if s.count = 0 then 0. else s.sum /. float_of_int s.count
+    | Count | Sum | Rate | Avg | Stddev ->
+      running ~fn ~window_ns ~count:s.count ~sum:s.sum ~sumsq:s.sumsq
     | Min -> (
       (* Float.min/Float.max propagate NaN, so the naive scan answers
          NaN whenever one is in the window; the deque (which NaN never
@@ -598,13 +708,6 @@ module Merge = struct
     | Max -> (
       if s.nans > 0 then Float.nan
       else match s.maxv with Some v -> v | None -> 0.)
-    | Stddev ->
-      if s.count < 2 then 0.
-      else begin
-        let n = float_of_int s.count in
-        let mean = s.sum /. n in
-        sqrt (Float.max 0. ((s.sumsq /. n) -. (mean *. mean)))
-      end
     | Delta -> (
       match (s.newest, s.oldest) with
       | Some (_, nv), Some (_, ov) -> nv -. ov
@@ -619,10 +722,11 @@ end
    only that suffix. *)
 let export_demand t e d ~now =
   let expired = expire t e d ~now in
-  let base = e.pushes - Ring.length e.samples in
+  let base = e.pushes - e.len in
   match d.fn with
   | Count | Sum | Rate | Avg | Stddev ->
-    ({ Merge.empty with count = d.count; sum = d.sum; sumsq = d.sumsq; nans = d.nans }, expired)
+    ( { Merge.empty with count = d.count; sum = d.sums.sum; sumsq = d.sums.sumsq; nans = d.nans },
+      expired )
   | Min | Max ->
     let front =
       match d.extrema with Some dq -> Option.map snd (Deque.front dq) | None -> None
@@ -641,29 +745,37 @@ let export_demand t e d ~now =
       ( {
           Merge.empty with
           count = d.count;
-          oldest = Some (Ring.get e.samples (d.oldest_seq - base));
-          newest = Some (Ring.get e.samples (Ring.length e.samples - 1));
+          oldest = Some (sample_at e (d.oldest_seq - base));
+          newest = Some (sample_at e (e.len - 1));
         },
         expired )
   | Quantile ->
     let i0 = first_inside e ~now ~window_ns:d.window_ns in
-    let n = Ring.length e.samples - i0 in
-    ( {
-        Merge.empty with
-        count = n;
-        samples = Array.init n (fun i -> snd (Ring.get e.samples (i0 + i)));
-      },
-      expired + n )
+    let n = e.len - i0 in
+    ({ Merge.empty with count = n; samples = values_from e i0 }, expired + n)
 
 (* The streaming read of one store: [Merge.value] of its demand's
-   export. *)
+   export, or for the running-sum family the same formulas applied to
+   the demand's sums directly. *)
 let demand_result t e d =
-  let state, scanned = export_demand t e d ~now:(t.clock ()) in
-  {
-    value = Merge.value ~fn:d.fn ~window_ns:d.window_ns ~param:d.param state;
-    scanned;
-    incremental = true;
-  }
+  let now = t.clock () in
+  match d.fn with
+  | Count | Sum | Rate | Avg | Stddev ->
+    let scanned = expire t e d ~now in
+    let s = d.sums in
+    {
+      value =
+        Merge.running ~fn:d.fn ~window_ns:d.window_ns ~count:d.count ~sum:s.sum ~sumsq:s.sumsq;
+      scanned;
+      incremental = true;
+    }
+  | Min | Max | Delta | Quantile ->
+    let state, scanned = export_demand t e d ~now in
+    {
+      value = Merge.value ~fn:d.fn ~window_ns:d.window_ns ~param:d.param state;
+      scanned;
+      incremental = true;
+    }
 
 (* One member's export for a shape, plus read-cost accounting:
    (state, samples scanned, served incrementally). The streaming path
@@ -873,6 +985,35 @@ let handle_aggregate h =
       record_agg s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns (demand_result s e d)
     | _ -> aggregate_result s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
   end
+
+(* A save handle pins [resolve] and, from its first save on, the
+   entry, so a save skips both the key hash and the table probe. Like
+   the read handles it never creates an entry early. A save that
+   crosses into a foreign global tier still consults the issuing
+   store's [global_publish] hook on every call, exactly as [save]
+   does. *)
+type save_handle = {
+  sh_from : t;
+  sh_store : t; (* resolve sh_from key, at creation *)
+  sh_key : string;
+  mutable sh_entry : entry option;
+}
+
+let save_handle t key =
+  let s = resolve t key in
+  { sh_from = t; sh_store = s; sh_key = key; sh_entry = Hashtbl.find_opt s.entries key }
+
+let handle_save h value =
+  let s = h.sh_store in
+  match h.sh_from.global_publish with
+  | Some publish when s != h.sh_from -> publish h.sh_key value
+  | _ -> (
+    match h.sh_entry with
+    | Some e -> save_entry s h.sh_key e value
+    | None ->
+      let e = entry s h.sh_key in
+      h.sh_entry <- Some e;
+      save_entry s h.sh_key e value)
 
 let on_save t fn = Vec.push t.subscribers fn
 let save_count t = t.saves

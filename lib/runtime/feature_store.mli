@@ -5,11 +5,13 @@
     store is the single state channel between kernel instrumentation,
     learned-policy bookkeeping and monitors.
 
-    Each key holds its latest value plus a bounded ring of
-    timestamped samples (bounded memory is non-negotiable in-kernel;
-    the oldest samples are evicted first). Windowed aggregates are
-    computed over the samples whose timestamp falls within
-    [(now - window, now]].
+    Each key holds a bounded ring of timestamped samples, its newest
+    one being the key's latest value (bounded memory is non-negotiable
+    in-kernel; the oldest samples are evicted first). Timestamps and
+    values sit unboxed in parallel arrays that start small and double
+    up to the capacity, so a key's memory follows the samples it
+    holds. Windowed aggregates are computed over the samples whose
+    timestamp falls within [(now - window, now]].
 
     {b Incremental aggregation.} Monitors run at nanosecond budgets,
     so re-scanning a window on every check is not affordable. At
@@ -22,8 +24,10 @@
     has no exact O(1) summary and instead binary-searches the
     time-ordered ring for the window cutoff, ranking only the
     in-window suffix. Every streaming read, on one store or merged
-    across a fleet, exports that state as a {!Merge.state} and
-    answers with {!Merge.value}. Aggregates without a registered
+    across a fleet, answers with the formulas of {!Merge.value}: a
+    merged read exports each member's state as a {!Merge.state}, a
+    single store's COUNT/SUM/RATE/AVG/STDDEV read takes them straight
+    from the demand's running sums. Aggregates without a registered
     demand fall back to the naive full scan, which is also kept as
     the oracle path for equivalence testing ({!set_force_naive}). *)
 
@@ -142,9 +146,10 @@ val aggregate :
 
     The JIT tier resolves a read's store routing, entry, and streaming
     demand once at monitor install, reducing the per-check read to a
-    few loads. Handle reads are observationally identical to
-    {!load}/{!aggregate_result}: same counters, same trace instants,
-    same values. Routing is fixed by {!link} before any handle exists,
+    few loads. SAVE actions and the deployment's ingest helpers
+    resolve their writes the same way, through save handles. Handle
+    reads are observationally identical to {!load}/{!aggregate_result}:
+    same counters, same trace instants, same values. Routing is fixed by {!link} before any handle exists,
     so a handle's resolved store stays right; a [set_force_naive true]
     or a released demand degrades the read to the exact slow path
     rather than returning stale state.
@@ -171,6 +176,20 @@ val agg_handle :
 val handle_aggregate : agg_handle -> agg_result
 (** Same result, counter effects and trace instant as
     [aggregate_result] with the handle's shape. *)
+
+type save_handle
+
+val save_handle : t -> string -> save_handle
+(** Resolves the key's routing once, as {!load_handle} does. The
+    handle pins the key's entry from its first save on and never
+    creates one early, so {!mem} is unaffected until then. *)
+
+val handle_save : save_handle -> float -> unit
+(** Same effects as [save] on the handle's store and key: the sample,
+    the counters, the trace counter, the {!on_save} notifications and,
+    for a node's save of a global key, the {!set_global_publish}
+    interception. The store allocates nothing for it unless the key
+    has a MIN/MAX demand; {!on_save} subscribers may. *)
 
 val window_samples : t -> key:string -> window_ns:float -> float array
 (** The raw samples inside the window, oldest first. For
@@ -215,8 +234,8 @@ module Merge : sig
 
   val value : fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> state -> float
   (** The aggregate a state answers — same empty-window and NaN
-      semantics as {!aggregate}. Every streaming read answers through
-      it, merged or not. *)
+      semantics as {!aggregate}. Every streaming read answers with its
+      formulas, merged or not. *)
 end
 
 val export_state :

@@ -50,16 +50,6 @@ let fold f init t =
 
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
 
-let bsearch_first pred t =
-  (* Invariant: every index < lo fails [pred]; every index >= hi
-     satisfies it. *)
-  let lo = ref 0 and hi = ref t.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if pred (get t mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
-
 let drop_while_oldest pred t =
   let continue = ref true in
   while !continue && t.len > 0 do

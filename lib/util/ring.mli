@@ -1,9 +1,8 @@
 (** Fixed-capacity ring buffer.
 
     Used for bounded histories everywhere state must not grow without
-    bound (feature-store sample windows, recent-latency features,
-    violation logs). Pushing into a full ring evicts the oldest
-    element. *)
+    bound (recent-latency features, oscillation flip logs). Pushing
+    into a full ring evicts the oldest element. *)
 
 type 'a t
 
@@ -33,13 +32,6 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val to_list : 'a t -> 'a list
 (** Oldest to newest. *)
-
-val bsearch_first : ('a -> bool) -> 'a t -> int
-(** [bsearch_first pred t] is the smallest index [i] with
-    [pred (get t i)], or [length t] if no element satisfies it.
-    Requires [pred] to be monotone over the ring order (false…false
-    true…true) — e.g. a time-window cutoff over timestamped samples
-    pushed in clock order. O(log length). *)
 
 val drop_while_oldest : ('a -> bool) -> 'a t -> unit
 (** Evicts oldest elements while the predicate holds; used to expire

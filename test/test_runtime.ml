@@ -149,7 +149,11 @@ let agg_close (fn : Gr_dsl.Ast.agg) inc naive =
    streaming state must agree with the naive full scan (forced via the
    oracle flag on the same store, so both sides see identical samples)
    for every aggregate constructor, including ring-capacity eviction
-   (small capacities) and time expiry (advances beyond the window). *)
+   (small capacities), growth clamped to a capacity that is not a
+   power of two, and time expiry (advances beyond the window). The
+   demand is registered before the first op, or before op [k] when
+   [late = Some k]: that replays the retained samples, and later saves
+   grow the ring under a live demand. *)
 let incremental_equivalence_property =
   let open QCheck2.Gen in
   let op =
@@ -161,19 +165,22 @@ let incremental_equivalence_property =
       ]
   in
   let gen =
-    quad
-      (oneofl all_aggs)
-      (float_range 0.05 0.95)
-      (oneofl [ 4; 16; 4096 ])
-      (list_size (int_range 1 120) op)
+    pair
+      (quad
+         (oneofl all_aggs)
+         (float_range 0.05 0.95)
+         (oneofl [ 1; 3; 4; 16; 37; 4096 ])
+         (list_size (int_range 1 120) op))
+      (opt ~ratio:0.5 (int_range 1 60))
   in
   QCheck2.Test.make ~name:"incremental aggregates match naive oracle" ~count:400 gen
-    (fun (fn, param, capacity, ops) ->
+    (fun ((fn, param, capacity, ops), late) ->
       let param = if fn = Gr_dsl.Ast.Quantile then param else 0. in
       let clock = ref 0 in
       let store = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:capacity () in
       let window_ns = 1e9 in
-      Store.register_demand store ~key:"k" ~fn ~window_ns ~param;
+      let register () = Store.register_demand store ~key:"k" ~fn ~window_ns ~param in
+      if late = None then register ();
       let ok = ref true in
       let check () =
         let inc = Store.aggregate store ~key:"k" ~fn ~window_ns ~param in
@@ -182,8 +189,10 @@ let incremental_equivalence_property =
         Store.set_force_naive store false;
         if not (agg_close fn inc naive) then ok := false
       in
-      List.iter
-        (function
+      List.iteri
+        (fun i op ->
+          if late = Some i then register ();
+          match op with
           | `Save v -> Store.save store "k" v
           | `Advance dt -> clock := !clock + dt
           | `Check -> check ())
@@ -281,7 +290,9 @@ let make_fleet_store ~capacity ~shards:n =
    the shards' exported streaming states — must agree with the naive
    concat-and-scan oracle over the same retained samples. Small
    capacities force ring eviction at shard boundaries; advances beyond
-   the window force retirement. *)
+   the window force retirement. As in the single-store property,
+   [late = Some k] registers the demand before op [k] instead of
+   first; reads before it take the naive path. *)
 let merge_equivalence_property =
   let open QCheck2.Gen in
   let op =
@@ -293,27 +304,39 @@ let merge_equivalence_property =
       ]
   in
   let gen =
-    pair
-      (quad (oneofl all_aggs) (float_range 0.05 0.95) (oneofl [ 4; 16; 4096 ]) (int_range 2 4))
+    triple
+      (quad
+         (oneofl all_aggs)
+         (float_range 0.05 0.95)
+         (oneofl [ 1; 3; 4; 16; 37; 4096 ])
+         (int_range 2 4))
       (list_size (int_range 1 120) op)
+      (opt ~ratio:0.5 (int_range 1 60))
   in
   QCheck2.Test.make ~name:"merged shard aggregates match naive concat-and-scan" ~count:300 gen
-    (fun ((fn, param, capacity, n), ops) ->
+    (fun ((fn, param, capacity, n), ops, late) ->
       let param = if fn = Gr_dsl.Ast.Quantile then param else 0. in
       let clock, fleet, shards = make_fleet_store ~capacity ~shards:n in
       let window_ns = 1e9 in
-      Store.register_demand fleet ~key:"k" ~fn ~window_ns ~param;
+      let registered = ref false in
+      let register () =
+        Store.register_demand fleet ~key:"k" ~fn ~window_ns ~param;
+        registered := true
+      in
+      if late = None then register ();
       let ok = ref true in
       let check () =
         let merged = Store.aggregate_result fleet ~key:"k" ~fn ~window_ns ~param in
-        if not merged.Store.incremental then ok := false;
+        if !registered && not merged.Store.incremental then ok := false;
         Store.set_force_naive fleet true;
         let naive = Store.aggregate fleet ~key:"k" ~fn ~window_ns ~param in
         Store.set_force_naive fleet false;
         if not (agg_close fn merged.Store.value naive) then ok := false
       in
-      List.iter
-        (function
+      List.iteri
+        (fun i op ->
+          if late = Some i then register ();
+          match op with
           | `Save (i, v) -> Store.save shards.(i mod n) "k" v
           | `Advance dt -> clock := !clock + dt
           | `Check -> check ())
@@ -391,6 +414,81 @@ let test_merge_shard_boundary_eviction () =
   let _, _, linked = make_fleet_store ~capacity:2 ~shards:1 in
   Alcotest.check_raises "link refuses a linked shard" refused (fun () ->
       Store.link tier linked)
+
+(* ---------- Ingest cost ---------- *)
+
+(* Saves onto running-sum demands allocate nothing, through a save
+   handle and by key, both while the ring has room and once every
+   save evicts its oldest sample. An engine subscribed to the store
+   sees every save. 2^14 + 1 warm-up saves grow the arrays to the
+   full 2^15 capacity, leaving room for the first measured 10k; the
+   capacity's worth of saves after that wraps the ring. *)
+let test_store_save_allocates_nothing () =
+  let capacity = 1 lsl 15 in
+  let clock = ref 0 in
+  let store = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:capacity () in
+  ignore (Engine.create ~kernel:(Gr_kernel.Kernel.create ~seed:1) ~store () : Engine.t);
+  let paths =
+    let h = Store.save_handle store "by_handle" in
+    [ ("save handle", "by_handle", fun v -> Store.handle_save h v);
+      ("save by key", "by_key", fun v -> Store.save store "by_key" v) ]
+  in
+  List.iter
+    (fun (name, key, save) ->
+      List.iter
+        (fun fn -> Store.register_demand store ~key ~fn ~window_ns:1e9 ~param:0.)
+        [ Gr_dsl.Ast.Count; Sum; Avg; Stddev; Delta ];
+      let saves n =
+        for i = 1 to n do
+          clock := !clock + 1000;
+          save (if i land 1 = 0 then 1.5 else 4.25)
+        done
+      in
+      let words n =
+        let w0 = Gc.minor_words () in
+        saves n;
+        Gc.minor_words () -. w0
+      in
+      saves ((capacity / 2) + 1);
+      Alcotest.(check (float 0.)) (name ^ ": 10k saves below capacity") 0. (words 10_000);
+      saves capacity;
+      Alcotest.(check (float 0.)) (name ^ ": 10k evicting saves") 0. (words 10_000);
+      check_int (name ^ ": ring holds the capacity") capacity
+        (Store.samples_in_window store ~key ~window_ns:1e12))
+    paths
+
+(* A save handle acts like [save] on its key: it creates no entry
+   before its first save, and on a fleet node a global key's save goes
+   to the interception hook, a plain key's to the node itself. *)
+let test_store_save_handle_routing () =
+  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:1 in
+  let node = shards.(0) in
+  let published = ref [] in
+  Store.set_global_publish node (Some (fun k v -> published := (k, v) :: !published));
+  let global = Gr_dsl.Ast.global_key "g" in
+  let local = Store.save_handle node "k" and crossing = Store.save_handle node global in
+  check_bool "no entry before the first save" false (Store.mem node "k");
+  Store.handle_save local 2.;
+  Store.handle_save local 3.;
+  check_float "latest" 3. (Store.load node "k");
+  check_int "node saves" 2 (Store.save_count node);
+  Store.handle_save crossing 7.;
+  Alcotest.(check (list (pair string (float 0.)))) "global save intercepted" [ (global, 7.) ]
+    !published;
+  check_bool "tier untouched" false (Store.mem tier global);
+  Store.set_global_publish node None;
+  Store.handle_save crossing 8.;
+  check_float "direct write once the hook is gone" 8. (Store.load tier global)
+
+(* A key's memory follows the samples it holds, not the capacity:
+   1000 keys of one sample each at the default 4096. *)
+let test_store_footprint_follows_samples () =
+  let store = Store.create ~clock:(fun () -> 0) () in
+  for i = 0 to 999 do
+    Store.save store (Printf.sprintf "key_%d" i) 1.
+  done;
+  let per_key = Obj.reachable_words (Obj.repr store) / 1000 in
+  check_bool (Printf.sprintf "%d words per key < 64" per_key) true (per_key < 64)
 
 (* ---------- VM ---------- *)
 
@@ -776,6 +874,13 @@ let suite =
           test_incremental_registration_replays;
         Alcotest.test_case "demand refcounting" `Quick test_incremental_refcounting;
         Alcotest.test_case "amortized scan cost" `Quick test_incremental_amortized_scan_cost;
+      ] );
+    ( "runtime.store.ingest",
+      [
+        Alcotest.test_case "save allocates nothing" `Quick test_store_save_allocates_nothing;
+        Alcotest.test_case "footprint follows samples" `Quick
+          test_store_footprint_follows_samples;
+        Alcotest.test_case "save handle routing" `Quick test_store_save_handle_routing;
       ] );
     ( "runtime.store.merge",
       [

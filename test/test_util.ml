@@ -155,31 +155,6 @@ let test_ring_invalid_capacity () =
   Alcotest.check_raises "zero capacity" (Invalid_argument "Ring.create: capacity must be positive")
     (fun () -> ignore (Ring.create ~capacity:0 : int Ring.t))
 
-let test_ring_bsearch_first () =
-  let r = Ring.create ~capacity:4 in
-  check_int "empty ring" 0 (Ring.bsearch_first (fun _ -> true) r);
-  for i = 1 to 10 do
-    Ring.push r (i * 10)
-  done;
-  (* Retained (after wrap): 70, 80, 90, 100. *)
-  check_int "all satisfy" 0 (Ring.bsearch_first (fun x -> x > 0) r);
-  check_int "none satisfy" 4 (Ring.bsearch_first (fun x -> x > 100) r);
-  check_int "first above cutoff" 2 (Ring.bsearch_first (fun x -> x > 80) r);
-  check_int "boundary inclusive" 1 (Ring.bsearch_first (fun x -> x >= 80) r)
-
-let ring_bsearch_property =
-  QCheck2.Test.make ~name:"ring bsearch_first agrees with linear scan" ~count:300
-    QCheck2.Gen.(triple (int_range 1 20) (list (int_range 0 100)) (int_range 0 100))
-    (fun (cap, xs, cutoff) ->
-      let r = Ring.create ~capacity:cap in
-      List.iter (Ring.push r) (List.sort Int.compare xs);
-      let pred x = x > cutoff in
-      let linear =
-        let rec go i = if i >= Ring.length r then i else if pred (Ring.get r i) then i else go (i + 1) in
-        go 0
-      in
-      Ring.bsearch_first pred r = linear)
-
 (* ---------- Vec ---------- *)
 
 let test_vec_push_order_and_growth () =
@@ -397,9 +372,7 @@ let suite =
         Alcotest.test_case "clear" `Quick test_ring_clear;
         Alcotest.test_case "wraparound order" `Quick test_ring_wraparound_order;
         Alcotest.test_case "invalid capacity" `Quick test_ring_invalid_capacity;
-        Alcotest.test_case "bsearch_first" `Quick test_ring_bsearch_first;
         QCheck_alcotest.to_alcotest ring_property;
-        QCheck_alcotest.to_alcotest ring_bsearch_property;
       ] );
     ( "util.vec",
       [
