@@ -95,9 +95,9 @@ serve-smoke: build
 	sh scripts/serve_smoke.sh
 
 # Zero-allocation smoke (docs/PERFORMANCE.md): under the release
-# profile perfbench builds, periodic sim dispatch and feature-store
-# saves (by handle and by key, below and at ring capacity) must
-# allocate no minor words. Runs last in `ci`: it leaves _build in the
+# profile perfbench builds, periodic sim dispatch, feature-store
+# saves (by handle and by key, below and at ring capacity) and
+# per-check metrics account updates must allocate no minor words. Runs last in `ci`: it leaves _build in the
 # release profile, and the next plain `dune build` rebuilds dev.
 alloc-smoke:
 	sh scripts/alloc_smoke.sh

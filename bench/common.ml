@@ -135,7 +135,8 @@ let section title =
 module Json = Guardrails.Json
 
 (* Per-monitor telemetry of a deployment, as the gr_trace registry
-   renders it: check counts, latency quantiles, cumulative VM cost. *)
+   renders it: check counts, check-cost mean/min/max, cumulative VM
+   cost. *)
 let monitors_json deployment =
   match Guardrails.Metrics.to_json (Guardrails.Deployment.metrics deployment) with
   | Json.Obj [ ("monitors", monitors) ] -> monitors

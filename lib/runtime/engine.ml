@@ -54,10 +54,10 @@ type state = {
   version : int option;
       (** the spec version this monitor came from, when the install
           went through the versioned lifecycle (grc serve) *)
-  rule_cost_ns : float;  (** static VM cost of the rule, summed once *)
   tier : Vm.tier;  (** the tier the rule and SAVE programs execute on *)
-  metrics : Metrics.monitor;
-      (** this monitor's telemetry record, resolved once at install *)
+  metrics : Metrics.account;
+      (** this monitor's own account, registered at install: the only
+          per-check counter *)
   exec : unit -> Vm.result;
       (** the rule, specialized onto [tier] at install *)
   actions_costed : (Monitor.action * save_target option) list;
@@ -66,12 +66,8 @@ type state = {
   demands : Gr_compiler.Deps.agg_demand list;
       (** aggregate demands registered with the store on install *)
   mutable installed : bool;
-  mutable checks : int;
-  mutable violations : int;
-  mutable action_firings : int;
   mutable retrains_requested : int;
   mutable retrains_suppressed : int;
-  mutable overhead_ns : float;
   mutable in_violation : bool;
   mutable last_firing : Time_ns.t option;
   flips : Time_ns.t Ring.t;
@@ -178,7 +174,6 @@ and action_instant ?parent t st name args =
 
 and run_actions t st =
   let now = Gr_kernel.Kernel.now t.kernel in
-  st.action_firings <- st.action_firings + 1;
   st.last_firing <- Some now;
   Metrics.record_fire st.metrics;
   let reported = ref false in
@@ -256,7 +251,6 @@ and run_actions t st =
       | Monitor.Save { key; value = _ } ->
         let save = Option.get save in
         let result = save.run () in
-        st.overhead_ns <- st.overhead_ns +. result.est_cost_ns;
         Metrics.record_action_cost st.metrics ~cost_ns:result.est_cost_ns;
         let aspan =
           action_instant t st "SAVE"
@@ -295,6 +289,10 @@ and record_flip t st =
            else ""))
   end
 
+and record_check st (result : Vm.result) ~healthy =
+  Metrics.record_check st.metrics ~cost_ns:result.est_cost_ns ~insts:result.insts_executed
+    ~samples:result.samples_scanned ~violated:(not healthy)
+
 and check ?(via = "manual") t st =
   if st.installed then begin
     if t.cascade_depth >= t.config.max_cascade_depth then
@@ -304,19 +302,13 @@ and check ?(via = "manual") t st =
       Fun.protect
         ~finally:(fun () -> t.cascade_depth <- t.cascade_depth - 1)
         (fun () ->
-          st.checks <- st.checks + 1;
           let result =
             if Selfcost.enabled () then Selfcost.time Selfcost.Check st.exec else st.exec ()
           in
-          st.overhead_ns <- st.overhead_ns +. result.est_cost_ns;
           let healthy = Vm.truthy result.value in
-          let record () =
-            Metrics.record_check st.metrics ~cost_ns:result.est_cost_ns
-              ~insts:result.insts_executed
-              ~samples:result.samples_scanned ~violated:(not healthy)
-          in
-          if Selfcost.enabled () then Selfcost.time Selfcost.Metrics_record record
-          else record ();
+          if Selfcost.enabled () then
+            Selfcost.time Selfcost.Metrics_record (fun () -> record_check st result ~healthy)
+          else record_check st result ~healthy;
           (* The check as a Complete span whose duration is the VM's
              dynamic cost estimate — per-monitor overhead on the
              timeline. Its span id is the causal parent of everything
@@ -346,7 +338,6 @@ and check ?(via = "manual") t st =
                 end
               end
               else begin
-                st.violations <- st.violations + 1;
                 if not st.in_violation then begin
                   st.in_violation <- true;
                   record_flip t st
@@ -420,9 +411,8 @@ let install ?engine ?version t monitor =
         monitor;
         id = t.next_id;
         version;
-        rule_cost_ns = Vm.static_cost_ns monitor.Monitor.rule;
         tier;
-        metrics = Metrics.monitor (Tracer.metrics t.tracer) monitor.Monitor.name;
+        metrics = Metrics.register (Tracer.metrics t.tracer) monitor.Monitor.name;
         exec = build_exec t ~tier ~slots monitor.Monitor.rule;
         actions_costed =
           List.map
@@ -439,12 +429,8 @@ let install ?engine ?version t monitor =
             monitor.Monitor.actions;
         demands;
         installed = true;
-        checks = 0;
-        violations = 0;
-        action_firings = 0;
         retrains_requested = 0;
         retrains_suppressed = 0;
-        overhead_ns = 0.;
         in_violation = false;
         last_firing = None;
         flips = Ring.create ~capacity:64;
@@ -495,6 +481,9 @@ let uninstall t st =
        bound — and kept padding pp_report/Stats forever. The handle
        itself stays valid for post-mortem [Stats.get]. *)
     Vec.filter_in_place (fun (s : state) -> s.id <> st.id) t.monitors;
+    (* Per-name telemetry keeps the totals; the handle keeps its
+       account. *)
+    Metrics.retire (Tracer.metrics t.tracer) st.metrics;
     if Tracer.enabled t.tracer then
       Tracer.instant t.tracer ~cat:"runtime"
         ~args:[ ("monitor", Event.Str st.monitor.Monitor.name) ]
@@ -513,9 +502,9 @@ let tracer t = t.tracer
 let metrics t = Tracer.metrics t.tracer
 
 let check_now t st =
-  let before = st.violations in
+  let before = st.metrics.violations in
   check ~via:"manual" t st;
-  st.violations = before
+  st.metrics.violations = before
 
 module Stats = struct
   type s = {
@@ -531,22 +520,23 @@ module Stats = struct
   }
 
   let get _t (st : state) =
+    let m = st.metrics in
     {
-      checks = st.checks;
-      violations = st.violations;
-      action_firings = st.action_firings;
+      checks = m.checks;
+      violations = m.violations;
+      action_firings = m.fires;
       retrains_requested = st.retrains_requested;
       retrains_suppressed = st.retrains_suppressed;
-      overhead_ns = st.overhead_ns;
+      overhead_ns = m.cost.vm_ns;
       oscillation_alerts = st.oscillation_alerts;
       cascade_drops = st.cascade_drops;
       effective_cooldown = st.cooldown;
     }
 
   let total_overhead_ns t =
-    Vec.fold (fun acc (st : state) -> acc +. st.overhead_ns) 0. t.monitors
+    Vec.fold (fun acc (st : state) -> acc +. st.metrics.cost.vm_ns) 0. t.monitors
 
-  let total_checks t = Vec.fold (fun acc (st : state) -> acc + st.checks) 0 t.monitors
+  let total_checks t = Vec.fold (fun acc (st : state) -> acc + st.metrics.checks) 0 t.monitors
 end
 
 (* The violation log is a view over the report sink: each REPORT trace
@@ -578,8 +568,9 @@ let pp_report fmt t =
     "firings" "retrains" "overhead" "state";
   Vec.iter
     (fun (st : state) ->
+      let m = st.metrics in
       Format.fprintf fmt "%-28s %8d %10d %8d %9d %10.0fns %s@\n" st.monitor.Monitor.name
-        st.checks st.violations st.action_firings st.retrains_requested st.overhead_ns
+        m.checks m.violations m.fires st.retrains_requested m.cost.vm_ns
         (String.concat "+"
            (List.filter
               (fun s -> s <> "")

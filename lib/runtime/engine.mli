@@ -63,8 +63,9 @@ val create :
 
 val tracer : t -> Gr_trace.Tracer.t
 val metrics : t -> Gr_trace.Metrics.t
-(** Per-monitor telemetry: check/violation/firing counts and the
-    check-latency distribution. *)
+(** Per-monitor telemetry. Each install registers its own account
+    there, which {!Stats} reads too; {!uninstall} folds it into the
+    name's retired total. *)
 
 type handle
 

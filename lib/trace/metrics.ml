@@ -1,77 +1,127 @@
-open Gr_util
+type cost = {
+  mutable vm_ns : float;
+  mutable check_ns : float;
+  mutable min_ns : float;
+  mutable max_ns : float;
+}
 
-type monitor = {
+type account = {
   name : string;
   mutable checks : int;
   mutable violations : int;
   mutable fires : int;
-  mutable vm_cost_ns : float;
   mutable vm_insts : int;
   mutable samples_scanned : int;
-  latency : Stats.Welford.t;
-  latency_p50 : Stats.P2.t;
-  latency_p90 : Stats.P2.t;
-  latency_p99 : Stats.P2.t;
+  cost : cost;
 }
 
-type t = { table : (string, monitor) Hashtbl.t; node_id : int option }
+type monitor = {
+  name : string;
+  checks : int;
+  violations : int;
+  fires : int;
+  vm_cost_ns : float;
+  check_cost_ns : float;
+  min_ns : float;
+  max_ns : float;
+  vm_insts : int;
+  samples_scanned : int;
+}
+
+(* [live] in registration order, so [monitor] finds the oldest. *)
+type entry = { mutable live : account list; retired : account }
+type t = { table : (string, entry) Hashtbl.t; node_id : int option }
 
 let create () = { table = Hashtbl.create 16; node_id = None }
 let for_node id = { table = Hashtbl.create 16; node_id = Some id }
-let node_id t = t.node_id
 
-let monitor t name =
-  match Hashtbl.find_opt t.table name with
-  | Some m -> m
-  | None ->
-    let m =
-      {
-        name;
-        checks = 0;
-        violations = 0;
-        fires = 0;
-        vm_cost_ns = 0.;
-        vm_insts = 0;
-        samples_scanned = 0;
-        latency = Stats.Welford.create ();
-        latency_p50 = Stats.P2.create ~q:0.5;
-        latency_p90 = Stats.P2.create ~q:0.9;
-        latency_p99 = Stats.P2.create ~q:0.99;
-      }
-    in
-    Hashtbl.add t.table name m;
-    m
+let fresh name : account =
+  {
+    name;
+    checks = 0;
+    violations = 0;
+    fires = 0;
+    vm_insts = 0;
+    samples_scanned = 0;
+    cost = { vm_ns = 0.; check_ns = 0.; min_ns = infinity; max_ns = neg_infinity };
+  }
 
-let find t name = Hashtbl.find_opt t.table name
+let entry t name =
+  match Hashtbl.find t.table name with
+  | e -> e
+  | exception Not_found ->
+    let e = { live = []; retired = fresh name } in
+    Hashtbl.add t.table name e;
+    e
+
+let register t name =
+  let e = entry t name in
+  let a = fresh name in
+  e.live <- e.live @ [ a ];
+  a
+
+let monitor t name = match (entry t name).live with a :: _ -> a | [] -> register t name
+
+let absorb (into : account) (a : account) =
+  into.checks <- into.checks + a.checks;
+  into.violations <- into.violations + a.violations;
+  into.fires <- into.fires + a.fires;
+  into.vm_insts <- into.vm_insts + a.vm_insts;
+  into.samples_scanned <- into.samples_scanned + a.samples_scanned;
+  let c = into.cost and d = a.cost in
+  c.vm_ns <- c.vm_ns +. d.vm_ns;
+  c.check_ns <- c.check_ns +. d.check_ns;
+  if d.min_ns < c.min_ns then c.min_ns <- d.min_ns;
+  if d.max_ns > c.max_ns then c.max_ns <- d.max_ns
+
+let retire t (a : account) =
+  match Hashtbl.find_opt t.table a.name with
+  | Some e when List.memq a e.live ->
+    absorb e.retired a;
+    e.live <- List.filter (fun b -> b != a) e.live
+  | _ -> ()
+
+let live_accounts t = Hashtbl.fold (fun _ e n -> n + List.length e.live) t.table 0
+
+let row e : monitor =
+  let s = fresh e.retired.name in
+  List.iter (absorb s) (e.retired :: e.live);
+  {
+    name = s.name;
+    checks = s.checks;
+    violations = s.violations;
+    fires = s.fires;
+    vm_cost_ns = s.cost.vm_ns;
+    check_cost_ns = s.cost.check_ns;
+    min_ns = s.cost.min_ns;
+    max_ns = s.cost.max_ns;
+    vm_insts = s.vm_insts;
+    samples_scanned = s.samples_scanned;
+  }
 
 let monitors t =
-  Hashtbl.fold (fun _ m acc -> m :: acc) t.table []
-  |> List.sort (fun a b -> String.compare a.name b.name)
+  Hashtbl.fold (fun _ e acc -> row e :: acc) t.table []
+  |> List.sort (fun (a : monitor) b -> String.compare a.name b.name)
 
-let record_check m ~cost_ns ~insts ~samples ~violated =
-  m.checks <- m.checks + 1;
-  if violated then m.violations <- m.violations + 1;
-  m.vm_cost_ns <- m.vm_cost_ns +. cost_ns;
-  m.vm_insts <- m.vm_insts + insts;
-  m.samples_scanned <- m.samples_scanned + samples;
-  Stats.Welford.add m.latency cost_ns;
-  Stats.P2.add m.latency_p50 cost_ns;
-  Stats.P2.add m.latency_p90 cost_ns;
-  Stats.P2.add m.latency_p99 cost_ns
+(* Every float stays in the float-only [cost] record, so none of these
+   updates boxes. *)
+let record_check (a : account) ~cost_ns ~insts ~samples ~violated =
+  a.checks <- a.checks + 1;
+  if violated then a.violations <- a.violations + 1;
+  a.vm_insts <- a.vm_insts + insts;
+  a.samples_scanned <- a.samples_scanned + samples;
+  let c = a.cost in
+  c.vm_ns <- c.vm_ns +. cost_ns;
+  c.check_ns <- c.check_ns +. cost_ns;
+  if cost_ns < c.min_ns then c.min_ns <- cost_ns;
+  if cost_ns > c.max_ns then c.max_ns <- cost_ns
 
-let record_fire m = m.fires <- m.fires + 1
-let record_action_cost m ~cost_ns = m.vm_cost_ns <- m.vm_cost_ns +. cost_ns
-
-let latency_quantile m q =
-  if m.checks = 0 then nan
-  else if q = 0.5 then Stats.P2.quantile m.latency_p50
-  else if q = 0.9 then Stats.P2.quantile m.latency_p90
-  else if q = 0.99 then Stats.P2.quantile m.latency_p99
-  else invalid_arg "Metrics.latency_quantile: q must be 0.5, 0.9 or 0.99"
-
+let record_fire (a : account) = a.fires <- a.fires + 1
+let record_action_cost (a : account) ~cost_ns = a.cost.vm_ns <- a.cost.vm_ns +. cost_ns
+let mean_ns (m : monitor) = m.check_cost_ns /. float_of_int m.checks
 let num x : Json.t = if Float.is_finite x then Num x else Null
 
-let monitor_to_json m : Json.t =
+let monitor_to_json (m : monitor) : Json.t =
   Json.Obj
     [
       ("name", Str m.name);
@@ -81,16 +131,7 @@ let monitor_to_json m : Json.t =
       ("vm_cost_ns", num m.vm_cost_ns);
       ("vm_insts", Num (float_of_int m.vm_insts));
       ("samples_scanned", Num (float_of_int m.samples_scanned));
-      ( "latency_ns",
-        Obj
-          [
-            ("mean", num (Stats.Welford.mean m.latency));
-            ("min", if m.checks = 0 then Null else num (Stats.Welford.min m.latency));
-            ("max", if m.checks = 0 then Null else num (Stats.Welford.max m.latency));
-            ("p50", num (latency_quantile m 0.5));
-            ("p90", num (latency_quantile m 0.9));
-            ("p99", num (latency_quantile m 0.99));
-          ] );
+      ("latency_ns", Obj [ ("mean", num (mean_ns m)); ("min", num m.min_ns); ("max", num m.max_ns) ]);
     ]
 
 let to_json t : Json.t =
@@ -149,32 +190,32 @@ let counter_families =
    monitor without PromQL re-aggregation. No trailing EOF: callers
    compose further families ({!Export}). *)
 let openmetrics_into buf ts =
-  let mons t = monitors t in
+  let rows = List.map (fun t -> (t, monitors t)) ts in
   let family (name, help, value) =
     Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
     Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
     List.iter
-      (fun t ->
+      (fun (t, ms) ->
         List.iter
           (fun m ->
             Buffer.add_string buf
               (Printf.sprintf "%s_total%s %s\n" name (om_labels (mlabels t m)) (om_num (value m))))
-          (mons t))
-      ts;
+          ms)
+      rows;
     if List.length ts > 1 then begin
       let merged = Hashtbl.create 16 in
       let order = ref [] in
       List.iter
-        (fun t ->
+        (fun (_, ms) ->
           List.iter
-            (fun m ->
+            (fun (m : monitor) ->
               (match Hashtbl.find_opt merged m.name with
               | None -> order := m.name :: !order
               | Some _ -> ());
               Hashtbl.replace merged m.name
                 (value m +. Option.value ~default:0. (Hashtbl.find_opt merged m.name)))
-            (mons t))
-        ts;
+            ms)
+        rows;
       List.iter
         (fun name_ ->
           Buffer.add_string buf
@@ -185,29 +226,22 @@ let openmetrics_into buf ts =
     end
   in
   List.iter family counter_families;
-  (* Check latency as a summary: streaming quantiles plus count/sum. *)
+  (* Check cost as a summary of count and sum: the rules' cost alone,
+     so [_sum / _count] is the mean check cost. *)
   let name = "guardrail_check_latency_ns" in
   Buffer.add_string buf
     (Printf.sprintf "# HELP %s Per-check VM cost distribution (estimated ns).\n" name);
   Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" name);
   List.iter
-    (fun t ->
+    (fun (t, ms) ->
       List.iter
         (fun m ->
-          let base = mlabels t m in
-          List.iter
-            (fun q ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s%s %s\n" name
-                   (om_labels (base @ [ ("quantile", q) ]))
-                   (om_num (latency_quantile m (float_of_string q)))))
-            [ "0.5"; "0.9"; "0.99" ];
+          let labels = om_labels (mlabels t m) in
+          Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" name labels m.checks);
           Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" name (om_labels base) m.checks);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" name (om_labels base) (om_num m.vm_cost_ns)))
-        (mons t))
-    ts
+            (Printf.sprintf "%s_sum%s %s\n" name labels (om_num m.check_cost_ns)))
+        ms)
+    rows
 
 let to_openmetrics ts =
   let buf = Buffer.create 4096 in
@@ -216,11 +250,10 @@ let to_openmetrics ts =
   Buffer.contents buf
 
 let pp fmt t =
-  Format.fprintf fmt "%-28s %8s %10s %7s %12s %10s %10s %10s@\n" "monitor" "checks"
-    "violations" "fires" "vm cost" "p50" "p90" "p99";
+  Format.fprintf fmt "%-28s %8s %10s %7s %12s %10s %10s@\n" "monitor" "checks" "violations"
+    "fires" "vm cost" "mean" "max";
   List.iter
     (fun m ->
-      Format.fprintf fmt "%-28s %8d %10d %7d %10.0fns %8.1fns %8.1fns %8.1fns@\n" m.name
-        m.checks m.violations m.fires m.vm_cost_ns (latency_quantile m 0.5)
-        (latency_quantile m 0.9) (latency_quantile m 0.99))
+      Format.fprintf fmt "%-28s %8d %10d %7d %10.0fns %8.1fns %8.1fns@\n" m.name m.checks
+        m.violations m.fires m.vm_cost_ns (mean_ns m) m.max_ns)
     (monitors t)

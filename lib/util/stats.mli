@@ -1,75 +1,12 @@
-(** Streaming and batch statistics.
+(** Batch statistics.
 
     The guardrail properties of the paper are all statistical: drift in
     input distributions (P1), output variance vs input variance (P2),
     rolling decision quality (P4), latency budgets (P5), fairness and
-    starvation (P6). This module provides the estimators they are
-    built from. All streaming estimators use O(1) or small-constant
-    state so they are cheap enough to run on every sample, matching the
-    in-kernel-budget constraint the paper emphasises. *)
-
-module Welford : sig
-  (** Numerically stable streaming mean / variance (Welford's
-      algorithm), plus min/max. *)
-
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** 0. when empty. *)
-
-  val variance : t -> float
-  (** Population variance; 0. with fewer than two samples. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  (** [infinity] when empty. *)
-
-  val max : t -> float
-  (** [neg_infinity] when empty. *)
-
-  val reset : t -> unit
-  val merge : t -> t -> t
-  (** Combines two summaries (Chan's parallel formula). *)
-end
-
-module Ewma : sig
-  (** Exponentially weighted moving average. *)
-
-  type t
-
-  val create : alpha:float -> t
-  (** Requires [0. < alpha <= 1.]; larger alpha weights recent samples
-      more. *)
-
-  val add : t -> float -> unit
-  val value : t -> float
-  (** 0. when no sample has been added. *)
-
-  val initialized : t -> bool
-  val reset : t -> unit
-end
-
-module P2 : sig
-  (** P² streaming quantile estimator (Jain & Chlamtac 1985): tracks a
-      single quantile with five markers and no sample storage. *)
-
-  type t
-
-  val create : q:float -> t
-  (** Requires [0. < q < 1.]. *)
-
-  val add : t -> float -> unit
-  (** NaN samples are ignored. *)
-
-  val quantile : t -> float
-  (** Current estimate; exact while fewer than five samples. [nan]
-      when empty. *)
-
-  val count : t -> int
-end
+    starvation (P6). This module provides the batch estimators they
+    are built from. Streaming state lives where it is used: in the
+    feature store's running aggregates and the metrics registry's
+    per-monitor accounts. *)
 
 val mean : float array -> float
 val variance : float array -> float

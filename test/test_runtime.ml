@@ -716,6 +716,96 @@ let test_engine_uninstall () =
   check_int "no checks after uninstall" before
     (Engine.Stats.get (Guardrails.Deployment.engine d) h).checks
 
+(* ---------- per-monitor accounts ---------- *)
+
+module Metrics = Gr_trace.Metrics
+
+let metrics_row d name =
+  match
+    List.find_opt
+      (fun (r : Metrics.monitor) -> String.equal r.name name)
+      (Metrics.monitors (Guardrails.Deployment.metrics d))
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "no metrics row %s" name
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A canary runs beside the version it replaces under the same name:
+   [Stats.get] stays per handle, per-name telemetry reports the sum,
+   and the sum survives an uninstall. *)
+let test_same_name_installs () =
+  let kernel, d = make_deployment () in
+  let engine = Guardrails.Deployment.engine d in
+  Guardrails.Deployment.save d "healthy" 0.;
+  let src = simple_rail ~name:"canary" () in
+  let h1 = List.hd (Guardrails.Deployment.install_source_exn d src) in
+  Gr_kernel.Kernel.run_until kernel (Time_ns.ms 25);
+  let h2 = List.hd (Guardrails.Deployment.install_source_exn d src) in
+  Gr_kernel.Kernel.run_until kernel (Time_ns.ms 55);
+  let s1 = Engine.Stats.get engine h1 and s2 = Engine.Stats.get engine h2 in
+  check_bool "per-handle checks" true (s1.checks > s2.checks && s2.checks > 0);
+  let row = metrics_row d "canary" in
+  check_int "one row per name" 1 (List.length (Metrics.monitors (Guardrails.Deployment.metrics d)));
+  check_int "row checks are the sum" (s1.checks + s2.checks) row.checks;
+  check_int "row violations are the sum" (s1.violations + s2.violations) row.violations;
+  check_int "row fires are the sum" (s1.action_firings + s2.action_firings) row.fires;
+  check_float "row cost is the sum" (s1.overhead_ns +. s2.overhead_ns) row.vm_cost_ns;
+  (match Metrics.to_json (Guardrails.Deployment.metrics d) with
+  | Guardrails.Json.Obj [ ("monitors", Guardrails.Json.Arr [ j ]) ] ->
+    check_bool "json checks are the sum" true
+      (Option.bind (Guardrails.Json.member "checks" j) Guardrails.Json.int_value
+      = Some (s1.checks + s2.checks))
+  | _ -> Alcotest.fail "expected one json row");
+  let om = Guardrails.Trace_export.openmetrics (Guardrails.Deployment.tracer d) in
+  check_bool "openmetrics checks are the sum" true
+    (contains
+       ~needle:(Printf.sprintf {|guardrail_checks_total{monitor="canary"} %d|} (s1.checks + s2.checks))
+       om);
+  (* Totals survive the uninstall of the old version. *)
+  Guardrails.Deployment.uninstall d h1;
+  check_int "totals survive uninstall" row.checks (metrics_row d "canary").checks;
+  check_int "live accounts" 1 (Metrics.live_accounts (Guardrails.Deployment.metrics d));
+  Gr_kernel.Kernel.run_until kernel (Time_ns.ms 95);
+  let s1' = Engine.Stats.get engine h1 and s2' = Engine.Stats.get engine h2 in
+  check_int "uninstalled handle keeps its account" s1.checks s1'.checks;
+  check_bool "survivor kept checking" true (s2'.checks > s2.checks);
+  check_int "row adds the survivor's checks" (s1'.checks + s2'.checks)
+    (metrics_row d "canary").checks;
+  check_int "installed totals count only the survivor" s2'.checks (Engine.Stats.total_checks engine)
+
+(* A serving engine reinstalls the same name on every push/rollback
+   cycle: the registry must stay O(names), not O(installs). *)
+let test_account_churn () =
+  let _, d = make_deployment () in
+  let engine = Guardrails.Deployment.engine d in
+  Guardrails.Deployment.save d "healthy" 1.;
+  let monitor =
+    match Compile.source (simple_rail ~name:"churn" ()) with
+    | Ok [ m ] -> m
+    | _ -> Alcotest.fail "expected one monitor"
+  in
+  let install () =
+    match Engine.install engine monitor with
+    | Ok h -> h
+    | Error e -> Alcotest.failf "install: %s" (String.concat "; " e)
+  in
+  let resident = install () in
+  for _ = 1 to 1000 do
+    let h = install () in
+    ignore (Engine.check_now engine h : bool);
+    Engine.uninstall engine h
+  done;
+  let metrics = Engine.metrics engine in
+  check_int "live accounts bounded by installed monitors" (Engine.installed_count engine)
+    (Metrics.live_accounts metrics);
+  check_int "one row" 1 (List.length (Metrics.monitors metrics));
+  check_int "every check counted" 1000 (metrics_row d "churn").checks;
+  check_int "resident account untouched" 0 (Engine.Stats.get engine resident).checks
+
 let test_engine_cascade_bounded () =
   (* Two ON_CHANGE monitors that keep writing each other's keys: the
      cascade-depth bound must stop the recursion. *)
@@ -920,5 +1010,10 @@ let suite =
         Alcotest.test_case "report snapshot order" `Quick test_engine_report_snapshot_order;
         Alcotest.test_case "check_now" `Quick test_engine_check_now;
         Alcotest.test_case "rejects unverifiable" `Quick test_engine_rejects_unverifiable;
+      ] );
+    ( "runtime.engine.accounts",
+      [
+        Alcotest.test_case "same-name installs" `Quick test_same_name_installs;
+        Alcotest.test_case "install/uninstall churn" `Quick test_account_churn;
       ] );
   ]

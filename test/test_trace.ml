@@ -198,8 +198,17 @@ let test_json_parser () =
 let test_metrics_registry () =
   let m = Metrics.create () in
   let mon = Metrics.monitor m "g" in
-  check_bool "same record on re-lookup" true (mon == Metrics.monitor m "g");
-  check_bool "no checks -> nan quantile" true (Float.is_nan (Metrics.latency_quantile mon 0.5));
+  check_bool "same account on re-lookup" true (mon == Metrics.monitor m "g");
+  let latency () =
+    match Metrics.to_json m with
+    | Json.Obj [ ("monitors", Json.Arr [ row ]) ] ->
+      let field k = Option.bind (Json.member "latency_ns" row) (Json.member k) in
+      (Json.member "checks" row, field "mean", field "min", field "max")
+    | _ -> Alcotest.fail "unexpected to_json shape"
+  in
+  (match latency () with
+  | _, Some Json.Null, Some Json.Null, Some Json.Null -> ()
+  | _ -> Alcotest.fail "no checks -> null mean/min/max");
   for i = 1 to 100 do
     Metrics.record_check mon ~cost_ns:(float_of_int i) ~insts:3 ~samples:2
       ~violated:(i mod 10 = 0)
@@ -209,19 +218,35 @@ let test_metrics_registry () =
   check_int "violations" 10 mon.Metrics.violations;
   check_int "fires" 1 mon.Metrics.fires;
   check_int "insts accumulate" 300 mon.Metrics.vm_insts;
-  check_bool "p50 in range" true
-    (let p = Metrics.latency_quantile mon 0.5 in
-     p > 30. && p < 70.);
-  check_bool "p99 above p50" true
-    (Metrics.latency_quantile mon 0.99 > Metrics.latency_quantile mon 0.5);
-  Alcotest.check_raises "only p50/p90/p99 are tracked"
-    (Invalid_argument "Metrics.latency_quantile: q must be 0.5, 0.9 or 0.99") (fun () ->
-      ignore (Metrics.latency_quantile mon 0.75));
-  match Metrics.to_json m with
-  | Json.Obj [ ("monitors", Json.Arr [ row ]) ] ->
-    check_int "json checks" 100
-      (Option.value ~default:0 (Option.bind (Json.member "checks" row) Json.int_value))
-  | _ -> Alcotest.fail "unexpected to_json shape"
+  (match Metrics.monitors m with
+  | [ row ] ->
+    check_bool "row mean" true (row.Metrics.check_cost_ns /. float_of_int row.checks = 50.5);
+    check_bool "row min" true (row.min_ns = 1.);
+    check_bool "row max" true (row.max_ns = 100.)
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+  match latency () with
+  | Some checks, Some mean, Some min, Some max ->
+    check_int "json checks" 100 (Option.value ~default:0 (Json.int_value checks));
+    check_bool "json mean" true (Json.float_value mean = Some 50.5);
+    check_bool "json min" true (Json.float_value min = Some 1.);
+    check_bool "json max" true (Json.float_value max = Some 100.)
+  | _ -> Alcotest.fail "json row lacks checks or latency_ns"
+
+(* Per-check account updates are what every check pays; a boxed float
+   field or an allocated option would show up here. *)
+let test_account_updates_allocate_nothing () =
+  let m = Metrics.create () in
+  let a = Metrics.register m "g" in
+  let cost_ns = 42.5 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Metrics.record_check a ~cost_ns ~insts:3 ~samples:1 ~violated:(i land 1 = 0);
+    Metrics.record_fire a;
+    Metrics.record_action_cost a ~cost_ns
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "checks counted" 10_000 a.Metrics.checks;
+  Alcotest.(check (float 0.)) "minor words across 10k updates" 0. words
 
 (* ---------- End-to-end: traced deployment ---------- *)
 
@@ -355,11 +380,43 @@ let test_openmetrics_exposition () =
     (contains ~needle:{|guardrail_checks_total{monitor="trace-test"} 11|} om);
   check_bool "latency summary present" true
     (contains ~needle:"# TYPE guardrail_check_latency_ns summary" om);
-  check_bool "quantile rows present" true (contains ~needle:{|quantile="0.99"|} om);
   check_bool "sink accounting exported" true
     (contains ~needle:"guardrail_trace_emitted_total" om);
   check_bool "terminated" true
     (String.length om > 5 && String.sub om (String.length om - 6) 6 = "# EOF\n")
+
+(* The value of the exposition line that starts with [series]. *)
+let om_value om series =
+  let prefix = series ^ " " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' om)
+  with
+  | Some line ->
+    let n = String.length prefix in
+    float_of_string (String.sub line n (String.length line - n))
+  | None -> Alcotest.failf "no series %s" series
+
+(* The summary's [_sum] is the rules' cost alone, so [_sum/_count] is
+   the mean check cost; SAVE value programs count only toward
+   [guardrail_vm_cost_ns]. The oracle is the check spans themselves,
+   whose duration is the check's estimated cost. *)
+let test_openmetrics_summary_excludes_actions () =
+  let d = run_traced () in
+  let tr = Guardrails.Deployment.tracer d in
+  let om = Guardrails.Trace_export.openmetrics tr in
+  let spans =
+    List.filter (fun (e : Event.t) -> e.cat = "check") (Sink.to_list (Tracer.events tr))
+  in
+  let span_sum = List.fold_left (fun acc (e : Event.t) -> acc +. e.dur_ns) 0. spans in
+  let m = {|{monitor="trace-test"}|} in
+  check_bool "the SAVE action fired" true (om_value om ("guardrail_fires_total" ^ m) > 0.);
+  check_int "count is the checks" (List.length spans)
+    (int_of_float (om_value om ("guardrail_check_latency_ns_count" ^ m)));
+  check_bool "sum is the summed check costs" true
+    (Float.abs (om_value om ("guardrail_check_latency_ns_sum" ^ m) -. span_sum)
+    <= 1e-8 *. span_sum);
+  check_bool "vm cost still includes the action" true
+    (om_value om ("guardrail_vm_cost_ns_total" ^ m) > span_sum *. (1. +. 1e-8))
 
 let test_openmetrics_fleet_rollup () =
   let make id checks =
@@ -424,7 +481,12 @@ let suite =
         Alcotest.test_case "deployment trace parses back" `Quick test_deployment_trace_parses;
       ] );
     ("trace.json", [ Alcotest.test_case "parser" `Quick test_json_parser ]);
-    ("trace.metrics", [ Alcotest.test_case "registry" `Quick test_metrics_registry ]);
+    ( "trace.metrics",
+      [
+        Alcotest.test_case "registry" `Quick test_metrics_registry;
+        Alcotest.test_case "account updates allocate nothing" `Quick
+          test_account_updates_allocate_nothing;
+      ] );
     ( "trace.provenance",
       [
         Alcotest.test_case "report chain reconstruction" `Quick test_provenance_reconstruction;
@@ -435,6 +497,8 @@ let suite =
       [
         Alcotest.test_case "exposition format" `Quick test_openmetrics_exposition;
         Alcotest.test_case "fleet rollup rows" `Quick test_openmetrics_fleet_rollup;
+        Alcotest.test_case "summary sum excludes actions" `Quick
+          test_openmetrics_summary_excludes_actions;
       ] );
     ("trace.selfcost", [ Alcotest.test_case "gating" `Quick test_selfcost_gating ]);
     ( "trace.report",

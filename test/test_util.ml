@@ -51,12 +51,9 @@ let test_rng_float_bounds () =
 let test_rng_gaussian_moments () =
   let rng = Rng.create 5 in
   let n = 20_000 in
-  let w = Stats.Welford.create () in
-  for _ = 1 to n do
-    Stats.Welford.add w (Rng.gaussian rng ~mu:3. ~sigma:2.)
-  done;
-  check_bool "mean near 3" true (Float.abs (Stats.Welford.mean w -. 3.) < 0.1);
-  check_bool "stddev near 2" true (Float.abs (Stats.Welford.stddev w -. 2.) < 0.1)
+  let xs = Array.init n (fun _ -> Rng.gaussian rng ~mu:3. ~sigma:2.) in
+  check_bool "mean near 3" true (Float.abs (Stats.mean xs -. 3.) < 0.1);
+  check_bool "stddev near 2" true (Float.abs (Stats.stddev xs -. 2.) < 0.1)
 
 let test_rng_exponential_mean () =
   let rng = Rng.create 6 in
@@ -238,75 +235,15 @@ let ring_property =
 
 (* ---------- Stats ---------- *)
 
-let test_welford_matches_batch () =
-  let xs = [| 1.0; 2.5; 3.5; 4.0; 10.0; -3.0 |] in
-  let w = Stats.Welford.create () in
-  Array.iter (Stats.Welford.add w) xs;
-  check_float "mean" (Stats.mean xs) (Stats.Welford.mean w);
-  check_bool "variance" true (Float.abs (Stats.variance xs -. Stats.Welford.variance w) < 1e-9);
-  check_float "min" (-3.0) (Stats.Welford.min w);
-  check_float "max" 10.0 (Stats.Welford.max w)
-
-let test_welford_merge () =
-  let xs = Array.init 50 (fun i -> float_of_int i *. 0.7) in
-  let ys = Array.init 30 (fun i -> 100. -. float_of_int i) in
-  let a = Stats.Welford.create () and b = Stats.Welford.create () in
-  Array.iter (Stats.Welford.add a) xs;
-  Array.iter (Stats.Welford.add b) ys;
-  let merged = Stats.Welford.merge a b in
-  let all = Array.append xs ys in
-  check_bool "merged mean" true (Float.abs (Stats.mean all -. Stats.Welford.mean merged) < 1e-9);
-  check_bool "merged var" true
-    (Float.abs (Stats.variance all -. Stats.Welford.variance merged) < 1e-6)
-
-let test_ewma () =
-  let e = Stats.Ewma.create ~alpha:0.5 in
-  check_bool "uninitialized" false (Stats.Ewma.initialized e);
-  Stats.Ewma.add e 10.;
-  check_float "first sample" 10. (Stats.Ewma.value e);
-  Stats.Ewma.add e 0.;
-  check_float "decays" 5. (Stats.Ewma.value e)
-
-let test_p2_median () =
-  let rng = Rng.create 11 in
-  let p2 = Stats.P2.create ~q:0.5 in
-  let values = Array.init 5000 (fun _ -> Rng.gaussian rng ~mu:50. ~sigma:10.) in
-  Array.iter (Stats.P2.add p2) values;
-  let exact = Stats.quantile values 0.5 in
-  check_bool "P2 close to exact median" true (Float.abs (Stats.P2.quantile p2 -. exact) < 1.0)
-
-let test_p2_p99 () =
-  let rng = Rng.create 12 in
-  let p2 = Stats.P2.create ~q:0.99 in
-  let values = Array.init 10_000 (fun _ -> Rng.exponential rng ~rate:0.1) in
-  Array.iter (Stats.P2.add p2) values;
-  let exact = Stats.quantile values 0.99 in
-  check_bool "P2 p99 within 15%" true (Float.abs (Stats.P2.quantile p2 -. exact) /. exact < 0.15)
-
-let test_p2_small_n_exact () =
-  let p2 = Stats.P2.create ~q:0.5 in
-  List.iter (Stats.P2.add p2) [ 3.; 1.; 2. ];
-  check_float "exact median below 5 samples" 2. (Stats.P2.quantile p2)
-
-(* Empty and single-sample estimators must answer (with nan or the
-   sample) rather than raise — the metrics registry queries them on
-   monitors that have never checked. *)
+(* Empty and single-sample inputs must answer (with nan, zero or the
+   sample) rather than raise: property checks run on windows that may
+   not have filled yet. *)
 let test_stats_empty_and_single () =
-  let p2 = Stats.P2.create ~q:0.5 in
-  check_bool "empty P2 is nan" true (Float.is_nan (Stats.P2.quantile p2));
-  Stats.P2.add p2 42.;
-  check_float "single-sample P2" 42. (Stats.P2.quantile p2);
-  let w = Stats.Welford.create () in
-  check_float "empty Welford mean" 0. (Stats.Welford.mean w)
-
-let test_stats_nan_samples_ignored () =
-  (* Before the guard, a NaN sample sent P2's marker search off the
-     end of the height array (past warm-up). *)
-  let p2 = Stats.P2.create ~q:0.5 in
-  List.iter (Stats.P2.add p2) [ 1.; 2.; nan; 3.; 4.; 5. ];
-  Stats.P2.add p2 nan;
-  check_int "NaN not counted by P2" 5 (Stats.P2.count p2);
-  check_float "P2 median unpoisoned" 3. (Stats.P2.quantile p2)
+  check_bool "empty quantile is nan" true (Float.is_nan (Stats.quantile [||] 0.5));
+  check_float "single-sample quantile" 42. (Stats.quantile [| 42. |] 0.9);
+  check_float "empty mean" 0. (Stats.mean [||]);
+  check_float "single-sample variance" 0. (Stats.variance [| 42. |]);
+  check_float "single-sample stddev" 0. (Stats.stddev [| 42. |])
 
 let test_quantile_interpolation () =
   let xs = [| 1.; 2.; 3.; 4. |] in
@@ -387,14 +324,7 @@ let suite =
       ] );
     ( "util.stats",
       [
-        Alcotest.test_case "welford matches batch" `Quick test_welford_matches_batch;
-        Alcotest.test_case "welford merge" `Quick test_welford_merge;
-        Alcotest.test_case "ewma" `Quick test_ewma;
-        Alcotest.test_case "p2 median" `Quick test_p2_median;
-        Alcotest.test_case "p2 p99" `Quick test_p2_p99;
-        Alcotest.test_case "p2 exact below 5" `Quick test_p2_small_n_exact;
         Alcotest.test_case "empty/single-sample estimators" `Quick test_stats_empty_and_single;
-        Alcotest.test_case "nan samples ignored" `Quick test_stats_nan_samples_ignored;
         Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
         Alcotest.test_case "ks distance" `Quick test_ks_distance;
         Alcotest.test_case "jain index" `Quick test_jain_index;
