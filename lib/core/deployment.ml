@@ -158,7 +158,7 @@ let derive_periodic t ~key ~every sample =
       : Gr_sim.Engine.handle)
 
 let bind_control_key t ~key callback =
-  Gr_runtime.Feature_store.on_save t.store (fun k v -> if k = key then callback v);
+  ignore (Gr_runtime.Feature_store.watch t.store key callback : Gr_runtime.Feature_store.watch);
   if Gr_runtime.Feature_store.mem t.store key then
     callback (Gr_runtime.Feature_store.load t.store key)
 

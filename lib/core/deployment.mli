@@ -78,8 +78,7 @@ val node_id : t -> int option
 
 val tracer : t -> Gr_trace.Tracer.t
 val metrics : t -> Gr_trace.Metrics.t
-(** Per-monitor telemetry (check counts, latency quantiles,
-    cumulative VM cost). *)
+(** Per-monitor telemetry (check counts, cumulative VM cost). *)
 
 val set_tracing : t -> bool -> unit
 (** Enable/disable trace-event emission mid-run. *)
@@ -158,7 +157,8 @@ val bind_control_key : t -> key:string -> (float -> unit) -> unit
 (** Invokes the callback whenever [key] is saved — how a policy
     watches a control key like [ml_enabled] that a SAVE action
     flips. The callback also runs immediately if the key already has
-    a value. *)
+    a sample ({!Gr_runtime.Feature_store.mem}); a registered demand
+    alone does not count. *)
 
 val wire_scheduler : t -> Gr_kernel.Sched.t -> unit
 (** Routes DEPRIORITIZE/KILL actions to the scheduler and samples

@@ -66,31 +66,23 @@ let create ~nodes:n ~seed ?config ?store_capacity ?(tracing = false) ?(domains =
         Gr_trace.Tracer.set_span_channel (Node.tracer node) ~offset:(id + 1) ~stride;
         node)
   in
-  let global = Deployment.store control in
-  Store.link global (Array.map Node.store nodes);
+  Store.link (Deployment.store control) (Array.map Node.store nodes);
   Array.iteri
     (fun id node ->
       let kernel = Node.kernel node in
       (* A node's GLOBAL save would write the control store from the
          node phase mid-epoch; intercept it into the node's intent
          buffer instead, stamped with the node clock so the barrier
-         can replay it at its original time. *)
+         can replay it at its original time. Every ON_CHANGE(GLOBAL(key))
+         in the fleet, node monitors included, watches the tier's entry,
+         so it only ever runs in the barrier's control phase, when the
+         node phases are parked. *)
       Store.set_global_publish (Node.store node)
         (Some
            (fun key value ->
              Vec.push intents.(id)
                { its = Gr_kernel.Kernel.now kernel; kind = Global_save { key; value } })))
     nodes;
-  (* Replay global-tier writes into every node engine so a node's
-     ON_CHANGE(GLOBAL(key)) fires no matter which member saved the
-     key. The control engine already subscribes to its own store. This
-     subscriber only ever runs in the barrier's control phase (node
-     global saves arrive as intents), when the node phases are parked. *)
-  Store.on_save global (fun key _value ->
-      if Gr_dsl.Ast.is_global_key key then
-        Array.iter
-          (fun node -> Gr_runtime.Engine.dispatch_on_change (Node.engine node) key)
-          nodes);
   {
     sim = (Deployment.kernel control).Gr_kernel.Kernel.engine;
     control;

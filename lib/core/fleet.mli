@@ -20,9 +20,11 @@
     merged view of all shards (aggregates merge incrementally via
     {!Gr_runtime.Feature_store.Merge}); the same key read by a {e
     node} monitor sees only that node's shard. [GLOBAL(key)] resolves
-    to the global tier from everywhere, and a global save wakes
-    ON_CHANGE monitors on the control engine {e and} every node
-    engine.
+    to the global tier from everywhere. An ON_CHANGE(GLOBAL(key))
+    monitor, on the control engine or on a node engine, watches the
+    tier's entry of the key ({!Gr_runtime.Feature_store.watch}), so a
+    global save wakes every one of them, in the order they were
+    installed.
 
     {2 Fleet actions}
 
@@ -166,7 +168,8 @@ val canary : t -> policy:string -> int list option
 
 val save_global : t -> string -> float -> unit
 (** [save_global t key v] writes [GLOBAL(key)] — visible to every
-    member and waking ON_CHANGE(GLOBAL(key)) monitors fleet-wide. *)
+    member and waking the ON_CHANGE(GLOBAL(key)) monitors of the
+    control engine and every node engine, in installation order. *)
 
 val load_global : t -> string -> float
 

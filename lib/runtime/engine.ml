@@ -74,8 +74,7 @@ type state = {
   mutable oscillation_alerts : int;
   mutable cascade_drops : int;
   mutable cooldown : Time_ns.t;
-  mutable timer_handles : Gr_sim.Engine.handle list;
-  mutable hook_subs : Gr_kernel.Hooks.subscription list;
+  mutable disarm : (unit -> unit) list;  (** one per armed trigger *)
 }
 
 (* A SAVE action's value program, specialized like the rule, and the
@@ -92,14 +91,13 @@ type t = {
   tracer : Tracer.t;
   monitors : state Vec.t;
   mutable next_id : int;
-  on_change_index : (string, state list ref) Hashtbl.t;
   mutable deprioritize : (cls:string -> weight:int -> unit) option;
   mutable kill : (cls:string -> unit) option;
   mutable last_retrain : (string, Time_ns.t) Hashtbl.t;
   mutable cascade_depth : int;
 }
 
-let rec create ~kernel ~store ?(config = default_config) ?tracer ?(engine = Vm.Jit) () =
+let create ~kernel ~store ?(config = default_config) ?tracer ?(engine = Vm.Jit) () =
   let tracer =
     match tracer with
     | Some tr -> tr
@@ -108,42 +106,25 @@ let rec create ~kernel ~store ?(config = default_config) ?tracer ?(engine = Vm.J
          registry and the REPORT channel always run. *)
       Tracer.create ~clock:(fun () -> Gr_kernel.Kernel.now kernel) ()
   in
-  let t =
-    {
-      kernel;
-      store;
-      config;
-      default_tier = engine;
-      tracer;
-      monitors = Vec.create ();
-      next_id = 0;
-      on_change_index = Hashtbl.create 16;
-      deprioritize = None;
-      kill = None;
-      last_retrain = Hashtbl.create 8;
-      cascade_depth = 0;
-    }
-  in
-  (* One store subscription dispatches all ON_CHANGE triggers. *)
-  Feature_store.on_save store (fun key _value -> dispatch_on_change t key);
-  t
-
-(* Also the fleet's cross-store glue: saves landing in the global
-   store tier are replayed into each node engine so ON_CHANGE(GLOBAL
-   key) triggers fire on nodes too. *)
-and dispatch_on_change t key =
-  match Hashtbl.find_opt t.on_change_index key with
-  | None -> ()
-  | Some states ->
-    List.iter (fun st -> on_change_check t ~via:("on_change:" ^ key) st) !states
-
-and on_change_check t ~via st = check t ~via st
+  {
+    kernel;
+    store;
+    config;
+    default_tier = engine;
+    tracer;
+    monitors = Vec.create ();
+    next_id = 0;
+    deprioritize = None;
+    kill = None;
+    last_retrain = Hashtbl.create 8;
+    cascade_depth = 0;
+  }
 
 (* The REPORT action's structured event: the paper's eBPF-ringbuf
    stream to userspace. Always emitted (the violation log is a view
    over the report sink); carries the monitor id, the violated rule's
    disassembly, the message and the named store snapshot. *)
-and report t st ~message ~snapshot =
+let report t st ~message ~snapshot =
   let rule_text =
     Format.asprintf "%a" (Gr_compiler.Ir.pp_program ~slots:st.monitor.Monitor.slots)
       st.monitor.Monitor.rule
@@ -162,7 +143,7 @@ and report t st ~message ~snapshot =
    policy-slot flips, fleet proxies) to the action itself. [?parent]
    overrides the causal parent — the RETRAIN.run -> RETRAIN.scheduled
    cross-dispatch edge. *)
-and action_instant ?parent t st name args =
+let action_instant ?parent t st name args =
   if Tracer.enabled t.tracer then begin
     let span = Tracer.fresh_span t.tracer in
     Tracer.instant t.tracer ~cat:"action"
@@ -172,7 +153,7 @@ and action_instant ?parent t st name args =
   end
   else None
 
-and run_actions t st =
+let run_actions t st =
   let now = Gr_kernel.Kernel.now t.kernel in
   st.last_firing <- Some now;
   Metrics.record_fire st.metrics;
@@ -261,7 +242,7 @@ and run_actions t st =
     st.actions_costed;
   if not !reported then report t st ~message:"<violation>" ~snapshot:[]
 
-and record_flip t st =
+let record_flip t st =
   let now = Gr_kernel.Kernel.now t.kernel in
   Ring.push st.flips now;
   let cutoff = Time_ns.diff now t.config.oscillation_window in
@@ -289,11 +270,13 @@ and record_flip t st =
            else ""))
   end
 
-and record_check st (result : Vm.result) ~healthy =
+let record_check st (result : Vm.result) ~healthy =
   Metrics.record_check st.metrics ~cost_ns:result.est_cost_ns ~insts:result.insts_executed
     ~samples:result.samples_scanned ~violated:(not healthy)
 
-and check ?(via = "manual") t st =
+(* [via] names the trigger in the check's trace span; it is built once,
+   when the trigger is armed. *)
+let check ~via t st =
   if st.installed then begin
     if t.cascade_depth >= t.config.max_cascade_depth then
       st.cascade_drops <- st.cascade_drops + 1
@@ -353,32 +336,30 @@ and check ?(via = "manual") t st =
     end
   end
 
+(* ON_CHANGE watches the key's store entry, so a save wakes exactly
+   the monitors of its own key; on a fleet node a global key's entry
+   is the tier's, which every member's save reaches. *)
 let arm_trigger t st (trigger : Monitor.trigger) =
-  match trigger with
-  | Monitor.Timer { start_ns; interval_ns; stop_ns } ->
-    let handle =
-      Gr_sim.Engine.every t.kernel.engine
-        ~start:(Time_ns.max start_ns (Gr_kernel.Kernel.now t.kernel))
-        ?stop:stop_ns ~interval:interval_ns
-        (fun _ -> check ~via:"timer" t st)
-    in
-    st.timer_handles <- handle :: st.timer_handles
-  | Monitor.Function hook ->
-    let sub =
-      Gr_kernel.Hooks.subscribe t.kernel.hooks hook (fun _args ->
-          check ~via:("function:" ^ hook) t st)
-    in
-    st.hook_subs <- sub :: st.hook_subs
-  | Monitor.On_change key ->
-    let states =
-      match Hashtbl.find_opt t.on_change_index key with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.add t.on_change_index key r;
-        r
-    in
-    states := st :: !states
+  let disarm =
+    match trigger with
+    | Monitor.Timer { start_ns; interval_ns; stop_ns } ->
+      let handle =
+        Gr_sim.Engine.every t.kernel.engine
+          ~start:(Time_ns.max start_ns (Gr_kernel.Kernel.now t.kernel))
+          ?stop:stop_ns ~interval:interval_ns
+          (fun _ -> check ~via:"timer" t st)
+      in
+      fun () -> Gr_sim.Engine.cancel handle
+    | Monitor.Function hook ->
+      let via = "function:" ^ hook in
+      let sub = Gr_kernel.Hooks.subscribe t.kernel.hooks hook (fun _args -> check ~via t st) in
+      fun () -> Gr_kernel.Hooks.unsubscribe t.kernel.hooks sub
+    | Monitor.On_change key ->
+      let via = "on_change:" ^ key in
+      let w = Feature_store.watch t.store key (fun _value -> check ~via t st) in
+      fun () -> Feature_store.unwatch w
+  in
+  st.disarm <- disarm :: st.disarm
 
 let build_exec t ~tier ~slots program =
   match (tier : Vm.tier) with
@@ -437,8 +418,7 @@ let install ?engine ?version t monitor =
         oscillation_alerts = 0;
         cascade_drops = 0;
         cooldown = t.config.cooldown;
-        timer_handles = [];
-        hook_subs = [];
+        disarm = [];
       }
     in
     t.next_id <- t.next_id + 1;
@@ -462,8 +442,7 @@ let uninstall t st =
      state a still-installed monitor depends on. *)
   if st.installed then begin
     st.installed <- false;
-    List.iter Gr_sim.Engine.cancel st.timer_handles;
-    List.iter (Gr_kernel.Hooks.unsubscribe t.kernel.hooks) st.hook_subs;
+    List.iter (fun disarm -> disarm ()) st.disarm;
     (* Release this monitor's demand references; shapes shared with
        still-installed monitors keep streaming. *)
     List.iter
@@ -471,9 +450,6 @@ let uninstall t st =
         Feature_store.release_demand t.store ~key:d.key ~fn:d.fn ~window_ns:d.window_ns
           ~param:d.param)
       st.demands;
-    Hashtbl.iter
-      (fun _ states -> states := List.filter (fun s -> s.id <> st.id) !states)
-      t.on_change_index;
     (* Drop the state record from the monitor table. A load-once
        deployment never noticed the leak, but a serving engine
        install/uninstalls monitors on every push/rollback cycle and

@@ -87,9 +87,10 @@ val tier : handle -> Vm.tier
 val default_tier : t -> Vm.tier
 
 val uninstall : t -> handle -> unit
-(** Cancels timers, unsubscribes hooks, releases the monitor's
-    streaming-aggregate demand refcounts ({e exactly} once — shapes
-    shared with still-installed monitors keep streaming), and drops
+(** Cancels timers, unsubscribes hooks, unwatches ON_CHANGE keys,
+    releases the monitor's streaming-aggregate demand refcounts
+    ({e exactly} once — shapes shared with still-installed monitors
+    keep streaming), and drops
     the monitor from the engine's table so a long-running serving
     engine doesn't accumulate dead records across push/rollback
     cycles. Idempotent; the handle stays valid for {!Stats.get}. *)
@@ -113,13 +114,6 @@ val set_kill_handler : t -> (cls:string -> unit) -> unit
 val check_now : t -> handle -> bool
 (** Forces one rule evaluation (outside any trigger); [true] if the
     property held. Used by tests and the CLI. *)
-
-val dispatch_on_change : t -> string -> unit
-(** Run the ON_CHANGE triggers indexed under this exact key, as if the
-    engine's own store had saved it. The fleet layer uses this to
-    replay global-tier saves into every node engine — a node's
-    ON_CHANGE(GLOBAL(key)) fires no matter which node wrote the key.
-    Saves through the engine's store dispatch automatically. *)
 
 module Stats : sig
   type s = {

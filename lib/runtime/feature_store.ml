@@ -53,7 +53,9 @@ let[@inline] is_extreme v = (not (Float.is_finite v)) || Float.abs v > 1e11
    arrays start empty and double on demand up to the store's
    [capacity_per_key], so a key costs memory in proportion to the
    samples it holds. [latest] keeps the saved value's own box, so a
-   LOAD returns it without boxing a copy of the newest sample. *)
+   LOAD returns it without boxing a copy of the newest sample. An entry
+   with no sample (made by a demand registration, a handle or a watch)
+   reads exactly like a missing key. *)
 type entry = {
   mutable times : Time_ns.t array;
   mutable values : Float.Array.t;
@@ -62,7 +64,10 @@ type entry = {
   mutable latest : float;
   mutable pushes : int; (* total saves ever; the next sample's seq *)
   mutable demands : demand list; (* few per key; linear lookup *)
+  mutable watchers : watch list; (* registration order *)
 }
+
+and watch = { w_entry : entry; callback : float -> unit }
 
 type t = {
   clock : unit -> Time_ns.t;
@@ -135,24 +140,33 @@ let members t = t :: Array.to_list t.shards
 
 let tracing t = match t.tracer with Some tr -> Gr_trace.Tracer.enabled tr | None -> false
 
+let empty_entry () =
+  {
+    times = [||];
+    values = Float.Array.create 0;
+    head = 0;
+    len = 0;
+    latest = 0.;
+    pushes = 0;
+    demands = [];
+    watchers = [];
+  }
+
+(* What every read of a key without an entry sees, so a missing key
+   and an entry with no sample read alike by construction. Nothing
+   writes it: saves, demands and watches go through [entry]. *)
+let absent = empty_entry ()
+
 (* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
 let entry t key =
   match Hashtbl.find t.entries key with
   | e -> e
   | exception Not_found ->
-    let e =
-      {
-        times = [||];
-        values = Float.Array.create 0;
-        head = 0;
-        len = 0;
-        latest = 0.;
-        pushes = 0;
-        demands = [];
-      }
-    in
+    let e = empty_entry () in
     Hashtbl.add t.entries key e;
     e
+
+let find t key = match Hashtbl.find t.entries key with e -> e | exception Not_found -> absent
 
 (* ---------- the sample ring ---------- *)
 
@@ -338,7 +352,15 @@ let rec evict_oldest t e evict_seq = function
     end;
     evict_oldest t e evict_seq ds
 
-let notify t key value =
+let rec call_watchers value = function
+  | [] -> ()
+  | w :: ws ->
+    w.callback value;
+    call_watchers value ws
+
+(* The key's own watchers first, then the store-wide subscribers. *)
+let notify t key e value =
+  call_watchers value e.watchers;
   let subs = t.subscribers in
   for i = 0 to Vec.length subs - 1 do
     (* Bound first: where [Vec.get] is not inlined (dev builds),
@@ -361,10 +383,10 @@ let save_entry t key e value =
   admit_all e seq (e.len - 1) e.demands;
   t.saves <- t.saves + 1;
   (* Counter events let Chrome/Perfetto plot each key as a time
-     series; emitted before subscribers so the SAVE sample precedes
+     series; emitted before the watchers so the SAVE sample precedes
      any ON_CHANGE check it wakes. The counter's span is the causal
-     parent of every subscriber it wakes, so ON_CHANGE cascades trace
-     back to the write that triggered them. *)
+     parent of every watcher and subscriber it wakes, so ON_CHANGE
+     cascades trace back to the write that triggered them. *)
   if tracing t then begin
     let tr = Option.get t.tracer in
     let span = Gr_trace.Tracer.fresh_span tr in
@@ -373,9 +395,9 @@ let save_entry t key e value =
     Gr_trace.Tracer.set_current tr (Some span);
     Fun.protect
       ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
-      (fun () -> notify t key value)
+      (fun () -> notify t key e value)
   end
-  else notify t key value
+  else notify t key e value
 
 let set_global_publish t fn = t.global_publish <- fn
 
@@ -400,14 +422,11 @@ let merged_load t key =
   let best_at = ref min_int and best = ref 0. in
   List.iter
     (fun m ->
-      match Hashtbl.find_opt m.entries key with
-      | Some e when e.len > 0 ->
-        let at = time_at e (e.len - 1) in
-        if at >= !best_at then begin
-          best_at := at;
-          best := e.latest
-        end
-      | _ -> ())
+      let e = find m key in
+      if e.len > 0 && time_at e (e.len - 1) >= !best_at then begin
+        best_at := time_at e (e.len - 1);
+        best := e.latest
+      end)
     (members t);
   !best
 
@@ -415,12 +434,11 @@ let load t key =
   let t = resolve t key in
   t.loads <- t.loads + 1;
   if sharded t key then merged_load t key
-  else match Hashtbl.find_opt t.entries key with Some e -> e.latest | None -> 0.
+  else (find t key).latest
 
 let mem t key =
   let t = resolve t key in
-  if sharded t key then List.exists (fun m -> Hashtbl.mem m.entries key) (members t)
-  else Hashtbl.mem t.entries key
+  List.exists (fun m -> (find m key).len > 0) (if sharded t key then members t else [ t ])
 
 (* ---------- demand registration ---------- *)
 
@@ -476,17 +494,15 @@ let rec release_demand t ~key ~fn ~window_ns ~param =
   release_demand_here t ~key ~fn ~window_ns ~param
 
 and release_demand_here t ~key ~fn ~window_ns ~param =
-  match Hashtbl.find_opt t.entries key with
+  let e = find t key in
+  match find_demand e ~fn ~window_ns ~param with
   | None -> ()
-  | Some e -> (
-    match find_demand e ~fn ~window_ns ~param with
-    | None -> ()
-    | Some d ->
-      d.refs <- d.refs - 1;
-      if d.refs <= 0 then begin
-        e.demands <- List.filter (fun d' -> d' != d) e.demands;
-        t.n_demands <- t.n_demands - 1
-      end)
+  | Some d ->
+    d.refs <- d.refs - 1;
+    if d.refs <= 0 then begin
+      e.demands <- List.filter (fun d' -> d' != d) e.demands;
+      t.n_demands <- t.n_demands - 1
+    end
 
 let demand_count t = t.n_demands
 let set_force_naive t flag = t.force_naive <- flag
@@ -516,14 +532,7 @@ let member_window e ~now ~window_ns =
    fleet all stores share the sim clock anyway. *)
 let merged_window t ~key ~window_ns =
   let now = t.clock () in
-  let parts =
-    List.filter_map
-      (fun m ->
-        match Hashtbl.find_opt m.entries key with
-        | None -> None
-        | Some e -> Some (member_window e ~now ~window_ns))
-      (members t)
-  in
+  let parts = List.map (fun m -> member_window (find m key) ~now ~window_ns) (members t) in
   let all = Array.concat parts in
   Array.stable_sort (fun (a, _) (b, _) -> compare (a : Time_ns.t) b) all;
   all
@@ -535,39 +544,32 @@ let window_values t ~key ~window_ns =
   let t = resolve t key in
   if sharded t key then
     Array.fold_left (fun acc (_, v) -> v :: acc) [] (merged_window t ~key ~window_ns)
-  else
-    match Hashtbl.find_opt t.entries key with
-    | None -> []
-    | Some e ->
-      let cutoff = t.clock () - int_of_float window_ns in
-      let acc = ref [] in
-      for i = 0 to e.len - 1 do
-        if time_at e i > cutoff then acc := value_at e i :: !acc
-      done;
-      !acc
+  else begin
+    let e = find t key in
+    let cutoff = t.clock () - int_of_float window_ns in
+    let acc = ref [] in
+    for i = 0 to e.len - 1 do
+      if time_at e i > cutoff then acc := value_at e i :: !acc
+    done;
+    !acc
+  end
 
 let window_samples t ~key ~window_ns =
   let t = resolve t key in
   if sharded t key then Array.map snd (merged_window t ~key ~window_ns)
   else
-    match Hashtbl.find_opt t.entries key with
-    | None -> [||]
-    | Some e -> values_from e (first_inside e ~now:(t.clock ()) ~window_ns)
+    let e = find t key in
+    values_from e (first_inside e ~now:(t.clock ()) ~window_ns)
 
 let samples_in_window t ~key ~window_ns =
   let t = resolve t key in
-  if sharded t key then
-    let now = t.clock () in
-    List.fold_left
-      (fun acc m ->
-        match Hashtbl.find_opt m.entries key with
-        | None -> acc
-        | Some e -> acc + e.len - first_inside e ~now ~window_ns)
-      0 (members t)
-  else
-    match Hashtbl.find_opt t.entries key with
-    | None -> 0
-    | Some e -> e.len - first_inside e ~now:(t.clock ()) ~window_ns
+  let now = t.clock () in
+  List.fold_left
+    (fun acc m ->
+      let e = find m key in
+      acc + e.len - first_inside e ~now ~window_ns)
+    0
+    (if sharded t key then members t else [ t ])
 
 let agg_name : Gr_dsl.Ast.agg -> string = function
   | Count -> "COUNT"
@@ -785,37 +787,37 @@ let demand_result t e d =
    shards' clocks sit at the epoch boundary, ahead of the control plane
    mid-epoch, and cutting with a shard's own clock would expire samples
    the naive concat-and-scan oracle (which always cuts with the reading
-   store's clock) still sees. *)
+   store's clock) still sees. A member with no sample and no demand
+   exports the empty state, counted as incremental. *)
 let export_here t ~now ~key ~fn ~window_ns ~param =
-  match Hashtbl.find_opt t.entries key with
-  | None -> (Merge.empty, 0, true)
-  | Some e -> (
-    let streaming = if t.force_naive then None else find_demand e ~fn ~window_ns ~param in
-    match streaming with
-    | Some d ->
-      let state, scanned = export_demand t e d ~now in
-      (state, scanned, true)
-    | None ->
-      let win = member_window e ~now ~window_ns in
-      let n = Array.length win in
-      let st = ref Merge.empty in
-      Array.iteri
-        (fun i (at, v) ->
-          let s = !st in
-          st :=
-            {
-              Merge.count = s.count + 1;
-              sum = s.sum +. v;
-              sumsq = s.sumsq +. (v *. v);
-              nans = (s.nans + if Float.is_nan v then 1 else 0);
-              minv = (if Float.is_nan v then s.minv else Merge.opt2 Float.min s.minv (Some v));
-              maxv = (if Float.is_nan v then s.maxv else Merge.opt2 Float.max s.maxv (Some v));
-              oldest = (if i = 0 then Some (at, v) else s.oldest);
-              newest = Some (at, v);
-              samples = s.samples;
-            })
-        win;
-      ({ !st with samples = Array.map snd win }, n, false))
+  let e = find t key in
+  let streaming = if t.force_naive then None else find_demand e ~fn ~window_ns ~param in
+  match streaming with
+  | Some d ->
+    let state, scanned = export_demand t e d ~now in
+    (state, scanned, true)
+  | None when e.len = 0 -> (Merge.empty, 0, true)
+  | None ->
+    let win = member_window e ~now ~window_ns in
+    let n = Array.length win in
+    let st = ref Merge.empty in
+    Array.iteri
+      (fun i (at, v) ->
+        let s = !st in
+        st :=
+          {
+            Merge.count = s.count + 1;
+            sum = s.sum +. v;
+            sumsq = s.sumsq +. (v *. v);
+            nans = (s.nans + if Float.is_nan v then 1 else 0);
+            minv = (if Float.is_nan v then s.minv else Merge.opt2 Float.min s.minv (Some v));
+            maxv = (if Float.is_nan v then s.maxv else Merge.opt2 Float.max s.maxv (Some v));
+            oldest = (if i = 0 then Some (at, v) else s.oldest);
+            newest = Some (at, v);
+            samples = s.samples;
+          })
+      win;
+    ({ !st with samples = Array.map snd win }, n, false)
 
 (* Fold every member of a fleet-tier store into one merged state:
    (state, samples scanned, whether every member served it
@@ -879,13 +881,12 @@ let aggregate_result t ~key ~fn ~window_ns ~param =
   let t = resolve t key in
   let r =
     if sharded t key then merged_aggregate t ~key ~fn ~window_ns ~param
-    else
-      match Hashtbl.find_opt t.entries key with
-      | Some e when not t.force_naive -> (
-        match find_demand e ~fn ~window_ns ~param with
-        | Some d -> demand_result t e d
-        | None -> naive_aggregate t ~key ~fn ~window_ns ~param)
-      | _ -> naive_aggregate t ~key ~fn ~window_ns ~param
+    else begin
+      let e = find t key in
+      match if t.force_naive then None else find_demand e ~fn ~window_ns ~param with
+      | Some d -> demand_result t e d
+      | None -> naive_aggregate t ~key ~fn ~window_ns ~param
+    end
   in
   record_agg t ~key ~fn ~window_ns r
 
@@ -894,50 +895,37 @@ let aggregate t ~key ~fn ~window_ns ~param =
 
 (* ---------- pre-resolved handles (JIT fast path) ----------
 
-   A handle pins the resolve step and, lazily, the entry and streaming
-   demand lookups, so the per-check read is a couple of loads instead
-   of hashing the key and walking the demand list. Routing is fixed by
-   [link] before any entry exists, so the resolved store never goes
-   stale. Handles never create entries (that would be observable
-   through [mem]); they cache an entry the first time it exists. A key
-   that reads as a cross-shard merge has no single entry to pin: its
-   handle records [merged] and every read takes the exact slow path.
-   The fast aggregate path still checks [force_naive] and a cached
-   demand's [refs]: a released demand (refs = 0) is no longer
-   maintained, so the handle re-finds or falls back. Demands are only
-   removed when refs reaches 0, so an object with refs > 0 is
-   guaranteed live. *)
+   A handle pins the resolve step and the key's entry at creation, and
+   lazily the streaming demand lookup, so the per-check read is a
+   couple of loads instead of hashing the key and walking the demand
+   list. Routing is fixed by [link] before any entry exists, so the
+   resolved store never goes stale, and entries are never removed. An
+   entry made for a handle holds no sample until the first save, and
+   reads like a missing key until then. A key that reads as a
+   cross-shard merge has no single entry to read: its handle records
+   [merged] and every read takes the exact slow path. The fast
+   aggregate path still checks [force_naive] and a cached demand's
+   [refs]: a released demand (refs = 0) is no longer maintained, so
+   the handle re-finds or falls back. Demands are only removed when
+   refs reaches 0, so an object with refs > 0 is guaranteed live. *)
 
 type load_handle = {
   lh_store : t; (* resolve t key, at creation *)
   lh_key : string;
   lh_merged : bool;
-  mutable lh_entry : entry option;
+  lh_entry : entry;
 }
 
 let load_handle t key =
   let s = resolve t key in
-  Some
-    {
-      lh_store = s;
-      lh_key = key;
-      lh_merged = sharded s key;
-      lh_entry = Hashtbl.find_opt s.entries key;
-    }
+  Some { lh_store = s; lh_key = key; lh_merged = sharded s key; lh_entry = entry s key }
 
 let handle_load h =
   let s = h.lh_store in
   if h.lh_merged then load s h.lh_key
   else begin
     s.loads <- s.loads + 1;
-    match h.lh_entry with
-    | Some e -> e.latest
-    | None -> (
-      match Hashtbl.find_opt s.entries h.lh_key with
-      | Some e ->
-        h.lh_entry <- Some e;
-        e.latest
-      | None -> 0.)
+    h.lh_entry.latest
   end
 
 type agg_handle = {
@@ -947,13 +935,13 @@ type agg_handle = {
   ah_window_ns : float;
   ah_param : float;
   ah_merged : bool;
-  mutable ah_entry : entry option;
+  ah_entry : entry;
   mutable ah_demand : demand option;
 }
 
 let agg_handle t ~key ~fn ~window_ns ~param =
   let s = resolve t key in
-  let e = Hashtbl.find_opt s.entries key in
+  let e = entry s key in
   {
     ah_store = s;
     ah_key = key;
@@ -962,7 +950,7 @@ let agg_handle t ~key ~fn ~window_ns ~param =
     ah_param = param;
     ah_merged = sharded s key;
     ah_entry = e;
-    ah_demand = (match e with Some e -> find_demand e ~fn ~window_ns ~param | None -> None);
+    ah_demand = find_demand e ~fn ~window_ns ~param;
   }
 
 let handle_aggregate h =
@@ -973,47 +961,49 @@ let handle_aggregate h =
     (match h.ah_demand with
     | Some d when d.refs > 0 -> ()
     | _ ->
-      (match h.ah_entry with
-      | None -> h.ah_entry <- Hashtbl.find_opt s.entries h.ah_key
-      | Some _ -> ());
       h.ah_demand <-
-        (match h.ah_entry with
-        | Some e -> find_demand e ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
-        | None -> None));
-    match (h.ah_entry, h.ah_demand) with
-    | Some e, Some d when d.refs > 0 ->
-      record_agg s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns (demand_result s e d)
+        find_demand h.ah_entry ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param);
+    match h.ah_demand with
+    | Some d when d.refs > 0 ->
+      record_agg s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns
+        (demand_result s h.ah_entry d)
     | _ -> aggregate_result s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
   end
 
-(* A save handle pins [resolve] and, from its first save on, the
-   entry, so a save skips both the key hash and the table probe. Like
-   the read handles it never creates an entry early. A save that
-   crosses into a foreign global tier still consults the issuing
-   store's [global_publish] hook on every call, exactly as [save]
-   does. *)
+(* A save handle pins [resolve] and the entry, so a save skips both
+   the key hash and the table probe. A save that crosses into a
+   foreign global tier still consults the issuing store's
+   [global_publish] hook on every call, exactly as [save] does. *)
 type save_handle = {
   sh_from : t;
   sh_store : t; (* resolve sh_from key, at creation *)
   sh_key : string;
-  mutable sh_entry : entry option;
+  sh_entry : entry;
 }
 
 let save_handle t key =
   let s = resolve t key in
-  { sh_from = t; sh_store = s; sh_key = key; sh_entry = Hashtbl.find_opt s.entries key }
+  { sh_from = t; sh_store = s; sh_key = key; sh_entry = entry s key }
 
 let handle_save h value =
   let s = h.sh_store in
   match h.sh_from.global_publish with
   | Some publish when s != h.sh_from -> publish h.sh_key value
-  | _ -> (
-    match h.sh_entry with
-    | Some e -> save_entry s h.sh_key e value
-    | None ->
-      let e = entry s h.sh_key in
-      h.sh_entry <- Some e;
-      save_entry s h.sh_key e value)
+  | _ -> save_entry s h.sh_key h.sh_entry value
+
+(* A watch resolves its key like a save handle and hangs on the entry
+   every save of that key goes through, so a save calls exactly the
+   watchers of its own key and no one filters by key. *)
+let watch t key callback =
+  let s = resolve t key in
+  let e = entry s key in
+  let w = { w_entry = e; callback } in
+  e.watchers <- e.watchers @ [ w ];
+  w
+
+let unwatch w =
+  let e = w.w_entry in
+  e.watchers <- List.filter (fun w' -> w' != w) e.watchers
 
 let on_save t fn = Vec.push t.subscribers fn
 let save_count t = t.saves

@@ -54,9 +54,10 @@ val link : t -> t array -> unit
     and {!window_samples} is the timestamp-sorted concatenation. The
     tier's own table still participates (member 0), so fleet-level
     saves of plain keys stay visible. Each shard's ["global::"]-scoped
-    keys route to [tier]: saves, loads, demand registrations and
-    aggregates on them forward there, and its {!on_save} subscribers
-    see the save — the cross-node signalling channel.
+    keys route to [tier]: saves, loads, demand registrations,
+    aggregates and {!watch}es on them forward there, so a shard's
+    watch of a global key wakes on every save of it — the cross-node
+    signalling channel.
 
     Routing never changes afterwards. Link before installing monitors
     or creating handles, so demand registrations fan out and handles
@@ -79,13 +80,36 @@ val clear_tracer : t -> unit
 
 val save : t -> string -> float -> unit
 (** Appends a timestamped sample, updates the latest value and every
-    registered demand on the key. Notifies {!on_save} subscribers
-    after the write. *)
+    registered demand on the key. After the write it calls the key's
+    {!watch}ers, then the store-wide {!on_save} subscribers. *)
 
 val load : t -> string -> float
 (** Latest value; 0. for a key never saved (LOAD's semantics). *)
 
 val mem : t -> string -> bool
+(** Whether the key holds a sample. A demand or a {!watch} on a key
+    never saved does not make it a member: an entry with no sample
+    reads exactly like a missing key, through {!load}, the windowed
+    reads and {!export_state} alike (such a member never turns a
+    merged read into a miss). *)
+
+(** {1 Change notification} *)
+
+type watch
+
+val watch : t -> string -> (float -> unit) -> watch
+(** [watch t key f] calls [f v] after every save of [v] to [key]. The
+    key is resolved once, as {!save_handle} does, and [f] hangs on
+    the key's entry (created here if needed), so a save calls exactly
+    its own key's watchers and no one filters keys per save. On a
+    fleet node a global key's watch therefore lands on the tier's
+    entry and wakes on any member's save of it. Watchers of one key
+    run in registration order, inside the save's trace span, before
+    any {!on_save} subscriber; calling them allocates nothing. This
+    is how ON_CHANGE triggers and control keys are wired. *)
+
+val unwatch : watch -> unit
+(** Detach the watcher. Idempotent. *)
 
 (** {1 Aggregate demands} *)
 
@@ -152,7 +176,9 @@ val aggregate :
     same counters, same trace instants, same values. Routing is fixed by {!link} before any handle exists,
     so a handle's resolved store stays right; a [set_force_naive true]
     or a released demand degrades the read to the exact slow path
-    rather than returning stale state.
+    rather than returning stale state. A handle makes its key's entry
+    when there is none; like a {!watch}'s, that entry reads as a
+    missing key until the first save.
 
     Every key gets a handle. A key that reads as a cross-shard merge on
     the fleet tier has no single entry to pin, so its handle records
@@ -180,16 +206,16 @@ val handle_aggregate : agg_handle -> agg_result
 type save_handle
 
 val save_handle : t -> string -> save_handle
-(** Resolves the key's routing once, as {!load_handle} does. The
-    handle pins the key's entry from its first save on and never
-    creates one early, so {!mem} is unaffected until then. *)
+(** Resolves the key's routing once, as {!load_handle} does, and
+    pins the key's entry. *)
 
 val handle_save : save_handle -> float -> unit
 (** Same effects as [save] on the handle's store and key: the sample,
-    the counters, the trace counter, the {!on_save} notifications and,
-    for a node's save of a global key, the {!set_global_publish}
-    interception. The store allocates nothing for it unless the key
-    has a MIN/MAX demand; {!on_save} subscribers may. *)
+    the counters, the trace counter, the {!watch}er and {!on_save}
+    notifications and, for a node's save of a global key, the
+    {!set_global_publish} interception. The store allocates nothing
+    for it unless the key has a MIN/MAX demand; watchers and
+    subscribers may. *)
 
 val window_samples : t -> key:string -> window_ns:float -> float array
 (** The raw samples inside the window, oldest first. For
@@ -264,10 +290,10 @@ val set_global_publish : t -> (string -> float -> unit) option -> unit
     intercepted; [None] (the default) restores direct writes. *)
 
 val on_save : t -> (string -> float -> unit) -> unit
-(** Global subscription used by the runtime's ON_CHANGE dispatch and
-    by policies that watch control keys (e.g. [ml_enabled]).
-    Registration is O(1); subscribers are notified in registration
-    order. *)
+(** Store-wide subscription: called with the key and value of every
+    save that lands in this store, after the key's {!watch}ers, in
+    registration order. Nothing in the runtime uses it; code that
+    cares about one key should {!watch} it instead. *)
 
 val save_count : t -> int
 (** Total saves since creation. *)

@@ -2,7 +2,7 @@
 # Zero-allocation smoke (docs/PERFORMANCE.md): rebuild the test runner
 # under the release profile, the build perfbench measures, and run the
 # tests that assert a hot path allocates no minor words: periodic sim
-# dispatch, feature-store saves and per-check account updates. Tests are looked up by name, so the
+# dispatch, watched feature-store saves and per-check account updates. Tests are looked up by name, so the
 # smoke does not depend on their position in the suite.
 set -eu
 
@@ -23,4 +23,4 @@ run() {
 run sim.engine "periodic dispatch allocates nothing"
 run runtime.store.ingest "save allocates nothing"
 run trace.metrics "account updates allocate nothing"
-echo "alloc-smoke: OK (periodic sim dispatch, store saves and account updates allocate no minor words, release profile)"
+echo "alloc-smoke: OK (periodic sim dispatch, watched store saves and account updates allocate no minor words, release profile)"

@@ -136,6 +136,48 @@ let test_par_domain_count_invariant () =
         traces1 traces)
     [ 2; 3; 4 ]
 
+(* Node monitors alone watch a global key that one node saves: each
+   node's ON_CHANGE(GLOBAL(beacon)) watches the tier's entry and runs
+   once per beacon save, replayed at the barriers, with the same checks
+   and violation logs for every domain count. *)
+let test_par_node_global_on_change () =
+  let src =
+    {|guardrail node_beacon { trigger: { ON_CHANGE(GLOBAL(beacon)) } rule: { LOAD(GLOBAL(beacon)) < 5 } action: { REPORT("beacon high", GLOBAL(beacon)) } }|}
+  in
+  let run_with domains =
+    let fleet = Fleet.create ~nodes:3 ~seed:11 ~domains () in
+    let nodes = Fleet.nodes fleet in
+    let rng = (D.kernel nodes.(0)).Gr_kernel.Kernel.rng in
+    D.derive_periodic nodes.(0)
+      ~key:(Gr_dsl.Ast.global_key "beacon")
+      ~every:(Time_ns.ms 37)
+      (fun () -> Rng.float rng 10.);
+    let handles =
+      Array.map (fun node -> List.hd (Guardrails.Node.install_source_exn node src)) nodes
+    in
+    Fleet.run_until fleet (Time_ns.sec 1);
+    let saves = Store.save_count (Fleet.store fleet) in
+    check_bool "the beacon was saved" true (saves > 20);
+    check_int "nothing installed on the control engine" 0
+      (Gr_runtime.Engine.installed_count (Fleet.engine fleet));
+    Array.mapi
+      (fun i node ->
+        let engine = D.engine node in
+        let checks = (Gr_runtime.Engine.Stats.get engine handles.(i)).checks in
+        check_int (Printf.sprintf "node %d: one check per beacon save" i) saves checks;
+        ( checks,
+          List.map
+            (fun (v : Gr_runtime.Engine.violation_record) ->
+              Printf.sprintf "%s@%d:%s[%s]" v.monitor v.at v.message
+                (String.concat ";"
+                   (List.map (fun (k, x) -> Printf.sprintf "%s=%h" k x) v.snapshot)))
+            (Gr_runtime.Engine.violations engine) ))
+      nodes
+  in
+  let one = run_with 1 in
+  check_bool "some beacon violated" true (Array.for_all (fun (_, log) -> log <> []) one);
+  check_bool "--domains 3 matches --domains 1" true (run_with 3 = one)
+
 let test_par_span_channels_disjoint () =
   let fleet = build ~nodes:3 ~domains:2 ~seed:5 in
   run fleet;
@@ -315,6 +357,8 @@ let suite =
       [
         Alcotest.test_case "domain count never changes the output" `Quick
           test_par_domain_count_invariant;
+        Alcotest.test_case "node ON_CHANGE(GLOBAL) across domains" `Quick
+          test_par_node_global_on_change;
         Alcotest.test_case "span ids partition into per-channel residues" `Quick
           test_par_span_channels_disjoint;
         Alcotest.test_case "epoch validation and domain clamping" `Quick

@@ -378,6 +378,30 @@ let test_merge_union_laws () =
         (agg_close fn (value ~fn ~window_ns ~param folded) naive))
     all_aggs
 
+(* An entry a watch created on the fleet tier holds no sample, so the
+   merged read exports it like a missing member: same value, scan,
+   incremental flag and hit/miss counters as with no watch. *)
+let test_merge_watched_empty_member () =
+  let read ~watched =
+    let clock, tier, shards = make_fleet_store ~capacity:16 ~shards:2 in
+    Array.iteri
+      (fun i node ->
+        Store.register_demand node ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0.;
+        clock := 1000 * (i + 1);
+        Store.save node "k" (float_of_int (i + 1)))
+      shards;
+    if watched then ignore (Store.watch tier "k" ignore : Store.watch);
+    let r = Store.aggregate_result tier ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0. in
+    ( (r.value, r.scanned, r.incremental),
+      (Store.agg_hit_count tier, Store.agg_miss_count tier),
+      Store.export_state tier ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0. )
+  in
+  let ((value, _, incremental), (hits, _), _) as unwatched = read ~watched:false in
+  check_float "merged avg" 1.5 value;
+  check_bool "served incrementally" true incremental;
+  check_int "one hit" 1 hits;
+  check_bool "watched read = unwatched read" true (read ~watched:true = unwatched)
+
 let test_merge_shard_boundary_eviction () =
   (* Capacity 2 per key: shard 0's oldest samples are ring-evicted
      while shard 1 keeps sparse old ones — the merged window must
@@ -419,15 +443,20 @@ let test_merge_shard_boundary_eviction () =
 
 (* Saves onto running-sum demands allocate nothing, through a save
    handle and by key, both while the ring has room and once every
-   save evicts its oldest sample. An engine subscribed to the store
-   sees every save. 2^14 + 1 warm-up saves grow the arrays to the
+   save evicts its oldest sample. Each saved key has a no-op watcher,
+   which every save calls, and an engine watches another key through
+   an ON_CHANGE monitor. 2^14 + 1 warm-up saves grow the arrays to the
    full 2^15 capacity, leaving room for the first measured 10k; the
    capacity's worth of saves after that wraps the ring. *)
 let test_store_save_allocates_nothing () =
   let capacity = 1 lsl 15 in
   let clock = ref 0 in
   let store = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:capacity () in
-  ignore (Engine.create ~kernel:(Gr_kernel.Kernel.create ~seed:1) ~store () : Engine.t);
+  let engine = Engine.create ~kernel:(Gr_kernel.Kernel.create ~seed:1) ~store () in
+  List.iter
+    (fun m -> ignore (Result.get_ok (Engine.install engine m) : Engine.handle))
+    (Compile.source_exn
+       {|guardrail w { trigger: { ON_CHANGE(elsewhere) } rule: { LOAD(elsewhere) < 1 } action: { REPORT("w") } }|});
   let paths =
     let h = Store.save_handle store "by_handle" in
     [ ("save handle", "by_handle", fun v -> Store.handle_save h v);
@@ -438,6 +467,7 @@ let test_store_save_allocates_nothing () =
       List.iter
         (fun fn -> Store.register_demand store ~key ~fn ~window_ns:1e9 ~param:0.)
         [ Gr_dsl.Ast.Count; Sum; Avg; Stddev; Delta ];
+      ignore (Store.watch store key ignore : Store.watch);
       let saves n =
         for i = 1 to n do
           clock := !clock + 1000;
@@ -457,7 +487,37 @@ let test_store_save_allocates_nothing () =
         (Store.samples_in_window store ~key ~window_ns:1e12))
     paths
 
-(* A save handle acts like [save] on its key: it creates no entry
+(* Watchers of a key run in registration order with the saved value,
+   and only for their own key. A watch is not a sample, so [mem] stays
+   false until the first save. On a fleet node a global key's watch
+   hangs on the tier's entry: it wakes on a save made on the tier and
+   on another member's save of the key. *)
+let test_store_watch () =
+  let _, store = make_store () in
+  let seen = ref [] in
+  let note name v = seen := (name, v) :: !seen in
+  let a = Store.watch store "k" (note "a") in
+  ignore (Store.watch store "k" (note "b") : Store.watch);
+  ignore (Store.watch store "other" (note "other") : Store.watch);
+  check_bool "a watch is not a sample" false (Store.mem store "k");
+  Store.save store "k" 1.;
+  let check_seen msg expected =
+    Alcotest.(check (list (pair string (float 0.)))) msg expected (List.rev !seen);
+    seen := []
+  in
+  check_seen "both watchers, registration order" [ ("a", 1.); ("b", 1.) ];
+  Store.unwatch a;
+  Store.unwatch a;
+  Store.save store "k" 2.;
+  check_seen "only the remaining watcher" [ ("b", 2.) ];
+  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:2 in
+  let global = Gr_dsl.Ast.global_key "g" in
+  ignore (Store.watch shards.(1) global (note "node 1") : Store.watch);
+  Store.save tier global 5.;
+  Store.save shards.(0) global 6.;
+  check_seen "node watch wakes on tier saves" [ ("node 1", 5.); ("node 1", 6.) ]
+
+(* A save handle acts like [save] on its key: the key has no sample
    before its first save, and on a fleet node a global key's save goes
    to the interception hook, a plain key's to the node itself. *)
 let test_store_save_handle_routing () =
@@ -467,7 +527,7 @@ let test_store_save_handle_routing () =
   Store.set_global_publish node (Some (fun k v -> published := (k, v) :: !published));
   let global = Gr_dsl.Ast.global_key "g" in
   let local = Store.save_handle node "k" and crossing = Store.save_handle node global in
-  check_bool "no entry before the first save" false (Store.mem node "k");
+  check_bool "no sample before the first save" false (Store.mem node "k");
   Store.handle_save local 2.;
   Store.handle_save local 3.;
   check_float "latest" 3. (Store.load node "k");
@@ -612,16 +672,29 @@ let test_engine_function_trigger () =
 let test_engine_on_change_trigger () =
   let _, d = make_deployment () in
   Guardrails.Deployment.save d "healthy" 1.;
-  let handles =
-    Guardrails.Deployment.install_source_exn d
-      (simple_rail ~trigger:"ON_CHANGE(watched)" ~rule:"LOAD(watched) < 10" ())
+  let install () =
+    List.hd
+      (Guardrails.Deployment.install_source_exn d
+         (simple_rail ~trigger:"ON_CHANGE(watched)" ~rule:"LOAD(watched) < 10" ()))
   in
+  let h = install () in
   Guardrails.Deployment.save d "watched" 1.;
   Guardrails.Deployment.save d "watched" 2.;
   Guardrails.Deployment.save d "unrelated" 99.;
-  let stats = Engine.Stats.get (Guardrails.Deployment.engine d) (List.hd handles) in
-  check_int "checked per save of watched key" 2 stats.checks;
-  check_int "no violations" 0 stats.violations
+  let stats () = Engine.Stats.get (Guardrails.Deployment.engine d) h in
+  check_int "checked per save of watched key" 2 (stats ()).checks;
+  check_int "no violations" 0 (stats ()).violations;
+  Guardrails.Deployment.uninstall d h;
+  Guardrails.Deployment.save d "watched" 3.;
+  check_int "no check after uninstall" 2 (stats ()).checks;
+  (* Uninstall unwatches: churning the monitor leaves nothing hanging
+     on the store. *)
+  let words () = Obj.reachable_words (Obj.repr (Guardrails.Deployment.store d)) in
+  let before = words () in
+  for _ = 1 to 50 do
+    Guardrails.Deployment.uninstall d (install ())
+  done;
+  check_int "uninstall unwatches" before (words ())
 
 let test_engine_save_action_and_control_key () =
   let kernel, d = make_deployment () in
@@ -635,6 +708,23 @@ let test_engine_save_action_and_control_key () =
   Gr_kernel.Kernel.run_until kernel (Time_ns.ms 15);
   check_bool "control key flipped to 0" true (List.mem 0. !flipped);
   check_float "stored" 0. (Guardrails.Store.load (Guardrails.Deployment.store d) "ml_enabled")
+
+(* A demand makes an entry but no sample: binding the control key
+   must not call back with LOAD's 0 default (for [ml_enabled] that
+   would disable the model). The first save calls back with its value;
+   a later bind calls back at once with the current one. *)
+let test_engine_control_key_waits_for_a_sample () =
+  let _, d = make_deployment () in
+  Store.register_demand (Guardrails.Deployment.store d) ~key:"ml_enabled" ~fn:Gr_dsl.Ast.Avg
+    ~window_ns:1e9 ~param:0.;
+  let seen = ref [] in
+  Guardrails.Deployment.bind_control_key d ~key:"ml_enabled" (fun v -> seen := v :: !seen);
+  Alcotest.(check (list (float 0.))) "no callback before a save" [] !seen;
+  Guardrails.Deployment.save d "ml_enabled" 1.;
+  Alcotest.(check (list (float 0.))) "the saved value, once" [ 1. ] !seen;
+  let late = ref [] in
+  Guardrails.Deployment.bind_control_key d ~key:"ml_enabled" (fun v -> late := v :: !late);
+  Alcotest.(check (list (float 0.))) "a late bind sees the sample" [ 1. ] !late
 
 let test_engine_replace_restore_retrain () =
   let kernel, d = make_deployment () in
@@ -953,6 +1043,7 @@ let suite =
         Alcotest.test_case "empty window is 0" `Quick test_store_empty_window_zero;
         Alcotest.test_case "bounded capacity" `Quick test_store_capacity_bounded;
         Alcotest.test_case "on_save" `Quick test_store_on_save;
+        Alcotest.test_case "watch and unwatch" `Quick test_store_watch;
         QCheck_alcotest.to_alcotest store_aggregate_property;
       ] );
     ( "runtime.store.incremental",
@@ -977,6 +1068,8 @@ let suite =
         QCheck_alcotest.to_alcotest merge_equivalence_property;
         Alcotest.test_case "union laws" `Quick test_merge_union_laws;
         Alcotest.test_case "shard-boundary eviction" `Quick test_merge_shard_boundary_eviction;
+        Alcotest.test_case "watched empty member reads as missing" `Quick
+          test_merge_watched_empty_member;
       ] );
     ( "runtime.vm",
       [
@@ -996,6 +1089,8 @@ let suite =
         Alcotest.test_case "on-change trigger" `Quick test_engine_on_change_trigger;
         Alcotest.test_case "save action + control key" `Quick
           test_engine_save_action_and_control_key;
+        Alcotest.test_case "control key waits for a sample" `Quick
+          test_engine_control_key_waits_for_a_sample;
         Alcotest.test_case "replace/restore/retrain" `Quick test_engine_replace_restore_retrain;
         Alcotest.test_case "retrain rate limit" `Quick test_engine_retrain_rate_limited;
         Alcotest.test_case "cooldown" `Quick test_engine_cooldown;
