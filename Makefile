@@ -27,10 +27,12 @@ bench:
 
 # Tiny-N benchmark pass: exercises the aggregation micro-bench and the
 # monitor-count sweep end to end in seconds, machine-readable output,
-# plus the small sizes of the grc verify pass-cost ablation.
+# plus the small sizes of the grc verify pass-cost ablation and the
+# observability self-overhead calibration.
 bench-smoke:
 	dune exec bench/main.exe -- agg scale --json --smoke
 	dune exec bench/main.exe -- verify --smoke
+	dune exec bench/main.exe -- obs --smoke
 
 # Bounded chaos soak: every scenario x seeds 1-7 with generated fault
 # plans, invariants checked after every sim event (docs/TESTING.md).

@@ -58,17 +58,17 @@ let run_arm ~naive ~fn ~param ~window ~iters =
   done;
   let sink = ref 0. in
   let bytes0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Common.now_ns () in
   for i = 1 to iters do
     now := !now + step;
     Gr_runtime.Feature_store.save store "k" (float_of_int (i mod 89));
     sink :=
       !sink +. Gr_runtime.Feature_store.aggregate store ~key:"k" ~fn ~window_ns ~param
   done;
-  let t1 = Unix.gettimeofday () in
+  let t1 = Common.now_ns () in
   let bytes1 = Gc.allocated_bytes () in
   ignore !sink;
-  let secs = Float.max 1e-9 (t1 -. t0) in
+  let secs = Float.max 1e-9 ((t1 -. t0) /. 1e9) in
   (float_of_int iters /. secs, (bytes1 -. bytes0) /. float_of_int iters)
 
 let run ~json =

@@ -7,6 +7,10 @@
 
 open Gr_util
 
+(* Host nanoseconds on the monotonic clock perfbench also reads;
+   every timing in the harness takes its deltas from this. *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
 let listing2_source =
   {|
 guardrail low-false-submit {

@@ -1,19 +1,13 @@
 (* Ablation G — what does watching cost?
 
    The observability plane's self-overhead in real host time, not the
-   VM's estimated-ns currency. Two layers of measurement:
-
-   - Batched per-op calibration: a hot loop per subsystem divides
-     total wall time by iterations, so the timer cost is amortised
-     instead of being charged to every ~10ns operation. Sinks are
-     small bounded rings here — the deployment configuration — so the
-     numbers are steady-state costs, not GC avalanches from holding
-     hundreds of thousands of events live.
-   - In-run Selfcost counters: the Figure 2 scenario traced with
-     {!Guardrails.Selfcost} enabled, reporting exactly what `grc run
-     --metrics` surfaces. Each op pays a timer pair here, so these
-     are upper bounds; the calibration numbers are the honest per-op
-     costs.
+   VM's estimated-ns currency, by batched per-op calibration: a hot
+   loop per subsystem divides its monotonic-clock time by the
+   iterations, so the timer cost is amortised instead of being charged
+   to every ~10ns operation. Sinks are small bounded rings here — the
+   deployment configuration — so the numbers are steady-state costs,
+   not GC avalanches from holding hundreds of thousands of events
+   live.
 
    The headline ratio is the causal-provenance tax: span allocation
    plus span/parent arg construction per emitted event, times the
@@ -22,8 +16,6 @@
    it summarises — relative to the
    untraced check itself. Also measured: the disabled path, where an
    emission site on a disabled tracer is a single branch. *)
-
-module Selfcost = Guardrails.Selfcost
 
 let avg_source =
   {|guardrail obs_avg { trigger: { TIMER(0, 100ms) } rule: { AVG(lat, 1s) <= 1000 } action: { REPORT("over") } }|}
@@ -46,11 +38,11 @@ let calibrate ?(warmup = 10_000) n f =
   let best = ref infinity in
   for _ = 1 to rounds do
     Gc.minor ();
-    let t0 = Selfcost.now_ns () in
+    let t0 = Common.now_ns () in
     for _ = 1 to n do
       f ()
     done;
-    best := Float.min !best ((Selfcost.now_ns () -. t0) /. float_of_int n)
+    best := Float.min !best ((Common.now_ns () -. t0) /. float_of_int n)
   done;
   !best
 
@@ -95,12 +87,12 @@ let run ~json =
     let best = ref infinity in
     for _ = 1 to 2 * rounds do
       Gc.minor ();
-      let t0 = Selfcost.now_ns () in
+      let t0 = Common.now_ns () in
       for _ = 1 to n do
         let s = Guardrails.Trace.fresh_span cal_tracer in
         ignore (Sys.opaque_identity (("span", Guardrails.Trace_event.Int s) :: tail))
       done;
-      best := Float.min !best ((Selfcost.now_ns () -. t0) /. float_of_int n)
+      best := Float.min !best ((Common.now_ns () -. t0) /. float_of_int n)
     done;
     !best
   in
@@ -151,7 +143,7 @@ let run ~json =
   in
   let render_per_check_ns = render_ns /. float_of_int (max 1 recorded_checks) in
   (* Fleet-tier merge: AVG over a plain key sharded across 4 node
-     stores, the per-read cost the Store_merge counter tracks. *)
+     stores, the per-read cost of a merged aggregate. *)
   let fleet = Guardrails.Fleet.create ~nodes:4 ~seed:11 ~engine:!Common.engine () in
   Array.iter
     (fun node ->
@@ -173,20 +165,6 @@ let run ~json =
     (provenance_per_check +. metrics_record_ns +. render_per_check_ns) /. check_ns
   in
   let trace_ratio = Float.max 0. (traced_check_ns -. check_ns) /. check_ns in
-  (* In-run counters: the Figure 2 run with tracing and Selfcost on,
-     exactly what `grc run --metrics` exposes. *)
-  Selfcost.set_enabled true;
-  Selfcost.reset ();
-  let rig = Common.make_fig2_rig ~tracing:true ~trace_capacity:(1 lsl 20) () in
-  ignore
-    (Guardrails.Deployment.install_source_exn rig.Common.deployment Common.listing2_source
-      : Guardrails.Engine.handle list);
-  Gr_kernel.Kernel.run_until rig.Common.kernel Common.run_until;
-  let selfcost =
-    List.map (fun s -> (Selfcost.name s, Selfcost.ops s, Selfcost.host_ns s)) Selfcost.all
-  in
-  Selfcost.set_enabled false;
-  Selfcost.reset ();
   if json then
     let open Common.Json in
     Common.print_json
@@ -207,20 +185,6 @@ let run ~json =
            ("store_merge_ns", Common.json_num store_merge_ns);
            ("disabled_emit_ns", Common.json_num disabled_emit_ns);
            ("overhead_ratio", Common.json_num overhead_ratio);
-           ( "selfcost_fig2",
-             Obj
-               (List.map
-                  (fun (name, ops, host_ns) ->
-                    ( name,
-                      Obj
-                        [
-                          ("ops", Common.json_int ops);
-                          ("host_ns", Common.json_num host_ns);
-                          ( "ns_per_op",
-                            Common.json_num
-                              (if ops = 0 then 0. else host_ns /. float_of_int ops) );
-                        ] ))
-                  selfcost) );
          ])
   else begin
     Common.section "Ablation G — observability self-overhead";
@@ -236,11 +200,5 @@ let run ~json =
     Printf.printf "  events per traced check:               %8.2f\n" events_per_check;
     Printf.printf "  provenance+metrics vs check cost:      %8.2f%%\n" (100. *. overhead_ratio);
     Printf.printf "  tracing on vs off, whole check path:   %8.2f%%\n" (100. *. trace_ratio);
-    Printf.printf "  fig2 in-run Selfcost counters (include one timer pair per op):\n";
-    List.iter
-      (fun (name, ops, host_ns) ->
-        Printf.printf "    %-16s %10d ops %14.0f ns total %8.1f ns/op\n" name ops host_ns
-          (if ops = 0 then 0. else host_ns /. float_of_int ops))
-      selfcost;
     ignore !exposition
   end

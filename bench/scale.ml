@@ -26,9 +26,9 @@ let run_with ~monitors =
       (Guardrails.Deployment.install_source_exn rig.deployment (monitor_source i)
         : Guardrails.Engine.handle list)
   done;
-  let wall_start = Unix.gettimeofday () in
+  let wall_start = Common.now_ns () in
   Gr_kernel.Kernel.run_until rig.kernel Common.run_until;
-  let wall = Unix.gettimeofday () -. wall_start in
+  let wall = (Common.now_ns () -. wall_start) /. 1e9 in
   let engine = Guardrails.Deployment.engine rig.deployment in
   ( Guardrails.Engine.Stats.total_checks engine,
     Guardrails.Engine.Stats.total_overhead_ns engine,
@@ -62,9 +62,9 @@ let run_fleet_with ~nodes ~monitors ~domains =
       (Guardrails.Fleet.install_source_exn fleet (monitor_source i)
         : Guardrails.Engine.handle list)
   done;
-  let wall_start = Unix.gettimeofday () in
+  let wall_start = Common.now_ns () in
   Guardrails.Fleet.run_until fleet fleet_run_until;
-  let wall = Unix.gettimeofday () -. wall_start in
+  let wall = (Common.now_ns () -. wall_start) /. 1e9 in
   let engine = Guardrails.Fleet.engine fleet in
   ( Guardrails.Engine.Stats.total_checks engine,
     Guardrails.Engine.Stats.total_overhead_ns engine,

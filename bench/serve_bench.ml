@@ -61,9 +61,9 @@ guardrail serve-heartbeat {
 |}
 
 let ms f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Common.now_ns () in
   f ();
-  (Unix.gettimeofday () -. t0) *. 1e3
+  (Common.now_ns () -. t0) /. 1e6
 
 let make_fleet nodes =
   let fleet = Fleet.create ~nodes ~seed:7 ~engine:!Common.engine () in

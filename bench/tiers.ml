@@ -134,16 +134,16 @@ let bench_ns ~iters execs =
   let m = Array.length execs in
   let best = ref infinity in
   for _ = 1 to rounds do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Common.now_ns () in
     for _ = 1 to iters do
       for i = 0 to m - 1 do
         ignore ((Array.unsafe_get execs i) () : Vm.result)
       done
     done;
-    let t = Unix.gettimeofday () -. t0 in
+    let t = Common.now_ns () -. t0 in
     if t < !best then best := t
   done;
-  !best *. 1e9 /. float_of_int (iters * m)
+  !best /. float_of_int (iters * m)
 
 type row = {
   r_monitor : string;

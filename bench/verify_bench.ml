@@ -42,9 +42,9 @@ let compile src =
   List.map Gr_compiler.Opt.optimize_monitor (Gr_compiler.Lower.spec spec)
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Common.now_ns () in
   let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1e3)
+  (r, (Common.now_ns () -. t0) /. 1e6)
 
 let run () =
   Common.section "Ablation — grc verify pass cost (dataflow fixpoint, model checking)";

@@ -594,16 +594,6 @@ let run_cmd =
         2
       | Ok domains ->
       let domains = max 1 (min domains nodes) in
-      (* Selfcost's accumulators are process-global; node domains
-         would race them, so host-cost accounting stays single-domain
-         only (the rest of the telemetry is per-tracer and safe). *)
-      if Option.is_some metrics_out then begin
-        Guardrails.Selfcost.set_enabled (domains = 1);
-        if domains > 1 then
-          prerr_endline
-            "grc run: note: self-cost accounting is disabled under --domains > 1 (its \
-             process-global counters are not domain-safe)"
-      end;
       match load_spec_source path with
       | Error msg ->
         prerr_endline msg;
@@ -693,8 +683,8 @@ let run_cmd =
           ~doc:
             "Write the post-run telemetry as an OpenMetrics/Prometheus text exposition: \
              per-monitor counters and latency summaries (per-node labels and fleet rollups \
-             under --nodes), trace-channel accounting, and the observability plane's own \
-             self-overhead counters.")
+             under --nodes) and trace-channel accounting. The exposition is the same for \
+             every --domains.")
   in
   let strict_drops =
     Arg.(

@@ -326,10 +326,6 @@ let wire_monitor t (monitor : Gr_compiler.Monitor.t) =
       | Report _ | Deprioritize _ | Kill _ | Save _ -> ())
     monitor.actions
 
-let install_monitor t monitor =
-  wire_monitor t monitor;
-  Deployment.install_monitor t.control monitor
-
 let install_monitors ?version t monitors =
   (* Wire before installing so triggers are live the moment the engine
      arms them; wiring is idempotent so rollback on a failed install
@@ -342,21 +338,7 @@ let uninstall t handle = Deployment.uninstall t.control handle
 let install_source t src =
   match Gr_compiler.Compile.source src with
   | Error e -> Error (Deployment.Compile e)
-  | Ok monitors ->
-    (* Wire before installing so triggers are live the moment the
-       engine arms them; wiring is idempotent so rollback on a failed
-       install leaves only inert forwarders. *)
-    List.iter (wire_monitor t) monitors;
-    let rec go installed = function
-      | [] -> Ok (List.rev installed)
-      | m :: rest -> (
-        match Deployment.install_monitor t.control m with
-        | Ok handle -> go (handle :: installed) rest
-        | Error e ->
-          List.iter (Deployment.uninstall t.control) installed;
-          Error e)
-    in
-    go [] monitors
+  | Ok monitors -> install_monitors t monitors
 
 let install_source_exn t src =
   match install_source t src with

@@ -130,9 +130,6 @@ val install_source : t -> string -> (Gr_runtime.Engine.handle list, Deployment.e
 
 val install_source_exn : t -> string -> Gr_runtime.Engine.handle list
 
-val install_monitor :
-  t -> Gr_compiler.Monitor.t -> (Gr_runtime.Engine.handle, Deployment.error) result
-
 val install_monitors :
   ?version:int ->
   t ->

@@ -58,7 +58,6 @@ module Trace_export = Gr_trace.Export
 module Metrics = Gr_trace.Metrics
 module Provenance = Gr_trace.Provenance
 module Audit_log = Gr_trace.Audit_log
-module Selfcost = Gr_trace.Selfcost
 module Json = Gr_trace.Json
 
 (* Substrate *)

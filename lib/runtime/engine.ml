@@ -3,18 +3,6 @@ module Monitor = Gr_compiler.Monitor
 module Tracer = Gr_trace.Tracer
 module Event = Gr_trace.Event
 module Metrics = Gr_trace.Metrics
-module Selfcost = Gr_trace.Selfcost
-
-(* Run [f] with [span] as the causal parent of everything it emits
-   (saving/restoring the previous parent — actions can nest through
-   store cascades). *)
-let with_current tr span f =
-  match span with
-  | None -> f ()
-  | Some _ ->
-    let prev = Tracer.current_span tr in
-    Tracer.set_current tr span;
-    Fun.protect ~finally:(fun () -> Tracer.set_current tr prev) f
 
 let src = Logs.Src.create "guardrails.engine" ~doc:"Guardrail runtime engine"
 
@@ -170,13 +158,13 @@ let run_actions t st =
       | Monitor.Replace policy -> (
         let aspan = action_instant t st "REPLACE" [ ("policy", Event.Str policy) ] in
         match Gr_kernel.Policy_slot.Registry.find t.kernel.registry policy with
-        | Some controls -> with_current t.tracer aspan controls.replace
+        | Some controls -> Tracer.with_parent t.tracer aspan controls.replace
         | None ->
           Log.warn (fun m -> m "REPLACE: unknown policy %S (monitor %s)" policy st.monitor.name))
       | Monitor.Restore policy -> (
         let aspan = action_instant t st "RESTORE" [ ("policy", Event.Str policy) ] in
         match Gr_kernel.Policy_slot.Registry.find t.kernel.registry policy with
-        | Some controls -> with_current t.tracer aspan controls.restore
+        | Some controls -> Tracer.with_parent t.tracer aspan controls.restore
         | None ->
           Log.warn (fun m -> m "RESTORE: unknown policy %S (monitor %s)" policy st.monitor.name))
       | Monitor.Retrain policy -> (
@@ -212,7 +200,7 @@ let run_actions t st =
                      action_instant ?parent:sched t st "RETRAIN.run"
                        [ ("policy", Event.Str policy) ]
                    in
-                   with_current t.tracer run_span controls.retrain)
+                   Tracer.with_parent t.tracer run_span controls.retrain)
                 : Gr_sim.Engine.handle)
           end)
       | Monitor.Deprioritize { cls; weight } -> (
@@ -221,13 +209,13 @@ let run_actions t st =
             [ ("cls", Event.Str cls); ("weight", Event.Int weight) ]
         in
         match t.deprioritize with
-        | Some handler -> with_current t.tracer aspan (fun () -> handler ~cls ~weight)
+        | Some handler -> Tracer.with_parent t.tracer aspan (fun () -> handler ~cls ~weight)
         | None ->
           Log.warn (fun m -> m "DEPRIORITIZE(%s): no handler wired (monitor %s)" cls st.monitor.name))
       | Monitor.Kill cls -> (
         let aspan = action_instant t st "KILL" [ ("cls", Event.Str cls) ] in
         match t.kill with
-        | Some handler -> with_current t.tracer aspan (fun () -> handler ~cls)
+        | Some handler -> Tracer.with_parent t.tracer aspan (fun () -> handler ~cls)
         | None -> Log.warn (fun m -> m "KILL(%s): no handler wired (monitor %s)" cls st.monitor.name))
       | Monitor.Save { key; value = _ } ->
         let save = Option.get save in
@@ -237,7 +225,7 @@ let run_actions t st =
           action_instant t st "SAVE"
             [ ("key", Event.Str key); ("value", Event.Float result.value) ]
         in
-        with_current t.tracer aspan (fun () ->
+        Tracer.with_parent t.tracer aspan (fun () ->
             Feature_store.handle_save save.target result.value))
     st.actions_costed;
   if not !reported then report t st ~message:"<violation>" ~snapshot:[]
@@ -270,10 +258,6 @@ let record_flip t st =
            else ""))
   end
 
-let record_check st (result : Vm.result) ~healthy =
-  Metrics.record_check st.metrics ~cost_ns:result.est_cost_ns ~insts:result.insts_executed
-    ~samples:result.samples_scanned ~violated:(not healthy)
-
 (* [via] names the trigger in the check's trace span; it is built once,
    when the trigger is armed. *)
 let check ~via t st =
@@ -285,13 +269,10 @@ let check ~via t st =
       Fun.protect
         ~finally:(fun () -> t.cascade_depth <- t.cascade_depth - 1)
         (fun () ->
-          let result =
-            if Selfcost.enabled () then Selfcost.time Selfcost.Check st.exec else st.exec ()
-          in
+          let result = st.exec () in
           let healthy = Vm.truthy result.value in
-          if Selfcost.enabled () then
-            Selfcost.time Selfcost.Metrics_record (fun () -> record_check st result ~healthy)
-          else record_check st result ~healthy;
+          Metrics.record_check st.metrics ~cost_ns:result.est_cost_ns
+            ~insts:result.insts_executed ~samples:result.samples_scanned ~violated:(not healthy);
           (* The check as a Complete span whose duration is the VM's
              dynamic cost estimate — per-monitor overhead on the
              timeline. Its span id is the causal parent of everything
@@ -313,7 +294,7 @@ let check ~via t st =
             end
             else None
           in
-          with_current t.tracer check_span (fun () ->
+          Tracer.with_parent t.tracer check_span (fun () ->
               if healthy then begin
                 if st.in_violation then begin
                   st.in_violation <- false;

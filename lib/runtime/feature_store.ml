@@ -391,11 +391,7 @@ let save_entry t key e value =
     let tr = Option.get t.tracer in
     let span = Gr_trace.Tracer.fresh_span tr in
     Gr_trace.Tracer.counter tr ~cat:"store" ("store:" ^ key) ~span [ ("value", value) ];
-    let prev = Gr_trace.Tracer.current_span tr in
-    Gr_trace.Tracer.set_current tr (Some span);
-    Fun.protect
-      ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
-      (fun () -> notify t key e value)
+    Gr_trace.Tracer.with_parent tr (Some span) (fun () -> notify t key e value)
   end
   else notify t key e value
 
@@ -852,11 +848,8 @@ let export_state ?now t ~key ~fn ~window_ns ~param =
 let merged_aggregate t ~key ~fn ~window_ns ~param =
   if t.force_naive then naive_aggregate t ~key ~fn ~window_ns ~param
   else begin
-    let fold () = fold_members t ~now:(t.clock ()) ~key ~fn ~window_ns ~param in
     let state, scanned, incremental =
-      if Gr_trace.Selfcost.enabled () then
-        Gr_trace.Selfcost.time Gr_trace.Selfcost.Store_merge fold
-      else fold ()
+      fold_members t ~now:(t.clock ()) ~key ~fn ~window_ns ~param
     in
     { value = Merge.value ~fn ~window_ns ~param state; scanned; incremental }
   end

@@ -204,11 +204,7 @@ let dispatch t run order =
     Gr_trace.Tracer.instant tr ~cat:"sim"
       ~args:[ ("seq", Gr_trace.Event.Int order) ]
       ~span "dispatch";
-    let prev = Gr_trace.Tracer.current_span tr in
-    Gr_trace.Tracer.set_current tr (Some span);
-    Fun.protect
-      ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
-      (fun () -> run t)
+    Gr_trace.Tracer.with_parent tr (Some span) (fun () -> run t)
   | _ -> run t
 
 let step t =

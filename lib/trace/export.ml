@@ -185,26 +185,6 @@ let openmetrics_of_tracers tracers =
     ~help:"Events accepted by a trace channel." ~value:Sink.emitted tracers;
   om_sink_family buf ~metric:"guardrail_trace_dropped"
     ~help:"Events rejected or overwritten on channel overflow." ~value:Sink.dropped tracers;
-  if Selfcost.enabled () then begin
-    Buffer.add_string buf
-      "# HELP guardrail_selfcost_ops Observability self-overhead: operations per subsystem.\n";
-    Buffer.add_string buf "# TYPE guardrail_selfcost_ops counter\n";
-    List.iter
-      (fun s ->
-        Buffer.add_string buf
-          (Printf.sprintf "guardrail_selfcost_ops_total{subsystem=%S} %d\n" (Selfcost.name s)
-             (Selfcost.ops s)))
-      Selfcost.all;
-    Buffer.add_string buf
-      "# HELP guardrail_selfcost_host_ns Observability self-overhead: real host nanoseconds per subsystem.\n";
-    Buffer.add_string buf "# TYPE guardrail_selfcost_host_ns counter\n";
-    List.iter
-      (fun s ->
-        Buffer.add_string buf
-          (Printf.sprintf "guardrail_selfcost_host_ns_total{subsystem=%S} %.0f\n"
-             (Selfcost.name s) (Selfcost.host_ns s)))
-      Selfcost.all
-  end;
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 

@@ -52,9 +52,8 @@ val openmetrics_of_tracers : Tracer.t list -> string
 (** Complete OpenMetrics exposition for a set of tracers (a fleet
     passes control first, then each node): the per-monitor families
     ({!Metrics.openmetrics_into}, including fleet rollup rows when
-    more than one tracer is given), sink throughput/drop counters per
-    channel, and — when {!Selfcost.enabled} — the observability
-    self-overhead counters. Terminated with [# EOF\n]. *)
+    more than one tracer is given) and sink throughput/drop counters
+    per channel. Terminated with [# EOF\n]. *)
 
 val openmetrics : Tracer.t -> string
 (** [openmetrics_of_tracers [t]]. *)

@@ -63,8 +63,15 @@ let fresh_span t =
   t.ctx.next_span <- id + t.ctx.stride;
   id
 
-let current_span t = t.ctx.current
-let set_current t span = t.ctx.current <- span
+(* [None] leaves the current parent as it is: untraced callers pass
+   the [None] their span allocation returned. *)
+let with_parent t span f =
+  match span with
+  | None -> f ()
+  | Some _ ->
+    let prev = t.ctx.current in
+    t.ctx.current <- span;
+    Fun.protect ~finally:(fun () -> t.ctx.current <- prev) f
 
 (* Provenance + fleet tagging: each recorded event carries its own
    span id, the span id of the event that caused it (when inside a
@@ -73,8 +80,6 @@ let set_current t span = t.ctx.current <- span
    trees. Bookkeeping is only reachable when the tracer is enabled;
    disabled emission stays one branch. *)
 let tag t ?span ?parent args =
-  let selfcost = Selfcost.enabled () in
-  let t0 = if selfcost then Selfcost.now_ns () else 0. in
   let span = match span with Some s -> s | None -> fresh_span t in
   let parent = match parent with Some _ as p -> p | None -> t.ctx.current in
   (* Built back to front so the trailing cells are shared, never
@@ -96,17 +101,12 @@ let tag t ?span ?parent args =
   in
   let prov = ("span", Event.Int span) :: rest in
   let tagged = match args with None -> prov | Some l -> l @ prov in
-  if selfcost then
-    Selfcost.add Selfcost.Provenance ~ops:1 ~host_ns:(Selfcost.now_ns () -. t0);
   Some tagged
 
 let emit t ?dur_ns ?args ?span ?parent ~cat ~ph name =
   if t.enabled then begin
     let args = tag t ?span ?parent args in
-    if Selfcost.enabled () then
-      Selfcost.time Selfcost.Trace_emit (fun () ->
-          Sink.emit t.events (Event.make ~ts:(t.clock ()) ?dur_ns ?args ~cat ~ph name))
-    else Sink.emit t.events (Event.make ~ts:(t.clock ()) ?dur_ns ?args ~cat ~ph name)
+    Sink.emit t.events (Event.make ~ts:(t.clock ()) ?dur_ns ?args ~cat ~ph name)
   end
 
 let instant t ~cat ?args ?span ?parent name = emit t ?args ?span ?parent ~cat ~ph:Event.Instant name
@@ -131,13 +131,7 @@ let with_span t ~cat ?args name f =
        same tree. *)
     let span = fresh_span t in
     span_begin t ~cat ?args ~span name;
-    let prev = t.ctx.current in
-    t.ctx.current <- Some span;
-    Fun.protect
-      ~finally:(fun () ->
-        span_end t ~cat name;
-        t.ctx.current <- prev)
-      f
+    with_parent t (Some span) (fun () -> Fun.protect ~finally:(fun () -> span_end t ~cat name) f)
   end
 
 let report t ?args name =

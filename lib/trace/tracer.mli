@@ -75,11 +75,11 @@ val fresh_span : t -> int
 (** Allocate the next span id (monotonic within the context, advancing
     by the channel stride — 1 for standalone deployments). *)
 
-val current_span : t -> int option
-val set_current : t -> int option -> unit
-(** Set/clear the causal parent subsequent emissions will carry.
-    Sites that open a causal scope save the previous value and
-    restore it when the scope closes. *)
+val with_parent : t -> int option -> (unit -> 'a) -> 'a
+(** [with_parent t (Some span) f] runs [f] with [span] as the causal
+    parent of everything it emits, restoring the previous parent when
+    [f] returns or raises; scopes nest. [with_parent t None f] is
+    [f ()] under the current parent. *)
 
 (* Emitters; all no-ops when disabled except [report]. [?span] pins
    the event's own span id (callers that also set it as the current

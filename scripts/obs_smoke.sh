@@ -7,9 +7,8 @@
 #      to the sim dispatch that caused it, with the rule disassembly,
 #      the SAVE effect and the recursive input data flow all present;
 #   2. `grc run --metrics` emits the expected OpenMetrics exposition,
-#      single-node and 2-node fleet, golden-diffed after filtering the
-#      selfcost host-time lines (the only host-dependent series —
-#      everything else is sim-deterministic);
+#      single-node and 2-node fleet, golden-diffed whole (every series
+#      is sim-deterministic);
 #   3. the quickstart trace and a traced 3-node fleet run match the
 #      SHA-256 digests in scripts/obs_golden_traces.sha256. Every sim
 #      dispatch in a trace carries its scheduling `seq`, so this pins
@@ -50,15 +49,13 @@ done
 "$GRC" run specs/listing2.grd --until 4 --trace "$TMP/l2_trace.json" \
     --metrics "$TMP/single.prom" > /dev/null \
     || fail "grc run --metrics failed"
-grep -v selfcost_host_ns "$TMP/single.prom" > "$TMP/single.filtered"
-diff -u scripts/obs_golden_single.prom "$TMP/single.filtered" \
+diff -u scripts/obs_golden_single.prom "$TMP/single.prom" \
     || fail "single-node OpenMetrics exposition diverged from golden"
 
 "$GRC" run specs/listing2.grd --until 4 --nodes 2 \
     --metrics "$TMP/fleet.prom" > /dev/null \
     || fail "grc run --nodes 2 --metrics failed"
-grep -v selfcost_host_ns "$TMP/fleet.prom" > "$TMP/fleet.filtered"
-diff -u scripts/obs_golden_fleet.prom "$TMP/fleet.filtered" \
+diff -u scripts/obs_golden_fleet.prom "$TMP/fleet.prom" \
     || fail "fleet OpenMetrics exposition diverged from golden"
 
 # 3. Trace digests: the quickstart trace from step 1 plus a fleet run.

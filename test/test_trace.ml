@@ -10,7 +10,6 @@ module Metrics = Gr_trace.Metrics
 module Export = Gr_trace.Export
 module Json = Gr_trace.Json
 module Provenance = Gr_trace.Provenance
-module Selfcost = Gr_trace.Selfcost
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -125,6 +124,30 @@ let test_tracer_node_tagging () =
   match Metrics.to_json (Tracer.metrics untagged) with
   | Json.Obj [ ("monitors", _) ] -> ()
   | _ -> Alcotest.fail "untagged metrics json shape must be unchanged"
+
+(* A causal scope nests, and a scope left by an exception still
+   restores the parent it replaced; [None] keeps the current one. *)
+let test_with_parent_scope () =
+  let tr = Tracer.create ~clock:(fun () -> 0) () in
+  Tracer.set_enabled tr true;
+  let emit name = Tracer.instant tr ~cat:"test" name in
+  Tracer.with_parent tr (Some 100) (fun () ->
+      emit "outer";
+      Tracer.with_parent tr None (fun () -> emit "none");
+      (try
+         Tracer.with_parent tr (Some 200) (fun () ->
+             emit "inner";
+             failwith "boom")
+       with Failure _ -> ());
+      emit "restored");
+  emit "after";
+  Alcotest.(check (list (option int)))
+    "parent per event"
+    [ Some 100; Some 100; Some 200; Some 100; None ]
+    (List.map
+       (fun (e : Event.t) ->
+         match List.assoc_opt "parent" e.args with Some (Event.Int p) -> Some p | _ -> None)
+       (Sink.to_list (Tracer.events tr)))
 
 (* ---------- Exporter round-trip ---------- *)
 
@@ -437,27 +460,6 @@ let test_openmetrics_fleet_rollup () =
   check_bool "rollup stays inside its typed family" true
     (contains ~needle:"# TYPE guardrail_checks counter" om)
 
-(* ---------- Selfcost ---------- *)
-
-let test_selfcost_gating () =
-  Selfcost.set_enabled false;
-  Selfcost.reset ();
-  check_bool "off by default" true (not (Selfcost.enabled ()));
-  Selfcost.add Selfcost.Check ~ops:1 ~host_ns:10.;
-  check_int "add is a no-op when disabled" 0 (Selfcost.ops Selfcost.Check);
-  check_int "time charges nothing when disabled" 41 (Selfcost.time Selfcost.Check (fun () -> 41));
-  check_int "still zero ops" 0 (Selfcost.ops Selfcost.Check);
-  Selfcost.set_enabled true;
-  Selfcost.add Selfcost.Provenance ~ops:2 ~host_ns:7.;
-  check_int "enabled add counts ops" 2 (Selfcost.ops Selfcost.Provenance);
-  check_bool "enabled add counts ns" true (Selfcost.host_ns Selfcost.Provenance = 7.);
-  check_int "time returns the thunk's value" 42 (Selfcost.time Selfcost.Check (fun () -> 42));
-  check_int "and charges one op" 1 (Selfcost.ops Selfcost.Check);
-  Selfcost.reset ();
-  check_int "reset zeroes" 0 (Selfcost.ops Selfcost.Provenance);
-  check_bool "reset keeps it enabled" true (Selfcost.enabled ());
-  Selfcost.set_enabled false
-
 let suite =
   [
     ( "trace.sink",
@@ -492,6 +494,8 @@ let suite =
         Alcotest.test_case "report chain reconstruction" `Quick test_provenance_reconstruction;
         Alcotest.test_case "actions share the decision" `Quick
           test_provenance_actions_same_decision;
+        Alcotest.test_case "with_parent scopes nest and survive raises" `Quick
+          test_with_parent_scope;
       ] );
     ( "trace.openmetrics",
       [
@@ -500,7 +504,6 @@ let suite =
         Alcotest.test_case "summary sum excludes actions" `Quick
           test_openmetrics_summary_excludes_actions;
       ] );
-    ("trace.selfcost", [ Alcotest.test_case "gating" `Quick test_selfcost_gating ]);
     ( "trace.report",
       [
         Alcotest.test_case "violation log is a report view" `Quick
