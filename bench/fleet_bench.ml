@@ -110,8 +110,7 @@ let run_once ~domains =
     (if ok then "OK: fired from merged state == naive oracle; canary confined"
      else "MISMATCH");
   let traces =
-    List.map Guardrails.Trace_export.chrome_string
-      (Fleet.tracer fleet :: Array.to_list (Array.map D.tracer (Fleet.nodes fleet)))
+    List.map Guardrails.Trace_export.chrome_string (Fleet.tracers fleet)
   in
   (ok, traces)
 

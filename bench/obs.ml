@@ -147,7 +147,7 @@ let run ~json =
   let fleet = Guardrails.Fleet.create ~nodes:4 ~seed:11 ~engine:!Common.engine () in
   Array.iter
     (fun node ->
-      let store = Guardrails.Node.store node in
+      let store = Guardrails.Deployment.store node in
       for i = 1 to samples / 4 do
         Guardrails.Store.save store "lat" (float_of_int (i mod 97))
       done)

@@ -39,18 +39,38 @@ let read_spec_input path =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Guardrail source file.")
 
+(* The one spec loader: read (the filename "-" is standard input),
+   parse and typecheck. The error is ready for stderr: one problem per
+   line, tagged with the path (or "<stdin>"). grc run / serve / soak
+   pass [~usage]: there a bad spec is a usage error (exit 2, one
+   line), so a missing file gets its own message and only the first
+   problem is reported, prefixed "grc: ". Their FILE is a plain
+   string, not Arg.file, so that check is ours. *)
+let load_spec ?(usage = false) path =
+  let line fmt = Format.kasprintf (fun s -> if usage then "grc: " ^ s else s) fmt in
+  if usage && not (Sys.file_exists path) then Error (Printf.sprintf "grc: %s: no such file" path)
+  else
+    match read_spec_input path with
+    | exception Sys_error e -> Error ("grc: " ^ e)
+    | label, src -> (
+      match Guardrails.Parser.parse src with
+      | Error (pos, msg) ->
+        Error (line "%s: parse error at %a: %s" label Guardrails.Ast.pp_pos pos msg)
+      | Ok spec -> (
+        match Guardrails.Typecheck.check_spec spec with
+        | Error (e :: rest) ->
+          let errs = if usage then [ e ] else e :: rest in
+          Error
+            (String.concat "\n"
+               (List.map (fun e -> line "%s: %a" label Guardrails.Typecheck.pp_error e) errs))
+        | Error [] | Ok () -> Ok (label, src, spec)))
+
 let with_spec path f =
-  let src = read_file path in
-  match Guardrails.Parser.parse src with
-  | Error (pos, msg) ->
-    Format.eprintf "%s: parse error at %a: %s@." path Guardrails.Ast.pp_pos pos msg;
+  match load_spec path with
+  | Error msg ->
+    prerr_endline msg;
     1
-  | Ok spec -> (
-    match Guardrails.Typecheck.check_spec spec with
-    | Error errs ->
-      List.iter (fun e -> Format.eprintf "%s: %a@." path Guardrails.Typecheck.pp_error e) errs;
-      1
-    | Ok () -> f spec)
+  | Ok (_, _, spec) -> f spec
 
 let check_cmd =
   let run path =
@@ -119,93 +139,76 @@ let deps_cmd =
     (Cmd.info "deps" ~doc:"Dependency analysis: interference edges and feedback loops")
     Term.(const run $ file_arg)
 
-(* Shared by grc lint / grc verify: one spec file -> optimised
-   monitors tagged with their source path, or a printable error. *)
-let compile_spec_file path =
-  match read_spec_input path with
-  | exception Sys_error e -> Error (Printf.sprintf "grc: %s" e)
-  | label, src -> (
-    match Guardrails.Parser.parse src with
-    | Error (pos, msg) ->
-      Error (Format.asprintf "%s: parse error at %a: %s" label Guardrails.Ast.pp_pos pos msg)
-    | Ok spec -> (
-      match Guardrails.Typecheck.check_spec spec with
-      | Error errs ->
-        Error
-          (String.concat "\n"
-             (List.map
-                (fun e -> Format.asprintf "%s: %a" label Guardrails.Typecheck.pp_error e)
-                errs))
-      | Ok () ->
-        Ok
-          (List.map
-             (fun m -> (label, Guardrails.Opt.optimize_monitor m))
-             (Guardrails.Lower.spec spec))))
+(* grc lint / grc verify: every FILE loads into one deployment of
+   optimised monitors, each tagged with its node id (the FILE's
+   index). Under --fleet each FILE is one node's deployment: node-local
+   keys and monitor names are qualified per file, so interference
+   checks only fire for genuinely shared (GLOBAL) state. Also returns
+   the FILE each monitor name came from. A load error is printed and
+   exits 2. *)
+let load_deployment ~fleet paths =
+  let loaded = List.map (fun path -> load_spec path) paths in
+  match List.filter_map (function Error e -> Some e | Ok _ -> None) loaded with
+  | _ :: _ as errors ->
+    List.iter prerr_endline errors;
+    Error 2
+  | [] ->
+    let tagged =
+      List.concat
+        (List.mapi
+           (fun node_id -> function
+             | Error _ -> []
+             | Ok (label, _, spec) ->
+               List.map
+                 (fun m ->
+                   let m = Guardrails.Opt.optimize_monitor m in
+                   (node_id, label, if fleet then Guardrails.Monitor.qualify ~node_id m else m))
+                 (Guardrails.Lower.spec spec))
+           loaded)
+    in
+    let files = Hashtbl.create 16 in
+    List.iter
+      (fun (_, file, (m : Guardrails.Monitor.t)) ->
+        if not (Hashtbl.mem files m.name) then Hashtbl.add files m.name file)
+      tagged;
+    Ok (List.map (fun (node_id, _, m) -> (node_id, m)) tagged, Hashtbl.find_opt files)
+
+(* grc lint / grc verify output: each diagnostic tagged with the FILE
+   that defined its monitor — a leading "file" field under --json, a
+   "FILE: " prefix and any repro line in text, which then ends with
+   [footer]. Exit 2 on errors, 1 on warnings under --strict, else 0. *)
+let print_diagnostics ~json ~strict ~file_of ?footer diags =
+  let module D = Guardrails.Diagnostic in
+  let file (d : D.t) = Option.bind d.monitor file_of in
+  if json then begin
+    let with_file d =
+      let file = match file d with Some f -> Guardrails.Json.Str f | None -> Guardrails.Json.Null in
+      match D.to_json d with
+      | Guardrails.Json.Obj fields -> Guardrails.Json.Obj (("file", file) :: fields)
+      | other -> other
+    in
+    print_endline (Guardrails.Json.to_string (Guardrails.Json.Arr (List.map with_file diags)))
+  end
+  else begin
+    List.iter
+      (fun (d : D.t) ->
+        let prefix = match file d with Some f -> f ^ ": " | None -> "" in
+        Format.printf "%s%a@." prefix D.pp d;
+        Option.iter (Format.printf "  repro: %s@.") d.repro)
+      diags;
+    Option.iter (Format.printf "%s@.") footer
+  end;
+  let has sev = List.exists (fun (d : D.t) -> d.severity = sev) diags in
+  if has D.Error then 2 else if has D.Warning && strict then 1 else 0
 
 let lint_cmd =
   let run paths json strict budget fleet =
-    let compiled = List.map compile_spec_file paths in
-    let failures = List.filter_map (function Error e -> Some e | Ok _ -> None) compiled in
-    if failures <> [] then begin
-      List.iter (fun e -> Format.eprintf "%s@." e) failures;
-      2
-    end
-    else begin
-      (* --fleet: each FILE is one node's deployment. Node-local keys
-         are qualified per file before the interference checks, so
-         same-named keys on different nodes stop colliding while
-         GLOBAL keys still do. *)
-      let tagged =
-        List.concat
-          (List.mapi
-             (fun node_id -> function
-               | Error _ -> []
-               | Ok l ->
-                 if fleet then
-                   List.map (fun (f, m) -> (f, Guardrails.Monitor.qualify ~node_id m)) l
-                 else l)
-             compiled)
-      in
-      let monitors = List.map snd tagged in
-      let file_of =
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun (f, (m : Guardrails.Monitor.t)) ->
-            if not (Hashtbl.mem tbl m.name) then Hashtbl.add tbl m.name f)
-          tagged;
-        fun name -> Hashtbl.find_opt tbl name
-      in
+    match load_deployment ~fleet paths with
+    | Error code -> code
+    | Ok (tagged, file_of) ->
       let config = { Guardrails.Analyze.hook_budget_ns = budget } in
-      let diags = Guardrails.Analyze.deployment ~config monitors in
-      if json then begin
-        let with_file (d : Guardrails.Diagnostic.t) =
-          let file =
-            match d.monitor with
-            | Some m -> (
-              match file_of m with Some f -> Guardrails.Json.Str f | None -> Guardrails.Json.Null)
-            | None -> Guardrails.Json.Null
-          in
-          match Guardrails.Diagnostic.to_json d with
-          | Guardrails.Json.Obj fields -> Guardrails.Json.Obj (("file", file) :: fields)
-          | other -> other
-        in
-        print_endline (Guardrails.Json.to_string (Guardrails.Json.Arr (List.map with_file diags)))
-      end
-      else
-        List.iter
-          (fun (d : Guardrails.Diagnostic.t) ->
-            let prefix =
-              match d.monitor with
-              | Some m -> ( match file_of m with Some f -> f ^ ": " | None -> "")
-              | None -> ""
-            in
-            Format.printf "%s%a@." prefix Guardrails.Diagnostic.pp d)
-          diags;
-      let has sev = List.exists (fun (d : Guardrails.Diagnostic.t) -> d.severity = sev) diags in
-      if has Guardrails.Diagnostic.Error then 2
-      else if has Guardrails.Diagnostic.Warning && strict then 1
-      else 0
-    end
+      let diags = Guardrails.Analyze.deployment ~config (List.map snd tagged) in
+      print_diagnostics ~json ~strict ~file_of diags
   in
   let files =
     Arg.(
@@ -285,40 +288,9 @@ let verify_cmd =
       prerr_endline msg;
       2
     | Ok canaries -> (
-      let compiled = List.map compile_spec_file paths in
-      let failures = List.filter_map (function Error e -> Some e | Ok _ -> None) compiled in
-      if failures <> [] then begin
-        List.iter (fun e -> Format.eprintf "%s@." e) failures;
-        2
-      end
-      else begin
-        (* Same --fleet contract as grc lint: each FILE is one node's
-           deployment; node-local keys and monitor names are qualified
-           per file so only genuinely shared (GLOBAL) state collides.
-           The node id also feeds the GRL301 race analysis. *)
-        let tagged =
-          List.concat
-            (List.mapi
-               (fun node_id -> function
-                 | Error _ -> []
-                 | Ok l ->
-                   List.map
-                     (fun (f, m) ->
-                       let m =
-                         if fleet then Guardrails.Monitor.qualify ~node_id m else m
-                       in
-                       (node_id, (f, m)))
-                     l)
-               compiled)
-        in
-        let file_of =
-          let tbl = Hashtbl.create 16 in
-          List.iter
-            (fun (_, (f, (m : Guardrails.Monitor.t))) ->
-              if not (Hashtbl.mem tbl m.name) then Hashtbl.add tbl m.name f)
-            tagged;
-          fun name -> Hashtbl.find_opt tbl name
-        in
+      match load_deployment ~fleet paths with
+      | Error code -> code
+      | Ok (tagged, file_of) ->
         (* A repro command line only makes sense when there is exactly
            one spec file to hand to grc soak --spec. *)
         let repro =
@@ -333,55 +305,17 @@ let verify_cmd =
             fleet;
           }
         in
-        let audit =
-          Guardrails.Audit.run ~config ?repro (List.map (fun (n, (_, m)) -> (n, m)) tagged)
-        in
-        let diags = audit.Guardrails.Audit.diagnostics in
+        let audit = Guardrails.Audit.run ~config ?repro tagged in
         let machine = audit.Guardrails.Audit.machine in
-        if json then begin
-          let with_file (d : Guardrails.Diagnostic.t) =
-            let file =
-              match d.monitor with
-              | Some m -> (
-                match file_of m with
-                | Some f -> Guardrails.Json.Str f
-                | None -> Guardrails.Json.Null)
-              | None -> Guardrails.Json.Null
-            in
-            match Guardrails.Diagnostic.to_json d with
-            | Guardrails.Json.Obj fields -> Guardrails.Json.Obj (("file", file) :: fields)
-            | other -> other
-          in
-          print_endline
-            (Guardrails.Json.to_string (Guardrails.Json.Arr (List.map with_file diags)))
-        end
-        else begin
-          List.iter
-            (fun (d : Guardrails.Diagnostic.t) ->
-              let prefix =
-                match d.monitor with
-                | Some m -> ( match file_of m with Some f -> f ^ ": " | None -> "")
-                | None -> ""
-              in
-              Format.printf "%s%a@." prefix Guardrails.Diagnostic.pp d;
-              match d.repro with
-              | Some r -> Format.printf "  repro: %s@." r
-              | None -> ())
-            diags;
-          Format.printf "verify: %d diagnostic(s); %d state(s), %d transition(s) explored%s@."
-            (List.length diags) machine.Guardrails.Machine.states
-            machine.Guardrails.Machine.transitions
+        let footer =
+          Printf.sprintf "verify: %d diagnostic(s); %d state(s), %d transition(s) explored%s"
+            (List.length audit.Guardrails.Audit.diagnostics)
+            machine.Guardrails.Machine.states machine.Guardrails.Machine.transitions
             (if machine.Guardrails.Machine.truncated then
                " (truncated: GRL201/202 suppressed, raise --max-states)"
              else "")
-        end;
-        let has sev =
-          List.exists (fun (d : Guardrails.Diagnostic.t) -> d.severity = sev) diags
         in
-        if has Guardrails.Diagnostic.Error then 2
-        else if has Guardrails.Diagnostic.Warning && strict then 1
-        else 0
-      end)
+        print_diagnostics ~json ~strict ~file_of ~footer audit.Guardrails.Audit.diagnostics)
   in
   let files =
     Arg.(
@@ -476,24 +410,6 @@ let fmt_cmd =
         0)
   in
   Cmd.v (Cmd.info "fmt" ~doc:"Pretty-print the canonical form") Term.(const run $ file_arg)
-
-(* grc run / grc soak contract: a missing or unparsable spec file is a
-   usage error — one line on stderr, exit 2, never a backtrace. The
-   positional argument is a plain string (not Arg.file) so the check
-   and exit code are ours. *)
-let load_spec_source path =
-  if not (Sys.file_exists path) then Error (Printf.sprintf "grc: %s: no such file" path)
-  else
-    match read_file path with
-    | exception Sys_error e -> Error (Printf.sprintf "grc: %s" e)
-    | src -> (
-      match Guardrails.Parser.parse src with
-      | Error (pos, msg) ->
-        Error (Format.asprintf "grc: %s: parse error at %a: %s" path Guardrails.Ast.pp_pos pos msg)
-      | Ok spec -> (
-        match Guardrails.Typecheck.check_spec spec with
-        | Error (e :: _) -> Error (Format.asprintf "grc: %s: %a" path Guardrails.Typecheck.pp_error e)
-        | Error [] | Ok () -> Ok src))
 
 (* Shared --domains contract (docs/PARALLEL.md): an explicit integer
    must be positive (0/negative is a usage error, exit 2), "auto"
@@ -594,11 +510,11 @@ let run_cmd =
         2
       | Ok domains ->
       let domains = max 1 (min domains nodes) in
-      match load_spec_source path with
+      match load_spec ~usage:true path with
       | Error msg ->
         prerr_endline msg;
         2
-      | Ok src when nodes = 1 -> (
+      | Ok (_, src, _) when nodes = 1 -> (
         let kernel = Guardrails.Kernel.create ~seed in
         let d =
           Guardrails.Deployment.create ~kernel ~tracing:(Option.is_some trace_out) ?engine ()
@@ -621,7 +537,7 @@ let run_cmd =
         finish
           ~tracers:[ Guardrails.Deployment.tracer d ]
           ~metrics_out ~strict_drops 0)
-      | Ok src -> (
+      | Ok (_, src, _) -> (
         let fleet =
           Guardrails.Fleet.create ~nodes ~seed ~tracing:(Option.is_some trace_out) ~domains
             ?engine ()
@@ -643,11 +559,7 @@ let run_cmd =
               ~path:out;
             Format.printf "Chrome trace written to %s (open at chrome://tracing)@." out
           | None -> ());
-          let tracers =
-            Guardrails.Fleet.tracer fleet
-            :: Array.to_list (Array.map Guardrails.Node.tracer (Guardrails.Fleet.nodes fleet))
-          in
-          finish ~tracers ~metrics_out ~strict_drops 0))
+          finish ~tracers:(Guardrails.Fleet.tracers fleet) ~metrics_out ~strict_drops 0))
     end
   in
   let until =
@@ -812,18 +724,13 @@ let explain_cmd =
    the client sends a single object and shuts down its write side,
    the server replies with one object and closes.
 
-     {"cmd":"push","who":"alice","spec":"..."}  -> admission decision
-     {"cmd":"advance","epochs":N}               -> drive N epoch barriers
-     {"cmd":"status"}                           -> lifecycle snapshot
-     {"cmd":"quit"}                             -> final report, exit
-
-   Admission, canary, verdict, promotion and rollback all live in
-   Guardrails.Lifecycle and happen at epoch barriers; serve is only
-   the transport. With --hold the sim advances ONLY on advance
-   commands, so a scripted session is fully deterministic (the
-   serve-smoke golden audit log relies on this); without it the
-   daemon free-runs to --until, polling the socket between epochs,
-   then keeps serving until quit. *)
+   The session itself — request dispatch, replies, admission, canary,
+   verdict, promotion and rollback — is Guardrails.Serve over
+   Guardrails.Lifecycle; serve here is only the transport. With --hold
+   the sim advances ONLY on advance commands, so a scripted session is
+   fully deterministic (the serve-smoke golden audit log relies on
+   this); without it the daemon free-runs to --until, polling the
+   socket between epochs, then keeps serving until quit. *)
 
 let write_fd_all fd s =
   let len = String.length s in
@@ -832,17 +739,36 @@ let write_fd_all fd s =
   in
   go 0
 
-let read_fd_all fd =
+(* Reads until EOF, or until more than [limit] bytes are in. With a
+   [deadline] (absolute Unix time) each read waits only until then
+   (SO_RCVTIMEO; at least 1ms, since 0 means no timeout) and none
+   starts after it: a client that stays silent fails the read with
+   EAGAIN or ETIMEDOUT. *)
+let read_fd_all ?(limit = max_int) ?deadline fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
   let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Buffer.contents buf
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
+    if Buffer.length buf > limit then Buffer.contents buf
+    else begin
+      Option.iter
+        (fun deadline ->
+          let left = deadline -. Unix.gettimeofday () in
+          if left <= 0. then raise (Unix.Unix_error (Unix.ETIMEDOUT, "read", ""));
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max left 1e-3))
+        deadline;
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    end
   in
   go ()
+
+(* How long the daemon waits for a connected client's whole request.
+   It serves one connection at a time, so this bounds how long a
+   silent client can hold up everyone else. *)
+let request_deadline_s = 1.0
 
 let socket_arg =
   Arg.(
@@ -851,32 +777,8 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket the daemon listens on.")
 
 let serve_cmd =
-  let module J = Guardrails.Json in
   let module L = Guardrails.Lifecycle in
   let module Time_ns = Guardrails.Util.Time_ns in
-  let obj_field name = function J.Obj fields -> List.assoc_opt name fields | _ -> None in
-  let str_field name j = match obj_field name j with Some (J.Str s) -> Some s | _ -> None in
-  let int_field name j =
-    match obj_field name j with Some (J.Num n) -> Some (int_of_float n) | _ -> None
-  in
-  let decision_json = function
-    | L.Admitted { version } ->
-      J.Obj
-        [
-          ("ok", J.Bool true);
-          ("decision", J.Str "admitted");
-          ("version", J.Num (float_of_int version));
-        ]
-    | L.Rejected { version; reason; diagnostics } ->
-      J.Obj
-        [
-          ("ok", J.Bool false);
-          ("decision", J.Str "rejected");
-          ("version", J.Num (float_of_int version));
-          ("reason", J.Str reason);
-          ("diagnostics", J.Arr (List.map Guardrails.Diagnostic.to_json diagnostics));
-        ]
-  in
   let run path socket_path until seed nodes domains_str engine_str hold audit_path trace_out
       metrics_out canary_nodes canary_barriers max_fire_rate who =
     if nodes < 1 then begin
@@ -895,26 +797,18 @@ let serve_cmd =
           2
         | Ok domains -> (
           let domains = max 1 (min domains nodes) in
-          match load_spec_source path with
+          match load_spec ~usage:true path with
           | Error msg ->
             prerr_endline msg;
             2
-          | Ok src -> (
+          | Ok (_, src, _) -> (
             let tracing = Option.is_some trace_out in
-            let target, kernel_engine, tracer =
-              if nodes = 1 then begin
-                let kernel = Guardrails.Kernel.create ~seed in
-                let d = Guardrails.Deployment.create ~kernel ~tracing ?engine () in
-                ( L.Deployment d,
-                  kernel.Guardrails.Kernel.engine,
-                  Guardrails.Deployment.tracer d )
-              end
-              else begin
-                let fleet =
-                  Guardrails.Fleet.create ~nodes ~seed ~tracing ~domains ?engine ()
-                in
-                (L.Fleet fleet, Guardrails.Fleet.sim fleet, Guardrails.Fleet.tracer fleet)
-              end
+            let target =
+              if nodes = 1 then
+                L.Deployment
+                  (Guardrails.Deployment.create ~kernel:(Guardrails.Kernel.create ~seed) ~tracing
+                     ?engine ())
+              else L.Fleet (Guardrails.Fleet.create ~nodes ~seed ~tracing ~domains ?engine ())
             in
             let audit_log =
               Option.map (fun p -> Guardrails.Audit_log.create ~path:p) audit_path
@@ -934,91 +828,22 @@ let serve_cmd =
               Option.iter Guardrails.Audit_log.close audit_log;
               1
             | Ok handles ->
-              let epoch =
-                match target with
-                | L.Fleet f -> Guardrails.Fleet.epoch f
-                | L.Deployment _ -> Guardrails.Fleet.default_epoch
-              in
-              let now () = Guardrails.Sim.now kernel_engine in
-              (* One epoch per step: the fleet path fires its
-                 registered lifecycle hook inside run_until; the
-                 single-deployment path drives the same barrier via
-                 run_chunked, whose event stream is byte-identical to
-                 an unchunked run. *)
-              let advance_epochs n =
-                for _ = 1 to n do
-                  let limit = Time_ns.add (now ()) epoch in
-                  match target with
-                  | L.Fleet f -> Guardrails.Fleet.run_until f limit
-                  | L.Deployment _ ->
-                    Guardrails.Sim.run_chunked kernel_engine ~epoch ~limit
-                      ~at_barrier:(L.barrier lc)
-                done
-              in
-              let status_json () =
-                J.Obj
-                  [
-                    ("ok", J.Bool true);
-                    ("phase", J.Str (L.phase_name lc));
-                    ("now_sec", J.Num (Time_ns.to_float_sec (now ())));
-                    ( "active",
-                      match L.active lc with
-                      | None -> J.Null
-                      | Some v ->
-                        J.Obj
-                          [
-                            ("version", J.Num (float_of_int v.L.id));
-                            ("digest", J.Str v.L.digest);
-                            ("who", J.Str v.L.who);
-                          ] );
-                    ("versions", J.Num (float_of_int (L.version_count lc)));
-                    ("promotions", J.Num (float_of_int (L.promotions lc)));
-                    ("rollbacks", J.Num (float_of_int (L.rollbacks lc)));
-                  ]
-              in
-              let stop = ref false in
-              let dispatch req =
-                match str_field "cmd" req with
-                | Some "push" -> (
-                  match str_field "spec" req with
-                  | None ->
-                    J.Obj
-                      [ ("ok", J.Bool false); ("error", J.Str "push requires a spec field") ]
-                  | Some spec ->
-                    let who = Option.value ~default:"anonymous" (str_field "who" req) in
-                    decision_json (L.push lc ~who spec))
-                | Some "advance" ->
-                  advance_epochs (max 0 (Option.value ~default:1 (int_field "epochs" req)));
-                  status_json ()
-                | Some "status" -> status_json ()
-                | Some "quit" ->
-                  stop := true;
-                  J.Obj [ ("ok", J.Bool true); ("stopping", J.Bool true) ]
-                | _ ->
-                  J.Obj
-                    [
-                      ("ok", J.Bool false);
-                      ("error", J.Str "unknown cmd (expected push|advance|status|quit)");
-                    ]
-              in
-              (* A client that hangs up mid-exchange loses only its own
-                 connection: the failed read or write drops it and the
-                 daemon keeps serving. *)
+              let session = Guardrails.Serve.create lc in
+              (* A client that hangs up mid-exchange, or stays silent
+                 past the deadline, loses only its own connection: the
+                 failed read or write drops it and the daemon keeps
+                 serving. *)
               let handle_conn fd =
                 Fun.protect
                   ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
                   (fun () ->
-                    match read_fd_all fd with
+                    let deadline = Unix.gettimeofday () +. request_deadline_s in
+                    match
+                      read_fd_all ~limit:Guardrails.Serve.max_request_bytes ~deadline fd
+                    with
                     | exception Unix.Unix_error _ -> ()
                     | raw -> (
-                      let resp =
-                        match J.parse raw with
-                        | Error e ->
-                          J.Obj
-                            [ ("ok", J.Bool false); ("error", J.Str ("bad request: " ^ e)) ]
-                        | Ok req -> dispatch req
-                      in
-                      try write_fd_all fd (J.to_string resp ^ "\n")
+                      try write_fd_all fd (Guardrails.Serve.handle session raw)
                       with Unix.Unix_error _ -> ()))
               in
               (* Writing to a closed peer must fail with EPIPE, not kill
@@ -1032,37 +857,31 @@ let serve_cmd =
                 path (List.length handles) socket_path
                 (if hold then "hold: sim advances on push/advance commands"
                  else Printf.sprintf "free-running %gs then serving until quit" until);
+              let stopped () = Guardrails.Serve.stopped session in
               let until_ns = Time_ns.of_float_sec until in
               if not hold then
-                while (not !stop) && Time_ns.compare (now ()) until_ns < 0 do
+                while (not (stopped ())) && Time_ns.compare (L.now lc) until_ns < 0 do
                   (match Unix.select [ sock ] [] [] 0. with
                   | [ _ ], _, _ ->
                     let fd, _ = Unix.accept sock in
                     handle_conn fd
                   | _ -> ());
-                  advance_epochs 1
+                  L.advance lc ~epochs:1
                 done;
-              while not !stop do
+              while not (stopped ()) do
                 let fd, _ = Unix.accept sock in
                 handle_conn fd
               done;
               (try Unix.close sock with Unix.Unix_error _ -> ());
               if Sys.file_exists socket_path then Sys.remove socket_path;
-              let report_engine =
-                match target with
-                | L.Deployment d -> Guardrails.Deployment.engine d
-                | L.Fleet f -> Guardrails.Fleet.engine f
-              in
-              Format.printf "%a@." Guardrails.Engine.pp_report report_engine;
-              Format.printf "%a" Guardrails.Trace_export.pp_summary tracer;
+              let control = L.control lc in
+              Format.printf "%a@." Guardrails.Engine.pp_report (L.engine lc);
+              Format.printf "%a" Guardrails.Trace_export.pp_summary
+                (Guardrails.Deployment.tracer control);
               Format.printf "%a@." L.pp_status lc;
               (match trace_out with
               | Some out ->
-                (match target with
-                | L.Deployment d -> Guardrails.Deployment.write_chrome_trace d ~path:out
-                | L.Fleet f ->
-                  Guardrails.Deployment.write_chrome_trace (Guardrails.Fleet.control f)
-                    ~path:out);
+                Guardrails.Deployment.write_chrome_trace control ~path:out;
                 Format.printf "Chrome trace written to %s (open at chrome://tracing)@." out
               | None -> ());
               (match audit_log with
@@ -1074,15 +893,7 @@ let serve_cmd =
               | None -> ());
               (match metrics_out with
               | Some out ->
-                let tracers =
-                  match target with
-                  | L.Deployment d -> [ Guardrails.Deployment.tracer d ]
-                  | L.Fleet f ->
-                    Guardrails.Fleet.tracer f
-                    :: Array.to_list
-                         (Array.map Guardrails.Node.tracer (Guardrails.Fleet.nodes f))
-                in
-                Guardrails.Trace_export.write_openmetrics ~path:out tracers;
+                Guardrails.Trace_export.write_openmetrics ~path:out (L.tracers lc);
                 Format.printf "OpenMetrics telemetry written to %s@." out
               | None -> ());
               0)))
@@ -1188,7 +999,6 @@ let serve_cmd =
    entirely push invocations. *)
 let push_cmd =
   let module J = Guardrails.Json in
-  let obj_field name = function J.Obj fields -> List.assoc_opt name fields | _ -> None in
   let run socket_path spec_path who advance status quit json_out =
     let request req =
       match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
@@ -1242,35 +1052,35 @@ let push_cmd =
         | Ok resp ->
           if json_out then print_endline (J.to_string resp)
           else begin
-            (match (obj_field "decision" resp, obj_field "version" resp) with
+            (match (J.member "decision" resp, J.member "version" resp) with
             | Some (J.Str d), Some (J.Num v) ->
               Printf.printf "v%d %s\n" (int_of_float v) d
             | _ -> ());
-            (match obj_field "reason" resp with
+            (match J.member "reason" resp with
             | Some (J.Str r) -> Printf.printf "reason: %s\n" r
             | _ -> ());
-            (match obj_field "diagnostics" resp with
+            (match J.member "diagnostics" resp with
             | Some (J.Arr diags) ->
               List.iter
                 (fun d ->
                   match
-                    (obj_field "severity" d, obj_field "code" d, obj_field "message" d)
+                    (J.member "severity" d, J.member "code" d, J.member "message" d)
                   with
                   | Some (J.Str sev), Some (J.Str code), Some (J.Str msg) ->
                     Printf.printf "  %s %s: %s\n" sev code msg
                   | _ -> ())
                 diags
             | _ -> ());
-            (match obj_field "phase" resp with
+            (match J.member "phase" resp with
             | Some (J.Str p) -> Printf.printf "phase: %s\n" p
             | _ -> ());
-            (match obj_field "error" resp with
+            (match J.member "error" resp with
             | Some (J.Str e) -> Printf.printf "error: %s\n" e
             | _ -> ())
           end;
           (* Exit code mirrors the daemon's decision: 0 admitted /
              acknowledged, 1 rejected, 2 transport or usage error. *)
-          (match obj_field "ok" resp with
+          (match J.member "ok" resp with
           | Some (J.Bool true) -> 0
           | _ -> 1)))
   in
@@ -1339,14 +1149,14 @@ let soak_cmd =
       match spec_path with
       | None -> Ok None
       | Some path -> (
-        match load_spec_source path with
-        | Ok src -> Ok (Some src)
+        match load_spec ~usage:true path with
+        | Ok (_, src, _) -> Ok (Some src)
         | Error msg -> Error msg)
     in
     match (scenarios_r, plan_r, spec_r, domains_r, engine_r) with
     | Error e, _, _, _, _ | _, Error e, _, _, _ -> fail2 e
     | _, _, Error msg, _, _ | _, _, _, Error msg, _ | _, _, _, _, Error msg ->
-      (* load_spec_source / resolve_domains / resolve_engine already
+      (* load_spec / resolve_domains / resolve_engine already
          carry the prefix. *)
       prerr_endline msg;
       2

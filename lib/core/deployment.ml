@@ -1,9 +1,5 @@
 open Gr_util
 
-let src = Logs.Src.create "guardrails.deployment" ~doc:"Guardrail deployment"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type t = {
   kernel : Gr_kernel.Kernel.t;
   store : Gr_runtime.Feature_store.t;
@@ -13,42 +9,12 @@ type t = {
   mutable monitors_rev : (Gr_runtime.Engine.handle * Gr_compiler.Monitor.t) list;
 }
 
-(* The hook table and sim engine belong to the kernel, so they carry
-   one tracer at a time. Attaching over a different deployment's
-   tracer silently rewired that deployment's channel — the historical
-   wart — so takeovers are now explicit and logged. *)
-let warn_takeover ~channel =
-  Log.warn (fun m ->
-      m
-        "deployment tracer takeover: the kernel's %s channel was attached to another \
-         deployment's tracer; detach_tracer on the old deployment first to hand over \
-         cleanly"
-        channel)
-
-let attach_tracer t =
-  (match Gr_kernel.Hooks.tracer t.kernel.hooks with
-  | Some prev when prev != t.tracer -> warn_takeover ~channel:"hook"
-  | _ -> ());
-  Gr_kernel.Hooks.set_tracer t.kernel.hooks t.tracer;
-  (match Gr_sim.Engine.tracer t.kernel.engine with
-  | Some prev when prev != t.tracer -> warn_takeover ~channel:"sim"
-  | _ -> ());
-  Gr_sim.Engine.set_tracer t.kernel.engine t.tracer
-
-let detach_tracer t =
-  (match Gr_kernel.Hooks.tracer t.kernel.hooks with
-  | Some prev when prev == t.tracer -> Gr_kernel.Hooks.clear_tracer t.kernel.hooks
-  | _ -> ());
-  match Gr_sim.Engine.tracer t.kernel.engine with
-  | Some prev when prev == t.tracer -> Gr_sim.Engine.clear_tracer t.kernel.engine
-  | _ -> ()
-
-let owns_tracer t =
-  let mine = function Some prev -> prev == t.tracer | None -> false in
-  mine (Gr_kernel.Hooks.tracer t.kernel.hooks) && mine (Gr_sim.Engine.tracer t.kernel.engine)
-
 let create ~kernel ?config ?(store_capacity = 4096) ?(tracing = false)
     ?(trace_capacity = 65536) ?node_id ?engine () =
+  (* The hook table and sim engine belong to the kernel and carry one
+     tracer, so a kernel hosts one deployment. *)
+  if Option.is_some (Gr_kernel.Hooks.tracer kernel.Gr_kernel.Kernel.hooks) then
+    invalid_arg "Deployment.create: the kernel already carries a deployment";
   let tracer =
     Gr_trace.Tracer.create
       ~clock:(fun () -> Gr_kernel.Kernel.now kernel)
@@ -61,9 +27,9 @@ let create ~kernel ?config ?(store_capacity = 4096) ?(tracing = false)
   in
   Gr_runtime.Feature_store.set_tracer store tracer;
   let engine = Gr_runtime.Engine.create ~kernel ~store ?config ~tracer ?engine () in
-  let t = { kernel; store; engine; tracer; monitors_rev = [] } in
-  attach_tracer t;
-  t
+  Gr_kernel.Hooks.set_tracer kernel.hooks tracer;
+  Gr_sim.Engine.set_tracer kernel.engine tracer;
+  { kernel; store; engine; tracer; monitors_rev = [] }
 
 let kernel t = t.kernel
 let node_id t = Gr_trace.Tracer.node_id t.tracer
@@ -71,7 +37,6 @@ let store t = t.store
 let engine t = t.engine
 let tracer t = t.tracer
 let metrics t = Gr_trace.Tracer.metrics t.tracer
-let set_tracing t on = Gr_trace.Tracer.set_enabled t.tracer on
 let write_chrome_trace t ~path = Gr_trace.Export.write_chrome ~path t.tracer
 
 type error =

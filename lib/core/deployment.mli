@@ -39,11 +39,8 @@ val create :
     Metrics and the REPORT channel run regardless.
 
     Creation attaches the deployment's tracer to the kernel's hook
-    table and to the sim engine's dispatch channel. Attaching over a
-    tracer that belongs to another deployment logs a takeover warning
-    instead of rewiring silently; use {!detach_tracer} on the old
-    deployment first to hand over cleanly, and {!attach_tracer} to
-    take the channels back later.
+    table and to the sim engine's dispatch channel, which carry one
+    tracer each: a kernel hosts one deployment.
 
     [node_id] tags every trace event, report and metrics export this
     deployment produces with the owning fleet node's id; single-node
@@ -51,23 +48,10 @@ val create :
 
     [engine] picks the default execution tier monitors are
     specialized onto at install (default: the closure template JIT;
-    all tiers produce bit-identical results — see {!Gr_runtime.Vm}). *)
+    all tiers produce bit-identical results — see {!Gr_runtime.Vm}).
 
-val attach_tracer : t -> unit
-(** (Re)claim the kernel's hook and sim trace channels for this
-    deployment's tracer. Logs a warning per channel that currently
-    carries a different deployment's tracer. Idempotent. *)
-
-val detach_tracer : t -> unit
-(** Release any kernel trace channel currently carrying {e this}
-    deployment's tracer; channels owned by other tracers are left
-    untouched. Idempotent. *)
-
-val owns_tracer : t -> bool
-(** [true] iff both channels this deployment attaches to (hooks and
-    the sim engine) currently carry this deployment's tracer — i.e.
-    its trace output is not being stolen by a later deployment on the
-    same kernel. *)
+    @raise Invalid_argument if the kernel's hook table already
+    carries a tracer (another deployment's). *)
 
 val kernel : t -> Gr_kernel.Kernel.t
 val store : t -> Gr_runtime.Feature_store.t
@@ -79,9 +63,6 @@ val node_id : t -> int option
 val tracer : t -> Gr_trace.Tracer.t
 val metrics : t -> Gr_trace.Metrics.t
 (** Per-monitor telemetry (check counts, cumulative VM cost). *)
-
-val set_tracing : t -> bool -> unit
-(** Enable/disable trace-event emission mid-run. *)
 
 val write_chrome_trace : t -> path:string -> unit
 (** Export everything traced so far (events + reports) as a Chrome

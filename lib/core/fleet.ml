@@ -21,7 +21,7 @@ type intent = { its : Time_ns.t; kind : intent_kind }
 type t = {
   sim : Gr_sim.Engine.t;  (* the fleet clock: the control deployment's engine *)
   control : Deployment.t;  (* fleet-level kernel/store/engine; store = global tier *)
-  nodes : Node.t array;
+  nodes : Deployment.t array;
   domains : int;
   epoch : Time_ns.t;
   intents : intent Vec.t array;
@@ -62,14 +62,16 @@ let create ~nodes:n ~seed ?config ?store_capacity ?(tracing = false) ?(domains =
   let nodes =
     Array.init n (fun id ->
         let kernel = Gr_kernel.Kernel.create ~seed:(seed + id + 1) in
-        let node = Node.create ~kernel ?config ?store_capacity ~tracing ~node_id:id ?engine () in
-        Gr_trace.Tracer.set_span_channel (Node.tracer node) ~offset:(id + 1) ~stride;
+        let node =
+          Deployment.create ~kernel ?config ?store_capacity ~tracing ~node_id:id ?engine ()
+        in
+        Gr_trace.Tracer.set_span_channel (Deployment.tracer node) ~offset:(id + 1) ~stride;
         node)
   in
-  Store.link (Deployment.store control) (Array.map Node.store nodes);
+  Store.link (Deployment.store control) (Array.map Deployment.store nodes);
   Array.iteri
     (fun id node ->
-      let kernel = Node.kernel node in
+      let kernel = Deployment.kernel node in
       (* A node's GLOBAL save would write the control store from the
          node phase mid-epoch; intercept it into the node's intent
          buffer instead, stamped with the node clock so the barrier
@@ -77,7 +79,7 @@ let create ~nodes:n ~seed ?config ?store_capacity ?(tracing = false) ?(domains =
          in the fleet, node monitors included, watches the tier's entry,
          so it only ever runs in the barrier's control phase, when the
          node phases are parked. *)
-      Store.set_global_publish (Node.store node)
+      Store.set_global_publish (Deployment.store node)
         (Some
            (fun key value ->
              Vec.push intents.(id)
@@ -103,6 +105,7 @@ let store t = Deployment.store t.control
 let engine t = Deployment.engine t.control
 let tracer t = Deployment.tracer t.control
 let nodes t = Array.copy t.nodes
+let tracers t = tracer t :: Array.to_list (Array.map Deployment.tracer t.nodes)
 let node_count t = Array.length t.nodes
 let domains t = t.domains
 let epoch t = t.epoch
@@ -221,7 +224,7 @@ let model_pushes t = t.stats.pushes
    phases are parked at a barrier. *)
 
 let node_controls node name =
-  Gr_kernel.Policy_slot.Registry.find (Node.kernel node).Gr_kernel.Kernel.registry name
+  Gr_kernel.Policy_slot.Registry.find (Deployment.kernel node).Gr_kernel.Kernel.registry name
 
 let fleet_event t name args =
   Gr_trace.Tracer.instant (tracer t) ~cat:"fleet" ~args name
@@ -302,7 +305,7 @@ let forward_hook t hook =
     Hashtbl.replace t.forwarded_hooks hook ();
     Array.iteri
       (fun id node ->
-        let kernel = Node.kernel node in
+        let kernel = Deployment.kernel node in
         ignore
           (Gr_kernel.Hooks.subscribe kernel.Gr_kernel.Kernel.hooks hook (fun args ->
                Vec.push t.intents.(id)

@@ -112,10 +112,15 @@ val store : t -> Gr_runtime.Feature_store.t
 val engine : t -> Gr_runtime.Engine.t
 val tracer : t -> Gr_trace.Tracer.t
 
-val nodes : t -> Node.t array
+val nodes : t -> Deployment.t array
 (** Copy of the member array, index = node id. *)
 
-val node : t -> int -> Node.t
+val tracers : t -> Gr_trace.Tracer.t list
+(** Every tracer in the fleet: the control deployment's first, then
+    each node's in id order — the set a fleet-wide OpenMetrics
+    exposition reads. *)
+
+val node : t -> int -> Deployment.t
 (** Raises [Invalid_argument] for an unknown id. *)
 
 val node_count : t -> int

@@ -78,9 +78,9 @@ module Fs = Gr_kernel.Fs
 
 (* Facade *)
 module Deployment = Deployment
-module Node = Node
 module Fleet = Fleet
 module Lifecycle = Lifecycle
+module Serve = Serve
 module Autotune = Autotune
 
 let compile = Gr_compiler.Compile.source

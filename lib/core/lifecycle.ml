@@ -153,11 +153,11 @@ and emit t ?parent name args =
   t.audit (Event.make ~ts:(now t) ~args ~cat:"audit" ~ph:Event.Instant name);
   span
 
-and engine t =
-  match t.target with Deployment d -> Deployment.engine d | Fleet f -> Fleet.engine f
+and engine t = Deployment.engine (control t)
 
-and store t =
-  match t.target with Deployment d -> Deployment.store d | Fleet f -> Fleet.store f
+and control t = match t.target with Deployment d -> d | Fleet f -> Fleet.control f
+
+and store t = Deployment.store (control t)
 
 and fresh_version t ~who ~source =
   let id = t.next_version in
@@ -434,6 +434,27 @@ and barrier t ts =
   | Steady -> ()
   | Pending r -> install_staged t r
   | Rolling r -> judge t r ts
+
+(* ---- driving the target: one epoch barrier per step. A fleet fires
+   its registered barrier hook inside run_until; a single deployment
+   drives the same barrier through run_chunked, whose event stream is
+   byte-identical to an unchunked run. *)
+
+let advance t ~epochs =
+  for _ = 1 to epochs do
+    match t.target with
+    | Fleet f ->
+      Fleet.run_until f (Time_ns.add (Gr_sim.Engine.now (Fleet.sim f)) (Fleet.epoch f))
+    | Deployment d ->
+      let sim = (Deployment.kernel d).Gr_kernel.Kernel.engine in
+      let epoch = Fleet.default_epoch in
+      Gr_sim.Engine.run_chunked sim ~epoch
+        ~limit:(Time_ns.add (Gr_sim.Engine.now sim) epoch)
+        ~at_barrier:(barrier t)
+  done
+
+let tracers t =
+  match t.target with Deployment d -> [ Deployment.tracer d ] | Fleet f -> Fleet.tracers f
 
 (* ---- introspection *)
 

@@ -39,9 +39,9 @@
     Decisions happen only at epoch barriers — registered
     automatically via {!Fleet.add_barrier_hook} for fleet targets,
     or driven by {!Gr_sim.Engine.run_chunked} (or manually via
-    {!barrier}) for single-deployment targets. At a barrier node
-    domains are parked and the control engine is quiescent, so
-    installs never race checks.
+    {!barrier}) for single-deployment targets; {!advance} drives
+    either. At a barrier node domains are parked and the control
+    engine is quiescent, so installs never race checks.
 
     Concurrent pushes are serialized: while a version is staged or
     canarying, further pushes are rejected with the in-flight
@@ -113,7 +113,8 @@ val create :
 (** [audit] receives every control-plane decision event (default:
     dropped). For a [Fleet] target the barrier hook is registered
     here; single-deployment callers drive {!barrier} themselves
-    (normally via {!Gr_sim.Engine.run_chunked}'s [at_barrier]). *)
+    (normally via {!advance}, or {!Gr_sim.Engine.run_chunked}'s
+    [at_barrier]). *)
 
 val boot : t -> who:string -> string -> (Gr_runtime.Engine.handle list, Deployment.error) result
 (** Install version 1 directly, no canary window — there is nothing
@@ -128,6 +129,29 @@ val barrier : t -> Gr_util.Time_ns.t -> unit
 (** The promotion decision point. Installs staged versions, judges
     canarying ones. Fleet targets call this automatically from their
     epoch barrier; exposed for single-deployment targets and tests. *)
+
+val advance : t -> epochs:int -> unit
+(** Advance the target by [epochs] epoch barriers, deciding at each:
+    {!Fleet.run_until} one {!Fleet.epoch} at a time for a fleet,
+    {!Gr_sim.Engine.run_chunked} over {!Fleet.default_epoch} with
+    {!barrier} as [at_barrier] for a single deployment. *)
+
+(** {2 The target} *)
+
+val now : t -> Gr_util.Time_ns.t
+(** The target's clock: the deployment's kernel, or the fleet clock. *)
+
+val engine : t -> Gr_runtime.Engine.t
+(** The engine versions install into: the deployment's, or the fleet's
+    control engine. *)
+
+val control : t -> Deployment.t
+(** The deployment whose tracer holds the trace: the deployment
+    itself, or the fleet's control deployment. *)
+
+val tracers : t -> Gr_trace.Tracer.t list
+(** Every tracer of the target, {!control}'s first
+    (see {!Fleet.tracers}). *)
 
 (** {2 Introspection} *)
 

@@ -27,9 +27,6 @@ val set_tracer : t -> Gr_trace.Tracer.t -> unit
     arguments — the FUNCTION trigger's entry/exit on the simulated
     timeline. Firings of unsubscribed hooks are not traced. *)
 
-val clear_tracer : t -> unit
-(** Detach the tracer; subsequent firings are untraced. *)
-
 val tracer : t -> Gr_trace.Tracer.t option
 (** The currently attached tracer, if any. *)
 

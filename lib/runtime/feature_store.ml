@@ -112,7 +112,6 @@ let create ~clock ?(capacity_per_key = 4096) () =
   }
 
 let set_tracer t tracer = t.tracer <- Some tracer
-let clear_tracer t = t.tracer <- None
 
 (* Routing never changes after [link], and [link] only accepts stores
    that hold no entries yet, so anything resolved later (handles

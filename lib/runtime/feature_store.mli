@@ -75,9 +75,6 @@ val set_tracer : t -> Gr_trace.Tracer.t -> unit
     per-load events would be all volume, no signal; the per-check
     trace events already carry the VM's dynamic cost. *)
 
-val clear_tracer : t -> unit
-(** Detach the tracer; subsequent store activity is untraced. *)
-
 val save : t -> string -> float -> unit
 (** Appends a timestamped sample, updates the latest value and every
     registered demand on the key. After the write it calls the key's

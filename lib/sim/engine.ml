@@ -58,8 +58,6 @@ let create () =
   }
 
 let set_tracer t tracer = t.tracer <- Some tracer
-let clear_tracer t = t.tracer <- None
-let tracer t = t.tracer
 
 let now t = t.clock
 

@@ -17,13 +17,6 @@ val set_tracer : t -> Gr_trace.Tracer.t -> unit
 (** Attach a tracer: each dispatched event emits an instant trace
     event (category ["sim"]) when tracing is enabled. *)
 
-val clear_tracer : t -> unit
-(** Detach the tracer; subsequent dispatches are untraced. *)
-
-val tracer : t -> Gr_trace.Tracer.t option
-(** The currently attached tracer, if any — lets a deployment detect
-    that attaching would steal the channel from another one. *)
-
 val now : t -> Gr_util.Time_ns.t
 (** Current virtual time. Starts at [Time_ns.zero]. *)
 

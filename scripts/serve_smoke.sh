@@ -15,6 +15,9 @@
 #      promoted version;
 #   5. a client that sends a request and hangs up without reading the
 #      reply costs only its own connection: the daemon keeps serving;
+#      so does a client that connects and stays silent (dropped at the
+#      daemon's 1 s request deadline), and one whose request is over
+#      the 1 MiB size cap (a structured error reply);
 #   6. the audit log of the whole session byte-diffs against the
 #      checked-in golden;
 #   7. a --nodes 1 serve session's trace byte-diffs against the same
@@ -110,6 +113,36 @@ PY
 "$GRC" push --socket "$SOCK" --status --json > /dev/null \
     || fail "daemon stopped serving after a client hung up"
 
+# A silent client: the daemon must close it at the request deadline
+# (well before the client's own 5 s patience runs out).
+python3 - "$SOCK" <<'PY' || fail "silent client was not dropped at the deadline"
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.settimeout(5)
+t0 = time.monotonic()
+closed = s.recv(1) == b""
+sys.exit(0 if closed and time.monotonic() - t0 < 3 else 1)
+PY
+"$GRC" push --socket "$SOCK" --status --json > /dev/null \
+    || fail "daemon stopped serving after a silent client"
+
+# An oversized request: one byte over the cap gets an error reply.
+python3 - "$SOCK" <<'PY' || fail "oversized request did not get a structured error"
+import json, socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b" " * (1 << 20) + b"{")
+s.shutdown(socket.SHUT_WR)
+reply = b""
+while chunk := s.recv(4096):
+    reply += chunk
+r = json.loads(reply)
+sys.exit(0 if r["ok"] is False and "exceeds" in r["error"] else 1)
+PY
+"$GRC" push --socket "$SOCK" --status --json > /dev/null \
+    || fail "daemon stopped serving after an oversized request"
+
 "$GRC" push --socket "$SOCK" --quit > /dev/null || fail "quit failed"
 wait "$SERVE_PID" || fail "daemon exited non-zero"
 
@@ -137,4 +170,4 @@ wait "$SERVE_PID" || fail "single-node daemon exited non-zero"
 cmp -s "$TMP/serve_trace.json" "$TMP/run_trace.json" \
     || fail "serve --nodes 1 trace diverged from grc run"
 
-echo "serve-smoke: OK (push/promote, reject, auto-rollback, hang-up client, golden audit log, run-identical trace)"
+echo "serve-smoke: OK (push/promote, reject, auto-rollback, hang-up, silent and oversized clients, golden audit log, run-identical trace)"

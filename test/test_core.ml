@@ -117,64 +117,30 @@ let test_engine_report () =
   check_bool "report flags the violation state" true (contains "VIOLATED");
   check_bool "report lists recent violations" true (contains "v")
 
-(* ---------- Tracer ownership ---------- *)
+(* ---------- One deployment per kernel ---------- *)
 
-(* Run [f] with a reporter that counts warning-level log lines. *)
-let count_warnings f =
-  let warns = ref 0 in
-  let prev_level = Logs.level () in
-  Logs.set_level (Some Logs.Warning);
-  Logs.set_reporter
-    {
-      Logs.report =
-        (fun _src level ~over k msgf ->
-          if level = Logs.Warning then incr warns;
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              Format.ikfprintf
-                (fun _ ->
-                  over ();
-                  k ())
-                Format.str_formatter fmt));
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter Logs.nop_reporter;
-      Logs.set_level prev_level)
-    (fun () ->
-      let r = f () in
-      (r, !warns))
-
-let test_tracer_takeover_and_reattach () =
+(* The kernel's hook table and sim engine carry one tracer each, so a
+   second deployment on the same kernel is refused outright and the
+   first keeps both channels. *)
+let test_second_deployment_raises () =
   let kernel = Gr_kernel.Kernel.create ~seed:3 in
   let d1 = Guardrails.Deployment.create ~kernel ~tracing:true () in
-  check_bool "first deployment owns the channels" true (Guardrails.Deployment.owns_tracer d1);
-  (* A second deployment on the same kernel takes the channels over —
-     loudly, not silently. *)
-  let d2, warns =
-    count_warnings (fun () -> Guardrails.Deployment.create ~kernel ~tracing:true ())
-  in
-  check_bool "takeover warned" true (warns > 0);
-  check_bool "second owns after takeover" true (Guardrails.Deployment.owns_tracer d2);
-  check_bool "first dispossessed" false (Guardrails.Deployment.owns_tracer d1);
-  (* Ownership is explicit and reversible: attach the first back. *)
-  let (), rewarns = count_warnings (fun () -> Guardrails.Deployment.attach_tracer d1) in
-  check_bool "reattach is a takeover too, and warns" true (rewarns > 0);
-  check_bool "first owns again" true (Guardrails.Deployment.owns_tracer d1);
-  check_bool "second lost ownership" false (Guardrails.Deployment.owns_tracer d2);
-  (* Detach only clears channels the detaching deployment owns. *)
-  Guardrails.Deployment.detach_tracer d2;
-  check_bool "non-owner detach leaves the owner alone" true (Guardrails.Deployment.owns_tracer d1);
-  Guardrails.Deployment.detach_tracer d1;
-  check_bool "owner detach clears the channels" false (Guardrails.Deployment.owns_tracer d1)
+  (match Guardrails.Deployment.create ~kernel ~tracing:true () with
+  | _ -> Alcotest.fail "a second deployment on one kernel was accepted"
+  | exception Invalid_argument _ -> ());
+  check_bool "first deployment keeps the hook channel" true
+    (match Gr_kernel.Hooks.tracer kernel.hooks with
+    | Some tr -> tr == Guardrails.Deployment.tracer d1
+    | None -> false)
 
 (* ---------- Fleet ---------- *)
 
 let test_fleet_scoped_views () =
   let fleet = Guardrails.Fleet.create ~nodes:3 ~seed:7 () in
-  let node_store i = Guardrails.Node.store (Guardrails.Fleet.node fleet i) in
+  let node_store i = Guardrails.Deployment.store (Guardrails.Fleet.node fleet i) in
   (* The same key name on different nodes stays distinct per shard... *)
   Array.iteri
-    (fun i n -> Guardrails.Store.save (Guardrails.Node.store n) "lat" (float_of_int (10 * (i + 1))))
+    (fun i n -> Guardrails.Store.save (Guardrails.Deployment.store n) "lat" (float_of_int (10 * (i + 1))))
     (Guardrails.Fleet.nodes fleet);
   let agg st fn = Guardrails.Store.aggregate st ~key:"lat" ~fn ~window_ns:1e9 ~param:0. in
   Alcotest.(check (float 1e-9)) "node 0 sees only its own value" 10.
@@ -200,7 +166,7 @@ let test_fleet_global_on_change () =
   in
   let node_handles =
     Array.map
-      (fun n -> List.hd (Guardrails.Node.install_source_exn n src))
+      (fun n -> List.hd (Guardrails.Deployment.install_source_exn n src))
       (Guardrails.Fleet.nodes fleet)
   in
   let fleet_handle = List.hd (Guardrails.Fleet.install_source_exn fleet src) in
@@ -212,7 +178,7 @@ let test_fleet_global_on_change () =
       check_bool
         (Printf.sprintf "node %d monitor woke on the global save" i)
         true
-        ((Engine.Stats.get (Guardrails.Node.engine n) node_handles.(i)).violations > 0))
+        ((Engine.Stats.get (Guardrails.Deployment.engine n) node_handles.(i)).violations > 0))
     (Guardrails.Fleet.nodes fleet);
   check_bool "fleet monitor fired too" true
     ((Engine.Stats.get (Guardrails.Fleet.engine fleet) fleet_handle).violations > 0)
@@ -222,7 +188,7 @@ let test_fleet_canary_replace_and_retrain_once () =
   let replaced = Array.make 3 0 and retrained = Array.make 3 0 in
   Array.iteri
     (fun i n ->
-      Gr_kernel.Kernel.register_policy (Guardrails.Node.kernel n) ~name:"p"
+      Gr_kernel.Kernel.register_policy (Guardrails.Deployment.kernel n) ~name:"p"
         ~replace:(fun () -> replaced.(i) <- replaced.(i) + 1)
         ~restore:(fun () -> ())
         ~retrain:(fun () -> retrained.(i) <- retrained.(i) + 1)
@@ -322,8 +288,8 @@ let suite =
         Alcotest.test_case "derive_window_avg" `Quick test_derive_window_avg;
         Alcotest.test_case "shipped specs compile" `Quick test_shipped_specs_compile;
         Alcotest.test_case "engine report" `Quick test_engine_report;
-        Alcotest.test_case "tracer takeover and reattach" `Quick
-          test_tracer_takeover_and_reattach;
+        Alcotest.test_case "a second deployment on one kernel raises" `Quick
+          test_second_deployment_raises;
       ] );
     ( "core.fleet",
       [

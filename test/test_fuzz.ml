@@ -411,7 +411,7 @@ let run_fleet_case i failures violations_seen =
     (fun channel (t1, t4) ->
       if Gr_trace.Export.chrome_string t1 <> Gr_trace.Export.chrome_string t4 then
         fail "trace channel %d not byte-identical" channel)
-    (List.combine (Test_par.channels one) (Test_par.channels four))
+    (List.combine (Fleet.tracers one) (Fleet.tracers four))
 
 let test_fleet_differential () =
   let failures = ref [] in

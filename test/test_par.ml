@@ -114,9 +114,6 @@ let observables fleet =
       agg Gr_dsl.Ast.Quantile 0.9 ),
     Fleet.load_global fleet "beacon" )
 
-let channels fleet =
-  Fleet.tracer fleet :: Array.to_list (Array.map D.tracer (Fleet.nodes fleet))
-
 let test_par_domain_count_invariant () =
   (* Every domain count, 1 included: byte-identical traces, span ids
      included — the strided channels depend on topology, not K. *)
@@ -124,7 +121,7 @@ let test_par_domain_count_invariant () =
     let fleet = build ~nodes:4 ~domains ~seed:23 in
     check_int "reports its domain count" domains (Fleet.domains fleet);
     run fleet;
-    (observables fleet, List.map Gr_trace.Export.chrome_string (channels fleet))
+    (observables fleet, List.map Gr_trace.Export.chrome_string (Fleet.tracers fleet))
   in
   let obs1, traces1 = run_with 1 in
   List.iter
@@ -153,7 +150,7 @@ let test_par_node_global_on_change () =
       ~every:(Time_ns.ms 37)
       (fun () -> Rng.float rng 10.);
     let handles =
-      Array.map (fun node -> List.hd (Guardrails.Node.install_source_exn node src)) nodes
+      Array.map (fun node -> List.hd (Guardrails.Deployment.install_source_exn node src)) nodes
     in
     Fleet.run_until fleet (Time_ns.sec 1);
     let saves = Store.save_count (Fleet.store fleet) in
@@ -193,7 +190,7 @@ let test_par_span_channels_disjoint () =
               channel (id mod stride)
           | _ -> ())
         (Tracer.events tracer))
-    (channels fleet)
+    (Fleet.tracers fleet)
 
 let test_par_epoch_validation () =
   (match Fleet.create ~nodes:2 ~seed:1 ~domains:2 ~epoch:Time_ns.zero () with

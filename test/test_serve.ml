@@ -89,12 +89,6 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let advance fleet n =
-  for _ = 1 to n do
-    Fleet.run_until fleet
-      (Time_ns.add (Guardrails.Sim.now (Fleet.sim fleet)) Fleet.default_epoch)
-  done
-
 let make ?(nodes = 3) ?config ?audit () =
   let fleet = Fleet.create ~nodes ~seed:7 ~tracing:true () in
   let lc = L.create ?config ?audit (L.Fleet fleet) in
@@ -114,12 +108,12 @@ let test_push_canary_promote () =
   | L.Rejected { reason; _ } -> Alcotest.failf "rejected: %s" reason);
   check "admitted push is staged for the next barrier" true
     (match L.phase lc with L.Pending _ -> true | _ -> false);
-  advance fleet 1;
+  L.advance lc ~epochs:1;
   check "canarying after the install barrier" true
     (match L.phase lc with L.Rolling _ -> true | _ -> false);
   check "canary routed onto node subset" true
     (Fleet.canary fleet ~policy:"lat_predictor" = Some [ 0 ]);
-  advance fleet 3;
+  L.advance lc ~epochs:3;
   check "steady after three clean verdicts" true (L.phase lc = L.Steady);
   check_int "one promotion" 1 (L.promotions lc);
   check_int "no rollbacks" 0 (L.rollbacks lc);
@@ -156,7 +150,7 @@ let test_admission_reject () =
   | L.Rejected { reason; _ } -> Alcotest.failf "follow-up rejected: %s" reason
 
 let test_concurrent_pushes_serialized () =
-  let fleet, lc = make () in
+  let _fleet, lc = make () in
   (match L.push lc ~who:"alice" good_spec with
   | L.Admitted _ -> ()
   | L.Rejected { reason; _ } -> Alcotest.failf "first push rejected: %s" reason);
@@ -165,12 +159,12 @@ let test_concurrent_pushes_serialized () =
   | L.Admitted _ -> Alcotest.fail "second push must lose the race"
   | L.Rejected { reason; _ } ->
     check "reason names the in-flight rollout" true (contains reason "in progress"));
-  advance fleet 1;
+  L.advance lc ~epochs:1;
   (* And again mid-canary. *)
   (match L.push lc ~who:"carol" good_spec with
   | L.Admitted _ -> Alcotest.fail "mid-canary push must lose the race"
   | L.Rejected _ -> ());
-  advance fleet 3;
+  L.advance lc ~epochs:3;
   check_int "winner promoted" 1 (L.promotions lc);
   (* Both losing pushes are kept in history with version ids of
      their own (3 and 4), so the retry lands as v5. *)
@@ -192,13 +186,13 @@ let test_rollback_restores_prior_version () =
   (match L.push lc ~who:"mallory" hot_spec with
   | L.Admitted _ -> ()
   | L.Rejected { reason; _ } -> Alcotest.failf "hot spec must admit: %s" reason);
-  advance fleet 1;
+  L.advance lc ~epochs:1;
   (* Canary installed alongside v1: both versions live. *)
   check_int "canary adds to the monitor table" (table0 + 1) (Rt.installed_count engine);
   check_int "canary demands its own shape" (demand0 + 1) (Store.demand_count store);
   check "v1 keeps running through the canary window" true
     (List.for_all Rt.installed v1_handles);
-  advance fleet 1;
+  L.advance lc ~epochs:1;
   (* First verdict: ~100 fires/s >> 5/s, rolled back. *)
   check_int "one rollback" 1 (L.rollbacks lc);
   check "steady again" true (L.phase lc = L.Steady);
@@ -234,7 +228,7 @@ let test_refcount_stationary_across_cycles () =
     (match L.push lc ~who:"mallory" hot_spec with
     | L.Admitted _ -> ()
     | L.Rejected { reason; _ } -> Alcotest.failf "cycle %d rejected: %s" cycle reason);
-    advance fleet 2;
+    L.advance lc ~epochs:2;
     check "cycle ends steady" true (L.phase lc = L.Steady);
     check_int
       (Printf.sprintf "demand refcounts stationary after rollback cycle %d" cycle)
@@ -251,7 +245,7 @@ let test_refcount_stationary_across_cycles () =
     (match L.push lc ~who:"alice" spec with
     | L.Admitted _ -> ()
     | L.Rejected { reason; _ } -> Alcotest.failf "promote cycle %d rejected: %s" cycle reason);
-    advance fleet 2;
+    L.advance lc ~epochs:2;
     check "promote cycle ends steady" true (L.phase lc = L.Steady);
     check_int
       (Printf.sprintf "demand refcounts stationary after promote cycle %d" cycle)
@@ -309,8 +303,7 @@ let test_deployment_target_promotes () =
   (match L.push lc ~who:"alice" good_spec with
   | L.Admitted _ -> ()
   | L.Rejected { reason; _ } -> Alcotest.failf "rejected: %s" reason);
-  Guardrails.Sim.run_chunked kernel.Kernel.engine ~epoch:Fleet.default_epoch
-    ~limit:(Time_ns.ms 250) ~at_barrier:(L.barrier lc);
+  L.advance lc ~epochs:5;
   check_int "promoted" 1 (L.promotions lc);
   check_int "v2 active" 2 (Option.get (L.active lc)).L.id
 
@@ -325,7 +318,7 @@ let test_audit_log_chain () =
     (fun () ->
       let log = Guardrails.Audit_log.create ~path in
       let emitted = ref [] in
-      let fleet, lc =
+      let _fleet, lc =
         make
           ~audit:(fun e ->
             emitted := e :: !emitted;
@@ -333,9 +326,9 @@ let test_audit_log_chain () =
           ()
       in
       (match L.push lc ~who:"alice" good_spec with L.Admitted _ -> () | _ -> ());
-      advance fleet 4;
+      L.advance lc ~epochs:4;
       (match L.push lc ~who:"mallory" hot_spec with L.Admitted _ -> () | _ -> ());
-      advance fleet 2;
+      L.advance lc ~epochs:2;
       (match L.push lc ~who:"bob" bad_spec with L.Rejected _ -> () | _ -> ());
       Guardrails.Audit_log.close log;
       (* Round-trip: the file replays to exactly the emitted events. *)
@@ -395,6 +388,111 @@ let test_canary_node_dies_mid_rollout () =
   check_int "both faults landed" 2 r.Soak.faults_injected
 
 (* ------------------------------------------------------------------ *)
+(* Serve: the daemon's request/reply session, in-process              *)
+(* ------------------------------------------------------------------ *)
+
+module Serve = Guardrails.Serve
+module J = Guardrails.Json
+
+let session ?(nodes = 1) () =
+  let target =
+    if nodes = 1 then L.Deployment (D.create ~kernel:(Kernel.create ~seed:42) ~tracing:true ())
+    else L.Fleet (Fleet.create ~nodes ~seed:42 ~tracing:true ())
+  in
+  let lc = L.create target in
+  (match L.boot lc ~who:"test" boot_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "boot failed: %a" D.pp_error e);
+  (lc, Serve.create lc)
+
+(* One request through [Serve.handle]: the reply is one JSON object
+   and a newline. *)
+let ask srv raw =
+  let reply = Serve.handle srv raw in
+  check "reply ends in a newline" true (String.ends_with ~suffix:"\n" reply);
+  match J.parse (String.trim reply) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "reply %S is not JSON: %s" reply e
+
+let field name j = Option.value ~default:J.Null (J.member name j)
+
+let check_error what srv raw ~says =
+  let r = ask srv raw in
+  check (what ^ ": ok is false") true (field "ok" r = J.Bool false);
+  match field "error" r with
+  | J.Str e -> check (Printf.sprintf "%s: error %S mentions %S" what e says) true (contains e says)
+  | _ -> Alcotest.failf "%s: no error string" what
+
+let test_serve_rejects_bad_requests () =
+  let lc, srv = session () in
+  check_error "malformed JSON" srv "{\"cmd\":" ~says:"bad request";
+  check_error "unknown cmd" srv {|{"cmd":"reboot"}|} ~says:"unknown cmd";
+  check_error "not an object" srv "[1,2]" ~says:"unknown cmd";
+  check_error "push without spec" srv {|{"cmd":"push","who":"x"}|} ~says:"spec";
+  check_error "oversized request" srv
+    (String.make (Serve.max_request_bytes + 1) ' ')
+    ~says:"exceeds";
+  let before = L.now lc in
+  List.iter
+    (fun (what, epochs) ->
+      check_error what srv
+        (Printf.sprintf {|{"cmd":"advance","epochs":%s}|} epochs)
+        ~says:"epochs";
+      check (what ^ " leaves the clock") true (Time_ns.compare (L.now lc) before = 0))
+    [
+      ("over-cap advance", string_of_int (Serve.max_advance_epochs + 1));
+      ("negative advance", "-1");
+      ("fractional advance", "1.5");
+      ("non-numeric advance", {|"ten"|});
+    ];
+  check_int "no barrier ran" 0 (L.barriers_seen lc);
+  check "nothing stopped the session" false (Serve.stopped srv)
+
+let test_serve_status_and_quit () =
+  let lc, srv = session ~nodes:3 () in
+  let r = ask srv {|{"cmd":"advance","epochs":2}|} in
+  check "advance replies ok" true (field "ok" r = J.Bool true);
+  check_int "two barriers" 2 (L.barriers_seen lc);
+  check "advance replies the status" true (field "now_sec" r = J.Num 0.1);
+  let r = ask srv {|{"cmd":"status"}|} in
+  check "status fields, in order" true
+    (match r with
+    | J.Obj fields ->
+      List.map fst fields
+      = [ "ok"; "phase"; "now_sec"; "active"; "versions"; "promotions"; "rollbacks" ]
+    | _ -> false);
+  check "phase" true (field "phase" r = J.Str "steady");
+  check "active version" true (field "version" (field "active" r) = J.Num 1.);
+  check "active who" true (field "who" (field "active" r) = J.Str "test");
+  check "versions" true (field "versions" r = J.Num 1.);
+  let r = ask srv (J.to_string (J.Obj [ ("cmd", J.Str "push"); ("spec", J.Str good_spec) ])) in
+  check "push admitted" true (field "decision" r = J.Str "admitted");
+  check "pusher defaults to anonymous" true
+    (match L.find_version lc 2 with Some v -> v.L.who = "anonymous" | None -> false);
+  check "default advance is one epoch" true
+    (field "phase" (ask srv {|{"cmd":"advance"}|}) = J.Str "canarying:v2(0/3)");
+  check "not stopped before quit" false (Serve.stopped srv);
+  let r = ask srv {|{"cmd":"quit"}|} in
+  check "quit acknowledged" true (field "stopping" r = J.Bool true);
+  check "quit sets stopped" true (Serve.stopped srv)
+
+(* grc serve --nodes 1 ≡ grc run: a session advanced through Serve
+   traces exactly what one Kernel.run_until does. *)
+let test_serve_single_node_trace_matches_run () =
+  let kernel = Kernel.create ~seed:42 in
+  let d = D.create ~kernel ~tracing:true () in
+  (match D.install_source d boot_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "install failed: %a" D.pp_error e);
+  Kernel.run_until kernel (Time_ns.sec 2);
+  let lc, srv = session () in
+  ignore (ask srv {|{"cmd":"advance","epochs":15}|} : J.t);
+  ignore (ask srv {|{"cmd":"advance","epochs":25}|} : J.t);
+  check_string "serve trace = run trace"
+    (Guardrails.Trace_export.chrome_string (D.tracer d))
+    (Guardrails.Trace_export.chrome_string (D.tracer (L.control lc)))
+
+(* ------------------------------------------------------------------ *)
 (* CLI: spec on stdin ("-") shares the admission code path            *)
 (* ------------------------------------------------------------------ *)
 
@@ -446,6 +544,12 @@ let suite =
           test_audit_log_chain;
         Alcotest.test_case "canary node faults mid-rollout leave invariants intact" `Quick
           test_canary_node_dies_mid_rollout;
+        Alcotest.test_case "session refuses bad requests and leaves the clock" `Quick
+          test_serve_rejects_bad_requests;
+        Alcotest.test_case "session status fields, push and quit" `Quick
+          test_serve_status_and_quit;
+        Alcotest.test_case "session --nodes 1 trace equals one run_until" `Quick
+          test_serve_single_node_trace_matches_run;
         Alcotest.test_case "lint/verify accept the spec on stdin" `Quick test_cli_stdin_spec;
       ] );
   ]
