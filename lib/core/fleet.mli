@@ -17,8 +17,8 @@
 
     Every node's store is a shard; the control deployment's store is
     the global tier. A plain key read by a {e fleet} monitor sees the
-    merged view of all shards (aggregates merge incrementally via
-    {!Gr_runtime.Feature_store.Merge}); the same key read by a {e
+    merged view of all shards (aggregates fold every shard's streaming
+    state, see {!Gr_runtime.Feature_store.link}); the same key read by a {e
     node} monitor sees only that node's shard. [GLOBAL(key)] resolves
     to the global tier from everywhere. An ON_CHANGE(GLOBAL(key))
     monitor, on the control engine or on a node engine, watches the

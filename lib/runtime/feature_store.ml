@@ -15,9 +15,10 @@ open Gr_util
      still readable.
 
    Running count/sum/sum-of-squares serve COUNT/SUM/RATE/AVG/STDDEV;
-   MIN/MAX keep a monotonic deque of (seq, value); DELTA reads the
-   ring directly at [oldest_seq]; QUANTILE gathers the in-window
-   suffix located by binary search and ranks it. *)
+   MIN/MAX keep a monotonic queue of sample numbers and read their
+   values from the ring; DELTA reads the ring directly at
+   [oldest_seq]; QUANTILE gathers the in-window suffix located by
+   binary search and ranks it. *)
 
 (* The running sums sit in a float-only record, which OCaml stores
    unboxed: updating them on every save allocates nothing, where a
@@ -35,7 +36,14 @@ type demand = {
   mutable nans : int; (* NaN samples currently in window *)
   mutable extremes : int; (* non-finite or huge samples in window *)
   mutable needs_rebuild : bool;
-  extrema : (int * float) Deque.t option; (* Min/Max only *)
+  (* MIN/MAX: the sequence numbers of the window's candidate extremes,
+     oldest first, their values strictly rising (MIN) or falling (MAX).
+     A ring of [ext_len] numbers from [ext_head]. Each one is at or
+     after [oldest_seq], so its sample is still in the entry's ring:
+     eviction retires a sample before overwriting it. *)
+  mutable ext : int array;
+  mutable ext_head : int;
+  mutable ext_len : int;
 }
 
 (* A sample this large poisons the running sums: once admitted, NaN and
@@ -84,7 +92,8 @@ type t = {
   mutable tracer : Gr_trace.Tracer.t option;
   (* Routing, fixed once by [link] before any entry exists. *)
   mutable global_tier : t option; (* None: this store is its own tier *)
-  mutable shards : t array; (* fleet tier: node stores merged under plain keys *)
+  alone : t array; (* [| t |] *)
+  mutable fleet : t array; (* a plain key's members: [alone], or the tier then its shards *)
   (* Fleet interception: when set, saves that would cross
      into a foreign global tier are handed to this hook instead of
      mutating the tier directly (docs/PARALLEL.md). *)
@@ -93,23 +102,27 @@ type t = {
 
 let create ~clock ?(capacity_per_key = 4096) () =
   if capacity_per_key <= 0 then invalid_arg "Feature_store.create: capacity must be positive";
-  {
-    clock;
-    capacity_per_key;
-    entries = Hashtbl.create 64;
-    subscribers = Vec.create ();
-    saves = 0;
-    loads = 0;
-    agg_hits = 0;
-    agg_misses = 0;
-    expired = 0;
-    n_demands = 0;
-    force_naive = false;
-    tracer = None;
-    global_tier = None;
-    shards = [||];
-    global_publish = None;
-  }
+  let rec t =
+    {
+      clock;
+      capacity_per_key;
+      entries = Hashtbl.create 64;
+      subscribers = Vec.create ();
+      saves = 0;
+      loads = 0;
+      agg_hits = 0;
+      agg_misses = 0;
+      expired = 0;
+      n_demands = 0;
+      force_naive = false;
+      tracer = None;
+      global_tier = None;
+      alone = [| t |];
+      fleet = [| t |];
+      global_publish = None;
+    }
+  in
+  t
 
 let set_tracer t tracer = t.tracer <- Some tracer
 
@@ -118,11 +131,11 @@ let set_tracer t tracer = t.tracer <- Some tracer
    included) stays valid for the store's lifetime. *)
 let link tier shards =
   let fresh s =
-    Option.is_none s.global_tier && Array.length s.shards = 0 && Hashtbl.length s.entries = 0
+    Option.is_none s.global_tier && Array.length s.fleet = 1 && Hashtbl.length s.entries = 0
   in
   if not (fresh tier && Array.for_all fresh shards) then
     invalid_arg "Feature_store.link: stores must be unlinked and empty";
-  tier.shards <- Array.copy shards;
+  tier.fleet <- Array.append tier.alone shards;
   Array.iter (fun s -> s.global_tier <- Some tier) shards
 
 (* Where a key's entry lives: global-scoped keys go to the fleet tier
@@ -130,12 +143,14 @@ let link tier shards =
 let resolve t key =
   match t.global_tier with Some g when Gr_dsl.Ast.is_global_key key -> g | _ -> t
 
-(* A fleet-tier store answers plain keys as the merged view over its
-   own entries plus every node shard; its own table is member 0 so
-   fleet-level saves of plain keys stay visible. *)
-let sharded t key = Array.length t.shards > 0 && not (Gr_dsl.Ast.is_global_key key)
-
-let members t = t :: Array.to_list t.shards
+(* The stores a read of [key] folds, the resolved store first: that
+   store alone, or for a plain key on a fleet tier the tier's own table
+   (so fleet-level saves of plain keys stay visible) and then every
+   node shard in index order. The one place a read is told local from
+   merged; routing is fixed by [link], so handles resolve it once. *)
+let members t key =
+  let s = resolve t key in
+  if Gr_dsl.Ast.is_global_key key then s.alone else s.fleet
 
 let tracing t = match t.tracer with Some tr -> Gr_trace.Tracer.enabled tr | None -> false
 
@@ -232,6 +247,47 @@ let first_inside e ~now ~window_ns =
   done;
   !lo
 
+(* ---------- MIN/MAX window extremes ---------- *)
+
+(* The [k]-th oldest sequence number in a demand's extremes queue. *)
+let[@inline] ext_at d k =
+  let j = d.ext_head + k in
+  let size = Array.length d.ext in
+  Array.unsafe_get d.ext (if j >= size then j - size else j)
+
+(* Drop the extremes numbered before [seq]: they left the window. *)
+let[@inline] ext_drop_before d seq =
+  while d.ext_len > 0 && ext_at d 0 < seq do
+    d.ext_head <- (if d.ext_head + 1 = Array.length d.ext then 0 else d.ext_head + 1);
+    d.ext_len <- d.ext_len - 1
+  done
+
+(* Queue sample [seq], at ring index [i] of [e], after dropping the
+   newer-end extremes it dominates. The queue grows by doubling and
+   never holds more than the window's samples, so a save allocates
+   only while the window is still filling. *)
+let ext_push e d seq i =
+  let v = value_at e i in
+  let base = seq - i in
+  let dominated = ref true in
+  while !dominated && d.ext_len > 0 do
+    let back = value_at e (ext_at d (d.ext_len - 1) - base) in
+    if match d.fn with Min -> back >= v | _ -> back <= v then d.ext_len <- d.ext_len - 1
+    else dominated := false
+  done;
+  if d.ext_len = Array.length d.ext then begin
+    let ext = Array.make (max 8 (2 * d.ext_len)) 0 in
+    for k = 0 to d.ext_len - 1 do
+      ext.(k) <- ext_at d k
+    done;
+    d.ext <- ext;
+    d.ext_head <- 0
+  end;
+  let j = d.ext_head + d.ext_len in
+  let size = Array.length d.ext in
+  d.ext.(if j >= size then j - size else j) <- seq;
+  d.ext_len <- d.ext_len + 1
+
 (* ---------- streaming demand maintenance ----------
 
    [admit] and [retire] take the sample's ring index, not its value:
@@ -280,19 +336,10 @@ let admit e d seq i =
   s.sumsq <- s.sumsq +. (v *. v);
   if Float.is_nan v then d.nans <- d.nans + 1;
   if is_extreme v then d.extremes <- d.extremes + 1;
-  match d.extrema with
-  | None -> ()
-  | Some dq ->
-    if not (Float.is_nan v) then begin
-      (* NaN never enters the monotonic deque (it compares false with
-         everything and would wedge there); MIN/MAX answer NaN from
-         the [nans] counter while one is in the window instead. *)
-      (match d.fn with
-      | Min -> Deque.drop_back_while (fun (_, back) -> back >= v) dq
-      | Max -> Deque.drop_back_while (fun (_, back) -> back <= v) dq
-      | _ -> ());
-      Deque.push_back dq (seq, v)
-    end
+  (* NaN never enters the extremes queue (it compares false with
+     everything and would wedge there); MIN/MAX answer NaN from the
+     [nans] counter while one is in the window instead. *)
+  match d.fn with Min | Max when not (Float.is_nan v) -> ext_push e d seq i | _ -> ()
 
 let rec admit_all e seq i = function
   | [] -> ()
@@ -310,7 +357,7 @@ let rebuild e d =
   d.sums.sumsq <- 0.;
   d.nans <- 0;
   d.extremes <- 0;
-  (match d.extrema with Some dq -> Deque.clear dq | None -> ());
+  d.ext_len <- 0;
   let base = e.pushes - e.len in
   for seq = d.oldest_seq to e.pushes - 1 do
     admit e d seq (seq - base)
@@ -318,20 +365,22 @@ let rebuild e d =
 
 let maybe_rebuild e d = if d.needs_rebuild then rebuild e d
 
+(* Whether [d]'s oldest sample has left the window ending at
+   [cutoff]. *)
+let[@inline] stale e d ~cutoff =
+  d.oldest_seq < e.pushes && time_at e (d.oldest_seq - (e.pushes - e.len)) <= cutoff
+
 (* Advance [oldest_seq] past samples whose timestamp left the window;
    returns how many were retired (the check's amortized scan cost). *)
 let expire t e d ~now =
   let cutoff = now - int_of_float d.window_ns in
-  let base = e.pushes - e.len in
   let expired = ref 0 in
-  while d.oldest_seq < e.pushes && time_at e (d.oldest_seq - base) <= cutoff do
-    retire t e d (d.oldest_seq - base);
+  while stale e d ~cutoff do
+    retire t e d (d.oldest_seq - (e.pushes - e.len));
     d.oldest_seq <- d.oldest_seq + 1;
     incr expired
   done;
-  (match d.extrema with
-  | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq < d.oldest_seq) dq
-  | None -> ());
+  ext_drop_before d d.oldest_seq;
   maybe_rebuild e d;
   !expired
 
@@ -344,9 +393,7 @@ let rec evict_oldest t e evict_seq = function
     if d.oldest_seq <= evict_seq then begin
       retire t e d 0;
       d.oldest_seq <- evict_seq + 1;
-      (match d.extrema with
-      | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq <= evict_seq) dq
-      | None -> ());
+      ext_drop_before d d.oldest_seq;
       maybe_rebuild e d
     end;
     evict_oldest t e evict_seq ds
@@ -409,95 +456,80 @@ let save t key value =
   | Some publish when s != t -> publish key value
   | _ -> save_entry s key (entry s key) value
 
-(* Merged latest for plain keys on a fleet-tier store: the value of
-   the newest sample across all members. Ties on the timestamp go to
-   the later member, matching the merged window ordering (stable by
-   member position). *)
-let merged_load t key =
-  let best_at = ref min_int and best = ref 0. in
-  List.iter
-    (fun m ->
-      let e = find m key in
-      if e.len > 0 && time_at e (e.len - 1) >= !best_at then begin
-        best_at := time_at e (e.len - 1);
-        best := e.latest
-      end)
-    (members t);
-  !best
-
-let load t key =
-  let t = resolve t key in
-  t.loads <- t.loads + 1;
-  if sharded t key then merged_load t key
-  else (find t key).latest
-
-let mem t key =
-  let t = resolve t key in
-  List.exists (fun m -> (find m key).len > 0) (if sharded t key then members t else [ t ])
+let mem t key = Array.exists (fun m -> (find m key).len > 0) (members t key)
 
 (* ---------- demand registration ---------- *)
 
-let find_demand e ~fn ~window_ns ~param =
-  List.find_opt
-    (fun d -> d.fn = fn && d.window_ns = window_ns && d.param = param)
-    e.demands
+(* What a member without the shape reads as: never live ([refs = 0]),
+   never written. *)
+let no_demand =
+  {
+    fn = Count;
+    window_ns = 0.;
+    param = 0.;
+    refs = 0;
+    oldest_seq = 0;
+    count = 0;
+    sums = { sum = 0.; sumsq = 0. };
+    nans = 0;
+    extremes = 0;
+    needs_rebuild = false;
+    ext = [||];
+    ext_head = 0;
+    ext_len = 0;
+  }
 
-let rec register_demand t ~key ~fn ~window_ns ~param =
-  let t = resolve t key in
-  (* Fleet tier: the merged read is incremental only if every member
-     keeps streaming state for the shape, so the registration fans out
-     to each node shard (and is kept on the own table for
-     bookkeeping/enumeration). *)
-  if sharded t key then
-    Array.iter (fun s -> register_demand s ~key ~fn ~window_ns ~param) t.shards;
-  register_demand_here t ~key ~fn ~window_ns ~param
+let rec find_demand ds ~fn ~window_ns ~param =
+  match ds with
+  | [] -> no_demand
+  | d :: ds ->
+    if d.fn = fn && d.window_ns = window_ns && d.param = param then d
+    else find_demand ds ~fn ~window_ns ~param
 
-and register_demand_here t ~key ~fn ~window_ns ~param =
-  let e = entry t key in
-  match find_demand e ~fn ~window_ns ~param with
-  | Some d -> d.refs <- d.refs + 1
-  | None ->
-    let d =
-      {
-        fn;
-        window_ns;
-        param;
-        refs = 1;
-        oldest_seq = e.pushes - e.len;
-        count = 0;
-        sums = { sum = 0.; sumsq = 0. };
-        nans = 0;
-        extremes = 0;
-        needs_rebuild = false;
-        extrema =
-          (match fn with Min | Max -> Some (Deque.create ()) | _ -> None);
-      }
-    in
-    (* Replay retained samples so a demand registered mid-run agrees
-       with the scan from its first read; anything already outside the
-       window is trimmed by the next expiry. *)
-    for i = 0 to e.len - 1 do
-      admit e d (d.oldest_seq + i) i
-    done;
-    e.demands <- d :: e.demands;
-    t.n_demands <- t.n_demands + 1
+(* A merged read streams only if its members keep streaming state for
+   the shape, so a registration reaches every member. *)
+let register_demand t ~key ~fn ~window_ns ~param =
+  Array.iter
+    (fun m ->
+      let e = entry m key in
+      let d = find_demand e.demands ~fn ~window_ns ~param in
+      if d.refs > 0 then d.refs <- d.refs + 1
+      else begin
+        let d =
+          {
+            no_demand with
+            fn;
+            window_ns;
+            param;
+            refs = 1;
+            oldest_seq = e.pushes - e.len;
+            sums = { sum = 0.; sumsq = 0. };
+          }
+        in
+        (* Replay retained samples so a demand registered mid-run agrees
+           with the scan from its first read; anything already outside
+           the window is trimmed by the next expiry. *)
+        for i = 0 to e.len - 1 do
+          admit e d (d.oldest_seq + i) i
+        done;
+        e.demands <- d :: e.demands;
+        m.n_demands <- m.n_demands + 1
+      end)
+    (members t key)
 
-let rec release_demand t ~key ~fn ~window_ns ~param =
-  let t = resolve t key in
-  if sharded t key then
-    Array.iter (fun s -> release_demand s ~key ~fn ~window_ns ~param) t.shards;
-  release_demand_here t ~key ~fn ~window_ns ~param
-
-and release_demand_here t ~key ~fn ~window_ns ~param =
-  let e = find t key in
-  match find_demand e ~fn ~window_ns ~param with
-  | None -> ()
-  | Some d ->
-    d.refs <- d.refs - 1;
-    if d.refs <= 0 then begin
-      e.demands <- List.filter (fun d' -> d' != d) e.demands;
-      t.n_demands <- t.n_demands - 1
-    end
+let release_demand t ~key ~fn ~window_ns ~param =
+  Array.iter
+    (fun m ->
+      let e = find m key in
+      let d = find_demand e.demands ~fn ~window_ns ~param in
+      if d.refs > 0 then begin
+        d.refs <- d.refs - 1;
+        if d.refs = 0 then begin
+          e.demands <- List.filter (fun d' -> d' != d) e.demands;
+          m.n_demands <- m.n_demands - 1
+        end
+      end)
+    (members t key)
 
 let demand_count t = t.n_demands
 let set_force_naive t flag = t.force_naive <- flag
@@ -513,77 +545,42 @@ let demand_shapes t =
 
 (* ---------- windowed reads ---------- *)
 
-(* In-window (timestamp, value) pairs for one member, oldest first. *)
-let member_window e ~now ~window_ns =
-  let i0 = first_inside e ~now ~window_ns in
-  Array.init (e.len - i0) (fun i -> sample_at e (i0 + i))
-
-(* The merged window of a fleet-tier plain key: every member's
-   in-window samples, sorted by timestamp. Each member's slice is
-   already time-ordered and the sort is stable, so equal timestamps
-   keep member order (own table first, then shards in index order) —
-   the tie-break DELTA's merged oldest/newest must agree with. The
-   window cutoff uses the fleet store's clock for every member; in a
-   fleet all stores share the sim clock anyway. *)
-let merged_window t ~key ~window_ns =
-  let now = t.clock () in
-  let parts = List.map (fun m -> member_window (find m key) ~now ~window_ns) (members t) in
-  let all = Array.concat parts in
+(* The in-window (timestamp, value) samples of the member entries [es],
+   sorted by timestamp. Each entry's slice is already time-ordered and
+   the sort is stable, so equal timestamps keep member order — the
+   tie-break the streaming DELTA agrees with. Every member is cut with
+   the reading store's clock; in a fleet all stores share the sim
+   clock anyway. *)
+let window es ~now ~window_ns =
+  let slice e =
+    let i0 = first_inside e ~now ~window_ns in
+    Array.init (e.len - i0) (fun i -> sample_at e (i0 + i))
+  in
+  let all = Array.concat (Array.to_list (Array.map slice es)) in
   Array.stable_sort (fun (a, _) (b, _) -> compare (a : Time_ns.t) b) all;
   all
 
-(* Newest-first in-window values: the naive scan, kept verbatim as the
-   oracle the incremental path is property-tested against. On a
-   fleet-tier store this is the concat-and-scan over all shards. *)
-let window_values t ~key ~window_ns =
-  let t = resolve t key in
-  if sharded t key then
-    Array.fold_left (fun acc (_, v) -> v :: acc) [] (merged_window t ~key ~window_ns)
-  else begin
-    let e = find t key in
-    let cutoff = t.clock () - int_of_float window_ns in
-    let acc = ref [] in
-    for i = 0 to e.len - 1 do
-      if time_at e i > cutoff then acc := value_at e i :: !acc
-    done;
-    !acc
-  end
-
 let window_samples t ~key ~window_ns =
-  let t = resolve t key in
-  if sharded t key then Array.map snd (merged_window t ~key ~window_ns)
-  else
-    let e = find t key in
-    values_from e (first_inside e ~now:(t.clock ()) ~window_ns)
+  let ms = members t key in
+  Array.map snd (window (Array.map (fun m -> find m key) ms) ~now:(ms.(0).clock ()) ~window_ns)
 
 let samples_in_window t ~key ~window_ns =
-  let t = resolve t key in
-  let now = t.clock () in
-  List.fold_left
+  let ms = members t key in
+  let now = ms.(0).clock () in
+  Array.fold_left
     (fun acc m ->
       let e = find m key in
       acc + e.len - first_inside e ~now ~window_ns)
-    0
-    (if sharded t key then members t else [ t ])
-
-let agg_name : Gr_dsl.Ast.agg -> string = function
-  | Count -> "COUNT"
-  | Sum -> "SUM"
-  | Rate -> "RATE"
-  | Avg -> "AVG"
-  | Min -> "MIN"
-  | Max -> "MAX"
-  | Stddev -> "STDDEV"
-  | Quantile -> "QUANTILE"
-  | Delta -> "DELTA"
+    0 ms
 
 type agg_result = { value : float; scanned : int; incremental : bool }
 
-(* The naive scan, kept as the oracle the streaming path is
-   property-tested against: it answers reads without a demand and every
-   read under force_naive. *)
-let naive_aggregate t ~key ~fn ~window_ns ~param =
-  let values = window_values t ~key ~window_ns in
+(* The naive scan of the members' merged window, kept as the oracle the
+   streaming path is property-tested against: it answers every read
+   that cannot stream, and every read under force_naive. *)
+let naive_aggregate es ~now ~fn ~window_ns ~param =
+  (* Newest first. *)
+  let values = Array.fold_left (fun acc (_, v) -> v :: acc) [] (window es ~now ~window_ns) in
   let value =
     match (fn : Gr_dsl.Ast.agg) with
     | Count -> float_of_int (List.length values)
@@ -601,8 +598,8 @@ let naive_aggregate t ~key ~fn ~window_ns ~param =
     | Quantile -> (
       match values with [] -> 0. | _ -> Stats.quantile (Array.of_list values) param)
     | Delta -> (
-      (* window_values folds newest-first, so the head is the newest
-         sample and the last element the oldest in the window. *)
+      (* The head is the newest sample and the last element the oldest
+         in the window. *)
       match values with
       | [] -> 0.
       | newest :: _ ->
@@ -611,250 +608,24 @@ let naive_aggregate t ~key ~fn ~window_ns ~param =
   in
   { value; scanned = List.length values; incremental = false }
 
-(* ---------- cross-shard merge ---------- *)
+(* COUNT/SUM/RATE/AVG/STDDEV from running sums. Inlined, so the sums
+   reach it unboxed. *)
+let[@inline] running ~fn ~window_ns ~count ~sum ~sumsq =
+  match (fn : Gr_dsl.Ast.agg) with
+  | Count -> float_of_int count
+  | Sum -> sum
+  | Rate -> sum /. (window_ns /. 1e9)
+  | Avg -> if count = 0 then 0. else sum /. float_of_int count
+  | Stddev ->
+    if count < 2 then 0.
+    else begin
+      let n = float_of_int count in
+      let mean = sum /. n in
+      sqrt (Float.max 0. ((sumsq /. n) -. (mean *. mean)))
+    end
+  | Min | Max | Delta | Quantile -> invalid_arg "Feature_store.running"
 
-(* Mergeable summary of one shard's streaming state for a single
-   (key, fn, window, param) shape: the running count/sum/sumsq behind
-   COUNT/SUM/RATE/AVG/STDDEV, the deque-of-extrema front behind
-   MIN/MAX, the window head/tail behind DELTA and the in-window value
-   multiset behind QUANTILE. [union] is associative with [empty] as
-   unit, so a fleet-wide aggregate over N node shards folds N exports
-   — each O(1) amortized on the streaming path — instead of
-   re-scanning every shard's window. [value] (with [running]) is the
-   one place the streaming answer formulas live: single-store and
-   merged reads both answer through it. *)
-module Merge = struct
-  type state = {
-    count : int;
-    sum : float;
-    sumsq : float;
-    nans : int; (* NaN samples in the window; MIN/MAX answer NaN while > 0 *)
-    minv : float option; (* min over non-NaN in-window samples *)
-    maxv : float option;
-    oldest : (Time_ns.t * float) option;
-    newest : (Time_ns.t * float) option;
-    samples : float array; (* in-window values (QUANTILE only) *)
-  }
-
-  let empty =
-    {
-      count = 0;
-      sum = 0.;
-      sumsq = 0.;
-      nans = 0;
-      minv = None;
-      maxv = None;
-      oldest = None;
-      newest = None;
-      samples = [||];
-    }
-
-  let opt2 f a b = match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (f x y)
-
-  (* [union a b] with [a] from the earlier shard position: timestamp
-     ties on the window head go to [a], on the tail to [b] — the same
-     tie-break as the stable merged-window sort the naive oracle
-     scans. *)
-  let union a b =
-    {
-      count = a.count + b.count;
-      sum = a.sum +. b.sum;
-      sumsq = a.sumsq +. b.sumsq;
-      nans = a.nans + b.nans;
-      minv = opt2 Float.min a.minv b.minv;
-      maxv = opt2 Float.max a.maxv b.maxv;
-      oldest =
-        (match (a.oldest, b.oldest) with
-        | None, x | x, None -> x
-        | Some (ta, _), Some (tb, _) -> if tb < ta then b.oldest else a.oldest);
-      newest =
-        (match (a.newest, b.newest) with
-        | None, x | x, None -> x
-        | Some (ta, _), Some (tb, _) -> if tb >= ta then b.newest else a.newest);
-      samples = Array.append a.samples b.samples;
-    }
-
-  (* COUNT/SUM/RATE/AVG/STDDEV from the running sums. Inlined, so a
-     single store's read passes a demand's sums here unboxed instead
-     of boxing them into a [state]. *)
-  let[@inline] running ~fn ~window_ns ~count ~sum ~sumsq =
-    match (fn : Gr_dsl.Ast.agg) with
-    | Count -> float_of_int count
-    | Sum -> sum
-    | Rate -> sum /. (window_ns /. 1e9)
-    | Avg -> if count = 0 then 0. else sum /. float_of_int count
-    | Stddev ->
-      if count < 2 then 0.
-      else begin
-        let n = float_of_int count in
-        let mean = sum /. n in
-        sqrt (Float.max 0. ((sumsq /. n) -. (mean *. mean)))
-      end
-    | Min | Max | Delta | Quantile -> invalid_arg "Merge.running"
-
-  let value ~fn ~window_ns ~param s =
-    match (fn : Gr_dsl.Ast.agg) with
-    | Count | Sum | Rate | Avg | Stddev ->
-      running ~fn ~window_ns ~count:s.count ~sum:s.sum ~sumsq:s.sumsq
-    | Min -> (
-      (* Float.min/Float.max propagate NaN, so the naive scan answers
-         NaN whenever one is in the window; the deque (which NaN never
-         enters) defers to the counter to agree. *)
-      if s.nans > 0 then Float.nan
-      else match s.minv with Some v -> v | None -> 0.)
-    | Max -> (
-      if s.nans > 0 then Float.nan
-      else match s.maxv with Some v -> v | None -> 0.)
-    | Delta -> (
-      match (s.newest, s.oldest) with
-      | Some (_, nv), Some (_, ov) -> nv -. ov
-      | _ -> 0.)
-    | Quantile -> if Array.length s.samples = 0 then 0. else Stats.quantile s.samples param
-end
-
-(* A registered demand's state after lazy expiry, plus the samples
-   this read touched: the ones expired now and, for QUANTILE, the
-   in-window suffix. QUANTILE has no exact O(1) summary; instead of
-   folding the whole ring it binary-searches the cutoff and exports
-   only that suffix. *)
-let export_demand t e d ~now =
-  let expired = expire t e d ~now in
-  let base = e.pushes - e.len in
-  match d.fn with
-  | Count | Sum | Rate | Avg | Stddev ->
-    ( { Merge.empty with count = d.count; sum = d.sums.sum; sumsq = d.sums.sumsq; nans = d.nans },
-      expired )
-  | Min | Max ->
-    let front =
-      match d.extrema with Some dq -> Option.map snd (Deque.front dq) | None -> None
-    in
-    ( {
-        Merge.empty with
-        count = d.count;
-        nans = d.nans;
-        minv = (if d.fn = Min then front else None);
-        maxv = (if d.fn = Max then front else None);
-      },
-      expired )
-  | Delta ->
-    if d.oldest_seq >= e.pushes then (Merge.empty, expired)
-    else
-      ( {
-          Merge.empty with
-          count = d.count;
-          oldest = Some (sample_at e (d.oldest_seq - base));
-          newest = Some (sample_at e (e.len - 1));
-        },
-        expired )
-  | Quantile ->
-    let i0 = first_inside e ~now ~window_ns:d.window_ns in
-    let n = e.len - i0 in
-    ({ Merge.empty with count = n; samples = values_from e i0 }, expired + n)
-
-(* The streaming read of one store: [Merge.value] of its demand's
-   export, or for the running-sum family the same formulas applied to
-   the demand's sums directly. *)
-let demand_result t e d =
-  let now = t.clock () in
-  match d.fn with
-  | Count | Sum | Rate | Avg | Stddev ->
-    let scanned = expire t e d ~now in
-    let s = d.sums in
-    {
-      value =
-        Merge.running ~fn:d.fn ~window_ns:d.window_ns ~count:d.count ~sum:s.sum ~sumsq:s.sumsq;
-      scanned;
-      incremental = true;
-    }
-  | Min | Max | Delta | Quantile ->
-    let state, scanned = export_demand t e d ~now in
-    {
-      value = Merge.value ~fn:d.fn ~window_ns:d.window_ns ~param:d.param state;
-      scanned;
-      incremental = true;
-    }
-
-(* One member's export for a shape, plus read-cost accounting:
-   (state, samples scanned, served incrementally). The streaming path
-   exports the demand's running state after lazy expiry; without a
-   demand (or under force_naive) the state is rebuilt by scanning the
-   in-window suffix. [now] is the reading store's clock: in a fleet the
-   shards' clocks sit at the epoch boundary, ahead of the control plane
-   mid-epoch, and cutting with a shard's own clock would expire samples
-   the naive concat-and-scan oracle (which always cuts with the reading
-   store's clock) still sees. A member with no sample and no demand
-   exports the empty state, counted as incremental. *)
-let export_here t ~now ~key ~fn ~window_ns ~param =
-  let e = find t key in
-  let streaming = if t.force_naive then None else find_demand e ~fn ~window_ns ~param in
-  match streaming with
-  | Some d ->
-    let state, scanned = export_demand t e d ~now in
-    (state, scanned, true)
-  | None when e.len = 0 -> (Merge.empty, 0, true)
-  | None ->
-    let win = member_window e ~now ~window_ns in
-    let n = Array.length win in
-    let st = ref Merge.empty in
-    Array.iteri
-      (fun i (at, v) ->
-        let s = !st in
-        st :=
-          {
-            Merge.count = s.count + 1;
-            sum = s.sum +. v;
-            sumsq = s.sumsq +. (v *. v);
-            nans = (s.nans + if Float.is_nan v then 1 else 0);
-            minv = (if Float.is_nan v then s.minv else Merge.opt2 Float.min s.minv (Some v));
-            maxv = (if Float.is_nan v then s.maxv else Merge.opt2 Float.max s.maxv (Some v));
-            oldest = (if i = 0 then Some (at, v) else s.oldest);
-            newest = Some (at, v);
-            samples = s.samples;
-          })
-      win;
-    ({ !st with samples = Array.map snd win }, n, false)
-
-(* Fold every member of a fleet-tier store into one merged state:
-   (state, samples scanned, whether every member served it
-   incrementally). *)
-let fold_members t ~now ~key ~fn ~window_ns ~param =
-  let scanned = ref 0 in
-  let incremental = ref true in
-  let state =
-    List.fold_left
-      (fun acc m ->
-        let s, n, inc = export_here m ~now ~key ~fn ~window_ns ~param in
-        scanned := !scanned + n;
-        if not inc then incremental := false;
-        Merge.union acc s)
-      Merge.empty (members t)
-  in
-  (state, !scanned, !incremental)
-
-let export_state ?now t ~key ~fn ~window_ns ~param =
-  let t = resolve t key in
-  let now = match now with Some n -> n | None -> t.clock () in
-  let state, _, _ =
-    if sharded t key then fold_members t ~now ~key ~fn ~window_ns ~param
-    else export_here t ~now ~key ~fn ~window_ns ~param
-  in
-  state
-
-(* Fleet-tier aggregate over a plain key: fold every member's export
-   into one merged state. Under force_naive the whole merged window is
-   re-scanned instead — the concat-and-scan oracle the incremental
-   merge is verified against. *)
-let merged_aggregate t ~key ~fn ~window_ns ~param =
-  if t.force_naive then naive_aggregate t ~key ~fn ~window_ns ~param
-  else begin
-    let state, scanned, incremental =
-      fold_members t ~now:(t.clock ()) ~key ~fn ~window_ns ~param
-    in
-    { value = Merge.value ~fn ~window_ns ~param state; scanned; incremental }
-  end
-
-(* Count and trace one aggregate read; [t] must already be the
-   resolved store for [key]. *)
+(* Count and trace one aggregate read on its resolved store. *)
 let record_agg t ~key ~fn ~window_ns (r : agg_result) =
   if r.incremental then t.agg_hits <- t.agg_hits + 1 else t.agg_misses <- t.agg_misses + 1;
   if tracing t then
@@ -866,59 +637,58 @@ let record_agg t ~key ~fn ~window_ns (r : agg_result) =
           ("samples", Gr_trace.Event.Int r.scanned);
           ("incremental", Gr_trace.Event.Bool r.incremental);
         ]
-      ("agg:" ^ agg_name fn);
+      ("agg:" ^ Gr_dsl.Ast.agg_name fn);
   r
 
-let aggregate_result t ~key ~fn ~window_ns ~param =
-  let t = resolve t key in
-  let r =
-    if sharded t key then merged_aggregate t ~key ~fn ~window_ns ~param
-    else begin
-      let e = find t key in
-      match if t.force_naive then None else find_demand e ~fn ~window_ns ~param with
-      | Some d -> demand_result t e d
-      | None -> naive_aggregate t ~key ~fn ~window_ns ~param
+(* ---------- resolved reads ----------
+
+   Every read of a key, by key or through a handle, goes through one
+   view of its members: their stores, their entries and, for an
+   aggregate, each one's live demand for the shape. A handle builds
+   the view once, making missing entries, so the per-check read is a
+   few loads instead of hashing the key per member and walking demand
+   lists; a by-key read builds it with [find] and reads the same way.
+   Routing is fixed by [link] before any entry exists and entries are
+   never removed, so a view never goes stale except for its demands: a
+   released demand (refs = 0) is no longer maintained, so the read
+   refinds it. Demands are only removed when refs reaches 0, so a
+   cached demand with refs > 0 is live. *)
+
+(* Member 0's entry, then the others': for a local key [lh_rest] is the
+   shared empty array, so a read touches nothing but the handle and the
+   entry. *)
+type load_handle = { lh_store : t; lh_entry : entry; lh_rest : entry array }
+
+let load_view lookup t key =
+  let ms = members t key in
+  let es = Array.map (fun m -> lookup m key) ms in
+  { lh_store = ms.(0); lh_entry = es.(0); lh_rest = Array.sub es 1 (Array.length es - 1) }
+
+let load_handle t key = Some (load_view entry t key)
+
+(* The newest sample's value across the members, a timestamp tie going
+   to the later member; 0 when none holds a sample (member 0's
+   [latest] is then still 0). *)
+let newest h =
+  let e0 = h.lh_entry in
+  let best = ref e0 and best_at = ref (if e0.len > 0 then time_at e0 (e0.len - 1) else min_int) in
+  for i = 0 to Array.length h.lh_rest - 1 do
+    let e = Array.unsafe_get h.lh_rest i in
+    if e.len > 0 && time_at e (e.len - 1) >= !best_at then begin
+      best := e;
+      best_at := time_at e (e.len - 1)
     end
-  in
-  record_agg t ~key ~fn ~window_ns r
+  done;
+  !best.latest
 
-let aggregate t ~key ~fn ~window_ns ~param =
-  (aggregate_result t ~key ~fn ~window_ns ~param).value
-
-(* ---------- pre-resolved handles (JIT fast path) ----------
-
-   A handle pins the resolve step and the key's entry at creation, and
-   lazily the streaming demand lookup, so the per-check read is a
-   couple of loads instead of hashing the key and walking the demand
-   list. Routing is fixed by [link] before any entry exists, so the
-   resolved store never goes stale, and entries are never removed. An
-   entry made for a handle holds no sample until the first save, and
-   reads like a missing key until then. A key that reads as a
-   cross-shard merge has no single entry to read: its handle records
-   [merged] and every read takes the exact slow path. The fast
-   aggregate path still checks [force_naive] and a cached demand's
-   [refs]: a released demand (refs = 0) is no longer maintained, so
-   the handle re-finds or falls back. Demands are only removed when
-   refs reaches 0, so an object with refs > 0 is guaranteed live. *)
-
-type load_handle = {
-  lh_store : t; (* resolve t key, at creation *)
-  lh_key : string;
-  lh_merged : bool;
-  lh_entry : entry;
-}
-
-let load_handle t key =
-  let s = resolve t key in
-  Some { lh_store = s; lh_key = key; lh_merged = sharded s key; lh_entry = entry s key }
-
+(* A lone member's newest sample is its [latest]: read it directly,
+   LOAD being the hottest read there is. *)
 let handle_load h =
   let s = h.lh_store in
-  if h.lh_merged then load s h.lh_key
-  else begin
-    s.loads <- s.loads + 1;
-    h.lh_entry.latest
-  end
+  s.loads <- s.loads + 1;
+  if Array.length h.lh_rest = 0 then h.lh_entry.latest else newest h
+
+let load t key = handle_load (load_view find t key)
 
 type agg_handle = {
   ah_store : t;
@@ -926,41 +696,187 @@ type agg_handle = {
   ah_fn : Gr_dsl.Ast.agg;
   ah_window_ns : float;
   ah_param : float;
-  ah_merged : bool;
-  ah_entry : entry;
-  mutable ah_demand : demand option;
+  ah_members : t array;
+  ah_entries : entry array;
+  ah_demands : demand array; (* each member's demand as last found; [no_demand] when none *)
 }
 
-let agg_handle t ~key ~fn ~window_ns ~param =
-  let s = resolve t key in
-  let e = entry s key in
+let agg_view lookup t ~key ~fn ~window_ns ~param =
+  let ms = members t key in
+  let es = Array.map (fun m -> lookup m key) ms in
   {
-    ah_store = s;
+    ah_store = ms.(0);
     ah_key = key;
     ah_fn = fn;
     ah_window_ns = window_ns;
     ah_param = param;
-    ah_merged = sharded s key;
-    ah_entry = e;
-    ah_demand = find_demand e ~fn ~window_ns ~param;
+    ah_members = ms;
+    ah_entries = es;
+    ah_demands = Array.map (fun e -> find_demand e.demands ~fn ~window_ns ~param) es;
   }
 
+let agg_handle = agg_view entry
+
+(* Member [m]'s demand for the view's shape: the cached one while it is
+   live, else refound and cached again ([no_demand] when the member has
+   none). *)
+let refind h m =
+  let d =
+    find_demand (Array.unsafe_get h.ah_entries m).demands ~fn:h.ah_fn ~window_ns:h.ah_window_ns
+      ~param:h.ah_param
+  in
+  Array.unsafe_set h.ah_demands m d;
+  d
+
+let[@inline] demand h m =
+  let d = Array.unsafe_get h.ah_demands m in
+  if d.refs > 0 then d else refind h m
+
+(* Whether a read can skip its expiry pass: every member's cached
+   demand is live and has nothing to retire. Makes no call, so the
+   common read keeps its state in registers. *)
+let rec settled h ~now m =
+  m < 0
+  ||
+  let d = Array.unsafe_get h.ah_demands m in
+  d.refs > 0
+  && (not (stale (Array.unsafe_get h.ah_entries m) d ~cutoff:(now - int_of_float d.window_ns)))
+  && settled h ~now (m - 1)
+
+(* The first pass of a streaming read: expire every member's live
+   demand against the reading store's clock, refinding released ones on
+   the way. Answers how many samples that retires, the read's scan
+   cost, or -1 when the read cannot stream: a read streams when some member has a
+   live demand and every member holding samples has one. In a fleet the
+   shards' clocks sit at the epoch boundary, ahead of the control plane
+   mid-epoch; cutting with a shard's own clock would expire samples the
+   naive scan still sees. *)
+let expire_members h ~now =
+  let es = h.ah_entries in
+  let live = ref false and complete = ref true and scanned = ref 0 in
+  for m = 0 to Array.length es - 1 do
+    let e = Array.unsafe_get es m and d = demand h m in
+    if d.refs > 0 then begin
+      live := true;
+      scanned := !scanned + expire (Array.unsafe_get h.ah_members m) e d ~now
+    end
+    else if e.len > 0 then complete := false
+  done;
+  if !live && !complete then !scanned else -1
+
+(* The second pass: one fold per family over the live demands, in
+   member order. Sums and extremes are seeded from the first live
+   member, so a one-member read answers straight from its demand, and
+   accumulate in local float variables, which the compiler keeps
+   unboxed: a read allocates nothing but its result. *)
+
+let fold_sums h =
+  let ds = h.ah_demands in
+  let live = ref false and count = ref 0 and sum = ref 0. and sumsq = ref 0. in
+  for m = 0 to Array.length ds - 1 do
+    let d = Array.unsafe_get ds m in
+    if d.refs > 0 then begin
+      if !live then begin
+        sum := !sum +. d.sums.sum;
+        sumsq := !sumsq +. d.sums.sumsq
+      end
+      else begin
+        sum := d.sums.sum;
+        sumsq := d.sums.sumsq;
+        live := true
+      end;
+      count := !count + d.count
+    end
+  done;
+  running ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~count:!count ~sum:!sum ~sumsq:!sumsq
+
+(* MIN/MAX: the extreme of the members' queue fronts; NaN while any
+   member's window holds one, 0 when every window is empty. *)
+let fold_extremes h =
+  let es = h.ah_entries and ds = h.ah_demands and min = h.ah_fn = Min in
+  let seen = ref false and nans = ref 0 and ext = ref 0. in
+  for m = 0 to Array.length ds - 1 do
+    let d = Array.unsafe_get ds m in
+    if d.refs > 0 then begin
+      nans := !nans + d.nans;
+      if d.ext_len > 0 then begin
+        let e = Array.unsafe_get es m in
+        let v = value_at e (ext_at d 0 - (e.pushes - e.len)) in
+        ext := if not !seen then v else if min then Float.min !ext v else Float.max !ext v;
+        seen := true
+      end
+    end
+  done;
+  if !nans > 0 then Float.nan else if !seen then !ext else 0.
+
+(* DELTA: newest minus oldest in-window sample across the members. On
+   a timestamp tie the window head goes to the earlier member and the
+   tail to the later one, as in the stable merged-window sort. *)
+let fold_delta h =
+  let es = h.ah_entries and ds = h.ah_demands in
+  let head = ref (-1) and head_i = ref 0 and tail = ref (-1) in
+  for m = 0 to Array.length ds - 1 do
+    let d = Array.unsafe_get ds m and e = Array.unsafe_get es m in
+    if d.refs > 0 && d.oldest_seq < e.pushes then begin
+      let i = d.oldest_seq - (e.pushes - e.len) in
+      if !head < 0 || time_at e i < time_at es.(!head) !head_i then begin
+        head := m;
+        head_i := i
+      end;
+      if !tail < 0 || time_at e (e.len - 1) >= time_at es.(!tail) (es.(!tail).len - 1) then
+        tail := m
+    end
+  done;
+  if !head < 0 then 0.
+  else
+    let tail = es.(!tail) in
+    value_at tail (tail.len - 1) -. value_at es.(!head) !head_i
+
+(* QUANTILE ranks the members' in-window suffixes, found by binary
+   search, in member order. *)
+let window_suffixes h ~now =
+  let es = h.ah_entries and ds = h.ah_demands in
+  let parts = ref [] in
+  for m = Array.length ds - 1 downto 0 do
+    let d = Array.unsafe_get ds m in
+    if d.refs > 0 then begin
+      let e = Array.unsafe_get es m in
+      parts := values_from e (first_inside e ~now ~window_ns:d.window_ns) :: !parts
+    end
+  done;
+  Array.concat !parts
+
 let handle_aggregate h =
-  let s = h.ah_store in
-  if h.ah_merged || s.force_naive then
-    aggregate_result s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
-  else begin
-    (match h.ah_demand with
-    | Some d when d.refs > 0 -> ()
-    | _ ->
-      h.ah_demand <-
-        find_demand h.ah_entry ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param);
-    match h.ah_demand with
-    | Some d when d.refs > 0 ->
-      record_agg s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns
-        (demand_result s h.ah_entry d)
-    | _ -> aggregate_result s ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
-  end
+  let now = h.ah_store.clock () in
+  let scanned =
+    if h.ah_store.force_naive then -1
+    else if settled h ~now (Array.length h.ah_demands - 1) then 0
+    else expire_members h ~now
+  in
+  let r =
+    if scanned < 0 then
+      naive_aggregate h.ah_entries ~now ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
+    else
+      match h.ah_fn with
+      | Count | Sum | Rate | Avg | Stddev -> { value = fold_sums h; scanned; incremental = true }
+      | Min | Max -> { value = fold_extremes h; scanned; incremental = true }
+      | Delta -> { value = fold_delta h; scanned; incremental = true }
+      | Quantile ->
+        (* The ranked suffixes count as scanned too. *)
+        let samples = window_suffixes h ~now in
+        {
+          value = (if Array.length samples = 0 then 0. else Stats.quantile samples h.ah_param);
+          scanned = scanned + Array.length samples;
+          incremental = true;
+        }
+  in
+  record_agg h.ah_store ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns r
+
+let aggregate_result t ~key ~fn ~window_ns ~param =
+  handle_aggregate (agg_view find t ~key ~fn ~window_ns ~param)
+
+let aggregate t ~key ~fn ~window_ns ~param =
+  (aggregate_result t ~key ~fn ~window_ns ~param).value
 
 (* A save handle pins [resolve] and the entry, so a save skips both
    the key hash and the table probe. A save that crosses into a

@@ -18,18 +18,21 @@
     install time the runtime registers each aggregate it will ask for
     as a {e demand} ({!register_demand}); the store then maintains
     streaming per-demand state — running count/sum/sum-of-squares for
-    COUNT/SUM/RATE/AVG/STDDEV, a monotonic deque for MIN/MAX, window
-    head/tail tracking for DELTA — updated O(1) amortized on every
-    {!save} and expired lazily against the clock on read. QUANTILE
-    has no exact O(1) summary and instead binary-searches the
-    time-ordered ring for the window cutoff, ranking only the
-    in-window suffix. Every streaming read, on one store or merged
-    across a fleet, answers with the formulas of {!Merge.value}: a
-    merged read exports each member's state as a {!Merge.state}, a
-    single store's COUNT/SUM/RATE/AVG/STDDEV read takes them straight
-    from the demand's running sums. Aggregates without a registered
-    demand fall back to the naive full scan, which is also kept as
-    the oracle path for equivalence testing ({!set_force_naive}). *)
+    COUNT/SUM/RATE/AVG/STDDEV, a monotonic queue of sample numbers
+    for MIN/MAX, window head/tail tracking for DELTA — updated O(1)
+    amortized on every {!save} and expired lazily against the clock on
+    read. QUANTILE has no exact O(1) summary and instead
+    binary-searches the time-ordered ring for the window cutoff,
+    ranking only the in-window suffix.
+
+    A key read resolves once to its {e members} (see {!link}): one
+    store for a local key, the tier and every shard for a fleet-merged
+    one. Every read folds its members, so a local read is the
+    one-member case of a merged one: a LOAD answers the newest sample
+    across them, and a streaming aggregate folds each member's demand
+    state in member order. Aggregates that cannot stream fall back to
+    the naive scan of the members' merged window, which is also kept
+    as the oracle path for equivalence testing ({!set_force_naive}). *)
 
 type t
 
@@ -49,11 +52,12 @@ val create : clock:(unit -> Gr_util.Time_ns.t) -> ?capacity_per_key:int -> unit 
 val link : t -> t array -> unit
 (** [link tier shards] fixes fleet routing once. [tier] becomes the
     fleet tier over [shards]: its plain keys then read as the {e merged}
-    view — loads answer the newest sample across all members, windowed
-    aggregates fold every member's streaming state with {!Merge.union},
-    and {!window_samples} is the timestamp-sorted concatenation. The
-    tier's own table still participates (member 0), so fleet-level
-    saves of plain keys stay visible. Each shard's ["global::"]-scoped
+    view over its members, the tier's own table (member 0, so
+    fleet-level saves of plain keys stay visible) and then each shard
+    in index order. Loads answer the newest sample across the members,
+    a timestamp tie going to the later member; windowed aggregates fold
+    every member's streaming state; {!window_samples} is the
+    timestamp-sorted concatenation. Each shard's ["global::"]-scoped
     keys route to [tier]: saves, loads, demand registrations,
     aggregates and {!watch}es on them forward there, so a shard's
     watch of a global key wakes on every save of it — the cross-node
@@ -86,9 +90,9 @@ val load : t -> string -> float
 val mem : t -> string -> bool
 (** Whether the key holds a sample. A demand or a {!watch} on a key
     never saved does not make it a member: an entry with no sample
-    reads exactly like a missing key, through {!load}, the windowed
-    reads and {!export_state} alike (such a member never turns a
-    merged read into a miss). *)
+    reads exactly like a missing key, through {!load} and the windowed
+    reads alike (such a member never turns a merged read into a
+    miss). *)
 
 (** {1 Change notification} *)
 
@@ -147,7 +151,7 @@ type agg_result = {
           the naive path; on the incremental path only the samples
           expired now (amortized O(1)) plus, for QUANTILE, the
           in-window suffix it ranked *)
-  incremental : bool;  (** whether a registered demand served it *)
+  incremental : bool;  (** whether registered demands served it *)
 }
 
 val aggregate_result :
@@ -156,7 +160,15 @@ val aggregate_result :
     Empty windows yield 0 for every function, so rules are total.
     RATE is the sample {e sum} divided by the window in seconds —
     saving 0/1 event markers gives events per second. DELTA is the
-    newest sample minus the oldest in the window (a trend signal). *)
+    newest sample minus the oldest in the window (a trend signal).
+
+    {b Hit or miss.} A read streams, and counts as a hit
+    ({!agg_hit_count}), when some member has a live demand for the
+    shape and every member holding samples has one. Otherwise it is a
+    miss ({!agg_miss_count}) and scans the members' merged window: no
+    member has a demand (even when every member is empty), a member
+    holding samples lacks one, or {!set_force_naive} is set on the
+    resolved store. *)
 
 val aggregate :
   t -> key:string -> fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> float
@@ -165,22 +177,21 @@ val aggregate :
 
 (** {1 Pre-resolved handles}
 
-    The JIT tier resolves a read's store routing, entry, and streaming
-    demand once at monitor install, reducing the per-check read to a
+    The JIT tier resolves a read's store routing, entries and streaming
+    demands once at monitor install, reducing the per-check read to a
     few loads. SAVE actions and the deployment's ingest helpers
     resolve their writes the same way, through save handles. Handle
-    reads are observationally identical to {!load}/{!aggregate_result}:
-    same counters, same trace instants, same values. Routing is fixed by {!link} before any handle exists,
-    so a handle's resolved store stays right; a [set_force_naive true]
-    or a released demand degrades the read to the exact slow path
-    rather than returning stale state. A handle makes its key's entry
-    when there is none; like a {!watch}'s, that entry reads as a
-    missing key until the first save.
-
-    Every key gets a handle. A key that reads as a cross-shard merge on
-    the fleet tier has no single entry to pin, so its handle records
-    that at creation and every read takes the slow path through
-    {!load}/{!aggregate_result}. *)
+    reads are observationally identical to {!load}/{!aggregate_result},
+    which read through the same functions: same counters, same trace
+    instants, same values. Routing is fixed by {!link} before any
+    handle exists, so a handle pins its members' entries at creation,
+    making any that is missing; like a {!watch}'s, such an entry reads
+    as a missing key until the first save. An aggregate handle also
+    caches each member's live demand and refinds it once released, so
+    it never reads stale state; [set_force_naive true] takes the naive
+    scan. A read costs a pass over the members; a LOAD allocates
+    nothing, and a streaming COUNT/SUM/AVG nothing beyond its
+    [agg_result], whatever the member count. *)
 
 type load_handle
 
@@ -189,7 +200,8 @@ val load_handle : t -> string -> load_handle option
     existing callers. *)
 
 val handle_load : load_handle -> float
-(** Same result and counter effects as [load] on the handle's store. *)
+(** Same result and counter effects as [load] on the handle's store;
+    allocates nothing. *)
 
 type agg_handle
 
@@ -222,60 +234,6 @@ val window_samples : t -> key:string -> window_ns:float -> float array
 val samples_in_window : t -> key:string -> window_ns:float -> int
 (** How many samples a naive aggregate over this window would scan;
     O(log window) by binary search. *)
-
-(** {1 Cross-shard merge}
-
-    Fleet-wide aggregation composes per-shard streaming state instead
-    of re-scanning every shard: each shard {e exports} a mergeable
-    summary of one (key, fn, window, param) shape — the running
-    count/sum/sum-of-squares, the front of the monotonic deque, the
-    window head/tail, or the in-window value multiset for QUANTILE —
-    and the fleet tier folds them with {!Merge.union}. The merged
-    result is verified against the naive concat-and-scan oracle by the
-    equivalence property tests and the fleet soak. *)
-
-module Merge : sig
-  type state = {
-    count : int;
-    sum : float;
-    sumsq : float;
-    nans : int;  (** NaN samples in window; MIN/MAX answer NaN while > 0 *)
-    minv : float option;  (** min over non-NaN in-window samples *)
-    maxv : float option;
-    oldest : (Gr_util.Time_ns.t * float) option;
-    newest : (Gr_util.Time_ns.t * float) option;
-    samples : float array;  (** in-window values (QUANTILE exports only) *)
-  }
-
-  val empty : state
-  (** Unit of {!union}: the state of an empty window. *)
-
-  val union : state -> state -> state
-  (** Associative merge; the left argument is the earlier shard
-      position, which decides timestamp ties for DELTA's window
-      head/tail exactly like the stable merged-window sort. *)
-
-  val value : fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> state -> float
-  (** The aggregate a state answers — same empty-window and NaN
-      semantics as {!aggregate}. Every streaming read answers with its
-      formulas, merged or not. *)
-end
-
-val export_state :
-  ?now:Gr_util.Time_ns.t ->
-  t ->
-  key:string ->
-  fn:Gr_dsl.Ast.agg ->
-  window_ns:float ->
-  param:float ->
-  Merge.state
-(** One shard's mergeable summary for the shape, after lazy expiry —
-    O(1) amortized when the shape has a registered demand (QUANTILE
-    pays its in-window suffix), a window scan otherwise. On a
-    fleet-tier store this already folds all members. [?now] overrides
-    the window cutoff clock (default: the store's own) — fleets pass
-    the reading store's clock so shards whose clocks sit at the epoch
-    boundary are cut consistently with the merged naive scan. *)
 
 val set_global_publish : t -> (string -> float -> unit) option -> unit
 (** Fleet interception hook (docs/PARALLEL.md): when set, a

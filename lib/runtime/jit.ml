@@ -15,9 +15,11 @@ module Ir = Gr_compiler.Ir
    - feature-store reads go through pre-resolved handles
      (Feature_store.load_handle / agg_handle): key hashing and demand
      list walks happen once here, not per check — store routing is
-     fixed before install, a released demand or force_naive degrades
-     a read to the exact slow path, and a fleet-merged (sharded) key
-     gets a handle that always takes it, so every program compiles;
+     fixed before install, so a handle pins the entries of every
+     member its key reads (one for a local key, the tier and each
+     shard for a fleet-merged one) and folds them on each read; a
+     released demand is refound and force_naive takes the naive scan,
+     so every program compiles;
    - each remaining instruction becomes a closure from a hand-written
      template library, operator and constant operands baked into the
      closure environment (36 binop shapes: op x {reg·reg, reg·const,

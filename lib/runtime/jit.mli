@@ -16,10 +16,10 @@
 type t
 
 val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> t
-(** Compiles every verified program. A read of a sharded (fleet
-    cross-shard merged) key goes through a handle that always takes
-    the store's exact slow path. Precondition: the program passed
-    {!Gr_compiler.Verify.verify} against these slots. *)
+(** Compiles every verified program. Every store read, of a local or
+    a fleet-merged key alike, goes through a handle resolved here.
+    Precondition: the program passed {!Gr_compiler.Verify.verify}
+    against these slots. *)
 
 val run : t -> Vm.result
 (** Not reentrant: a compiled program owns its register frame. *)

@@ -2,8 +2,10 @@
 # Zero-allocation smoke (docs/PERFORMANCE.md): rebuild the test runner
 # under the release profile, the build perfbench measures, and run the
 # tests that assert a hot path allocates no minor words: periodic sim
-# dispatch, watched feature-store saves and per-check account updates. Tests are looked up by name, so the
-# smoke does not depend on their position in the suite.
+# dispatch, watched feature-store saves and per-check account updates;
+# and that feature-store handle reads allocate only their result, at
+# one member and merged over 64 shards. Tests are looked up by name,
+# so the smoke does not depend on their position in the suite.
 set -eu
 
 dune build --profile release ./test/test_main.exe
@@ -22,5 +24,6 @@ run() {
 
 run sim.engine "periodic dispatch allocates nothing"
 run runtime.store.ingest "save allocates nothing"
+run runtime.store "handle reads allocate only their result"
 run trace.metrics "account updates allocate nothing"
-echo "alloc-smoke: OK (periodic sim dispatch, watched store saves and account updates allocate no minor words, release profile)"
+echo "alloc-smoke: OK (periodic sim dispatch, watched store saves and account updates allocate no minor words, store handle reads only their result, release profile)"

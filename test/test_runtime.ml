@@ -277,8 +277,7 @@ let test_incremental_amortized_scan_cost () =
 
 (* ---------- Fleet-tier merged aggregation ---------- *)
 
-let make_fleet_store ~capacity ~shards:n =
-  let clock = ref 0 in
+let make_fleet_store ?(clock = ref 0) ~capacity ~shards:n () =
   let mk () = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:capacity () in
   let fleet = mk () in
   let shards = Array.init n (fun _ -> mk ()) in
@@ -286,21 +285,30 @@ let make_fleet_store ~capacity ~shards:n =
   (clock, fleet, shards)
 
 (* The fleet analogue of [incremental_equivalence_property]: saves land
-   on random shards, and every read of the fleet store — which merges
-   the shards' exported streaming states — must agree with the naive
+   on random shards, and every read of the fleet store — one fold over
+   the members' streaming states — must agree with the naive
    concat-and-scan oracle over the same retained samples. Small
    capacities force ring eviction at shard boundaries; advances beyond
    the window force retirement. As in the single-store property,
    [late = Some k] registers the demand before op [k] instead of
-   first; reads before it take the naive path. *)
+   first; reads before it take the naive path. Releases and
+   re-registrations come and go, so a handle's cached member demands
+   go stale.
+
+   Two identical fleets take every op. One is read through an
+   [agg_handle] and a [load_handle] made before the first op, the
+   other by key: the two reads must agree bit for bit, in value, scan
+   and incremental flag, and in every store counter they move. *)
 let merge_equivalence_property =
   let open QCheck2.Gen in
   let op =
     frequency
       [
-        (4, map2 (fun i v -> `Save (i, v)) (int_range 0 3) (float_bound_inclusive 100.));
-        (3, map (fun dt -> `Advance dt) (int_range 0 700_000_000));
-        (2, pure `Check);
+        (8, map2 (fun i v -> `Save (i, v)) (int_range 0 3) (float_bound_inclusive 100.));
+        (6, map (fun dt -> `Advance dt) (int_range 0 700_000_000));
+        (4, pure `Check);
+        (1, pure `Release);
+        (1, pure `Register);
       ]
   in
   let gen =
@@ -316,74 +324,74 @@ let merge_equivalence_property =
   QCheck2.Test.make ~name:"merged shard aggregates match naive concat-and-scan" ~count:300 gen
     (fun ((fn, param, capacity, n), ops, late) ->
       let param = if fn = Gr_dsl.Ast.Quantile then param else 0. in
-      let clock, fleet, shards = make_fleet_store ~capacity ~shards:n in
+      let clock, by_handle, shards = make_fleet_store ~capacity ~shards:n () in
+      let _, by_key, key_shards = make_fleet_store ~clock ~capacity ~shards:n () in
       let window_ns = 1e9 in
-      let registered = ref false in
+      let ah = Store.agg_handle by_handle ~key:"k" ~fn ~window_ns ~param in
+      let lh = Option.get (Store.load_handle by_handle "k") in
+      let refs = ref 0 in
       let register () =
-        Store.register_demand fleet ~key:"k" ~fn ~window_ns ~param;
-        registered := true
+        List.iter (fun f -> Store.register_demand f ~key:"k" ~fn ~window_ns ~param) [ by_handle; by_key ];
+        incr refs
+      in
+      let release () =
+        List.iter (fun f -> Store.release_demand f ~key:"k" ~fn ~window_ns ~param) [ by_handle; by_key ];
+        refs := max 0 (!refs - 1)
       in
       if late = None then register ();
       let ok = ref true in
+      let counters s =
+        ( Store.load_count s,
+          Store.agg_hit_count s,
+          Store.agg_miss_count s,
+          Store.expired_count s,
+          Store.save_count s )
+      in
+      let all_counters f sh = counters f :: Array.to_list (Array.map counters sh) in
+      let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
       let check () =
-        let merged = Store.aggregate_result fleet ~key:"k" ~fn ~window_ns ~param in
-        if !registered && not merged.Store.incremental then ok := false;
-        Store.set_force_naive fleet true;
-        let naive = Store.aggregate fleet ~key:"k" ~fn ~window_ns ~param in
-        Store.set_force_naive fleet false;
-        if not (agg_close fn merged.Store.value naive) then ok := false
+        let r = Store.handle_aggregate ah in
+        let k = Store.aggregate_result by_key ~key:"k" ~fn ~window_ns ~param in
+        if
+          not
+            (same_float r.value k.value && r.scanned = k.scanned && r.incremental = k.incremental)
+        then ok := false;
+        if not (same_float (Store.handle_load lh) (Store.load by_key "k")) then ok := false;
+        if all_counters by_handle shards <> all_counters by_key key_shards then ok := false;
+        if !refs > 0 && not r.incremental then ok := false;
+        (* The oracle reads both fleets, so their counters stay equal. *)
+        let naive =
+          List.map
+            (fun f ->
+              Store.set_force_naive f true;
+              let v = Store.aggregate f ~key:"k" ~fn ~window_ns ~param in
+              Store.set_force_naive f false;
+              v)
+            [ by_handle; by_key ]
+        in
+        if not (agg_close fn r.value (List.hd naive)) then ok := false
       in
       List.iteri
         (fun i op ->
           if late = Some i then register ();
           match op with
-          | `Save (i, v) -> Store.save shards.(i mod n) "k" v
+          | `Save (i, v) ->
+            Store.save shards.(i mod n) "k" v;
+            Store.save key_shards.(i mod n) "k" v
           | `Advance dt -> clock := !clock + dt
-          | `Check -> check ())
+          | `Check -> check ()
+          | `Release -> release ()
+          | `Register -> register ())
         ops;
       check ();
       !ok)
 
-let test_merge_union_laws () =
-  let clock, fleet, shards = make_fleet_store ~capacity:4096 ~shards:3 in
-  (* Integer-valued samples at distinct timestamps: float sums are
-     exact, so unit and associativity hold structurally, not just up
-     to rounding. *)
-  let feed i vals =
-    List.iteri
-      (fun j v ->
-        clock := (i * 100) + j + 1;
-        Store.save shards.(i) "k" v)
-      vals
-  in
-  feed 0 [ 4.; 9. ];
-  feed 1 [ 1. ];
-  feed 2 [ 7.; 2.; 5. ];
-  clock := 1_000;
-  let window_ns = 1e9 in
-  List.iter
-    (fun fn ->
-      let param = if fn = Gr_dsl.Ast.Quantile then 0.5 else 0. in
-      let export s = Store.export_state s ~key:"k" ~fn ~window_ns ~param in
-      let a = export shards.(0) and b = export shards.(1) and c = export shards.(2) in
-      let open Store.Merge in
-      check_bool "empty is a left unit" true (union empty a = a);
-      check_bool "empty is a right unit" true (union a empty = a);
-      check_bool "union associates" true (union (union a b) c = union a (union b c));
-      let folded = List.fold_left union empty [ a; b; c ] in
-      Store.set_force_naive fleet true;
-      let naive = Store.aggregate fleet ~key:"k" ~fn ~window_ns ~param in
-      Store.set_force_naive fleet false;
-      check_bool "folded value = naive concat-and-scan" true
-        (agg_close fn (value ~fn ~window_ns ~param folded) naive))
-    all_aggs
-
 (* An entry a watch created on the fleet tier holds no sample, so the
-   merged read exports it like a missing member: same value, scan,
+   merged read folds it like a missing member: same value, scan,
    incremental flag and hit/miss counters as with no watch. *)
 let test_merge_watched_empty_member () =
   let read ~watched =
-    let clock, tier, shards = make_fleet_store ~capacity:16 ~shards:2 in
+    let clock, tier, shards = make_fleet_store ~capacity:16 ~shards:2 () in
     Array.iteri
       (fun i node ->
         Store.register_demand node ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0.;
@@ -392,11 +400,9 @@ let test_merge_watched_empty_member () =
       shards;
     if watched then ignore (Store.watch tier "k" ignore : Store.watch);
     let r = Store.aggregate_result tier ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0. in
-    ( (r.value, r.scanned, r.incremental),
-      (Store.agg_hit_count tier, Store.agg_miss_count tier),
-      Store.export_state tier ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0. )
+    ((r.value, r.scanned, r.incremental), (Store.agg_hit_count tier, Store.agg_miss_count tier))
   in
-  let ((value, _, incremental), (hits, _), _) as unwatched = read ~watched:false in
+  let ((value, _, incremental), (hits, _)) as unwatched = read ~watched:false in
   check_float "merged avg" 1.5 value;
   check_bool "served incrementally" true incremental;
   check_int "one hit" 1 hits;
@@ -406,7 +412,7 @@ let test_merge_shard_boundary_eviction () =
   (* Capacity 2 per key: shard 0's oldest samples are ring-evicted
      while shard 1 keeps sparse old ones — the merged window must
      reflect exactly the union of what each shard actually retains. *)
-  let clock, fleet, shards = make_fleet_store ~capacity:2 ~shards:2 in
+  let clock, fleet, shards = make_fleet_store ~capacity:2 ~shards:2 () in
   Store.register_demand fleet ~key:"k" ~fn:Gr_dsl.Ast.Sum ~window_ns:1e9 ~param:0.;
   Store.register_demand fleet ~key:"k" ~fn:Gr_dsl.Ast.Delta ~window_ns:1e9 ~param:0.;
   clock := 10;
@@ -435,17 +441,17 @@ let test_merge_shard_boundary_eviction () =
   Store.save used "k" 1.;
   Alcotest.check_raises "link refuses a store with an entry" refused (fun () ->
       Store.link tier [| used |]);
-  let _, _, linked = make_fleet_store ~capacity:2 ~shards:1 in
+  let _, _, linked = make_fleet_store ~capacity:2 ~shards:1 () in
   Alcotest.check_raises "link refuses a linked shard" refused (fun () ->
       Store.link tier linked)
 
 (* ---------- Ingest cost ---------- *)
 
-(* Saves onto running-sum demands allocate nothing, through a save
-   handle and by key, both while the ring has room and once every
-   save evicts its oldest sample. Each saved key has a no-op watcher,
-   which every save calls, and an engine watches another key through
-   an ON_CHANGE monitor. 2^14 + 1 warm-up saves grow the arrays to the
+(* Saves onto streaming demands of every kind but QUANTILE's allocate
+   nothing, through a save handle and by key, both while the ring has
+   room and once every save evicts its oldest sample. Each saved key
+   has a no-op watcher, which every save calls, and an engine watches
+   another key through an ON_CHANGE monitor. 2^14 + 1 warm-up saves grow the arrays to the
    full 2^15 capacity, leaving room for the first measured 10k; the
    capacity's worth of saves after that wraps the ring. *)
 let test_store_save_allocates_nothing () =
@@ -466,7 +472,7 @@ let test_store_save_allocates_nothing () =
     (fun (name, key, save) ->
       List.iter
         (fun fn -> Store.register_demand store ~key ~fn ~window_ns:1e9 ~param:0.)
-        [ Gr_dsl.Ast.Count; Sum; Avg; Stddev; Delta ];
+        [ Gr_dsl.Ast.Count; Sum; Avg; Stddev; Delta; Min; Max ];
       ignore (Store.watch store key ignore : Store.watch);
       let saves n =
         for i = 1 to n do
@@ -510,7 +516,7 @@ let test_store_watch () =
   Store.unwatch a;
   Store.save store "k" 2.;
   check_seen "only the remaining watcher" [ ("b", 2.) ];
-  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:2 in
+  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:2 () in
   let global = Gr_dsl.Ast.global_key "g" in
   ignore (Store.watch shards.(1) global (note "node 1") : Store.watch);
   Store.save tier global 5.;
@@ -521,7 +527,7 @@ let test_store_watch () =
    before its first save, and on a fleet node a global key's save goes
    to the interception hook, a plain key's to the node itself. *)
 let test_store_save_handle_routing () =
-  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:1 in
+  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:1 () in
   let node = shards.(0) in
   let published = ref [] in
   Store.set_global_publish node (Some (fun k v -> published := (k, v) :: !published));
@@ -549,6 +555,93 @@ let test_store_footprint_follows_samples () =
   done;
   let per_key = Obj.reachable_words (Obj.repr store) / 1000 in
   check_bool (Printf.sprintf "%d words per key < 64" per_key) true (per_key < 64)
+
+(* One hit/miss rule for local and merged reads: a read streams, and
+   counts a hit, when some member has a live demand and every member
+   holding samples has one; otherwise it counts a miss and scans the
+   members' merged window. A plain key registered on a shard alone
+   gives the fleet tier a member without the demand. *)
+let test_store_hit_miss_rule () =
+  let fn = Gr_dsl.Ast.Avg and window_ns = 1e9 and param = 0. in
+  let expect name store ~hit value =
+    let hits = Store.agg_hit_count store and misses = Store.agg_miss_count store in
+    let r = Store.aggregate_result store ~key:"k" ~fn ~window_ns ~param in
+    check_bool (name ^ ": streamed") hit r.Store.incremental;
+    check_int (name ^ ": hits") (if hit then hits + 1 else hits) (Store.agg_hit_count store);
+    check_int (name ^ ": misses") (if hit then misses else misses + 1)
+      (Store.agg_miss_count store);
+    check_float (name ^ ": value") value r.Store.value
+  in
+  let local () = snd (make_store ()) in
+  let fleet () =
+    let _, tier, shards = make_fleet_store ~capacity:16 ~shards:2 () in
+    (tier, shards)
+  in
+  (* No member has a demand, every member empty: a miss. *)
+  expect "empty local key" (local ()) ~hit:false 0.;
+  expect "empty merged key" (fst (fleet ())) ~hit:false 0.;
+  (* No member has a demand, a member holds samples: a miss. *)
+  let s = local () in
+  Store.save s "k" 4.;
+  expect "local key without demand" s ~hit:false 4.;
+  let tier, shards = fleet () in
+  Store.save shards.(1) "k" 4.;
+  expect "merged key without demand" tier ~hit:false 4.;
+  (* A member holding samples lacks the demand: a miss over the merged
+     window, the demand's member included. *)
+  let tier, shards = fleet () in
+  Store.register_demand shards.(0) ~key:"k" ~fn ~window_ns ~param;
+  Store.save shards.(0) "k" 2.;
+  Store.save shards.(1) "k" 4.;
+  expect "merged key, a non-empty member lacks the demand" tier ~hit:false 3.;
+  (* Some member has a demand and every member holding samples has
+     one: a hit, the empty members without one skipped. *)
+  let s = local () in
+  Store.register_demand s ~key:"k" ~fn ~window_ns ~param;
+  expect "empty local key with demand" s ~hit:true 0.;
+  Store.save s "k" 4.;
+  expect "local key with demand" s ~hit:true 4.;
+  let tier, shards = fleet () in
+  Store.register_demand shards.(0) ~key:"k" ~fn ~window_ns ~param;
+  Store.save shards.(0) "k" 2.;
+  expect "merged key, every non-empty member has the demand" tier ~hit:true 2.
+
+(* A LOAD handle read allocates nothing, and a COUNT/SUM/AVG handle
+   read allocates only its [agg_result], at one member and at 64: the
+   fold keeps its sums in unboxed local floats. *)
+let test_store_handle_reads_allocate_only_their_result () =
+  let aggs = [ Gr_dsl.Ast.Count; Sum; Avg ] and reads = 10_000 in
+  let setup store savers =
+    List.iter (fun fn -> Store.register_demand store ~key:"k" ~fn ~window_ns:1e9 ~param:0.) aggs;
+    Array.iteri (fun i s -> Store.save s "k" (float_of_int (i + 1))) savers
+  in
+  let _, local = make_store () in
+  setup local [| local |];
+  let _, tier, shards = make_fleet_store ~capacity:16 ~shards:64 () in
+  setup tier shards;
+  List.iter
+    (fun (name, store) ->
+      let lh = Option.get (Store.load_handle store "k") in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to reads do
+        ignore (Sys.opaque_identity (Store.handle_load lh) : float)
+      done;
+      Alcotest.(check (float 0.)) (name ^ ": LOAD words per read") 0.
+        ((Gc.minor_words () -. w0) /. float_of_int reads);
+      List.iter
+        (fun fn ->
+          let h = Store.agg_handle store ~key:"k" ~fn ~window_ns:1e9 ~param:0. in
+          let result = Store.handle_aggregate h in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to reads do
+            ignore (Sys.opaque_identity (Store.handle_aggregate h) : Store.agg_result)
+          done;
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s: %s words per read" name (Gr_dsl.Ast.agg_name fn))
+            (float_of_int (Obj.reachable_words (Obj.repr result)))
+            ((Gc.minor_words () -. w0) /. float_of_int reads))
+        aggs)
+    [ ("local key", local); ("merged key over 64 shards", tier) ]
 
 (* ---------- VM ---------- *)
 
@@ -1044,6 +1137,9 @@ let suite =
         Alcotest.test_case "bounded capacity" `Quick test_store_capacity_bounded;
         Alcotest.test_case "on_save" `Quick test_store_on_save;
         Alcotest.test_case "watch and unwatch" `Quick test_store_watch;
+        Alcotest.test_case "one hit/miss rule" `Quick test_store_hit_miss_rule;
+        Alcotest.test_case "handle reads allocate only their result" `Quick
+          test_store_handle_reads_allocate_only_their_result;
         QCheck_alcotest.to_alcotest store_aggregate_property;
       ] );
     ( "runtime.store.incremental",
@@ -1066,7 +1162,6 @@ let suite =
     ( "runtime.store.merge",
       [
         QCheck_alcotest.to_alcotest merge_equivalence_property;
-        Alcotest.test_case "union laws" `Quick test_merge_union_laws;
         Alcotest.test_case "shard-boundary eviction" `Quick test_merge_shard_boundary_eviction;
         Alcotest.test_case "watched empty member reads as missing" `Quick
           test_merge_watched_empty_member;

@@ -175,54 +175,6 @@ let test_vec_get_out_of_range () =
   Alcotest.check_raises "get out of range" (Invalid_argument "Vec.get: index out of range")
     (fun () -> ignore (Vec.get v 1 : int))
 
-(* ---------- Deque ---------- *)
-
-let test_deque_both_ends () =
-  let d = Deque.create ~capacity:2 () in
-  List.iter (Deque.push_back d) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (option int)) "front" (Some 1) (Deque.front d);
-  Alcotest.(check (option int)) "back" (Some 5) (Deque.back d);
-  Alcotest.(check (option int)) "pop_front" (Some 1) (Deque.pop_front d);
-  Alcotest.(check (option int)) "pop_back" (Some 5) (Deque.pop_back d);
-  Alcotest.(check (list int)) "remaining" [ 2; 3; 4 ] (Deque.to_list d);
-  Deque.drop_front_while (fun x -> x < 4) d;
-  Alcotest.(check (list int)) "front dropped" [ 4 ] (Deque.to_list d);
-  Deque.drop_back_while (fun _ -> true) d;
-  check_bool "drained" true (Deque.is_empty d);
-  Alcotest.(check (option int)) "pop empty" None (Deque.pop_front d)
-
-let test_deque_wraparound_growth () =
-  (* Force head to wrap before growing so the copy must re-linearize. *)
-  let d = Deque.create ~capacity:4 () in
-  List.iter (Deque.push_back d) [ 1; 2; 3 ];
-  ignore (Deque.pop_front d : int option);
-  ignore (Deque.pop_front d : int option);
-  List.iter (Deque.push_back d) [ 4; 5; 6; 7; 8 ];
-  Alcotest.(check (list int)) "linear order preserved" [ 3; 4; 5; 6; 7; 8 ] (Deque.to_list d);
-  check_int "indexed get" 5 (Deque.get d 2)
-
-(* A monotonic min-deque driven randomly must always report the true
-   minimum of the live window — the exact discipline the feature
-   store's streaming MIN/MAX uses. *)
-let deque_monotonic_property =
-  QCheck2.Test.make ~name:"monotonic deque tracks window minimum" ~count:300
-    QCheck2.Gen.(pair (int_range 1 10) (list_size (int_range 1 60) (int_range 0 1000)))
-    (fun (window, xs) ->
-      let d = Deque.create () in
-      let ok = ref true in
-      List.iteri
-        (fun i x ->
-          Deque.drop_back_while (fun (_, v) -> v >= x) d;
-          Deque.push_back d (i, x);
-          Deque.drop_front_while (fun (j, _) -> j <= i - window) d;
-          let live = List.filteri (fun j _ -> j > i - window && j <= i) xs in
-          let true_min = List.fold_left min (List.hd (List.rev live)) live in
-          match Deque.front d with
-          | Some (_, v) when v = true_min -> ()
-          | _ -> ok := false)
-        xs;
-      !ok)
-
 let ring_property =
   QCheck2.Test.make ~name:"ring keeps the most recent [capacity] elements" ~count:200
     QCheck2.Gen.(pair (int_range 1 20) (list int))
@@ -315,12 +267,6 @@ let suite =
       [
         Alcotest.test_case "push order and growth" `Quick test_vec_push_order_and_growth;
         Alcotest.test_case "out-of-range get" `Quick test_vec_get_out_of_range;
-      ] );
-    ( "util.deque",
-      [
-        Alcotest.test_case "both ends" `Quick test_deque_both_ends;
-        Alcotest.test_case "wraparound growth" `Quick test_deque_wraparound_growth;
-        QCheck_alcotest.to_alcotest deque_monotonic_property;
       ] );
     ( "util.stats",
       [
