@@ -54,6 +54,19 @@ let unsubscribe t sub =
   | None -> ()
   | Some p -> p.listeners <- List.filter (fun l -> l.id <> sub.listener_id) p.listeners
 
+let listener_id sub = sub.listener_id
+
+(* Whether [sub]'s listener is still the hook's last: then anything it
+   runs for a new member runs exactly where a new subscription would. *)
+let extend t sub =
+  let last p = match List.rev p.listeners with l :: _ -> l.id = sub.listener_id | [] -> false in
+  match Hashtbl.find_opt t.points sub.hook with
+  | Some p when last p ->
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    Some id
+  | _ -> None
+
 (* A listener that raises must not take the kernel down with it — a
    crashing probe handler is the probe's bug, not a panic (the real
    kernel likewise contains a faulting BPF program). The exception is
@@ -62,31 +75,33 @@ let unsubscribe t sub =
    misbehaving kprobe. Fault-injection soaks reconcile these counters
    against the faults they injected, so a *real* listener bug still
    fails the run — it is accounted for, not swallowed. *)
+let contain t name ~listener ~strikes exn =
+  t.contained_exns <- t.contained_exns + 1;
+  let quarantine = strikes >= t.max_strikes in
+  if quarantine then t.quarantined <- t.quarantined + 1;
+  (match t.tracer with
+  | Some tr when Gr_trace.Tracer.enabled tr ->
+    Gr_trace.Tracer.instant tr ~cat:"hook"
+      ~args:
+        [
+          ("hook", Gr_trace.Event.Str name);
+          ("listener", Gr_trace.Event.Int listener);
+          ("exn", Gr_trace.Event.Str (Printexc.to_string exn));
+          ("strikes", Gr_trace.Event.Int strikes);
+          ("quarantined", Gr_trace.Event.Bool quarantine);
+        ]
+      "hook.listener_exn"
+  | _ -> ());
+  quarantine
+
 let dispatch t name p args =
   List.iter
     (fun l ->
       try l.fn args
       with exn ->
-        t.contained_exns <- t.contained_exns + 1;
         l.strikes <- l.strikes + 1;
-        let quarantine = l.strikes >= t.max_strikes in
-        if quarantine then begin
-          t.quarantined <- t.quarantined + 1;
-          p.listeners <- List.filter (fun l' -> l'.id <> l.id) p.listeners
-        end;
-        match t.tracer with
-        | Some tr when Gr_trace.Tracer.enabled tr ->
-          Gr_trace.Tracer.instant tr ~cat:"hook"
-            ~args:
-              [
-                ("hook", Gr_trace.Event.Str name);
-                ("listener", Gr_trace.Event.Int l.id);
-                ("exn", Gr_trace.Event.Str (Printexc.to_string exn));
-                ("strikes", Gr_trace.Event.Int l.strikes);
-                ("quarantined", Gr_trace.Event.Bool quarantine);
-              ]
-            "hook.listener_exn"
-        | _ -> ())
+        if contain t name ~listener:l.id ~strikes:l.strikes exn then
+          p.listeners <- List.filter (fun l' -> l'.id <> l.id) p.listeners)
     p.listeners
 
 let fire t name args =

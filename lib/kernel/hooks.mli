@@ -45,6 +45,32 @@ val subscribe : t -> string -> (args -> unit) -> subscription
 
 val unsubscribe : t -> subscription -> unit
 
+(** {1 Listeners that dispatch for several members}
+
+    The guardrail engine runs every monitor armed on one hook from a
+    single listener (a trigger group). These let such a listener keep
+    the order and containment that one subscription per member would
+    have. *)
+
+val listener_id : subscription -> int
+(** The id the subscription's listener carries in
+    ["hook.listener_exn"] trace events. *)
+
+val extend : t -> subscription -> int option
+(** [extend t sub] reserves a listener id for one more member of
+    [sub]'s listener, when that listener is still the hook's last:
+    running the member there keeps the order a new subscription would
+    give it. [None] once anything subscribed after it, or after it was
+    unsubscribed or quarantined. *)
+
+val contain : t -> string -> listener:int -> strikes:int -> exn -> bool
+(** [contain t hook ~listener ~strikes exn] accounts one exception a
+    listener (or a member it dispatches) raised on [hook] and
+    contained, exactly as {!fire} does for its own listeners: counts
+    it, traces it, and answers whether [strikes], the raiser's fault
+    count including this one, reached the quarantine limit — then it
+    is counted as quarantined, and the caller must stop running it. *)
+
 val fire : t -> string -> args -> unit
 
 val fire_count : t -> string -> int

@@ -5,6 +5,17 @@
     Semantics:
     - A monitor {e checks} its rule whenever any of its triggers
       fires. The property is violated when the rule evaluates falsy.
+    - Monitors armed on one FUNCTION hook or ON_CHANGE key check as
+      one {e trigger group}: one subscription or watch, the members in
+      install order, each distinct input read once per firing into a
+      frame the JIT members share (see {!Jit}). Groups are invisible
+      in every result: each check keeps its place in the hook's or
+      key's dispatch order, its own account, span, flips and cooldown,
+      and counts its own store reads, so verdicts, counters and traces
+      are what one subscription per monitor gives. A member whose
+      check raises on a hook is contained like a raising hook
+      listener — counted, and quarantined after the hook's strike
+      limit — and the members after it still check.
     - On violation, the monitor's actions run in order, subject to a
       per-monitor cooldown (no re-firing within [cooldown] of the
       previous firing). Checks themselves are never suppressed.
@@ -87,7 +98,8 @@ val tier : handle -> Vm.tier
 val default_tier : t -> Vm.tier
 
 val uninstall : t -> handle -> unit
-(** Cancels timers, unsubscribes hooks, unwatches ON_CHANGE keys,
+(** Takes the monitor out of its trigger groups (a group left empty
+    cancels its timer, unsubscribes its hook or unwatches its key),
     releases the monitor's streaming-aggregate demand refcounts
     ({e exactly} once — shapes shared with still-installed monitors
     keep streaming), and drops

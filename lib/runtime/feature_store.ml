@@ -573,7 +573,7 @@ let samples_in_window t ~key ~window_ns =
       acc + e.len - first_inside e ~now ~window_ns)
     0 ms
 
-type agg_result = { value : float; scanned : int; incremental : bool }
+type agg_result = { value : float; scanned : int; per_read : int; incremental : bool }
 
 (* The naive scan of the members' merged window, kept as the oracle the
    streaming path is property-tested against: it answers every read
@@ -606,7 +606,8 @@ let naive_aggregate es ~now ~fn ~window_ns ~param =
         let rec last = function [ x ] -> x | _ :: rest -> last rest | [] -> newest in
         newest -. last values)
   in
-  { value; scanned = List.length values; incremental = false }
+  let scanned = List.length values in
+  { value; scanned; per_read = scanned; incremental = false }
 
 (* COUNT/SUM/RATE/AVG/STDDEV from running sums. Inlined, so the sums
    reach it unboxed. *)
@@ -624,21 +625,6 @@ let[@inline] running ~fn ~window_ns ~count ~sum ~sumsq =
       sqrt (Float.max 0. ((sumsq /. n) -. (mean *. mean)))
     end
   | Min | Max | Delta | Quantile -> invalid_arg "Feature_store.running"
-
-(* Count and trace one aggregate read on its resolved store. *)
-let record_agg t ~key ~fn ~window_ns (r : agg_result) =
-  if r.incremental then t.agg_hits <- t.agg_hits + 1 else t.agg_misses <- t.agg_misses + 1;
-  if tracing t then
-    Gr_trace.Tracer.instant (Option.get t.tracer) ~cat:"store"
-      ~args:
-        [
-          ("key", Gr_trace.Event.Str key);
-          ("window_ns", Gr_trace.Event.Float window_ns);
-          ("samples", Gr_trace.Event.Int r.scanned);
-          ("incremental", Gr_trace.Event.Bool r.incremental);
-        ]
-      ("agg:" ^ Gr_dsl.Ast.agg_name fn);
-  r
 
 (* ---------- resolved reads ----------
 
@@ -683,10 +669,14 @@ let newest h =
 
 (* A lone member's newest sample is its [latest]: read it directly,
    LOAD being the hottest read there is. *)
+let[@inline] peek h = if Array.length h.lh_rest = 0 then h.lh_entry.latest else newest h
+let handle_store h = h.lh_store
+let count_loads t n = t.loads <- t.loads + n
+
 let handle_load h =
   let s = h.lh_store in
   s.loads <- s.loads + 1;
-  if Array.length h.lh_rest = 0 then h.lh_entry.latest else newest h
+  peek h
 
 let load t key = handle_load (load_view find t key)
 
@@ -846,31 +836,52 @@ let window_suffixes h ~now =
   done;
   Array.concat !parts
 
-let handle_aggregate h =
+(* The physical read behind every aggregate read: expires and folds,
+   but counts and traces nothing. *)
+let scan h =
   let now = h.ah_store.clock () in
   let scanned =
     if h.ah_store.force_naive then -1
     else if settled h ~now (Array.length h.ah_demands - 1) then 0
     else expire_members h ~now
   in
-  let r =
-    if scanned < 0 then
-      naive_aggregate h.ah_entries ~now ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
-    else
-      match h.ah_fn with
-      | Count | Sum | Rate | Avg | Stddev -> { value = fold_sums h; scanned; incremental = true }
-      | Min | Max -> { value = fold_extremes h; scanned; incremental = true }
-      | Delta -> { value = fold_delta h; scanned; incremental = true }
-      | Quantile ->
-        (* The ranked suffixes count as scanned too. *)
-        let samples = window_suffixes h ~now in
-        {
-          value = (if Array.length samples = 0 then 0. else Stats.quantile samples h.ah_param);
-          scanned = scanned + Array.length samples;
-          incremental = true;
-        }
-  in
-  record_agg h.ah_store ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns r
+  if scanned < 0 then
+    naive_aggregate h.ah_entries ~now ~fn:h.ah_fn ~window_ns:h.ah_window_ns ~param:h.ah_param
+  else
+    match h.ah_fn with
+    | Count | Sum | Rate | Avg | Stddev ->
+      { value = fold_sums h; scanned; per_read = 0; incremental = true }
+    | Min | Max -> { value = fold_extremes h; scanned; per_read = 0; incremental = true }
+    | Delta -> { value = fold_delta h; scanned; per_read = 0; incremental = true }
+    | Quantile ->
+      (* The ranked suffixes count as scanned too, on every read. *)
+      let samples = window_suffixes h ~now in
+      {
+        value = (if Array.length samples = 0 then 0. else Stats.quantile samples h.ah_param);
+        scanned = scanned + Array.length samples;
+        per_read = Array.length samples;
+        incremental = true;
+      }
+
+(* Count and trace one logical aggregate read on its resolved store. *)
+let count_aggregate h ~scanned ~incremental =
+  let t = h.ah_store in
+  if incremental then t.agg_hits <- t.agg_hits + 1 else t.agg_misses <- t.agg_misses + 1;
+  if tracing t then
+    Gr_trace.Tracer.instant (Option.get t.tracer) ~cat:"store"
+      ~args:
+        [
+          ("key", Gr_trace.Event.Str h.ah_key);
+          ("window_ns", Gr_trace.Event.Float h.ah_window_ns);
+          ("samples", Gr_trace.Event.Int scanned);
+          ("incremental", Gr_trace.Event.Bool incremental);
+        ]
+      ("agg:" ^ Gr_dsl.Ast.agg_name h.ah_fn)
+
+let handle_aggregate h =
+  let r = scan h in
+  count_aggregate h ~scanned:r.scanned ~incremental:r.incremental;
+  r
 
 let aggregate_result t ~key ~fn ~window_ns ~param =
   handle_aggregate (agg_view find t ~key ~fn ~window_ns ~param)
@@ -908,6 +919,10 @@ let watch t key callback =
   let w = { w_entry = e; callback } in
   e.watchers <- e.watchers @ [ w ];
   w
+
+let last_watch w =
+  let rec last = function [ w' ] -> w' == w | _ :: ws -> last ws | [] -> false in
+  last w.w_entry.watchers
 
 let unwatch w =
   let e = w.w_entry in

@@ -109,6 +109,11 @@ val watch : t -> string -> (float -> unit) -> watch
     any {!on_save} subscriber; calling them allocates nothing. This
     is how ON_CHANGE triggers and control keys are wired. *)
 
+val last_watch : watch -> bool
+(** Whether no watcher was added to the key after this one (and it is
+    still watching): a callback appended to it then runs where a new
+    {!watch} of the key would. *)
+
 val unwatch : watch -> unit
 (** Detach the watcher. Idempotent. *)
 
@@ -151,6 +156,10 @@ type agg_result = {
           the naive path; on the incremental path only the samples
           expired now (amortized O(1)) plus, for QUANTILE, the
           in-window suffix it ranked *)
+  per_read : int;
+      (** the part of [scanned] a repeat read of the same state touches
+          again: all of it on the naive path, QUANTILE's ranked suffix,
+          0 for the other streaming reads (their expiry is done) *)
   incremental : bool;  (** whether registered demands served it *)
 }
 
@@ -211,6 +220,34 @@ val agg_handle :
 val handle_aggregate : agg_handle -> agg_result
 (** Same result, counter effects and trace instant as
     [aggregate_result] with the handle's shape. *)
+
+(** {2 Shared reads}
+
+    A trigger group (see {!Gr_runtime.Jit}) reads each input once into
+    a frame its members share, and has every member count the reads
+    its own program makes: counters stay {e logical}, as if each
+    member had read through its handle. A handle read is exactly a
+    physical read plus its count. *)
+
+val peek : load_handle -> float
+(** [handle_load] without counting the LOAD. *)
+
+val handle_store : load_handle -> t
+(** The store a read through the handle counts on: the one its key
+    resolves to. *)
+
+val count_loads : t -> int -> unit
+(** Counts [n] logical LOADs on the store, as [n] [handle_load]s of
+    handles whose {!handle_store} it is would. *)
+
+val scan : agg_handle -> agg_result
+(** [handle_aggregate] without counting or tracing the read: expires
+    and folds the window state the same way. *)
+
+val count_aggregate : agg_handle -> scanned:int -> incremental:bool -> unit
+(** Counts one logical aggregate read on the handle's store — a hit
+    when [incremental], else a miss — and emits its trace instant with
+    [scanned] samples, as [handle_aggregate] does for its own read. *)
 
 type save_handle
 

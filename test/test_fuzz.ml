@@ -428,6 +428,191 @@ let test_fleet_differential () =
     Alcotest.failf "%d/%d fleet differential cases diverged (first %d shown):\n%s"
       (List.length fs) fleet_fuzz_cases (List.length shown) (String.concat "\n" shown)
 
+(* ------------------------------------------------------------------ *)
+(* Trigger groups: grouped JIT vs. per-monitor tree interpretation.    *)
+(* ------------------------------------------------------------------ *)
+
+(* Random monitor sets that share a FUNCTION hook, an ON_CHANGE key or
+   both run one script twice. The grouped side is the JIT engine as
+   shipped: the set becomes one trigger group per hook or key, each
+   input read once per frame epoch. The reference side interprets every
+   rule on the tree tier and installs a no-op hook listener and key
+   watch before each monitor, which closes every group: each monitor
+   then has its own subscription and watch. Each
+   monitor SAVEs a key the next one reads, so actions inside a group
+   must refresh the frame; the script saves, fires, advances the clock
+   and installs and uninstalls monitors between fires. Verdicts,
+   accounts, store counters and trace bytes must be identical. *)
+
+module Engine = Gr_runtime.Engine
+
+let group_fuzz_cases = 100
+let group_hook = "fz:hook"
+let group_key = "depth"
+
+let rec expr_keys (e : Gr_dsl.Ast.expr Gr_dsl.Ast.located) =
+  match e.node with
+  | Gr_dsl.Ast.Number _ | Bool _ -> []
+  | Load k -> [ k ]
+  | Agg { key; _ } -> [ key ]
+  | Unop (_, e) -> expr_keys e
+  | Binop (_, l, r) -> expr_keys l @ expr_keys r
+
+type group_op = Fire | Put of string * float | Advance of int | Install of int | Uninstall of int
+
+(* Monitor [j]'s spec: a random rule, a REPORT, and a SAVE whose key
+   the rule of monitor [j + 1] reads, when it reads one. *)
+let group_specs rand ~triggers ~count =
+  let gen g = QCheck2.Gen.generate1 ~rand g in
+  let rules = Array.init count (fun _ -> gen (Gen.bool_gen 2)) in
+  Array.mapi
+    (fun j rule ->
+      let target =
+        match expr_keys rules.((j + 1) mod count) with
+        | [] -> gen Gen.key_gen
+        | ks -> List.nth ks (Random.State.int rand (List.length ks))
+      in
+      let pos = Gen.pos and at = Gr_dsl.Ast.at in
+      let g =
+        {
+          Gr_dsl.Ast.name = Printf.sprintf "grp_%d" j;
+          pos;
+          triggers = List.map (at pos) triggers;
+          rules = [ rule ];
+          actions =
+            [
+              at pos (Gr_dsl.Ast.Report { message = "violated"; keys = [ target ] });
+              at pos (Gr_dsl.Ast.Save { key = target; value = gen (Gen.num_gen 1) });
+            ];
+        }
+      in
+      Gr_dsl.Pretty.spec_to_string [ g ])
+    rules
+
+let group_script rand ~initial ~count =
+  let pick a = a.(Random.State.int rand (Array.length a)) in
+  List.init initial (fun j -> Install j)
+  @ List.init 50 (fun _ ->
+        match Random.State.int rand 20 with
+        | 0 -> Install (initial + Random.State.int rand (count - initial))
+        | 1 -> Uninstall (Random.State.int rand 8)
+        | 2 | 3 | 4 -> Advance (1 + Random.State.int rand 400_000)
+        | 5 | 6 | 7 | 8 ->
+          let nan = Random.State.int rand 40 = 0 in
+          let v = float_of_int (Random.State.int rand 17) in
+          let key = pick fuzz_keys in
+          Put (key, if nan then Float.nan else v)
+        | _ -> Fire)
+
+(* Runs the script on a fresh traced deployment; answers its
+   observables. *)
+let group_world ~grouped ~on_hook specs script =
+  let kernel = Gr_kernel.Kernel.create ~seed:7 in
+  let config = { Engine.default_config with max_cascade_depth = 3 } in
+  let d =
+    D.create ~kernel ~config ~tracing:true
+      ~engine:(if grouped then Vm.Jit else Vm.Tree)
+      ()
+  in
+  (* A listener from elsewhere on both sides, so the separators never
+     decide whether a firing has listeners (and a traced hook span). *)
+  ignore (Gr_kernel.Hooks.subscribe kernel.hooks group_hook ignore : Gr_kernel.Hooks.subscription);
+  let installed = ref [] and ever = ref [] in
+  let apply = function
+    | Install s -> (
+      if not grouped then begin
+        ignore
+          (Gr_kernel.Hooks.subscribe kernel.hooks group_hook ignore : Gr_kernel.Hooks.subscription);
+        ignore (Store.watch (D.store d) group_key ignore : Store.watch)
+      end;
+      match D.install_source d specs.(s) with
+      | Ok hs ->
+        installed := !installed @ hs;
+        ever := !ever @ hs
+      | Error _ -> ())
+    | Uninstall n -> (
+      match !installed with
+      | [] -> ()
+      | hs ->
+        let h = List.nth hs (n mod List.length hs) in
+        D.uninstall d h;
+        installed := List.filter (fun h' -> h' != h) hs)
+    | Advance us ->
+      Gr_kernel.Kernel.run_until kernel (Time_ns.add (Gr_kernel.Kernel.now kernel) (Time_ns.us us))
+    | Put (k, v) -> D.save d k v
+    | Fire ->
+      if on_hook then Gr_kernel.Hooks.fire kernel.hooks group_hook [ ("x", 1.) ]
+      else D.save d group_key 1.
+  in
+  List.iter apply script;
+  let engine = D.engine d and store = D.store d in
+  let stats =
+    List.map
+      (fun h ->
+        let s = Engine.Stats.get engine h in
+        ( Engine.monitor_name h,
+          (s.checks, s.violations, s.action_firings, s.cascade_drops, s.oscillation_alerts),
+          Int64.bits_of_float s.overhead_ns ))
+      !ever
+  in
+  let counters =
+    ( Store.load_count store,
+      Store.agg_hit_count store,
+      Store.agg_miss_count store,
+      Store.save_count store,
+      Store.expired_count store )
+  in
+  let reports =
+    List.map
+      (fun (v : Engine.violation_record) ->
+        let bits = List.map (fun (k, x) -> (k, Int64.bits_of_float x)) v.snapshot in
+        (v.monitor, v.at, v.message, bits))
+      (Engine.violations engine)
+  in
+  (stats, counters, reports, Gr_trace.Export.chrome_string (D.tracer d))
+
+let run_group_case i failures firings =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> failures := Printf.sprintf "group case %d: %s" i msg :: !failures)
+      fmt
+  in
+  let rand = Random.State.make [| 0x6A0F + i |] in
+  let on_hook = i mod 3 <> 1 in
+  let triggers =
+    match i mod 3 with
+    | 0 -> [ Gr_dsl.Ast.Function group_hook ]
+    | 1 -> [ Gr_dsl.Ast.On_change group_key ]
+    | _ -> [ Gr_dsl.Ast.Function group_hook; Gr_dsl.Ast.On_change group_key ]
+  in
+  let initial = 3 + Random.State.int rand 4 in
+  let count = initial + 3 in
+  let specs = group_specs rand ~triggers ~count in
+  let script = group_script rand ~initial ~count in
+  let stats, counters, reports, trace = group_world ~grouped:true ~on_hook specs script in
+  let stats', counters', reports', trace' = group_world ~grouped:false ~on_hook specs script in
+  List.iter (fun (_, (_, _, f, _, _), _) -> firings := !firings + f) stats;
+  if stats <> stats' then fail "per-monitor stats or accounts diverged";
+  if counters <> counters' then begin
+    let l, h, m, _, _ = counters and l', h', m', _, _ = counters' in
+    fail "store counters diverged (loads %d/%d hits %d/%d misses %d/%d)" l l' h h' m m'
+  end;
+  if reports <> reports' then fail "reports diverged";
+  if trace <> trace' then fail "trace bytes diverged"
+
+let test_group_differential () =
+  let failures = ref [] and firings = ref 0 in
+  for i = 0 to group_fuzz_cases - 1 do
+    run_group_case i failures firings
+  done;
+  if !firings = 0 then Alcotest.fail "no action ever fired: the group cases test no refresh";
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+    let shown = List.filteri (fun i _ -> i < 10) fs in
+    Alcotest.failf "%d/%d trigger-group cases diverged (first %d shown):\n%s" (List.length fs)
+      group_fuzz_cases (List.length shown) (String.concat "\n" shown)
+
 (* Pin the property tests' seed too: CI replays the same inputs. *)
 let pinned t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED |]) t
 
@@ -446,5 +631,8 @@ let suite =
         Alcotest.test_case
           "differential: fleet K=1 vs K=4 byte-identical traces, 30 pinned seeds" `Quick
           test_fleet_differential;
+        Alcotest.test_case
+          "differential: grouped JIT vs per-monitor tree, shared triggers, 100 pinned seeds" `Quick
+          test_group_differential;
       ] );
   ]

@@ -41,6 +41,37 @@ let test_hooks_unsubscribe () =
   Gr_kernel.Hooks.fire h "x" [];
   check_int "stopped listening" 1 !count
 
+(* A raising listener is contained: the firing goes on to the listeners
+   after it, the exception is counted, and after [max_strikes] faults
+   the listener is quarantined and never called again. *)
+let test_hooks_contain_and_quarantine () =
+  let module H = Gr_kernel.Hooks in
+  let h = H.create () in
+  H.set_max_strikes h 2;
+  let calls = Array.make 3 0 in
+  let listener i raises =
+    ignore
+      (H.subscribe h "x" (fun _ ->
+           calls.(i) <- calls.(i) + 1;
+           if raises then failwith "listener bug")
+        : H.subscription)
+  in
+  listener 0 false;
+  listener 1 true;
+  listener 2 false;
+  H.fire h "x" [];
+  check_int "counted" 1 (H.contained_exn_count h);
+  check_int "not yet quarantined" 0 (H.quarantined_count h);
+  check_int "the listener after it ran" 1 calls.(2);
+  for _ = 1 to 3 do
+    H.fire h "x" []
+  done;
+  check_int "struck twice, then never called" 2 calls.(1);
+  check_int "counted once per fault" 2 (H.contained_exn_count h);
+  check_int "quarantined" 1 (H.quarantined_count h);
+  check_int "first listener every time" 4 calls.(0);
+  check_int "last listener every time" 4 calls.(2)
+
 (* ---------- Policy_slot ---------- *)
 
 let test_slot_lifecycle () =
@@ -526,6 +557,7 @@ let suite =
         Alcotest.test_case "fire and count" `Quick test_hooks_fire_and_count;
         Alcotest.test_case "subscription order" `Quick test_hooks_subscription_order;
         Alcotest.test_case "unsubscribe" `Quick test_hooks_unsubscribe;
+        Alcotest.test_case "contain and quarantine" `Quick test_hooks_contain_and_quarantine;
       ] );
     ( "kernel.policy_slot",
       [

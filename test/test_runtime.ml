@@ -1107,6 +1107,72 @@ let test_engine_auto_damp () =
   (* Damping must slow action firings well below the violation count. *)
   check_bool "firings damped" true (stats.action_firings * 2 < stats.violations)
 
+(* Three monitors on one FUNCTION hook; the middle one violates and
+   its REPLACE calls a policy whose [replace] raises. The fault is
+   contained like a raising hook listener's: counted on every firing,
+   the monitors after it still check, and after [max_strikes] (3) only
+   the raising monitor stops checking. *)
+let test_engine_hook_member_contained () =
+  let kernel, d = make_deployment () in
+  Gr_kernel.Kernel.register_policy kernel ~name:"p"
+    ~replace:(fun () -> failwith "replace bug")
+    ~restore:(fun () -> ())
+    ~retrain:(fun () -> ())
+    ();
+  Guardrails.Deployment.save d "healthy" 1.;
+  let install ~name ~rule ~actions =
+    List.hd
+      (Guardrails.Deployment.install_source_exn d
+         (simple_rail ~name ~trigger:{|FUNCTION("h")|} ~rule ~actions ()))
+  in
+  let first = install ~name:"first" ~rule:"LOAD(healthy) == 1" ~actions:[ {|REPORT("a")|} ] in
+  let middle = install ~name:"middle" ~rule:"LOAD(healthy) == 0" ~actions:[ {|REPLACE("p")|} ] in
+  let last = install ~name:"last" ~rule:"LOAD(healthy) == 1" ~actions:[ {|REPORT("c")|} ] in
+  for _ = 1 to 5 do
+    Gr_kernel.Hooks.fire kernel.hooks "h" []
+  done;
+  let checks h = (Engine.Stats.get (Guardrails.Deployment.engine d) h).checks in
+  check_int "first checks every firing" 5 (checks first);
+  check_int "middle stops after three strikes" 3 (checks middle);
+  check_int "last checks every firing" 5 (checks last);
+  check_int "each fault contained" 3 (Gr_kernel.Hooks.contained_exn_count kernel.hooks);
+  check_int "one quarantine" 1 (Gr_kernel.Hooks.quarantined_count kernel.hooks);
+  check_bool "still installed" true (Engine.installed middle)
+
+(* A healthy, untraced firing of a 128-member FUNCTION group — the
+   distilled-linear shape of 40 LOADs and one AVG — allocates at most
+   16 minor words per member check. *)
+let test_engine_group_fire_words () =
+  let kernel, d = make_deployment () in
+  let features = 40 and members = 128 and fires = 200 in
+  for f = 0 to features - 1 do
+    Guardrails.Deployment.save d (Printf.sprintf "feat_%d" f) (float_of_int f /. 40.)
+  done;
+  Guardrails.Deployment.save d "latency_us" 100.;
+  for j = 0 to members - 1 do
+    let terms =
+      List.init features (fun f -> Printf.sprintf "%d.5 * LOAD(feat_%d)" (j + f) f)
+    in
+    ignore
+      (Guardrails.Deployment.install_source_exn d
+         (simple_rail ~name:(Printf.sprintf "linear_%d" j) ~trigger:{|FUNCTION("blk:io_complete")|}
+            ~rule:(String.concat " + " terms ^ " + 0.001 * AVG(latency_us, 1s) <= 1e9")
+            ~actions:[ {|REPORT("over")|} ] ())
+        : Engine.handle list)
+  done;
+  let fire () = Gr_kernel.Hooks.fire kernel.hooks "blk:io_complete" [] in
+  fire ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to fires do
+    fire ()
+  done;
+  let per_check = (Gc.minor_words () -. w0) /. float_of_int (fires * members) in
+  let engine = Guardrails.Deployment.engine d in
+  check_int "every member checked" ((fires + 1) * members) (Engine.Stats.total_checks engine);
+  check_int "all healthy" 0 (List.length (Engine.violations engine));
+  if per_check > 16. then
+    Alcotest.failf "%.2f minor words per member check, over the bound of 16" per_check
+
 let test_engine_check_now () =
   let _, d = make_deployment () in
   Guardrails.Deployment.save d "healthy" 1.;
@@ -1199,6 +1265,10 @@ let suite =
         Alcotest.test_case "SAVE program reads store" `Quick test_engine_save_program_reads_store;
         Alcotest.test_case "report snapshot order" `Quick test_engine_report_snapshot_order;
         Alcotest.test_case "check_now" `Quick test_engine_check_now;
+        Alcotest.test_case "raising hook member contained" `Quick
+          test_engine_hook_member_contained;
+        Alcotest.test_case "group fire within 16 words/member" `Quick
+          test_engine_group_fire_words;
         Alcotest.test_case "rejects unverifiable" `Quick test_engine_rejects_unverifiable;
       ] );
     ( "runtime.engine.accounts",
