@@ -8,10 +8,14 @@
    - re-installing a monitor under a different tier keeps the store's
      aggregate demands refcounted correctly: shapes shared across
      installs survive a partial uninstall, and a full uninstall
-     releases them. *)
+     releases them;
+   - a JIT group member reads an input that a member leaving the group
+     mid-epoch left unread. *)
 
 module Store = Gr_runtime.Feature_store
 module Vm = Gr_runtime.Vm
+module Jit = Gr_runtime.Jit
+module Ir = Gr_compiler.Ir
 module Engine = Gr_runtime.Engine
 module D = Guardrails.Deployment
 module Fleet = Guardrails.Fleet
@@ -184,6 +188,22 @@ let test_reinstall_preserves_demands () =
   | [ a; b ] -> if a <> b then Alcotest.failf "verdicts differ across tiers: %b %b" a b
   | _ -> assert false
 
+(* A group skips its members' stamp checks once every input is read in
+   the epoch. A member that leaves takes its fresh inputs out of that
+   count, so the next member still reads its own. *)
+let test_group_leave_mid_epoch () =
+  let store = Store.create ~clock:(fun () -> Time_ns.zero) () in
+  let load = { Ir.insts = [| Ir.Load { dst = 0; slot = 0 } |]; result = 0; n_regs = 1; srcmap = [||] } in
+  let g = Jit.group store in
+  let a = Jit.member g ~slots:[| "a" |] load in
+  let b = Jit.member g ~slots:[| "b" |] load in
+  Store.save store "b" 7.;
+  Jit.invalidate g;
+  Jit.exec a;
+  Jit.leave a;
+  Jit.exec b;
+  Alcotest.(check (float 0.)) "b reads its key" 7. (Jit.out b).Vm.value
+
 let suite =
   [
     ( "tiers",
@@ -196,5 +216,7 @@ let suite =
           test_fleet_monitors_run_on_jit;
         Alcotest.test_case "re-install across tiers preserves demand refcounts" `Quick
           test_reinstall_preserves_demands;
+        Alcotest.test_case "JIT group member reads after a leave mid-epoch" `Quick
+          test_group_leave_mid_epoch;
       ] );
   ]
