@@ -25,14 +25,16 @@ lint: build
 bench:
 	dune exec bench/main.exe
 
-# Tiny-N benchmark pass: exercises the aggregation micro-bench and the
-# monitor-count sweep end to end in seconds, machine-readable output,
-# plus the small sizes of the grc verify pass-cost ablation and the
-# observability self-overhead calibration.
+# Tiny-N benchmark pass in seconds: the aggregation micro-bench, the
+# monitor-count sweep, the execution tiers (bit-identity guard and
+# 273-instruction pin), the observability self-overhead calibration
+# and the TIMER interval sweep (exits non-zero unless its §4.1 verdict
+# holds), each as one --json line that must parse as JSON; plus the
+# small sizes of the grc verify pass-cost ablation.
 bench-smoke:
-	dune exec bench/main.exe -- agg scale --json --smoke
+	out=$$(dune exec bench/main.exe -- agg scale tiers obs overhead --json --smoke) && \
+	  printf '%s\n' "$$out" | python3 -c 'import json,sys; lines=[l for l in sys.stdin if l.strip()]; assert len(lines) == 5, len(lines); [json.loads(l) for l in lines]'
 	dune exec bench/main.exe -- verify --smoke
-	dune exec bench/main.exe -- obs --smoke
 
 # Bounded chaos soak: every scenario x seeds 1-7 with generated fault
 # plans, invariants checked after every sim event (docs/TESTING.md).

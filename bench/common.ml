@@ -7,9 +7,51 @@
 
 open Gr_util
 
-(* Host nanoseconds on the monotonic clock perfbench also reads;
-   every timing in the harness takes its deltas from this. *)
+(* Host nanoseconds on the monotonic clock perfbench also reads. *)
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
+(* Every host-time number the harness reports is the median of [runs]
+   timed batches, with the fastest and slowest batch beside it. *)
+let runs = 5
+
+type timing = { median : float; min : float; max : float }
+
+(* [measure ~per prepare] calls [prepare ()] [runs] times: it does any
+   untimed setup and returns the batch thunk, which is timed from an
+   empty minor heap. Each batch's host ns is divided by [per] (the
+   operations in the batch, or 1e9 for seconds). The per-op loop lives
+   inside the thunk, so it compiles as a direct loop. Returns the last
+   batch's result with the timing. *)
+let measure ?(per = 1.) (prepare : unit -> unit -> 'a) : 'a * timing =
+  let result = ref None in
+  let xs =
+    Array.init runs (fun _ ->
+        let batch = prepare () in
+        Gc.minor ();
+        let t0 = now_ns () in
+        let r = batch () in
+        let dt = now_ns () -. t0 in
+        result := Some r;
+        dt /. per)
+  in
+  ( Option.get !result,
+    {
+      median = Stats.quantile xs 0.5;
+      min = Array.fold_left Float.min infinity xs;
+      max = Array.fold_left Float.max neg_infinity xs;
+    } )
+
+(* [ratio a b] is the speedup of [b] over [a]: the ratio of the
+   medians, bracketed by the extreme pairings of the two ranges. A
+   timing over itself (a baseline row) is exactly 1. *)
+let ratio a b =
+  if a == b then { median = 1.; min = 1.; max = 1. }
+  else { median = a.median /. b.median; min = a.min /. b.max; max = a.max /. b.min }
+
+(* "12.3 [11.9, 14.0]": median, then min and max, each in [fmt]. *)
+let timing_str fmt t =
+  Printf.sprintf "%s [%s, %s]" (Printf.sprintf fmt t.median) (Printf.sprintf fmt t.min)
+    (Printf.sprintf fmt t.max)
 
 let listing2_source =
   {|
@@ -42,12 +84,6 @@ let aging_at = Time_ns.sec 2
 let workload_until = Time_ns.sec 8
 let run_until = Time_ns.sec 9
 
-(* --engine pins the monitor execution tier for every deployment the
-   experiments build (default: the closure template JIT). Tiers are
-   bit-identical in results and accounting, so figures must not move
-   with this knob — only the tiers experiment's wall-clock does. *)
-let engine = ref Guardrails.Vm.Jit
-
 (* [rate_window]/[rate_every] control the false_submit_rate derivation
    the Listing 2 guardrail consumes. *)
 let make_fig2_rig ?(seed = 7) ?(rate_window = Time_ns.sec 2) ?(rate_every = Time_ns.ms 100)
@@ -62,7 +98,7 @@ let make_fig2_rig ?(seed = 7) ?(rate_window = Time_ns.sec 2) ?(rate_every = Time
   if with_model then
     Gr_kernel.Policy_slot.install (Gr_kernel.Blk.slot blk) ~name:"linnos"
       (Gr_policy.Linnos.policy model);
-  let deployment = Guardrails.Deployment.create ~kernel ~tracing ?trace_capacity ~engine:!engine () in
+  let deployment = Guardrails.Deployment.create ~kernel ~tracing ?trace_capacity () in
   Guardrails.Deployment.forward_hook_arg deployment ~hook:"blk:io_complete" ~arg:"false_submit" ();
   Guardrails.Deployment.derive_window_avg deployment ~src:"false_submit" ~dst:"false_submit_rate"
     ~window:rate_window ~every:rate_every;
@@ -170,5 +206,8 @@ let compact_monitors_json deployment =
 
 let json_num x : Json.t = if Float.is_finite x then Num x else Null
 let json_int i : Json.t = Num (float_of_int i)
+
+let json_timing t : Json.t =
+  Obj [ ("median", json_num t.median); ("min", json_num t.min); ("max", json_num t.max) ]
 
 let print_json (j : Json.t) = print_endline (Json.to_string j)

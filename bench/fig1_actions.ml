@@ -91,7 +91,7 @@ guardrail a3-retrain {
 let a4_deprioritize () =
   let kernel = Gr_kernel.Kernel.create ~seed:14 in
   let sched = Gr_kernel.Sched.create ~engine:kernel.engine ~hooks:kernel.hooks () in
-  let d = Guardrails.Deployment.create ~kernel ~engine:!Common.engine () in
+  let d = Guardrails.Deployment.create ~kernel () in
   Guardrails.Deployment.wire_scheduler d sched;
   Gr_kernel.Policy_slot.install (Gr_kernel.Sched.slot sched) ~name:"learned-slice"
     (Gr_policy.Slice_policy.policy (Gr_policy.Slice_policy.train ~rng:kernel.rng ()));
@@ -135,7 +135,7 @@ guardrail a4-deprioritize {
 let a4_kill_escalation () =
   let kernel = Gr_kernel.Kernel.create ~seed:15 in
   let sched = Gr_kernel.Sched.create ~engine:kernel.engine ~hooks:kernel.hooks () in
-  let d = Guardrails.Deployment.create ~kernel ~engine:!Common.engine () in
+  let d = Guardrails.Deployment.create ~kernel () in
   Guardrails.Deployment.wire_scheduler d sched;
   (* A slice policy that keeps starving even at low weights: fixed
      long slices, so deprioritisation alone cannot restore liveness. *)

@@ -10,7 +10,7 @@ module Props = Gr_props.Props
 
 let deployment_with_kernel seed =
   let kernel = Gr_kernel.Kernel.create ~seed in
-  (kernel, Guardrails.Deployment.create ~kernel ~engine:!Common.engine ())
+  (kernel, Guardrails.Deployment.create ~kernel ())
 
 let stats_of d h = Guardrails.Engine.Stats.get (Guardrails.Deployment.engine d) h
 

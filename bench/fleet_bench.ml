@@ -35,7 +35,7 @@ guardrail fleet-tail-latency {
 (* Returns the verdict and every trace channel (control, then nodes). *)
 let run_once ~domains =
   let fleet =
-    Fleet.create ~nodes:n_nodes ~seed:7 ~tracing:true ~domains ~engine:!Common.engine ()
+    Fleet.create ~nodes:n_nodes ~seed:7 ~tracing:true ~domains ()
   in
   let replaced = Array.make n_nodes 0 in
   Array.iteri

@@ -23,7 +23,7 @@ type rig = {
 
 let build_faulty_world () =
   let kernel = Gr_kernel.Kernel.create ~seed:33 in
-  let d = Guardrails.Deployment.create ~kernel ~engine:!Common.engine () in
+  let d = Guardrails.Deployment.create ~kernel () in
   (* Fault 1: stale LinnOS classifier (devices born aged, model
      trained on young twins). *)
   let young =

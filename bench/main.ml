@@ -9,27 +9,28 @@
      fig1-props   Figure 1 left: P1-P6 detection matrix
      fig1-actions Figure 1 right: A1-A4 actions applied
      listing2     Listings 1-2: compile + verify the example spec
-     overhead     Ablation A: VM microbenchmarks + interval sweep
+     overhead     Ablation A: TIMER interval sweep (asserts the §4.1 trade-off)
      deps         Ablation B: timer vs dependency triggering
      oscillation  Ablation C: guardrail feedback loops
      incremental  Ablation D: incremental deployment
      compile-stats Ablation E: compiler statistics over specs/
      scale        Ablation F: monitor-count scalability (incl. fleet sweep)
      obs          Ablation G: observability self-overhead (provenance, metrics)
-     agg          Ablation G: naive vs incremental window aggregation
+     agg          Ablation K: naive vs incremental window aggregation
      fleet        Ablation H: fleet-wide merged aggregation + canary
      soak         Chaos soak: fault injection vs guardrail invariants
      verify       Ablation I: grc verify pass cost (fixpoint, model checking)
-     serve        Ablation J: live control-plane rollout lifecycle cost
-     tiers        Execution tiers: ns/check by tier x monitor count
+     tiers        Ablation J: ns/check by execution tier x monitor count
 
    With --json, experiments that support it (fig2, overhead, scale,
-   agg) print one machine-readable JSON document to stdout instead of
-   the human tables, with per-monitor telemetry sourced from gr_trace —
-   the BENCH_*.json perf-trajectory format. fig2 --json additionally
-   writes fig2_trace.json, a Chrome trace_event file of the guarded
-   arm. --smoke shrinks sweep sizes so the suite finishes in seconds
-   (the [make bench-smoke] CI mode). *)
+   tiers, obs, agg, soak) print one machine-readable JSON document per
+   line to stdout instead of the human tables, with per-monitor
+   telemetry sourced from gr_trace — the BENCH_*.json format. fig2
+   --json additionally writes fig2_trace.json, a Chrome trace_event
+   file of the guarded arm. Every host time is a median of
+   [Common.runs] batches with min and max (Common.measure). --smoke
+   shrinks sweep sizes so the suite finishes in seconds (the
+   [make bench-smoke] CI mode). *)
 
 let experiments : (string * (json:bool -> unit)) list =
   [
@@ -48,32 +49,11 @@ let experiments : (string * (json:bool -> unit)) list =
     ("fleet", Fleet_bench.run);
     ("soak", Soak.run);
     ("verify", fun ~json:_ -> Verify_bench.run ());
-    ("serve", Serve_bench.run);
     ("tiers", Tiers.run);
   ]
 
-let set_engine v =
-  match Guardrails.Vm.tier_of_string v with
-  | Some t -> Common.engine := t
-  | None ->
-    Printf.eprintf "bench: --engine expects tree or jit (got %s)\n" v;
-    exit 2
-
-(* --engine TIER / --engine=TIER pins the monitor execution tier for
-   every deployment the experiments build; figures are tier-invariant
-   (make jit-smoke byte-diffs fig2 across both). *)
-let rec strip_engine acc = function
-  | [] -> List.rev acc
-  | "--engine" :: v :: rest ->
-    set_engine v;
-    strip_engine acc rest
-  | a :: rest when String.length a > 9 && String.sub a 0 9 = "--engine=" ->
-    set_engine (String.sub a 9 (String.length a - 9));
-    strip_engine acc rest
-  | a :: rest -> strip_engine (a :: acc) rest
-
 let () =
-  let args = strip_engine [] (List.tl (Array.to_list Sys.argv)) in
+  let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
   Common.smoke := List.mem "--smoke" args;
   let requested = List.filter (fun a -> a <> "--json" && a <> "--smoke") args in

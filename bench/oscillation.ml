@@ -52,7 +52,7 @@ let install_plant kernel d =
 let run_arm ?(auto_damp = false) ~cooldown () =
   let kernel = Gr_kernel.Kernel.create ~seed:5 in
   let config = { Gr_runtime.Engine.default_config with cooldown; auto_damp } in
-  let d = Guardrails.Deployment.create ~kernel ~config ~engine:!Common.engine () in
+  let d = Guardrails.Deployment.create ~kernel ~config () in
   install_plant kernel d;
   Guardrails.Deployment.save d "aggressive" 0.;
   let handles = Guardrails.Deployment.install_source_exn d spec in

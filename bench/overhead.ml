@@ -1,96 +1,18 @@
 (* Ablation A — monitor overhead.
 
-   Two parts:
-   1. Host-clock microbenchmarks (Bechamel) of the pieces that run on
-      kernel hot paths: VM rule evaluation at several rule sizes,
-      with and without CSE, windowed aggregation at several window
-      populations, and feature-store save/load.
-   2. The TIMER sampling-interval trade-off the paper's §4.1 calls
-      out ("TIMER allows systematic sampling in order to regulate the
-      overhead of checking"): sweeping the Listing 2 check interval
-      against detection latency and total checking work on the
-      Figure 2 scenario. *)
+   The TIMER sampling-interval trade-off the paper's §4.1 calls out
+   ("TIMER allows systematic sampling in order to regulate the
+   overhead of checking"): sweeping the Listing 2 check interval
+   against detection latency and total checking work on the Figure 2
+   scenario. The run exits non-zero unless, as the interval grows,
+   checks strictly fall, the detection delay never shrinks, and the
+   guardrail fires at every interval.
+
+   Host-clock costs of the production check and store paths are
+   perfbench's `engine.check_ns`, `store.save_ns` and
+   `store.handle_load_ns`; this experiment reports no host times. *)
 
 open Gr_util
-open Bechamel
-open Toolkit
-
-let make_store ~samples_per_key =
-  let clock = ref 0 in
-  let store = Gr_runtime.Feature_store.create ~clock:(fun () -> !clock) () in
-  List.iter
-    (fun key ->
-      for i = 1 to samples_per_key do
-        clock := i * 100_000;
-        Gr_runtime.Feature_store.save store key (float_of_int i)
-      done)
-    [ "a"; "b"; "c"; "d" ];
-  clock := samples_per_key * 100_000;
-  store
-
-let compile_rule ?(optimize = true) src =
-  let spec =
-    Gr_dsl.Parser.parse_exn
-      (Printf.sprintf
-         {|guardrail g { trigger: { TIMER(0, 1s) } rule: { %s } action: { REPORT("m") } }|} src)
-  in
-  let m = List.hd (Gr_compiler.Lower.spec spec) in
-  let m = if optimize then Gr_compiler.Opt.optimize_monitor m else m in
-  (m.Gr_compiler.Monitor.rule, m.Gr_compiler.Monitor.slots)
-
-let rule_of_terms n =
-  String.concat " && "
-    (List.init n (fun i -> Printf.sprintf "LOAD(%s) + %d < 1000000" [| "a"; "b"; "c"; "d" |].(i mod 4) i))
-
-let vm_tests =
-  let store = make_store ~samples_per_key:16 in
-  let store_1k = make_store ~samples_per_key:1000 in
-  let bench_rule name ?(optimize = true) ~store src =
-    let rule, slots = compile_rule ~optimize src in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Gr_runtime.Vm.run ~store ~slots rule : Gr_runtime.Vm.result)))
-  in
-  [
-    bench_rule "rule/1-term" ~store (rule_of_terms 1);
-    bench_rule "rule/8-terms" ~store (rule_of_terms 8);
-    bench_rule "rule/32-terms" ~store (rule_of_terms 32);
-    bench_rule "agg/window-16" ~store "AVG(a, 10s) < 1000";
-    bench_rule "agg/window-1000" ~store:store_1k "AVG(a, 200s) < 1000";
-    bench_rule "agg/8x-same-cse" ~store
-      (String.concat " && " (List.init 8 (fun i -> Printf.sprintf "AVG(a, 10s) < %d" (1000 + i))));
-    bench_rule "agg/8x-same-nocse" ~optimize:false ~store
-      (String.concat " && " (List.init 8 (fun i -> Printf.sprintf "AVG(a, 10s) < %d" (1000 + i))));
-  ]
-
-let store_tests =
-  let store = make_store ~samples_per_key:16 in
-  let counter = ref 0. in
-  [
-    Test.make ~name:"store/save"
-      (Staged.stage (fun () ->
-           counter := !counter +. 1.;
-           Gr_runtime.Feature_store.save store "bench_key" !counter));
-    Test.make ~name:"store/load"
-      (Staged.stage (fun () -> ignore (Gr_runtime.Feature_store.load store "a" : float)));
-  ]
-
-(* Runs the Bechamel suite and returns [(name, ns_per_run option)]
-   rows, sorted by name, so the caller can render them as a table or
-   as JSON. *)
-let run_bechamel tests =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let grouped = Test.make_grouped ~name:"guardrails" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.sort compare rows
-  |> List.map (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ ns ] -> (name, Some ns)
-         | _ -> (name, None))
 
 type sweep_row = {
   interval_ns : Time_ns.t;
@@ -127,21 +49,11 @@ let run_sweep_row interval_ns =
     monitors = Common.monitors_json rig.deployment;
   }
 
-let json_output micro sweep : Common.Json.t =
+let json_output sweep : Common.Json.t =
   let open Common.Json in
   Obj
     [
       ("experiment", Str "overhead");
-      ( "microbench",
-        Arr
-          (List.map
-             (fun (name, ns) ->
-               Obj
-                 [
-                   ("name", Str name);
-                   ("ns_per_run", match ns with Some v -> Common.json_num v | None -> Null);
-                 ])
-             micro) );
       ( "interval_sweep",
         Arr
           (List.map
@@ -158,20 +70,25 @@ let json_output micro sweep : Common.Json.t =
              sweep) );
     ]
 
+(* The §4.1 verdict: a longer interval buys fewer checks (strictly)
+   for a detection delay that never shrinks, and the guardrail still
+   fires at every interval. Returns the first broken clause. *)
+let verdict sweep =
+  let rec steps = function a :: (b :: _ as rest) -> (a, b) :: steps rest | _ -> [] in
+  let steps = steps sweep in
+  if List.exists (fun r -> r.detection_delay = None) sweep then
+    Some "the guardrail does not fire at every interval"
+  else if List.exists (fun (a, b) -> b.checks >= a.checks) steps then
+    Some "checks do not strictly fall as the interval grows"
+  else if List.exists (fun (a, b) -> b.detection_delay < a.detection_delay) steps then
+    Some "the detection delay shrinks as the interval grows"
+  else None
+
 let run ~json =
   if not json then Common.section "Ablation A — monitor overhead";
-  let micro = run_bechamel (vm_tests @ store_tests) in
   let sweep = List.map run_sweep_row sweep_intervals in
-  if json then Common.print_json (json_output micro sweep)
+  if json then Common.print_json (json_output sweep)
   else begin
-    print_endline "VM and feature-store microbenchmarks (host clock):";
-    List.iter
-      (fun (name, ns) ->
-        match ns with
-        | Some ns -> Printf.printf "  %-28s %10.1f ns/run\n" name ns
-        | None -> Printf.printf "  %-28s (no estimate)\n" name)
-      micro;
-    print_endline "";
     print_endline "TIMER interval sweep on the Figure 2 scenario:";
     Printf.printf "  %-10s %-18s %-10s %-16s\n" "interval" "detection delay" "checks"
       "est. check cost";
@@ -186,4 +103,9 @@ let run ~json =
           (Format.asprintf "%a" Time_ns.pp r.interval_ns)
           detection r.checks r.overhead_ns)
       sweep
-  end
+  end;
+  match verdict sweep with
+  | None -> ()
+  | Some broken ->
+    Printf.eprintf "overhead: §4.1 verdict failed: %s\n" broken;
+    exit 1

@@ -17,16 +17,14 @@
 
    Every executor is checked for bit-identical results before any
    timing (the cross-tier differential fuzzer proves this in general;
-   here it guards the measurement itself). ns/check is the best of
-   [rounds] wall-clock runs divided by checks, with [monitors]
-   executors round-robined per iteration to model a fleet of
-   installed monitors sharing a store. *)
+   here it guards the measurement itself). ns/check is a batch's host
+   time divided by its checks, as a median of Common.runs batches
+   with min and max, with [monitors] executors round-robined per
+   iteration to model a fleet of installed monitors sharing a store. *)
 
 module Vm = Guardrails.Vm
 module Jit = Guardrails.Jit
 module Store = Guardrails.Store
-
-let rounds = 3
 
 (* 68 weighted features + 67 adds + threshold compare = 273 IR
    instructions after optimization (each weight is distinct, so CSE
@@ -132,26 +130,21 @@ let assert_equivalent shape (results : (Vm.tier * Vm.result) list) =
 
 let bench_ns ~iters execs =
   let m = Array.length execs in
-  let best = ref infinity in
-  for _ = 1 to rounds do
-    let t0 = Common.now_ns () in
-    for _ = 1 to iters do
-      for i = 0 to m - 1 do
-        ignore ((Array.unsafe_get execs i) () : Vm.result)
-      done
-    done;
-    let t = Common.now_ns () -. t0 in
-    if t < !best then best := t
-  done;
-  !best /. float_of_int (iters * m)
+  snd
+    (Common.measure ~per:(float_of_int (iters * m)) (fun () () ->
+         for _ = 1 to iters do
+           for i = 0 to m - 1 do
+             ignore ((Array.unsafe_get execs i) () : Vm.result)
+           done
+         done))
 
 type row = {
   r_monitor : string;
   r_insts : int;
   r_monitors : int;
   r_tier : Vm.tier;
-  r_ns : float;
-  r_speedup : float;  (* vs the tree tier at the same (monitor, count) *)
+  r_ns : Common.timing;
+  r_speedup : Common.timing;  (* vs the tree tier at the same (monitor, count) *)
 }
 
 let run ~json =
@@ -190,7 +183,7 @@ let run ~json =
                   r_monitors = count;
                   r_tier = tier;
                   r_ns = ns;
-                  r_speedup = tree_ns /. ns;
+                  r_speedup = Common.ratio tree_ns ns;
                 }
                 :: !rows)
             timed)
@@ -213,26 +206,28 @@ let run ~json =
                         ("insts", Common.json_int r.r_insts);
                         ("monitors", Common.json_int r.r_monitors);
                         ("tier", Str (Vm.tier_to_string r.r_tier));
-                        ("ns_per_check", Common.json_num r.r_ns);
-                        ("speedup_vs_tree", Common.json_num r.r_speedup);
+                        ("ns_per_check", Common.json_timing r.r_ns);
+                        ("speedup_vs_tree", Common.json_timing r.r_speedup);
                       ])
                   rows) );
          ])
   else begin
     Common.section "Execution tiers: ns/check by tier x monitor count";
-    Printf.printf "%-18s %6s %9s %6s %12s %12s\n" "monitor" "insts" "monitors" "tier"
-      "ns/check" "vs tree";
+    Printf.printf "%-18s %6s %9s %6s %28s %24s\n" "monitor" "insts" "monitors" "tier"
+      "ns/check [min, max]" "vs tree [min, max]";
     List.iter
       (fun r ->
-        Printf.printf "%-18s %6d %9d %6s %12.1f %11.2fx\n" r.r_monitor r.r_insts r.r_monitors
-          (Vm.tier_to_string r.r_tier) r.r_ns r.r_speedup)
+        Printf.printf "%-18s %6d %9d %6s %28s %24s\n" r.r_monitor r.r_insts r.r_monitors
+          (Vm.tier_to_string r.r_tier)
+          (Common.timing_str "%.1f" r.r_ns)
+          (Common.timing_str "%.2fx" r.r_speedup))
       rows;
     match
       List.find_opt (fun r -> r.r_monitor = "fig2_linear_273" && r.r_tier = Vm.Jit) rows
     with
     | Some r ->
       Printf.printf "\nJIT on the 273-instruction monitor: %.2fx over the tree VM %s\n"
-        r.r_speedup
-        (if r.r_speedup >= 10. then "(target >= 10x met)" else "(target >= 10x MISSED)")
+        r.r_speedup.median
+        (if r.r_speedup.median >= 10. then "(target >= 10x met)" else "(target >= 10x MISSED)")
     | None -> ()
   end

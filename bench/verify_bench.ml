@@ -1,6 +1,7 @@
-(* Ablation — cost of the grc verify passes as deployments grow.
+(* Ablation I — cost of the grc verify passes as deployments grow.
 
-   Two synthetic sweeps, timed wall-clock:
+   Two synthetic sweeps, timed wall-clock (median of Common.runs runs,
+   with min and max):
 
    - fixpoint: a ring of N monitors, each SAVing the next key from
      the previous one (LOAD(k_i) / 2 + 1), so every key depends on
@@ -41,36 +42,32 @@ let compile src =
   let spec = Gr_dsl.Parser.parse_exn src in
   List.map Gr_compiler.Opt.optimize_monitor (Gr_compiler.Lower.spec spec)
 
-let timed f =
-  let t0 = Common.now_ns () in
-  let r = f () in
-  (r, (Common.now_ns () -. t0) /. 1e6)
-
 let run () =
-  Common.section "Ablation — grc verify pass cost (dataflow fixpoint, model checking)";
+  Common.section "Ablation I — grc verify pass cost (dataflow fixpoint, model checking)";
   let smoke = !Common.smoke in
-  Printf.printf "%-10s %9s %6s %7s %10s %9s\n" "fixpoint" "monitors" "keys" "rounds"
-    "widenings" "wall(ms)";
+  Printf.printf "%-10s %9s %6s %7s %10s %26s\n" "fixpoint" "monitors" "keys" "rounds"
+    "widenings" "wall(ms) [min, max]";
   List.iter
     (fun n ->
       let monitors = compile (chain_source n) in
-      let df, ms = timed (fun () -> Gr_analysis.Dataflow.fixpoint monitors) in
+      let df, ms = Common.measure ~per:1e6 (fun () () -> Gr_analysis.Dataflow.fixpoint monitors) in
       if not (Gr_analysis.Dataflow.is_post_fixpoint monitors df) then
         failwith "verify bench: fixpoint is not a post-fixpoint";
-      Printf.printf "%-10s %9d %6d %7d %10d %9.2f\n" "" n
+      Printf.printf "%-10s %9d %6d %7d %10d %26s\n" "" n
         (List.length df.Gr_analysis.Dataflow.keys)
-        df.Gr_analysis.Dataflow.rounds df.Gr_analysis.Dataflow.widenings ms)
+        df.Gr_analysis.Dataflow.rounds df.Gr_analysis.Dataflow.widenings
+        (Common.timing_str "%.2f" ms))
     (if smoke then [ 8; 32 ] else [ 8; 32; 128; 512 ]);
   print_newline ();
-  Printf.printf "%-10s %9s %7s %12s %7s %6s %9s\n" "machine" "monitors" "states"
-    "transitions" "storms" "trunc" "wall(ms)";
+  Printf.printf "%-10s %9s %7s %12s %7s %6s %26s\n" "machine" "monitors" "states"
+    "transitions" "storms" "trunc" "wall(ms) [min, max]";
   List.iter
     (fun pairs ->
       let monitors = compile (storm_source pairs) in
-      let result, ms = timed (fun () -> Gr_analysis.Machine.check monitors) in
-      Printf.printf "%-10s %9d %7d %12d %7d %6s %9.2f\n" "" (2 * pairs)
+      let result, ms = Common.measure ~per:1e6 (fun () () -> Gr_analysis.Machine.check monitors) in
+      Printf.printf "%-10s %9d %7d %12d %7d %6s %26s\n" "" (2 * pairs)
         result.Gr_analysis.Machine.states result.Gr_analysis.Machine.transitions
         (List.length result.Gr_analysis.Machine.findings)
         (if result.Gr_analysis.Machine.truncated then "yes" else "no")
-        ms)
+        (Common.timing_str "%.2f" ms))
     (if smoke then [ 1; 2; 4 ] else [ 1; 2; 4; 8; 12 ])

@@ -83,7 +83,8 @@ val create :
     [engine] is the default execution tier for every member engine
     and the control engine (see {!Deployment.create}). Control
     monitors run on the JIT too: their cross-shard merged reads go
-    through store handles that always take the exact slow path. *)
+    through store handles that pin every member's entry and fold
+    them on each read. *)
 
 val sim : t -> Gr_sim.Engine.t
 (** The fleet's virtual clock: the control deployment's own engine.

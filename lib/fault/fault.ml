@@ -47,13 +47,6 @@ let fault_to_string { at; kind } =
 
 let plan_to_string plan = String.concat ";" (List.map fault_to_string plan)
 
-let pp_fault fmt f = Format.pp_print_string fmt (fault_to_string f)
-
-let pp_plan fmt plan =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-    pp_fault fmt plan
-
 (* Parsing. Each fault is [kind@NS:k=v,...]; the args part splits on
    ',' and each binding on its first '=', so values may contain ':'
    (hook names like "blk:io_complete"). *)

@@ -63,9 +63,6 @@ val plan_of_string : string -> (plan, string) result
 (** Inverse of {!plan_to_string}; the error is a one-line message
     naming the offending fragment. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-val pp_plan : Format.formatter -> plan -> unit
-
 (** {1 Generation} *)
 
 type caps = {

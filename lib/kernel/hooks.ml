@@ -124,5 +124,3 @@ let fire_count t name =
 
 let contained_exn_count t = t.contained_exns
 let quarantined_count t = t.quarantined
-
-let known_hooks t = List.of_seq (Hashtbl.to_seq_keys t.points)

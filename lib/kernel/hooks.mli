@@ -86,6 +86,3 @@ val contained_exn_count : t -> int
 
 val quarantined_count : t -> int
 (** Listeners permanently removed after reaching the strike limit. *)
-
-val known_hooks : t -> string list
-(** All hook names that have ever been fired or subscribed to. *)

@@ -17,7 +17,6 @@ let create ~seed =
 
 let now t = Gr_util.Time_ns.add (Gr_sim.Engine.now t.engine) t.skew
 
-let clock_skew t = t.skew
 
 let advance_clock_skew t ~by =
   if by < 0 then invalid_arg "Kernel.advance_clock_skew: skew only advances forward";

@@ -23,8 +23,6 @@ val now : t -> Gr_util.Time_ns.t
     timestamps, cooldown bookkeeping, trace timestamps) reads this;
     the event queue itself runs on the unskewed engine clock. *)
 
-val clock_skew : t -> Gr_util.Time_ns.t
-
 val advance_clock_skew : t -> by:Gr_util.Time_ns.t -> unit
 (** Jumps the observed clock forward by [by] without firing any
     events — the fault model for clock skew (an NTP step, a VM

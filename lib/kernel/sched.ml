@@ -74,7 +74,6 @@ let balancer_slot t = t.balancer_slot
 let cpus t = t.cpus
 let tasks t = List.rev t.all_tasks
 let runnable t = List.filter (fun task -> task.state = Runnable) t.all_tasks
-let runnable_count t = List.length (runnable t)
 let runnable_on t c = List.filter (fun task -> task.state = Runnable && task.cpu = c) t.all_tasks
 
 let running_on t c =

@@ -99,8 +99,6 @@ val kill_class : t -> cls:string -> int
 val tasks : t -> task list
 (** All tasks ever spawned, in spawn order. *)
 
-val runnable_count : t -> int
-
 val wasted_cores : t -> int
 (** CPUs currently idle while at least one ready task waits on some
     runqueue; always 0 on a single-CPU scheduler. *)

@@ -89,7 +89,6 @@ let kill t =
   end
 
 let revive t = t.dead <- false
-let is_dead t = t.dead
 let deaths t = t.deaths
 
 let begin_io t = t.queue <- t.queue + 1

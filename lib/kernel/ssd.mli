@@ -45,8 +45,6 @@ val kill : t -> unit
 val revive : t -> unit
 (** Brings a dead device back to its configured profile. *)
 
-val is_dead : t -> bool
-
 val deaths : t -> int
 (** Times this device has been killed. *)
 

@@ -23,7 +23,6 @@ let transform t x =
     (fun i v -> if t.stddevs.(i) > 0. then (v -. t.means.(i)) /. t.stddevs.(i) else v)
     x
 
-let transform_all t rows = Array.map (transform t) rows
 let mean t i = t.means.(i)
 let stddev t i = t.stddevs.(i)
 let envelope t ~quantiles col = Stats.quantile_envelope t.columns.(col) quantiles

@@ -18,8 +18,6 @@ val transform : t -> float array -> float array
 (** Z-scores one feature vector; columns with zero variance pass
     through unchanged. *)
 
-val transform_all : t -> float array array -> float array array
-
 val mean : t -> int -> float
 val stddev : t -> int -> float
 

@@ -43,13 +43,3 @@ let mru_eviction =
     Gr_kernel.Cache.policy_name = "mru";
     choose_victim = (fun ~candidates -> candidates.(Array.length candidates - 1));
   }
-
-let skewed_balancer ~rng ~hot_fraction =
-  let rng = Rng.fork rng in
-  {
-    Gr_kernel.Sched.balancer_name = "skewed";
-    place =
-      (fun ~queue_lens ->
-        if Rng.float rng 1.0 < hot_fraction then 0
-        else Rng.int rng (Array.length queue_lens));
-  }

@@ -31,8 +31,3 @@ val wild_slices : rng:Gr_util.Rng.t -> max_ms:int -> Gr_kernel.Sched.policy
 val mru_eviction : Gr_kernel.Cache.policy
 (** Evicts the most recently used key: pathological for zipfian
     workloads, the quality floor below random. *)
-
-val skewed_balancer : rng:Gr_util.Rng.t -> hot_fraction:float -> Gr_kernel.Sched.balancer
-(** Places a [hot_fraction] of spawns on CPU 0 regardless of load
-    (the rest go to a random queue) — the wasted-cores bug class:
-    other CPUs idle while CPU 0's runqueue backs up. *)

@@ -143,9 +143,6 @@ let events_of_any_string s =
         (Printf.sprintf "neither a Chrome trace (%s) nor JSONL events (%s)" chrome_err
            jsonl_err))
 
-let pp_events fmt events =
-  List.iter (fun ev -> Format.fprintf fmt "%a@\n" Event.pp ev) events
-
 let pp_sink fmt name sink =
   Format.fprintf fmt "%-8s %8d buffered / %8d emitted / %8d dropped (capacity %d)@\n" name
     (Sink.length sink) (Sink.emitted sink) (Sink.dropped sink) (Sink.capacity sink)

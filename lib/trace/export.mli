@@ -41,9 +41,6 @@ val events_of_any_string : string -> (Event.t list, string) result
 (** Accepts either a whole Chrome trace document or JSONL —
     [grc explain] loads both through this. *)
 
-val pp_events : Format.formatter -> Event.t list -> unit
-(** Human-readable dump, one event per line. *)
-
 val pp_summary : Format.formatter -> Tracer.t -> unit
 (** Sink accounting (buffered/emitted/dropped for both channels)
     followed by the per-monitor metrics table. *)

@@ -256,7 +256,6 @@ let int_value = function
   | _ -> None
 
 let string_value = function Str s -> Some s | _ -> None
-let bool_value = function Bool b -> Some b | _ -> None
 
 let rec equal a b =
   match (a, b) with

@@ -44,6 +44,5 @@ val to_list : t -> t list
 val float_value : t -> float option
 val int_value : t -> int option
 val string_value : t -> string option
-val bool_value : t -> bool option
 
 val equal : t -> t -> bool

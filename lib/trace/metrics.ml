@@ -243,12 +243,6 @@ let openmetrics_into buf ts =
         ms)
     rows
 
-let to_openmetrics ts =
-  let buf = Buffer.create 4096 in
-  openmetrics_into buf ts;
-  Buffer.add_string buf "# EOF\n";
-  Buffer.contents buf
-
 let pp fmt t =
   Format.fprintf fmt "%-28s %8s %10s %7s %12s %10s %10s@\n" "monitor" "checks" "violations"
     "fires" "vm cost" "mean" "max";

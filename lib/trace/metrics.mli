@@ -96,9 +96,5 @@ val openmetrics_into : Buffer.t -> t list -> unit
     one series per monitor without re-aggregation. No trailing
     [# EOF]: {!Export} composes further families on top. *)
 
-val to_openmetrics : t list -> string
-(** {!openmetrics_into} terminated with [# EOF\n] — a complete
-    OpenMetrics text exposition. *)
-
 val pp : Format.formatter -> t -> unit
 (** Summary table, one row per monitor name. *)

@@ -83,7 +83,6 @@ let load path =
 let size t = Array.length t.all
 let nodes t = Array.to_list t.all
 let orphans t = t.orphaned
-let find_span t s = Hashtbl.find_opt t.by_span s
 
 let roots t =
   Array.to_list t.all |> List.filter (fun n -> n.parent = None)

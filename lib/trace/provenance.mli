@@ -37,7 +37,6 @@ val orphans : t -> node list
     that fell out of the trace window or were emitted without
     provenance. An explainable trace has none. *)
 
-val find_span : t -> int -> node option
 val roots : t -> node list
 (** Parentless nodes (sim dispatches, pre-run installs), input order. *)
 

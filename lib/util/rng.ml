@@ -56,14 +56,6 @@ let exponential t ~rate =
   in
   -.log (u ()) /. rate
 
-let pareto t ~scale ~shape =
-  assert (shape > 0.);
-  let rec u () =
-    let v = float t 1.0 in
-    if v > 0. then v else u ()
-  in
-  scale /. Float.pow (u ()) (1.0 /. shape)
-
 let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 
 let shuffle t a =

@@ -56,9 +56,6 @@ val exponential : t -> rate:float -> float
 (** Exponential deviate with the given rate (mean [1/rate]).
     Requires [rate > 0.]. *)
 
-val pareto : t -> scale:float -> shape:float -> float
-(** Pareto deviate: heavy-tailed latencies. Requires [shape > 0.]. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal deviate, [exp (gaussian mu sigma)]. *)
 

@@ -122,8 +122,9 @@ let test_requested_tier_honored () =
 
 let test_fleet_monitors_run_on_jit () =
   (* A fleet's control store reads plain keys as the cross-shard
-     merged view. Its store handles always take the exact slow path,
-     so fleet control monitors run on the JIT like node monitors do. *)
+     merged view. Its store handles pin every member's entry and fold
+     them on each read, so fleet control monitors run on the JIT like
+     node monitors do. *)
   let fleet = Fleet.create ~nodes:2 ~seed:3 () in
   (match Fleet.install_source fleet avg_source with
   | Error e -> Alcotest.failf "fleet install: %a" D.pp_error e
