@@ -207,7 +207,8 @@ let lint_cmd =
     | Error code -> code
     | Ok (tagged, file_of) ->
       let config = { Guardrails.Analyze.hook_budget_ns = budget } in
-      let diags = Guardrails.Analyze.deployment ~config (List.map snd tagged) in
+      let df = Guardrails.Dataflow.fixpoint (List.map snd tagged) in
+      let diags = Guardrails.Analyze.deployment ~config df in
       print_diagnostics ~json ~strict ~file_of diags
   in
   let files =

@@ -6,18 +6,12 @@ type config = { hook_budget_ns : float }
 
 let default_config = { hook_budget_ns = 500. }
 
-(* ---------- Abstract evaluation ---------- *)
+(* ---------- Pass 1: per-program diagnostics ---------- *)
 
 (* The straight-line abstract evaluator and the whole-deployment SAVE
    fixpoint both live in {!Dataflow}; keys written by some monitor's
    SAVE carry the fixpoint value range, everything else is external
    telemetry — finite but unknown. *)
-let eval_program = Dataflow.eval_program
-let result_value = Dataflow.result_value
-let saves = Dataflow.saves
-let key_env monitors = Dataflow.lookup (Dataflow.fixpoint monitors)
-
-(* ---------- Pass 1: per-program diagnostics ---------- *)
 
 let is_comparison = function
   | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> true
@@ -25,7 +19,7 @@ let is_comparison = function
 
 let check_program ~diag ~monitor ~lookup ~is_rule (m : Monitor.t) (p : Ir.program) =
   let slots = m.Monitor.slots in
-  let regs = eval_program ~lookup ~slots p in
+  let regs = Dataflow.eval_program ~lookup ~slots p in
   Array.iteri
     (fun i inst ->
       let pos = Ir.pos_of p i in
@@ -93,17 +87,13 @@ let check_monitor ~diag ~lookup (m : Monitor.t) =
   List.iter
     (fun (_, value) ->
       ignore (check_program ~diag ~monitor ~lookup ~is_rule:false m value : Interval.t))
-    (saves m)
+    (Dataflow.saves m)
 
 (* ---------- Pass 2: interference ---------- *)
 
-let names_of idxs monitors =
-  List.map (fun i -> (List.nth monitors i).Monitor.name) idxs |> List.sort compare
-
-(* Tarjan's SCC over the SAVE -> ON_CHANGE trigger graph. *)
-let trigger_sccs (monitors : Monitor.t list) =
-  let n = List.length monitors in
-  let marr = Array.of_list monitors in
+(* Cyclic components of the SAVE -> ON_CHANGE trigger graph: more than
+   one monitor, or a self-loop. *)
+let trigger_cycles (monitors : Monitor.t array) =
   let watchers = Hashtbl.create 16 in
   Array.iteri
     (fun i m ->
@@ -112,53 +102,18 @@ let trigger_sccs (monitors : Monitor.t list) =
           | Monitor.On_change key -> Hashtbl.add watchers key i
           | Monitor.Timer _ | Monitor.Function _ -> ())
         m.Monitor.triggers)
-    marr;
+    monitors;
   let succs i =
-    List.concat_map (fun (key, _) -> Hashtbl.find_all watchers key) (saves marr.(i))
+    List.concat_map (fun (key, _) -> Hashtbl.find_all watchers key) (Dataflow.saves monitors.(i))
     |> List.sort_uniq compare
   in
-  let index = Array.make n (-1) and lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] and counter = ref 0 and sccs = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (succs v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      sccs := pop [] :: !sccs
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
-  (* Cyclic components: more than one monitor, or a self-loop. *)
   List.filter
-    (fun comp ->
-      match comp with
-      | [ v ] -> List.mem v (succs v)
-      | _ :: _ :: _ -> true
-      | [] -> false)
-    (List.rev !sccs)
+    (function [ v ] -> List.mem v (succs v) | _ :: _ :: _ -> true | [] -> false)
+    (Dataflow.components (Array.length monitors) succs)
 
-let check_deployment ~config ~diag (monitors : Monitor.t list) =
+let check_deployment ~config ~diag (df : Dataflow.t) =
+  let monitors = Array.to_list df.Dataflow.monitors in
+  let name i = df.Dataflow.monitors.(i).Monitor.name in
   (* GRL101: duplicate SAVE key within one monitor. *)
   List.iter
     (fun m ->
@@ -170,17 +125,15 @@ let check_deployment ~config ~diag (monitors : Monitor.t list) =
               (Diagnostic.error ~monitor:m.Monitor.name ~pos:m.Monitor.pos ~code:"GRL101"
                  (Printf.sprintf "duplicate SAVE key %S: only the last write survives a check" key))
           else Hashtbl.add seen key ())
-        (saves m))
+        (Dataflow.saves m))
     monitors;
   (* GRL102: write-write conflicts across monitors. *)
-  let writers = Hashtbl.create 16 in
-  List.iter
-    (fun m -> List.iter (fun key -> Hashtbl.add writers key m.Monitor.name) (Monitor.writes m))
-    monitors;
-  Hashtbl.fold (fun key _ acc -> key :: acc) writers []
-  |> List.sort_uniq compare
+  List.sort compare df.Dataflow.keys
   |> List.iter (fun key ->
-         let ws = Hashtbl.find_all writers key |> List.sort_uniq compare in
+         let ws =
+           List.map (fun (w : Dataflow.writer) -> name w.monitor) (Dataflow.writers df key)
+           |> List.sort_uniq compare
+         in
          match ws with
          | first :: _ :: _ ->
            diag
@@ -191,8 +144,8 @@ let check_deployment ~config ~diag (monitors : Monitor.t list) =
   (* GRL103: SAVE <-> ON_CHANGE trigger cycles, in sorted member
      order so the emission sequence is independent of Tarjan's
      traversal order. *)
-  trigger_sccs monitors
-  |> List.map (fun comp -> names_of comp monitors)
+  trigger_cycles df.Dataflow.monitors
+  |> List.map (fun comp -> List.map name comp |> List.sort compare)
   |> List.sort compare
   |> List.iter (fun names ->
       match names with
@@ -258,16 +211,11 @@ let check_deployment ~config ~diag (monitors : Monitor.t list) =
                    hook total (List.length ms) (String.concat ", " names) config.hook_budget_ns))
          end)
 
-(* ---------- Entry points ---------- *)
+(* ---------- Entry point ---------- *)
 
-let deployment ?(config = default_config) monitors =
+let deployment ?(config = default_config) (df : Dataflow.t) =
   let out = ref [] in
   let diag d = out := d :: !out in
-  let lookup = key_env monitors in
-  List.iter (check_monitor ~diag ~lookup) monitors;
-  check_deployment ~config ~diag monitors;
+  Array.iter (check_monitor ~diag ~lookup:(Dataflow.lookup df)) df.Dataflow.monitors;
+  check_deployment ~config ~diag df;
   List.rev !out
-
-let rule_value monitors (m : Monitor.t) =
-  let lookup = key_env monitors in
-  result_value ~lookup ~slots:m.Monitor.slots m.Monitor.rule

@@ -5,8 +5,8 @@
     installed together):
 
     {b Pass 1 — abstract interpretation.} Each rule and SAVE value
-    program is evaluated over the {!Interval} domain. Slot values are
-    seeded from deployment metadata: a key written by some monitor's
+    program is evaluated over the {!Interval} domain. Slot values come
+    from the {!Dataflow} fixpoint: a key written by some monitor's
     SAVE is modelled as the join of the abstract values of every SAVE
     program targeting it (plus 0, the store's initial value), so a
     key only ever assigned [true]/[false] is known to be in
@@ -41,12 +41,8 @@ val default_config : config
 (** [{ hook_budget_ns = 500. }] — half a microsecond of straight-line
     monitor work per hook crossing. *)
 
-val deployment : ?config:config -> Gr_compiler.Monitor.t list -> Diagnostic.t list
-(** All findings for the given deployment, deterministically ordered:
-    pass-1 findings in monitor order (rule first, then SAVE value
-    programs, in instruction order), then pass-2 findings in code
-    order. *)
-
-val rule_value : Gr_compiler.Monitor.t list -> Gr_compiler.Monitor.t -> Interval.t
-(** The abstract value of [m]'s rule when deployed among
-    [monitors] — exposed for tests and tooling. *)
+val deployment : ?config:config -> Dataflow.t -> Diagnostic.t list
+(** All findings for the deployment the fixpoint was computed over,
+    deterministically ordered: pass-1 findings in monitor order (rule
+    first, then SAVE value programs, in instruction order), then
+    pass-2 findings in code order. *)

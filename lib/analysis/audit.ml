@@ -16,9 +16,9 @@ type t = {
 }
 
 let run ?(config = default_config) ?repro (tagged : (int * Monitor.t) list) =
-  let monitors = List.map snd tagged in
-  let lint = Analyze.deployment ~config:config.lint monitors in
-  let machine = Machine.check ~config:config.machine monitors in
+  let df = Dataflow.fixpoint (List.map snd tagged) in
+  let lint = Analyze.deployment ~config:config.lint df in
+  let machine = Machine.check ~config:config.machine df in
   (* The model checker subsumes GRL104: where the pattern is a real
      storm it returns a GRL203 proof (with a replayable schedule),
      where the opposing actions can never interleave it stays silent
@@ -36,7 +36,9 @@ let run ?(config = default_config) ?repro (tagged : (int * Monitor.t) list) =
         | _ -> f.Machine.diag)
       machine.Machine.findings
   in
-  let race = if config.fleet then Race.check tagged else [] in
+  let race =
+    if config.fleet then Race.check df ~nodes:(Array.of_list (List.map fst tagged)) else []
+  in
   { diagnostics = lint @ machine_diags @ race; machine; race }
 
 (* Admission control: the PDP decision for one pushed spec.

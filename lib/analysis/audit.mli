@@ -1,9 +1,10 @@
 (** The [grc verify] driver: every static pass over one deployment.
 
-    Composes, in order:
+    Computes the deployment's {!Dataflow} analysis (the SAVE fixpoint
+    and its writer table) once, then composes, in order:
     - the {!Analyze} lint passes (GRL001–005, GRL101–105) — running
-      on top of the {!Dataflow} fixpoint, so per-rule verdicts see
-      through SAVE-defined keys;
+      on top of that fixpoint, so per-rule verdicts see through
+      SAVE-defined keys;
     - the {!Machine} action-machine model checker (GRL201–203), whose
       schedule-bearing findings get an executable repro attached via
       the [repro] callback (the CLI passes

@@ -69,9 +69,13 @@ let saves m =
 
 (* ---------- The SAVE dataflow fixpoint ---------- *)
 
+type writer = { monitor : int; value : Interval.t }
+
 type t = {
+  monitors : Monitor.t array;
   env : (string, Interval.t) Hashtbl.t;
-  keys : string list;  (** SAVE-written keys, sorted *)
+  keys : string list;
+  writers : (string, writer list) Hashtbl.t;
   rounds : int;
   widenings : int;
 }
@@ -80,12 +84,12 @@ let warmup_rounds = 3
 let max_rounds = 64
 let narrow_rounds = 2
 
-(* SAVE-written keys in first-written order, plus each key's writer
-   programs in deployment order. *)
-let writers monitors =
+(* SAVE-written keys in first-written order, plus each key's writers
+   as (monitor index, value program) in deployment order. *)
+let programs monitors =
   let tbl = Hashtbl.create 16 and order = ref [] in
-  List.iter
-    (fun m ->
+  Array.iteri
+    (fun i m ->
       List.iter
         (fun (key, value) ->
           let prev =
@@ -95,7 +99,7 @@ let writers monitors =
               order := key :: !order;
               []
           in
-          Hashtbl.replace tbl key (prev @ [ (m.Monitor.slots, value) ]))
+          Hashtbl.replace tbl key (prev @ [ (i, value) ]))
         (saves m))
     monitors;
   (List.rev !order, tbl)
@@ -103,19 +107,23 @@ let writers monitors =
 (* F(env)(key): join over the key's SAVE programs under [env], plus 0
    — the store's initial value, which every key holds before its
    first write. *)
-let transfer ~lookup wtbl key =
+let transfer ~lookup monitors ptbl key =
   List.fold_left
-    (fun acc (slots, value) -> Interval.join acc (result_value ~lookup ~slots value))
-    (Interval.const 0.) (Hashtbl.find wtbl key)
-
-let lookup t key =
-  match Hashtbl.find_opt t.env key with Some v -> v | None -> Interval.unknown
+    (fun acc (i, value) ->
+      Interval.join acc (result_value ~lookup ~slots:monitors.(i).Monitor.slots value))
+    (Interval.const 0.) (Hashtbl.find ptbl key)
 
 let env_lookup env key =
   match Hashtbl.find_opt env key with Some v -> v | None -> Interval.unknown
 
+let lookup t key = env_lookup t.env key
+
+let writers t key = Option.value ~default:[] (Hashtbl.find_opt t.writers key)
+
 let fixpoint monitors =
-  let order, wtbl = writers monitors in
+  let monitors = Array.of_list monitors in
+  let order, ptbl = programs monitors in
+  let transfer ~lookup = transfer ~lookup monitors ptbl in
   let env = Hashtbl.create 16 in
   List.iter (fun k -> Hashtbl.replace env k (Interval.const 0.)) order;
   let lookup = env_lookup env in
@@ -131,7 +139,7 @@ let fixpoint monitors =
     List.iter
       (fun k ->
         let cur = Hashtbl.find env k in
-        let nxt = transfer ~lookup wtbl k in
+        let nxt = transfer ~lookup k in
         if not (Interval.subset nxt cur) then begin
           let nxt =
             if !rounds > warmup_rounds then begin
@@ -155,18 +163,67 @@ let fixpoint monitors =
     List.iter
       (fun k ->
         let cur = Hashtbl.find narrowed k in
-        let nxt = transfer ~lookup:nlookup wtbl k in
+        let nxt = transfer ~lookup:nlookup k in
         if Interval.subset nxt cur then Hashtbl.replace narrowed k nxt)
       order
   done;
   let still_post =
-    List.for_all
-      (fun k -> Interval.subset (transfer ~lookup:nlookup wtbl k) (nlookup k))
-      order
+    List.for_all (fun k -> Interval.subset (transfer ~lookup:nlookup k) (nlookup k)) order
   in
   let env = if still_post then narrowed else env in
-  { env; keys = List.sort compare order; rounds = !rounds; widenings = !widenings }
+  (* Each writer's SAVE value under the final environment. *)
+  let lookup = env_lookup env in
+  let writers = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun key ws ->
+      Hashtbl.replace writers key
+        (List.map
+           (fun (i, value) ->
+             { monitor = i; value = result_value ~lookup ~slots:monitors.(i).Monitor.slots value })
+           ws))
+    ptbl;
+  { monitors; env; keys = order; writers; rounds = !rounds; widenings = !widenings }
 
-let is_post_fixpoint monitors t =
-  let order, wtbl = writers monitors in
-  List.for_all (fun k -> Interval.subset (transfer ~lookup:(lookup t) wtbl k) (lookup t k)) order
+let is_post_fixpoint t =
+  let order, ptbl = programs t.monitors in
+  List.for_all
+    (fun k -> Interval.subset (transfer ~lookup:(lookup t) t.monitors ptbl k) (lookup t k))
+    order
+
+(* ---------- Strongly connected components ---------- *)
+
+(* Tarjan's algorithm over vertices [0, n). Components come out in
+   completion order: each after every component it reaches. *)
+let components n succs =
+  let index = Array.make n (-1) and lowlink = Array.make n 0 and on_stack = Array.make n false in
+  let stack = ref [] and counter = ref 0 and comps = ref [] in
+  let rec strongconnect v =
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
+    incr counter;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          strongconnect w;
+          lowlink.(v) <- min lowlink.(v) lowlink.(w)
+        end
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
+      (succs v);
+    if lowlink.(v) = index.(v) then begin
+      let rec pop acc =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          on_stack.(w) <- false;
+          if w = v then w :: acc else pop (w :: acc)
+        | [] -> acc
+      in
+      comps := pop [] :: !comps
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strongconnect v
+  done;
+  List.rev !comps

@@ -18,13 +18,27 @@
     while the environment remains a post-fixpoint. Keys never written
     by any SAVE stay {!Interval.unknown} (external, finite).
 
+    The result is the deployment's one analysis: {!Analyze},
+    {!Machine} and {!Race} all read the same fixpoint and the same
+    per-key writer table, computed once per audit by
+    {!Audit.run} (once per [grc lint] run for {!Analyze} alone).
+
     Also home to the abstract evaluation primitives for straight-line
     {!Gr_compiler.Ir} programs, shared by {!Analyze} and
-    {!Machine}. *)
+    {!Machine}, and to the SCC routine both use. *)
+
+type writer = {
+  monitor : int;  (** index into [monitors] *)
+  value : Interval.t;  (** the SAVE value under the fixpoint *)
+}
 
 type t = {
+  monitors : Gr_compiler.Monitor.t array;  (** the deployment, in order *)
   env : (string, Interval.t) Hashtbl.t;
-  keys : string list;  (** SAVE-written keys, sorted *)
+  keys : string list;  (** SAVE-written keys, first-written order *)
+  writers : (string, writer list) Hashtbl.t;
+      (** each SAVE-written key's writers, in deployment order (a
+          monitor that SAVEs a key twice appears twice) *)
   rounds : int;  (** ascending rounds until stabilization *)
   widenings : int;  (** widening steps taken *)
 }
@@ -38,9 +52,17 @@ val lookup : t -> string -> Interval.t
 (** Abstract store contents under the fixpoint;
     {!Interval.unknown} for keys no SAVE writes. *)
 
-val is_post_fixpoint : Gr_compiler.Monitor.t list -> t -> bool
+val writers : t -> string -> writer list
+(** The key's writers; [[]] for keys no SAVE writes. *)
+
+val is_post_fixpoint : t -> bool
 (** Soundness check: [F(env) ⊑ env] pointwise on every SAVE-written
     key — exposed for the QCheck termination property. *)
+
+val components : int -> (int -> int list) -> int list list
+(** [components n succs]: the strongly connected components (Tarjan)
+    of the graph on vertices [0 .. n-1], in completion order — each
+    component after every component it reaches. *)
 
 (** {2 Abstract evaluation primitives} *)
 

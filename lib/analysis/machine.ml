@@ -37,6 +37,7 @@ type result = {
 (* ---------- Deployment digest ---------- *)
 
 type deploy = {
+  df : Dataflow.t;
   monitors : Monitor.t array;
   policies : string array;  (* sorted *)
   policy_idx : (string, int) Hashtbl.t;
@@ -45,8 +46,6 @@ type deploy = {
   n_savers : int;
   saver_of : int array;  (* monitor index -> saver bit, or -1 *)
   actors : int list;  (* monitors with state-affecting actions *)
-  save_writers : (string, (int * Interval.t) list) Hashtbl.t;
-      (* key -> (saver bit, SAVE value under the full fixpoint) *)
   canary : string -> int list option;
 }
 
@@ -54,8 +53,8 @@ let state_affecting = function
   | Monitor.Replace _ | Monitor.Restore _ | Monitor.Save _ | Monitor.Deprioritize _ -> true
   | Monitor.Report _ | Monitor.Retrain _ | Monitor.Kill _ -> false
 
-let digest config (monitors : Monitor.t list) =
-  let marr = Array.of_list monitors in
+let digest config (df : Dataflow.t) =
+  let marr = df.Dataflow.monitors in
   let pols = ref [] and clss = ref [] in
   Array.iter
     (fun m ->
@@ -86,20 +85,8 @@ let digest config (monitors : Monitor.t list) =
     List.init (Array.length marr) Fun.id
     |> List.filter (fun i -> List.exists state_affecting marr.(i).Monitor.actions)
   in
-  let df = Dataflow.fixpoint monitors in
-  let save_writers = Hashtbl.create 16 in
-  Array.iteri
-    (fun i m ->
-      List.iter
-        (fun (key, value) ->
-          let v =
-            Dataflow.result_value ~lookup:(Dataflow.lookup df) ~slots:m.Monitor.slots value
-          in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt save_writers key) in
-          Hashtbl.replace save_writers key (prev @ [ (saver_of.(i), v) ]))
-        (Dataflow.saves m))
-    marr;
   {
+    df;
     monitors = marr;
     policies;
     policy_idx = index policies;
@@ -108,7 +95,6 @@ let digest config (monitors : Monitor.t list) =
     n_savers = !n_savers;
     saver_of;
     actors;
-    save_writers;
     canary = (fun p -> List.assoc_opt p config.canaries);
   }
 
@@ -144,11 +130,12 @@ let encode st =
    over-approximation of any firing prefix, so "the rule cannot be
    false here" is a proof that the monitor cannot fire. *)
 let env_of d (st : state) key =
-  match Hashtbl.find_opt d.save_writers key with
-  | None -> Interval.unknown
-  | Some ws ->
+  match Dataflow.writers d.df key with
+  | [] -> Interval.unknown
+  | ws ->
     List.fold_left
-      (fun acc (bit, v) -> if bit >= 0 && st.fired.(bit) then Interval.join acc v else acc)
+      (fun acc (w : Dataflow.writer) ->
+        if st.fired.(d.saver_of.(w.monitor)) then Interval.join acc w.value else acc)
       (Interval.const 0.) ws
 
 let may_fire d st mi =
@@ -278,46 +265,16 @@ let path_between g src dst =
     !res
   end
 
-(* Strongly connected components of the explored graph (Tarjan);
-   returns each state's component id. *)
+(* Each state's strongly connected component in the explored
+   graph. *)
 let components g =
   let n = Array.length g.states in
   let succs = Array.make n [] in
   List.iter (fun (s, _, t) -> succs.(s) <- t :: succs.(s)) g.edges;
-  let index = Array.make n (-1) and lowlink = Array.make n 0 and on_stack = Array.make n false in
   let comp_of = Array.make n (-1) in
-  let stack = ref [] and counter = ref 0 and ncomps = ref 0 in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      succs.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          comp_of.(w) <- !ncomps;
-          if w <> v then pop ()
-        | [] -> ()
-      in
-      pop ();
-      incr ncomps
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
+  List.iteri
+    (fun c comp -> List.iter (fun v -> comp_of.(v) <- c) comp)
+    (Dataflow.components n (Array.get succs));
   comp_of
 
 (* Per policy: a REPLACE edge and a RESTORE edge inside one strongly
@@ -371,27 +328,8 @@ let concrete_eval ~(value_of : string -> float option) ~slots (p : Ir.program) =
             | Ast.Sum | Ast.Avg | Ast.Min | Ast.Max | Ast.Quantile -> v
             | Ast.Stddev | Ast.Delta -> 0.
             | Ast.Rate -> v /. (window_ns /. 1e9)))
-        | Ir.Unop { op; src; _ } -> (
-          match op with
-          | Ast.Neg -> -.regs.(src)
-          | Ast.Abs -> Float.abs regs.(src)
-          | Ast.Not -> if regs.(src) <> 0. then 0. else 1.)
-        | Ir.Binop { op; lhs; rhs; _ } ->
-          let a = regs.(lhs) and b = regs.(rhs) in
-          let bool c = if c then 1. else 0. in
-          (match op with
-          | Ast.Add -> a +. b
-          | Ast.Sub -> a -. b
-          | Ast.Mul -> a *. b
-          | Ast.Div -> if b = 0. then 0. else a /. b
-          | Ast.Lt -> bool (a < b)
-          | Ast.Le -> bool (a <= b)
-          | Ast.Gt -> bool (a > b)
-          | Ast.Ge -> bool (a >= b)
-          | Ast.Eq -> bool (a = b)
-          | Ast.Ne -> bool (a <> b)
-          | Ast.And -> bool (a <> 0. && b <> 0.)
-          | Ast.Or -> bool (a <> 0. || b <> 0.))
+        | Ir.Unop { op; src; _ } -> Ir.apply_unop op regs.(src)
+        | Ir.Binop { op; lhs; rhs; _ } -> Ir.apply_binop op regs.(lhs) regs.(rhs)
       in
       regs.(Ir.dst inst) <- v)
     p.Ir.insts;
@@ -424,7 +362,7 @@ let find_assignment ~slots ~keys ~truthy (p : Ir.program) =
       if !budget > 0 then begin
         decr budget;
         let v = concrete_eval ~value_of:(fun k -> List.assoc_opt k acc) ~slots p in
-        if (if truthy then v <> 0. else v = 0.) then raise (Found (List.rev acc))
+        if Ir.truthy v = truthy then raise (Found (List.rev acc))
       end
     | k :: rest -> List.iter (fun c -> if !budget > 0 then go ((k, c) :: acc) rest) cands
   in
@@ -580,8 +518,8 @@ let synthesize d fire_seq =
 
 (* ---------- Findings ---------- *)
 
-let check ?(config = default_config) (monitors : Monitor.t list) =
-  let d = digest config monitors in
+let check ?(config = default_config) (df : Dataflow.t) =
+  let d = digest config df in
   let g = explore config d in
   let nstates = Array.length g.states in
   let name mi = d.monitors.(mi).Monitor.name in
@@ -634,7 +572,7 @@ let check ?(config = default_config) (monitors : Monitor.t list) =
                    else None
                  | _ -> None)
                m.Monitor.actions)
-           monitors)
+           (Array.to_list d.monitors))
   in
   let grl202 =
     if g.truncated then []

@@ -70,4 +70,5 @@ type result = {
   truncated : bool;  (** hit [max_states]; GRL201/202 suppressed *)
 }
 
-val check : ?config:config -> Gr_compiler.Monitor.t list -> result
+val check : ?config:config -> Dataflow.t -> result
+(** Explores the deployment the fixpoint was computed over. *)

@@ -2,37 +2,6 @@ module Ast = Gr_dsl.Ast
 module Ir = Gr_compiler.Ir
 module Monitor = Gr_compiler.Monitor
 
-(* One node's write into a GLOBAL key. *)
-type writer = {
-  w_node : int;
-  w_monitor : Monitor.t;
-  w_value : Interval.t;  (* SAVE value under the dataflow fixpoint *)
-}
-
-(* All GLOBAL-key writers, grouped by key, in deployment order. *)
-let global_writers df (tagged : (int * Monitor.t) list) =
-  let tbl = Hashtbl.create 8 and order = ref [] in
-  List.iter
-    (fun (node, m) ->
-      List.iter
-        (fun (key, value) ->
-          if Ast.is_global_key key then begin
-            if not (Hashtbl.mem tbl key) then order := key :: !order;
-            let w =
-              {
-                w_node = node;
-                w_monitor = m;
-                w_value =
-                  Dataflow.result_value ~lookup:(Dataflow.lookup df) ~slots:m.Monitor.slots
-                    value;
-              }
-            in
-            Hashtbl.replace tbl key (Option.value ~default:[] (Hashtbl.find_opt tbl key) @ [ w ])
-          end)
-        (Dataflow.saves m))
-    tagged;
-  List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !order |> List.rev
-
 (* Two periodic check grids share an instant iff
    (s2 − s1) mod gcd(i1, i2) = 0; ON_CHANGE and FUNCTION triggers can
    coincide with anything. *)
@@ -76,23 +45,23 @@ let tie_instant (s1, i1, stop1) (s2, i2, stop2) =
   end
 
 let coincide a b =
-  if only_timer_triggered a.w_monitor && only_timer_triggered b.w_monitor then begin
+  if only_timer_triggered a && only_timer_triggered b then begin
     let rec first = function
       | [] -> None
       | ta :: rest -> (
-        match List.find_map (fun tb -> tie_instant ta tb) (timers b.w_monitor) with
+        match List.find_map (fun tb -> tie_instant ta tb) (timers b) with
         | Some t -> Some t
         | None -> first rest)
     in
-    first (timers a.w_monitor)
+    first (timers a)
   end
   else Some 0 (* ON_CHANGE / FUNCTION triggers can always coincide *)
 
 (* Writers whose merged value cannot depend on order: every SAVE is
    provably the same single constant. *)
-let commutative writers =
-  let single w =
-    let v = w.w_value in
+let commutative (writers : Dataflow.writer list) =
+  let single (w : Dataflow.writer) =
+    let v = w.value in
     if
       Interval.has_finite v && v.Interval.lo = v.Interval.hi
       && (not v.Interval.pinf) && (not v.Interval.ninf) && not v.Interval.nan
@@ -127,13 +96,15 @@ let sensitive_reads key (m : Monitor.t) =
     progs;
   List.sort_uniq compare !kinds
 
-let check (tagged : (int * Monitor.t) list) =
-  let df = Dataflow.fixpoint (List.map snd tagged) in
+let check (df : Dataflow.t) ~nodes =
+  let monitor (w : Dataflow.writer) = df.Dataflow.monitors.(w.monitor) in
+  let node (w : Dataflow.writer) = nodes.(w.monitor) in
   let out = ref [] in
   List.iter
-    (fun (key, writers) ->
-      let nodes = List.map (fun w -> w.w_node) writers |> List.sort_uniq compare in
-      if List.length nodes >= 2 && not (commutative writers) then begin
+    (fun key ->
+      let writers = Dataflow.writers df key in
+      let writer_nodes = List.map node writers |> List.sort_uniq compare in
+      if List.length writer_nodes >= 2 && not (commutative writers) then begin
         (* A pair of writers on different nodes whose checks can land
            on the same instant: the merge tie-breaks on
            (ts, node, order). *)
@@ -142,8 +113,8 @@ let check (tagged : (int * Monitor.t) list) =
             (fun a ->
               List.find_map
                 (fun b ->
-                  if a.w_node <> b.w_node then
-                    Option.map (fun t -> (a, b, t)) (coincide a b)
+                  if node a <> node b then
+                    Option.map (fun t -> (a, b, t)) (coincide (monitor a) (monitor b))
                   else None)
                 writers)
             writers
@@ -152,28 +123,27 @@ let check (tagged : (int * Monitor.t) list) =
         | None -> ()
         | Some (a, b, t) ->
           let readers =
-            List.filter_map
-              (fun (_, m) ->
+            Array.to_list df.Dataflow.monitors
+            |> List.filter_map (fun m ->
                 match sensitive_reads key m with
                 | [] -> None
                 | ks -> Some (Printf.sprintf "%s via %s" m.Monitor.name (String.concat "+" ks)))
-              tagged
             |> List.sort_uniq compare
           in
+          let a_m = monitor a and b_m = monitor b in
           if readers <> [] then
             out :=
-              Diagnostic.warning ~monitor:a.w_monitor.Monitor.name
-                ~pos:a.w_monitor.Monitor.pos ~code:"GRL301"
+              Diagnostic.warning ~monitor:a_m.Monitor.name ~pos:a_m.Monitor.pos ~code:"GRL301"
                 (Printf.sprintf
                    "GLOBAL key %S is written from %d nodes with checks that can coincide (e.g. \
                     t=%dns: %s on node %d vs %s on node %d, values %s vs %s): the merged value \
                     depends on the (ts, node, order) intent-replay tie-break; order-sensitive \
                     reader(s): %s"
-                   key (List.length nodes) t a.w_monitor.Monitor.name a.w_node
-                   b.w_monitor.Monitor.name b.w_node
-                   (Interval.to_string a.w_value) (Interval.to_string b.w_value)
+                   key (List.length writer_nodes) t a_m.Monitor.name (node a)
+                   b_m.Monitor.name (node b)
+                   (Interval.to_string a.value) (Interval.to_string b.value)
                    (String.concat ", " readers))
               :: !out
       end)
-    (global_writers df tagged);
+    (List.filter Ast.is_global_key df.Dataflow.keys);
   List.rev !out

@@ -21,7 +21,8 @@
       aggregates are insensitive to same-timestamp ordering and
       don't count. *)
 
-val check : (int * Gr_compiler.Monitor.t) list -> Diagnostic.t list
-(** [check tagged] over [(node id, monitor)] pairs — the fleet
-    deployment after {!Gr_compiler.Monitor.qualify}. Diagnostics in
-    first-written-key order, deterministic. *)
+val check : Dataflow.t -> nodes:int array -> Diagnostic.t list
+(** [check df ~nodes] over the fixpoint of the fleet deployment after
+    {!Gr_compiler.Monitor.qualify}; [nodes.(i)] is the node id of the
+    deployment's monitor [i]. Diagnostics in first-written-key order,
+    deterministic. *)

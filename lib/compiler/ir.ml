@@ -16,6 +16,32 @@ type program = {
   srcmap : Ast.pos array;
 }
 
+(* Operator semantics: booleans are 0/1, any non-zero value is truthy,
+   and division by zero yields 0, so every program is total. *)
+let truthy v = v <> 0.
+let of_bool b = if b then 1. else 0.
+
+let apply_unop op v =
+  match (op : Ast.unop) with
+  | Neg -> -.v
+  | Abs -> Float.abs v
+  | Not -> of_bool (not (truthy v))
+
+let apply_binop op a b =
+  match (op : Ast.binop) with
+  | Add -> a +. b
+  | Sub -> a -. b
+  | Mul -> a *. b
+  | Div -> if b = 0. then 0. else a /. b
+  | Lt -> of_bool (a < b)
+  | Le -> of_bool (a <= b)
+  | Gt -> of_bool (a > b)
+  | Ge -> of_bool (a >= b)
+  | Eq -> of_bool (a = b)
+  | Ne -> of_bool (a <> b)
+  | And -> of_bool (truthy a && truthy b)
+  | Or -> of_bool (truthy a || truthy b)
+
 let pos_of p i =
   if i >= 0 && i < Array.length p.srcmap then Some p.srcmap.(i) else None
 

@@ -35,6 +35,22 @@ type program = {
           optimiser keeps it aligned through CSE/DCE. *)
 }
 
+(** {1 Operator semantics}
+
+    Defined once here for every executor: the reference interpreter
+    ({!Gr_runtime.Vm.run}), the JIT's constant folding and the model
+    checker's concrete witness evaluation. Booleans are 0/1, any
+    non-zero value (NaN and ±∞ included) is truthy, and division by
+    zero yields 0, so a program cannot trap. *)
+
+val truthy : float -> bool
+
+val of_bool : bool -> float
+(** 1. for [true], 0. for [false]. *)
+
+val apply_unop : Gr_dsl.Ast.unop -> float -> float
+val apply_binop : Gr_dsl.Ast.binop -> float -> float -> float
+
 val pos_of : program -> int -> Gr_dsl.Ast.pos option
 (** Source position of instruction [i], when the program carries a
     source map. *)

@@ -102,17 +102,18 @@ let forward_hook_arg t ~hook ~arg ?key () =
 
 let derive_window_avg t ~src ~dst ~window ~every =
   (* The derivation asks for this exact aggregate forever; register it
-     so every periodic read is a streaming O(1) hit, not a scan. *)
-  Gr_runtime.Feature_store.register_demand t.store ~key:src ~fn:Gr_dsl.Ast.Avg
-    ~window_ns:(float_of_int window) ~param:0.;
+     so every periodic read is a streaming O(1) hit, not a scan, and
+     read it through a handle resolved once. *)
+  let window_ns = float_of_int window in
+  Gr_runtime.Feature_store.register_demand t.store ~key:src ~fn:Gr_dsl.Ast.Avg ~window_ns
+    ~param:0.;
+  let avg =
+    Gr_runtime.Feature_store.agg_handle t.store ~key:src ~fn:Gr_dsl.Ast.Avg ~window_ns ~param:0.
+  in
   let h = Gr_runtime.Feature_store.save_handle t.store dst in
   ignore
     (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ ->
-         let avg =
-           Gr_runtime.Feature_store.aggregate t.store ~key:src ~fn:Gr_dsl.Ast.Avg
-             ~window_ns:(float_of_int window) ~param:0.
-         in
-         Gr_runtime.Feature_store.handle_save h avg)
+         Gr_runtime.Feature_store.(handle_save h (handle_aggregate avg).value))
       : Gr_sim.Engine.handle)
 
 let derive_periodic t ~key ~every sample =

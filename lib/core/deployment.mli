@@ -17,8 +17,8 @@
 
     Guardrails are installed incrementally (§3.3): each
     [install_source] call adds monitors next to whatever is already
-    running, and the deployment re-runs feedback-loop detection over
-    the full installed set after each addition. *)
+    running; {!feedback_cycles} checks the full installed set for
+    feedback loops on demand. *)
 
 type t
 
@@ -105,8 +105,8 @@ val uninstall : t -> Gr_runtime.Engine.handle -> unit
     replacement without a reboot (§6). *)
 
 val feedback_cycles : t -> string list list
-(** Feedback-loop (SAVE/LOAD) cycles across everything installed —
-    re-checked after each install; §6's oscillation hazard, statically. *)
+(** Feedback-loop (SAVE/LOAD) cycles across everything installed,
+    computed on each call; §6's oscillation hazard, statically. *)
 
 (** {1 Instrumentation glue}
 

@@ -435,23 +435,24 @@ and barrier t ts =
   | Pending r -> install_staged t r
   | Rolling r -> judge t r ts
 
-(* ---- driving the target: one epoch barrier per step. A fleet fires
-   its registered barrier hook inside run_until; a single deployment
-   drives the same barrier through run_chunked, whose event stream is
-   byte-identical to an unchunked run. *)
+(* ---- driving the target: one drive to now + epochs * epoch. A
+   fleet fires its registered barrier hook at every boundary of
+   run_until on one pool; a single deployment drives the same barrier
+   through run_chunked, whose event stream is byte-identical to an
+   unchunked run. *)
 
 let advance t ~epochs =
-  for _ = 1 to epochs do
+  if epochs > 0 then
     match t.target with
     | Fleet f ->
-      Fleet.run_until f (Time_ns.add (Gr_sim.Engine.now (Fleet.sim f)) (Fleet.epoch f))
+      Fleet.run_until f
+        (Time_ns.add (Gr_sim.Engine.now (Fleet.sim f)) (epochs * Fleet.epoch f))
     | Deployment d ->
       let sim = (Deployment.kernel d).Gr_kernel.Kernel.engine in
       let epoch = Fleet.default_epoch in
       Gr_sim.Engine.run_chunked sim ~epoch
-        ~limit:(Time_ns.add (Gr_sim.Engine.now sim) epoch)
+        ~limit:(Time_ns.add (Gr_sim.Engine.now sim) (epochs * epoch))
         ~at_barrier:(barrier t)
-  done
 
 let tracers t =
   match t.target with Deployment d -> [ Deployment.tracer d ] | Fleet f -> Fleet.tracers f

@@ -131,8 +131,9 @@ val barrier : t -> Gr_util.Time_ns.t -> unit
     epoch barrier; exposed for single-deployment targets and tests. *)
 
 val advance : t -> epochs:int -> unit
-(** Advance the target by [epochs] epoch barriers, deciding at each:
-    {!Fleet.run_until} one {!Fleet.epoch} at a time for a fleet,
+(** Advance the target by [epochs] epoch barriers, deciding at each,
+    in one drive: {!Fleet.run_until} [epochs] {!Fleet.epoch}s ahead
+    for a fleet (one domain pool for the whole drive),
     {!Gr_sim.Engine.run_chunked} over {!Fleet.default_epoch} with
     {!barrier} as [at_barrier] for a single deployment. *)
 

@@ -605,7 +605,9 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
     b_fleet = Some fleet;
   }
 
-let build ?(nodes = 3) ?(domains = 1) ?engine ~scenario ~seed ~duration () =
+let default_nodes = 3
+
+let build ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenario ~seed ~duration () =
   match scenario with
   | "blk" -> build_blk ~engine ~seed ~duration
   | "sched" -> build_sched ~engine ~seed ~duration
@@ -623,17 +625,6 @@ let build ?(nodes = 3) ?(domains = 1) ?engine ~scenario ~seed ~duration () =
    so a window holding +1e14 and -1e14 differs by O(eps * 1e14) even
    when both are correct. STDDEV's sum-of-squares form additionally
    cancels catastrophically while an extreme value is in-window. *)
-let agg_name = function
-  | Gr_dsl.Ast.Avg -> "AVG"
-  | Rate -> "RATE"
-  | Count -> "COUNT"
-  | Sum -> "SUM"
-  | Min -> "MIN"
-  | Max -> "MAX"
-  | Stddev -> "STDDEV"
-  | Quantile -> "QUANTILE"
-  | Delta -> "DELTA"
-
 let agg_close ~fn ~m ~n a b =
   if Float.is_nan a || Float.is_nan b then Float.is_nan a && Float.is_nan b
   else if a = b then true
@@ -741,7 +732,7 @@ let run_one ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~pla
             (Printf.sprintf
                "streaming aggregate diverged from naive oracle: %s(%s, %gns) streaming=%h \
                 naive=%h"
-               (agg_name fn) key window_ns inc.Store.value naive))
+               (Gr_dsl.Ast.agg_name fn) key window_ns inc.Store.value naive))
       (Store.demand_shapes store)
   in
   let events = ref 0 in
@@ -849,7 +840,9 @@ type failure = {
   scenario : string;
   seed : int;
   duration : Time_ns.t;
+  nodes : int;
   domains : int;
+  engine : Gr_runtime.Vm.tier option;
   plan : Fault.plan;
   shrunk : Fault.plan;
   problems : string list;
@@ -864,13 +857,18 @@ type report = {
 }
 
 let repro_command f =
-  Printf.sprintf "grc soak --scenario %s --seed %d --duration %g%s --plan '%s'" f.scenario
+  Printf.sprintf "grc soak --scenario %s --seed %d --duration %g%s%s%s --plan '%s'" f.scenario
     f.seed (Time_ns.to_float_sec f.duration)
+    (if f.nodes <> default_nodes then Printf.sprintf " --nodes %d" f.nodes else "")
     (if f.domains > 1 then Printf.sprintf " --domains %d" f.domains else "")
+    (match f.engine with
+    | Some tier when tier <> Gr_runtime.Vm.Jit ->
+      " --engine " ^ Gr_runtime.Vm.tier_to_string tier
+    | _ -> "")
     (Fault.plan_to_string f.shrunk)
 
-let soak ?(log = ignore) ?extra_source ?nodes ?(domains = 1) ?engine ~scenarios ~seeds ~duration
-    () =
+let soak ?(log = ignore) ?extra_source ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenarios
+    ~seeds ~duration () =
   let runs = ref 0 and passed = ref 0 and total_events = ref 0 and total_faults = ref 0 in
   let failures = ref [] in
   List.iter
@@ -879,7 +877,7 @@ let soak ?(log = ignore) ?extra_source ?nodes ?(domains = 1) ?engine ~scenarios 
         (fun seed ->
           incr runs;
           let plan = gen_plan ~scenario ~seed ~duration in
-          let r = run_one ?extra_source ?nodes ~domains ?engine ~scenario ~seed ~duration ~plan () in
+          let r = run_one ?extra_source ~nodes ~domains ?engine ~scenario ~seed ~duration ~plan () in
           total_events := !total_events + r.events;
           total_faults := !total_faults + r.faults_injected;
           if r.ok then begin
@@ -894,12 +892,22 @@ let soak ?(log = ignore) ?extra_source ?nodes ?(domains = 1) ?engine ~scenarios 
                  (String.concat "; " r.problems));
             let still_fails p =
               not
-                (run_one ?extra_source ?nodes ~domains ?engine ~scenario ~seed ~duration ~plan:p ())
+                (run_one ?extra_source ~nodes ~domains ?engine ~scenario ~seed ~duration ~plan:p ())
                   .ok
             in
             let shrunk = shrink ~still_fails plan in
             failures :=
-              { scenario; seed; duration; domains; plan; shrunk; problems = r.problems }
+              {
+                scenario;
+                seed;
+                duration;
+                nodes;
+                domains;
+                engine;
+                plan;
+                shrunk;
+                problems = r.problems;
+              }
               :: !failures
           end)
         seeds)

@@ -96,7 +96,9 @@ type failure = {
   scenario : string;
   seed : int;
   duration : Gr_util.Time_ns.t;
+  nodes : int;  (** fleet size the failure was found under (default 3) *)
   domains : int;  (** domain count the failure was found under *)
+  engine : Gr_runtime.Vm.tier option;  (** tier requested; [None] is the JIT default *)
   plan : Fault.plan;  (** as generated *)
   shrunk : Fault.plan;  (** minimal still-failing subset *)
   problems : string list;
@@ -127,12 +129,13 @@ val soak :
   unit ->
   report
 (** Runs every scenario x seed with generated plans, shrinking each
-    failure. [log] receives one progress line per run. [domains]
-    (default 1) is forwarded to {!run_one} for fleet runs and
-    recorded in each failure's repro command. *)
+    failure. [log] receives one progress line per run. [nodes],
+    [domains] (default 1) and [engine] are forwarded to {!run_one}
+    and recorded in each failure's repro command. *)
 
 val repro_command : failure -> string
 (** The [grc soak --scenario .. --seed .. --duration .. --plan '..']
-    line that reproduces the shrunk failure. *)
+    line that reproduces the shrunk failure; [--nodes], [--domains]
+    and [--engine] appear when they differ from their defaults. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -346,7 +346,7 @@ let decide t st ~healthy =
    decision. Answers whether actions ran. [o] is read before any action
    runs, which may check this monitor again and overwrite it. *)
 let conclude t st ~via (o : Vm.out) ~insts ~samples =
-  let healthy = Vm.truthy o.value in
+  let healthy = Gr_compiler.Ir.truthy o.value in
   Metrics.record_check st.metrics ~cost_ns:o.cost_ns ~insts ~samples ~violated:(not healthy);
   if Tracer.enabled t.tracer then begin
     (* The check as a Complete span whose duration is the VM's dynamic

@@ -34,7 +34,7 @@ module Ir = Gr_compiler.Ir
    Specializations applied to the body, in order:
    - constants are folded: a Const never executes at check time, and
      any Unop/Binop whose inputs are all known folds at compile time
-     (via Vm.apply_unop/apply_binop, so folded arithmetic is
+     (via Ir.apply_unop/apply_binop, so folded arithmetic is
      bit-identical to the interpreted kind);
    - LOAD and AGG registers are renamed to their input's frame cell and
      emit no step; every other register gets a cell of its own;
@@ -167,7 +167,7 @@ let read g x =
     a.incremental <- r.incremental;
     Array.unsafe_set g.frame x.at r.value
 
-let of_bool = Vm.of_bool
+let of_bool = Ir.of_bool
 let[@inline] get g i = Array.unsafe_get g.frame i
 let[@inline] set g i v = Array.unsafe_set g.frame i v
 
@@ -338,7 +338,7 @@ let member g ~slots (p : Ir.program) =
       | Load _ -> assert false)
     | Ir.Unop { dst; op; src } -> (
       match const.(src) with
-      | Some v -> const.(dst) <- Some (Vm.apply_unop op v)
+      | Some v -> const.(dst) <- Some (Ir.apply_unop op v)
       | None ->
         let dst = reg dst and src = reg src in
         emit
@@ -349,7 +349,7 @@ let member g ~slots (p : Ir.program) =
              | Gr_dsl.Ast.Not -> fun () -> set g dst (of_bool (get g src = 0.)))))
     | Ir.Binop { dst; op; lhs; rhs } -> (
       match (const.(lhs), const.(rhs), op) with
-      | Some a, Some b, _ -> const.(dst) <- Some (Vm.apply_binop op a b)
+      | Some a, Some b, _ -> const.(dst) <- Some (Ir.apply_binop op a b)
       | None, Some k, Gr_dsl.Ast.Mul -> emit (Pmul { dst; x = lhs; k; swap = false })
       | Some k, None, Gr_dsl.Ast.Mul -> emit (Pmul { dst; x = rhs; k; swap = true })
       | None, Some k, _ -> emit (Pop (binop_rc g op (reg dst) (reg lhs) k))

@@ -13,37 +13,10 @@ type tier = Tree | Jit
 let tier_of_string = function "tree" -> Some Tree | "jit" -> Some Jit | _ -> None
 let tier_to_string = function Tree -> "tree" | Jit -> "jit"
 let all_tiers = [ Tree; Jit ]
-let truthy v = v <> 0.
-let of_bool b = if b then 1. else 0.
 
 let sample_scan_cost_ns = 0.5
 
 let static_cost_ns = Ir.static_cost_ns
-
-(* The JIT's operator semantics for compile-time folding; must stay
-   in exact (bit-for-bit) agreement with the inline matches in [run]
-   below — the cross-tier differential fuzzer in test/test_fuzz.ml
-   pins that equivalence. *)
-let apply_unop op v =
-  match (op : Gr_dsl.Ast.unop) with
-  | Neg -> -.v
-  | Abs -> Float.abs v
-  | Not -> of_bool (not (truthy v))
-
-let apply_binop op a b =
-  match (op : Gr_dsl.Ast.binop) with
-  | Add -> a +. b
-  | Sub -> a -. b
-  | Mul -> a *. b
-  | Div -> if b = 0. then 0. else a /. b
-  | Lt -> of_bool (a < b)
-  | Le -> of_bool (a <= b)
-  | Gt -> of_bool (a > b)
-  | Ge -> of_bool (a >= b)
-  | Eq -> of_bool (a = b)
-  | Ne -> of_bool (a <> b)
-  | And -> of_bool (truthy a && truthy b)
-  | Or -> of_bool (truthy a || truthy b)
 
 let run ?static_cost_ns:precomputed ~store ~slots (p : Ir.program) =
   let regs = Array.make (max 1 p.n_regs) 0. in
@@ -68,28 +41,8 @@ let run ?static_cost_ns:precomputed ~store ~slots (p : Ir.program) =
         samples := !samples + r.scanned;
         cost := !cost +. (float_of_int r.scanned *. sample_scan_cost_ns);
         regs.(dst) <- r.value
-      | Ir.Unop { dst; op; src } ->
-        regs.(dst) <-
-          (match op with
-          | Gr_dsl.Ast.Neg -> -.regs.(src)
-          | Gr_dsl.Ast.Abs -> Float.abs regs.(src)
-          | Gr_dsl.Ast.Not -> of_bool (not (truthy regs.(src))))
-      | Ir.Binop { dst; op; lhs; rhs } ->
-        let a = regs.(lhs) and b = regs.(rhs) in
-        regs.(dst) <-
-          (match op with
-          | Gr_dsl.Ast.Add -> a +. b
-          | Gr_dsl.Ast.Sub -> a -. b
-          | Gr_dsl.Ast.Mul -> a *. b
-          | Gr_dsl.Ast.Div -> if b = 0. then 0. else a /. b
-          | Gr_dsl.Ast.Lt -> of_bool (a < b)
-          | Gr_dsl.Ast.Le -> of_bool (a <= b)
-          | Gr_dsl.Ast.Gt -> of_bool (a > b)
-          | Gr_dsl.Ast.Ge -> of_bool (a >= b)
-          | Gr_dsl.Ast.Eq -> of_bool (a = b)
-          | Gr_dsl.Ast.Ne -> of_bool (a <> b)
-          | Gr_dsl.Ast.And -> of_bool (truthy a && truthy b)
-          | Gr_dsl.Ast.Or -> of_bool (truthy a || truthy b)))
+      | Ir.Unop { dst; op; src } -> regs.(dst) <- Ir.apply_unop op regs.(src)
+      | Ir.Binop { dst; op; lhs; rhs } -> regs.(dst) <- Ir.apply_binop op regs.(lhs) regs.(rhs))
     p.insts;
   {
     value = regs.(p.result);

@@ -2,7 +2,9 @@
 
     Arithmetic is total: division by zero yields 0 (the same choice
     eBPF makes), so a verified program cannot trap. Booleans are
-    encoded as 0/1; any non-zero value is truthy for [&&]/[||]/[!].
+    encoded as 0/1; any non-zero value is truthy for [&&]/[||]/[!]
+    ({!Gr_compiler.Ir.apply_unop}/{!Gr_compiler.Ir.apply_binop}, the
+    operator semantics every executor shares).
 
     Each run reports the dynamic cost in estimated nanoseconds —
     instruction costs from {!Gr_compiler.Ir.inst_cost_ns}
@@ -63,17 +65,5 @@ val run :
     {!static_cost_ns} of this very program (computed per run
     otherwise). *)
 
-val truthy : float -> bool
-
-val of_bool : bool -> float
-(** 1. for [true], 0. for [false] — the VM's boolean encoding. *)
-
 val sample_scan_cost_ns : float
 (** Per-sample surcharge (ns) every tier charges for window work. *)
-
-val apply_unop : Gr_dsl.Ast.unop -> float -> float
-
-val apply_binop : Gr_dsl.Ast.binop -> float -> float -> float
-(** Operator semantics the JIT folds constants with; in exact
-    (bit-for-bit) agreement with {!run}'s inline matches. Division by
-    zero yields 0. *)

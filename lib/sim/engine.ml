@@ -262,23 +262,13 @@ let run_epochs ~pool ~epoch ~limit ~at_barrier engines =
   done
 
 let run_chunked t ~epoch ~limit ~at_barrier =
-  (* Single-engine sibling of [run_epochs]: advance one engine in
-     epoch-sized chunks, calling [at_barrier] at every boundary.
-     Because [run_until] fires every event <= the boundary and then
-     just clamps the clock, the event stream (and any trace of it) is
-     byte-identical to one big [run_until limit] — the barrier is a
-     pure decision point, which is what lets grc serve's rollout
-     state machine ride a --nodes 1 deployment without perturbing
-     it. The last boundary is exactly [limit]. *)
-  if Time_ns.compare epoch Time_ns.zero <= 0 then
-    invalid_arg "Engine.run_chunked: epoch must be positive";
-  let t' = ref (now t) in
-  while Time_ns.compare !t' limit < 0 do
-    let boundary = Time_ns.min (Time_ns.add !t' epoch) limit in
-    run_until t boundary;
-    at_barrier boundary;
-    t' := boundary
-  done
+  (* [run_epochs] over one engine on a pool without workers. Because
+     [run_until] fires every event <= the boundary and then just clamps
+     the clock, the event stream (and any trace of it) is byte-identical
+     to one big [run_until limit] — the barrier is a pure decision
+     point, which is what lets grc serve's rollout state machine ride a
+     --nodes 1 deployment without perturbing it. *)
+  Pool.with_pool ~domains:1 (fun pool -> run_epochs ~pool ~epoch ~limit ~at_barrier [| t |])
 
 let pending t = t.len
 

@@ -90,9 +90,9 @@ val run_chunked :
   limit:Gr_util.Time_ns.t ->
   at_barrier:(Gr_util.Time_ns.t -> unit) ->
   unit
-(** Single-engine sibling of {!run_epochs}: advances the engine in
-    epoch-sized chunks with [at_barrier] called at every boundary
-    (the last exactly [limit]). Since {!run_until} fires every event
+(** {!run_epochs} over [[| t |]] on a one-domain pool: advances the
+    engine in epoch-sized chunks with [at_barrier] called at every
+    boundary (the last exactly [limit]). Since {!run_until} fires every event
     [<= boundary] before clamping the clock, the event stream is
     byte-identical to one [run_until limit] — barriers are pure
     decision points. This is the promotion decision point for

@@ -140,7 +140,9 @@ let test_repro_command_shape () =
       Soak.scenario = "store";
       seed = 9;
       duration = Time_ns.of_float_sec 0.5;
+      nodes = 3;
       domains = 1;
+      engine = None;
       plan = [];
       shrunk =
         [ { Fault.at = Time_ns.ms 50; kind = Fault.Corrupt_key { key = "lat"; corruption = Fault.Huge } } ];
@@ -160,6 +162,33 @@ let test_repro_command_shape () =
   check "sequential repro omits --domains" false (contains "--domains");
   check "parallel repro pins --domains" true
     (contains_in (Soak.repro_command { f with Soak.domains = 4 }) "--domains 4")
+
+(* A failure found on a 4-node fleet must replay on 4 nodes: the repro
+   line pins the fleet size and a non-default tier, not just the plan.
+   Soak records both from its own arguments; the store scenario keeps
+   the real run cheap (a bad extra spec makes every run fail). *)
+let test_repro_command_pins_fleet_shape () =
+  let contains_in hay needle =
+    let n = String.length needle and h = String.length hay in
+    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let r =
+    Soak.soak ~extra_source:"guardrail broken {" ~nodes:4 ~engine:Gr_runtime.Vm.Tree
+      ~scenarios:[ "store" ] ~seeds:[ 1 ] ~duration:(Time_ns.ms 50) ()
+  in
+  match r.Soak.failures with
+  | [ f ] ->
+    check_int "failure records --nodes" 4 f.Soak.nodes;
+    check "failure records --engine" true (f.Soak.engine = Some Gr_runtime.Vm.Tree);
+    let fleet = Soak.repro_command { f with Soak.scenario = "fleet" } in
+    check "names the fleet scenario" true (contains_in fleet "--scenario fleet");
+    check "4-node fleet repro pins --nodes 4" true (contains_in fleet "--nodes 4");
+    check "tree-tier repro pins --engine tree" true (contains_in fleet "--engine tree");
+    let default = Soak.repro_command { f with Soak.nodes = 3; engine = Some Gr_runtime.Vm.Jit } in
+    check "default fleet size omits --nodes" false (contains_in default "--nodes");
+    check "default tier omits --engine" false (contains_in default "--engine")
+  | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)
 (* Corrective actions end-to-end under injected faults                *)
@@ -341,6 +370,8 @@ let suite =
         Alcotest.test_case "soak: shrinker reaches a 1-minimal plan" `Quick test_shrink_minimal;
         Alcotest.test_case "soak: repro command names seed, scenario, plan" `Quick
           test_repro_command_shape;
+        Alcotest.test_case "soak: repro pins a fleet failure's --nodes and --engine" `Quick
+          test_repro_command_pins_fleet_shape;
         Alcotest.test_case "e2e: REPORT snapshots the corrupted key" `Quick test_e2e_report;
         Alcotest.test_case "e2e: REPLACE flips the policy slot to fallback" `Quick
           test_e2e_replace;

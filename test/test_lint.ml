@@ -37,8 +37,10 @@ let compile_file path =
       (String.concat "; " (List.map (fun e -> Format.asprintf "%a" Typecheck.pp_error e) errs)));
   List.map Opt.optimize_monitor (Lower.spec spec)
 
-let lint_bad ?config name =
-  Analyze.deployment ?config (compile_file (Filename.concat (specs_dir "bad") name))
+(* [grc lint]'s path: one fixpoint, then the lint passes over it. *)
+let lint ?config monitors = Analyze.deployment ?config (Gr_analysis.Dataflow.fixpoint monitors)
+
+let lint_bad ?config name = lint ?config (compile_file (Filename.concat (specs_dir "bad") name))
 
 let golden name expected () =
   check_strings name expected (List.map Diagnostic.to_string (lint_bad name))
@@ -143,12 +145,12 @@ let test_fleet_qualify_unconflates () =
      one "io_limit" cell written by both monitors. *)
   let a = compile_src (node "ga" "io_limit") and b = compile_src (node "gb" "io_limit") in
   check_bool "unscoped same-named keys conflict (GRL102)" true
-    (List.exists (fun (d : Diagnostic.t) -> d.code = "GRL102") (Analyze.deployment (a @ b)));
+    (List.exists (fun (d : Diagnostic.t) -> d.code = "GRL102") (lint (a @ b)));
   (* --fleet qualifies node-local keys per file: the writes land on
      distinct per-node cells and the conflict disappears. *)
   let qualify id = List.map (Gr_compiler.Monitor.qualify ~node_id:id) in
   check_strings "node-qualified keys do not collide" []
-    (List.map Diagnostic.to_string (Analyze.deployment (qualify 0 a @ qualify 1 b)));
+    (List.map Diagnostic.to_string (lint (qualify 0 a @ qualify 1 b)));
   (* GLOBAL keys name one shared cell, so they must keep conflicting
      even across node-qualified deployments. *)
   let ag = compile_src (node "ga" "GLOBAL(io_limit)")
@@ -156,7 +158,7 @@ let test_fleet_qualify_unconflates () =
   check_bool "global keys still conflict across nodes" true
     (List.exists
        (fun (d : Diagnostic.t) -> d.code = "GRL102")
-       (Analyze.deployment (qualify 0 ag @ qualify 1 bg)))
+       (lint (qualify 0 ag @ qualify 1 bg)))
 
 let test_hook_budget_configurable () =
   let diags = lint_bad ~config:{ Analyze.hook_budget_ns = 10_000. } "hook_budget.grd" in
@@ -178,12 +180,12 @@ let test_shipped_specs_clean () =
   List.iter
     (fun path ->
       check_strings path []
-        (List.map Diagnostic.to_string (Analyze.deployment (compile_file path))))
+        (List.map Diagnostic.to_string (lint (compile_file path))))
     paths;
   (* ...and deployed together (interference analysis included). *)
   let all = List.concat_map compile_file paths in
   check_strings "whole shipped deployment" []
-    (List.map Diagnostic.to_string (Analyze.deployment all))
+    (List.map Diagnostic.to_string (lint all))
 
 (* ---------- JSON round-trip ---------- *)
 

@@ -88,7 +88,7 @@ let test_subset_widen () =
 let test_dataflow_chain_fixpoint () =
   let monitors = compile_file (bad_path "dataflow_chain.grd") in
   let df = Dataflow.fixpoint monitors in
-  check_bool "post-fixpoint" true (Dataflow.is_post_fixpoint monitors df);
+  check_bool "post-fixpoint" true (Dataflow.is_post_fixpoint df);
   (* Halving on every hop from an initial {0}: both pressure keys can
      only ever hold 0, which is what makes the watcher a tautology. *)
   check_bool "pressure_a pinned to {0}" true
@@ -138,7 +138,7 @@ let prop_fixpoint_terminates =
     ~print:Fun.id gen_save_graph (fun src ->
       let monitors = compile_src src in
       let df = Dataflow.fixpoint monitors in
-      df.Dataflow.rounds <= 64 && Dataflow.is_post_fixpoint monitors df)
+      df.Dataflow.rounds <= 64 && Dataflow.is_post_fixpoint df)
 
 (* ---------- The action-machine model checker ---------- *)
 
@@ -256,7 +256,7 @@ let prop_storm_schedules_replay =
   QCheck2.Test.make ~name:"randomized storm schedules replay to the flagged state" ~count:6
     ~print:Fun.id gen_storm (fun src ->
       let monitors = compile_src src in
-      let result = Machine.check monitors in
+      let result = Machine.check (Dataflow.fixpoint monitors) in
       match
         List.find_map (fun (f : Machine.finding) -> f.Machine.schedule) result.findings
       with
@@ -339,7 +339,7 @@ guardrail %s { trigger: { ON_CHANGE(%s) } rule: { LOAD(load_avg) > 2 } action: {
       "error[GRL103] monitor z1: SAVE/ON_CHANGE trigger cycle among monitors z1, z2: each \
        SAVE re-triggers the next";
     ]
-    (List.map Diagnostic.to_string (Analyze.deployment (compile_src src)))
+    (List.map Diagnostic.to_string (Analyze.deployment (Dataflow.fixpoint (compile_src src))))
 
 (* Fleet qualification must rename the monitor itself, not just its
    keys — the CLI's file attribution is keyed by monitor name. *)
