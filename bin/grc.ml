@@ -1151,7 +1151,7 @@ let soak_cmd =
       | None -> Ok None
       | Some path -> (
         match load_spec ~usage:true path with
-        | Ok (_, src, _) -> Ok (Some src)
+        | Ok (_, src, _) -> Ok (Some (path, src))
         | Error msg -> Error msg)
     in
     match (scenarios_r, plan_r, spec_r, domains_r, engine_r) with
@@ -1161,14 +1161,15 @@ let soak_cmd =
          carry the prefix. *)
       prerr_endline msg;
       2
-    | Ok scenarios, Ok plan, Ok extra_source, Ok domains, Ok engine -> (
+    | Ok scenarios, Ok plan, Ok extra_spec, Ok domains, Ok engine -> (
       let duration_ns = Guardrails.Util.Time_ns.of_float_sec duration in
       match plan with
       | Some plan -> (
         match scenarios with
         | [ scenario ] ->
           let r =
-            Soak.run_one ?extra_source ~nodes ~domains ?engine ~scenario ~seed
+            Soak.run_one ?extra_source:(Option.map snd extra_spec) ~nodes ~domains ?engine
+              ~scenario ~seed
               ~duration:duration_ns ~plan ()
           in
           if dump_trace then
@@ -1203,7 +1204,7 @@ let soak_cmd =
           else (scenarios, List.init runs (fun i -> seed + i), duration_ns)
         in
         let report =
-          Soak.soak ~log:print_endline ?extra_source ~nodes ~domains ?engine ~scenarios ~seeds
+          Soak.soak ~log:print_endline ?extra_spec ~nodes ~domains ?engine ~scenarios ~seeds
             ~duration:duration_ns ()
         in
         Format.printf "%a" Soak.pp_report report;

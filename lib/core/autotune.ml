@@ -60,10 +60,21 @@ let deploy deployment ~key ?(quantile = 0.99) ?(slack = 2.0) ?(warmup = Time_ns.
       tightenings = 0;
     }
   in
+  (* Each calibration window is a demand of its own, so the store
+     keeps that window's samples whatever shorter windows the key's
+     monitors read, and the QUANTILE read streams. The warmup's is
+     read once. *)
+  let store = Deployment.store deployment in
+  let demand ~window_ns f =
+    f store ~key ~fn:Gr_dsl.Ast.Quantile ~window_ns:(float_of_int window_ns) ~param:quantile
+  in
+  demand ~window_ns:warmup Gr_runtime.Feature_store.register_demand;
+  demand ~window_ns:tighten_every Gr_runtime.Feature_store.register_demand;
   let kernel = Deployment.kernel deployment in
   ignore
     (Gr_sim.Engine.schedule_after kernel.engine warmup (fun _ ->
-         recalibrate t ~window_ns:(float_of_int warmup))
+         recalibrate t ~window_ns:(float_of_int warmup);
+         demand ~window_ns:warmup Gr_runtime.Feature_store.release_demand)
       : Gr_sim.Engine.handle);
   ignore
     (Gr_sim.Engine.every kernel.engine

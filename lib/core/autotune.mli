@@ -32,7 +32,10 @@ val deploy :
     [make_source ~hi] must return guardrail source parameterised by
     the bound (the autotuner re-invokes it at each tightening). The
     guardrail is installed when the warmup expires (if any samples
-    arrived; otherwise calibration retries each [tighten_every]). *)
+    arrived; otherwise calibration retries each [tighten_every]).
+    Each calibration window is registered as a QUANTILE demand on
+    [key] (the warmup's released after its one read), so the store
+    retains that window's samples and the read streams. *)
 
 val current_bound : t -> float option
 (** [None] until the first calibration completes. *)

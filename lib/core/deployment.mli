@@ -35,7 +35,8 @@ val create :
 (** [tracing] (default [false]) turns the deployment's trace-event
     channel on: sim-event dispatch, hook entry/exit, rule checks,
     action firings and store traffic all land in a bounded
-    ring-buffer sink of [trace_capacity] events (default 65536).
+    ring-buffer sink that grows on demand up to [trace_capacity]
+    events (default 65536).
     Metrics and the REPORT channel run regardless.
 
     Creation attaches the deployment's tracer to the kernel's hook

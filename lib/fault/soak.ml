@@ -360,6 +360,8 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
   ignore
     (Gr_sim.Engine.every (Guardrails.Fleet.sim fleet) ~stop:duration
        ~interval:(Time_ns.ms 50) (fun _ ->
+         (* Exact by the store's retention contract: the fleet spec's
+            live demands on the key read the same 1 s window. *)
          let avg =
            Store.aggregate (D.store control) ~key:"latency_us" ~fn:Gr_dsl.Ast.Avg
              ~window_ns:(float_of_int (Time_ns.sec 1))
@@ -843,6 +845,7 @@ type failure = {
   nodes : int;
   domains : int;
   engine : Gr_runtime.Vm.tier option;
+  spec : string option;
   plan : Fault.plan;
   shrunk : Fault.plan;
   problems : string list;
@@ -857,7 +860,7 @@ type report = {
 }
 
 let repro_command f =
-  Printf.sprintf "grc soak --scenario %s --seed %d --duration %g%s%s%s --plan '%s'" f.scenario
+  Printf.sprintf "grc soak --scenario %s --seed %d --duration %g%s%s%s%s --plan '%s'" f.scenario
     f.seed (Time_ns.to_float_sec f.duration)
     (if f.nodes <> default_nodes then Printf.sprintf " --nodes %d" f.nodes else "")
     (if f.domains > 1 then Printf.sprintf " --domains %d" f.domains else "")
@@ -865,10 +868,12 @@ let repro_command f =
     | Some tier when tier <> Gr_runtime.Vm.Jit ->
       " --engine " ^ Gr_runtime.Vm.tier_to_string tier
     | _ -> "")
+    (match f.spec with Some path -> " --spec " ^ Filename.quote path | None -> "")
     (Fault.plan_to_string f.shrunk)
 
-let soak ?(log = ignore) ?extra_source ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenarios
+let soak ?(log = ignore) ?extra_spec ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenarios
     ~seeds ~duration () =
+  let extra_source = Option.map snd extra_spec in
   let runs = ref 0 and passed = ref 0 and total_events = ref 0 and total_faults = ref 0 in
   let failures = ref [] in
   List.iter
@@ -904,6 +909,7 @@ let soak ?(log = ignore) ?extra_source ?(nodes = default_nodes) ?(domains = 1) ?
                 nodes;
                 domains;
                 engine;
+                spec = Option.map fst extra_spec;
                 plan;
                 shrunk;
                 problems = r.problems;

@@ -99,6 +99,7 @@ type failure = {
   nodes : int;  (** fleet size the failure was found under (default 3) *)
   domains : int;  (** domain count the failure was found under *)
   engine : Gr_runtime.Vm.tier option;  (** tier requested; [None] is the JIT default *)
+  spec : string option;  (** path of the extra spec the failing runs installed *)
   plan : Fault.plan;  (** as generated *)
   shrunk : Fault.plan;  (** minimal still-failing subset *)
   problems : string list;
@@ -112,6 +113,13 @@ type report = {
   total_faults : int;
 }
 
+val agg_close : fn:Gr_dsl.Ast.agg -> m:float -> n:int -> float -> float -> bool
+(** [agg_close ~fn ~m ~n a b]: whether two reads of one aggregate
+    agree, as the soak's streaming-vs-naive oracle judges them. COUNT,
+    MIN, MAX, QUANTILE and DELTA must be equal (or both NaN); the
+    running-sum family may differ by the float error a streaming path
+    accumulates over [n] samples of magnitude at most [m]. *)
+
 val shrink : still_fails:(Fault.plan -> bool) -> Fault.plan -> Fault.plan
 (** Greedy delta debugging: repeatedly drops any single fault whose
     removal preserves failure, to a 1-minimal plan. The predicate is
@@ -119,7 +127,7 @@ val shrink : still_fails:(Fault.plan -> bool) -> Fault.plan -> Fault.plan
 
 val soak :
   ?log:(string -> unit) ->
-  ?extra_source:string ->
+  ?extra_spec:string * string ->
   ?nodes:int ->
   ?domains:int ->
   ?engine:Gr_runtime.Vm.tier ->
@@ -129,13 +137,16 @@ val soak :
   unit ->
   report
 (** Runs every scenario x seed with generated plans, shrinking each
-    failure. [log] receives one progress line per run. [nodes],
-    [domains] (default 1) and [engine] are forwarded to {!run_one}
-    and recorded in each failure's repro command. *)
+    failure. [log] receives one progress line per run.
+    [extra_spec = (path, source)] installs [source] as {!run_one}'s
+    [extra_source] in every run. [nodes], [domains] (default 1) and
+    [engine] are forwarded to {!run_one}; they and the spec's [path]
+    are recorded in each failure's repro command. *)
 
 val repro_command : failure -> string
 (** The [grc soak --scenario .. --seed .. --duration .. --plan '..']
     line that reproduces the shrunk failure; [--nodes], [--domains]
-    and [--engine] appear when they differ from their defaults. *)
+    and [--engine] appear when they differ from their defaults, and
+    [--spec PATH] when the runs installed an extra spec. *)
 
 val pp_report : Format.formatter -> report -> unit

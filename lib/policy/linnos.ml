@@ -100,6 +100,8 @@ let train ~rng ~devices ?(history = 4) ?(slow_threshold_us = 300.)
   fit t;
   t
 
+let copy t ~devices = { t with rng = Rng.copy t.rng; devices; model = Mlp.copy t.model }
+
 let predict_score t features =
   (Mlp.forward t.model (Scaler.transform t.scaler features)).(0)
 

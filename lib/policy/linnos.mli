@@ -30,6 +30,15 @@ val train :
 (** Calibrates against the devices' current profiles. [history] must
     match the block layer's [feature_history] (default 4). *)
 
+val copy : t -> devices:Gr_kernel.Ssd.t array -> t
+(** A deep copy bound to [devices], which later {!retrain}s and
+    {!holdout_accuracy} probe: own MLP weights, own RNG in the same
+    state, same scaler and calibration features (neither is ever
+    mutated), same [enabled] flag and retrain count. A copy of a
+    freshly trained model behaves as that model would on devices with
+    the same profiles, so a model trained once can stand in for
+    training anew on a second, identically seeded rig. *)
+
 val policy : t -> Gr_kernel.Blk.policy
 (** Revoke iff [enabled] and the model predicts slow. *)
 

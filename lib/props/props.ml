@@ -44,13 +44,13 @@ module P1_in_distribution = struct
     bounded_stat ~name ~feature_key ~stat_expr ~lo ~hi ~window ~check_every ~actions
 
   let instrument_ks d ~feature_key ~training ~window ~every ~out =
+    let store = Guardrails.Deployment.store d and window_ns = float_of_int window in
+    (* A demand of its own keeps the window's samples in the store
+       whatever shorter windows other readers of the key ask for. *)
+    Gr_runtime.Feature_store.register_demand store ~key:feature_key ~fn:Gr_dsl.Ast.Count
+      ~window_ns ~param:0.;
     Guardrails.Deployment.derive_periodic d ~key:out ~every (fun () ->
-        let live =
-          Gr_runtime.Feature_store.window_samples
-            (Guardrails.Deployment.store d)
-            ~key:feature_key
-            ~window_ns:(float_of_int window)
-        in
+        let live = Gr_runtime.Feature_store.window_samples store ~key:feature_key ~window_ns in
         if Array.length live = 0 then 0. else Stats.ks_distance live training)
 
   let source_ks ~name ~ks_key ~bound ~check_every ~actions () =

@@ -63,7 +63,10 @@ module P1_in_distribution : sig
   (** Whole-distribution drift: periodically computes the two-sample
       Kolmogorov-Smirnov statistic between the feature's live window
       and the training sample, saving it under [out] (0 when the
-      window is empty). Pair with {!source_ks}. *)
+      window is empty). Pair with {!source_ks}. Registers a COUNT
+      demand for the window on [feature_key], so the store keeps the
+      window's samples (see {!Gr_runtime.Feature_store}'s retention
+      contract). *)
 
   val source_ks :
     name:string ->

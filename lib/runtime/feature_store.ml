@@ -59,11 +59,13 @@ let[@inline] is_extreme v = (not (Float.is_finite v)) || Float.abs v > 1e11
 (* A key's samples: one ring over two parallel arrays, timestamps in
    [times] and values unboxed in [values], oldest at slot [head]. The
    arrays start empty and double on demand up to the store's
-   [capacity_per_key], so a key costs memory in proportion to the
-   samples it holds. [latest] keeps the saved value's own box, so a
-   LOAD returns it without boxing a copy of the newest sample. An entry
-   with no sample (made by a demand registration, a handle or a watch)
-   reads exactly like a missing key. *)
+   [capacity_per_key], but only while a live demand still counts the
+   oldest sample or the key has no demand, so a key costs memory in
+   proportion to the samples its demands read ([save_entry]). [latest]
+   keeps the saved value's own box, so a LOAD returns it without
+   boxing a copy of the newest sample. An entry with no sample (made by
+   a demand registration, a handle or a watch) reads exactly like a
+   missing key. *)
 type entry = {
   mutable times : Time_ns.t array;
   mutable values : Float.Array.t;
@@ -416,11 +418,24 @@ let notify t key e value =
     fn key value
   done
 
-(* Append one sample to [e], the entry of [key] in [t]. *)
+(* Whether every demand in the list has already expired sample [seq].
+   A named recursion, not a [List.for_all] closure: a save allocates
+   nothing. *)
+let rec all_expired seq = function
+  | [] -> true
+  | d :: ds -> d.oldest_seq > seq && all_expired seq ds
+
+(* Append one sample to [e], the entry of [key] in [t]. A full ring
+   whose oldest sample no live demand still counts overwrites it rather
+   than grow: retention follows the demands' windows, and since no
+   demand retires that sample, every running state is untouched. A key
+   with no demand grows to [capacity_per_key]. *)
 let save_entry t key e value =
   if e.len = Array.length e.times then begin
-    if e.len < t.capacity_per_key then grow t e
-    else evict_oldest t e (e.pushes - e.len) e.demands
+    let oldest = e.pushes - e.len in
+    match e.demands with
+    | _ :: _ as ds when all_expired oldest ds -> () (* [push] overwrites it *)
+    | ds -> if e.len < t.capacity_per_key then grow t e else evict_oldest t e oldest ds
   end;
   push e (t.clock ()) value;
   e.latest <- value;

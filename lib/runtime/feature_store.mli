@@ -9,9 +9,28 @@
     one being the key's latest value (bounded memory is non-negotiable
     in-kernel; the oldest samples are evicted first). Timestamps and
     values sit unboxed in parallel arrays that start small and double
-    up to the capacity, so a key's memory follows the samples it
-    holds. Windowed aggregates are computed over the samples whose
-    timestamp falls within [(now - window, now]].
+    up to the capacity. Windowed aggregates are computed over the
+    samples whose timestamp falls within [(now - window, now]].
+
+    {b Retention.} A key's ring keeps what its live demands
+    ({!register_demand}) read, not everything up to the capacity:
+    when the ring is full and every live demand on the key has
+    already expired its oldest sample, the next save overwrites that
+    sample instead of growing the ring. The contract:
+    - The ring always holds every sample some live demand still
+      counts, so it holds at least the longest live demand window,
+      and any read of the key at that window or shorter is exact.
+    - A by-key read, or a newly registered demand, with a longer
+      window on such a key sees at least that much history and at
+      most [capacity_per_key] samples.
+    - A key with no live demand keeps up to [capacity_per_key]
+      samples, as does a demand that is never read (expiry is lazy,
+      on read).
+    - Rings never shrink, and dropping a sample no demand counts
+      changes no demand state, so every read value and counter is the
+      same as with an unbounded ring.
+    A reader of a window longer than the key's demands therefore
+    registers its own demand for the shape it reads.
 
     {b Incremental aggregation.} Monitors run at nanosecond budgets,
     so re-scanning a window on every check is not affordable. At
@@ -266,11 +285,14 @@ val handle_save : save_handle -> float -> unit
 val window_samples : t -> key:string -> window_ns:float -> float array
 (** The raw samples inside the window, oldest first. For
     instrumentation that needs more than the built-in aggregates
-    (e.g. a two-sample KS statistic against a training set). *)
+    (e.g. a two-sample KS statistic against a training set). Exact
+    when the key has no demand or a live demand at least [window_ns]
+    long (see Retention above). *)
 
 val samples_in_window : t -> key:string -> window_ns:float -> int
 (** How many samples a naive aggregate over this window would scan;
-    O(log window) by binary search. *)
+    O(log window) by binary search. Exact under the same condition as
+    {!window_samples}. *)
 
 val set_global_publish : t -> (string -> float -> unit) option -> unit
 (** Fleet interception hook (docs/PARALLEL.md): when set, a

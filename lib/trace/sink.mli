@@ -1,8 +1,9 @@
 (** Bounded ring-buffer event sink with explicit drop accounting.
 
     Models the eBPF ring buffer the paper's REPORT action streams
-    over: a fixed-capacity buffer that {e never} blocks the producer
-    and {e never} grows. When full, the default [Drop_newest] policy
+    over: a bounded buffer that {e never} blocks the producer and
+    grows by doubling up to [capacity], never beyond, so memory follows
+    the events actually held. When full, the default [Drop_newest] policy
     rejects the incoming event and counts it — exactly what
     [bpf_ringbuf_reserve] failing does — while [Overwrite_oldest]
     keeps the most recent window (an ftrace-style overwrite mode);
@@ -17,10 +18,12 @@ type t
 
 val create : ?capacity:int -> ?overflow:overflow -> unit -> t
 (** [capacity] defaults to [65536] events, [overflow] to
-    [Drop_newest]. Requires [capacity > 0]. *)
+    [Drop_newest]. Requires [capacity > 0]. The ring starts at 16
+    slots (fewer if [capacity] is smaller). *)
 
 val emit : t -> Event.t -> unit
-(** O(1), never blocks, never allocates beyond the event itself. *)
+(** Amortized O(1), never blocks; allocates nothing, except when it
+    doubles a ring still below [capacity]. *)
 
 val capacity : t -> int
 val overflow : t -> overflow

@@ -38,8 +38,9 @@ val create :
   ?node_id:int ->
   unit ->
   t
-(** [capacity] (default 65536) sizes the event sink,
-    [report_capacity] (default 16384) the report sink. [enabled]
+(** [capacity] (default 65536) bounds the event sink,
+    [report_capacity] (default 16384) the report sink; both start
+    small and grow on demand up to that bound. [enabled]
     defaults to [false]: metrics and reports flow, trace events do
     not. [node_id], when given, tags every emitted event and report
     with a trailing [("node", Int id)] argument and stamps the

@@ -1,22 +1,34 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes rather than a mutable
+   [int64] field, whose every update would box a fresh int64. With the
+   draws inlined, [int64], [int], [float] and [bool] keep the state and
+   their result unboxed and allocate nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finaliser (Steele et al., "Fast splittable pseudorandom
    number generators"). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
+let[@inline] state t = Bytes.get_int64_ne t 0
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let fork t = { state = mix (int64 t) }
+let create seed = of_state (mix (Int64.of_int seed))
+let copy = Bytes.copy
+
+let[@inline] int64 t =
+  let s = Int64.add (state t) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+
+let fork t = of_state (mix (int64 t))
 
 let split t i =
   (* Pure indexed derivation: hash the parent state with a
@@ -25,19 +37,19 @@ let split t i =
      advance [t], so per-node seeding is independent of how many other
      streams were derived before it. *)
   let salt = mix (Int64.add (Int64.mul (Int64.of_int i) golden_gamma) 0x1F123BB5159A55E5L) in
-  { state = mix (Int64.logxor t.state salt) }
+  of_state (mix (Int64.logxor (state t) salt))
 
-let int t bound =
+let[@inline] int t bound =
   assert (bound > 0);
   (* Rejection-free for our purposes: modulo bias is negligible for
      bounds far below 2^63. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (int64 t) 1) (Int64.of_int bound))
 
-let float t bound =
+let[@inline] float t bound =
   let u = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (u /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let[@inline] bool t = Int64.logand (int64 t) 1L = 1L
 
 let gaussian t ~mu ~sigma =
   (* Box-Muller; guard against log 0. *)

@@ -2,11 +2,12 @@
 # Zero-allocation smoke (docs/PERFORMANCE.md): rebuild the test runner
 # under the release profile, the build perfbench measures, and run the
 # tests that assert a hot path allocates no minor words: periodic sim
-# dispatch, watched feature-store saves and per-check account updates;
-# that feature-store handle reads allocate only their result, at one
-# member and merged over 64 shards; and that a healthy firing of a
-# 128-member FUNCTION trigger group stays within 16 minor words per
-# member check. Tests are looked up by name,
+# dispatch, watched feature-store saves, per-check account updates,
+# trace-sink emits on a grown sink and Rng draws; that feature-store
+# handle reads allocate only their result, at one member and merged
+# over 64 shards; and that a healthy firing of a 128-member FUNCTION
+# trigger group stays within 16 minor words per member check. Tests
+# are looked up by name,
 # so the smoke does not depend on their position in the suite.
 set -eu
 
@@ -29,4 +30,6 @@ run runtime.store.ingest "save allocates nothing"
 run runtime.store "handle reads allocate only their result"
 run trace.metrics "account updates allocate nothing"
 run runtime.engine "group fire within 16 words/member"
-echo "alloc-smoke: OK (periodic sim dispatch, watched store saves and account updates allocate no minor words, store handle reads only their result, a 128-member trigger group at most 16 words per member check, release profile)"
+run trace.sink "sink emit allocates nothing"
+run util.rng "rng draw allocates nothing"
+echo "alloc-smoke: OK (periodic sim dispatch, watched store saves, account updates, sink emits and Rng draws allocate no minor words, store handle reads only their result, a 128-member trigger group at most 16 words per member check, release profile)"

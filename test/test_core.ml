@@ -215,6 +215,30 @@ let test_fleet_canary_replace_and_retrain_once () =
   check_int "one global retrain round" 1 (Guardrails.Fleet.retrains fleet);
   check_int "model pushed to the two other owners" 2 (Guardrails.Fleet.model_pushes fleet)
 
+(* ---------- memory at creation ---------- *)
+
+(* Words [f]'s result keeps live, after a full major collection. *)
+let live_words f =
+  Gc.full_major ();
+  let w0 = (Gc.stat ()).Gc.live_words in
+  let x = f () in
+  Gc.full_major ();
+  let w1 = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity x : _);
+  w1 - w0
+
+(* Untraced, nothing is buffered yet, so the trace and report sinks
+   must hold a few slots, not their capacity. Sinks allocated up front
+   (65,536 + 16,384 slots per tracer: 82k words for a deployment, 5.4M
+   for the fleet) fail both bounds, which are about twice what growable
+   sinks measure (409 words for a deployment with its kernel, 28.9k for
+   the 64-node fleet). *)
+let test_creation_live_words () =
+  let d = live_words (fun () -> make_deployment ()) in
+  let f = live_words (fun () -> Guardrails.Fleet.create ~nodes:64 ~seed:7 ()) in
+  check_bool (Printf.sprintf "untraced deployment: %d live words" d) true (d < 1_000);
+  check_bool (Printf.sprintf "64-node fleet: %d live words" f) true (f < 60_000)
+
 (* ---------- Autotune ---------- *)
 
 let autotune_source ~hi =
@@ -288,6 +312,7 @@ let suite =
         Alcotest.test_case "derive_window_avg" `Quick test_derive_window_avg;
         Alcotest.test_case "shipped specs compile" `Quick test_shipped_specs_compile;
         Alcotest.test_case "engine report" `Quick test_engine_report;
+        Alcotest.test_case "creation keeps few live words" `Quick test_creation_live_words;
         Alcotest.test_case "a second deployment on one kernel raises" `Quick
           test_second_deployment_raises;
       ] );

@@ -143,6 +143,7 @@ let test_repro_command_shape () =
       nodes = 3;
       domains = 1;
       engine = None;
+      spec = None;
       plan = [];
       shrunk =
         [ { Fault.at = Time_ns.ms 50; kind = Fault.Corrupt_key { key = "lat"; corruption = Fault.Huge } } ];
@@ -174,7 +175,8 @@ let test_repro_command_pins_fleet_shape () =
     go 0
   in
   let r =
-    Soak.soak ~extra_source:"guardrail broken {" ~nodes:4 ~engine:Gr_runtime.Vm.Tree
+    Soak.soak ~extra_spec:("specs/broken.grd", "guardrail broken {") ~nodes:4
+      ~engine:Gr_runtime.Vm.Tree
       ~scenarios:[ "store" ] ~seeds:[ 1 ] ~duration:(Time_ns.ms 50) ()
   in
   match r.Soak.failures with
@@ -185,9 +187,14 @@ let test_repro_command_pins_fleet_shape () =
     check "names the fleet scenario" true (contains_in fleet "--scenario fleet");
     check "4-node fleet repro pins --nodes 4" true (contains_in fleet "--nodes 4");
     check "tree-tier repro pins --engine tree" true (contains_in fleet "--engine tree");
-    let default = Soak.repro_command { f with Soak.nodes = 3; engine = Some Gr_runtime.Vm.Jit } in
+    check "spec-caused failure replays its --spec" true
+      (contains_in fleet "--spec 'specs/broken.grd'");
+    let default =
+      Soak.repro_command { f with Soak.nodes = 3; engine = Some Gr_runtime.Vm.Jit; spec = None }
+    in
     check "default fleet size omits --nodes" false (contains_in default "--nodes");
-    check "default tier omits --engine" false (contains_in default "--engine")
+    check "default tier omits --engine" false (contains_in default "--engine");
+    check "no extra spec omits --spec" false (contains_in default "--spec")
   | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)

@@ -28,6 +28,29 @@ let test_linnos_policy_decisions () =
   let storm = [| 10.; 0.; 900.; 1100.; 1000.; 950. |] in
   check_bool "storm -> revoke" true (policy.decide storm = Gr_kernel.Blk.Revoke_now)
 
+(* A copy is deep and stands in for training anew: two rigs of one
+   seed train identical models, and retraining a copy of the first,
+   bound to the second rig's devices, matches retraining the second,
+   while the original stays as trained. Small training for speed. *)
+let test_linnos_copy () =
+  let train () =
+    let rng, devices = make_devices Gr_kernel.Ssd.young_profile in
+    (devices, Gr_policy.Linnos.train ~rng ~devices ~samples_per_device:200 ~epochs:3 ())
+  in
+  let _, original = train () and devices, fresh = train () in
+  let copy = Gr_policy.Linnos.copy original ~devices in
+  let probes = [ [| 0.; 0.; 90.; 95.; 92.; 88. |]; [| 10.; 0.; 900.; 1100.; 1000.; 950. |] ] in
+  let scores m = List.map (Gr_policy.Linnos.predict_score m) probes in
+  let trained = scores original in
+  Alcotest.(check (list (float 0.))) "copy predicts as the original" trained (scores copy);
+  Array.iter (fun dev -> Gr_kernel.Ssd.set_profile dev Gr_kernel.Ssd.aged_profile) devices;
+  Gr_policy.Linnos.retrain copy;
+  Gr_policy.Linnos.retrain fresh;
+  Alcotest.(check (list (float 0.))) "retrained copy = retrained fresh model" (scores fresh)
+    (scores copy);
+  Alcotest.(check (list (float 0.))) "original untouched" trained (scores original);
+  check_int "retrains counted on the copy only" 0 (Gr_policy.Linnos.retrain_count original)
+
 let test_linnos_disabled_hedges () =
   let rng, devices = make_devices Gr_kernel.Ssd.young_profile in
   let m = Gr_policy.Linnos.train ~rng ~devices () in
@@ -284,6 +307,7 @@ let suite =
         Alcotest.test_case "learns young regime" `Slow test_linnos_learns_young_regime;
         Alcotest.test_case "policy decisions" `Slow test_linnos_policy_decisions;
         Alcotest.test_case "disabled hedges" `Slow test_linnos_disabled_hedges;
+        Alcotest.test_case "copy stands in for training" `Quick test_linnos_copy;
         Alcotest.test_case "retrain adapts" `Slow test_linnos_retrain_adapts;
         Alcotest.test_case "training features exposed" `Slow test_linnos_training_features_exposed;
       ] );

@@ -200,6 +200,133 @@ let incremental_equivalence_property =
       check ();
       !ok)
 
+(* Demand-following retention never drops a sample a live demand
+   counts. Random saves, clock advances, reads and demand
+   register/release over a few shapes of every aggregate function and
+   several windows, one key: each live shape's streaming read must
+   equal a naive fold over a test-side list of every sample saved (the
+   capacity is never reached), from the ring's oldest sample when the
+   demand was registered on. Sums are judged by the soak oracle's
+   tolerance, MIN/MAX/DELTA/QUANTILE/COUNT exactly. *)
+let retention_property =
+  let open QCheck2.Gen in
+  let shape =
+    triple (oneofl all_aggs) (oneofl [ 2e8; 5e8; 1e9; 2.5e9 ]) (float_range 0.05 0.95)
+  in
+  let op =
+    frequency
+      [
+        ( 10,
+          map2 (fun dt v -> `Save (dt, v)) (int_range 0 40_000_000) (float_bound_inclusive 100.) );
+        (2, map (fun dt -> `Advance dt) (int_range 0 600_000_000));
+        (4, map (fun i -> `Read i) nat);
+        (1, map (fun i -> `Register i) nat);
+        (1, map (fun i -> `Release i) nat);
+      ]
+  in
+  QCheck2.Test.make ~name:"retention keeps every sample a live demand counts" ~count:200
+    (pair (list_size (int_range 1 4) shape) (list_size (int_range 1 600) op))
+    (fun (shapes, ops) ->
+      let shapes =
+        Array.of_list
+          (List.map (fun (fn, w, p) -> (fn, w, if fn = Gr_dsl.Ast.Quantile then p else 0.)) shapes)
+      in
+      let clock = ref 0 in
+      let store = Store.create ~clock:(fun () -> !clock) () in
+      let samples = Vec.create () in
+      (* Live shapes: their refcount and the index of the first sample
+         their demand was registered over. *)
+      let live = Hashtbl.create 4 in
+      let register i =
+        let ((fn, window_ns, param) as sh) = shapes.(i mod Array.length shapes) in
+        Store.register_demand store ~key:"k" ~fn ~window_ns ~param;
+        match Hashtbl.find_opt live sh with
+        | Some (refs, floor) -> Hashtbl.replace live sh (refs + 1, floor)
+        | None ->
+          let retained = Store.samples_in_window store ~key:"k" ~window_ns:1e18 in
+          Hashtbl.replace live sh (1, Vec.length samples - retained)
+      in
+      let release i =
+        let ((fn, window_ns, param) as sh) = shapes.(i mod Array.length shapes) in
+        Store.release_demand store ~key:"k" ~fn ~window_ns ~param;
+        match Hashtbl.find_opt live sh with
+        | Some (1, _) -> Hashtbl.remove live sh
+        | Some (refs, floor) -> Hashtbl.replace live sh (refs - 1, floor)
+        | None -> ()
+      in
+      let read ((fn, window_ns, param) as sh) =
+        match Hashtbl.find_opt live sh with
+        | None -> true
+        | Some (_, floor) ->
+          let r = Store.aggregate_result store ~key:"k" ~fn ~window_ns ~param in
+          let cutoff = !clock - int_of_float window_ns in
+          (* Newest first, as the store's naive scan folds. *)
+          let values = ref [] in
+          for j = floor to Vec.length samples - 1 do
+            let at, v = Vec.get samples j in
+            if at > cutoff then values := v :: !values
+          done;
+          let values = !values in
+          let n = List.length values and sum = List.fold_left ( +. ) 0. values in
+          let expected =
+            match (values, fn) with
+            | [], _ -> 0.
+            | _, Count -> float_of_int n
+            | _, Sum -> sum
+            | _, Rate -> sum /. (window_ns /. 1e9)
+            | _, Avg -> sum /. float_of_int n
+            | v :: rest, Min -> List.fold_left Float.min v rest
+            | v :: rest, Max -> List.fold_left Float.max v rest
+            | newest :: _, Delta -> newest -. List.nth values (n - 1)
+            | _, Stddev -> Stats.stddev (Array.of_list values)
+            | _, Quantile -> Stats.quantile (Array.of_list values) param
+          in
+          let m = List.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. values in
+          r.incremental && Gr_fault.Soak.agg_close ~fn ~m ~n r.value expected
+      in
+      Array.iteri (fun i _ -> register i) shapes;
+      List.for_all
+        (fun op ->
+          match op with
+          | `Save (dt, v) ->
+            clock := !clock + dt;
+            Store.save store "k" v;
+            Vec.push samples (!clock, v);
+            true
+          | `Advance dt ->
+            clock := !clock + dt;
+            true
+          | `Read i -> read shapes.(i mod Array.length shapes)
+          | `Register i ->
+            register i;
+            true
+          | `Release i ->
+            release i;
+            true)
+        ops
+      && Array.for_all read shapes)
+
+(* A key fed at 100 Hz whose only demand is a 1 s AVG read every
+   100 ms keeps about the window, not the 4096-sample capacity; with
+   no demand it keeps everything. *)
+let test_retention_follows_demand () =
+  let retained ~demand =
+    let clock = ref 0 in
+    let store = Store.create ~clock:(fun () -> !clock) () in
+    let read () = Store.aggregate store ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0. in
+    if demand then Store.register_demand store ~key:"k" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0.;
+    for i = 1 to 2000 do
+      clock := i * 10_000_000;
+      Store.save store "k" 1.;
+      if i mod 10 = 0 then ignore (read () : float)
+    done;
+    check_float "the window's average" 1. (read ());
+    Store.samples_in_window store ~key:"k" ~window_ns:1e18
+  in
+  let kept = retained ~demand:true in
+  check_bool "demanded key keeps the window" true (kept >= 100 && kept <= 256);
+  check_int "undemanded key keeps every sample" 2000 (retained ~demand:false)
+
 let test_incremental_empty_and_single () =
   List.iter
     (fun fn ->
@@ -1211,6 +1338,8 @@ let suite =
     ( "runtime.store.incremental",
       [
         QCheck_alcotest.to_alcotest incremental_equivalence_property;
+        QCheck_alcotest.to_alcotest retention_property;
+        Alcotest.test_case "retention follows the demands" `Quick test_retention_follows_demand;
         Alcotest.test_case "empty and single-sample edges" `Quick
           test_incremental_empty_and_single;
         Alcotest.test_case "registration replays history" `Quick

@@ -89,6 +89,58 @@ let test_sink_clear_keeps_accounting () =
   Sink.emit s (ev ~ts:6 "f");
   check_int "usable after clear" 1 (Sink.length s)
 
+(* Growable sinks agree with the fixed-array reference over random
+   emit/clear runs, both overflow policies and capacities 1-64 (below,
+   at and past the 16-slot start). *)
+let sink_matches_reference =
+  let open QCheck2.Gen in
+  let op = frequency [ (12, map (fun i -> `Emit i) nat); (1, return `Clear) ] in
+  QCheck2.Test.make ~name:"growable sink matches the fixed-array reference" ~count:300
+    (triple (int_range 1 64) bool (list_size (int_range 0 300) op))
+    (fun (capacity, overwrite, ops) ->
+      let overflow = if overwrite then Sink.Overwrite_oldest else Sink.Drop_newest in
+      let s = Sink.create ~capacity ~overflow () and r = Sink_ref.create ~capacity ~overflow in
+      let agree () =
+        List.equal Event.equal (Sink.to_list s) (Sink_ref.to_list r)
+        && Sink.length s = Sink_ref.length r
+        && Sink.emitted s = Sink_ref.emitted r
+        && Sink.dropped s = Sink_ref.dropped r
+        && Sink.is_full s = Sink_ref.is_full r
+        && Sink.capacity s = Sink_ref.capacity r
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Emit i ->
+            let e = ev ~ts:i (string_of_int i) in
+            Sink.emit s e;
+            Sink_ref.emit r e
+          | `Clear ->
+            Sink.clear s;
+            Sink_ref.clear r);
+          agree ())
+        ops)
+
+(* Once grown to its capacity a sink's [emit] stores the event as is:
+   no [Some] box, no growth, under either policy. *)
+let test_sink_emit_allocates_nothing () =
+  let e = ev "preallocated" in
+  List.iter
+    (fun overflow ->
+      let s = Sink.create ~capacity:64 ~overflow () in
+      for _ = 1 to 64 do
+        Sink.emit s e
+      done;
+      Sink.clear s;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        Sink.emit s e
+      done;
+      let words = Gc.minor_words () -. w0 in
+      check_int "every emit counted" 10_064 (Sink.emitted s);
+      Alcotest.(check (float 0.)) "minor words across 10k emits" 0. words)
+    [ Sink.Drop_newest; Sink.Overwrite_oldest ]
+
 (* ---------- Tracer gating ---------- *)
 
 let test_tracer_gating () =
@@ -469,6 +521,8 @@ let suite =
         Alcotest.test_case "overwrite_oldest node-tagged accounting" `Quick
           test_sink_overwrite_oldest_node_tagged;
         Alcotest.test_case "clear keeps accounting" `Quick test_sink_clear_keeps_accounting;
+        Alcotest.test_case "sink emit allocates nothing" `Quick test_sink_emit_allocates_nothing;
+        QCheck_alcotest.to_alcotest sink_matches_reference;
       ] );
     ( "trace.tracer",
       [

@@ -219,6 +219,88 @@ let test_moving_average () =
   let out = Stats.moving_average ~window:2 [| 1.; 3.; 5.; 7. |] in
   Alcotest.(check (array (float 1e-9))) "trailing MA" [| 1.; 2.; 4.; 6. |] out
 
+(* The unboxed generator draws the reference's stream: random seeds,
+   then a mixed run of draws, forks, splits and copies over a growing
+   pool of generator pairs (each op picks a pair by index). *)
+type rng_op =
+  | Draw64 of int
+  | Draw_int of int * int
+  | Draw_float of int
+  | Draw_bool of int
+  | Fork of int
+  | Split of int * int
+  | Copy of int
+
+let rng_matches_reference =
+  let open QCheck2.Gen in
+  let op =
+    oneof
+      [
+        map (fun i -> Draw64 i) nat;
+        map2 (fun i b -> Draw_int (i, b)) nat (int_range 1 1_000_000);
+        map (fun i -> Draw_float i) nat;
+        map (fun i -> Draw_bool i) nat;
+        map (fun i -> Fork i) nat;
+        map2 (fun i j -> Split (i, j)) nat (int_range 0 1000);
+        map (fun i -> Copy i) nat;
+      ]
+  in
+  QCheck2.Test.make ~name:"rng streams match the boxed reference" ~count:300
+    (pair int (list_size (int_range 1 200) op))
+    (fun (seed, ops) ->
+      let pool = Vec.create () in
+      Vec.push pool (Rng.create seed, Rng_ref.create seed);
+      let pick i = Vec.get pool (i mod Vec.length pool) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Draw64 i ->
+            let a, b = pick i in
+            Rng.int64 a = Rng_ref.int64 b
+          | Draw_int (i, bound) ->
+            let a, b = pick i in
+            Rng.int a bound = Rng_ref.int b bound
+          | Draw_float i ->
+            let a, b = pick i in
+            Int64.bits_of_float (Rng.float a 3.5) = Int64.bits_of_float (Rng_ref.float b 3.5)
+          | Draw_bool i ->
+            let a, b = pick i in
+            Rng.bool a = Rng_ref.bool b
+          | Fork i ->
+            let a, b = pick i in
+            Vec.push pool (Rng.fork a, Rng_ref.fork b);
+            true
+          | Split (i, j) ->
+            let a, b = pick i in
+            Vec.push pool (Rng.split a j, Rng_ref.split b j);
+            true
+          | Copy i ->
+            let a, b = pick i in
+            Vec.push pool (Rng.copy a, Rng_ref.copy b);
+            true)
+        ops)
+
+(* The draws the simulator makes per event keep their state and result
+   unboxed: zero words under the release profile [make alloc-smoke]
+   builds, where the draws inline into this loop. The dev profile
+   compiles with -opaque, so there an [int64] or [float] draw is a call
+   that boxes its result (3 and 2 words) and nothing more. *)
+let test_rng_draw_allocates_nothing () =
+  let r = Rng.create 3 in
+  let bits = ref 0 and sum = ref 0. and floats = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    bits := !bits lxor Int64.to_int (Rng.int64 r) lxor Rng.int r 1000;
+    if Rng.bool r then begin
+      sum := !sum +. Rng.float r 1.0;
+      incr floats
+    end
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool "drew something" true (!sum > 0. && !bits <> 0);
+  let boxes = if Build_profile.release then 0 else (3 * 10_000) + (2 * !floats) in
+  Alcotest.(check (float 0.)) "minor words across 10k draws" (float_of_int boxes) words
+
 let quantile_property =
   QCheck2.Test.make ~name:"quantile is monotone in q" ~count:200
     QCheck2.Gen.(list_size (int_range 1 50) (float_bound_inclusive 1000.))
@@ -246,6 +328,8 @@ let suite =
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
         Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
+        Alcotest.test_case "rng draw allocates nothing" `Quick test_rng_draw_allocates_nothing;
+        QCheck_alcotest.to_alcotest rng_matches_reference;
       ] );
     ( "util.time",
       [
