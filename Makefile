@@ -101,10 +101,12 @@ serve-smoke: build
 # Zero-allocation smoke (docs/PERFORMANCE.md): under the release
 # profile perfbench builds, periodic sim dispatch, feature-store
 # saves (by handle and by key, below and at ring capacity),
-# per-check metrics account updates, trace-sink emits on a grown sink
-# and Rng draws must allocate no minor words, and
-# feature-store handle reads only their result. Runs last in `ci`: it leaves _build in the
-# release profile, and the next plain `dune build` rebuilds dev.
+# per-check metrics account updates, trace-sink emits on a grown sink,
+# Rng draws and LinnOS decisions must allocate no minor words,
+# feature-store handle reads only their result, and an MLP training
+# epoch no more words as its samples grow. Runs last in `ci`: it
+# leaves _build in the release profile, and the next plain `dune
+# build` rebuilds dev.
 alloc-smoke:
 	sh scripts/alloc_smoke.sh
 

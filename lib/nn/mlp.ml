@@ -3,14 +3,21 @@ open Gr_util
 type activation = Relu | Sigmoid | Tanh | Linear
 
 type layer = {
-  weights : float array array; (* [out][in] *)
+  n_in : int;
+  n_out : int;
+  weights : float array; (* row-major: input [i] into output [o] at [o * n_in + i] *)
   biases : float array;
   act : activation;
+  out : float array; (* this layer's output in the last inference *)
 }
 
-type t = { layers : layer array; mutable forwards : int }
+type t = {
+  layers : layer array;
+  final : float array; (* the last layer's [out] *)
+  mutable forwards : int;
+}
 
-let apply_act act x =
+let[@inline] activate act x =
   match act with
   | Relu -> if x > 0. then x else 0.
   | Sigmoid -> 1. /. (1. +. exp (-.x))
@@ -18,12 +25,15 @@ let apply_act act x =
   | Linear -> x
 
 (* Derivative expressed in terms of the activation output [y]. *)
-let act_deriv act y =
+let[@inline] deriv act y =
   match act with
   | Relu -> if y > 0. then 1. else 0.
   | Sigmoid -> y *. (1. -. y)
   | Tanh -> 1. -. (y *. y)
   | Linear -> 1.
+
+let assemble layers =
+  { layers; final = layers.(Array.length layers - 1).out; forwards = 0 }
 
 let create ~rng ~layers ?(hidden = Relu) ?(output = Sigmoid) () =
   (match layers with
@@ -35,145 +45,201 @@ let create ~rng ~layers ?(hidden = Relu) ?(output = Sigmoid) () =
     let n_in = sizes.(i) and n_out = sizes.(i + 1) in
     let scale = sqrt (2.0 /. float_of_int n_in) in
     {
-      weights =
-        Array.init n_out (fun _ ->
-            Array.init n_in (fun _ -> Rng.gaussian rng ~mu:0. ~sigma:scale));
+      n_in;
+      n_out;
+      (* Row by row, so the draws land where the nested layout had them. *)
+      weights = Array.init (n_out * n_in) (fun _ -> Rng.gaussian rng ~mu:0. ~sigma:scale);
       biases = Array.make n_out 0.;
       act = (if i = n_layers - 1 then output else hidden);
+      out = Array.make n_out 0.;
     }
   in
-  { layers = Array.init n_layers make_layer; forwards = 0 }
+  assemble (Array.init n_layers make_layer)
 
-let input_dim t = Array.length t.layers.(0).weights.(0)
-let output_dim t = Array.length t.layers.(Array.length t.layers - 1).biases
+let input_dim t = t.layers.(0).n_in
+let output_dim t = Array.length t.final
 
-let layer_forward layer input =
-  let n_out = Array.length layer.biases in
-  Array.init n_out (fun o ->
-      let w = layer.weights.(o) in
-      let acc = ref layer.biases.(o) in
-      for i = 0 to Array.length w - 1 do
-        acc := !acc +. (w.(i) *. input.(i))
-      done;
-      apply_act layer.act !acc)
+(* [dst.(o)] gets the activation of [biases.(o) + sum_i w(o,i) * src.(i)],
+   summed from the bias up in ascending [i]. The inner loops of this
+   and of [train_range] read unchecked: [weights] holds [n_out * n_in]
+   values by construction, every layer buffer is sized by the layer it
+   feeds or follows, and inputs are checked against [input_dim] before
+   they reach a kernel. *)
+let layer_into l (src : float array) (dst : float array) =
+  let n_in = l.n_in and w = l.weights in
+  for o = 0 to l.n_out - 1 do
+    let row = o * n_in in
+    let acc = ref l.biases.(o) in
+    for i = 0 to n_in - 1 do
+      acc := !acc +. (Array.unsafe_get w (row + i) *. Array.unsafe_get src i)
+    done;
+    dst.(o) <- activate l.act !acc
+  done
+
+(* Fills every layer's [out] buffer; the result is in [t.final]. *)
+let infer t input =
+  let src = ref input in
+  for k = 0 to Array.length t.layers - 1 do
+    let l = t.layers.(k) in
+    layer_into l !src l.out;
+    src := l.out
+  done;
+  t.forwards <- t.forwards + 1
+
+let check_input fn t input =
+  if Array.length input <> input_dim t then invalid_arg (fn ^ ": input dimension mismatch")
 
 let forward t input =
-  if Array.length input <> input_dim t then
-    invalid_arg "Mlp.forward: input dimension mismatch";
-  t.forwards <- t.forwards + 1;
-  Array.fold_left (fun x layer -> layer_forward layer x) input t.layers
+  check_input "Mlp.forward" t input;
+  infer t input;
+  Array.copy t.final
+
+(* Inlined where the caller sees this module's body (release builds),
+   so the result stays an unboxed float. *)
+let[@inline] score t input =
+  check_input "Mlp.score" t input;
+  infer t input;
+  t.final.(0)
 
 let predict_class t input =
-  let out = forward t input in
+  check_input "Mlp.predict_class" t input;
+  infer t input;
+  let out = t.final in
   if Array.length out = 1 then (if out.(0) >= 0.5 then 1 else 0)
   else begin
     let best = ref 0 in
-    Array.iteri (fun i v -> if v > out.(!best) then best := i) out;
+    for i = 1 to Array.length out - 1 do
+      if out.(i) > out.(!best) then best := i
+    done;
     !best
   end
 
-(* Forward pass retaining every layer's activations, for backprop. *)
-let forward_trace t input =
-  let acts = Array.make (Array.length t.layers + 1) input in
-  Array.iteri (fun i layer -> acts.(i + 1) <- layer_forward layer acts.(i)) t.layers;
-  acts
+(* One [train] call's working set, allocated once and reused by every
+   batch. [acts.(0)] is the current sample's input and [acts.(l + 1)]
+   layer [l]'s output; [deltas.(l)] is the loss gradient at layer [l]'s
+   pre-activation; [grad_w]/[grad_b] accumulate over one batch. *)
+type scratch = {
+  acts : float array array;
+  deltas : float array array;
+  grad_w : float array array;
+  grad_b : float array array;
+}
 
-let train_batch t ~lr batch =
-  if Array.length batch = 0 then 0.
-  else begin
-    let n_layers = Array.length t.layers in
-    (* Accumulate gradients across the batch, then apply one step. *)
-    let grad_w =
-      Array.map (fun l -> Array.map (fun row -> Array.make (Array.length row) 0.) l.weights) t.layers
-    in
-    let grad_b = Array.map (fun l -> Array.make (Array.length l.biases) 0.) t.layers in
-    let total_loss = ref 0. in
-    Array.iter
-      (fun (x, y) ->
-        let acts = forward_trace t x in
-        let out = acts.(n_layers) in
-        (* MSE loss; delta at the output layer. *)
-        let delta = ref (Array.mapi (fun i o ->
-            let err = o -. y.(i) in
-            total_loss := !total_loss +. (err *. err);
-            2. *. err *. act_deriv t.layers.(n_layers - 1).act o) out)
-        in
-        for l = n_layers - 1 downto 0 do
-          let layer = t.layers.(l) in
-          let below = acts.(l) in
-          let d = !delta in
-          for o = 0 to Array.length d - 1 do
-            grad_b.(l).(o) <- grad_b.(l).(o) +. d.(o);
-            let gw = grad_w.(l).(o) and w = layer.weights.(o) in
-            for i = 0 to Array.length w - 1 do
-              gw.(i) <- gw.(i) +. (d.(o) *. below.(i))
-            done
+let scratch t =
+  let outs () = Array.map (fun l -> Array.make l.n_out 0.) t.layers in
+  {
+    acts = Array.append [| [||] |] (outs ());
+    deltas = outs ();
+    grad_w = Array.map (fun l -> Array.make (Array.length l.weights) 0.) t.layers;
+    grad_b = outs ();
+  }
+
+(* One SGD step on [data.(start) .. data.(start + len - 1)] with mean
+   squared error on the post-activation outputs. Gradients accumulate
+   sample by sample; the update follows the whole batch. Returns the
+   mean batch loss before the update. *)
+let train_range t s ~lr data start len =
+  let layers = t.layers in
+  let n_layers = Array.length layers in
+  let top = layers.(n_layers - 1) in
+  for l = 0 to n_layers - 1 do
+    Array.fill s.grad_w.(l) 0 (Array.length s.grad_w.(l)) 0.;
+    Array.fill s.grad_b.(l) 0 (Array.length s.grad_b.(l)) 0.
+  done;
+  let total_loss = ref 0. in
+  for k = start to start + len - 1 do
+    let x, (y : float array) = data.(k) in
+    s.acts.(0) <- x;
+    for l = 0 to n_layers - 1 do
+      layer_into layers.(l) s.acts.(l) s.acts.(l + 1)
+    done;
+    let out = s.acts.(n_layers) and d = s.deltas.(n_layers - 1) in
+    for o = 0 to top.n_out - 1 do
+      let v = out.(o) in
+      let err = v -. y.(o) in
+      total_loss := !total_loss +. (err *. err);
+      d.(o) <- 2. *. err *. deriv top.act v
+    done;
+    for l = n_layers - 1 downto 0 do
+      let layer = layers.(l) in
+      let n_in = layer.n_in and w = layer.weights in
+      let below = s.acts.(l) and d = s.deltas.(l) in
+      let gw = s.grad_w.(l) and gb = s.grad_b.(l) in
+      for o = 0 to layer.n_out - 1 do
+        let dv = d.(o) in
+        gb.(o) <- gb.(o) +. dv;
+        let row = o * n_in in
+        for i = 0 to n_in - 1 do
+          let j = row + i in
+          Array.unsafe_set gw j (Array.unsafe_get gw j +. (dv *. Array.unsafe_get below i))
+        done
+      done;
+      if l > 0 then begin
+        let next = s.deltas.(l - 1) and act = layers.(l - 1).act in
+        for i = 0 to n_in - 1 do
+          let acc = ref 0. in
+          for o = 0 to layer.n_out - 1 do
+            acc := !acc +. (Array.unsafe_get w ((o * n_in) + i) *. Array.unsafe_get d o)
           done;
-          if l > 0 then begin
-            let n_in = Array.length layer.weights.(0) in
-            let next = Array.make n_in 0. in
-            for i = 0 to n_in - 1 do
-              let acc = ref 0. in
-              for o = 0 to Array.length d - 1 do
-                acc := !acc +. (layer.weights.(o).(i) *. d.(o))
-              done;
-              next.(i) <- !acc *. act_deriv t.layers.(l - 1).act below.(i)
-            done;
-            delta := next
-          end
-        done)
-      batch;
-    let scale = lr /. float_of_int (Array.length batch) in
-    Array.iteri
-      (fun l layer ->
-        Array.iteri
-          (fun o row ->
-            layer.biases.(o) <- layer.biases.(o) -. (scale *. grad_b.(l).(o));
-            Array.iteri (fun i g -> row.(i) <- row.(i) -. (scale *. g)) grad_w.(l).(o))
-          layer.weights)
-      t.layers;
-    !total_loss /. float_of_int (Array.length batch)
-  end
+          next.(i) <- !acc *. deriv act below.(i)
+        done
+      end
+    done
+  done;
+  let scale = lr /. float_of_int len in
+  for l = 0 to n_layers - 1 do
+    let b = layers.(l).biases and w = layers.(l).weights in
+    let gb = s.grad_b.(l) and gw = s.grad_w.(l) in
+    for o = 0 to Array.length b - 1 do
+      b.(o) <- b.(o) -. (scale *. gb.(o))
+    done;
+    for i = 0 to Array.length w - 1 do
+      w.(i) <- w.(i) -. (scale *. gw.(i))
+    done
+  done;
+  !total_loss /. float_of_int len
 
 let train t ~rng ~epochs ~batch_size ~lr data =
   if Array.length data = 0 then 0.
   else begin
+    if batch_size <= 0 then invalid_arg "Mlp.train: batch_size must be positive";
+    let n_in = input_dim t and n_out = output_dim t in
+    Array.iter
+      (fun (x, y) ->
+        if Array.length x <> n_in || Array.length y <> n_out then
+          invalid_arg "Mlp.train: sample dimension mismatch")
+      data;
     let data = Array.copy data in
+    let n = Array.length data in
+    let s = scratch t in
     let last_loss = ref 0. in
     for _epoch = 1 to epochs do
       Rng.shuffle rng data;
-      let n = Array.length data in
-      let losses = ref 0. and batches = ref 0 in
-      let i = ref 0 in
-      while !i < n do
-        let len = min batch_size (n - !i) in
-        losses := !losses +. train_batch t ~lr (Array.sub data !i len);
+      let losses = ref 0. and batches = ref 0 and start = ref 0 in
+      while !start < n do
+        let len = min batch_size (n - !start) in
+        losses := !losses +. train_range t s ~lr data !start len;
         incr batches;
-        i := !i + len
+        start := !start + len
       done;
-      last_loss := !losses /. float_of_int (max 1 !batches)
+      last_loss := !losses /. float_of_int !batches
     done;
     !last_loss
   end
 
 let forward_count t = t.forwards
-
-let flops_per_forward t =
-  Array.fold_left
-    (fun acc l -> acc + (Array.length l.biases * (Array.length l.weights.(0) + 1)))
-    0 t.layers
-
-let scale_first_layer t factor =
-  Array.iter
-    (fun row -> Array.iteri (fun i w -> row.(i) <- w *. factor) row)
-    t.layers.(0).weights
+let flops_per_forward t = Array.fold_left (fun acc l -> acc + (l.n_out * (l.n_in + 1))) 0 t.layers
 
 let copy t =
-  {
-    layers =
-      Array.map
-        (fun l ->
-          { l with weights = Array.map Array.copy l.weights; biases = Array.copy l.biases })
-        t.layers;
-    forwards = t.forwards;
-  }
+  let layers =
+    Array.map
+      (fun l ->
+        {
+          l with
+          weights = Array.copy l.weights;
+          biases = Array.copy l.biases;
+          out = Array.make l.n_out 0.;
+        })
+      t.layers
+  in
+  { (assemble layers) with forwards = t.forwards }

@@ -6,6 +6,25 @@
     and deterministic: weight initialisation draws from an explicit
     {!Gr_util.Rng.t}.
 
+    Each layer keeps its weights in one row-major [float array] (input
+    [i] into output [o] at [o * n_in + i]) next to its biases, and
+    owns the buffer its output is written to at inference, so
+    {!score} allocates no result array. {!train} allocates its activations,
+    deltas and gradient accumulators once per call and walks each
+    minibatch as an index range of its shuffled copy of the data.
+    Every floating-point operation happens in one fixed order: a
+    neuron's sum starts at its bias and adds [w *. x] in ascending
+    input order; gradients accumulate sample by sample; a back-
+    propagated delta sums over outputs in ascending order; the update
+    writes biases, then weights. Trained weights, losses and
+    predictions are therefore bit-identical to the nested-array
+    implementation this replaced (a differential property in the test
+    suite holds the two to it).
+
+    A model is single-owner: inference writes the model's own
+    buffers, so one model must not be used from two domains at once.
+    {!copy} gives a copy buffers of its own.
+
     Inference cost matters to the reproduction — the P5 property
     (decision overhead) charges simulated time per forward pass — so
     {!forward_count} and {!flops_per_forward} are exposed for the
@@ -34,14 +53,14 @@ val forward : t -> float array -> float array
 (** Runs inference. The input array length must equal [input_dim].
     Returns a fresh array of length [output_dim]. *)
 
+val score : t -> float array -> float
+(** [score t x] is [(forward t x).(0)] without allocating the result
+    array. Where it inlines into its caller (release builds), the
+    float stays unboxed and a call allocates nothing. *)
+
 val predict_class : t -> float array -> int
 (** Index of the largest output; for a 1-output sigmoid net, returns
     0/1 by thresholding at 0.5. *)
-
-val train_batch : t -> lr:float -> (float array * float array) array -> float
-(** One SGD step on a minibatch of (input, target) pairs using mean
-    squared error on the post-activation outputs. Returns the mean
-    batch loss before the update. *)
 
 val train :
   t ->
@@ -51,20 +70,23 @@ val train :
   lr:float ->
   (float array * float array) array ->
   float
-(** Shuffled minibatch training over the dataset; returns the final
-    epoch's mean loss. *)
+(** Shuffled minibatch training over the dataset of (input, target)
+    pairs: each minibatch is one SGD step on the mean squared error of
+    the post-activation outputs. Returns the final epoch's mean
+    minibatch loss (each taken before its step). [batch_size] must be
+    positive, and every input must have length [input_dim] and every
+    target [output_dim]. *)
 
 val forward_count : t -> int
-(** Number of forward passes executed since creation. *)
+(** Number of inferences ({!forward}, {!score}, {!predict_class})
+    executed since creation; training does not count. *)
 
 val flops_per_forward : t -> int
 (** Approximate multiply-accumulate count of one inference, used to
     derive a simulated inference latency. *)
 
 val copy : t -> t
-(** Deep copy; used to snapshot a model before simulated retraining. *)
-
-val scale_first_layer : t -> float -> unit
-(** Multiplies the first layer's weights (not biases) in place.
-    Scaling up amplifies the network's sensitivity to its inputs —
-    the fault-injection knob behind the P2 robustness experiments. *)
+(** Deep copy with its own weights and inference buffers, so the copy
+    and the original can be used in any interleaving (and each by its
+    own domain); used to snapshot a model before simulated
+    retraining. *)

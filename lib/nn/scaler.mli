@@ -1,10 +1,9 @@
 (** Per-feature z-score normalisation.
 
     Learned policies fit a scaler on their training features and apply
-    it at inference time. The scaler also exposes the training-time
-    distribution summary (mean/stddev/quantile envelope per feature),
-    which is exactly what the P1 in-distribution guardrail compares
-    live inputs against. *)
+    it at inference time. The scaler keeps only the per-feature mean
+    and stddev; a policy that needs the training distribution itself
+    (the P1 in-distribution guardrail's reference) keeps its features. *)
 
 type t
 
@@ -18,9 +17,9 @@ val transform : t -> float array -> float array
 (** Z-scores one feature vector; columns with zero variance pass
     through unchanged. *)
 
+val transform_into : t -> float array -> float array -> unit
+(** [transform_into t x dst] writes [transform t x] into [dst], which
+    must have length [dim t]; allocates nothing. *)
+
 val mean : t -> int -> float
 val stddev : t -> int -> float
-
-val envelope : t -> quantiles:float array -> int -> float array
-(** [envelope t ~quantiles col] is the training-set quantile envelope
-    of column [col]; requires the scaler was built with {!fit}. *)

@@ -13,6 +13,7 @@ type t = {
   mutable enabled : bool;
   mutable retrains : int;
   mutable features : float array array;
+  input : float array; (* scaled features of the decision in flight *)
 }
 
 (* Draws a labelled calibration set by probing a synthetic twin of
@@ -20,9 +21,11 @@ type t = {
    perturbs the live devices' random streams. The probe walks virtual
    time in small exponential steps so consecutive samples fall inside
    or outside the same GC episode, which is the temporal correlation
-   the classifier must learn. *)
+   the classifier must learn. Samples are stored last-drawn first. *)
 let probe_dataset ~rng ~devices ~history ~slow_threshold_us ~samples_per_device =
-  let samples = ref [] in
+  let total = Array.length devices * samples_per_device in
+  let samples = Array.make total ([||], [||]) in
+  let next = ref total in
   Array.iteri
     (fun i dev ->
       let profile = Gr_kernel.Ssd.profile dev in
@@ -39,27 +42,30 @@ let probe_dataset ~rng ~devices ~history ~slow_threshold_us ~samples_per_device 
         let lat_us =
           Time_ns.to_float_us base +. (float_of_int qdepth_p *. profile.queue_service_us)
         in
-        let feature =
-          Array.append
-            [| float_of_int qdepth_p; float_of_int qdepth_r |]
-            (Array.of_list (Ring.to_list window))
-        in
+        let feature = Array.make (2 + history) 0. in
+        feature.(0) <- float_of_int qdepth_p;
+        feature.(1) <- float_of_int qdepth_r;
+        for j = 0 to history - 1 do
+          feature.(2 + j) <- Ring.get window j
+        done;
         let label = if lat_us > slow_threshold_us then 1. else 0. in
-        samples := (feature, [| label |]) :: !samples;
+        decr next;
+        samples.(!next) <- (feature, [| label |]);
         Ring.push window lat_us
       done)
     devices;
-  Array.of_list !samples
+  samples
 
 (* Slow I/Os are rare in a healthy regime; oversample them so the MSE
    objective cannot win by always answering "fast". *)
 let balance ~rng data =
-  let slow = Array.of_list (List.filter (fun (_, y) -> y.(0) > 0.5) (Array.to_list data)) in
-  let n_slow = Array.length slow and n = Array.length data in
+  let slow = Vec.create () in
+  Array.iter (fun ((_, y) as s) -> if y.(0) > 0.5 then Vec.push slow s) data;
+  let n_slow = Vec.length slow and n = Array.length data in
   if n_slow = 0 || n_slow * 2 >= n then data
   else begin
     let deficit = (n - (2 * n_slow)) / 2 in
-    let extra = Array.init deficit (fun _ -> slow.(Rng.int rng n_slow)) in
+    let extra = Array.init deficit (fun _ -> Vec.get slow (Rng.int rng n_slow)) in
     Array.append data extra
   end
 
@@ -95,15 +101,24 @@ let train ~rng ~devices ?(history = 4) ?(slow_threshold_us = 300.)
       enabled = true;
       retrains = 0;
       features = [||];
+      input = Array.make (2 + history) 0.;
     }
   in
   fit t;
   t
 
-let copy t ~devices = { t with rng = Rng.copy t.rng; devices; model = Mlp.copy t.model }
+let copy t ~devices =
+  {
+    t with
+    rng = Rng.copy t.rng;
+    devices;
+    model = Mlp.copy t.model;
+    input = Array.make (Array.length t.input) 0.;
+  }
 
-let predict_score t features =
-  (Mlp.forward t.model (Scaler.transform t.scaler features)).(0)
+let[@inline] predict_score t features =
+  Scaler.transform_into t.scaler features t.input;
+  Mlp.score t.model t.input
 
 let predict_slow t features = predict_score t features >= 0.5
 

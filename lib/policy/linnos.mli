@@ -32,19 +32,25 @@ val train :
 
 val copy : t -> devices:Gr_kernel.Ssd.t array -> t
 (** A deep copy bound to [devices], which later {!retrain}s and
-    {!holdout_accuracy} probe: own MLP weights, own RNG in the same
-    state, same scaler and calibration features (neither is ever
-    mutated), same [enabled] flag and retrain count. A copy of a
-    freshly trained model behaves as that model would on devices with
-    the same profiles, so a model trained once can stand in for
-    training anew on a second, identically seeded rig. *)
+    {!holdout_accuracy} probe: own MLP weights and inference buffers,
+    own scaled-input buffer, own RNG in the same state, same scaler
+    and calibration features (neither is ever mutated), same [enabled]
+    flag and retrain count. A copy of a freshly trained model behaves
+    as that model would on devices with the same profiles, so a model
+    trained once can stand in for training anew on a second,
+    identically seeded rig; the copy and the original may then be used
+    side by side, each by its own domain. *)
 
 val policy : t -> Gr_kernel.Blk.policy
 (** Revoke iff [enabled] and the model predicts slow. *)
 
 val predict_slow : t -> float array -> bool
 val predict_score : t -> float array -> float
-(** Raw sigmoid output in [0,1]. *)
+(** Raw sigmoid output in [0,1]. A decision scales the features into
+    the model's own buffer and scores through the MLP's own layer
+    buffers ({!Gr_nn.Mlp.score}): under the release profile a
+    {!predict_slow} decision allocates nothing. A model is therefore
+    single-owner: one model must not decide in two domains at once. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

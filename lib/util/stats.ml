@@ -28,11 +28,6 @@ let quantile xs q =
   Array.sort Float.compare copy;
   quantile_sorted copy q
 
-let quantile_envelope xs qs =
-  let copy = Array.copy xs in
-  Array.sort Float.compare copy;
-  Array.map (quantile_sorted copy) qs
-
 let ks_distance a b =
   let na = Array.length a and nb = Array.length b in
   if na = 0 || nb = 0 then 0.

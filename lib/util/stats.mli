@@ -19,10 +19,6 @@ val quantile_sorted : float array -> float -> float
 val quantile : float array -> float -> float
 (** Sorts a copy; [nan] on empty input. *)
 
-val quantile_envelope : float array -> float array -> float array
-(** [quantile_envelope xs qs] evaluates [quantile xs] at each point of
-    [qs]; the P1 drift detector stores this envelope at training time. *)
-
 val ks_distance : float array -> float array -> float
 (** Two-sample Kolmogorov-Smirnov statistic: max distance between the
     empirical CDFs. Drives the P1 in-distribution property. 0. when

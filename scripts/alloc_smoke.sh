@@ -3,12 +3,14 @@
 # under the release profile, the build perfbench measures, and run the
 # tests that assert a hot path allocates no minor words: periodic sim
 # dispatch, watched feature-store saves, per-check account updates,
-# trace-sink emits on a grown sink and Rng draws; that feature-store
-# handle reads allocate only their result, at one member and merged
-# over 64 shards; and that a healthy firing of a 128-member FUNCTION
-# trigger group stays within 16 minor words per member check. Tests
-# are looked up by name,
-# so the smoke does not depend on their position in the suite.
+# trace-sink emits on a grown sink, Rng draws and LinnOS decisions;
+# that feature-store handle reads allocate only their result, at one
+# member and merged over 64 shards; that a healthy firing of a
+# 128-member FUNCTION trigger group stays within 16 minor words per
+# member check; and that an MLP training epoch allocates no more at
+# 256 samples per batch than at 8 (one boxed loss per batch). Tests
+# are looked up by name, so the smoke does not depend on their
+# position in the suite.
 set -eu
 
 dune build --profile release ./test/test_main.exe
@@ -32,4 +34,6 @@ run trace.metrics "account updates allocate nothing"
 run runtime.engine "group fire within 16 words/member"
 run trace.sink "sink emit allocates nothing"
 run util.rng "rng draw allocates nothing"
-echo "alloc-smoke: OK (periodic sim dispatch, watched store saves, account updates, sink emits and Rng draws allocate no minor words, store handle reads only their result, a 128-member trigger group at most 16 words per member check, release profile)"
+run policy.linnos "linnos decision allocates nothing"
+run nn.mlp "training allocates nothing per sample"
+echo "alloc-smoke: OK (periodic sim dispatch, watched store saves, account updates, sink emits, Rng draws and LinnOS decisions allocate no minor words, store handle reads only their result, a 128-member trigger group at most 16 words per member check, an MLP training epoch no more words as its samples grow, release profile)"

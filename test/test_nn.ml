@@ -22,7 +22,16 @@ let test_bad_shapes_rejected () =
       ignore (Mlp.create ~rng ~layers:[ 3 ] () : Mlp.t));
   let net = Mlp.create ~rng ~layers:[ 3; 1 ] () in
   Alcotest.check_raises "wrong input size" (Invalid_argument "Mlp.forward: input dimension mismatch")
-    (fun () -> ignore (Mlp.forward net [| 1. |] : float array))
+    (fun () -> ignore (Mlp.forward net [| 1. |] : float array));
+  Alcotest.check_raises "wrong score input size" (Invalid_argument "Mlp.score: input dimension mismatch")
+    (fun () -> ignore (Mlp.score net [| 1.; 2.; 3.; 4. |] : float));
+  let train data ~batch_size = ignore (Mlp.train net ~rng ~epochs:1 ~batch_size ~lr:0.1 data : float) in
+  Alcotest.check_raises "short training input" (Invalid_argument "Mlp.train: sample dimension mismatch")
+    (fun () -> train [| ([| 1.; 2.; 3. |], [| 1. |]); ([| 1. |], [| 0. |]) |] ~batch_size:1);
+  Alcotest.check_raises "wide training target" (Invalid_argument "Mlp.train: sample dimension mismatch")
+    (fun () -> train [| ([| 1.; 2.; 3. |], [| 1.; 0. |]) |] ~batch_size:1);
+  Alcotest.check_raises "empty batches" (Invalid_argument "Mlp.train: batch_size must be positive")
+    (fun () -> train [| ([| 1.; 2.; 3. |], [| 1. |]) |] ~batch_size:0)
 
 let test_deterministic_init () =
   let a = Mlp.create ~rng:(Rng.create 5) ~layers:[ 4; 8; 1 ] () in
@@ -100,16 +109,108 @@ let test_copy_independent () =
   check_float "copy unchanged by training" before (Mlp.forward snapshot x).(0);
   check_bool "original changed" true ((Mlp.forward net x).(0) <> before)
 
-let test_scale_first_layer () =
-  let rng = Rng.create 9 in
-  let net = Mlp.create ~rng ~layers:[ 1; 4; 1 ] ~hidden:Mlp.Tanh ~output:Mlp.Linear () in
-  let slope net =
-    let eps = 1e-3 in
-    ((Mlp.forward net [| eps |]).(0) -. (Mlp.forward net [| 0. |]).(0)) /. eps
+(* A copy owns its inference buffers: the original and its copy, each
+   run by its own domain at the same time, predict what each predicts
+   alone. Shared buffers would let one domain's inference overwrite the
+   other's layer outputs mid-pass. *)
+let test_copy_owns_buffers () =
+  let rng = Rng.create 10 in
+  let net = Mlp.create ~rng ~layers:[ 3; 16; 16; 1 ] ~hidden:Mlp.Tanh () in
+  let twin = Mlp.copy net in
+  let probes = Array.init 64 (fun _ -> Array.init 3 (fun _ -> Rng.gaussian rng ~mu:0. ~sigma:2.)) in
+  let run m = Array.init 4000 (fun k -> Mlp.score m probes.(k mod 64)) in
+  let alone = run net in
+  Alcotest.(check (array (float 0.))) "copy alone predicts as the original" alone (run twin);
+  let other = Domain.spawn (fun () -> run twin) in
+  let mine = run net in
+  Alcotest.(check (array (float 0.))) "original beside its copy" alone mine;
+  Alcotest.(check (array (float 0.))) "copy beside the original" alone (Domain.join other);
+  let interleaved = Array.map (fun x -> (Mlp.score net x, (Mlp.forward twin x).(0))) probes in
+  Array.iteri
+    (fun k (a, b) ->
+      check_float "interleaved original" alone.(k) a;
+      check_float "interleaved copy" alone.(k) b)
+    interleaved
+
+(* Training allocates its working set once per call: what one more
+   epoch costs (the difference between a 2-epoch and a 1-epoch call,
+   so the per-call buffers and data copy cancel) is the same at 8 and
+   at 256 samples per batch, over a fixed 4 batches. What remains is
+   one boxed batch loss per batch. *)
+let test_training_allocates_nothing_per_sample () =
+  let epoch_words ~per_batch =
+    let n = 4 * per_batch in
+    let data =
+      Array.init n (fun i ->
+          let x = float_of_int i /. float_of_int n in
+          ([| x; 1. -. x; x *. x |], [| (if x > 0.5 then 1. else 0.) |]))
+    in
+    let words epochs =
+      let net = Mlp.create ~rng:(Rng.create 11) ~layers:[ 3; 16; 16; 1 ] () in
+      let rng = Rng.create 12 in
+      let w0 = Gc.minor_words () in
+      ignore (Mlp.train net ~rng ~epochs ~batch_size:per_batch ~lr:0.05 data : float);
+      Gc.minor_words () -. w0
+    in
+    words 2 -. words 1
   in
-  let base = Float.abs (slope net) in
-  Mlp.scale_first_layer net 4.;
-  check_bool "local sensitivity amplified" true (Float.abs (slope net) > 1.5 *. base)
+  let small = epoch_words ~per_batch:8 and large = epoch_words ~per_batch:256 in
+  Alcotest.(check (float 0.)) "epoch words independent of samples" small large;
+  Alcotest.(check (float 0.)) "one boxed loss per batch" (4. *. 2.) large
+
+(* ---------- differential: flat kernel vs nested-array reference ---------- *)
+
+let activations = [ Mlp.Relu; Mlp.Sigmoid; Mlp.Tanh; Mlp.Linear ]
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* A random 2-5 layer net of width 1-16, trained for 1-3 epochs on
+   [full] batches of [batch_size] plus a ragged batch of [rest]
+   samples, with every hidden/output activation pair: the final epoch
+   loss, every training input's output and random probes' outputs
+   match the reference bit for bit. *)
+let mlp_matches_reference =
+  let open QCheck2.Gen in
+  let case =
+    let* sizes = list_size (int_range 2 5) (int_range 1 16) in
+    let* batch_size = int_range 1 12 in
+    let* full = int_range 0 4 and* rest = int_range 0 11 in
+    let* epochs = int_range 1 3 and* lr = float_range 0.01 0.5 and* seed = nat in
+    return (sizes, batch_size, max 1 ((full * batch_size) + (rest mod batch_size)), epochs, lr, seed)
+  in
+  let print (sizes, batch_size, n, epochs, lr, seed) =
+    Printf.sprintf "layers [%s], batch_size %d, %d samples, %d epochs, lr %h, seed %d"
+      (String.concat "; " (List.map string_of_int sizes))
+      batch_size n epochs lr seed
+  in
+  QCheck2.Test.make ~name:"flat mlp matches the nested reference bit for bit" ~count:60 ~print case
+    (fun (sizes, batch_size, n, epochs, lr, seed) ->
+      let r = Rng.create seed in
+      let n_in = List.hd sizes and n_out = List.nth sizes (List.length sizes - 1) in
+      let input () = Array.init n_in (fun _ -> Rng.gaussian r ~mu:0. ~sigma:2.) in
+      let data = Array.init n (fun _ -> (input (), Array.init n_out (fun _ -> Rng.float r 1.))) in
+      let probes = Array.init 8 (fun _ -> input ()) in
+      List.for_all
+        (fun hidden ->
+          List.for_all
+            (fun output ->
+              let net = Mlp.create ~rng:(Rng.create seed) ~layers:sizes ~hidden ~output () in
+              let ref_net = Mlp_ref.create ~rng:(Rng.create seed) ~layers:sizes ~hidden ~output () in
+              let loss = Mlp.train net ~rng:(Rng.create (seed + 1)) ~epochs ~batch_size ~lr data in
+              let ref_loss =
+                Mlp_ref.train ref_net ~rng:(Rng.create (seed + 1)) ~epochs ~batch_size ~lr data
+              in
+              let agrees x =
+                let want = Mlp_ref.forward ref_net x in
+                same_bits want (Mlp.forward net x) && same_bits [| want.(0) |] [| Mlp.score net x |]
+              in
+              same_bits [| ref_loss |] [| loss |]
+              && Array.for_all (fun (x, _) -> agrees x) data
+              && Array.for_all agrees probes)
+            activations)
+        activations)
 
 let test_scaler_zscores () =
   let rows = [| [| 1.; 10. |]; [| 2.; 20. |]; [| 3.; 30. |] |] in
@@ -128,12 +229,6 @@ let test_scaler_constant_column () =
   let z = Scaler.transform s [| 5.; 1.5 |] in
   check_float "zero-variance column passes through" 5. z.(0)
 
-let test_scaler_envelope () =
-  let rows = Array.init 101 (fun i -> [| float_of_int i |]) in
-  let s = Scaler.fit rows in
-  let env = Scaler.envelope s ~quantiles:[| 0.; 0.5; 1.0 |] 0 in
-  Alcotest.(check (array (float 1e-6))) "envelope quantiles" [| 0.; 50.; 100. |] env
-
 let suite =
   [
     ( "nn.mlp",
@@ -147,12 +242,14 @@ let suite =
         Alcotest.test_case "training reduces loss" `Quick test_training_reduces_loss;
         Alcotest.test_case "forward count and flops" `Quick test_forward_count_and_flops;
         Alcotest.test_case "copy is independent" `Quick test_copy_independent;
-        Alcotest.test_case "scale_first_layer amplifies sensitivity" `Quick test_scale_first_layer;
+        Alcotest.test_case "copy owns its buffers" `Quick test_copy_owns_buffers;
+        Alcotest.test_case "training allocates nothing per sample" `Quick
+          test_training_allocates_nothing_per_sample;
+        QCheck_alcotest.to_alcotest mlp_matches_reference;
       ] );
     ( "nn.scaler",
       [
         Alcotest.test_case "z-scores" `Quick test_scaler_zscores;
         Alcotest.test_case "constant column" `Quick test_scaler_constant_column;
-        Alcotest.test_case "envelope" `Quick test_scaler_envelope;
       ] );
   ]

@@ -51,6 +51,52 @@ let test_linnos_copy () =
   Alcotest.(check (list (float 0.))) "original untouched" trained (scores original);
   check_int "retrains counted on the copy only" 0 (Gr_policy.Linnos.retrain_count original)
 
+(* The original and its copy, each run by its own domain at the same
+   time, score what each scores alone: a copy owns its MLP buffers and
+   its scaled-input buffer. *)
+let test_linnos_copy_alongside () =
+  let rng, devices = make_devices Gr_kernel.Ssd.young_profile in
+  let m = Gr_policy.Linnos.train ~rng ~devices ~samples_per_device:200 ~epochs:3 () in
+  let twin = Gr_policy.Linnos.copy m ~devices in
+  let probes =
+    Array.init 32 (fun k ->
+        let f = float_of_int k in
+        [| float_of_int (k mod 13); float_of_int (k mod 5); 90. +. (f *. 30.); 95. +. (f *. 25.);
+           92. +. (f *. 20.); 88. +. (f *. 35.) |])
+  in
+  let run m = Array.init 4000 (fun k -> Gr_policy.Linnos.predict_score m probes.(k mod 32)) in
+  let alone = run m in
+  Alcotest.(check (array (float 0.))) "copy alone scores as the original" alone (run twin);
+  let other = Domain.spawn (fun () -> run twin) in
+  let mine = run m in
+  Alcotest.(check (array (float 0.))) "original beside its copy" alone mine;
+  Alcotest.(check (array (float 0.))) "copy beside the original" alone (Domain.join other);
+  Array.iteri
+    (fun k x ->
+      let a = Gr_policy.Linnos.predict_score m x and b = Gr_policy.Linnos.predict_score twin x in
+      Alcotest.(check (pair (float 0.) (float 0.))) "interleaved" (alone.(k), alone.(k)) (a, b))
+    probes
+
+(* One decision scales into the model's own input buffer and scores
+   through the model's own layer buffers: zero words under the release
+   profile [make alloc-smoke] builds, where [Mlp.score] inlines into
+   the decision. The dev profile compiles with -opaque, so there the
+   score is a call that boxes its float result (2 words) and nothing
+   more. *)
+let test_linnos_decision_allocates_nothing () =
+  let rng, devices = make_devices Gr_kernel.Ssd.young_profile in
+  let m = Gr_policy.Linnos.train ~rng ~devices ~samples_per_device:200 ~epochs:3 () in
+  let probes = [| [| 0.; 0.; 90.; 95.; 92.; 88. |]; [| 10.; 0.; 900.; 1100.; 1000.; 950. |] |] in
+  let slow = ref 0 in
+  let w0 = Gc.minor_words () in
+  for k = 1 to 10_000 do
+    if Gr_policy.Linnos.predict_slow m probes.(k land 1) then incr slow
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool "some decisions slow, some not" true (!slow > 0 && !slow < 10_000);
+  let boxes = if Build_profile.release then 0 else 2 * 10_000 in
+  Alcotest.(check (float 0.)) "minor words across 10k decisions" (float_of_int boxes) words
+
 let test_linnos_disabled_hedges () =
   let rng, devices = make_devices Gr_kernel.Ssd.young_profile in
   let m = Gr_policy.Linnos.train ~rng ~devices () in
@@ -308,6 +354,9 @@ let suite =
         Alcotest.test_case "policy decisions" `Slow test_linnos_policy_decisions;
         Alcotest.test_case "disabled hedges" `Slow test_linnos_disabled_hedges;
         Alcotest.test_case "copy stands in for training" `Quick test_linnos_copy;
+        Alcotest.test_case "copy scores alongside the original" `Quick test_linnos_copy_alongside;
+        Alcotest.test_case "linnos decision allocates nothing" `Quick
+          test_linnos_decision_allocates_nothing;
         Alcotest.test_case "retrain adapts" `Slow test_linnos_retrain_adapts;
         Alcotest.test_case "training features exposed" `Slow test_linnos_training_features_exposed;
       ] );
