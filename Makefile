@@ -102,9 +102,11 @@ serve-smoke: build
 # profile perfbench builds, periodic sim dispatch, feature-store
 # saves (by handle and by key, below and at ring capacity),
 # per-check metrics account updates, trace-sink emits on a grown sink,
-# Rng draws and LinnOS decisions must allocate no minor words,
-# feature-store handle reads only their result, and an MLP training
-# epoch no more words as its samples grow. Runs last in `ci`: it
+# Rng draws, LinnOS decisions and the other learned policies'
+# decisions must allocate no minor words, feature-store handle reads
+# only their result, a 128-member trigger group at most half a word
+# per member check, and an MLP training epoch no more words as its
+# samples grow. Runs last in `ci`: it
 # leaves _build in the release profile, and the next plain `dune
 # build` rebuilds dev.
 alloc-smoke:

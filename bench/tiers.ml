@@ -13,7 +13,14 @@
      fig2 scale monitor, as one rule (the shape a learned-policy
      distillation guardrail takes);
    - scale_avg: Ablation F's AVG(key, 1s) <= 1000 with a registered
-     streaming demand — aggregate-dominated, the store does the work.
+     streaming demand — aggregate-dominated, the store does the work;
+   - check_group_128: perfbench's `check` rule, 40 weighted LOADs plus
+     0.001 * AVG(latency_us, 1s), with its own weights on each of 128
+     members of one FUNCTION hook. The JIT side is the trigger group
+     the hook's dispatch runs (Jit.member: one frame, each input read
+     once per epoch, the linear forms in banks); a dispatch starts a
+     frame epoch and checks every member. The tree side interprets
+     each member's program. Timed per member check.
 
    Every executor is checked for bit-identical results before any
    timing (the cross-tier differential fuzzer proves this in general;
@@ -102,6 +109,27 @@ let make_store shape =
   end;
   store
 
+(* check_group_128's members: monitor [j]'s weights are its own. *)
+let group_members = 128
+let group_features = 40
+
+let check_rule j =
+  let terms =
+    List.init group_features (fun f ->
+        Printf.sprintf "%.6f * LOAD(feat_%d)"
+          (0.001 +. (float_of_int (((j * 41) + (f * 7)) mod 997) /. 997.))
+          f)
+  in
+  String.concat " + " terms ^ " + 0.001 * AVG(latency_us, 1s) <= 1000000"
+
+let group_shape =
+  {
+    sh_name = "check_group_128";
+    sh_rule = check_rule 0;
+    sh_keys = "latency_us" :: List.init group_features (Printf.sprintf "feat_%d");
+    sh_agg = false;
+  }
+
 let build_exec ~tier ~store ~slots rule : unit -> Vm.result =
   match (tier : Vm.tier) with
   | Vm.Tree ->
@@ -147,6 +175,71 @@ type row = {
   r_speedup : Common.timing;  (* vs the tree tier at the same (monitor, count) *)
 }
 
+(* One dispatch of the group per call on the JIT side, each member's
+   program interpreted in turn on the tree side; both sides first check
+   that every member's value, samples and cost agree bit for bit. *)
+let group_rows () =
+  let store = make_store group_shape in
+  Store.register_demand store ~key:"latency_us" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0.;
+  ignore (Store.aggregate store ~key:"latency_us" ~fn:Gr_dsl.Ast.Avg ~window_ns:1e9 ~param:0. : float);
+  let monitors =
+    Array.init group_members (fun j ->
+        compile_rule { group_shape with sh_name = Printf.sprintf "linear_%d" j; sh_rule = check_rule j })
+  in
+  let g = Jit.group store in
+  let members =
+    Array.map (fun m -> Jit.member g ~slots:m.Guardrails.Monitor.slots m.Guardrails.Monitor.rule) monitors
+  in
+  let dispatch () =
+    Jit.invalidate g;
+    Array.iter Jit.exec members
+  in
+  let static_costs = Array.map (fun m -> Vm.static_cost_ns m.Guardrails.Monitor.rule) monitors in
+  let interpret () =
+    Array.mapi
+      (fun j m ->
+        Vm.run ~static_cost_ns:static_costs.(j) ~store ~slots:m.Guardrails.Monitor.slots
+          m.Guardrails.Monitor.rule)
+      monitors
+  in
+  dispatch ();
+  Array.iteri
+    (fun j (r : Vm.result) ->
+      let o = Jit.out members.(j) and bits = Int64.bits_of_float in
+      if
+        bits o.value <> bits r.value
+        || bits o.cost_ns <> bits r.est_cost_ns
+        || Jit.samples members.(j) <> r.samples_scanned
+        || Jit.insts members.(j) <> r.insts_executed
+      then
+        failwith
+          (Printf.sprintf "tiers: jit diverges on check_group_128 member %d (value %.17g vs %.17g)" j
+             o.value r.value))
+    (interpret ());
+  let dispatches = if !Common.smoke then 20 else 400 in
+  let per = float_of_int (dispatches * group_members) in
+  let timed run =
+    snd
+      (Common.measure ~per (fun () () ->
+           for _ = 1 to dispatches do
+             run ()
+           done))
+  in
+  let tree_ns = timed (fun () -> ignore (Sys.opaque_identity (interpret ()) : Vm.result array))
+  and jit_ns = timed dispatch in
+  List.map
+    (fun (r_tier, r_ns) ->
+      {
+        r_monitor = group_shape.sh_name;
+        r_insts = Jit.insts members.(0);
+        r_monitors = group_members;
+        r_tier;
+        r_ns;
+        r_speedup = Common.ratio tree_ns r_ns;
+      })
+    [ (Vm.Tree, tree_ns); (Vm.Jit, jit_ns) ]
+
+
 let run ~json =
   let monitor_counts = if !Common.smoke then [ 1; 8 ] else [ 1; 16; 64 ] in
   let rows = ref [] in
@@ -189,7 +282,7 @@ let run ~json =
             timed)
         monitor_counts)
     shapes;
-  let rows = List.rev !rows in
+  let rows = List.rev !rows @ group_rows () in
   if json then
     Common.print_json
       (Common.Json.Obj

@@ -19,7 +19,7 @@ val transform : t -> float array -> float array
 
 val transform_into : t -> float array -> float array -> unit
 (** [transform_into t x dst] writes [transform t x] into [dst], which
-    must have length [dim t]; allocates nothing. *)
+    must have length [dim t] and may be [x]; allocates nothing. *)
 
 val mean : t -> int -> float
 val stddev : t -> int -> float

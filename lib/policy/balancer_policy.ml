@@ -7,6 +7,7 @@ type t = {
   samples : int;
   epochs : int;
   mutable model : Mlp.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable enabled : bool;
   mutable affinity : float;
   mutable retrains : int;
@@ -38,6 +39,7 @@ let train ~rng ~cpus ?(samples = 800) ?(epochs = 30) () =
       samples;
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2; 1 ] ~output:Gr_nn.Mlp.Linear ();
+      input = Array.make 2 0.;
       enabled = true;
       affinity = 0.;
       retrains = 0;
@@ -46,21 +48,27 @@ let train ~rng ~cpus ?(samples = 800) ?(epochs = 30) () =
   fit t;
   t
 
-let score t ~len ~cpu =
-  let is0 = if cpu = 0 then 1. else 0. in
-  let base = (Mlp.forward t.model [| float_of_int len /. 16.; is0 |]).(0) in
-  base -. (t.affinity *. is0)
+let model t = t.model
+
+let[@inline] score t ~len ~cpu =
+  t.input.(0) <- float_of_int len /. 16.;
+  t.input.(1) <- (if cpu = 0 then 1. else 0.);
+  Mlp.score t.model t.input
+
+(* Lower is a better target; the injected affinity favours CPU 0. *)
+let[@inline] placement t ~len ~cpu =
+  let base = score t ~len ~cpu in
+  base -. (t.affinity *. if cpu = 0 then 1. else 0.)
 
 let place t ~queue_lens =
   let best = ref 0 and best_score = ref infinity in
-  Array.iteri
-    (fun cpu len ->
-      let s = score t ~len ~cpu in
-      if s < !best_score then begin
-        best := cpu;
-        best_score := s
-      end)
-    queue_lens;
+  for cpu = 0 to Array.length queue_lens - 1 do
+    let s = placement t ~len:queue_lens.(cpu) ~cpu in
+    if s < !best_score then begin
+      best := cpu;
+      best_score := s
+    end
+  done;
   !best
 
 let balancer t =

@@ -8,16 +8,22 @@ type t = {
   epochs : int;
   mutable model : Mlp.t;
   mutable scaler : Scaler.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable enabled : bool;
   mutable retrains : int;
   mutable tick : int; (* logical access clock *)
   table : (int, key_state) Hashtbl.t;
 }
 
-let features_of t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> [| 1e6; 0. |]
-  | Some st -> [| float_of_int (t.tick - st.last_access); float_of_int st.count |]
+(* A key's (recency, frequency), the never-seen one's as in training. *)
+let[@inline] features_into t key x =
+  match Hashtbl.find t.table key with
+  | st ->
+    x.(0) <- float_of_int (t.tick - st.last_access);
+    x.(1) <- float_of_int st.count
+  | exception Not_found ->
+    x.(0) <- 1e6;
+    x.(1) <- 0.
 
 (* Training examples: at each access, (recency, frequency) of the key
    versus the distance to its next use. Output is log1p(distance) so
@@ -65,6 +71,7 @@ let train ~rng ~hooks ~trace ?(epochs = 10) () =
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2; 1 ] ~output:Gr_nn.Mlp.Linear ();
       scaler = Scaler.fit [| [| 0.; 0. |] |];
+      input = Array.make 2 0.;
       enabled = true;
       retrains = 0;
       tick = 0;
@@ -87,8 +94,13 @@ let train ~rng ~hooks ~trace ?(epochs = 10) () =
       : Gr_kernel.Hooks.subscription);
   t
 
-let predicted_reuse_distance t key =
-  (Mlp.forward t.model (Scaler.transform t.scaler (features_of t key))).(0)
+let model t = t.model
+let scaler t = t.scaler
+
+let[@inline] predicted_reuse_distance t key =
+  features_into t key t.input;
+  Scaler.transform_into t.scaler t.input t.input;
+  Mlp.score t.model t.input
 
 let policy t =
   {
@@ -98,14 +110,14 @@ let policy t =
         if (not t.enabled) || Array.length candidates = 0 then candidates.(0)
         else begin
           let best = ref candidates.(0) and best_score = ref neg_infinity in
-          Array.iter
-            (fun key ->
-              let score = predicted_reuse_distance t key in
-              if score > !best_score then begin
-                best := key;
-                best_score := score
-              end)
-            candidates;
+          for i = 0 to Array.length candidates - 1 do
+            let key = candidates.(i) in
+            let score = predicted_reuse_distance t key in
+            if score > !best_score then begin
+              best := key;
+              best_score := score
+            end
+          done;
           !best
         end);
   }

@@ -3,6 +3,7 @@ open Gr_nn
 
 type t = {
   model : Mlp.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable wobble : float; (* amplitude of the injected instability *)
   mutable enabled : bool;
 }
@@ -21,11 +22,18 @@ let train ~rng ?(samples = 800) ?(epochs = 50) () =
   in
   let model = Mlp.create ~rng:(Rng.fork rng) ~layers:[ 2; 10; 1 ] ~hidden:Gr_nn.Mlp.Tanh () in
   ignore (Mlp.train model ~rng ~epochs ~batch_size:16 ~lr:0.15 data : float);
-  { model; wobble = 0.; enabled = true }
+  { model; input = Array.make 2 0.; wobble = 0.; enabled = true }
 
-let rate_multiplier t ~rtt_ms ~loss =
+let model t = t.model
+
+let[@inline] score t ~rtt_ms ~loss =
+  t.input.(0) <- rtt_ms /. 120.;
+  t.input.(1) <- loss /. 0.15;
+  Mlp.score t.model t.input
+
+let[@inline] rate_multiplier t ~rtt_ms ~loss =
   let rtt_n = rtt_ms /. 120. and loss_n = loss /. 0.15 in
-  let base = 2. *. (Mlp.forward t.model [| rtt_n; loss_n |]).(0) in
+  let base = 2. *. score t ~rtt_ms ~loss in
   (* The wobble term models an unstable/overfit policy: a
      high-frequency component whose output swings violently under
      tiny measurement noise. Zero for the trained model. *)

@@ -4,6 +4,7 @@ open Gr_nn
 type t = {
   capacity : int;
   mutable model : Mlp.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable drift : float;
 }
 
@@ -24,10 +25,17 @@ let train ~rng ~capacity ?(samples = 600) ?(epochs = 40) () =
   in
   let model = Mlp.create ~rng:(Rng.fork rng) ~layers:[ 2; 8; 1 ] () in
   ignore (Mlp.train model ~rng ~epochs ~batch_size:16 ~lr:0.2 data : float);
-  { capacity; model; drift = 1. }
+  { capacity; model; input = Array.make 2 0.; drift = 1. }
 
-let propose t ~miss_rate ~occupancy =
-  let share = (Mlp.forward t.model [| miss_rate; occupancy |]).(0) in
+let model t = t.model
+
+let[@inline] score t ~miss_rate ~occupancy =
+  t.input.(0) <- miss_rate;
+  t.input.(1) <- occupancy;
+  Mlp.score t.model t.input
+
+let[@inline] propose t ~miss_rate ~occupancy =
+  let share = score t ~miss_rate ~occupancy in
   int_of_float (Float.round (share *. t.drift *. float_of_int t.capacity))
 
 let inject_drift t ~scale = t.drift <- scale

@@ -6,6 +6,7 @@ type t = {
   samples : int;
   epochs : int;
   mutable model : Mlp.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable enabled : bool;
   mutable scale : float;
   mutable retrains : int;
@@ -36,7 +37,15 @@ let dataset ~rng ~mean_run ~samples =
   done;
   Array.of_list !data
 
-let shape features = [| (if features.(0) = 1. then 1. else 0.); log1p features.(1); features.(2) |]
+let[@inline] shape_into x ~delta ~run ~occupancy =
+  x.(0) <- (if delta = 1. then 1. else 0.);
+  x.(1) <- log1p run;
+  x.(2) <- occupancy
+
+let shape features =
+  let x = Array.make 3 0. in
+  shape_into x ~delta:features.(0) ~run:features.(1) ~occupancy:features.(2);
+  x
 
 let fit t ~mean_run =
   let raw = dataset ~rng:t.rng ~mean_run ~samples:t.samples in
@@ -56,6 +65,7 @@ let train ~rng ?(mean_run = 24.) ?(samples = 4000) ?(epochs = 20) () =
       samples;
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ~output:Gr_nn.Mlp.Linear ();
+      input = Array.make 3 0.;
       enabled = true;
       scale = 1.;
       retrains = 0;
@@ -64,8 +74,14 @@ let train ~rng ?(mean_run = 24.) ?(samples = 4000) ?(epochs = 20) () =
   fit t ~mean_run;
   t
 
-let predict_window t ~delta ~run ~occupancy =
-  let y = (Mlp.forward t.model (shape [| delta; run; occupancy |])).(0) in
+let model t = t.model
+
+let[@inline] score t ~delta ~run ~occupancy =
+  shape_into t.input ~delta ~run ~occupancy;
+  Mlp.score t.model t.input
+
+let[@inline] predict_window t ~delta ~run ~occupancy =
+  let y = score t ~delta ~run ~occupancy in
   let pages = expm1 (Float.max 0. y) in
   int_of_float (Float.round (pages *. t.scale))
 

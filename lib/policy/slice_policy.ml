@@ -6,6 +6,7 @@ type t = {
   samples : int;
   epochs : int;
   mutable model : Mlp.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable enabled : bool;
   mutable retrains : int;
   mutable sees_runqueue : bool;
@@ -46,6 +47,7 @@ let train ~rng ?(max_training_runnable = 4) ?(samples = 800) ?(epochs = 40) () =
       samples;
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ();
+      input = Array.make 3 0.;
       enabled = true;
       retrains = 0;
       sees_runqueue = false;
@@ -54,10 +56,16 @@ let train ~rng ?(max_training_runnable = 4) ?(samples = 800) ?(epochs = 40) () =
   fit t ~max_training_runnable;
   t
 
-let predicted_slice_ms t ~nr_runnable ~weight ~received_ms =
-  let nr_feature = if t.sees_runqueue then float_of_int nr_runnable /. 8. else 1. in
-  let x = [| nr_feature; float_of_int weight /. 1024.; received_ms /. 100. |] in
-  24. *. (Mlp.forward t.model x).(0)
+let model t = t.model
+
+let[@inline] score t ~nr_runnable ~weight ~received_ms =
+  t.input.(0) <- (if t.sees_runqueue then float_of_int nr_runnable /. 8. else 1.);
+  t.input.(1) <- float_of_int weight /. 1024.;
+  t.input.(2) <- received_ms /. 100.;
+  Mlp.score t.model t.input
+
+let[@inline] predicted_slice_ms t ~nr_runnable ~weight ~received_ms =
+  24. *. score t ~nr_runnable ~weight ~received_ms
 
 let policy t =
   {

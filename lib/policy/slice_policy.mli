@@ -30,6 +30,14 @@ val policy : t -> Gr_kernel.Sched.policy
 (** Disabled, it computes the CFS slice directly. *)
 
 val predicted_slice_ms : t -> nr_runnable:int -> weight:int -> received_ms:float -> float
+val model : t -> Gr_nn.Mlp.t
+
+val score : t -> nr_runnable:int -> weight:int -> received_ms:float -> float
+(** The model's output for a decision on these inputs: [(Mlp.forward
+    (model t) x).(0)], bit for bit, for the input vector [x] the
+    decision builds. [x] is written into a buffer the policy owns, so
+    a call allocates nothing where it inlines (release builds); it is
+    not reentrant. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

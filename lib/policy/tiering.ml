@@ -8,6 +8,7 @@ type t = {
   epochs : int;
   mutable model : Mlp.t;
   mutable scaler : Scaler.t;
+  input : float array; (* the model input of the decision in flight *)
   mutable enabled : bool;
   mutable retrains : int;
   mutable features : float array array;
@@ -60,8 +61,15 @@ let dataset ~reuse_horizon ~mean_gap_ms trace =
 (* Access counts and gaps span many orders of magnitude (a first
    touch has an effectively infinite gap); log-compress them so the
    scaler and the network see well-conditioned inputs. *)
+let[@inline] shape_into x features =
+  x.(0) <- log1p features.(0);
+  x.(1) <- log1p features.(1);
+  x.(2) <- features.(2)
+
 let shape features =
-  [| log1p features.(0); log1p features.(1); features.(2) |]
+  let x = Array.make 3 0. in
+  shape_into x features;
+  x
 
 let fit t trace =
   let raw = dataset ~reuse_horizon:t.reuse_horizon ~mean_gap_ms:t.mean_gap_ms trace in
@@ -84,6 +92,7 @@ let train ~rng ~trace ?(reuse_horizon = 64) ?(mean_gap_ms = 0.05) ?(epochs = 15)
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ();
       scaler = Scaler.fit [| [| 0.; 0.; 0. |] |];
+      input = Array.make 3 0.;
       enabled = true;
       retrains = 0;
       features = [||];
@@ -92,8 +101,15 @@ let train ~rng ~trace ?(reuse_horizon = 64) ?(mean_gap_ms = 0.05) ?(epochs = 15)
   fit t trace;
   t
 
-let predict_promote t features =
-  (Mlp.forward t.model (Scaler.transform t.scaler (shape features))).(0) >= 0.5
+let model t = t.model
+let scaler t = t.scaler
+
+let[@inline] score t features =
+  shape_into t.input features;
+  Scaler.transform_into t.scaler t.input t.input;
+  Mlp.score t.model t.input
+
+let predict_promote t features = score t features >= 0.5
 
 let policy t =
   {

@@ -31,6 +31,17 @@ val policy : t -> Gr_kernel.Mm.policy
     when disabled it behaves as the second-touch fallback. *)
 
 val predict_promote : t -> float array -> bool
+val model : t -> Gr_nn.Mlp.t
+
+val scaler : t -> Gr_nn.Scaler.t
+(** The scaler the model's inputs pass through. *)
+
+val score : t -> float array -> float
+(** The model's output for a decision on these inputs: [(Mlp.forward
+    (model t) x).(0)], bit for bit, for the input vector [x] the
+    decision builds (the scaled, log-compressed features). [x] is written into a buffer the policy owns, so
+    a call allocates nothing where it inlines (release builds); it is
+    not reentrant. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

@@ -346,8 +346,10 @@ let decide t st ~healthy =
    decision. Answers whether actions ran. [o] is read before any action
    runs, which may check this monitor again and overwrite it. *)
 let conclude t st ~via (o : Vm.out) ~insts ~samples =
-  let healthy = Gr_compiler.Ir.truthy o.value in
-  Metrics.record_check st.metrics ~cost_ns:o.cost_ns ~insts ~samples ~violated:(not healthy);
+  (* Ir.truthy, written out: a call into another module boxes the
+     float when cross-module inlining is off (the dev profile). *)
+  let healthy = o.value <> 0. in
+  Metrics.record_check_out st.metrics o ~insts ~samples ~violated:(not healthy);
   if Tracer.enabled t.tracer then begin
     (* The check as a Complete span whose duration is the VM's dynamic
        cost estimate — per-monitor overhead on the timeline. Its span

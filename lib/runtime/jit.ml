@@ -48,7 +48,13 @@ module Ir = Gr_compiler.Ir
      distilled linear-model guardrail) is one closure. Its loop adds
      the terms left to right with the operand order of the source, so
      the value is bit-identical to the interpreter's. A product nothing
-     claims, and a plain two-term a ± b, keep their ordinary templates.
+     claims, and a plain two-term a ± b, keep their ordinary templates;
+   - linear banks: a member's first chain whose cells are all group
+     inputs joins the bank of the member compiled before it when the
+     two chains have the same start and the same (cell, operator)
+     sequence, else opens one. A bank computes its rows four at a time,
+     once per frame epoch, in the chain's own operation order (see
+     "linear banks" below); [leave] takes the member's row out.
 
    Fusion claims only the most recently emitted steps, and only when
    the fusing instruction is their sole reader. Accounting stays
@@ -78,6 +84,22 @@ type input = {
   mutable stamp : int;  (** the epoch its cell was read in *)
 }
 
+(* A linear bank (see "linear banks" below): one row per member. *)
+type row = { mutable i : int;  (** its place in the bank *) ks : float array }
+
+type bank = {
+  shape : (int * int) list;  (** (cell, operator) of the start, then of each term *)
+  sx : int;
+  sop : int;
+  ops : int array;  (** per run of one operator, as in [chain] *)
+  xs : int array array;  (** the run's cells *)
+  width : int;  (** constants per row: the start's, then each term's *)
+  rows : row Gr_util.Vec.t;
+  mutable ks : Float.Array.t;
+  mutable vals : Float.Array.t;  (** each row's value in its block's epoch *)
+  mutable stamps : int array;  (** per block of four rows *)
+}
+
 type group = {
   store : Feature_store.t;
   mutable frame : float array;
@@ -90,6 +112,7 @@ type group = {
   mutable fresh : int;
       (** the inputs read in this epoch: once that is all of them, no
           member checks a stamp *)
+  mutable bank : bank option;  (** the last member's, which the next may join *)
 }
 
 type t = {
@@ -99,6 +122,7 @@ type t = {
   aggs : agg array;  (** one per AGG instruction, in program order *)
   cells : int list;  (** the cells of its own registers *)
   steps : (unit -> unit) array;
+  row : (bank * row) option;
   result : int;
   n_insts : int;
   static_cost : float;
@@ -116,6 +140,7 @@ let group store =
     inputs = Hashtbl.create 4;
     epoch = 0;
     fresh = 0;
+    bank = None;
   }
 
 let invalidate g =
@@ -237,23 +262,25 @@ type term = { k : float; x : int; op : int }
 
 let product ~swap ~sub = (if swap then 2 else 0) + if sub then 1 else 0
 
+(* Consecutive terms of one operator, as (operator, terms) runs. *)
+let rec runs = function
+  | [] -> []
+  | t :: _ as ts ->
+    let rec split run = function
+      | t' :: ts when t'.op = t.op -> split (t' :: run) ts
+      | rest -> (List.rev run, rest)
+    in
+    let run, rest = split [] ts in
+    (t.op, run) :: runs rest
+
+let ks run = Array.of_list (List.map (fun t -> t.k) run)
+let xs run = Array.of_list (List.map (fun t -> t.x) run)
+
 (* dst <- start, then acc <- acc ± term for each term, left to right.
-   Consecutive terms of one operator form a run, a loop with no
-   per-term dispatch: a linear form is a single run. *)
+   Each run is a loop with no per-term dispatch: a linear form is a
+   single run. *)
 let chain g dst start terms =
-  let rec runs = function
-    | [] -> []
-    | t :: _ as ts ->
-      let rec split run = function
-        | t' :: ts when t'.op = t.op -> split (t' :: run) ts
-        | rest -> (List.rev run, rest)
-      in
-      let run, rest = split [] ts in
-      let ks = Array.of_list (List.map (fun t -> t.k) run)
-      and xs = Array.of_list (List.map (fun t -> t.x) run) in
-      (t.op, ks, xs) :: runs rest
-  in
-  let runs = Array.of_list (runs terms) in
+  let runs = Array.of_list (List.map (fun (op, run) -> (op, ks run, xs run)) (runs terms)) in
   let sk = start.k and sx = start.x and sop = start.op in
   fun () ->
     let f = g.frame in
@@ -284,6 +311,155 @@ let chain g dst start terms =
         done
     done;
     Array.unsafe_set f dst !acc
+
+(* ---------- linear banks ----------
+
+   A bank holds the linear forms of consecutive members of one group
+   that have one shape: the same start and the same (cell, operator)
+   sequence, every cell a group input. Each member owns a row of
+   constants. Rows sit in blocks of four, in install order, their
+   constants lane-interleaved in one Float.Array (row r's j-th at
+   [((r / 4) * width + j) * 4 + r mod 4]). [fill] computes a block in
+   one pass that reads each input cell once and carries four unboxed
+   accumulators, each adding its own row's terms left to right with the
+   source's operators: the float operations [chain] would do for that
+   row, in its order, so every value is bit-identical.
+
+   A block's stamp is the epoch its values are of. A member's step
+   fills its block when the stamp is stale, then reads its row: a
+   healthy dispatch fills each block once, and after an action starts
+   a new epoch only the blocks still ahead are filled again. The cells
+   a bank reads are inputs of every member in it, so the first member
+   of a block to check in an epoch has read them all, and they hold
+   what any later member of the block would read in that epoch. *)
+
+let stale = min_int
+let[@inline] at_k b r j = ((((r lsr 2) * b.width) + j) * 4) + (r land 3)
+
+let fill g b blk =
+  let module F = Float.Array in
+  let f = g.frame and ks = b.ks in
+  let base = blk * b.width * 4 in
+  let v = Array.unsafe_get f b.sx in
+  let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+  if b.sop = 0 then begin
+    a0 := v *. F.unsafe_get ks base;
+    a1 := v *. F.unsafe_get ks (base + 1);
+    a2 := v *. F.unsafe_get ks (base + 2);
+    a3 := v *. F.unsafe_get ks (base + 3)
+  end
+  else begin
+    a0 := F.unsafe_get ks base *. v;
+    a1 := F.unsafe_get ks (base + 1) *. v;
+    a2 := F.unsafe_get ks (base + 2) *. v;
+    a3 := F.unsafe_get ks (base + 3) *. v
+  end;
+  let j = ref (base + 4) in
+  for r = 0 to Array.length b.ops - 1 do
+    let xs = Array.unsafe_get b.xs r in
+    let n = Array.length xs - 1 and j0 = !j in
+    (* Written out per operator, as in [chain]. *)
+    (match Array.unsafe_get b.ops r with
+    | 0 ->
+      for i = 0 to n do
+        let x = Array.unsafe_get f (Array.unsafe_get xs i) and k = j0 + (4 * i) in
+        a0 := !a0 +. (x *. F.unsafe_get ks k);
+        a1 := !a1 +. (x *. F.unsafe_get ks (k + 1));
+        a2 := !a2 +. (x *. F.unsafe_get ks (k + 2));
+        a3 := !a3 +. (x *. F.unsafe_get ks (k + 3))
+      done
+    | 1 ->
+      for i = 0 to n do
+        let x = Array.unsafe_get f (Array.unsafe_get xs i) and k = j0 + (4 * i) in
+        a0 := !a0 -. (x *. F.unsafe_get ks k);
+        a1 := !a1 -. (x *. F.unsafe_get ks (k + 1));
+        a2 := !a2 -. (x *. F.unsafe_get ks (k + 2));
+        a3 := !a3 -. (x *. F.unsafe_get ks (k + 3))
+      done
+    | 2 ->
+      for i = 0 to n do
+        let x = Array.unsafe_get f (Array.unsafe_get xs i) and k = j0 + (4 * i) in
+        a0 := !a0 +. (F.unsafe_get ks k *. x);
+        a1 := !a1 +. (F.unsafe_get ks (k + 1) *. x);
+        a2 := !a2 +. (F.unsafe_get ks (k + 2) *. x);
+        a3 := !a3 +. (F.unsafe_get ks (k + 3) *. x)
+      done
+    | _ ->
+      for i = 0 to n do
+        let x = Array.unsafe_get f (Array.unsafe_get xs i) and k = j0 + (4 * i) in
+        a0 := !a0 -. (F.unsafe_get ks k *. x);
+        a1 := !a1 -. (F.unsafe_get ks (k + 1) *. x);
+        a2 := !a2 -. (F.unsafe_get ks (k + 2) *. x);
+        a3 := !a3 -. (F.unsafe_get ks (k + 3) *. x)
+      done);
+    j := j0 + (4 * (n + 1))
+  done;
+  let r = 4 * blk in
+  F.unsafe_set b.vals r !a0;
+  F.unsafe_set b.vals (r + 1) !a1;
+  F.unsafe_set b.vals (r + 2) !a2;
+  F.unsafe_set b.vals (r + 3) !a3;
+  Array.unsafe_set b.stamps blk g.epoch
+
+(* Writes the constants of rows [from] on into their places, and marks
+   their blocks stale. *)
+let relayout b ~from =
+  for r = from to Gr_util.Vec.length b.rows - 1 do
+    let row = Gr_util.Vec.get b.rows r in
+    row.i <- r;
+    Array.iteri (fun j k -> Float.Array.set b.ks (at_k b r j) k) row.ks
+  done;
+  Array.fill b.stamps (from lsr 2) (Array.length b.stamps - (from lsr 2)) stale
+
+let new_bank shape start terms =
+  let runs = runs terms and width = 1 + List.length terms in
+  {
+    shape;
+    sx = start.x;
+    sop = start.op;
+    ops = Array.of_list (List.map fst runs);
+    xs = Array.of_list (List.map (fun (_, run) -> xs run) runs);
+    width;
+    rows = Gr_util.Vec.create ~capacity:4 ();
+    ks = Float.Array.make (4 * width) 0.;
+    vals = Float.Array.make 4 0.;
+    stamps = [| stale |];
+  }
+
+(* The member's row in the group's open bank, or in a new one it opens
+   when the shape differs. *)
+let join g start terms =
+  let shape = List.map (fun t -> (t.x, t.op)) (start :: terms) in
+  let b =
+    match g.bank with
+    | Some b when b.shape = shape -> b
+    | _ ->
+      let b = new_bank shape start terms in
+      g.bank <- Some b;
+      b
+  in
+  let row = { i = Gr_util.Vec.length b.rows; ks = ks (start :: terms) } in
+  Gr_util.Vec.push b.rows row;
+  if row.i lsr 2 = Array.length b.stamps then begin
+    let blocks = 2 * Array.length b.stamps in
+    let ks = Float.Array.make (blocks * 4 * b.width) 0. in
+    Float.Array.blit b.ks 0 ks 0 (Float.Array.length b.ks);
+    b.ks <- ks;
+    b.vals <- Float.Array.make (4 * blocks) 0.;
+    b.stamps <- Array.make blocks stale
+  end;
+  relayout b ~from:row.i;
+  (b, row)
+
+(* A member's step: its row's value, its block filled first when stale. *)
+let banked g (b, row) dst =
+  let step () =
+    let r = row.i in
+    let blk = r lsr 2 in
+    if Array.unsafe_get b.stamps blk <> g.epoch then fill g b blk;
+    set g dst (Float.Array.unsafe_get b.vals r)
+  in
+  step
 
 (* A step under construction, kept open so the next instruction can
    claim it: a product by a constant awaiting its Add/Sub ([x] is a
@@ -376,7 +552,11 @@ let member g ~slots (p : Ir.program) =
   Array.iter compile_inst p.insts;
   (* An unclaimed product and a plain two-term sum or difference take
      the ordinary templates; x·1 is x, so the latter is a one-term
-     chain's value. *)
+     chain's value. The first chain over input cells alone joins a
+     bank; the others, and every chain when there is none, run on
+     their own. *)
+  let is_input c = List.exists (fun x -> x.at = c) !reads in
+  let row = ref None in
   let finish = function
     | Pmul { dst; x; k; swap = false } -> binop_rc g Mul (reg dst) (reg x) k
     | Pmul { dst; x; k; swap = true } -> binop_cr g Mul (reg dst) k (reg x)
@@ -384,10 +564,17 @@ let member g ~slots (p : Ir.program) =
         { dst; start = { k = 1.; x = a; op = 0 }; terms = [ { k = 1.; x = b; op = (0 | 1) as op } ] }
       ->
       binop_rr g (if op = 0 then Add else Sub) (reg dst) a b
-    | Pchain { dst; start; terms } -> chain g (reg dst) start (List.rev terms)
+    | Pchain { dst; start; terms } ->
+      let terms = List.rev terms in
+      if Option.is_none !row && List.for_all (fun t -> is_input t.x) (start :: terms) then begin
+        row := Some (join g start terms);
+        banked g (Option.get !row) (reg dst)
+      end
+      else chain g (reg dst) start terms
     | Pop f -> f
   in
-  let steps = Array.of_list (List.rev_map finish !steps) in
+  let steps = Array.of_list (List.map finish (List.rev !steps)) in
+  if Option.is_none !row then g.bank <- None;
   let result = reg p.result in
   {
     group = g;
@@ -396,6 +583,7 @@ let member g ~slots (p : Ir.program) =
     aggs = Array.of_list (List.rev !aggs);
     cells = !cells;
     steps;
+    row = !row;
     result;
     n_insts = Array.length p.insts;
     static_cost = Ir.static_cost_ns p;
@@ -419,7 +607,12 @@ let leave j =
           g.free <- x.at :: g.free
         end)
       j.reads;
-    g.free <- List.rev_append j.cells g.free
+    g.free <- List.rev_append j.cells g.free;
+    Option.iter
+      (fun (b, row) ->
+        Gr_util.Vec.filter_in_place (fun r -> r != row) b.rows;
+        relayout b ~from:row.i)
+      j.row
   end
 
 let exec j =

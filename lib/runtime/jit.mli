@@ -6,7 +6,10 @@
     baked into each closure's environment, and each [acc ± k·r] chain —
     a linear form — fused into a single step. A check is then a
     straight run of indirect jumps — no per-check dispatch, operand
-    decoding or frame allocation.
+    decoding or frame allocation. Consecutive members whose linear
+    forms read the same inputs with the same operators share a
+    {e linear bank}, which computes four members' forms in one pass
+    per frame epoch.
 
     A group is what one trigger runs: the engine puts every JIT monitor
     armed on one FUNCTION hook or ON_CHANGE key into one group, and a
@@ -40,16 +43,18 @@ type t
 
 val member : group -> slots:string array -> Gr_compiler.Ir.program -> t
 (** Compiles a program into the group. Its reads join the prologue,
-    sharing the inputs other members already read. Costs the program's
-    own reads; no other member is recompiled. Precondition: the program
+    sharing the inputs other members already read, and its first
+    linear form over inputs alone joins the bank of the member
+    compiled before it when the two have one shape. Costs the
+    program's own reads; no other member is recompiled. Precondition: the program
     passed {!Gr_compiler.Verify.verify} against these slots. *)
 
 val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> t
 (** [member (group store)]: a program in a group of its own. *)
 
 val leave : t -> unit
-(** Takes the program out of its group: an input no remaining member
-    reads is dropped and never read again. Idempotent; the program
+(** Takes the program out of its group: its bank row goes, and an
+    input no remaining member reads is dropped and never read again. Idempotent; the program
     must not run afterwards. *)
 
 val exec : t -> unit

@@ -7,7 +7,7 @@ type result = {
   est_cost_ns : float;
 }
 
-type out = { mutable value : float; mutable cost_ns : float }
+type out = Gr_trace.Metrics.check_out = { mutable value : float; mutable cost_ns : float }
 type tier = Tree | Jit
 
 let tier_of_string = function "tree" -> Some Tree | "jit" -> Some Jit | _ -> None

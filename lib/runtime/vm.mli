@@ -22,10 +22,11 @@ type result = {
   est_cost_ns : float;
 }
 
-type out = { mutable value : float; mutable cost_ns : float }
+type out = Gr_trace.Metrics.check_out = { mutable value : float; mutable cost_ns : float }
 (** A rule's last value and estimated cost, written in place by the
     engine's executors: a record of floats only keeps both unboxed, so
-    a check reports its verdict without allocating. *)
+    a check reports its verdict, and its account takes its cost,
+    without allocating. *)
 
 (** {1 Execution tiers}
 

@@ -5,6 +5,8 @@ type cost = {
   mutable max_ns : float;
 }
 
+type check_out = { mutable value : float; mutable cost_ns : float }
+
 type account = {
   name : string;
   mutable checks : int;
@@ -105,7 +107,7 @@ let monitors t =
 
 (* Every float stays in the float-only [cost] record, so none of these
    updates boxes. *)
-let record_check (a : account) ~cost_ns ~insts ~samples ~violated =
+let[@inline] count_check (a : account) ~cost_ns ~insts ~samples ~violated =
   a.checks <- a.checks + 1;
   if violated then a.violations <- a.violations + 1;
   a.vm_insts <- a.vm_insts + insts;
@@ -115,6 +117,12 @@ let record_check (a : account) ~cost_ns ~insts ~samples ~violated =
   c.check_ns <- c.check_ns +. cost_ns;
   if cost_ns < c.min_ns then c.min_ns <- cost_ns;
   if cost_ns > c.max_ns then c.max_ns <- cost_ns
+
+let record_check a ~cost_ns ~insts ~samples ~violated =
+  count_check a ~cost_ns ~insts ~samples ~violated
+
+let record_check_out a (o : check_out) ~insts ~samples ~violated =
+  count_check a ~cost_ns:o.cost_ns ~insts ~samples ~violated
 
 let record_fire (a : account) = a.fires <- a.fires + 1
 let record_action_cost (a : account) ~cost_ns = a.cost.vm_ns <- a.cost.vm_ns +. cost_ns

@@ -23,6 +23,11 @@ type cost = private {
   mutable max_ns : float;  (** dearest check; [neg_infinity] before the first *)
 }
 
+type check_out = { mutable value : float; mutable cost_ns : float }
+(** A check as its executor leaves it: the rule's value and estimated
+    cost, written in place. A float-only record, so passing one boxes
+    neither float. *)
+
 type account = private {
   name : string;
   mutable checks : int;
@@ -74,6 +79,14 @@ val live_accounts : t -> int
 (** Accounts registered and not yet retired. *)
 
 val record_check : account -> cost_ns:float -> insts:int -> samples:int -> violated:bool -> unit
+(** Counts one check of the given estimated cost. A caller that just
+    computed the float boxes it for the call, unless the call is
+    inlined. *)
+
+val record_check_out : account -> check_out -> insts:int -> samples:int -> violated:bool -> unit
+(** {!record_check} with the cost read from the executor's record, so
+    the call boxes nothing; the record's [value] is not read. *)
+
 val record_fire : account -> unit
 val record_action_cost : account -> cost_ns:float -> unit
 (** Extra VM cost outside the rule itself (SAVE value programs). *)

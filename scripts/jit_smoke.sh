@@ -10,7 +10,10 @@
 #      one ON_CHANGE key, in each set one reading and SAVEing a key the
 #      next member reads, so the shared frame must be refreshed after
 #      the action — which the JIT runs as trigger groups, driven by the
-#      store soak scenario's hook and saves,
+#      store soak scenario's hook and saves; and six linear monitors on
+#      the same hook over one shared input list, which the JIT computes
+#      as one linear bank of a full and a partial block of four, the
+#      third SAVEing an input the later ones read,
 # must produce byte-identical traces and stdout. Any divergence in
 # verdicts, cost accounting, or event ordering shows up as a byte diff.
 # Budget: well under 10s.
@@ -32,6 +35,12 @@ guardrail hook-b { trigger: { FUNCTION("soak:tick") } rule: { LOAD(hook_hot) <= 
 guardrail hook-c { trigger: { FUNCTION("soak:tick") } rule: { AVG(lat, 1s) <= 400 || LOAD(hook_hot) < 1 } action: { REPORT("hook c", lat) } }
 guardrail change-a { trigger: { ON_CHANGE(rate) } rule: { SUM(rate, 100ms) <= 60 || LOAD(rate_hot) > 1000 } action: { SAVE(rate_hot, SUM(rate, 100ms)) } }
 guardrail change-b { trigger: { ON_CHANGE(rate) } rule: { LOAD(rate_hot) <= 55 } action: { REPORT("rate hot", rate_hot) } }
+guardrail lin-0 { trigger: { FUNCTION("soak:tick") } rule: { 0.5 * LOAD(err) + LOAD(lat) * 0.02 - 0.01 * AVG(lat, 1s) + 2 * LOAD(lin_bias) <= 9 } action: { REPORT("lin 0", err) } }
+guardrail lin-1 { trigger: { FUNCTION("soak:tick") } rule: { 0.25 * LOAD(err) + LOAD(lat) * 0.01 - 0.02 * AVG(lat, 1s) + 0.5 * LOAD(lin_bias) <= 1 } action: { REPORT("lin 1", lat) } }
+guardrail lin-2 { trigger: { FUNCTION("soak:tick") } rule: { 1.25 * LOAD(err) + LOAD(lat) * 0.001 - 0.001 * AVG(lat, 1s) + 0.01 * LOAD(lin_bias) <= 5 } action: { SAVE(lin_bias, LOAD(err)) } }
+guardrail lin-3 { trigger: { FUNCTION("soak:tick") } rule: { 0.1 * LOAD(err) + LOAD(lat) * 0.005 - 0.005 * AVG(lat, 1s) + 1.5 * LOAD(lin_bias) <= 11 } action: { REPORT("lin 3", lin_bias) } }
+guardrail lin-4 { trigger: { FUNCTION("soak:tick") } rule: { 3 * LOAD(err) + LOAD(lat) * 0.1 - 0.1 * AVG(lat, 1s) + 4 * LOAD(lin_bias) <= 30 } action: { REPORT("lin 4", lin_bias) } }
+guardrail lin-5 { trigger: { FUNCTION("soak:tick") } rule: { 0.75 * LOAD(err) + LOAD(lat) * 0.03 - 0.03 * AVG(lat, 1s) + 1.5 * LOAD(lin_bias) <= 6 } action: { REPORT("lin 5", err, lin_bias) } }
 EOF
 
 # Every run writes the same trace filename in its own directory, so

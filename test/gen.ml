@@ -100,6 +100,51 @@ let rec strip (e : expr located) : expr located =
   in
   at pos node
 
+(* A family of linear rules over one shared input list, the shape the
+   JIT's linear banks group: every member sums the same inputs in the
+   same order with the same operators (each term [k * x] or [x * k],
+   added or subtracted) and draws its own constants, comparison and
+   bound. [size] members; the inputs are LOADs of [keys] and, now and
+   then, an aggregate. *)
+let linear_family_gen ~keys ~size =
+  let open QCheck2.Gen in
+  let input =
+    frequency
+      [
+        (4, map (fun k -> at pos (Load k)) (oneofl keys));
+        ( 1,
+          map
+            (fun k -> at pos (Agg { fn = Avg; key = k; window = at pos (Number 1e9); param = None }))
+            (oneofl keys) );
+      ]
+  in
+  let term = triple input (oneofl [ Add; Sub ]) bool in
+  (* A weight of 1 folds away (x * 1 is x), which changes the member's
+     shape; it is kept rare so most families stay one shape. *)
+  let weight = frequency [ (1, return 1.); (12, oneofl [ 0.; 2.; 0.5; 10.; 100.; 0.05; 3.25; 42. ]) ] in
+  list_size (int_range 1 6) term >>= fun terms ->
+  let member =
+    map3
+      (fun ks cmp bound ->
+        let product (x, _, k_first) k =
+          let k = at pos (Number k) in
+          at pos (Binop (Mul, (if k_first then k else x), if k_first then x else k))
+        in
+        let sum =
+          match List.combine terms ks with
+          | [] -> assert false
+          | (t, k) :: rest ->
+            List.fold_left
+              (fun acc (((_, op, _) as t), k) -> at pos (Binop (op, acc, product t k)))
+              (product t k) rest
+        in
+        at pos (Binop (cmp, sum, at pos (Number bound))))
+      (list_repeat (List.length terms) weight)
+      (oneofl [ Lt; Le; Gt; Ge ])
+      small_float
+  in
+  list_repeat size member
+
 let trigger_gen =
   QCheck2.Gen.oneof
     [

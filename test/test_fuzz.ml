@@ -441,8 +441,13 @@ let test_fleet_differential () =
    then has its own subscription and watch. Each
    monitor SAVEs a key the next one reads, so actions inside a group
    must refresh the frame; the script saves, fires, advances the clock
-   and installs and uninstalls monitors between fires. Verdicts,
-   accounts, store counters and trace bytes must be identical. *)
+   and installs and uninstalls monitors between fires. Every set also
+   holds a family of 1 to 9 linear monitors over one shared input list
+   (Gen.linear_family_gen), installed one after another so the JIT
+   banks their linear forms: their SAVEs write shared inputs between
+   members, the saves include NaN, infinities and 1e300, and the
+   middle member is uninstalled after a few fires. Verdicts, accounts,
+   store counters and trace bytes must be identical. *)
 
 module Engine = Gr_runtime.Engine
 
@@ -460,11 +465,24 @@ let rec expr_keys (e : Gr_dsl.Ast.expr Gr_dsl.Ast.located) =
 
 type group_op = Fire | Put of string * float | Advance of int | Install of int | Uninstall of int
 
-(* Monitor [j]'s spec: a random rule, a REPORT, and a SAVE whose key
-   the rule of monitor [j + 1] reads, when it reads one. *)
-let group_specs rand ~triggers ~count =
+(* The family's inputs: the group key's SAVEs would wake the ON_CHANGE
+   group again from inside its own dispatch, nine members deep per
+   level, which the random rules already cover at a fraction of the
+   cost. *)
+let family_keys = List.filter (fun k -> k <> group_key) (Array.to_list fuzz_keys)
+
+(* Monitor [j]'s spec: a rule, a REPORT, and a SAVE whose key the rule
+   of monitor [j + 1] reads, when it reads one. The first [count]
+   rules are random, the [family] after them linear over one input
+   list. *)
+let group_specs rand ~triggers ~count ~family =
   let gen g = QCheck2.Gen.generate1 ~rand g in
-  let rules = Array.init count (fun _ -> gen (Gen.bool_gen 2)) in
+  let rules =
+    Array.append
+      (Array.init count (fun _ -> gen (Gen.bool_gen 2)))
+      (Array.of_list (gen (Gen.linear_family_gen ~keys:family_keys ~size:family)))
+  in
+  let count = count + family in
   Array.mapi
     (fun j rule ->
       let target =
@@ -489,19 +507,30 @@ let group_specs rand ~triggers ~count =
       Gr_dsl.Pretty.spec_to_string [ g ])
     rules
 
-let group_script rand ~initial ~count =
+(* Saved feature values: small integers, now and then a NaN, an
+   infinity or 1e300. *)
+let group_value rand =
+  match Random.State.int rand 40 with
+  | 0 -> Float.nan
+  | 1 -> Float.infinity
+  | 2 -> Float.neg_infinity
+  | 3 -> 1e300
+  | _ -> float_of_int (Random.State.int rand 17)
+
+(* Installs the [initial] random monitors, then the family's
+   ([count] on), fires, uninstalls the family's middle member and
+   fires again, then runs 50 random steps. *)
+let group_script rand ~initial ~count ~family =
   let pick a = a.(Random.State.int rand (Array.length a)) in
   List.init initial (fun j -> Install j)
+  @ List.init family (fun j -> Install (count + j))
+  @ [ Fire; Put (pick fuzz_keys, group_value rand); Fire; Uninstall (initial + (family / 2)); Fire ]
   @ List.init 50 (fun _ ->
         match Random.State.int rand 20 with
         | 0 -> Install (initial + Random.State.int rand (count - initial))
         | 1 -> Uninstall (Random.State.int rand 8)
         | 2 | 3 | 4 -> Advance (1 + Random.State.int rand 400_000)
-        | 5 | 6 | 7 | 8 ->
-          let nan = Random.State.int rand 40 = 0 in
-          let v = float_of_int (Random.State.int rand 17) in
-          let key = pick fuzz_keys in
-          Put (key, if nan then Float.nan else v)
+        | 5 | 6 | 7 | 8 -> Put (pick fuzz_keys, group_value rand)
         | _ -> Fire)
 
 (* Runs the script on a fresh traced deployment; answers its
@@ -571,12 +600,11 @@ let group_world ~grouped ~on_hook specs script =
   in
   (stats, counters, reports, Gr_trace.Export.chrome_string (D.tracer d))
 
+(* Adds one line to [failures] when the case diverges, naming every
+   observable that did. *)
 let run_group_case i failures firings =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg -> failures := Printf.sprintf "group case %d: %s" i msg :: !failures)
-      fmt
-  in
+  let diverged = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> diverged := msg :: !diverged) fmt in
   let rand = Random.State.make [| 0x6A0F + i |] in
   let on_hook = i mod 3 <> 1 in
   let triggers =
@@ -586,9 +614,9 @@ let run_group_case i failures firings =
     | _ -> [ Gr_dsl.Ast.Function group_hook; Gr_dsl.Ast.On_change group_key ]
   in
   let initial = 3 + Random.State.int rand 4 in
-  let count = initial + 3 in
-  let specs = group_specs rand ~triggers ~count in
-  let script = group_script rand ~initial ~count in
+  let count = initial + 3 and family = 1 + (i mod 9) in
+  let specs = group_specs rand ~triggers ~count ~family in
+  let script = group_script rand ~initial ~count ~family in
   let stats, counters, reports, trace = group_world ~grouped:true ~on_hook specs script in
   let stats', counters', reports', trace' = group_world ~grouped:false ~on_hook specs script in
   List.iter (fun (_, (_, _, f, _, _), _) -> firings := !firings + f) stats;
@@ -598,7 +626,10 @@ let run_group_case i failures firings =
     fail "store counters diverged (loads %d/%d hits %d/%d misses %d/%d)" l l' h h' m m'
   end;
   if reports <> reports' then fail "reports diverged";
-  if trace <> trace' then fail "trace bytes diverged"
+  if trace <> trace' then fail "trace bytes diverged";
+  if !diverged <> [] then
+    failures :=
+      Printf.sprintf "group case %d: %s" i (String.concat "; " (List.rev !diverged)) :: !failures
 
 let test_group_differential () =
   let failures = ref [] and firings = ref 0 in

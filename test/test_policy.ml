@@ -346,6 +346,202 @@ let test_mem_trace_hot_shift () =
   let after = most_common 5000 in
   check_int "hot page moved by offset" ((before + 500) mod 1000) after
 
+(* ---------- decisions through Mlp.score ----------
+
+   Every other learned policy decides through [Mlp.score] on an input
+   buffer it owns. One row per policy: [agree] draws one random
+   decision input and answers the policy's model output and the
+   reference, [(Mlp.forward m x).(0)] on the input vector [x] built as
+   the policy's training set builds it; [decide n] runs [n] of the
+   policy's own decisions on drawn inputs and sinks their results into
+   [sink], so the loop itself allocates nothing. *)
+
+type decision_row = { name : string; agree : Rng.t -> float * float; decide : int -> unit }
+
+let sink = Array.make 1 0.
+let forward m x = (Gr_nn.Mlp.forward m x).(0)
+
+let decision_rows () =
+  let module P = Gr_policy in
+  let rng = Rng.create 61 in
+  let u k = Rng.float rng k in
+  let draws = Array.init 64 (fun _ -> u 1.) in
+  (* [d i k]: the [i]-th of 64 fixed draws, scaled to [0, k). *)
+  let d i k = Array.unsafe_get draws (i land 63) *. k in
+  let cc = P.Cc_controller.train ~rng ~samples:200 ~epochs:3 () in
+  let quota = P.Quota_advisor.train ~rng ~capacity:1000 ~samples:200 ~epochs:3 () in
+  let slice = P.Slice_policy.train ~rng ~samples:200 ~epochs:3 () in
+  let balancer = P.Balancer_policy.train ~rng ~cpus:4 ~samples:200 ~epochs:3 () in
+  let readahead = P.Readahead.train ~rng ~samples:400 ~epochs:3 () in
+  let pages = Gr_workload.Mem_trace.zipfian ~rng ~n_pages:256 () in
+  let trace = Array.init 2_000 (fun _ -> Gr_workload.Mem_trace.next pages) in
+  let tiering = P.Tiering.train ~rng ~trace ~epochs:2 () in
+  let hooks = Gr_kernel.Hooks.create () in
+  let cache = P.Cache_policy.train ~rng ~hooks ~trace ~epochs:2 () in
+  (* The cache's bookkeeping, mirrored: key -> (last access, count). *)
+  let tick = ref 0 and seen = Hashtbl.create 64 in
+  for _ = 1 to 500 do
+    let key = Rng.int rng 48 in
+    incr tick;
+    let count = match Hashtbl.find_opt seen key with Some (_, c) -> c + 1 | None -> 1 in
+    Hashtbl.replace seen key (!tick, count);
+    Gr_kernel.Hooks.fire hooks "cache:access" [ ("key", float_of_int key) ]
+  done;
+  let is0 cpu = if cpu = 0 then 1. else 0. in
+  let tier_features i = [| 1. +. d i 40.; d (i + 1) 1e4; d (i + 2) 1. |] in
+  let tier_inputs = Array.init 64 tier_features in
+  let queue_lens = Array.init 64 (fun i -> Array.init 4 (fun c -> int_of_float (d (i + c) 32.))) in
+  [
+    {
+      name = "cc_controller";
+      agree =
+        (fun rng ->
+          let rtt_ms = Rng.float rng 300. and loss = Rng.float rng 0.4 in
+          ( P.Cc_controller.score cc ~rtt_ms ~loss,
+            forward (P.Cc_controller.model cc) [| rtt_ms /. 120.; loss /. 0.15 |] ));
+      decide =
+        (fun n ->
+          let acc = ref 0. in
+          for i = 1 to n do
+            acc := !acc +. P.Cc_controller.rate_multiplier cc ~rtt_ms:(d i 300.) ~loss:(d (i + 7) 0.4)
+          done;
+          sink.(0) <- !acc);
+    };
+    {
+      name = "quota_advisor";
+      agree =
+        (fun rng ->
+          let miss_rate = Rng.float rng 1.5 and occupancy = Rng.float rng 1. in
+          ( P.Quota_advisor.score quota ~miss_rate ~occupancy,
+            forward (P.Quota_advisor.model quota) [| miss_rate; occupancy |] ));
+      decide =
+        (fun n ->
+          let acc = ref 0 in
+          for i = 1 to n do
+            acc := !acc + P.Quota_advisor.propose quota ~miss_rate:(d i 1.5) ~occupancy:(d (i + 3) 1.)
+          done;
+          sink.(0) <- float_of_int !acc);
+    };
+    {
+      name = "slice_policy";
+      agree =
+        (fun rng ->
+          (* Retraining switches the runqueue feature on halfway. *)
+          if Rng.int rng 64 = 0 && not (P.Slice_policy.retrain_count slice > 0) then
+            P.Slice_policy.retrain slice ~max_training_runnable:16;
+          let nr_runnable = 1 + Rng.int rng 32
+          and weight = 256 + Rng.int rng 2048
+          and received_ms = Rng.float rng 100. in
+          let nr = if P.Slice_policy.retrain_count slice > 0 then float_of_int nr_runnable /. 8. else 1. in
+          ( P.Slice_policy.score slice ~nr_runnable ~weight ~received_ms,
+            forward (P.Slice_policy.model slice)
+              [| nr; float_of_int weight /. 1024.; received_ms /. 100. |] ));
+      decide =
+        (fun n ->
+          let acc = ref 0. in
+          for i = 1 to n do
+            acc :=
+              !acc
+              +. P.Slice_policy.predicted_slice_ms slice ~nr_runnable:(1 + (i land 31))
+                   ~weight:(256 + (i land 1023)) ~received_ms:(d i 100.)
+          done;
+          sink.(0) <- !acc);
+    };
+    {
+      name = "balancer_policy";
+      agree =
+        (fun rng ->
+          let len = Rng.int rng 32 and cpu = Rng.int rng 4 in
+          ( P.Balancer_policy.score balancer ~len ~cpu,
+            forward (P.Balancer_policy.model balancer) [| float_of_int len /. 16.; is0 cpu |] ));
+      decide =
+        (fun n ->
+          let acc = ref 0 in
+          for i = 1 to n do
+            acc := !acc + P.Balancer_policy.place balancer ~queue_lens:(Array.unsafe_get queue_lens (i land 63))
+          done;
+          sink.(0) <- float_of_int !acc);
+    };
+    {
+      name = "readahead";
+      agree =
+        (fun rng ->
+          let delta = if Rng.bool rng then 1. else Rng.float rng 64.
+          and run = Rng.float rng 200.
+          and occupancy = Rng.float rng 1. in
+          ( P.Readahead.score readahead ~delta ~run ~occupancy,
+            forward (P.Readahead.model readahead)
+              [| (if delta = 1. then 1. else 0.); log1p run; occupancy |] ));
+      decide =
+        (fun n ->
+          let acc = ref 0 in
+          for i = 1 to n do
+            acc :=
+              !acc
+              + P.Readahead.predict_window readahead
+                  ~delta:(if i land 1 = 0 then 1. else 37.)
+                  ~run:(d i 200.) ~occupancy:(d (i + 5) 1.)
+          done;
+          sink.(0) <- float_of_int !acc);
+    };
+    {
+      name = "tiering";
+      agree =
+        (fun rng ->
+          let f = [| 1. +. Rng.float rng 40.; Rng.float rng 1e9; Rng.float rng 1. |] in
+          ( P.Tiering.score tiering f,
+            forward (P.Tiering.model tiering)
+              (Gr_nn.Scaler.transform (P.Tiering.scaler tiering)
+                 [| log1p f.(0); log1p f.(1); f.(2) |]) ));
+      decide =
+        (fun n ->
+          let promoted = ref 0 in
+          for i = 1 to n do
+            if P.Tiering.predict_promote tiering (Array.unsafe_get tier_inputs (i land 63)) then
+              incr promoted
+          done;
+          sink.(0) <- float_of_int !promoted);
+    };
+    {
+      name = "cache_policy";
+      agree =
+        (fun rng ->
+          let key = Rng.int rng 64 in
+          let x =
+            match Hashtbl.find_opt seen key with
+            | Some (last, count) -> [| float_of_int (!tick - last); float_of_int count |]
+            | None -> [| 1e6; 0. |]
+          in
+          ( P.Cache_policy.predicted_reuse_distance cache key,
+            forward (P.Cache_policy.model cache)
+              (Gr_nn.Scaler.transform (P.Cache_policy.scaler cache) x) ));
+      decide =
+        (fun n ->
+          let acc = ref 0. in
+          for i = 1 to n do
+            acc := !acc +. P.Cache_policy.predicted_reuse_distance cache (i land 63)
+          done;
+          sink.(0) <- !acc);
+    };
+  ]
+
+let test_decisions_through_score () =
+  let rng = Rng.create 62 in
+  List.iter
+    (fun row ->
+      for _ = 1 to 500 do
+        let got, want = row.agree rng in
+        if Int64.bits_of_float got <> Int64.bits_of_float want then
+          Alcotest.failf "%s: score %h, forward %h" row.name got want
+      done;
+      row.decide 1;
+      let w0 = Gc.minor_words () in
+      row.decide 10_000;
+      let words = Gc.minor_words () -. w0 in
+      if Build_profile.release && words <> 0. then
+        Alcotest.failf "%s: %.0f minor words across 10k decisions" row.name words)
+    (decision_rows ())
+
 let suite =
   [
     ( "policy.linnos",
@@ -359,6 +555,11 @@ let suite =
           test_linnos_decision_allocates_nothing;
         Alcotest.test_case "retrain adapts" `Slow test_linnos_retrain_adapts;
         Alcotest.test_case "training features exposed" `Slow test_linnos_training_features_exposed;
+      ] );
+    ( "policy.decisions",
+      [
+        Alcotest.test_case "decisions match forward, allocate 0" `Quick
+          test_decisions_through_score;
       ] );
     ( "policy.tiering",
       [

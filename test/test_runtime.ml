@@ -1268,7 +1268,7 @@ let test_engine_hook_member_contained () =
 
 (* A healthy, untraced firing of a 128-member FUNCTION group — the
    distilled-linear shape of 40 LOADs and one AVG — allocates at most
-   16 minor words per member check. *)
+   half a minor word per member check. *)
 let test_engine_group_fire_words () =
   let kernel, d = make_deployment () in
   let features = 40 and members = 128 and fires = 200 in
@@ -1297,8 +1297,8 @@ let test_engine_group_fire_words () =
   let engine = Guardrails.Deployment.engine d in
   check_int "every member checked" ((fires + 1) * members) (Engine.Stats.total_checks engine);
   check_int "all healthy" 0 (List.length (Engine.violations engine));
-  if per_check > 16. then
-    Alcotest.failf "%.2f minor words per member check, over the bound of 16" per_check
+  if per_check > 0.5 then
+    Alcotest.failf "%.3f minor words per member check, over the bound of 0.5" per_check
 
 let test_engine_check_now () =
   let _, d = make_deployment () in
@@ -1396,7 +1396,7 @@ let suite =
         Alcotest.test_case "check_now" `Quick test_engine_check_now;
         Alcotest.test_case "raising hook member contained" `Quick
           test_engine_hook_member_contained;
-        Alcotest.test_case "group fire within 16 words/member" `Quick
+        Alcotest.test_case "group fire within half a word/member" `Quick
           test_engine_group_fire_words;
         Alcotest.test_case "rejects unverifiable" `Quick test_engine_rejects_unverifiable;
       ] );

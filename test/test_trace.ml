@@ -313,14 +313,16 @@ let test_account_updates_allocate_nothing () =
   let m = Metrics.create () in
   let a = Metrics.register m "g" in
   let cost_ns = 42.5 in
+  let out = { Metrics.value = 1.; cost_ns } in
   let w0 = Gc.minor_words () in
   for i = 1 to 10_000 do
     Metrics.record_check a ~cost_ns ~insts:3 ~samples:1 ~violated:(i land 1 = 0);
+    Metrics.record_check_out a out ~insts:3 ~samples:1 ~violated:(i land 1 = 0);
     Metrics.record_fire a;
     Metrics.record_action_cost a ~cost_ns
   done;
   let words = Gc.minor_words () -. w0 in
-  check_int "checks counted" 10_000 a.Metrics.checks;
+  check_int "checks counted" 20_000 a.Metrics.checks;
   Alcotest.(check (float 0.)) "minor words across 10k updates" 0. words
 
 (* ---------- End-to-end: traced deployment ---------- *)
