@@ -58,8 +58,8 @@ let () =
   Guardrails.Policy_slot.install (Guardrails.Net.slot net) ~name:"learned-cc"
     (Gr_policy.Cc_controller.controller cc);
   Guardrails.Kernel.register_policy kernel ~name:"cc"
-    ~replace:(fun () -> Gr_policy.Cc_controller.set_enabled cc false)
-    ~restore:(fun () -> Gr_policy.Cc_controller.set_enabled cc true)
+    ~replace:(fun () -> Guardrails.Policy_slot.use_fallback (Guardrails.Net.slot net))
+    ~restore:(fun () -> Guardrails.Policy_slot.restore (Guardrails.Net.slot net))
     ();
 
   let d = Guardrails.Deployment.create ~kernel () in
@@ -106,8 +106,8 @@ guardrail utilization-floor {
   | v :: _ as all ->
     Format.printf "%d violation(s); first: %s at %a@." (List.length all)
       v.Guardrails.Engine.monitor Time_ns.pp v.Guardrails.Engine.at);
-  Printf.printf "controller enabled at end: %b (fallback: AIMD)\n"
-    (Gr_policy.Cc_controller.enabled cc);
+  Printf.printf "controller on its AIMD fallback at end: %b\n"
+    (Guardrails.Policy_slot.on_fallback (Guardrails.Net.slot net));
   print_endline "link utilisation (1s windows):   unguarded   guardrailed";
   List.iter2
     (fun (at, util) unguarded ->

@@ -51,8 +51,8 @@ let () =
     Hashtbl.replace last_access page now_ms
   in
   Guardrails.Kernel.register_policy kernel ~name:"tiering"
-    ~replace:(fun () -> Gr_policy.Tiering.set_enabled model false)
-    ~restore:(fun () -> Gr_policy.Tiering.set_enabled model true)
+    ~replace:(fun () -> Guardrails.Policy_slot.use_fallback (Guardrails.Mm.slot mm))
+    ~restore:(fun () -> Guardrails.Policy_slot.restore (Guardrails.Mm.slot mm))
     ~retrain:(fun () ->
       let trace = Array.of_list (Ring.to_list recent) in
       if Array.length trace > 1000 then begin

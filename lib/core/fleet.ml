@@ -216,8 +216,9 @@ let model_pushes t = t.stats.pushes
      subset when one is set;
    - RESTORE always broadcasts (healing is never canaried);
    - RETRAIN runs once, on the lowest-id node that owns the policy,
-     and the refreshed model is then pushed to every other owner —
-     the paper's train-once/deploy-everywhere fleet shape.
+     and records a model push to every other owner — the paper's
+     train-once/deploy-everywhere fleet shape, counted and traced
+     only: no model moves.
 
    Proxies always execute on the control engine (monitor actions run
    there), so they mutate node policy state only while the node

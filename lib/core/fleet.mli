@@ -32,10 +32,11 @@
     registers proxies on the control kernel: REPLACE broadcasts to
     every node or, when {!set_canary} was called for the policy, only
     to the canary subset; RESTORE always broadcasts; RETRAIN runs
-    once on the lowest-id node owning the policy and pushes the
-    refreshed model to the other owners (trace events
+    once on the lowest-id node owning the policy and records one model
+    push per other owner (trace events
     [fleet.replace]/[fleet.restore]/[fleet.retrain]/[fleet.model_push],
-    category ["fleet"]). FUNCTION triggers of fleet monitors are
+    category ["fleet"]). A push is accounting only: no model moves, so
+    the other owners keep serving the models they had. FUNCTION triggers of fleet monitors are
     forwarded from every node's hook table with a ["node"] argument
     tagging the origin.
 
@@ -209,4 +210,5 @@ val retrains : t -> int
 (** Global retrain rounds (train-once). *)
 
 val model_pushes : t -> int
-(** Models pushed to non-trainer owners after a retrain. *)
+(** Model pushes recorded for non-trainer owners after a retrain;
+    counted and traced only, no model is transferred. *)

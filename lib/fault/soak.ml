@@ -308,6 +308,43 @@ guardrail fleet-pressure {
 }
 |}
 
+(* Every node's block rig, in node order: two young devices, a Blk
+   whose slot serves a freshly trained LinnOS and is registered as
+   "blk_policy" ([on_flip] sees true after each REPLACE, false after
+   each RESTORE), the latency and false-submit forwards, and a Poisson
+   I/O driver until [duration]. Answers every node's Blk slot in node
+   order, and node 0's devices and Blk, which the injector targets. *)
+let node_blocks fleet ~duration ~on_flip =
+  let rig id =
+    let node = Guardrails.Fleet.node fleet id in
+    let kernel = D.kernel node in
+    let devices =
+      Array.init 2 (fun i -> Ssd.create ~rng:kernel.rng ~profile:Ssd.young_profile ~id:i)
+    in
+    let blk = Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
+    let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
+    Slot.install (Blk.slot blk) ~name:"linnos" (Gr_policy.Linnos.policy model);
+    Kernel.register_policy kernel ~name:"blk_policy"
+      ~replace:(fun () ->
+        Slot.use_fallback (Blk.slot blk);
+        on_flip true)
+      ~restore:(fun () ->
+        Slot.restore (Blk.slot blk);
+        on_flip false)
+      ();
+    D.forward_hook_arg node ~hook:"blk:io_complete" ~arg:"latency_us" ();
+    D.forward_hook_arg node ~hook:"blk:io_complete" ~arg:"false_submit" ();
+    ignore
+      (Gr_workload.Io_driver.start ~engine:kernel.engine ~rng:kernel.rng ~blk
+         ~arrival:(Gr_workload.Arrival.poisson ~rate_per_sec:400.)
+         ~n_devices:2 ~zipf_s:0.5 ~until:duration ()
+        : Gr_workload.Io_driver.t);
+    (devices, blk)
+  in
+  let rigs = List.init (Guardrails.Fleet.node_count fleet) rig in
+  let devices, blk = List.hd rigs in
+  (List.map (fun (_, blk) -> Blk.slot blk) rigs, devices, blk)
+
 (* Three nodes advancing in lock-step epochs; fleet guardrails
    aggregate the merged latency stream and act through the broadcast
    REPLACE proxy. The injector targets node 0 exclusively (see
@@ -317,44 +354,13 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
   let fleet =
     Guardrails.Fleet.create ~nodes ~seed ~store_capacity:1024 ~tracing:true ~domains ?engine ()
   in
-  let n = Guardrails.Fleet.node_count fleet in
   (* The broadcast REPLACE proxy flips every node's slot in one action
      execution, so "all slots on fallback" tracks the fleet action
      exactly; checks only run at epoch barriers. *)
   let expected_fallback = ref false in
-  let slots = ref [] in
-  let node_devices = ref [||] and node_blk = ref None in
-  for id = 0 to n - 1 do
-    let node = Guardrails.Fleet.node fleet id in
-    let kernel = D.kernel node in
-    let devices =
-      Array.init 2 (fun i -> Ssd.create ~rng:kernel.rng ~profile:Ssd.young_profile ~id:i)
-    in
-    let blk = Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-    let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-    Slot.install (Blk.slot blk) ~name:"linnos" (Gr_policy.Linnos.policy model);
-    slots := Blk.slot blk :: !slots;
-    Kernel.register_policy kernel ~name:"blk_policy"
-      ~replace:(fun () ->
-        Slot.use_fallback (Blk.slot blk);
-        expected_fallback := true)
-      ~restore:(fun () ->
-        Slot.restore (Blk.slot blk);
-        expected_fallback := false)
-      ();
-    D.forward_hook_arg node ~hook:"blk:io_complete" ~arg:"latency_us" ();
-    D.forward_hook_arg node ~hook:"blk:io_complete" ~arg:"false_submit" ();
-    ignore
-      (Gr_workload.Io_driver.start ~engine:kernel.engine ~rng:kernel.rng ~blk
-         ~arrival:(Gr_workload.Arrival.poisson ~rate_per_sec:400.)
-         ~n_devices:2 ~zipf_s:0.5 ~until:duration ()
-        : Gr_workload.Io_driver.t);
-    if id = 0 then begin
-      node_devices := devices;
-      node_blk := Some blk
-    end
-  done;
-  let slots = List.rev !slots in
+  let slots, devices, blk =
+    node_blocks fleet ~duration ~on_flip:(fun on -> expected_fallback := on)
+  in
   let control = Guardrails.Fleet.control fleet in
   let handles = Guardrails.Fleet.install_source_exn fleet fleet_spec in
   ignore
@@ -377,7 +383,7 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
      engine's own events. *)
   let inj =
     Injector.create ~kernel:(D.kernel node0) ~tracer:(D.tracer node0) ~store:(D.store node0)
-      ~devices:!node_devices ?blk:!node_blk ~seed ()
+      ~devices ~blk ~seed ()
   in
   {
     b_kernel = D.kernel node0;
@@ -475,33 +481,7 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
   let fleet =
     Guardrails.Fleet.create ~nodes ~seed ~store_capacity:1024 ~tracing:true ~domains ?engine ()
   in
-  let n = Guardrails.Fleet.node_count fleet in
-  let node_devices = ref [||] and node_blk = ref None in
-  for id = 0 to n - 1 do
-    let node = Guardrails.Fleet.node fleet id in
-    let kernel = D.kernel node in
-    let devices =
-      Array.init 2 (fun i -> Ssd.create ~rng:kernel.rng ~profile:Ssd.young_profile ~id:i)
-    in
-    let blk = Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-    let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-    Slot.install (Blk.slot blk) ~name:"linnos" (Gr_policy.Linnos.policy model);
-    Kernel.register_policy kernel ~name:"blk_policy"
-      ~replace:(fun () -> Slot.use_fallback (Blk.slot blk))
-      ~restore:(fun () -> Slot.restore (Blk.slot blk))
-      ();
-    D.forward_hook_arg node ~hook:"blk:io_complete" ~arg:"latency_us" ();
-    D.forward_hook_arg node ~hook:"blk:io_complete" ~arg:"false_submit" ();
-    ignore
-      (Gr_workload.Io_driver.start ~engine:kernel.engine ~rng:kernel.rng ~blk
-         ~arrival:(Gr_workload.Arrival.poisson ~rate_per_sec:400.)
-         ~n_devices:2 ~zipf_s:0.5 ~until:duration ()
-        : Gr_workload.Io_driver.t);
-    if id = 0 then begin
-      node_devices := devices;
-      node_blk := Some blk
-    end
-  done;
+  let _slots, devices, blk = node_blocks fleet ~duration ~on_flip:ignore in
   let anomalies = ref [] in
   let push_anomaly msg =
     if not (List.mem msg !anomalies) then anomalies := msg :: !anomalies
@@ -594,7 +574,7 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
   let node0 = Guardrails.Fleet.node fleet 0 in
   let inj =
     Injector.create ~kernel:(D.kernel node0) ~tracer:(D.tracer node0) ~store:(D.store node0)
-      ~devices:!node_devices ?blk:!node_blk ~seed ()
+      ~devices ~blk ~seed ()
   in
   {
     b_kernel = D.kernel node0;

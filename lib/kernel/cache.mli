@@ -9,7 +9,8 @@
     Hook point fired: ["cache:access"] — [key], [hit]. *)
 
 type victim_chooser = candidates:int array -> int
-(** Given the currently cached keys, returns the key to evict. *)
+(** Given the currently cached keys, LRU first and never empty, returns
+    the key to evict. *)
 
 type policy = { policy_name : string; choose_victim : victim_chooser }
 

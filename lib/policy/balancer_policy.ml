@@ -8,7 +8,6 @@ type t = {
   epochs : int;
   mutable model : Mlp.t;
   input : float array; (* the model input of the decision in flight *)
-  mutable enabled : bool;
   mutable affinity : float;
   mutable retrains : int;
 }
@@ -40,7 +39,6 @@ let train ~rng ~cpus ?(samples = 800) ?(epochs = 30) () =
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2; 1 ] ~output:Gr_nn.Mlp.Linear ();
       input = Array.make 2 0.;
-      enabled = true;
       affinity = 0.;
       retrains = 0;
     }
@@ -74,14 +72,9 @@ let place t ~queue_lens =
 let balancer t =
   {
     Gr_kernel.Sched.balancer_name = "learned-balancer";
-    place =
-      (fun ~queue_lens ->
-        if t.enabled then place t ~queue_lens
-        else Gr_kernel.Sched.least_loaded.place ~queue_lens);
+    place = (fun ~queue_lens -> place t ~queue_lens);
   }
 
-let set_enabled t v = t.enabled <- v
-let enabled t = t.enabled
 let inject_affinity t ~strength = t.affinity <- strength
 
 let retrain t =

@@ -24,11 +24,6 @@ val score : t -> len:int -> cpu:int -> float
     not reentrant. Lower is a better target; {!place} subtracts the
     injected affinity from CPU 0's score. *)
 
-val set_enabled : t -> bool -> unit
-(** Disabled, it behaves as the least-loaded fallback. *)
-
-val enabled : t -> bool
-
 val inject_affinity : t -> strength:float -> unit
 (** Adds a bias toward CPU 0 of the given strength (in units of
     queue-length score); [0.] restores the trained model. *)

@@ -9,7 +9,6 @@ type t = {
   mutable model : Mlp.t;
   mutable scaler : Scaler.t;
   input : float array; (* the model input of the decision in flight *)
-  mutable enabled : bool;
   mutable retrains : int;
   mutable tick : int; (* logical access clock *)
   table : (int, key_state) Hashtbl.t;
@@ -72,7 +71,6 @@ let train ~rng ~hooks ~trace ?(epochs = 10) () =
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2; 1 ] ~output:Gr_nn.Mlp.Linear ();
       scaler = Scaler.fit [| [| 0.; 0. |] |];
       input = Array.make 2 0.;
-      enabled = true;
       retrains = 0;
       tick = 0;
       table = Hashtbl.create 1024;
@@ -107,23 +105,17 @@ let policy t =
     Gr_kernel.Cache.policy_name = "learned-reuse";
     choose_victim =
       (fun ~candidates ->
-        if (not t.enabled) || Array.length candidates = 0 then candidates.(0)
-        else begin
-          let best = ref candidates.(0) and best_score = ref neg_infinity in
-          for i = 0 to Array.length candidates - 1 do
-            let key = candidates.(i) in
-            let score = predicted_reuse_distance t key in
-            if score > !best_score then begin
-              best := key;
-              best_score := score
-            end
-          done;
-          !best
-        end);
+        let best = ref candidates.(0) and best_score = ref neg_infinity in
+        for i = 0 to Array.length candidates - 1 do
+          let key = candidates.(i) in
+          let score = predicted_reuse_distance t key in
+          if score > !best_score then begin
+            best := key;
+            best_score := score
+          end
+        done;
+        !best);
   }
-
-let set_enabled t v = t.enabled <- v
-let enabled t = t.enabled
 
 let retrain t ~trace =
   t.retrains <- t.retrains + 1;

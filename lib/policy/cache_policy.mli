@@ -37,9 +37,5 @@ val predicted_reuse_distance : t -> int -> float
     a call allocates nothing where it inlines (release builds); it is
     not reentrant. *)
 
-val set_enabled : t -> bool -> unit
-(** Disabled, the chooser degrades to LRU (candidates-first). *)
-
-val enabled : t -> bool
 val retrain : t -> trace:int array -> unit
 val retrain_count : t -> int

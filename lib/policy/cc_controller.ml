@@ -5,7 +5,6 @@ type t = {
   model : Mlp.t;
   input : float array; (* the model input of the decision in flight *)
   mutable wobble : float; (* amplitude of the injected instability *)
-  mutable enabled : bool;
 }
 
 (* Ground truth the model imitates: back off as RTT and loss grow. *)
@@ -22,7 +21,7 @@ let train ~rng ?(samples = 800) ?(epochs = 50) () =
   in
   let model = Mlp.create ~rng:(Rng.fork rng) ~layers:[ 2; 10; 1 ] ~hidden:Gr_nn.Mlp.Tanh () in
   ignore (Mlp.train model ~rng ~epochs ~batch_size:16 ~lr:0.15 data : float);
-  { model; input = Array.make 2 0.; wobble = 0.; enabled = true }
+  { model; input = Array.make 2 0.; wobble = 0. }
 
 let model t = t.model
 
@@ -53,14 +52,9 @@ let sensitivity_probe t ~rng ~rtt_ms ~loss ?(epsilon = 0.01) () =
 
 let inject_sensitivity t ~scale = t.wobble <- Float.max 0. ((scale -. 1.) *. 0.015)
 let restore t = t.wobble <- 0.
-let set_enabled t v = t.enabled <- v
-let enabled t = t.enabled
 
 let controller t =
   {
     Gr_kernel.Net.controller_name = "learned-cc";
-    adjust =
-      (fun ~rtt_ms ~loss ->
-        if t.enabled then rate_multiplier t ~rtt_ms ~loss
-        else Gr_kernel.Net.aimd.adjust ~rtt_ms ~loss);
+    adjust = (fun ~rtt_ms ~loss -> rate_multiplier t ~rtt_ms ~loss);
   }

@@ -40,12 +40,9 @@ val inject_sensitivity : t -> scale:float -> unit
     trained model's behaviour. *)
 
 val restore : t -> unit
-(** Undoes {!inject_sensitivity} (the REPLACE/RESTORE hook for this
-    policy). *)
-
-val set_enabled : t -> bool -> unit
-val enabled : t -> bool
+(** Undoes {!inject_sensitivity}. It does not take the controller out
+    of service: REPLACE/RESTORE act on the {!Gr_kernel.Net} slot, whose
+    fallback is {!Gr_kernel.Net.aimd}. *)
 
 val controller : t -> Gr_kernel.Net.controller
-(** Adapter for the {!Gr_kernel.Net} congestion slot; when disabled
-    it behaves as the AIMD fallback. *)
+(** Adapter for the {!Gr_kernel.Net} congestion slot. *)

@@ -7,7 +7,6 @@ type t = {
   epochs : int;
   mutable model : Mlp.t;
   input : float array; (* the model input of the decision in flight *)
-  mutable enabled : bool;
   mutable scale : float;
   mutable retrains : int;
 }
@@ -66,7 +65,6 @@ let train ~rng ?(mean_run = 24.) ?(samples = 4000) ?(epochs = 20) () =
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ~output:Gr_nn.Mlp.Linear ();
       input = Array.make 3 0.;
-      enabled = true;
       scale = 1.;
       retrains = 0;
     }
@@ -86,17 +84,13 @@ let[@inline] predict_window t ~delta ~run ~occupancy =
   int_of_float (Float.round (pages *. t.scale))
 
 let policy t =
-  let fallback = Gr_kernel.Fs.sequential_doubling () in
   {
     Gr_kernel.Fs.policy_name = "learned-readahead";
     window =
       (fun features ->
-        if not t.enabled then fallback.window features
-        else predict_window t ~delta:features.(0) ~run:features.(1) ~occupancy:features.(2));
+        predict_window t ~delta:features.(0) ~run:features.(1) ~occupancy:features.(2));
   }
 
-let set_enabled t v = t.enabled <- v
-let enabled t = t.enabled
 let inject_scale t scale = t.scale <- scale
 
 let retrain t ~mean_run =

@@ -36,11 +36,6 @@ val score : t -> delta:float -> run:float -> occupancy:float -> float
     a call allocates nothing where it inlines (release builds); it is
     not reentrant. *)
 
-val set_enabled : t -> bool -> unit
-(** Disabled, it behaves as the sequential-doubling fallback. *)
-
-val enabled : t -> bool
-
 val inject_scale : t -> float -> unit
 (** Multiplies requested windows; [1.] restores honesty. *)
 

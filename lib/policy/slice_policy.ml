@@ -7,7 +7,6 @@ type t = {
   epochs : int;
   mutable model : Mlp.t;
   input : float array; (* the model input of the decision in flight *)
-  mutable enabled : bool;
   mutable retrains : int;
   mutable sees_runqueue : bool;
 }
@@ -48,7 +47,6 @@ let train ~rng ?(max_training_runnable = 4) ?(samples = 800) ?(epochs = 40) () =
       epochs;
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ();
       input = Array.make 3 0.;
-      enabled = true;
       retrains = 0;
       sees_runqueue = false;
     }
@@ -73,17 +71,11 @@ let policy t =
     slice =
       (fun ~nr_runnable ~task_weight ~task_received_ms ->
         let ms =
-          if t.enabled then
-            predicted_slice_ms t ~nr_runnable ~weight:task_weight
-              ~received_ms:task_received_ms
-          else cfs_slice_ms ~nr_runnable
+          predicted_slice_ms t ~nr_runnable ~weight:task_weight ~received_ms:task_received_ms
         in
         let ms = if Float.is_nan ms then 0. else ms in
         int_of_float (ms *. 1e6));
   }
-
-let set_enabled t v = t.enabled <- v
-let enabled t = t.enabled
 
 (* Retraining fixes the feature omission: the fresh dataset includes
    the runqueue length, and coverage extends to the given size. *)

@@ -27,7 +27,6 @@ val train :
     [1, max_training_runnable] (default 4) and fits the regressor. *)
 
 val policy : t -> Gr_kernel.Sched.policy
-(** Disabled, it computes the CFS slice directly. *)
 
 val predicted_slice_ms : t -> nr_runnable:int -> weight:int -> received_ms:float -> float
 val model : t -> Gr_nn.Mlp.t
@@ -39,8 +38,6 @@ val score : t -> nr_runnable:int -> weight:int -> received_ms:float -> float
     a call allocates nothing where it inlines (release builds); it is
     not reentrant. *)
 
-val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 val retrain : t -> max_training_runnable:int -> unit
 (** Refits with the runqueue-length feature restored and coverage up
     to the given runqueue size. *)

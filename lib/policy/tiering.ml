@@ -9,7 +9,6 @@ type t = {
   mutable model : Mlp.t;
   mutable scaler : Scaler.t;
   input : float array; (* the model input of the decision in flight *)
-  mutable enabled : bool;
   mutable retrains : int;
   mutable features : float array array;
 }
@@ -93,7 +92,6 @@ let train ~rng ~trace ?(reuse_horizon = 64) ?(mean_gap_ms = 0.05) ?(epochs = 15)
       model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ();
       scaler = Scaler.fit [| [| 0.; 0.; 0. |] |];
       input = Array.make 3 0.;
-      enabled = true;
       retrains = 0;
       features = [||];
     }
@@ -114,14 +112,8 @@ let predict_promote t features = score t features >= 0.5
 let policy t =
   {
     Gr_kernel.Mm.policy_name = "learned-tiering";
-    promote =
-      (fun features ->
-        if t.enabled then predict_promote t features
-        else Gr_kernel.Mm.promote_on_second_touch.promote features);
+    promote = (fun features -> predict_promote t features);
   }
-
-let set_enabled t v = t.enabled <- v
-let enabled t = t.enabled
 
 let retrain t ~trace =
   t.retrains <- t.retrains + 1;

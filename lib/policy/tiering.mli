@@ -27,8 +27,7 @@ val train :
     offline proxy for the online gap feature; default 0.05ms). *)
 
 val policy : t -> Gr_kernel.Mm.policy
-(** Promotes iff [enabled] and predicted reuse probability >= 0.5;
-    when disabled it behaves as the second-touch fallback. *)
+(** Promotes iff the predicted reuse probability is >= 0.5. *)
 
 val predict_promote : t -> float array -> bool
 val model : t -> Gr_nn.Mlp.t
@@ -42,9 +41,6 @@ val score : t -> float array -> float
     decision builds (the scaled, log-compressed features). [x] is written into a buffer the policy owns, so
     a call allocates nothing where it inlines (release builds); it is
     not reentrant. *)
-
-val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 
 val retrain : t -> trace:int array -> unit
 (** Refits on a fresh trace (the A3 action gives it the recent one). *)

@@ -8,9 +8,9 @@
    periodic sim event. A group is a run of adjacent subscriptions: a
    monitor joins the newest group of its hook or key only while that
    group's subscription or watch is still the last one there (a
-   listener subscribed from elsewhere closes the run) and the group
-   runs the monitor's tier, so every check keeps the place in dispatch
-   order that a subscription of its own would have.
+   listener subscribed from elsewhere closes the run), so every check
+   keeps the place in dispatch order that a subscription of its own
+   would have. Every group runs the engine's tier.
 
    A dispatch checks the members in install order under one
    cascade-depth step. JIT members compile into the group's prologue
@@ -22,10 +22,12 @@
    members after it. A member's fault on a hook is contained exactly as
    a raising hook listener's is: counted, traced, struck, and
    quarantined after [max_strikes], while the members after it still
-   check. Installing a member compiles only its own program; removing
-   one copies the member array, so a dispatch in flight keeps its
-   snapshot. Accounts, spans, flips, cooldowns and cascade drops stay
-   per monitor. *)
+   check. Installing a member compiles only its own program. A member
+   leaves service one way, for an uninstall and a quarantine alike: out
+   of its group (the member array is copied, so a dispatch in flight
+   keeps its snapshot but skips it), out of the JIT group's prologue
+   and bank, and out of its monitor's armed triggers. Accounts, spans,
+   flips, cooldowns and cascade drops stay per monitor. *)
 
 open Gr_util
 module Monitor = Gr_compiler.Monitor
@@ -71,7 +73,7 @@ type state = {
   version : int option;
       (** the spec version this monitor came from, when the install
           went through the versioned lifecycle (grc serve) *)
-  tier : Vm.tier;  (** the tier the rule and SAVE programs execute on *)
+  tier : Vm.tier;  (** the engine's tier, which the rule and SAVE programs execute on *)
   metrics : Metrics.account;
       (** this monitor's own account, registered at install: the only
           per-check counter *)
@@ -89,7 +91,8 @@ type state = {
   mutable oscillation_alerts : int;
   mutable cascade_drops : int;
   mutable cooldown : Time_ns.t;
-  mutable armed : member list;  (** one per armed trigger, in arming order *)
+  mutable armed : member list;
+      (** one per trigger still in service, in arming order *)
 }
 
 (* A SAVE action's value program, specialized like the rule, and the
@@ -104,6 +107,7 @@ and member = {
   group : group;
   listener : int;  (** its hook listener id, in a FUNCTION group *)
   mutable strikes : int;
+  mutable serving : bool;  (** false once it has left its group *)
 }
 
 and rule =
@@ -132,7 +136,7 @@ type t = {
   kernel : Gr_kernel.Kernel.t;
   store : Feature_store.t;
   config : config;
-  default_tier : Vm.tier;
+  tier : Vm.tier;
   tracer : Tracer.t;
   monitors : state Vec.t;
   mutable next_id : int;
@@ -158,7 +162,7 @@ let create ~kernel ~store ?(config = default_config) ?tracer ?(engine = Vm.Jit) 
     kernel;
     store;
     config;
-    default_tier = engine;
+    tier = engine;
     tracer;
     monitors = Vec.create ();
     next_id = 0;
@@ -396,13 +400,19 @@ let disarm t g =
   | Some g' when g' == g -> Hashtbl.remove t.open_groups g.via
   | _ -> ()
 
-(* Takes the members [drop] selects out of the group, copying the
-   array; an emptied group lets go of its trigger. *)
-let remove_members t g drop =
-  let kept = List.filter (fun m -> not (drop m)) (Array.to_list (Array.sub g.members 0 g.len)) in
+(* Takes a member out of service, for an uninstall or a quarantine:
+   out of its group, copying the array (an emptied group lets go of its
+   trigger), out of the JIT group's prologue and bank, whose cells a
+   later member may reuse, and out of its monitor's armed triggers. *)
+let leave t m =
+  let g = m.group in
+  m.serving <- false;
+  let kept = List.filter (fun m' -> m' != m) (Array.to_list (Array.sub g.members 0 g.len)) in
   g.members <- Array.of_list kept;
   g.len <- List.length kept;
-  if g.len = 0 then disarm t g
+  if g.len = 0 then disarm t g;
+  (match m.rule with Jit j -> Jit.leave j | Tree _ -> ());
+  m.st.armed <- List.filter (fun m' -> m' != m) m.st.armed
 
 (* A member's check raised. On a hook, the fault is contained exactly
    as the hook contains its own listeners' — counted, traced, and the
@@ -414,27 +424,27 @@ let fault t g m exn bt =
   | Some hook ->
     m.strikes <- m.strikes + 1;
     if Gr_kernel.Hooks.contain t.kernel.hooks hook ~listener:m.listener ~strikes:m.strikes exn then
-      remove_members t g (fun m' -> m' == m)
+      leave t m
   | None ->
     t.cascade_depth <- t.cascade_depth - 1;
     Printexc.raise_with_backtrace exn bt
 
-(* One firing of the group's trigger: every member still installed
+(* One firing of the group's trigger: every member still in service
    checks, in install order, under one cascade-depth step. The frame
    starts a new epoch here and after any member's actions or fault. *)
 let dispatch t g =
   let members = g.members and len = g.len in
   if t.cascade_depth >= t.config.max_cascade_depth then
     for i = 0 to len - 1 do
-      let st = members.(i).st in
-      if st.installed then st.cascade_drops <- st.cascade_drops + 1
+      let m = members.(i) in
+      if m.serving then m.st.cascade_drops <- m.st.cascade_drops + 1
     done
   else begin
     t.cascade_depth <- t.cascade_depth + 1;
     invalidate g;
     for i = 0 to len - 1 do
       let m = members.(i) in
-      if m.st.installed then
+      if m.serving then
         match check t ~via:g.via m with
         | false -> ()
         | true -> invalidate g
@@ -458,7 +468,7 @@ let add_member st g ~listener =
       let out = { Vm.value = 0.; cost_ns = 0. } in
       Tree { program; static_cost_ns = Vm.static_cost_ns program; out }
   in
-  let m = { st; rule; group = g; listener; strikes = 0 } in
+  let m = { st; rule; group = g; listener; strikes = 0; serving = true } in
   if g.len = Array.length g.members then begin
     let bigger = Array.make (max 4 (2 * g.len)) m in
     Array.blit g.members 0 bigger 0 g.len;
@@ -468,10 +478,10 @@ let add_member st g ~listener =
   g.len <- g.len + 1;
   st.armed <- st.armed @ [ m ]
 
-let new_group t st ~via ~hook =
+let new_group t ~via ~hook =
   {
     via;
-    frame = (match st.tier with Vm.Jit -> Some (Jit.group t.store) | Vm.Tree -> None);
+    frame = (match t.tier with Vm.Jit -> Some (Jit.group t.store) | Vm.Tree -> None);
     hook;
     members = [||];
     len = 0;
@@ -480,14 +490,14 @@ let new_group t st ~via ~hook =
   }
 
 (* A FUNCTION or ON_CHANGE trigger joins the open group of its hook or
-   key when that group's tier is the monitor's and its subscription or
-   watch is still the last one there, so the member checks exactly
-   where a subscription of its own would; otherwise [arm] subscribes a
-   new group, answering the first member's listener id. *)
+   key when that group's subscription or watch is still the last one
+   there, so the member checks exactly where a subscription of its own
+   would; otherwise [arm] subscribes a new group, answering the first
+   member's listener id. *)
 let join t st ~via ~hook arm =
   let joined =
     match Hashtbl.find_opt t.open_groups via with
-    | Some g when Option.is_some g.frame = (st.tier = Vm.Jit) -> (
+    | Some g -> (
       match g.extend () with
       | Some listener ->
         add_member st g ~listener;
@@ -496,7 +506,7 @@ let join t st ~via ~hook arm =
     | _ -> false
   in
   if not joined then begin
-    let g = new_group t st ~via ~hook in
+    let g = new_group t ~via ~hook in
     add_member st g ~listener:(arm g);
     Hashtbl.replace t.open_groups via g
   end
@@ -508,7 +518,7 @@ let join t st ~via ~hook arm =
 let arm_trigger t st (trigger : Monitor.trigger) =
   match trigger with
   | Monitor.Timer { start_ns; interval_ns; stop_ns } ->
-    let g = new_group t st ~via:"timer" ~hook:None in
+    let g = new_group t ~via:"timer" ~hook:None in
     add_member st g ~listener:(-1);
     let handle =
       Gr_sim.Engine.every t.kernel.engine
@@ -531,8 +541,8 @@ let arm_trigger t st (trigger : Monitor.trigger) =
         g.disarm <- (fun () -> Feature_store.unwatch w);
         -1)
 
-let build_exec t ~tier ~slots program =
-  match (tier : Vm.tier) with
+let build_exec t ~slots program =
+  match t.tier with
   | Vm.Tree ->
     let static_cost_ns = Vm.static_cost_ns program in
     fun () -> Vm.run ~static_cost_ns ~store:t.store ~slots program
@@ -540,7 +550,7 @@ let build_exec t ~tier ~slots program =
     let j = Jit.compile ~store:t.store ~slots program in
     fun () -> Jit.run j
 
-let install ?engine ?version t monitor =
+let install ?version t monitor =
   match Gr_compiler.Verify.verify monitor with
   | Error errs -> Error errs
   | Ok _stats ->
@@ -555,14 +565,13 @@ let install ?engine ?version t monitor =
         Feature_store.register_demand t.store ~key:d.key ~fn:d.fn ~window_ns:d.window_ns
           ~param:d.param)
       demands;
-    let tier = match engine with Some e -> e | None -> t.default_tier in
     let slots = monitor.Monitor.slots in
     let st =
       {
         monitor;
         id = t.next_id;
         version;
-        tier;
+        tier = t.tier;
         metrics = Metrics.register (Tracer.metrics t.tracer) monitor.Monitor.name;
         actions_costed =
           List.map
@@ -572,7 +581,7 @@ let install ?engine ?version t monitor =
                 ( action,
                   Some
                     {
-                      run = build_exec t ~tier ~slots value;
+                      run = build_exec t ~slots value;
                       target = Feature_store.save_handle t.store key;
                     } )
               | _ -> (action, None))
@@ -611,11 +620,7 @@ let uninstall t st =
      state a still-installed monitor depends on. *)
   if st.installed then begin
     st.installed <- false;
-    List.iter
-      (fun m ->
-        remove_members t m.group (fun m' -> m'.st == st);
-        match m.rule with Jit j -> Jit.leave j | Tree _ -> ())
-      st.armed;
+    List.iter (leave t) st.armed;
     (* Release this monitor's demand references; shapes shared with
        still-installed monitors keep streaming. *)
     List.iter
@@ -643,21 +648,22 @@ let monitor_name st = st.monitor.Monitor.name
 let version st = st.version
 let installed st = st.installed
 let installed_count t = Vec.length t.monitors
-let tier st = st.tier
-let default_tier t = t.default_tier
+let tier (st : state) = st.tier
 let set_deprioritize_handler t handler = t.deprioritize <- Some handler
 let set_kill_handler t handler = t.kill <- Some handler
 let tracer t = t.tracer
 let metrics t = Tracer.metrics t.tracer
 
-(* A check outside any trigger, through the monitor's first member:
-   a fresh frame epoch, then the one check, under its own cascade-depth
-   step. The group's next dispatch starts a fresh epoch anyway, so
-   actions here need no refresh. *)
+(* A check outside any trigger, through the monitor's first member
+   still in service: a fresh frame epoch, then the one check, under its
+   own cascade-depth step. The group's next dispatch starts a fresh
+   epoch anyway, so actions here need no refresh. A monitor with no
+   member in service (uninstalled, or every trigger quarantined) is not
+   checked. *)
 let check_now t st =
   let before = st.metrics.violations in
   (match st.armed with
-  | m :: _ when st.installed ->
+  | m :: _ ->
     if t.cascade_depth >= t.config.max_cascade_depth then
       st.cascade_drops <- st.cascade_drops + 1
     else begin

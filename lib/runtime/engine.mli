@@ -67,10 +67,10 @@ val create :
     every check and the REPORT channel — the bounded ring-buffer sink
     behind {!violations} — is always live.
 
-    [?engine] picks the default execution tier monitors are
-    specialized onto at install ({!Vm.tier}; default [Jit]). Both
-    tiers are bit-identical in results, accounting, store counters
-    and trace events, so the choice is a pure performance knob. *)
+    [?engine] picks the execution tier every monitor is specialized
+    onto at install ({!Vm.tier}; default [Jit]). Both tiers are
+    bit-identical in results, accounting, store counters and trace
+    events, so the choice is a pure performance knob. *)
 
 val tracer : t -> Gr_trace.Tracer.t
 val metrics : t -> Gr_trace.Metrics.t
@@ -80,22 +80,18 @@ val metrics : t -> Gr_trace.Metrics.t
 
 type handle
 
-val install :
-  ?engine:Vm.tier -> ?version:int -> t -> Gr_compiler.Monitor.t -> (handle, string list) result
+val install : ?version:int -> t -> Gr_compiler.Monitor.t -> (handle, string list) result
 (** Verifies the monitor (installation is the trust boundary, exactly
     as for eBPF program load), specializes its rule and SAVE programs
-    onto the requested tier (default: the engine's), and arms its
-    triggers. [version] stamps the monitor with the spec version it
-    came from when the install goes through the versioned lifecycle
-    ({!Gr_core.Lifecycle} / grc serve); it changes no runtime
-    behavior and no trace bytes. *)
+    onto the engine's tier, and arms its triggers. [version] stamps
+    the monitor with the spec version it came from when the install
+    goes through the versioned lifecycle ({!Gr_core.Lifecycle} / grc
+    serve); it changes no runtime behavior and no trace bytes. *)
 
 val tier : handle -> Vm.tier
-(** The tier the monitor's rule executes on: the one requested at
-    install. The JIT compiles every program, including rules that read
-    cross-shard keys. *)
-
-val default_tier : t -> Vm.tier
+(** The tier the monitor's rule executes on: its engine's, chosen at
+    {!create}. The JIT compiles every program, including rules that
+    read cross-shard keys. *)
 
 val uninstall : t -> handle -> unit
 (** Takes the monitor out of its trigger groups (a group left empty
@@ -125,7 +121,10 @@ val set_kill_handler : t -> (cls:string -> unit) -> unit
 
 val check_now : t -> handle -> bool
 (** Forces one rule evaluation (outside any trigger); [true] if the
-    property held. Used by tests and the CLI. *)
+    property held. Used by tests and the CLI. A monitor with no
+    trigger left in service — uninstalled, or quarantined on every
+    trigger it had — is not checked: nothing is counted and the answer
+    is [true], as for a monitor that no longer runs. *)
 
 module Stats : sig
   type s = {

@@ -85,8 +85,8 @@ let test_unstable_controller_degrades_and_fallback_recovers () =
   in
   let mid_util = mid_util /. float_of_int (Gr_kernel.Net.ticks net - warm_ticks) in
   check_bool "unstable controller loses utilization" true (mid_util < warm_util -. 0.05);
-  (* Disabling the model falls back to AIMD inside the adapter. *)
-  Gr_policy.Cc_controller.set_enabled cc false;
+  (* REPLACE's slot control puts the AIMD fallback back in service. *)
+  Gr_kernel.Policy_slot.use_fallback (Gr_kernel.Net.slot net);
   let before = Gr_kernel.Net.ticks net in
   let before_util = Gr_kernel.Net.mean_utilization net *. float_of_int before in
   Gr_sim.Engine.run_until engine (Time_ns.sec 35);

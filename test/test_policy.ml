@@ -139,17 +139,6 @@ let test_tiering_beats_random_guess () =
   check_bool "cold page not promoted" false
     (Gr_policy.Tiering.predict_promote m [| 1.; 1e9; 1. |])
 
-let test_tiering_disabled_falls_back () =
-  let rng = Rng.create 32 in
-  let gen = Gr_workload.Mem_trace.zipfian ~rng ~n_pages:256 () in
-  let trace = Array.init 5_000 (fun _ -> Gr_workload.Mem_trace.next gen) in
-  let m = Gr_policy.Tiering.train ~rng ~trace () in
-  Gr_policy.Tiering.set_enabled m false;
-  let policy = Gr_policy.Tiering.policy m in
-  (* Second-touch fallback promotes on access_count >= 2. *)
-  check_bool "fallback second touch" true (policy.promote [| 2.; 5.; 0.1 |]);
-  check_bool "fallback first touch" false (policy.promote [| 1.; 1e9; 0.1 |])
-
 (* ---------- Cache policy ---------- *)
 
 let run_cache_workload ~policy ~trace ~hooks =
@@ -177,14 +166,6 @@ let test_cache_learned_beats_random_on_zipf () =
   in
   check_bool "learned beats random on training distribution" true (learned > random)
 
-let test_cache_learned_disabled_is_lru () =
-  let rng = Rng.create 43 in
-  let hooks = Gr_kernel.Hooks.create () in
-  let m = Gr_policy.Cache_policy.train ~rng ~hooks ~trace:(Array.init 100 (fun i -> i mod 10)) () in
-  Gr_policy.Cache_policy.set_enabled m false;
-  let p = Gr_policy.Cache_policy.policy m in
-  check_int "disabled picks LRU candidate" 7 (p.choose_victim ~candidates:[| 7; 8; 9 |])
-
 (* ---------- Slice policy ---------- *)
 
 let test_slice_matches_cfs_in_training_range () =
@@ -205,14 +186,6 @@ let test_slice_blind_to_runqueue_until_retrained () =
   check_int "retrain counted" 1 (Gr_policy.Slice_policy.retrain_count m);
   check_bool "slices shrink with load after retrain" true (at 32 < at 2 /. 4.)
 
-let test_slice_disabled_is_cfs () =
-  let rng = Rng.create 53 in
-  let m = Gr_policy.Slice_policy.train ~rng () in
-  Gr_policy.Slice_policy.set_enabled m false;
-  let p = Gr_policy.Slice_policy.policy m in
-  let slice = p.slice ~nr_runnable:24 ~task_weight:1024 ~task_received_ms:0. in
-  check_int "cfs 1ms floor at nr=24" (Time_ns.ms 1) slice
-
 (* ---------- Balancer ---------- *)
 
 let test_balancer_imitates_least_loaded () =
@@ -232,13 +205,129 @@ let test_balancer_affinity_misplaces_and_retrain_fixes () =
     (Gr_policy.Balancer_policy.place m ~queue_lens:[| 6; 0; 5; 5 |]);
   check_int "retrain counted" 1 (Gr_policy.Balancer_policy.retrain_count m)
 
-let test_balancer_disabled_is_least_loaded () =
-  let rng = Rng.create 57 in
-  let m = Gr_policy.Balancer_policy.train ~rng ~cpus:4 () in
-  Gr_policy.Balancer_policy.inject_affinity m ~strength:5.0;
-  Gr_policy.Balancer_policy.set_enabled m false;
-  let b = Gr_policy.Balancer_policy.balancer m in
-  check_int "fallback ignores the prior" 2 (b.place ~queue_lens:[| 4; 3; 1; 3 |])
+(* ---------- REPLACE/RESTORE through the policy slot ---------- *)
+
+(* A learned policy serving from its subsystem's slot, with the slot's
+   [use_fallback]/[restore] registered as the policy's REPLACE/RESTORE
+   controls. [live] asks the slot's live implementation for its
+   decisions on the row's probes; [learned] is what the learned policy
+   itself answers, and [fallback] what the slot's bottom entry — the
+   subsystem's known-safe policy — must answer. *)
+type slot_row = {
+  policy : string;
+  live : unit -> string list;
+  learned : string list;
+  fallback : string list;
+}
+
+let slot_row kernel ~policy slot impl ~decide ~fallback =
+  Gr_kernel.Policy_slot.install slot ~name:("learned-" ^ policy) impl;
+  Gr_kernel.Kernel.register_policy kernel ~name:policy
+    ~replace:(fun () -> Gr_kernel.Policy_slot.use_fallback slot)
+    ~restore:(fun () -> Gr_kernel.Policy_slot.restore slot)
+    ();
+  {
+    policy;
+    live = (fun () -> decide (Gr_kernel.Policy_slot.current slot));
+    learned = decide impl;
+    fallback;
+  }
+
+(* The row for [policy] in a fresh kernel, so each row trains only its
+   own model and runs as its own test case. *)
+let slot_row_for policy =
+  let module P = Gr_policy in
+  let module K = Gr_kernel in
+  let kernel = K.Kernel.create ~seed:53 in
+  let rng = Rng.create 53 and engine = kernel.K.Kernel.engine and hooks = kernel.K.Kernel.hooks in
+  let zipf_trace () =
+    let pages = Gr_workload.Mem_trace.zipfian ~rng ~n_pages:256 () in
+    Array.init 5_000 (fun _ -> Gr_workload.Mem_trace.next pages)
+  in
+  let row =
+    match policy with
+    | "tiering" ->
+        let mm = K.Mm.create ~engine ~hooks ~fast_capacity:64 () in
+        let tiering = P.Tiering.train ~rng ~trace:(zipf_trace ()) () in
+        (* Second touch promotes on access count >= 2, whatever the gap. *)
+        slot_row kernel ~policy (K.Mm.slot mm) (P.Tiering.policy tiering)
+          ~decide:(fun (p : K.Mm.policy) ->
+            List.map
+              (fun f -> string_of_bool (p.promote f))
+              [ [| 2.; 5.; 0.1 |]; [| 1.; 1e9; 0.1 |]; [| 2.; 1e9; 1. |] ])
+          ~fallback:[ "true"; "false"; "true" ]
+    | "cache" ->
+        let cache = K.Cache.create ~hooks ~capacity:64 in
+        let cache_model = P.Cache_policy.train ~rng ~hooks ~trace:(zipf_trace ()) () in
+        (* Key 7 is hot and recent, 8 and 9 were touched once long ago. *)
+        List.iter
+          (fun key -> K.Hooks.fire hooks "cache:access" [ ("key", float_of_int key) ])
+          ([ 8; 9 ] @ List.init 20 (fun _ -> 7));
+        (* LRU evicts the first candidate. *)
+        slot_row kernel ~policy (K.Cache.slot cache) (P.Cache_policy.policy cache_model)
+          ~decide:(fun (p : K.Cache.policy) ->
+            [ string_of_int (p.choose_victim ~candidates:[| 7; 8; 9 |]) ])
+          ~fallback:[ "7" ]
+    | "slice" ->
+        let sched = K.Sched.create ~engine ~hooks ~cpus:4 () in
+        let slice = P.Slice_policy.train ~rng () in
+        (* CFS floors the slice at 1 ms: 24 ms over 24 runnable tasks. *)
+        slot_row kernel ~policy (K.Sched.slot sched) (P.Slice_policy.policy slice)
+          ~decide:(fun (p : K.Sched.policy) ->
+            [ string_of_int (p.slice ~nr_runnable:24 ~task_weight:1024 ~task_received_ms:0.) ])
+          ~fallback:[ string_of_int (Time_ns.ms 1) ]
+    | "balancer" ->
+        let sched = K.Sched.create ~engine ~hooks ~cpus:4 () in
+        let balancer = P.Balancer_policy.train ~rng ~cpus:4 () in
+        P.Balancer_policy.inject_affinity balancer ~strength:5.0;
+        (* Least-loaded ignores the injected CPU 0 prior. *)
+        slot_row kernel ~policy (K.Sched.balancer_slot sched)
+          (P.Balancer_policy.balancer balancer)
+          ~decide:(fun (b : K.Sched.balancer) ->
+            [ string_of_int (b.place ~queue_lens:[| 4; 3; 1; 3 |]) ])
+          ~fallback:[ "2" ]
+    | "cc" ->
+        let net = K.Net.create ~engine ~hooks ~capacity_mbps:100. () in
+        let cc = P.Cc_controller.train ~rng () in
+        (* AIMD halves on loss over 0.1% and grows 2% otherwise. *)
+        slot_row kernel ~policy (K.Net.slot net) (P.Cc_controller.controller cc)
+          ~decide:(fun (c : K.Net.controller) ->
+            List.map
+              (fun (rtt_ms, loss) -> Printf.sprintf "%h" (c.adjust ~rtt_ms ~loss))
+              [ (50., 0.01); (20., 0.) ])
+          ~fallback:[ Printf.sprintf "%h" 0.5; Printf.sprintf "%h" 1.02 ]
+    | "readahead" ->
+        let fs = K.Fs.create ~hooks ~cache_pages:64 () in
+        let readahead = P.Readahead.train ~rng () in
+        (* Sequential doubling: four pages per page of run, capped at 32;
+           nothing after a seek. *)
+        slot_row kernel ~policy (K.Fs.slot fs) (P.Readahead.policy readahead)
+          ~decide:(fun (p : K.Fs.policy) ->
+            List.map
+              (fun f -> string_of_int (p.window f))
+              [ [| 1.; 3.; 0.5 |]; [| 1.; 20.; 0.5 |]; [| 37.; 0.; 0.1 |] ])
+          ~fallback:[ "12"; "32"; "0" ]
+    | _ -> Alcotest.failf "%s: no slot row" policy
+  in
+  (kernel, row)
+
+(* For a learned policy: REPLACE, fired through the kernel's policy
+   registry, puts the slot's fallback in service, and RESTORE the
+   learned policy again. *)
+let test_slot_replace_restore policy () =
+  let kernel, row = slot_row_for policy in
+  let fire pick =
+    match Gr_kernel.Policy_slot.Registry.find kernel.registry row.policy with
+    | Some controls -> pick controls ()
+    | None -> Alcotest.failf "%s: not registered" row.policy
+  in
+  let check_decisions = Alcotest.(check (list string)) in
+  check_bool (row.policy ^ ": learned differs from the fallback") true (row.learned <> row.fallback);
+  check_decisions (row.policy ^ ": learned in service") row.learned (row.live ());
+  fire (fun c -> c.Gr_kernel.Policy_slot.Registry.replace);
+  check_decisions (row.policy ^ ": REPLACE serves the fallback") row.fallback (row.live ());
+  fire (fun c -> c.Gr_kernel.Policy_slot.Registry.restore);
+  check_decisions (row.policy ^ ": RESTORE serves the learned policy") row.learned (row.live ())
 
 (* ---------- Quota advisor ---------- *)
 
@@ -564,27 +653,28 @@ let suite =
     ( "policy.tiering",
       [
         Alcotest.test_case "sensible promotions" `Slow test_tiering_beats_random_guess;
-        Alcotest.test_case "disabled falls back" `Slow test_tiering_disabled_falls_back;
+        Alcotest.test_case "disabled falls back" `Slow (test_slot_replace_restore "tiering");
       ] );
     ( "policy.cache",
       [
         Alcotest.test_case "learned beats random on zipf" `Slow
           test_cache_learned_beats_random_on_zipf;
-        Alcotest.test_case "disabled is LRU" `Quick test_cache_learned_disabled_is_lru;
+        Alcotest.test_case "disabled is LRU" `Quick (test_slot_replace_restore "cache");
       ] );
     ( "policy.slice",
       [
         Alcotest.test_case "imitates CFS in range" `Quick test_slice_matches_cfs_in_training_range;
         Alcotest.test_case "blind to runqueue until retrained" `Quick
           test_slice_blind_to_runqueue_until_retrained;
-        Alcotest.test_case "disabled is CFS" `Quick test_slice_disabled_is_cfs;
+        Alcotest.test_case "disabled is CFS" `Quick (test_slot_replace_restore "slice");
       ] );
     ( "policy.balancer",
       [
         Alcotest.test_case "imitates least-loaded" `Quick test_balancer_imitates_least_loaded;
         Alcotest.test_case "affinity misplaces; retrain fixes" `Quick
           test_balancer_affinity_misplaces_and_retrain_fixes;
-        Alcotest.test_case "disabled is least-loaded" `Quick test_balancer_disabled_is_least_loaded;
+        Alcotest.test_case "disabled is least-loaded" `Quick
+          (test_slot_replace_restore "balancer");
       ] );
     ( "policy.quota",
       [
@@ -595,6 +685,12 @@ let suite =
       [
         Alcotest.test_case "sane and robust" `Quick test_cc_sane_and_robust;
         Alcotest.test_case "injection and restore" `Quick test_cc_injection_and_restore;
+        Alcotest.test_case "disabled is AIMD" `Quick (test_slot_replace_restore "cc");
+      ] );
+    ( "policy.slots",
+      [
+        Alcotest.test_case "readahead disabled is sequential doubling" `Quick
+          (test_slot_replace_restore "readahead");
       ] );
     ("policy.inject", [ Alcotest.test_case "flip decisions" `Quick test_inject_flip ]);
     ( "workload",

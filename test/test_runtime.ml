@@ -1266,6 +1266,52 @@ let test_engine_hook_member_contained () =
   check_int "one quarantine" 1 (Gr_kernel.Hooks.quarantined_count kernel.hooks);
   check_bool "still installed" true (Engine.installed middle)
 
+(* A member quarantined on a hook leaves service as an uninstalled one
+   does. [check_now] finds no trigger of the monitor left, so it checks
+   nothing and its raising action never runs again. The group drops the
+   member's own input: a member installed afterwards may take over its
+   frame cell and reads its own key there, and the members that stayed
+   still read theirs. *)
+let test_engine_quarantined_member_leaves () =
+  let kernel, d = make_deployment () in
+  Gr_kernel.Kernel.register_policy kernel ~name:"p"
+    ~replace:(fun () -> failwith "replace bug")
+    ~restore:(fun () -> ())
+    ~retrain:(fun () -> ())
+    ();
+  Guardrails.Deployment.save d "healthy" 1.;
+  Guardrails.Deployment.save d "own" 0.;
+  let install ~name ~rule ~actions =
+    List.hd
+      (Guardrails.Deployment.install_source_exn d
+         (simple_rail ~name ~trigger:{|FUNCTION("h")|} ~rule ~actions ()))
+  in
+  let first = install ~name:"first" ~rule:"LOAD(healthy) == 1" ~actions:[ {|REPORT("a")|} ] in
+  let middle = install ~name:"middle" ~rule:"LOAD(own) == 1" ~actions:[ {|REPLACE("p")|} ] in
+  let last = install ~name:"last" ~rule:"LOAD(healthy) == 1" ~actions:[ {|REPORT("c")|} ] in
+  let fire n =
+    for _ = 1 to n do
+      Gr_kernel.Hooks.fire kernel.hooks "h" []
+    done
+  in
+  fire 5;
+  let engine = Guardrails.Deployment.engine d in
+  let stats h = Engine.Stats.get engine h in
+  check_int "one quarantine" 1 (Gr_kernel.Hooks.quarantined_count kernel.hooks);
+  check_bool "check_now answers true" true (Engine.check_now engine middle);
+  check_int "check_now checks nothing" 3 (stats middle).checks;
+  let late = install ~name:"late" ~rule:"LOAD(mine) == 5" ~actions:[ {|REPORT("d")|} ] in
+  Guardrails.Deployment.save d "mine" 5.;
+  Guardrails.Deployment.save d "healthy" 0.;
+  fire 2;
+  check_int "first reads its key" 2 (stats first).violations;
+  check_int "last reads its key" 2 (stats last).violations;
+  check_int "late checks every firing" 2 (stats late).checks;
+  check_int "late reads its own key" 0 (stats late).violations;
+  check_int "middle stays out" 3 (stats middle).checks;
+  Guardrails.Deployment.uninstall d middle;
+  check_bool "uninstalled after quarantine" false (Engine.installed middle)
+
 (* A healthy, untraced firing of a 128-member FUNCTION group — the
    distilled-linear shape of 40 LOADs and one AVG — allocates at most
    half a minor word per member check. *)
@@ -1396,6 +1442,8 @@ let suite =
         Alcotest.test_case "check_now" `Quick test_engine_check_now;
         Alcotest.test_case "raising hook member contained" `Quick
           test_engine_hook_member_contained;
+        Alcotest.test_case "quarantined member leaves service" `Quick
+          test_engine_quarantined_member_leaves;
         Alcotest.test_case "group fire within half a word/member" `Quick
           test_engine_group_fire_words;
         Alcotest.test_case "rejects unverifiable" `Quick test_engine_rejects_unverifiable;

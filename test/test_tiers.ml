@@ -3,9 +3,10 @@
    - the --engine CLI knob rejects garbage (and the retired [reg]
      tier) with exit 2 and a single diagnostic line (no usage dump, no
      backtrace);
-   - Engine.install honors the requested tier, and the JIT runs
-     programs whose keys resolve to sharded (fleet-merged) reads;
-   - re-installing a monitor under a different tier keeps the store's
+   - Engine.install specializes onto the tier its engine was created
+     with, and the JIT runs programs whose keys resolve to sharded
+     (fleet-merged) reads;
+   - on either tier, re-installing a monitor keeps the store's
      aggregate demands refcounted correctly: shapes shared across
      installs survive a partial uninstall, and a full uninstall
      releases them;
@@ -101,23 +102,27 @@ let compile_one src =
   | Ok _ -> Alcotest.fail "expected one monitor"
   | Error e -> Alcotest.failf "compile: %a" Guardrails.Compile.pp_error e
 
+let tier_testable =
+  Alcotest.testable (fun ppf t -> Format.pp_print_string ppf (Vm.tier_to_string t)) ( = )
+
+let install_exn engine =
+  match Engine.install engine (compile_one avg_source) with
+  | Ok h -> h
+  | Error msgs -> Alcotest.failf "install: %s" (String.concat "; " msgs)
+
 let test_requested_tier_honored () =
-  let kernel = Gr_kernel.Kernel.create ~seed:11 in
-  let d = D.create ~kernel () in
-  let engine = D.engine d in
-  Alcotest.check
-    (Alcotest.testable (fun ppf t -> Format.pp_print_string ppf (Vm.tier_to_string t)) ( = ))
-    "deployment default is the JIT" Vm.Jit (Engine.default_tier engine);
+  let engine ?tier () =
+    D.engine (D.create ~kernel:(Gr_kernel.Kernel.create ~seed:11) ?engine:tier ())
+  in
+  Alcotest.check tier_testable "deployment default is the JIT" Vm.Jit
+    (Engine.tier (install_exn (engine ())));
   List.iter
     (fun tier ->
-      match Engine.install ~engine:tier engine (compile_one avg_source) with
-      | Error msgs -> Alcotest.failf "install failed: %s" (String.concat "; " msgs)
-      | Ok h ->
-        if Engine.tier h <> tier then
-          Alcotest.failf "requested %s, got %s" (Vm.tier_to_string tier)
-            (Vm.tier_to_string (Engine.tier h));
-        ignore (Engine.check_now engine h : bool);
-        Engine.uninstall engine h)
+      let engine = engine ~tier () in
+      let h = install_exn engine in
+      Alcotest.check tier_testable "monitor runs the engine's tier" tier (Engine.tier h);
+      ignore (Engine.check_now engine h : bool);
+      Engine.uninstall engine h)
     Vm.all_tiers
 
 let test_fleet_monitors_run_on_jit () =
@@ -143,49 +148,41 @@ let test_fleet_monitors_run_on_jit () =
   | Ok _ -> Alcotest.fail "expected one handle"
 
 (* ------------------------------------------------------------------ *)
-(* Re-install across tiers: demand refcounts                          *)
+(* Re-install on each tier: demand refcounts                          *)
 (* ------------------------------------------------------------------ *)
 
+(* One deployment per tier, each running the same install/uninstall
+   cycle; the verdicts agree across tiers. *)
 let test_reinstall_preserves_demands () =
-  let kernel = Gr_kernel.Kernel.create ~seed:5 in
-  let d = D.create ~kernel () in
-  let engine = D.engine d and store = D.store d in
-  D.save d "lat" 42.;
-  check_int "no demands before install" 0 (Store.demand_count store);
-  let install tier =
-    match Engine.install ~engine:tier engine (compile_one avg_source) with
-    | Ok h -> h
-    | Error msgs -> Alcotest.failf "install: %s" (String.concat "; " msgs)
+  let verdict tier =
+    let kernel = Gr_kernel.Kernel.create ~seed:5 in
+    let d = D.create ~kernel ~engine:tier () in
+    let engine = D.engine d and store = D.store d in
+    D.save d "lat" 42.;
+    check_int "no demands before install" 0 (Store.demand_count store);
+    let h_first = install_exn engine in
+    check_int "one demand after first install" 1 (Store.demand_count store);
+    (* the same aggregate shape from a second monitor: refcounted, not
+       duplicated *)
+    let h_second = install_exn engine in
+    check_int "shared shape still one demand" 1 (Store.demand_count store);
+    Engine.uninstall engine h_first;
+    check_int "demand survives partial uninstall" 1 (Store.demand_count store);
+    (* the surviving monitor still takes the streaming path *)
+    let hits_before = Store.agg_hit_count store in
+    ignore (Engine.check_now engine h_second : bool);
+    if Store.agg_hit_count store <= hits_before then
+      Alcotest.fail "surviving monitor no longer streams its aggregate";
+    Engine.uninstall engine h_second;
+    check_int "full uninstall releases the demand" 0 (Store.demand_count store);
+    let h = install_exn engine in
+    check_int "reinstall re-registers the demand" 1 (Store.demand_count store);
+    let v = Engine.check_now engine h in
+    Engine.uninstall engine h;
+    check_int "uninstall releases again" 0 (Store.demand_count store);
+    v
   in
-  let h_jit = install Vm.Jit in
-  check_int "one demand after first install" 1 (Store.demand_count store);
-  (* same aggregate shape from a second monitor on another tier:
-     refcounted, not duplicated *)
-  let h_tree = install Vm.Tree in
-  check_int "shared shape still one demand" 1 (Store.demand_count store);
-  Engine.uninstall engine h_jit;
-  check_int "demand survives partial uninstall" 1 (Store.demand_count store);
-  (* the surviving monitor still takes the streaming path *)
-  let hits_before = Store.agg_hit_count store in
-  ignore (Engine.check_now engine h_tree : bool);
-  if Store.agg_hit_count store <= hits_before then
-    Alcotest.fail "surviving monitor no longer streams its aggregate";
-  Engine.uninstall engine h_tree;
-  check_int "full uninstall releases the demand" 0 (Store.demand_count store);
-  (* tier switching round-trip: reinstall under each tier in turn;
-     the demand comes back and the verdict is tier-invariant *)
-  let verdicts =
-    List.map
-      (fun tier ->
-        let h = install tier in
-        check_int "reinstall re-registers the demand" 1 (Store.demand_count store);
-        let v = Engine.check_now engine h in
-        Engine.uninstall engine h;
-        check_int "uninstall releases again" 0 (Store.demand_count store);
-        v)
-      Vm.all_tiers
-  in
-  match verdicts with
+  match List.map verdict Vm.all_tiers with
   | [ a; b ] -> if a <> b then Alcotest.failf "verdicts differ across tiers: %b %b" a b
   | _ -> assert false
 
