@@ -11,59 +11,6 @@ module Sink = Gr_trace.Sink
 module Tracer = Gr_trace.Tracer
 module D = Guardrails.Deployment
 
-let scenario_names = [ "blk"; "sched"; "store"; "fleet"; "serve" ]
-
-let caps_of = function
-  | "blk" ->
-    {
-      Fault.n_devices = 4;
-      keys = [ "false_submit"; "latency_us"; "false_submit_rate" ];
-      hooks = [ "blk:io_complete"; "blk:io_submit" ];
-      blk_policy = true;
-    }
-  | "sched" ->
-    {
-      Fault.n_devices = 0;
-      keys = [ "sched_max_wait_ms"; "sched_jain" ];
-      hooks = [ "sched:dispatch"; "sched:task_complete" ];
-      blk_policy = false;
-    }
-  | "store" ->
-    {
-      Fault.n_devices = 0;
-      keys = [ "lat"; "rate"; "err" ];
-      hooks = [ "soak:tick" ];
-      blk_policy = false;
-    }
-  | "fleet" ->
-    (* Faults land on node 0 only: its device dies, its shard's keys
-       get corrupted, its hooks raise — the invariant checks then
-       assert that the fleet-merged aggregates and the survivors'
-       guardrails stay consistent with the naive oracle. *)
-    {
-      Fault.n_devices = 2;
-      keys = [ "latency_us"; "false_submit" ];
-      hooks = [ "blk:io_complete"; "blk:io_submit" ];
-      blk_policy = false;
-    }
-  | "serve" ->
-    (* Same node-0 fault surface as fleet — and node 0 is exactly the
-       node canaried rollouts target, so device death or a GC storm
-       there lands mid-rollout on the canary. *)
-    {
-      Fault.n_devices = 2;
-      keys = [ "latency_us"; "false_submit" ];
-      hooks = [ "blk:io_complete"; "blk:io_submit" ];
-      blk_policy = false;
-    }
-  | s -> invalid_arg ("Soak: unknown scenario " ^ s)
-
-let gen_plan ~scenario ~seed ~duration =
-  let caps = caps_of scenario in
-  let rng = Rng.create ((seed * 0x9e3779b9) lxor Hashtbl.hash scenario) in
-  let n = 3 + Rng.int rng 5 in
-  Fault.gen ~rng ~caps ~n ~horizon:duration
-
 (* Scenario templates. Each builds a full deployment around a seeded
    kernel; everything stochastic draws from kernel.rng or a split of
    it, so a (scenario, seed) pair is one reproducible universe. *)
@@ -348,7 +295,7 @@ let node_blocks fleet ~duration ~on_flip =
 (* Three nodes advancing in lock-step epochs; fleet guardrails
    aggregate the merged latency stream and act through the broadcast
    REPLACE proxy. The injector targets node 0 exclusively (see
-   [caps_of]), so surviving shards keep feeding the merged view while
+   [node0_caps]), so surviving shards keep feeding the merged view while
    one member is dead or lying. *)
 let build_fleet ~engine ~nodes ~domains ~seed ~duration =
   let fleet =
@@ -589,14 +536,69 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
 
 let default_nodes = 3
 
-let build ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenario ~seed ~duration () =
-  match scenario with
-  | "blk" -> build_blk ~engine ~seed ~duration
-  | "sched" -> build_sched ~engine ~seed ~duration
-  | "store" -> build_store ~engine ~seed ~duration
-  | "fleet" -> build_fleet ~engine ~nodes ~domains ~seed ~duration
-  | "serve" -> build_serve ~engine ~nodes ~domains ~seed ~duration
-  | s -> invalid_arg ("Soak: unknown scenario " ^ s)
+(* Faults land on node 0 only: its device dies, its shard's keys get
+   corrupted, its hooks raise — the invariant checks then assert that
+   the fleet-merged aggregates and the survivors' guardrails stay
+   consistent with the naive oracle. Node 0 is also the node canaried
+   rollouts target, so in [serve] device death or a GC storm there
+   lands mid-rollout on the canary. *)
+let node0_caps =
+  {
+    Fault.n_devices = 2;
+    keys = [ "latency_us"; "false_submit" ];
+    hooks = [ "blk:io_complete"; "blk:io_submit" ];
+    blk_policy = false;
+  }
+
+(* One row per scenario: its name, what it exposes for faulting, and
+   how to build it. *)
+let scenarios =
+  [
+    ( "blk",
+      {
+        Fault.n_devices = 4;
+        keys = [ "false_submit"; "latency_us"; "false_submit_rate" ];
+        hooks = [ "blk:io_complete"; "blk:io_submit" ];
+        blk_policy = true;
+      },
+      fun ~engine ~nodes:_ ~domains:_ -> build_blk ~engine );
+    ( "sched",
+      {
+        Fault.n_devices = 0;
+        keys = [ "sched_max_wait_ms"; "sched_jain" ];
+        hooks = [ "sched:dispatch"; "sched:task_complete" ];
+        blk_policy = false;
+      },
+      fun ~engine ~nodes:_ ~domains:_ -> build_sched ~engine );
+    ( "store",
+      {
+        Fault.n_devices = 0;
+        keys = [ "lat"; "rate"; "err" ];
+        hooks = [ "soak:tick" ];
+        blk_policy = false;
+      },
+      fun ~engine ~nodes:_ ~domains:_ -> build_store ~engine );
+    ("fleet", node0_caps, build_fleet);
+    ("serve", node0_caps, build_serve);
+  ]
+
+let scenario_names = List.map (fun (name, _, _) -> name) scenarios
+
+let scenario name =
+  match List.find_opt (fun (n, _, _) -> n = name) scenarios with
+  | Some (_, caps, build) -> (caps, build)
+  | None -> invalid_arg ("Soak: unknown scenario " ^ name)
+
+let caps_of name = fst (scenario name)
+
+let gen_plan ~scenario ~seed ~duration =
+  let caps = caps_of scenario in
+  let rng = Rng.create ((seed * 0x9e3779b9) lxor Hashtbl.hash scenario) in
+  let n = 3 + Rng.int rng 5 in
+  Fault.gen ~rng ~caps ~n ~horizon:duration
+
+let build ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenario:name ~seed ~duration () =
+  (snd (scenario name)) ~engine ~nodes ~domains ~seed ~duration
 
 (* Oracle comparison. Exact aggregates (COUNT, MIN, MAX, QUANTILE,
    DELTA) must match bit-for-bit (or be NaN on both sides); running

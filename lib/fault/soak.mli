@@ -29,13 +29,14 @@
     assert that. *)
 
 val scenario_names : string list
-(** ["blk"; "sched"; "store"; "fleet"]: LinnOS-style block stack
-    under I/O load; multi-CPU scheduler with a wild slice policy;
-    feature-store aggregation under a synthetic save workload; a
-    multi-node fleet whose faults all land on node 0 (its device
+(** ["blk"; "sched"; "store"; "fleet"; "serve"]: LinnOS-style block
+    stack under I/O load; multi-CPU scheduler with a wild slice
+    policy; feature-store aggregation under a synthetic save workload;
+    a multi-node fleet whose faults all land on node 0 (its device
     dies, its shard's keys get corrupted, its hooks raise) while the
     invariants assert that the fleet-merged aggregates and the
-    surviving nodes' guardrails stay consistent. *)
+    surviving nodes' guardrails stay consistent; and the same fleet
+    under a lifecycle that pushes canaried rollouts to node 0. *)
 
 val caps_of : string -> Fault.caps
 (** What each scenario exposes for faulting.

@@ -4,8 +4,11 @@ type decision = Hedge of Time_ns.t | Trust_primary | Revoke_now
 
 type policy = { policy_name : string; decide : float array -> decision }
 
-let hedge_policy ?(timeout = Time_ns.us 300) () =
-  { policy_name = "hedge"; decide = (fun _ -> Hedge timeout) }
+let slow_threshold_us = 300.
+let feature_history = 4
+let hedge_timeout = Time_ns.of_float_sec (slow_threshold_us *. 1e-6)
+let revoke_overhead = Time_ns.us 15
+let hedge_policy () = { policy_name = "hedge"; decide = (fun _ -> Hedge hedge_timeout) }
 
 type io_result = {
   submitted_at : Time_ns.t;
@@ -21,9 +24,6 @@ type t = {
   hooks : Hooks.t;
   devices : Ssd.t array;
   slot : policy Policy_slot.t;
-  slow_threshold_us : float;
-  revoke_overhead : Time_ns.t;
-  feature_history : int;
   mutable completed : int;
   mutable false_submits : int;
   mutable false_revokes : int;
@@ -31,19 +31,13 @@ type t = {
   mutable hedge_fires : int;
 }
 
-let create ~engine ~hooks ~devices ?(slow_threshold_us = 300.)
-    ?(revoke_overhead = Time_ns.us 15) ?(feature_history = 4) () =
+let create ~engine ~hooks ~devices () =
   if Array.length devices < 2 then invalid_arg "Blk.create: need at least two devices";
   {
     engine;
     hooks;
     devices;
-    slot =
-      Policy_slot.create ~name:"blk:submission"
-        ~fallback:("hedge", hedge_policy ~timeout:(Time_ns.of_float_sec (slow_threshold_us *. 1e-6)) ());
-    slow_threshold_us;
-    revoke_overhead;
-    feature_history;
+    slot = Policy_slot.create ~name:"blk:submission" ~fallback:("hedge", hedge_policy ());
     completed = 0;
     false_submits = 0;
     false_revokes = 0;
@@ -59,10 +53,9 @@ let features t ~primary =
   let r = t.devices.((primary + 1) mod n) in
   Array.append
     [| float_of_int (Ssd.queue_depth p); float_of_int (Ssd.queue_depth r) |]
-    (Ssd.recent_latencies_us p ~n:t.feature_history)
+    (Ssd.recent_latencies_us p ~n:feature_history)
 
-let feature_dim t = 2 + t.feature_history
-let slow_threshold_us t = t.slow_threshold_us
+let feature_dim _ = 2 + feature_history
 
 let bool_arg b = if b then 1. else 0.
 
@@ -86,7 +79,7 @@ let submit_read t ~primary ~on_complete =
   let decision = policy.decide (features t ~primary) in
   (* Ground truth: the latency the primary would serve this I/O at. *)
   let primary_latency = Ssd.draw_latency t.devices.(primary) ~now in
-  let primary_was_slow = Time_ns.to_float_us primary_latency > t.slow_threshold_us in
+  let primary_was_slow = Time_ns.to_float_us primary_latency > slow_threshold_us in
   Hooks.fire t.hooks "blk:io_submit"
     [ ("dev", float_of_int primary); ("decision", decision_code decision) ];
   (* What the hedge baseline would have paid for this I/O: the
@@ -95,8 +88,7 @@ let submit_read t ~primary ~on_complete =
      replica's recent completions; its base profile median before any
      history accumulates). *)
   let hedge_counterfactual =
-    let timeout = Time_ns.of_float_sec (t.slow_threshold_us *. 1e-6) in
-    if Time_ns.compare primary_latency timeout <= 0 then primary_latency
+    if Time_ns.compare primary_latency hedge_timeout <= 0 then primary_latency
     else begin
       let replica_dev = t.devices.(replica) in
       let recent = Ssd.recent_latencies_us replica_dev ~n:4 in
@@ -106,8 +98,8 @@ let submit_read t ~primary ~on_complete =
           Array.fold_left ( +. ) 0. observed /. float_of_int (Array.length observed)
         else (Ssd.profile replica_dev).base_latency_us
       in
-      Time_ns.add timeout
-        (Time_ns.add (Time_ns.of_float_sec (typical_us *. 1e-6)) t.revoke_overhead)
+      Time_ns.add hedge_timeout
+        (Time_ns.add (Time_ns.of_float_sec (typical_us *. 1e-6)) revoke_overhead)
     end
   in
   let complete ~served_by ~latency ~redirected ~hedged =
@@ -140,7 +132,7 @@ let submit_read t ~primary ~on_complete =
         complete ~served_by:primary ~latency:primary_latency ~redirected:false ~hedged:false)
   | Revoke_now ->
     let replica_latency = Ssd.draw_latency t.devices.(replica) ~now in
-    let latency = Time_ns.add replica_latency t.revoke_overhead in
+    let latency = Time_ns.add replica_latency revoke_overhead in
     occupy t ~dev:replica ~latency:replica_latency (fun () ->
         complete ~served_by:replica ~latency ~redirected:true ~hedged:false)
   | Hedge timeout ->
@@ -155,7 +147,7 @@ let submit_read t ~primary ~on_complete =
           let now' = Gr_sim.Engine.now t.engine in
           let replica_latency = Ssd.draw_latency t.devices.(replica) ~now:now' in
           let total =
-            Time_ns.add timeout (Time_ns.add replica_latency t.revoke_overhead)
+            Time_ns.add timeout (Time_ns.add replica_latency revoke_overhead)
           in
           occupy t ~dev:replica ~latency:replica_latency (fun () ->
               complete ~served_by:replica ~latency:total ~redirected:true ~hedged:true))

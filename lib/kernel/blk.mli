@@ -45,9 +45,17 @@ type policy = {
       (** [decide features] with the features of {!features}. *)
 }
 
-val hedge_policy : ?timeout:Gr_util.Time_ns.t -> unit -> policy
-(** Baseline flash-RAID failover: always [Hedge timeout]
-    (default 300us). *)
+val slow_threshold_us : float
+(** Ground-truth "slow": a primary latency above 300us. *)
+
+val hedge_timeout : Gr_util.Time_ns.t
+(** The baseline's hedge timeout: {!slow_threshold_us}. *)
+
+val feature_history : int
+(** Recent primary service latencies in a feature vector: 4. *)
+
+val hedge_policy : unit -> policy
+(** Baseline flash-RAID failover: always [Hedge hedge_timeout]. *)
 
 type io_result = {
   submitted_at : Gr_util.Time_ns.t;
@@ -64,20 +72,17 @@ val create :
   engine:Gr_sim.Engine.t ->
   hooks:Hooks.t ->
   devices:Ssd.t array ->
-  ?slow_threshold_us:float ->
-  ?revoke_overhead:Gr_util.Time_ns.t ->
-  ?feature_history:int ->
   unit ->
   t
-(** Requires at least two devices. The slow threshold (default 300us)
-    defines ground-truth "slow"; revoke overhead defaults to 15us. *)
+(** Requires at least two devices. A revocation costs 15us on top of
+    the replica's service time. *)
 
 val slot : t -> policy Policy_slot.t
 (** The submission-policy slot; the REPLACE action acts here. *)
 
 val features : t -> primary:int -> float array
 (** Feature vector for an I/O targeting [primary]: primary queue
-    depth, replica queue depth, then [feature_history] recent primary
+    depth, replica queue depth, then {!feature_history} recent primary
     service latencies (us, oldest first). *)
 
 val feature_dim : t -> int
@@ -86,8 +91,6 @@ val submit_read : t -> primary:int -> on_complete:(io_result -> unit) -> unit
 (** Issues a read whose primary is device [primary mod n_devices]; the
     replica is the next device. Completion is delivered through the
     sim engine. *)
-
-val slow_threshold_us : t -> float
 
 (** Running counters since creation. *)
 

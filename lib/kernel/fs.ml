@@ -1,13 +1,13 @@
 type policy = { policy_name : string; window : float array -> int }
 
-let sequential_doubling ?(max_window = 32) () =
+let sequential_doubling () =
   {
     policy_name = "sequential-doubling";
     window =
       (fun features ->
         let delta = features.(0) and run = features.(1) in
         if delta <> 1. then 0
-        else min max_window (4 * int_of_float (Float.min 8. (Float.max 1. run))));
+        else min 32 (4 * int_of_float (Float.min 8. (Float.max 1. run))));
   }
 
 type page_state = { mutable prefetched : bool }
@@ -15,8 +15,7 @@ type page_state = { mutable prefetched : bool }
 type t = {
   hooks : Hooks.t;
   cache_pages : int;
-  file_pages : int;
-  max_readahead : int;
+  max_readahead : int; (* hard sanity cap: 4x the page budget *)
   slot : policy Policy_slot.t;
   cached : (int, page_state) Hashtbl.t;
   mutable lru : int list; (* LRU first *)
@@ -28,13 +27,14 @@ type t = {
   mutable prefetch_wasted : int;
 }
 
-let create ~hooks ~cache_pages ?(file_pages = 65536) ?max_readahead () =
+let file_pages = 65536
+
+let create ~hooks ~cache_pages () =
   if cache_pages <= 0 then invalid_arg "Fs.create: cache_pages must be positive";
   {
     hooks;
     cache_pages;
-    file_pages;
-    max_readahead = Option.value ~default:(4 * cache_pages) max_readahead;
+    max_readahead = 4 * cache_pages;
     slot = Policy_slot.create ~name:"fs:readahead" ~fallback:("sequential-doubling", sequential_doubling ());
     cached = Hashtbl.create (2 * cache_pages);
     lru = [];
@@ -72,7 +72,7 @@ let insert t offset ~prefetched =
   end
 
 let read t ~offset =
-  let offset = ((offset mod t.file_pages) + t.file_pages) mod t.file_pages in
+  let offset = ((offset mod file_pages) + file_pages) mod file_pages in
   t.reads <- t.reads + 1;
   let delta = offset - t.last_offset in
   t.run_length <- (if delta = 1 then t.run_length + 1 else 0);
@@ -102,7 +102,7 @@ let read t ~offset =
        is precisely the misbehaviour a P3 guardrail exists to stop. *)
     let granted = max 0 (min requested t.max_readahead) in
     for i = 1 to granted do
-      insert t ((offset + i) mod t.file_pages) ~prefetched:true
+      insert t ((offset + i) mod file_pages) ~prefetched:true
     done
   end
   else Hooks.fire t.hooks "fs:read" [ ("offset", float_of_int offset); ("hit", 1.) ];

@@ -31,23 +31,20 @@ type policy = {
           sequential run length, cache occupancy fraction. *)
 }
 
-val sequential_doubling : ?max_window:int -> unit -> policy
+val sequential_doubling : unit -> policy
 (** Linux-style heuristic: window doubles with the sequential run
-    (4, 8, 16, ... up to [max_window], default 32); random seeks
-    reset to 0. *)
+    (4, 8, 16, ... up to 32); random seeks reset to 0. *)
 
 type t
 
 val create :
   hooks:Hooks.t ->
   cache_pages:int ->
-  ?file_pages:int ->
-  ?max_readahead:int ->
   unit ->
   t
-(** [cache_pages] is the process's page budget (the P3 memory limit);
-    [file_pages] the file size (default 65536); [max_readahead] the
-    hard sanity cap (default 4x cache). *)
+(** [cache_pages] is the process's page budget (the P3 memory limit).
+    The file spans 65536 pages; a readahead is capped at 4x the
+    budget. *)
 
 val slot : t -> policy Policy_slot.t
 

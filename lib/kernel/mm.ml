@@ -19,9 +19,6 @@ type t = {
   hooks : Hooks.t;
   slot : policy Policy_slot.t;
   fast_capacity : int;
-  fast_latency : Time_ns.t;
-  slow_latency : Time_ns.t;
-  promote_cost : Time_ns.t;
   pages : (int, page_state) Hashtbl.t;
   mutable fast_lru : int list; (* most recent first; only fast pages *)
   mutable accesses : int;
@@ -30,17 +27,17 @@ type t = {
   mutable quota : int;
 }
 
-let create ~engine ~hooks ~fast_capacity ?(fast_latency = Time_ns.ns 120)
-    ?(slow_latency = Time_ns.us 2) ?(promote_cost = Time_ns.us 4) () =
+let fast_latency = Time_ns.ns 120
+let slow_latency = Time_ns.us 2
+let promote_cost = Time_ns.us 4
+
+let create ~engine ~hooks ~fast_capacity () =
   if fast_capacity <= 0 then invalid_arg "Mm.create: fast_capacity must be positive";
   {
     engine;
     hooks;
     slot = Policy_slot.create ~name:"mm:placement" ~fallback:("second-touch", promote_on_second_touch);
     fast_capacity;
-    fast_latency;
-    slow_latency;
-    promote_cost;
     pages = Hashtbl.create 1024;
     fast_lru = [];
     accesses = 0;
@@ -94,7 +91,7 @@ let access t ~page =
     if st.in_fast then begin
       t.fast_hits <- t.fast_hits + 1;
       touch_lru t page;
-      t.fast_latency
+      fast_latency
     end
     else begin
       let features =
@@ -108,9 +105,9 @@ let access t ~page =
       let lat =
         if policy.promote features then begin
           promote t page st;
-          Time_ns.add t.slow_latency t.promote_cost
+          Time_ns.add slow_latency promote_cost
         end
-        else t.slow_latency
+        else slow_latency
       in
       Hooks.fire t.hooks "mm:page_fault" [ ("latency_us", Time_ns.to_float_us lat) ];
       lat

@@ -15,9 +15,6 @@ type t = {
   engine : Gr_sim.Engine.t;
   hooks : Hooks.t;
   capacity_mbps : float;
-  base_rtt : Time_ns.t;
-  queue_capacity_ms : float;
-  tick : Time_ns.t;
   slot : controller Policy_slot.t;
   mutable rate_mbps : float;
   mutable queue_ms : float; (* backlog expressed as drain time *)
@@ -29,16 +26,16 @@ type t = {
   mutable running : bool;
 }
 
-let create ~engine ~hooks ~capacity_mbps ?(base_rtt = Time_ns.ms 20)
-    ?(queue_capacity_ms = 50.) ?(tick = Time_ns.ms 10) () =
+let base_rtt = Time_ns.ms 20
+let queue_capacity_ms = 50. (* buffering, as drain time *)
+let tick = Time_ns.ms 10
+
+let create ~engine ~hooks ~capacity_mbps () =
   if capacity_mbps <= 0. then invalid_arg "Net.create: capacity must be positive";
   {
     engine;
     hooks;
     capacity_mbps;
-    base_rtt;
-    queue_capacity_ms;
-    tick;
     slot = Policy_slot.create ~name:"net:congestion" ~fallback:("aimd", aimd);
     rate_mbps = 0.;
     queue_ms = 0.;
@@ -53,14 +50,14 @@ let create ~engine ~hooks ~capacity_mbps ?(base_rtt = Time_ns.ms 20)
 let slot t = t.slot
 
 let step t =
-  let tick_ms = Time_ns.to_float_ms t.tick in
+  let tick_ms = Time_ns.to_float_ms tick in
   (* Work is measured in megabit-milliseconds; the link drains
      capacity_mbps worth each tick. *)
   let offered = t.rate_mbps *. tick_ms in
   let drained = t.capacity_mbps *. tick_ms in
   let backlog = (t.queue_ms *. t.capacity_mbps) +. offered in
   let after = Float.max 0. (backlog -. drained) in
-  let queue_cap = t.queue_capacity_ms *. t.capacity_mbps in
+  let queue_cap = queue_capacity_ms *. t.capacity_mbps in
   let overflow = Float.max 0. (after -. queue_cap) in
   (* min, not subtraction: at extreme offered loads (after >> cap)
      [after -. overflow] cancels catastrophically. *)
@@ -71,7 +68,7 @@ let step t =
   t.util <- Float.min 1. (delivered /. drained);
   t.util_sum <- t.util_sum +. t.util;
   t.ticks <- t.ticks + 1;
-  t.rtt_ms <- Time_ns.to_float_ms t.base_rtt +. t.queue_ms;
+  t.rtt_ms <- Time_ns.to_float_ms base_rtt +. t.queue_ms;
   let controller = Policy_slot.current t.slot in
   let multiplier = controller.adjust ~rtt_ms:t.rtt_ms ~loss:t.loss in
   let multiplier = Float.max 0.1 (Float.min 4.0 multiplier) in
@@ -92,7 +89,7 @@ let start t ~initial_rate_mbps =
     t.running <- true;
     t.rate_mbps <- initial_rate_mbps;
     ignore
-      (Gr_sim.Engine.every t.engine ~interval:t.tick (fun _ -> step t) : Gr_sim.Engine.handle)
+      (Gr_sim.Engine.every t.engine ~interval:tick (fun _ -> step t) : Gr_sim.Engine.handle)
   end
 
 let rate_mbps t = t.rate_mbps

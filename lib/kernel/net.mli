@@ -35,12 +35,9 @@ val create :
   engine:Gr_sim.Engine.t ->
   hooks:Hooks.t ->
   capacity_mbps:float ->
-  ?base_rtt:Gr_util.Time_ns.t ->
-  ?queue_capacity_ms:float ->
-  ?tick:Gr_util.Time_ns.t ->
   unit ->
   t
-(** Defaults: 20ms base RTT, 50ms of buffering, 10ms ticks. *)
+(** A link with a 20ms base RTT, 50ms of buffering and 10ms ticks. *)
 
 val slot : t -> controller Policy_slot.t
 

@@ -14,7 +14,6 @@ type layer = {
 type t = {
   layers : layer array;
   final : float array; (* the last layer's [out] *)
-  mutable forwards : int;
 }
 
 let[@inline] activate act x =
@@ -32,8 +31,7 @@ let[@inline] deriv act y =
   | Tanh -> 1. -. (y *. y)
   | Linear -> 1.
 
-let assemble layers =
-  { layers; final = layers.(Array.length layers - 1).out; forwards = 0 }
+let assemble layers = { layers; final = layers.(Array.length layers - 1).out }
 
 let create ~rng ~layers ?(hidden = Relu) ?(output = Sigmoid) () =
   (match layers with
@@ -83,8 +81,7 @@ let infer t input =
     let l = t.layers.(k) in
     layer_into l !src l.out;
     src := l.out
-  done;
-  t.forwards <- t.forwards + 1
+  done
 
 let check_input fn t input =
   if Array.length input <> input_dim t then invalid_arg (fn ^ ": input dimension mismatch")
@@ -100,19 +97,6 @@ let[@inline] score t input =
   check_input "Mlp.score" t input;
   infer t input;
   t.final.(0)
-
-let predict_class t input =
-  check_input "Mlp.predict_class" t input;
-  infer t input;
-  let out = t.final in
-  if Array.length out = 1 then (if out.(0) >= 0.5 then 1 else 0)
-  else begin
-    let best = ref 0 in
-    for i = 1 to Array.length out - 1 do
-      if out.(i) > out.(!best) then best := i
-    done;
-    !best
-  end
 
 (* One [train] call's working set, allocated once and reused by every
    batch. [acts.(0)] is the current sample's input and [acts.(l + 1)]
@@ -227,7 +211,6 @@ let train t ~rng ~epochs ~batch_size ~lr data =
     !last_loss
   end
 
-let forward_count t = t.forwards
 let flops_per_forward t = Array.fold_left (fun acc l -> acc + (l.n_out * (l.n_in + 1))) 0 t.layers
 
 let copy t =
@@ -242,4 +225,4 @@ let copy t =
         })
       t.layers
   in
-  { (assemble layers) with forwards = t.forwards }
+  assemble layers

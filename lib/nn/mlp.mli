@@ -27,8 +27,8 @@
 
     Inference cost matters to the reproduction — the P5 property
     (decision overhead) charges simulated time per forward pass — so
-    {!forward_count} and {!flops_per_forward} are exposed for the
-    overhead accounting. *)
+    {!flops_per_forward} is exposed for the overhead accounting.
+    Learned policies hold their net in a {!Scorer.t}. *)
 
 type activation = Relu | Sigmoid | Tanh | Linear
 
@@ -58,10 +58,6 @@ val score : t -> float array -> float
     array. Where it inlines into its caller (release builds), the
     float stays unboxed and a call allocates nothing. *)
 
-val predict_class : t -> float array -> int
-(** Index of the largest output; for a 1-output sigmoid net, returns
-    0/1 by thresholding at 0.5. *)
-
 val train :
   t ->
   rng:Gr_util.Rng.t ->
@@ -76,10 +72,6 @@ val train :
     minibatch loss (each taken before its step). [batch_size] must be
     positive, and every input must have length [input_dim] and every
     target [output_dim]. *)
-
-val forward_count : t -> int
-(** Number of inferences ({!forward}, {!score}, {!predict_class})
-    executed since creation; training does not count. *)
 
 val flops_per_forward : t -> int
 (** Approximate multiply-accumulate count of one inference, used to

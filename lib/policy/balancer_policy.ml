@@ -6,8 +6,7 @@ type t = {
   cpus : int;
   samples : int;
   epochs : int;
-  mutable model : Mlp.t;
-  input : float array; (* the model input of the decision in flight *)
+  mutable scorer : Scorer.t;
   mutable affinity : float;
   mutable retrains : int;
 }
@@ -15,43 +14,27 @@ type t = {
 (* The scorer sees one queue at a time: [relative length; is_cpu0].
    Lower score = better placement target. Training imitates the
    least-loaded expert: score = queue length, no CPU preference. *)
-let fit t =
+let fit ~rng ~samples ~epochs =
   let data =
-    Array.init t.samples (fun _ ->
-        let len = float_of_int (Rng.int t.rng 16) in
-        let is0 = if Rng.bool t.rng then 1. else 0. in
+    Array.init samples (fun _ ->
+        let len = float_of_int (Rng.int rng 16) in
+        let is0 = if Rng.bool rng then 1. else 0. in
         ([| len /. 16.; is0 |], [| len /. 16. |]))
   in
-  let model =
-    Mlp.create ~rng:(Rng.fork t.rng) ~layers:[ 2; 6; 1 ] ~hidden:Gr_nn.Mlp.Tanh
-      ~output:Gr_nn.Mlp.Linear ()
-  in
-  ignore (Mlp.train model ~rng:t.rng ~epochs:t.epochs ~batch_size:16 ~lr:0.1 data : float);
-  t.model <- model
+  Scorer.fit ~rng ~layers:[ 2; 6; 1 ] ~hidden:Mlp.Tanh ~output:Mlp.Linear ~epochs ~batch_size:16
+    ~lr:0.1 data
 
 let train ~rng ~cpus ?(samples = 800) ?(epochs = 30) () =
   let rng = Rng.fork rng in
-  let t =
-    {
-      rng;
-      cpus;
-      samples;
-      epochs;
-      model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2; 1 ] ~output:Gr_nn.Mlp.Linear ();
-      input = Array.make 2 0.;
-      affinity = 0.;
-      retrains = 0;
-    }
-  in
-  fit t;
-  t
+  { rng; cpus; samples; epochs; scorer = fit ~rng ~samples ~epochs; affinity = 0.; retrains = 0 }
 
-let model t = t.model
+let scorer t = t.scorer
 
 let[@inline] score t ~len ~cpu =
-  t.input.(0) <- float_of_int len /. 16.;
-  t.input.(1) <- (if cpu = 0 then 1. else 0.);
-  Mlp.score t.model t.input
+  let x = Scorer.input t.scorer in
+  x.(0) <- float_of_int len /. 16.;
+  x.(1) <- (if cpu = 0 then 1. else 0.);
+  Scorer.score t.scorer
 
 (* Lower is a better target; the injected affinity favours CPU 0. *)
 let[@inline] placement t ~len ~cpu =
@@ -80,6 +63,6 @@ let inject_affinity t ~strength = t.affinity <- strength
 let retrain t =
   t.retrains <- t.retrains + 1;
   t.affinity <- 0.;
-  fit t
+  t.scorer <- fit ~rng:t.rng ~samples:t.samples ~epochs:t.epochs
 
 let retrain_count t = t.retrains

@@ -14,15 +14,12 @@ val train : rng:Gr_util.Rng.t -> cpus:int -> ?samples:int -> ?epochs:int -> unit
 
 val balancer : t -> Gr_kernel.Sched.balancer
 val place : t -> queue_lens:int array -> int
-val model : t -> Gr_nn.Mlp.t
+val scorer : t -> Gr_nn.Scorer.t
 
 val score : t -> len:int -> cpu:int -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds. [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. Lower is a better target; {!place} subtracts the
-    injected affinity from CPU 0's score. *)
+(** The scorer's output on the input vector these arguments fill
+    ({!Gr_nn.Scorer.score}). Lower is a better target; {!place}
+    subtracts the injected affinity from CPU 0's score. *)
 
 val inject_affinity : t -> strength:float -> unit
 (** Adds a bias toward CPU 0 of the given strength (in units of

@@ -6,9 +6,7 @@ type key_state = { mutable last_access : int; mutable count : int }
 type t = {
   rng : Rng.t;
   epochs : int;
-  mutable model : Mlp.t;
-  mutable scaler : Scaler.t;
-  input : float array; (* the model input of the decision in flight *)
+  mutable scorer : Scorer.t;
   mutable retrains : int;
   mutable tick : int; (* logical access clock *)
   table : (int, key_state) Hashtbl.t;
@@ -51,16 +49,10 @@ let dataset trace =
     trace;
   Array.of_list (List.rev !samples)
 
-let fit t trace =
+let fit ~rng ~epochs trace =
   let raw = dataset trace in
-  let scaler = Scaler.fit (Array.map fst raw) in
-  let data = Array.map (fun (x, y) -> (Scaler.transform scaler x, y)) raw in
-  let model =
-    Mlp.create ~rng:(Rng.fork t.rng) ~layers:[ 2; 10; 1 ] ~output:Gr_nn.Mlp.Linear ()
-  in
-  ignore (Mlp.train model ~rng:t.rng ~epochs:t.epochs ~batch_size:32 ~lr:0.02 data : float);
-  t.model <- model;
-  t.scaler <- scaler
+  Scorer.fit ~rng ~scaler:(Scaler.fit (Array.map fst raw)) ~layers:[ 2; 10; 1 ] ~output:Mlp.Linear
+    ~epochs ~batch_size:32 ~lr:0.02 raw
 
 let train ~rng ~hooks ~trace ?(epochs = 10) () =
   let rng = Rng.fork rng in
@@ -68,15 +60,12 @@ let train ~rng ~hooks ~trace ?(epochs = 10) () =
     {
       rng;
       epochs;
-      model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2; 1 ] ~output:Gr_nn.Mlp.Linear ();
-      scaler = Scaler.fit [| [| 0.; 0. |] |];
-      input = Array.make 2 0.;
+      scorer = fit ~rng ~epochs trace;
       retrains = 0;
       tick = 0;
       table = Hashtbl.create 1024;
     }
   in
-  fit t trace;
   ignore
     (Gr_kernel.Hooks.subscribe hooks "cache:access" (fun args ->
          match List.assoc_opt "key" args with
@@ -92,13 +81,11 @@ let train ~rng ~hooks ~trace ?(epochs = 10) () =
       : Gr_kernel.Hooks.subscription);
   t
 
-let model t = t.model
-let scaler t = t.scaler
+let scorer t = t.scorer
 
 let[@inline] predicted_reuse_distance t key =
-  features_into t key t.input;
-  Scaler.transform_into t.scaler t.input t.input;
-  Mlp.score t.model t.input
+  features_into t key (Scorer.input t.scorer);
+  Scorer.score t.scorer
 
 let policy t =
   {
@@ -119,6 +106,6 @@ let policy t =
 
 let retrain t ~trace =
   t.retrains <- t.retrains + 1;
-  fit t trace
+  t.scorer <- fit ~rng:t.rng ~epochs:t.epochs trace
 
 let retrain_count t = t.retrains

@@ -25,17 +25,11 @@ val train :
 
 val policy : t -> Gr_kernel.Cache.policy
 
-val model : t -> Gr_nn.Mlp.t
-
-val scaler : t -> Gr_nn.Scaler.t
-(** The scaler the model's inputs pass through. *)
+val scorer : t -> Gr_nn.Scorer.t
 
 val predicted_reuse_distance : t -> int -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds: the key's scaled (recency, frequency). [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. *)
+(** The scorer's output on the key's (recency, frequency)
+    ({!Gr_nn.Scorer.score}, which scales them). *)
 
 val retrain : t -> trace:int array -> unit
 val retrain_count : t -> int

@@ -2,8 +2,7 @@ open Gr_util
 open Gr_nn
 
 type t = {
-  model : Mlp.t;
-  input : float array; (* the model input of the decision in flight *)
+  scorer : Scorer.t;
   mutable wobble : float; (* amplitude of the injected instability *)
 }
 
@@ -19,16 +18,18 @@ let train ~rng ?(samples = 800) ?(epochs = 50) () =
         let rtt_ms = Rng.float rng 120. and loss = Rng.float rng 0.15 in
         ([| rtt_ms /. 120.; loss /. 0.15 |], [| target ~rtt_ms ~loss |]))
   in
-  let model = Mlp.create ~rng:(Rng.fork rng) ~layers:[ 2; 10; 1 ] ~hidden:Gr_nn.Mlp.Tanh () in
-  ignore (Mlp.train model ~rng ~epochs ~batch_size:16 ~lr:0.15 data : float);
-  { model; input = Array.make 2 0.; wobble = 0. }
+  let scorer =
+    Scorer.fit ~rng ~layers:[ 2; 10; 1 ] ~hidden:Mlp.Tanh ~epochs ~batch_size:16 ~lr:0.15 data
+  in
+  { scorer; wobble = 0. }
 
-let model t = t.model
+let scorer t = t.scorer
 
 let[@inline] score t ~rtt_ms ~loss =
-  t.input.(0) <- rtt_ms /. 120.;
-  t.input.(1) <- loss /. 0.15;
-  Mlp.score t.model t.input
+  let x = Scorer.input t.scorer in
+  x.(0) <- rtt_ms /. 120.;
+  x.(1) <- loss /. 0.15;
+  Scorer.score t.scorer
 
 let[@inline] rate_multiplier t ~rtt_ms ~loss =
   let rtt_n = rtt_ms /. 120. and loss_n = loss /. 0.15 in
@@ -39,7 +40,8 @@ let[@inline] rate_multiplier t ~rtt_ms ~loss =
   let noisy = base +. (t.wobble *. sin (500. *. (rtt_n +. loss_n))) in
   Float.max 0. noisy
 
-let sensitivity_probe t ~rng ~rtt_ms ~loss ?(epsilon = 0.01) () =
+let sensitivity_probe t ~rng ~rtt_ms ~loss () =
+  let epsilon = 0.01 in
   let base = rate_multiplier t ~rtt_ms ~loss in
   let worst = ref 0. in
   for _ = 1 to 6 do

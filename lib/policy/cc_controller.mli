@@ -21,19 +21,17 @@ val train : rng:Gr_util.Rng.t -> ?samples:int -> ?epochs:int -> unit -> t
 val rate_multiplier : t -> rtt_ms:float -> loss:float -> float
 (** In (0, 2): < 1 backs off, > 1 speeds up. *)
 
-val model : t -> Gr_nn.Mlp.t
+val scorer : t -> Gr_nn.Scorer.t
 
 val score : t -> rtt_ms:float -> loss:float -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds. [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. *)
+(** The scorer's output on the input vector these arguments fill
+    ({!Gr_nn.Scorer.score}). *)
 
 val sensitivity_probe :
-  t -> rng:Gr_util.Rng.t -> rtt_ms:float -> loss:float -> ?epsilon:float -> unit -> float
-(** Max |delta output| / epsilon over a handful of perturbed inputs —
-    an empirical local Lipschitz estimate. *)
+  t -> rng:Gr_util.Rng.t -> rtt_ms:float -> loss:float -> unit -> float
+(** Max |delta output| / epsilon over six inputs perturbed by an
+    epsilon of 0.01 of each input's range — an empirical local
+    Lipschitz estimate. *)
 
 val inject_sensitivity : t -> scale:float -> unit
 (** Sets the instability amplitude; [scale <= 1.] restores the

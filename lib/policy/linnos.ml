@@ -4,17 +4,15 @@ open Gr_nn
 type t = {
   rng : Rng.t;
   devices : Gr_kernel.Ssd.t array;
-  history : int;
-  slow_threshold_us : float;
   samples_per_device : int;
   epochs : int;
-  mutable model : Mlp.t;
-  mutable scaler : Scaler.t;
+  mutable scorer : Scorer.t;
   mutable enabled : bool;
   mutable retrains : int;
   mutable features : float array array;
-  input : float array; (* scaled features of the decision in flight *)
 }
+
+let history = Gr_kernel.Blk.feature_history
 
 (* Draws a labelled calibration set by probing a synthetic twin of
    each device (same profile, private RNG), so calibration never
@@ -22,7 +20,7 @@ type t = {
    time in small exponential steps so consecutive samples fall inside
    or outside the same GC episode, which is the temporal correlation
    the classifier must learn. Samples are stored last-drawn first. *)
-let probe_dataset ~rng ~devices ~history ~slow_threshold_us ~samples_per_device =
+let probe_dataset ~rng ~devices ~samples_per_device =
   let total = Array.length devices * samples_per_device in
   let samples = Array.make total ([||], [||]) in
   let next = ref total in
@@ -48,7 +46,7 @@ let probe_dataset ~rng ~devices ~history ~slow_threshold_us ~samples_per_device 
         for j = 0 to history - 1 do
           feature.(2 + j) <- Ring.get window j
         done;
-        let label = if lat_us > slow_threshold_us then 1. else 0. in
+        let label = if lat_us > Gr_kernel.Blk.slow_threshold_us then 1. else 0. in
         decr next;
         samples.(!next) <- (feature, [| label |]);
         Ring.push window lat_us
@@ -69,61 +67,32 @@ let balance ~rng data =
     Array.append data extra
   end
 
-let fit t =
-  let raw = probe_dataset ~rng:t.rng ~devices:t.devices ~history:t.history
-      ~slow_threshold_us:t.slow_threshold_us ~samples_per_device:t.samples_per_device
+(* The scaler sees each calibration feature once, before balancing
+   duplicates slow examples; [Scorer.fit] then scales the balanced
+   set. *)
+let fit ~rng ~devices ~samples_per_device ~epochs =
+  let raw = probe_dataset ~rng ~devices ~samples_per_device in
+  let features = Array.map fst raw in
+  let scaler = Scaler.fit features in
+  let scorer =
+    Scorer.fit ~rng ~scaler ~layers:[ 2 + history; 16; 16; 1 ] ~epochs ~batch_size:32 ~lr:0.08
+      (balance ~rng raw)
   in
-  t.features <- Array.map fst raw;
-  let scaler = Scaler.fit t.features in
-  let data =
-    balance ~rng:t.rng (Array.map (fun (x, y) -> (Scaler.transform scaler x, y)) raw)
-  in
-  let model =
-    Mlp.create ~rng:(Rng.fork t.rng) ~layers:[ 2 + t.history; 16; 16; 1 ] ()
-  in
-  ignore (Mlp.train model ~rng:t.rng ~epochs:t.epochs ~batch_size:32 ~lr:0.08 data : float);
-  t.model <- model;
-  t.scaler <- scaler
+  (features, scorer)
 
-let train ~rng ~devices ?(history = 4) ?(slow_threshold_us = 300.)
-    ?(samples_per_device = 1500) ?(epochs = 25) () =
+let train ~rng ~devices ?(samples_per_device = 1500) ?(epochs = 25) () =
   let rng = Rng.fork rng in
-  let t =
-    {
-      rng;
-      devices;
-      history;
-      slow_threshold_us;
-      samples_per_device;
-      epochs;
-      model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 2 + history; 1 ] ();
-      scaler = Scaler.fit [| Array.make (2 + history) 0. |];
-      enabled = true;
-      retrains = 0;
-      features = [||];
-      input = Array.make (2 + history) 0.;
-    }
-  in
-  fit t;
-  t
+  let features, scorer = fit ~rng ~devices ~samples_per_device ~epochs in
+  { rng; devices; samples_per_device; epochs; scorer; enabled = true; retrains = 0; features }
 
-let copy t ~devices =
-  {
-    t with
-    rng = Rng.copy t.rng;
-    devices;
-    model = Mlp.copy t.model;
-    input = Array.make (Array.length t.input) 0.;
-  }
+let copy t ~devices = { t with rng = Rng.copy t.rng; devices; scorer = Scorer.copy t.scorer }
 
-let[@inline] predict_score t features =
-  Scaler.transform_into t.scaler features t.input;
-  Mlp.score t.model t.input
+let[@inline] predict_score t features = Scorer.score_of t.scorer features
 
 let predict_slow t features = predict_score t features >= 0.5
 
 let policy t =
-  let hedge = Time_ns.of_float_sec (t.slow_threshold_us *. 1e-6) in
+  let hedge = Gr_kernel.Blk.hedge_timeout in
   {
     Gr_kernel.Blk.policy_name = "linnos";
     decide =
@@ -138,14 +107,17 @@ let enabled t = t.enabled
 
 let retrain t =
   t.retrains <- t.retrains + 1;
-  fit t
+  let features, scorer =
+    fit ~rng:t.rng ~devices:t.devices ~samples_per_device:t.samples_per_device ~epochs:t.epochs
+  in
+  t.features <- features;
+  t.scorer <- scorer
 
 let retrain_count t = t.retrains
 
 let holdout_accuracy t =
   let holdout =
-    probe_dataset ~rng:t.rng ~devices:t.devices ~history:t.history
-      ~slow_threshold_us:t.slow_threshold_us
+    probe_dataset ~rng:t.rng ~devices:t.devices
       ~samples_per_device:(max 100 (t.samples_per_device / 4))
   in
   let correct =
@@ -157,5 +129,5 @@ let holdout_accuracy t =
   in
   float_of_int correct /. float_of_int (Array.length holdout)
 
-let inference_flops t = Mlp.flops_per_forward t.model
+let inference_flops t = Mlp.flops_per_forward (Scorer.mlp t.scorer)
 let training_features t = t.features

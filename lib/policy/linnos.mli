@@ -21,14 +21,14 @@ type t
 val train :
   rng:Gr_util.Rng.t ->
   devices:Gr_kernel.Ssd.t array ->
-  ?history:int ->
-  ?slow_threshold_us:float ->
   ?samples_per_device:int ->
   ?epochs:int ->
   unit ->
   t
-(** Calibrates against the devices' current profiles. [history] must
-    match the block layer's [feature_history] (default 4). *)
+(** Calibrates against the devices' current profiles. The features
+    and the slow label are the block layer's:
+    {!Gr_kernel.Blk.feature_history} recent latencies, slow above
+    {!Gr_kernel.Blk.slow_threshold_us}. *)
 
 val copy : t -> devices:Gr_kernel.Ssd.t array -> t
 (** A deep copy bound to [devices], which later {!retrain}s and
@@ -46,11 +46,9 @@ val policy : t -> Gr_kernel.Blk.policy
 
 val predict_slow : t -> float array -> bool
 val predict_score : t -> float array -> float
-(** Raw sigmoid output in [0,1]. A decision scales the features into
-    the model's own buffer and scores through the MLP's own layer
-    buffers ({!Gr_nn.Mlp.score}): under the release profile a
-    {!predict_slow} decision allocates nothing. A model is therefore
-    single-owner: one model must not decide in two domains at once. *)
+(** Raw sigmoid output in [0,1], through {!Gr_nn.Scorer.score_of}:
+    a {!predict_slow} decision allocates nothing under the release
+    profile, and one model must not decide in two domains at once. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

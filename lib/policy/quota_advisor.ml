@@ -3,8 +3,7 @@ open Gr_nn
 
 type t = {
   capacity : int;
-  mutable model : Mlp.t;
-  input : float array; (* the model input of the decision in flight *)
+  scorer : Scorer.t;
   mutable drift : float;
 }
 
@@ -23,16 +22,16 @@ let train ~rng ~capacity ?(samples = 600) ?(epochs = 40) () =
         ( [| miss_rate; occupancy |],
           [| target ~capacity ~miss_rate ~occupancy /. float_of_int capacity |] ))
   in
-  let model = Mlp.create ~rng:(Rng.fork rng) ~layers:[ 2; 8; 1 ] () in
-  ignore (Mlp.train model ~rng ~epochs ~batch_size:16 ~lr:0.2 data : float);
-  { capacity; model; input = Array.make 2 0.; drift = 1. }
+  let scorer = Scorer.fit ~rng ~layers:[ 2; 8; 1 ] ~epochs ~batch_size:16 ~lr:0.2 data in
+  { capacity; scorer; drift = 1. }
 
-let model t = t.model
+let scorer t = t.scorer
 
 let[@inline] score t ~miss_rate ~occupancy =
-  t.input.(0) <- miss_rate;
-  t.input.(1) <- occupancy;
-  Mlp.score t.model t.input
+  let x = Scorer.input t.scorer in
+  x.(0) <- miss_rate;
+  x.(1) <- occupancy;
+  Scorer.score t.scorer
 
 let[@inline] propose t ~miss_rate ~occupancy =
   let share = score t ~miss_rate ~occupancy in

@@ -18,14 +18,11 @@ val propose : t -> miss_rate:float -> occupancy:float -> int
 (** Proposed quota in pages; honest model outputs lie in
     [0, capacity]. *)
 
-val model : t -> Gr_nn.Mlp.t
+val scorer : t -> Gr_nn.Scorer.t
 
 val score : t -> miss_rate:float -> occupancy:float -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds. [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. *)
+(** The scorer's output on the input vector these arguments fill
+    ({!Gr_nn.Scorer.score}). *)
 
 val inject_drift : t -> scale:float -> unit
 (** Multiplies proposals by [scale]; > 1 produces out-of-bounds

@@ -5,8 +5,7 @@ type t = {
   rng : Rng.t;
   samples : int;
   epochs : int;
-  mutable model : Mlp.t;
-  input : float array; (* the model input of the decision in flight *)
+  mutable scorer : Scorer.t;
   mutable scale : float;
   mutable retrains : int;
 }
@@ -46,37 +45,20 @@ let shape features =
   shape_into x ~delta:features.(0) ~run:features.(1) ~occupancy:features.(2);
   x
 
-let fit t ~mean_run =
-  let raw = dataset ~rng:t.rng ~mean_run ~samples:t.samples in
-  let data = Array.map (fun (x, y) -> (shape x, y)) raw in
-  let model =
-    Mlp.create ~rng:(Rng.fork t.rng) ~layers:[ 3; 10; 1 ] ~hidden:Gr_nn.Mlp.Tanh
-      ~output:Gr_nn.Mlp.Linear ()
-  in
-  ignore (Mlp.train model ~rng:t.rng ~epochs:t.epochs ~batch_size:32 ~lr:0.05 data : float);
-  t.model <- model
+let fit ~rng ~samples ~epochs ~mean_run =
+  let data = Array.map (fun (x, y) -> (shape x, y)) (dataset ~rng ~mean_run ~samples) in
+  Scorer.fit ~rng ~layers:[ 3; 10; 1 ] ~hidden:Mlp.Tanh ~output:Mlp.Linear ~epochs ~batch_size:32
+    ~lr:0.05 data
 
 let train ~rng ?(mean_run = 24.) ?(samples = 4000) ?(epochs = 20) () =
   let rng = Rng.fork rng in
-  let t =
-    {
-      rng;
-      samples;
-      epochs;
-      model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ~output:Gr_nn.Mlp.Linear ();
-      input = Array.make 3 0.;
-      scale = 1.;
-      retrains = 0;
-    }
-  in
-  fit t ~mean_run;
-  t
+  { rng; samples; epochs; scorer = fit ~rng ~samples ~epochs ~mean_run; scale = 1.; retrains = 0 }
 
-let model t = t.model
+let scorer t = t.scorer
 
 let[@inline] score t ~delta ~run ~occupancy =
-  shape_into t.input ~delta ~run ~occupancy;
-  Mlp.score t.model t.input
+  shape_into (Scorer.input t.scorer) ~delta ~run ~occupancy;
+  Scorer.score t.scorer
 
 let[@inline] predict_window t ~delta ~run ~occupancy =
   let y = score t ~delta ~run ~occupancy in
@@ -96,6 +78,6 @@ let inject_scale t scale = t.scale <- scale
 let retrain t ~mean_run =
   t.retrains <- t.retrains + 1;
   t.scale <- 1.;
-  fit t ~mean_run
+  t.scorer <- fit ~rng:t.rng ~samples:t.samples ~epochs:t.epochs ~mean_run
 
 let retrain_count t = t.retrains

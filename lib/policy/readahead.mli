@@ -27,14 +27,11 @@ val train :
 
 val policy : t -> Gr_kernel.Fs.policy
 val predict_window : t -> delta:float -> run:float -> occupancy:float -> int
-val model : t -> Gr_nn.Mlp.t
+val scorer : t -> Gr_nn.Scorer.t
 
 val score : t -> delta:float -> run:float -> occupancy:float -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds. [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. *)
+(** The scorer's output on the input vector these arguments fill
+    ({!Gr_nn.Scorer.score}). *)
 
 val inject_scale : t -> float -> unit
 (** Multiplies requested windows; [1.] restores honesty. *)

@@ -5,8 +5,7 @@ type t = {
   rng : Rng.t;
   samples : int;
   epochs : int;
-  mutable model : Mlp.t;
-  input : float array; (* the model input of the decision in flight *)
+  mutable scorer : Scorer.t;
   mutable retrains : int;
   mutable sees_runqueue : bool;
 }
@@ -29,38 +28,23 @@ let dataset ~rng ~max_training_runnable ~samples ~sees_runqueue =
       ( [| nr_feature; weight /. 1024.; received /. 100. |],
         [| cfs_slice_ms ~nr_runnable:nr /. 24. |] ))
 
-let fit t ~max_training_runnable =
-  let data =
-    dataset ~rng:t.rng ~max_training_runnable ~samples:t.samples
-      ~sees_runqueue:t.sees_runqueue
-  in
-  let model = Mlp.create ~rng:(Rng.fork t.rng) ~layers:[ 3; 8; 1 ] ~hidden:Gr_nn.Mlp.Tanh () in
-  ignore (Mlp.train model ~rng:t.rng ~epochs:t.epochs ~batch_size:16 ~lr:0.2 data : float);
-  t.model <- model
+let fit ~rng ~samples ~epochs ~max_training_runnable ~sees_runqueue =
+  Scorer.fit ~rng ~layers:[ 3; 8; 1 ] ~hidden:Mlp.Tanh ~epochs ~batch_size:16 ~lr:0.2
+    (dataset ~rng ~max_training_runnable ~samples ~sees_runqueue)
 
 let train ~rng ?(max_training_runnable = 4) ?(samples = 800) ?(epochs = 40) () =
   let rng = Rng.fork rng in
-  let t =
-    {
-      rng;
-      samples;
-      epochs;
-      model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ();
-      input = Array.make 3 0.;
-      retrains = 0;
-      sees_runqueue = false;
-    }
-  in
-  fit t ~max_training_runnable;
-  t
+  let scorer = fit ~rng ~samples ~epochs ~max_training_runnable ~sees_runqueue:false in
+  { rng; samples; epochs; scorer; retrains = 0; sees_runqueue = false }
 
-let model t = t.model
+let scorer t = t.scorer
 
 let[@inline] score t ~nr_runnable ~weight ~received_ms =
-  t.input.(0) <- (if t.sees_runqueue then float_of_int nr_runnable /. 8. else 1.);
-  t.input.(1) <- float_of_int weight /. 1024.;
-  t.input.(2) <- received_ms /. 100.;
-  Mlp.score t.model t.input
+  let x = Scorer.input t.scorer in
+  x.(0) <- (if t.sees_runqueue then float_of_int nr_runnable /. 8. else 1.);
+  x.(1) <- float_of_int weight /. 1024.;
+  x.(2) <- received_ms /. 100.;
+  Scorer.score t.scorer
 
 let[@inline] predicted_slice_ms t ~nr_runnable ~weight ~received_ms =
   24. *. score t ~nr_runnable ~weight ~received_ms
@@ -82,6 +66,7 @@ let policy t =
 let retrain t ~max_training_runnable =
   t.retrains <- t.retrains + 1;
   t.sees_runqueue <- true;
-  fit t ~max_training_runnable
+  t.scorer <-
+    fit ~rng:t.rng ~samples:t.samples ~epochs:t.epochs ~max_training_runnable ~sees_runqueue:true
 
 let retrain_count t = t.retrains

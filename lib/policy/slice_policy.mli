@@ -29,14 +29,11 @@ val train :
 val policy : t -> Gr_kernel.Sched.policy
 
 val predicted_slice_ms : t -> nr_runnable:int -> weight:int -> received_ms:float -> float
-val model : t -> Gr_nn.Mlp.t
+val scorer : t -> Gr_nn.Scorer.t
 
 val score : t -> nr_runnable:int -> weight:int -> received_ms:float -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds. [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. *)
+(** The scorer's output on the input vector these arguments fill
+    ({!Gr_nn.Scorer.score}). *)
 
 val retrain : t -> max_training_runnable:int -> unit
 (** Refits with the runqueue-length feature restored and coverage up

@@ -3,21 +3,22 @@ open Gr_nn
 
 type t = {
   rng : Rng.t;
-  reuse_horizon : int;
   mean_gap_ms : float;
   epochs : int;
-  mutable model : Mlp.t;
-  mutable scaler : Scaler.t;
-  input : float array; (* the model input of the decision in flight *)
+  mutable scorer : Scorer.t;
   mutable retrains : int;
   mutable features : float array array;
 }
+
+(* An access is a positive example when its page is reused within
+   this many subsequent accesses. *)
+let reuse_horizon = 64
 
 (* Builds (features, reused-soon) examples by replaying the trace and
    tracking per-page access counts and last-access indices. The
    occupancy feature is approximated by the fraction of distinct pages
    seen so far, capped at 1 — offline we have no real fast tier. *)
-let dataset ~reuse_horizon ~mean_gap_ms trace =
+let dataset ~mean_gap_ms trace =
   let n = Array.length trace in
   let last_seen = Hashtbl.create 256 and counts = Hashtbl.create 256 in
   let next_use = Array.make n max_int in
@@ -70,42 +71,23 @@ let shape features =
   shape_into x features;
   x
 
-let fit t trace =
-  let raw = dataset ~reuse_horizon:t.reuse_horizon ~mean_gap_ms:t.mean_gap_ms trace in
-  t.features <- Array.map fst raw;
+let fit ~rng ~mean_gap_ms ~epochs trace =
+  let raw = dataset ~mean_gap_ms trace in
   let shaped = Array.map (fun (x, y) -> (shape x, y)) raw in
   let scaler = Scaler.fit (Array.map fst shaped) in
-  let data = Array.map (fun (x, y) -> (Scaler.transform scaler x, y)) shaped in
-  let model = Mlp.create ~rng:(Rng.fork t.rng) ~layers:[ 3; 12; 1 ] () in
-  ignore (Mlp.train model ~rng:t.rng ~epochs:t.epochs ~batch_size:32 ~lr:0.1 data : float);
-  t.model <- model;
-  t.scaler <- scaler
+  ( Array.map fst raw,
+    Scorer.fit ~rng ~scaler ~layers:[ 3; 12; 1 ] ~epochs ~batch_size:32 ~lr:0.1 shaped )
 
-let train ~rng ~trace ?(reuse_horizon = 64) ?(mean_gap_ms = 0.05) ?(epochs = 15) () =
+let train ~rng ~trace ?(mean_gap_ms = 0.05) ?(epochs = 15) () =
   let rng = Rng.fork rng in
-  let t =
-    {
-      rng;
-      reuse_horizon;
-      mean_gap_ms;
-      epochs;
-      model = Mlp.create ~rng:(Rng.copy rng) ~layers:[ 3; 1 ] ();
-      scaler = Scaler.fit [| [| 0.; 0.; 0. |] |];
-      input = Array.make 3 0.;
-      retrains = 0;
-      features = [||];
-    }
-  in
-  fit t trace;
-  t
+  let features, scorer = fit ~rng ~mean_gap_ms ~epochs trace in
+  { rng; mean_gap_ms; epochs; scorer; retrains = 0; features }
 
-let model t = t.model
-let scaler t = t.scaler
+let scorer t = t.scorer
 
 let[@inline] score t features =
-  shape_into t.input features;
-  Scaler.transform_into t.scaler t.input t.input;
-  Mlp.score t.model t.input
+  shape_into (Scorer.input t.scorer) features;
+  Scorer.score t.scorer
 
 let predict_promote t features = score t features >= 0.5
 
@@ -117,7 +99,9 @@ let policy t =
 
 let retrain t ~trace =
   t.retrains <- t.retrains + 1;
-  fit t trace
+  let features, scorer = fit ~rng:t.rng ~mean_gap_ms:t.mean_gap_ms ~epochs:t.epochs trace in
+  t.features <- features;
+  t.scorer <- scorer
 
 let retrain_count t = t.retrains
 let training_features t = t.features

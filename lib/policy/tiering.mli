@@ -15,14 +15,13 @@ type t
 val train :
   rng:Gr_util.Rng.t ->
   trace:int array ->
-  ?reuse_horizon:int ->
   ?mean_gap_ms:float ->
   ?epochs:int ->
   unit ->
   t
 (** [train ~rng ~trace ()] builds the model from a page-access
     sequence: a training example is (features at access i, reused
-    within [reuse_horizon] subsequent accesses?). [mean_gap_ms]
+    within 64 subsequent accesses?). [mean_gap_ms]
     scales access-index distance to simulated milliseconds (the
     offline proxy for the online gap feature; default 0.05ms). *)
 
@@ -30,17 +29,11 @@ val policy : t -> Gr_kernel.Mm.policy
 (** Promotes iff the predicted reuse probability is >= 0.5. *)
 
 val predict_promote : t -> float array -> bool
-val model : t -> Gr_nn.Mlp.t
-
-val scaler : t -> Gr_nn.Scaler.t
-(** The scaler the model's inputs pass through. *)
+val scorer : t -> Gr_nn.Scorer.t
 
 val score : t -> float array -> float
-(** The model's output for a decision on these inputs: [(Mlp.forward
-    (model t) x).(0)], bit for bit, for the input vector [x] the
-    decision builds (the scaled, log-compressed features). [x] is written into a buffer the policy owns, so
-    a call allocates nothing where it inlines (release builds); it is
-    not reentrant. *)
+(** The scorer's output on the log-compressed features
+    ({!Gr_nn.Scorer.score}, which scales them). *)
 
 val retrain : t -> trace:int array -> unit
 (** Refits on a fresh trace (the A3 action gives it the recent one). *)

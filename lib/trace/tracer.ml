@@ -29,13 +29,12 @@ type t = {
   mutable memo_tail : (string * Event.arg) list;
 }
 
-let create ~clock ?(capacity = 65536) ?(report_capacity = 16384) ?overflow ?(enabled = false)
-    ?node_id () =
+let create ~clock ?(capacity = 65536) ?overflow ?(enabled = false) ?node_id () =
   let metrics = match node_id with Some id -> Metrics.for_node id | None -> Metrics.create () in
   {
     clock;
     events = Sink.create ~capacity ?overflow ();
-    reports = Sink.create ~capacity:report_capacity ?overflow ();
+    reports = Sink.create ~capacity:16384 ?overflow ();
     metrics;
     enabled;
     node_id;

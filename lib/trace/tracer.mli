@@ -32,14 +32,13 @@ type t
 val create :
   clock:(unit -> Gr_util.Time_ns.t) ->
   ?capacity:int ->
-  ?report_capacity:int ->
   ?overflow:Sink.overflow ->
   ?enabled:bool ->
   ?node_id:int ->
   unit ->
   t
-(** [capacity] (default 65536) bounds the event sink,
-    [report_capacity] (default 16384) the report sink; both start
+(** [capacity] (default 65536) bounds the event sink, 16384 the
+    report sink; both start
     small and grow on demand up to that bound. [enabled]
     defaults to [false]: metrics and reports flow, trace events do
     not. [node_id], when given, tags every emitted event and report
@@ -103,9 +102,6 @@ val complete :
   ?parent:int ->
   string ->
   unit
-
-val span_begin : t -> cat:string -> ?args:(string * Event.arg) list -> ?span:int -> string -> unit
-val span_end : t -> cat:string -> string -> unit
 
 val with_span : t -> cat:string -> ?args:(string * Event.arg) list -> string -> (unit -> 'a) -> 'a
 (** Emits the [End] even if the body raises. The span's id is the

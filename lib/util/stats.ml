@@ -59,16 +59,3 @@ let jain_index xs =
     let s2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
     if s2 = 0. then 1. else s *. s /. (float_of_int n *. s2)
   end
-
-let moving_average ~window xs =
-  if window <= 0 then invalid_arg "moving_average: window must be positive";
-  let n = Array.length xs in
-  let out = Array.make n 0. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. xs.(i);
-    if i >= window then acc := !acc -. xs.(i - window);
-    let len = Stdlib.min (i + 1) window in
-    out.(i) <- !acc /. float_of_int len
-  done;
-  out

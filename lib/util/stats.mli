@@ -12,12 +12,9 @@ val mean : float array -> float
 val variance : float array -> float
 val stddev : float array -> float
 
-val quantile_sorted : float array -> float -> float
-(** [quantile_sorted xs q] with [xs] sorted ascending; linear
-    interpolation between order statistics. [nan] on empty input. *)
-
 val quantile : float array -> float -> float
-(** Sorts a copy; [nan] on empty input. *)
+(** Sorts a copy, then interpolates linearly between order
+    statistics; [nan] on empty input. *)
 
 val ks_distance : float array -> float array -> float
 (** Two-sample Kolmogorov-Smirnov statistic: max distance between the
@@ -27,6 +24,3 @@ val ks_distance : float array -> float array -> float
 val jain_index : float array -> float
 (** Jain's fairness index in (0,1]; 1. is perfectly fair. Drives the
     P6 fairness property. 1. on empty or all-zero input. *)
-
-val moving_average : window:int -> float array -> float array
-(** Trailing moving average used when printing Figure 2 style series. *)

@@ -12,9 +12,9 @@ type kind =
 
 and t = kind
 
-let zipfian ~rng ~n_pages ?(s = 1.1) ?(hot_offset = 0) () =
+let zipfian ~rng ~n_pages ?(s = 1.1) () =
   if n_pages <= 0 then invalid_arg "Mem_trace.zipfian: n_pages must be positive";
-  Zipfian { rng = Rng.fork rng; zipf = Rng.Zipf.create ~n:n_pages ~s; n_pages; hot_offset }
+  Zipfian { rng = Rng.fork rng; zipf = Rng.Zipf.create ~n:n_pages ~s; n_pages; hot_offset = 0 }
 
 let scan ~n_pages =
   if n_pages <= 0 then invalid_arg "Mem_trace.scan: n_pages must be positive";

@@ -9,10 +9,10 @@
 type t
 
 val zipfian :
-  rng:Gr_util.Rng.t -> n_pages:int -> ?s:float -> ?hot_offset:int -> unit -> t
+  rng:Gr_util.Rng.t -> n_pages:int -> ?s:float -> unit -> t
 (** Popularity-ranked pages with rank [i] mapped to page
-    [(i + hot_offset) mod n_pages]; shifting [hot_offset] between
-    phases moves the hot set. *)
+    [(i + hot_offset) mod n_pages], [hot_offset] starting at 0;
+    {!shift_hot_set} between phases moves the hot set. *)
 
 val scan : n_pages:int -> t
 (** Cyclic sequential sweep [0, 1, ..., n_pages-1, 0, ...]. *)

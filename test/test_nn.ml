@@ -1,4 +1,4 @@
-(* Tests for gr_nn: the MLP and the feature scaler. *)
+(* Tests for gr_nn: the MLP, the feature scaler and the scorer. *)
 
 open Gr_util
 open Gr_nn
@@ -64,7 +64,7 @@ let test_learns_xor () =
   Array.iter
     (fun (x, y) ->
       check_int (Printf.sprintf "xor(%g,%g)" x.(0) x.(1)) (int_of_float y.(0))
-        (Mlp.predict_class net x))
+        (if (Mlp.forward net x).(0) >= 0.5 then 1 else 0))
     data
 
 let test_learns_linear_regression () =
@@ -90,13 +90,10 @@ let test_training_reduces_loss () =
   let last = Mlp.train net ~rng ~epochs:50 ~batch_size:16 ~lr:0.2 data in
   check_bool "loss decreased" true (last < first)
 
-let test_forward_count_and_flops () =
+let test_flops () =
   let rng = Rng.create 7 in
   let net = Mlp.create ~rng ~layers:[ 4; 8; 2 ] () in
-  check_int "flops" ((8 * 5) + (2 * 9)) (Mlp.flops_per_forward net);
-  ignore (Mlp.forward net [| 0.; 0.; 0.; 0. |] : float array);
-  ignore (Mlp.forward net [| 0.; 0.; 0.; 0. |] : float array);
-  check_int "forward count" 2 (Mlp.forward_count net)
+  check_int "flops" ((8 * 5) + (2 * 9)) (Mlp.flops_per_forward net)
 
 let test_copy_independent () =
   let rng = Rng.create 8 in
@@ -212,6 +209,73 @@ let mlp_matches_reference =
             activations)
         activations)
 
+(* ---------- scorer: the hand-written sequences it replaces ---------- *)
+
+(* A random 2-4 layer net with random activations, fitted with and
+   without a scaler on random data: [Scorer.fit] builds the net the
+   hand sequence builds ([Mlp.create] from [Rng.fork rng], then
+   [Mlp.train ~rng] on the scaled examples), and [score_of] and
+   [input]/[score] answer [(Mlp.forward (mlp s) (Scaler.transform sc
+   x)).(0)] bit for bit, leaving [x] untouched. *)
+let scorer_matches_hand_sequence =
+  let open QCheck2.Gen in
+  let case =
+    let* sizes = list_size (int_range 2 4) (int_range 1 12) in
+    let* hidden = oneofl activations and* output = oneofl activations in
+    let* n = int_range 1 40 and* epochs = int_range 1 3 and* seed = nat in
+    return (sizes, hidden, output, n, epochs, seed)
+  in
+  let print (sizes, _, _, n, epochs, seed) =
+    Printf.sprintf "layers [%s], %d samples, %d epochs, seed %d"
+      (String.concat "; " (List.map string_of_int sizes))
+      n epochs seed
+  in
+  QCheck2.Test.make ~name:"scorer matches the hand-written fit and forward" ~count:60 ~print case
+    (fun (layers, hidden, output, n, epochs, seed) ->
+      let r = Rng.create seed in
+      let n_in = List.hd layers and n_out = List.nth layers (List.length layers - 1) in
+      let input () = Array.init n_in (fun _ -> Rng.gaussian r ~mu:3. ~sigma:5.) in
+      let data = Array.init n (fun _ -> (input (), Array.init n_out (fun _ -> Rng.float r 1.))) in
+      let probes = Array.init 16 (fun _ -> input ()) in
+      let fitted scaler =
+        let s =
+          Scorer.fit ~rng:(Rng.create seed) ?scaler ~layers ~hidden ~output ~epochs ~batch_size:8
+            ~lr:0.05 data
+        in
+        let rng = Rng.create seed in
+        let hand = Mlp.create ~rng:(Rng.fork rng) ~layers ~hidden ~output () in
+        let scale x = match scaler with Some sc -> Scaler.transform sc x | None -> x in
+        ignore
+          (Mlp.train hand ~rng ~epochs ~batch_size:8 ~lr:0.05
+             (Array.map (fun (x, y) -> (scale x, y)) data)
+            : float);
+        Array.for_all
+          (fun x ->
+            let kept = Array.copy x in
+            let via_score_of = Scorer.score_of s x in
+            Array.blit x 0 (Scorer.input s) 0 n_in;
+            let via_input = Scorer.score s in
+            let want = (Mlp.forward (Scorer.mlp s) (scale x)).(0) in
+            let hand_want = (Mlp.forward hand (scale x)).(0) in
+            same_bits [| want; want; want |] [| via_score_of; via_input; hand_want |]
+            && same_bits kept x)
+          probes
+      in
+      fitted None && fitted (Some (Scaler.fit (Array.map fst data))))
+
+let test_scorer_rejects_bad_input () =
+  let data = [| ([| 1.; 2. |], [| 0. |]); ([| 3.; 5. |], [| 1. |]) |] in
+  List.iter
+    (fun scaler ->
+      let s =
+        Scorer.fit ~rng:(Rng.create 1) ?scaler ~layers:[ 2; 1 ] ~epochs:1 ~batch_size:2 ~lr:0.1 data
+      in
+      check_int "input buffer sized to the net" 2 (Array.length (Scorer.input s));
+      match Scorer.score_of s [| 1. |] with
+      | _ -> Alcotest.fail "short input accepted"
+      | exception Invalid_argument _ -> ())
+    [ None; Some (Scaler.fit (Array.map fst data)) ]
+
 let test_scaler_zscores () =
   let rows = [| [| 1.; 10. |]; [| 2.; 20. |]; [| 3.; 30. |] |] in
   let s = Scaler.fit rows in
@@ -240,12 +304,17 @@ let suite =
         Alcotest.test_case "learns XOR" `Slow test_learns_xor;
         Alcotest.test_case "learns linear regression" `Quick test_learns_linear_regression;
         Alcotest.test_case "training reduces loss" `Quick test_training_reduces_loss;
-        Alcotest.test_case "forward count and flops" `Quick test_forward_count_and_flops;
+        Alcotest.test_case "flops per forward" `Quick test_flops;
         Alcotest.test_case "copy is independent" `Quick test_copy_independent;
         Alcotest.test_case "copy owns its buffers" `Quick test_copy_owns_buffers;
         Alcotest.test_case "training allocates nothing per sample" `Quick
           test_training_allocates_nothing_per_sample;
         QCheck_alcotest.to_alcotest mlp_matches_reference;
+      ] );
+    ( "nn.scorer",
+      [
+        Alcotest.test_case "rejects bad input" `Quick test_scorer_rejects_bad_input;
+        QCheck_alcotest.to_alcotest scorer_matches_hand_sequence;
       ] );
     ( "nn.scaler",
       [

@@ -79,7 +79,7 @@ let test_linnos_copy_alongside () =
 
 (* One decision scales into the model's own input buffer and scores
    through the model's own layer buffers: zero words under the release
-   profile [make alloc-smoke] builds, where [Mlp.score] inlines into
+   profile [make alloc-smoke] builds, where [Scorer.score_of] inlines into
    the decision. The dev profile compiles with -opaque, so there the
    score is a call that boxes its float result (2 words) and nothing
    more. *)
@@ -435,20 +435,30 @@ let test_mem_trace_hot_shift () =
   let after = most_common 5000 in
   check_int "hot page moved by offset" ((before + 500) mod 1000) after
 
-(* ---------- decisions through Mlp.score ----------
+(* ---------- decisions through Scorer.score ----------
 
-   Every other learned policy decides through [Mlp.score] on an input
-   buffer it owns. One row per policy: [agree] draws one random
-   decision input and answers the policy's model output and the
-   reference, [(Mlp.forward m x).(0)] on the input vector [x] built as
-   the policy's training set builds it; [decide n] runs [n] of the
+   Every other learned policy decides through its [Gr_nn.Scorer]. One
+   row per policy: [agree] draws one random decision input and answers
+   the policy's model output and the reference, [(Mlp.forward m
+   x).(0)] on the input vector [x] built as the policy's training set
+   builds it, where [m] is the scorer's net and [x] passes through the
+   scorer's scaler where the policy scales; [decide n] runs [n] of the
    policy's own decisions on drawn inputs and sinks their results into
    [sink], so the loop itself allocates nothing. *)
 
 type decision_row = { name : string; agree : Rng.t -> float * float; decide : int -> unit }
 
 let sink = Array.make 1 0.
-let forward m x = (Gr_nn.Mlp.forward m x).(0)
+(* [forward s x]: the reference on an unscaled scorer; [scaled s x]
+   scales [x] first. Each fails if the scorer has the other kind. *)
+let forward s x =
+  if Option.is_some (Gr_nn.Scorer.scaler s) then Alcotest.fail "unexpected scaler";
+  (Gr_nn.Mlp.forward (Gr_nn.Scorer.mlp s) x).(0)
+
+let scaled s x =
+  match Gr_nn.Scorer.scaler s with
+  | None -> Alcotest.fail "scaler expected"
+  | Some sc -> (Gr_nn.Mlp.forward (Gr_nn.Scorer.mlp s) (Gr_nn.Scaler.transform sc x)).(0)
 
 let decision_rows () =
   let module P = Gr_policy in
@@ -487,7 +497,7 @@ let decision_rows () =
         (fun rng ->
           let rtt_ms = Rng.float rng 300. and loss = Rng.float rng 0.4 in
           ( P.Cc_controller.score cc ~rtt_ms ~loss,
-            forward (P.Cc_controller.model cc) [| rtt_ms /. 120.; loss /. 0.15 |] ));
+            forward (P.Cc_controller.scorer cc) [| rtt_ms /. 120.; loss /. 0.15 |] ));
       decide =
         (fun n ->
           let acc = ref 0. in
@@ -502,7 +512,7 @@ let decision_rows () =
         (fun rng ->
           let miss_rate = Rng.float rng 1.5 and occupancy = Rng.float rng 1. in
           ( P.Quota_advisor.score quota ~miss_rate ~occupancy,
-            forward (P.Quota_advisor.model quota) [| miss_rate; occupancy |] ));
+            forward (P.Quota_advisor.scorer quota) [| miss_rate; occupancy |] ));
       decide =
         (fun n ->
           let acc = ref 0 in
@@ -523,7 +533,7 @@ let decision_rows () =
           and received_ms = Rng.float rng 100. in
           let nr = if P.Slice_policy.retrain_count slice > 0 then float_of_int nr_runnable /. 8. else 1. in
           ( P.Slice_policy.score slice ~nr_runnable ~weight ~received_ms,
-            forward (P.Slice_policy.model slice)
+            forward (P.Slice_policy.scorer slice)
               [| nr; float_of_int weight /. 1024.; received_ms /. 100. |] ));
       decide =
         (fun n ->
@@ -542,7 +552,7 @@ let decision_rows () =
         (fun rng ->
           let len = Rng.int rng 32 and cpu = Rng.int rng 4 in
           ( P.Balancer_policy.score balancer ~len ~cpu,
-            forward (P.Balancer_policy.model balancer) [| float_of_int len /. 16.; is0 cpu |] ));
+            forward (P.Balancer_policy.scorer balancer) [| float_of_int len /. 16.; is0 cpu |] ));
       decide =
         (fun n ->
           let acc = ref 0 in
@@ -559,7 +569,7 @@ let decision_rows () =
           and run = Rng.float rng 200.
           and occupancy = Rng.float rng 1. in
           ( P.Readahead.score readahead ~delta ~run ~occupancy,
-            forward (P.Readahead.model readahead)
+            forward (P.Readahead.scorer readahead)
               [| (if delta = 1. then 1. else 0.); log1p run; occupancy |] ));
       decide =
         (fun n ->
@@ -579,9 +589,7 @@ let decision_rows () =
         (fun rng ->
           let f = [| 1. +. Rng.float rng 40.; Rng.float rng 1e9; Rng.float rng 1. |] in
           ( P.Tiering.score tiering f,
-            forward (P.Tiering.model tiering)
-              (Gr_nn.Scaler.transform (P.Tiering.scaler tiering)
-                 [| log1p f.(0); log1p f.(1); f.(2) |]) ));
+            scaled (P.Tiering.scorer tiering) [| log1p f.(0); log1p f.(1); f.(2) |] ));
       decide =
         (fun n ->
           let promoted = ref 0 in
@@ -602,8 +610,7 @@ let decision_rows () =
             | None -> [| 1e6; 0. |]
           in
           ( P.Cache_policy.predicted_reuse_distance cache key,
-            forward (P.Cache_policy.model cache)
-              (Gr_nn.Scaler.transform (P.Cache_policy.scaler cache) x) ));
+            scaled (P.Cache_policy.scorer cache) x ));
       decide =
         (fun n ->
           let acc = ref 0. in

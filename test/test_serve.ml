@@ -256,6 +256,35 @@ let test_refcount_stationary_across_cycles () =
   done;
   check_int "five promotions recorded" 5 (L.promotions lc)
 
+(* A whole session is garbage once dropped: a 4-node fleet under a
+   lifecycle with a promoted push, a rolled-back push and a rejected
+   push leaves the same live heap after compaction each time it is
+   built and dropped. The first session may intern what later ones
+   share, so the second and third are compared. perfbench's
+   fleet-serve [peak_heap_mb] grows with run length although its
+   repetitions leave nothing live: it reads the running maximum of the
+   heap size, which later GC phases can still raise. *)
+let[@inline never] run_session () =
+  let _fleet, lc = make ~nodes:4 ~config:{ L.default_config with canary_barriers = 1 } () in
+  List.iter
+    (fun spec ->
+      ignore (L.push lc ~who:"heap" spec : L.decision);
+      L.advance lc ~epochs:2)
+    [ good_spec; hot_spec; bad_spec; boot_spec ];
+  check_int "one rollback" 1 (L.rollbacks lc);
+  check_int "two promotions" 2 (L.promotions lc)
+
+let live_words_after_session () =
+  run_session ();
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let test_sessions_leave_nothing_live () =
+  ignore (live_words_after_session () : int);
+  let second = live_words_after_session () in
+  let third = live_words_after_session () in
+  check_int "live words after the third session equal the second's" second third
+
 (* ------------------------------------------------------------------ *)
 (* Chunked execution is trace-byte-identical (grc serve ≡ grc run)    *)
 (* ------------------------------------------------------------------ *)
@@ -551,5 +580,7 @@ let suite =
         Alcotest.test_case "session --nodes 1 trace equals one run_until" `Quick
           test_serve_single_node_trace_matches_run;
         Alcotest.test_case "lint/verify accept the spec on stdin" `Quick test_cli_stdin_spec;
+        Alcotest.test_case "dropped sessions leave the same live heap" `Quick
+          test_sessions_leave_nothing_live;
       ] );
   ]

@@ -215,10 +215,6 @@ let test_jain_index () =
   check_float "one hog of four" 0.25 (Stats.jain_index [| 1.; 0.; 0.; 0. |]);
   check_float "empty is fair" 1. (Stats.jain_index [||])
 
-let test_moving_average () =
-  let out = Stats.moving_average ~window:2 [| 1.; 3.; 5.; 7. |] in
-  Alcotest.(check (array (float 1e-9))) "trailing MA" [| 1.; 2.; 4.; 6. |] out
-
 (* The unboxed generator draws the reference's stream: random seeds,
    then a mixed run of draws, forks, splits and copies over a growing
    pool of generator pairs (each op picks a pair by index). *)
@@ -358,7 +354,6 @@ let suite =
         Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
         Alcotest.test_case "ks distance" `Quick test_ks_distance;
         Alcotest.test_case "jain index" `Quick test_jain_index;
-        Alcotest.test_case "moving average" `Quick test_moving_average;
         QCheck_alcotest.to_alcotest quantile_property;
         QCheck_alcotest.to_alcotest jain_property;
       ] );
