@@ -99,7 +99,8 @@ serve-smoke: build
 	sh scripts/serve_smoke.sh
 
 # Zero-allocation smoke (docs/PERFORMANCE.md): under the release
-# profile perfbench builds, periodic sim dispatch, feature-store
+# profile perfbench builds, periodic sim dispatch (spread timers, and
+# 50 timers aligned on one instant), feature-store
 # saves (by handle and by key, below and at ring capacity),
 # per-check metrics account updates, trace-sink emits on a grown sink,
 # Rng draws, LinnOS decisions and the other learned policies'

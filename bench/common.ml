@@ -16,30 +16,37 @@ let runs = 5
 
 type timing = { median : float; min : float; max : float }
 
-(* [measure ~per prepare] calls [prepare ()] [runs] times: it does any
-   untimed setup and returns the batch thunk, which is timed from an
-   empty minor heap. Each batch's host ns is divided by [per] (the
-   operations in the batch, or 1e9 for seconds). The per-op loop lives
-   inside the thunk, so it compiles as a direct loop. Returns the last
-   batch's result with the timing. *)
-let measure ?(per = 1.) (prepare : unit -> unit -> 'a) : 'a * timing =
+(* [time_once ~per prepare] calls [prepare ()], which does any untimed
+   setup and returns the batch thunk, then times the thunk from an
+   empty minor heap. Returns its result and host ns divided by [per]
+   (the operations in the batch, or 1e9 for seconds). The per-op loop
+   lives inside the thunk, so it compiles as a direct loop. *)
+let time_once ?(per = 1.) (prepare : unit -> unit -> 'a) : 'a * float =
+  let batch = prepare () in
+  Gc.minor ();
+  let t0 = now_ns () in
+  let r = batch () in
+  let dt = now_ns () -. t0 in
+  (r, dt /. per)
+
+let timing_of xs =
+  {
+    median = Stats.quantile xs 0.5;
+    min = Array.fold_left Float.min infinity xs;
+    max = Array.fold_left Float.max neg_infinity xs;
+  }
+
+(* [measure ~per prepare] times [runs] batches with [time_once] and
+   returns the last batch's result with the timing. *)
+let measure ?per (prepare : unit -> unit -> 'a) : 'a * timing =
   let result = ref None in
   let xs =
     Array.init runs (fun _ ->
-        let batch = prepare () in
-        Gc.minor ();
-        let t0 = now_ns () in
-        let r = batch () in
-        let dt = now_ns () -. t0 in
+        let r, dt = time_once ?per prepare in
         result := Some r;
-        dt /. per)
+        dt)
   in
-  ( Option.get !result,
-    {
-      median = Stats.quantile xs 0.5;
-      min = Array.fold_left Float.min infinity xs;
-      max = Array.fold_left Float.max neg_infinity xs;
-    } )
+  (Option.get !result, timing_of xs)
 
 (* [ratio a b] is the speedup of [b] over [a]: the ratio of the
    medians, bracketed by the extreme pairings of the two ranges. A

@@ -51,53 +51,72 @@ let monitor_counts () = if !Common.smoke then [ 1; 10 ] else [ 1; 10; 50; 200; 1
 
 let fleet_run_until = Time_ns.sec 3
 
-let run_fleet_with ~nodes ~monitors ~domains =
-  let fleet, per_sim_s =
-    Common.measure ~per:(float_of_int fleet_run_until) (fun () ->
-      let fleet = Guardrails.Fleet.create ~nodes ~seed:7 ~domains () in
-      Array.iter
-        (fun node ->
-          let rng = (Guardrails.Deployment.kernel node).Gr_kernel.Kernel.rng in
-          for i = 0 to monitors - 1 do
-            Guardrails.Deployment.derive_periodic node
-              ~key:(Printf.sprintf "key_%d" i)
-              ~every:(Time_ns.ms 10)
-              (fun () -> Rng.float rng 100.)
-          done)
-        (Guardrails.Fleet.nodes fleet);
+let prepare_fleet ~nodes ~monitors ~domains () =
+  let fleet = Guardrails.Fleet.create ~nodes ~seed:7 ~domains () in
+  Array.iter
+    (fun node ->
+      let rng = (Guardrails.Deployment.kernel node).Gr_kernel.Kernel.rng in
       for i = 0 to monitors - 1 do
-        ignore
-          (Guardrails.Fleet.install_source_exn fleet (monitor_source i)
-            : Guardrails.Engine.handle list)
-      done;
-      fun () ->
-        Guardrails.Fleet.run_until fleet fleet_run_until;
-        fleet)
-  in
-  let engine = Guardrails.Fleet.engine fleet in
-  ( Guardrails.Engine.Stats.total_checks engine,
-    Guardrails.Engine.Stats.total_overhead_ns engine,
-    per_sim_s,
-    Common.compact_monitors_json (Guardrails.Fleet.control fleet) )
+        Guardrails.Deployment.derive_periodic node
+          ~key:(Printf.sprintf "key_%d" i)
+          ~every:(Time_ns.ms 10)
+          (fun () -> Rng.float rng 100.)
+      done)
+    (Guardrails.Fleet.nodes fleet);
+  for i = 0 to monitors - 1 do
+    ignore
+      (Guardrails.Fleet.install_source_exn fleet (monitor_source i) : Guardrails.Engine.handle list)
+  done;
+  fun () ->
+    Guardrails.Fleet.run_until fleet fleet_run_until;
+    fleet
 
-(* The sweep is (nodes, monitors, domains) triples: a one-domain
-   grid, plus a wide-fleet grid (up to 64 nodes) that runs the
-   epoch-barrier runtime at every domain count.
-   Speedup on a multi-core host comes from the node phases running
-   concurrently; Common.host_cores stamps the ceiling. *)
-let fleet_counts () =
-  if !Common.smoke then [ (1, 1, 1); (2, 10, 1); (2, 10, 2) ]
+(* One (nodes, monitors) point at each of [domains] (the first is 1).
+   Its rows are timed in alternation: round [r] runs every row once,
+   starting [r] rows further along, so host drift lands on every row
+   alike. A row's wall speedup is the median, min and max over rounds
+   of the one-domain run's host time over its own in the same round;
+   the one-domain row's is exactly 1. *)
+let run_fleet_point ~nodes ~monitors domains =
+  let domains = Array.of_list domains in
+  let k = Array.length domains in
+  let fleets = Array.make k None and xs = Array.make_matrix k Common.runs 0. in
+  for r = 0 to Common.runs - 1 do
+    for j = 0 to k - 1 do
+      let i = (j + r) mod k in
+      let fleet, dt =
+        Common.time_once ~per:(float_of_int fleet_run_until)
+          (prepare_fleet ~nodes ~monitors ~domains:domains.(i))
+      in
+      fleets.(i) <- Some fleet;
+      xs.(i).(r) <- dt
+    done
+  done;
+  List.init k (fun i ->
+      let fleet = Option.get fleets.(i) in
+      let engine = Guardrails.Fleet.engine fleet in
+      let speedup = Common.timing_of (Array.init Common.runs (fun r -> xs.(0).(r) /. xs.(i).(r))) in
+      ( nodes,
+        monitors,
+        domains.(i),
+        Guardrails.Engine.Stats.total_checks engine,
+        Guardrails.Engine.Stats.total_overhead_ns engine,
+        Common.timing_of xs.(i),
+        speedup,
+        Common.compact_monitors_json (Guardrails.Fleet.control fleet) ))
+
+(* The sweep is (nodes, monitors) points, each with its domain counts:
+   a one-domain grid, plus a wide-fleet grid (up to 64 nodes) that
+   runs the epoch-barrier runtime at every domain count. Speedup on a
+   multi-core host comes from the node phases running concurrently;
+   Common.host_cores stamps the ceiling. *)
+let fleet_points () =
+  if !Common.smoke then [ (1, 1, [ 1 ]); (2, 10, [ 1; 2 ]) ]
   else
     let sequential =
-      List.concat_map
-        (fun n -> List.map (fun m -> (n, m, 1)) [ 1; 10; 50 ])
-        [ 1; 2; 4; 8 ]
+      List.concat_map (fun n -> List.map (fun m -> (n, m, [ 1 ])) [ 1; 10; 50 ]) [ 1; 2; 4; 8 ]
     in
-    let parallel =
-      List.concat_map
-        (fun (n, m) -> List.map (fun d -> (n, m, d)) [ 1; 2; 4; 8 ])
-        [ (16, 10); (64, 10); (64, 50) ]
-    in
+    let parallel = List.map (fun (n, m) -> (n, m, [ 1; 2; 4; 8 ])) [ (16, 10); (64, 10); (64, 50) ] in
     sequential @ parallel
 
 let run ~json =
@@ -124,28 +143,17 @@ let run ~json =
       "checks" "est. check work" "host s/sim s [min, max]" "wall speedup [min, max]"
   end;
   let fleet_rows =
-    List.map
-      (fun (nodes, n, domains) ->
-        let checks, overhead, per_sim_s, monitors = run_fleet_with ~nodes ~monitors:n ~domains in
-        (nodes, n, domains, checks, overhead, per_sim_s, monitors))
-      (fleet_counts ())
-  in
-  (* wall_speedup: the same (nodes, monitors) point's --domains 1
-     host time over this row's — exactly 1 for the baseline itself.
-     Every point of [fleet_counts] has a one-domain row. *)
-  let speedup_of (nodes, n, _, _, _, per_sim_s, _) =
-    let _, _, _, _, _, base, _ =
-      List.find (fun (n', m', d', _, _, _, _) -> n' = nodes && m' = n && d' = 1) fleet_rows
-    in
-    Common.ratio base per_sim_s
+    List.concat_map
+      (fun (nodes, monitors, domains) -> run_fleet_point ~nodes ~monitors domains)
+      (fleet_points ())
   in
   if not json then
     List.iter
-      (fun ((nodes, n, domains, checks, overhead, per_sim_s, _) as row) ->
+      (fun (nodes, n, domains, checks, overhead, per_sim_s, speedup, _) ->
         Printf.printf "  %-7d %-10d %-8d %-12d %12.0f ns    %-30s %s\n" nodes n domains checks
           overhead
           (Common.timing_str "%.4g" per_sim_s)
-          (Common.timing_str "%.2fx" (speedup_of row)))
+          (Common.timing_str "%.2fx" speedup))
       fleet_rows;
   if json then
     let open Common.Json in
@@ -169,7 +177,7 @@ let run ~json =
                       ])
                   rows
                 @ List.map
-                    (fun ((nodes, n, domains, checks, overhead, per_sim_s, monitors) as row) ->
+                    (fun (nodes, n, domains, checks, overhead, per_sim_s, speedup, monitors) ->
                       Obj
                         [
                           ("nodes", Common.json_int nodes);
@@ -178,7 +186,7 @@ let run ~json =
                           ("checks", Common.json_int checks);
                           ("est_check_work_ns", Common.json_num overhead);
                           ("host_sec_per_sim_sec", Common.json_timing per_sim_s);
-                          ("wall_speedup", Common.json_timing (speedup_of row));
+                          ("wall_speedup", Common.json_timing speedup);
                           ("monitor_metrics", monitors);
                         ])
                     fleet_rows) );

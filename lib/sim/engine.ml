@@ -1,14 +1,27 @@
 open Gr_util
 
-(* The event queue is a slot pool plus a binary min-heap.
+(* The event queue is a slot pool plus a binary min-heap of instant
+   runs.
 
    Each scheduled event owns a slot for as long as it is queued or
    running: the slot arrays hold its callback, its period (0 for a
    one-shot event), the exclusive [stop] bound of a periodic event, a
    generation that is bumped whenever the slot is freed, and the
-   slot's heap position (-1 while it is not queued). The heap orders
-   positions by the key [(time, order)], kept in [int] arrays beside
-   the owning slot, so sifting is plain integer compares and moves.
+   [order] drawn when it was last queued.
+
+   A run is a FIFO of slots queued one after another for one instant,
+   linked through [next] and [prev]. A push at the instant of the
+   last-touched run (the one [tail] ends) appends to it; any other
+   push opens a run. The heap holds one entry per run, named by its
+   head slot ([pos] is the head's heap position, -1 for any other
+   slot) and keyed by [(time, order of the run's first slot)] in [int]
+   arrays, so sifting is plain integer compares and moves. Orders rise
+   with every push and a run takes pushes only while it is the
+   last-touched one, so every slot of a run comes before every slot of
+   any later run at its instant: popping the root run's head, and
+   handing the heap entry to the next slot without a sift, keeps the
+   pop order exactly [(time, order)]. A run that empties leaves the
+   heap.
 
    A periodic timer keeps its slot and closure for life and re-arms
    in place, so steady-state dispatch allocates nothing. A handle
@@ -18,16 +31,23 @@ type t = {
   mutable clock : Time_ns.t;
   mutable seq : int;
   mutable fired : int;
+  mutable queued : int;
   mutable tracer : Gr_trace.Tracer.t option;
   (* slot pool *)
   mutable run : (t -> unit) array;
   mutable period : int array;
   mutable stop : Time_ns.t array;
   mutable gen : int array;
+  mutable order : int array;
+  mutable next : int array; (* next slot of its run, -1 at the tail *)
+  mutable prev : int array; (* previous slot of its run, -1 at its head (and so while running) *)
   mutable pos : int array;
   mutable free : int array;
   mutable nfree : int;
-  (* heap, by position *)
+  (* the last-touched run's tail slot (-1 if that run has emptied) and instant *)
+  mutable tail : int;
+  mutable tail_time : Time_ns.t;
+  (* heap of runs, by position *)
   mutable key_time : Time_ns.t array;
   mutable key_order : int array;
   mutable slot : int array;
@@ -43,14 +63,20 @@ let create () =
     clock = Time_ns.zero;
     seq = 0;
     fired = 0;
+    queued = 0;
     tracer = None;
     run = [||];
     period = [||];
     stop = [||];
     gen = [||];
+    order = [||];
+    next = [||];
+    prev = [||];
     pos = [||];
     free = [||];
     nfree = 0;
+    tail = -1;
+    tail_time = 0;
     key_time = [||];
     key_order = [||];
     slot = [||];
@@ -61,7 +87,7 @@ let set_tracer t tracer = t.tracer <- Some tracer
 
 let now t = t.clock
 
-(* ---------- heap over (time, order) ---------- *)
+(* ---------- heap of runs over (time, order) ---------- *)
 
 let[@inline] before (ta : int) (oa : int) (tb : int) (ob : int) =
   ta < tb || (ta = tb && oa < ob)
@@ -102,15 +128,7 @@ let rec sift_down t i time order s =
     end
     else place t i time order s
 
-let push t s time =
-  let order = t.seq in
-  t.seq <- order + 1;
-  let i = t.len in
-  t.len <- i + 1;
-  sift_up t i time order s
-
 let remove_at t i =
-  t.pos.(t.slot.(i)) <- -1;
   let last = t.len - 1 in
   t.len <- last;
   if i < last then begin
@@ -119,6 +137,52 @@ let remove_at t i =
     if i > 0 && before time order t.key_time.(p) t.key_order.(p) then sift_up t i time order s
     else sift_down t i time order s
   end
+
+(* ---------- instant runs ---------- *)
+
+let push t s time =
+  let order = t.seq in
+  t.seq <- order + 1;
+  t.queued <- t.queued + 1;
+  t.order.(s) <- order;
+  t.next.(s) <- -1;
+  let tl = t.tail in
+  if tl >= 0 && t.tail_time = time then begin
+    t.next.(tl) <- s;
+    t.prev.(s) <- tl
+  end
+  else begin
+    t.prev.(s) <- -1;
+    t.tail_time <- time;
+    let i = t.len in
+    t.len <- i + 1;
+    sift_up t i time order s
+  end;
+  t.tail <- s
+
+(* Takes the head [s] of the run at heap position [i] off the queue.
+   The next slot of the run inherits the heap entry, key included, in
+   place; a run that empties leaves the heap. *)
+let pop_head t i s =
+  t.queued <- t.queued - 1;
+  t.pos.(s) <- -1;
+  let n = t.next.(s) in
+  if n >= 0 then begin
+    t.prev.(n) <- -1;
+    t.slot.(i) <- n;
+    t.pos.(n) <- i
+  end
+  else begin
+    if t.tail = s then t.tail <- -1;
+    remove_at t i
+  end
+
+(* Unlinks a queued slot that is not its run's head. *)
+let unlink t s =
+  t.queued <- t.queued - 1;
+  let p = t.prev.(s) and n = t.next.(s) in
+  t.next.(p) <- n;
+  if n >= 0 then t.prev.(n) <- p else if t.tail = s then t.tail <- p
 
 (* ---------- slot pool ---------- *)
 
@@ -134,6 +198,9 @@ let grow t =
   t.period <- extend t.period 0;
   t.stop <- extend t.stop 0;
   t.gen <- extend t.gen 0;
+  t.order <- extend t.order 0;
+  t.next <- extend t.next (-1);
+  t.prev <- extend t.prev (-1);
   t.pos <- extend t.pos (-1);
   t.free <- extend t.free 0;
   t.key_time <- extend t.key_time 0;
@@ -185,8 +252,11 @@ let every t ?start ?stop ~interval fn =
 let cancel h =
   let t = h.engine and s = h.h_slot in
   if s >= 0 && t.gen.(s) = h.h_gen then begin
-    let i = t.pos.(s) in
-    if i >= 0 then remove_at t i;
+    if t.prev.(s) >= 0 then unlink t s
+    else begin
+      let i = t.pos.(s) in
+      if i >= 0 then pop_head t i s
+    end;
     release t s
   end
 
@@ -208,9 +278,9 @@ let dispatch t run order =
 let step t =
   if t.len = 0 then false
   else begin
-    let s = t.slot.(0) and time = t.key_time.(0) and order = t.key_order.(0) in
-    remove_at t 0;
-    let run = t.run.(s) and period = t.period.(s) in
+    let s = t.slot.(0) and time = t.key_time.(0) in
+    pop_head t 0 s;
+    let run = t.run.(s) and period = t.period.(s) and order = t.order.(s) in
     t.clock <- time;
     t.fired <- t.fired + 1;
     if period = 0 then begin
@@ -270,6 +340,6 @@ let run_chunked t ~epoch ~limit ~at_barrier =
      --nodes 1 deployment without perturbing it. *)
   Pool.with_pool ~domains:1 (fun pool -> run_epochs ~pool ~epoch ~limit ~at_barrier [| t |])
 
-let pending t = t.len
+let pending t = t.queued
 
 let events_fired t = t.fired

@@ -1,10 +1,15 @@
 (* A tiny fork-join pool over OCaml 5 domains.
 
-   The epoch-barrier fleet runs one task per node per epoch; tasks are
-   claimed work-stealing style off a shared atomic counter, so the
-   mapping from node to domain is load-dependent — which is exactly why
-   the fleet protocol requires node tasks to be mutually independent
-   and to buffer cross-node effects for the sequential barrier phase.
+   The epoch-barrier fleet runs one task per node per epoch. Each round
+   splits the task indices into fixed contiguous blocks, one per
+   participant: participant [k] of [d] runs [k·n/d] to [(k+1)·n/d - 1]
+   in order, the calling domain being participant 0. A node therefore
+   stays on one domain from epoch to epoch, and its sim heap, store
+   rings and demands stay in that core's cache: a node's work per
+   epoch is too small to pay for moving them. Tasks of different
+   blocks still run concurrently in no fixed order, which is why the
+   fleet protocol requires node tasks to be mutually independent and
+   to buffer cross-node effects for the sequential barrier phase.
 
    Workers are spawned once per pool and parked on a condition
    variable between epochs: spawning a domain costs far more than an
@@ -17,7 +22,6 @@
 type job = {
   f : int -> unit;
   n : int;
-  next : int Atomic.t; (* next unclaimed task index *)
   mutable live : int; (* workers still inside this round *)
   mutable error : (int * exn) option; (* lowest task index that raised *)
 }
@@ -35,28 +39,23 @@ type t = {
 
 let size t = t.domains
 
-let run_tasks mutex job =
-  (* Claim task indices until the counter runs dry. A task that raises
-     poisons the round; recording happens under the pool mutex and the
-     lowest raising index wins, so the error re-raised in the main
+let run_block t job k =
+  (* Run participant [k]'s block. A task that raises poisons the round
+     but the block goes on; recording happens under the pool mutex and
+     the lowest raising index wins, so the error re-raised in the main
      domain is deterministic even when several tasks fail. *)
-  let rec claim () =
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i < job.n then begin
-      (match job.f i with
-      | () -> ()
-      | exception e ->
-        Mutex.lock mutex;
-        (match job.error with
-        | Some (j, _) when j <= i -> ()
-        | _ -> job.error <- Some (i, e));
-        Mutex.unlock mutex);
-      claim ()
-    end
-  in
-  claim ()
+  for i = k * job.n / t.domains to ((k + 1) * job.n / t.domains) - 1 do
+    match job.f i with
+    | () -> ()
+    | exception e ->
+      Mutex.lock t.mutex;
+      (match job.error with
+      | Some (j, _) when j <= i -> ()
+      | _ -> job.error <- Some (i, e));
+      Mutex.unlock t.mutex
+  done
 
-let worker t () =
+let worker t k () =
   let gen = ref 0 in
   let rec loop () =
     Mutex.lock t.mutex;
@@ -68,7 +67,7 @@ let worker t () =
       let job = Option.get t.job in
       gen := t.generation;
       Mutex.unlock t.mutex;
-      run_tasks t.mutex job;
+      run_block t job k;
       Mutex.lock t.mutex;
       job.live <- job.live - 1;
       if job.live = 0 then Condition.broadcast t.done_;
@@ -92,7 +91,7 @@ let create ~domains =
       workers = [];
     }
   in
-  t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (worker t));
+  t.workers <- List.init (domains - 1) (fun k -> Domain.spawn (worker t (k + 1)));
   t
 
 let run t f n =
@@ -102,14 +101,14 @@ let run t f n =
       f i
     done
   else begin
-    let job = { f; n; next = Atomic.make 0; live = t.domains; error = None } in
+    let job = { f; n; live = t.domains; error = None } in
     Mutex.lock t.mutex;
     t.job <- Some job;
     t.generation <- t.generation + 1;
     Condition.broadcast t.wake;
     Mutex.unlock t.mutex;
-    (* The main domain works the same queue, then joins the round. *)
-    run_tasks t.mutex job;
+    (* The main domain runs block 0, then joins the round. *)
+    run_block t job 0;
     Mutex.lock t.mutex;
     job.live <- job.live - 1;
     while job.live > 0 do

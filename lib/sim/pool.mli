@@ -1,16 +1,17 @@
 (** A small fork-join pool over OCaml 5 domains.
 
     Built for the epoch-barrier fleet ({!Gr_core.Fleet} via
-    docs/PARALLEL.md): each epoch runs one task per node, tasks claim
-    indices work-stealing style off a shared counter, and the caller
-    blocks until every task has finished — a full barrier. Workers are
+    docs/PARALLEL.md): each epoch runs one task per node, participant
+    [k] of [d] runs the fixed contiguous block of indices
+    [k·n/d .. (k+1)·n/d - 1] in order, and the caller blocks until
+    every task has finished — a full barrier. Workers are
     spawned once at {!create} and parked between rounds, so per-epoch
     overhead is two lock/broadcast handshakes, not a domain spawn.
 
-    Tasks of one round MUST be mutually independent: the pool gives no
-    ordering between them and the task-to-domain mapping is
-    load-dependent. Anything order-sensitive belongs in the sequential
-    barrier phase between rounds, on the calling domain.
+    Tasks of one round MUST be mutually independent: tasks of different
+    blocks run concurrently in no fixed order. Anything order-sensitive
+    belongs in the sequential barrier phase between rounds, on the
+    calling domain.
 
     The calling domain participates in every round, so [~domains:k]
     uses [k] cores with [k - 1] spawned domains, and [~domains:1] is a

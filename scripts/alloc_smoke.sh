@@ -2,9 +2,11 @@
 # Zero-allocation smoke (docs/PERFORMANCE.md): rebuild the test runner
 # under the release profile, the build perfbench measures, and run the
 # tests that assert a hot path allocates no minor words: periodic sim
-# dispatch, watched feature-store saves, per-check account updates,
-# trace-sink emits on a grown sink, Rng draws, LinnOS decisions and
-# the decisions of the other learned policies; that feature-store
+# dispatch (timers spread over a period, and 50 timers aligned on one
+# instant, so they share a run), watched feature-store saves,
+# per-check account updates, trace-sink emits on a grown sink, Rng
+# draws, LinnOS decisions and the decisions of the other learned
+# policies; that feature-store
 # handle reads allocate only their result, at one member and merged
 # over 64 shards; that a healthy firing of a 128-member FUNCTION
 # trigger group stays within half a minor word per member check; and
@@ -38,4 +40,4 @@ run util.rng "rng draw allocates nothing"
 run policy.linnos "linnos decision allocates nothing"
 run policy.decisions "decisions match forward, allocate 0"
 run nn.mlp "training allocates nothing per sample"
-echo "alloc-smoke: OK (periodic sim dispatch, watched store saves, account updates, sink emits, Rng draws, LinnOS and the other learned-policy decisions allocate no minor words, store handle reads only their result, a 128-member trigger group at most half a word per member check, an MLP training epoch no more words as its samples grow, release profile)"
+echo "alloc-smoke: OK (periodic sim dispatch, spread and aligned, watched store saves, account updates, sink emits, Rng draws, LinnOS and the other learned-policy decisions allocate no minor words, store handle reads only their result, a 128-member trigger group at most half a word per member check, an MLP training epoch no more words as its samples grow, release profile)"

@@ -170,22 +170,123 @@ let test_next_event_time_after_cancel () =
   Engine.run_until e (Time_ns.ms 100);
   check_bool "event fires once the limit reaches it" true !fired
 
+(* ---------- instant runs ---------- *)
+
+(* Schedules one logging event per name at [time]; returns the handles. *)
+let log_at e log time names =
+  List.map (fun n -> Engine.schedule_at e time (fun _ -> log := n :: !log)) names
+
+(* Schedules [name] at [time]; when it fires it schedules [spawned] at
+   that same instant. *)
+let log_spawning e log time name spawned =
+  ignore
+    (Engine.schedule_at e time (fun e ->
+         log := name :: !log;
+         ignore (log_at e log time [ spawned ] : Engine.handle list))
+      : Engine.handle)
+
+let test_run_cancel_head_middle_tail () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let hs = log_at e log (Time_ns.ms 5) [ "a"; "b"; "c"; "d"; "e" ] in
+  let h i = List.nth hs i in
+  Engine.cancel (h 0);
+  check_int "head cancelled" 4 (Engine.pending e);
+  Engine.cancel (h 2);
+  check_int "middle cancelled" 3 (Engine.pending e);
+  Engine.cancel (h 4);
+  check_int "tail cancelled" 2 (Engine.pending e);
+  (* The run's tail is now "d": a push at its instant lands behind it. *)
+  ignore (log_at e log (Time_ns.ms 5) [ "f" ] : Engine.handle list);
+  check_int "appended" 3 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "survivors in FIFO order" [ "b"; "d"; "f" ] (List.rev !log);
+  check_int "drained" 0 (Engine.pending e)
+
+let test_second_run_at_one_instant () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let t = Time_ns.ms 5 in
+  (* "z" holds the heap root at 1 ms. "a" and "b" form one run at 5 ms;
+     "d" opens a second run there and "e" joins it. The push "a" makes
+     at 5 ms belongs behind "e", not in the run then at the heap root. *)
+  ignore (log_at e log (Time_ns.ms 1) [ "z" ] : Engine.handle list);
+  log_spawning e log t "a" "x";
+  ignore (log_at e log t [ "b" ] : Engine.handle list);
+  ignore (log_at e log (Time_ns.ms 9) [ "c" ] : Engine.handle list);
+  ignore (log_at e log t [ "d"; "e" ] : Engine.handle list);
+  check_int "six queued" 6 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "(time, order)"
+    [ "z"; "a"; "b"; "d"; "e"; "x"; "c" ]
+    (List.rev !log)
+
+let test_same_instant_push_from_callback () =
+  let e = Engine.create () in
+  let log = ref [] in
+  (* First with the root run still the last-touched one, then with a
+     later push between them, so the callback's push opens a run. *)
+  log_spawning e log (Time_ns.ms 5) "a" "x";
+  ignore (log_at e log (Time_ns.ms 5) [ "b"; "c" ] : Engine.handle list);
+  Engine.run e;
+  log_spawning e log (Time_ns.ms 10) "p" "y";
+  ignore (log_at e log (Time_ns.ms 10) [ "q" ] : Engine.handle list);
+  ignore (log_at e log (Time_ns.ms 20) [ "z" ] : Engine.handle list);
+  Engine.run e;
+  Alcotest.(check (list string)) "behind every queued slot"
+    [ "a"; "b"; "c"; "x"; "p"; "q"; "y"; "z" ]
+    (List.rev !log)
+
+let test_next_event_time_after_cancelling_a_run () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let hs = log_at e log (Time_ns.ms 5) [ "a"; "b"; "c" ] in
+  ignore (log_at e log (Time_ns.ms 8) [ "d" ] : Engine.handle list);
+  List.iter Engine.cancel [ List.nth hs 1; List.nth hs 2; List.nth hs 0 ];
+  check_int "one left" 1 (Engine.pending e);
+  Alcotest.(check (option int)) "the run's instant is gone" (Some (Time_ns.ms 8))
+    (Engine.next_event_time e);
+  Engine.run e;
+  Alcotest.(check (list string)) "only d fired" [ "d" ] !log
+
+let test_aligned_dispatch_seq () =
+  (* Traced dispatches carry each slot's own order, not its run's. *)
+  let e = Engine.create () in
+  let tr = Gr_trace.Tracer.create ~clock:(fun () -> Engine.now e) ~enabled:true () in
+  Engine.set_tracer e tr;
+  for _ = 1 to 3 do
+    ignore (Engine.every e ~interval:(Time_ns.ms 10) (fun _ -> ()) : Engine.handle)
+  done;
+  Engine.run_until e (Time_ns.ms 20);
+  let seqs =
+    List.filter_map
+      (fun (ev : Gr_trace.Event.t) ->
+        match List.assoc_opt "seq" ev.args with Some (Gr_trace.Event.Int n) -> Some n | _ -> None)
+      (Gr_trace.Sink.to_list (Gr_trace.Tracer.events tr))
+  in
+  Alcotest.(check (list int)) "seq per dispatch" [ 0; 1; 2; 3; 4; 5 ] seqs
+
 (* ---------- allocation ---------- *)
 
 let test_periodic_dispatch_allocates_nothing () =
-  let e = Engine.create () in
-  for i = 0 to 49 do
-    ignore
-      (Engine.every e ~start:(Time_ns.us i) ~interval:(Time_ns.us 50) (fun _ -> ())
-        : Engine.handle)
-  done;
-  Engine.run_until e (Time_ns.ms 1);
-  let fired0 = Engine.events_fired e in
-  let w0 = Gc.minor_words () in
-  Engine.run_until e (Time_ns.ms 20);
-  let words = Gc.minor_words () -. w0 in
-  check_bool "dispatched at least 10k events" true (Engine.events_fired e - fired0 >= 10_000);
-  Alcotest.(check (float 0.)) "minor words across run_until" 0. words
+  (* Spread: 50 timers one microsecond apart, each its own run.
+     Aligned: 50 timers at one instant, one run of 50 slots. *)
+  List.iter
+    (fun (case, start) ->
+      let e = Engine.create () in
+      for i = 0 to 49 do
+        ignore
+          (Engine.every e ~start:(start i) ~interval:(Time_ns.us 50) (fun _ -> ()) : Engine.handle)
+      done;
+      Engine.run_until e (Time_ns.ms 1);
+      let fired0 = Engine.events_fired e in
+      let w0 = Gc.minor_words () in
+      Engine.run_until e (Time_ns.ms 20);
+      let words = Gc.minor_words () -. w0 in
+      check_bool (case ^ ": dispatched at least 10k events") true
+        (Engine.events_fired e - fired0 >= 10_000);
+      Alcotest.(check (float 0.)) (case ^ ": minor words across run_until") 0. words)
+    [ ("spread", fun i -> Time_ns.us i); ("aligned", fun _ -> Time_ns.us 50) ]
 
 (* ---------- differential: engine vs a sorted-list reference ---------- *)
 
@@ -327,24 +428,32 @@ let run_reference ops : observation list =
 
 let queue_matches_reference =
   let open QCheck2.Gen in
+  (* Biased toward same-instant pushes (offset 0, or the shared
+     offset 3) and aligned periodic timers (start 2, interval 4), so
+     instant runs form, split and empty often. *)
+  let offset = frequency [ (3, int_bound 6); (2, pure 0); (2, pure 3) ] in
   let reaction =
     frequency
       [
         (3, pure Quiet);
         (2, map (fun k -> Cancel_id k) (int_bound 30));
         (1, map (fun d -> Spawn d) (int_bound 4));
+        (1, pure (Spawn 0));
+      ]
+  in
+  let every =
+    frequency
+      [
+        (2, triple (opt (int_range (-3) 10)) (opt (int_bound 30)) (int_range 1 5));
+        (2, map (fun stop -> (Some 2, stop, 4)) (opt (int_range 10 30)));
       ]
   in
   let op =
     frequency
       [
-        (3, map2 (fun o r -> At (o, r)) (int_bound 6) reaction);
-        (2, map2 (fun d r -> After (d, r)) (int_bound 6) reaction);
-        ( 2,
-          map2
-            (fun (start, stop, interval) r -> Every (start, stop, interval, r))
-            (triple (opt (int_range (-3) 10)) (opt (int_bound 30)) (int_range 1 5))
-            reaction );
+        (3, map2 (fun o r -> At (o, r)) offset reaction);
+        (2, map2 (fun d r -> After (d, r)) offset reaction);
+        (3, map2 (fun (start, stop, interval) r -> Every (start, stop, interval, r)) every reaction);
         (2, map (fun k -> Cancel k) (int_bound 30));
         (3, map (fun d -> Run d) (int_bound 12));
       ]
@@ -392,6 +501,14 @@ let suite =
         Alcotest.test_case "cancel every born past stop" `Quick test_cancel_every_born_past_stop;
         Alcotest.test_case "next_event_time and run_until after a cancel" `Quick
           test_next_event_time_after_cancel;
+        Alcotest.test_case "run: cancel head, middle and tail" `Quick
+          test_run_cancel_head_middle_tail;
+        Alcotest.test_case "run: a second run at one instant" `Quick test_second_run_at_one_instant;
+        Alcotest.test_case "run: same-instant push from a callback" `Quick
+          test_same_instant_push_from_callback;
+        Alcotest.test_case "run: next_event_time after cancelling a run" `Quick
+          test_next_event_time_after_cancelling_a_run;
+        Alcotest.test_case "run: traced seq is each slot's own" `Quick test_aligned_dispatch_seq;
         Alcotest.test_case "periodic dispatch allocates nothing" `Quick
           test_periodic_dispatch_allocates_nothing;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED |]) queue_matches_reference;
