@@ -38,9 +38,12 @@ bench-smoke:
 
 # Bounded chaos soak: every scenario x seeds 1-7 with generated fault
 # plans, invariants checked after every sim event (docs/TESTING.md).
-# Failures print a `grc soak --plan ...` repro line and exit non-zero.
+# Failures print a `grc soak --plan ...` repro line and exit non-zero;
+# stdout must byte-diff against scripts/soak_golden_smoke.txt, which
+# pins every run's event and fault counts across revisions.
 soak-smoke:
-	dune exec bin/grc.exe -- soak --smoke
+	@out=$$(mktemp); dune exec bin/grc.exe -- soak --smoke > $$out && \
+	  diff -u scripts/soak_golden_smoke.txt $$out; rc=$$?; rm -f $$out; exit $$rc
 
 # 4-node fleet smoke (docs/FLEET.md): the merged-aggregation
 # experiment (exits non-zero unless the fleet QUANTILE guardrail

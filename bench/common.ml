@@ -91,40 +91,19 @@ let aging_at = Time_ns.sec 2
 let workload_until = Time_ns.sec 8
 let run_until = Time_ns.sec 9
 
-(* One trained LinnOS template per rig seed. Training probes private
-   device twins and forks [kernel.rng] once, so a later rig of the same
-   seed advances the kernel's stream by that same fork and installs a
-   copy: every run stays byte-identical without retraining. *)
-let linnos_templates = Hashtbl.create 4
+(* Every bench rig trains LinnOS through this one table, so a rig
+   whose training input repeats an earlier rig's copies that model. *)
+let templates = Gr_policy.Linnos.Templates.create ()
 
-let train_linnos ~seed (kernel : Gr_kernel.Kernel.t) devices =
-  match Hashtbl.find_opt linnos_templates seed with
-  | Some template ->
-    ignore (Rng.fork kernel.rng : Rng.t);
-    Gr_policy.Linnos.copy template ~devices
-  | None ->
-    let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-    Hashtbl.add linnos_templates seed (Gr_policy.Linnos.copy model ~devices);
-    model
-
-(* [rate_window]/[rate_every] control the false_submit_rate derivation
-   the Listing 2 guardrail consumes. *)
-let make_fig2_rig ?(seed = 7) ?(rate_window = Time_ns.sec 2) ?(rate_every = Time_ns.ms 100)
-    ?(with_model = true) ?(tracing = false) ?trace_capacity () =
+let make_fig2_rig ?(seed = 7) ?(tracing = false) ?trace_capacity () =
   let kernel = Gr_kernel.Kernel.create ~seed in
-  let devices =
-    Array.init n_devices (fun i ->
-        Gr_kernel.Ssd.create ~rng:kernel.rng ~profile:Gr_kernel.Ssd.young_profile ~id:i)
+  let { Gr_policy.Blk_rig.devices; blk; model } =
+    Gr_policy.Blk_rig.create ~templates kernel ~devices:n_devices
   in
-  let blk = Gr_kernel.Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-  let model = train_linnos ~seed kernel devices in
-  if with_model then
-    Gr_kernel.Policy_slot.install (Gr_kernel.Blk.slot blk) ~name:"linnos"
-      (Gr_policy.Linnos.policy model);
   let deployment = Guardrails.Deployment.create ~kernel ~tracing ?trace_capacity () in
   Guardrails.Deployment.forward_hook_arg deployment ~hook:"blk:io_complete" ~arg:"false_submit" ();
   Guardrails.Deployment.derive_window_avg deployment ~src:"false_submit" ~dst:"false_submit_rate"
-    ~window:rate_window ~every:rate_every;
+    ~window:(Time_ns.sec 2) ~every:(Time_ns.ms 100);
   Guardrails.Deployment.save deployment "ml_enabled" 1.;
   Guardrails.Deployment.bind_control_key deployment ~key:"ml_enabled" (fun v ->
       Gr_policy.Linnos.set_enabled model (v <> 0.));

@@ -20,14 +20,9 @@ let stats_of d h = Guardrails.Engine.Stats.get (Guardrails.Deployment.engine d) 
    the devices moves it far outside. *)
 let p1 ~faulty =
   let kernel, d = deployment_with_kernel 101 in
-  let devices =
-    Array.init 2 (fun i ->
-        Gr_kernel.Ssd.create ~rng:kernel.rng ~profile:Gr_kernel.Ssd.young_profile ~id:i)
+  let { Gr_policy.Blk_rig.devices; blk; model } =
+    Gr_policy.Blk_rig.create ~templates:Common.templates kernel ~devices:2
   in
-  let blk = Gr_kernel.Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-  let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-  Gr_kernel.Policy_slot.install (Gr_kernel.Blk.slot blk) ~name:"linnos"
-    (Gr_policy.Linnos.policy model);
   let last_lat =
     Array.map (fun f -> f.(Array.length f - 1)) (Gr_policy.Linnos.training_features model)
   in
@@ -130,12 +125,9 @@ let p4 ~faulty =
    budget. *)
 let p5 ~faulty =
   let kernel, d = deployment_with_kernel 105 in
-  let devices =
-    Array.init 2 (fun i ->
-        Gr_kernel.Ssd.create ~rng:kernel.rng ~profile:Gr_kernel.Ssd.young_profile ~id:i)
+  let { Gr_policy.Blk_rig.blk; model; _ } =
+    Gr_policy.Blk_rig.create ~templates:Common.templates kernel ~devices:2
   in
-  let blk = Gr_kernel.Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-  let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
   (* Simulated inference cost: MACs x 1ns, with the "deep" variant
      standing in for an unpruned model. *)
   let cost_ns =
@@ -145,6 +137,7 @@ let p5 ~faulty =
     Props.P5_overhead.wrap_blk_policy d ~key:"inference_ns" ~cost_ns
       (Gr_policy.Linnos.policy model)
   in
+  (* Stacked over the rig's own install: only the top of the slot serves. *)
   Gr_kernel.Policy_slot.install (Gr_kernel.Blk.slot blk) ~name:"linnos" wrapped;
   let src =
     Props.P5_overhead.source ~name:"p5-overhead" ~cost_key:"inference_ns" ~budget_ns:5_000.

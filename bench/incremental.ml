@@ -25,7 +25,8 @@ let build_faulty_world () =
   let kernel = Gr_kernel.Kernel.create ~seed:33 in
   let d = Guardrails.Deployment.create ~kernel () in
   (* Fault 1: stale LinnOS classifier (devices born aged, model
-     trained on young twins). *)
+     trained on young twins). Built by hand, not as a Blk_rig: the
+     model trains on other devices than the live ones. *)
   let young =
     Array.init 2 (fun i ->
         Gr_kernel.Ssd.create ~rng:kernel.rng ~profile:Gr_kernel.Ssd.young_profile ~id:(10 + i))

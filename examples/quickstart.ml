@@ -30,23 +30,15 @@ guardrail low-false-submit {
 
 let () =
   (* 1. A simulated kernel with four flash devices behind a block
-        layer with RAID-style failover. *)
+        layer with RAID-style failover, whose policy slot serves a
+        learned policy trained on the healthy device regime. *)
   let kernel = Guardrails.Kernel.create ~seed:42 in
-  let devices =
-    Array.init 4 (fun i ->
-        Guardrails.Ssd.create ~rng:kernel.rng ~profile:Guardrails.Ssd.young_profile ~id:i)
-  in
-  let blk =
-    Guardrails.Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices ()
+  let { Gr_policy.Blk_rig.devices; blk; model } =
+    Gr_policy.Blk_rig.create ~templates:(Gr_policy.Linnos.Templates.create ()) kernel
+      ~devices:4
   in
 
-  (* 2. Train the learned policy on the healthy device regime and
-        install it in the block layer's policy slot. *)
-  let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-  Guardrails.Policy_slot.install (Guardrails.Blk.slot blk) ~name:"linnos"
-    (Gr_policy.Linnos.policy model);
-
-  (* 3. Deploy guardrails: pump the false_submit markers published by
+  (* 2. Deploy guardrails: pump the false_submit markers published by
         the block layer into the feature store, derive the windowed
         rate, and let the model watch its ml_enabled control key.
         [~tracing:true] also records every sim dispatch, hook firing,
@@ -61,7 +53,7 @@ let () =
   let handles = Guardrails.Deployment.install_source_exn d listing2 in
   Printf.printf "installed %d guardrail monitor(s)\n" (List.length handles);
 
-  (* 4. Drive a read workload; age the devices at t=2s. *)
+  (* 3. Drive a read workload; age the devices at t=2s. *)
   let driver =
     Gr_workload.Io_driver.start ~engine:kernel.engine ~rng:kernel.rng ~blk
       ~arrival:(Gr_workload.Arrival.poisson ~rate_per_sec:1500.)
@@ -76,7 +68,7 @@ let () =
       : Guardrails.Sim.handle);
   Guardrails.Kernel.run_until kernel (Time_ns.sec 7);
 
-  (* 5. Report. *)
+  (* 4. Report. *)
   List.iter
     (fun v ->
       Format.printf "guardrail %s fired at %a: %s (rate=%.3f)@." v.Guardrails.Engine.monitor

@@ -1,5 +1,4 @@
 open Gr_util
-module Ssd = Gr_kernel.Ssd
 module Blk = Gr_kernel.Blk
 module Sched = Gr_kernel.Sched
 module Slot = Gr_kernel.Policy_slot
@@ -50,14 +49,11 @@ guardrail soak-tail-latency {
 }
 |}
 
-let build_blk ~engine ~seed ~duration =
+let build_blk ~templates ~engine ~seed ~duration =
   let kernel = Kernel.create ~seed in
-  let devices =
-    Array.init 4 (fun i -> Ssd.create ~rng:kernel.rng ~profile:Ssd.young_profile ~id:i)
+  let { Gr_policy.Blk_rig.devices; blk; _ } =
+    Gr_policy.Blk_rig.create ~templates kernel ~devices:4
   in
-  let blk = Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-  let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-  Slot.install (Blk.slot blk) ~name:"linnos" (Gr_policy.Linnos.policy model);
   let d = D.create ~kernel ~tracing:true ~store_capacity:1024 ?engine () in
   D.forward_hook_arg d ~hook:"blk:io_complete" ~arg:"false_submit" ();
   D.forward_hook_arg d ~hook:"blk:io_complete" ~arg:"latency_us" ();
@@ -255,22 +251,19 @@ guardrail fleet-pressure {
 }
 |}
 
-(* Every node's block rig, in node order: two young devices, a Blk
-   whose slot serves a freshly trained LinnOS and is registered as
+(* Every node's block rig, in node order: a two-device
+   {!Gr_policy.Blk_rig}, its Blk slot registered as
    "blk_policy" ([on_flip] sees true after each REPLACE, false after
    each RESTORE), the latency and false-submit forwards, and a Poisson
    I/O driver until [duration]. Answers every node's Blk slot in node
    order, and node 0's devices and Blk, which the injector targets. *)
-let node_blocks fleet ~duration ~on_flip =
+let node_blocks ~templates fleet ~duration ~on_flip =
   let rig id =
     let node = Guardrails.Fleet.node fleet id in
     let kernel = D.kernel node in
-    let devices =
-      Array.init 2 (fun i -> Ssd.create ~rng:kernel.rng ~profile:Ssd.young_profile ~id:i)
+    let { Gr_policy.Blk_rig.devices; blk; _ } =
+      Gr_policy.Blk_rig.create ~templates kernel ~devices:2
     in
-    let blk = Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-    let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-    Slot.install (Blk.slot blk) ~name:"linnos" (Gr_policy.Linnos.policy model);
     Kernel.register_policy kernel ~name:"blk_policy"
       ~replace:(fun () ->
         Slot.use_fallback (Blk.slot blk);
@@ -297,7 +290,7 @@ let node_blocks fleet ~duration ~on_flip =
    REPLACE proxy. The injector targets node 0 exclusively (see
    [node0_caps]), so surviving shards keep feeding the merged view while
    one member is dead or lying. *)
-let build_fleet ~engine ~nodes ~domains ~seed ~duration =
+let build_fleet ~templates ~engine ~nodes ~domains ~seed ~duration =
   let fleet =
     Guardrails.Fleet.create ~nodes ~seed ~store_capacity:1024 ~tracing:true ~domains ?engine ()
   in
@@ -306,7 +299,7 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
      exactly; checks only run at epoch barriers. *)
   let expected_fallback = ref false in
   let slots, devices, blk =
-    node_blocks fleet ~duration ~on_flip:(fun on -> expected_fallback := on)
+    node_blocks ~templates fleet ~duration ~on_flip:(fun on -> expected_fallback := on)
   in
   let control = Guardrails.Fleet.control fleet in
   let handles = Guardrails.Fleet.install_source_exn fleet fleet_spec in
@@ -424,11 +417,11 @@ guardrail serve-bad {
 |};
   |]
 
-let build_serve ~engine ~nodes ~domains ~seed ~duration =
+let build_serve ~templates ~engine ~nodes ~domains ~seed ~duration =
   let fleet =
     Guardrails.Fleet.create ~nodes ~seed ~store_capacity:1024 ~tracing:true ~domains ?engine ()
   in
-  let _slots, devices, blk = node_blocks fleet ~duration ~on_flip:ignore in
+  let _slots, devices, blk = node_blocks ~templates fleet ~duration ~on_flip:ignore in
   let anomalies = ref [] in
   let push_anomaly msg =
     if not (List.mem msg !anomalies) then anomalies := msg :: !anomalies
@@ -561,7 +554,7 @@ let scenarios =
         hooks = [ "blk:io_complete"; "blk:io_submit" ];
         blk_policy = true;
       },
-      fun ~engine ~nodes:_ ~domains:_ -> build_blk ~engine );
+      fun ~templates ~engine ~nodes:_ ~domains:_ -> build_blk ~templates ~engine );
     ( "sched",
       {
         Fault.n_devices = 0;
@@ -569,7 +562,7 @@ let scenarios =
         hooks = [ "sched:dispatch"; "sched:task_complete" ];
         blk_policy = false;
       },
-      fun ~engine ~nodes:_ ~domains:_ -> build_sched ~engine );
+      fun ~templates:_ ~engine ~nodes:_ ~domains:_ -> build_sched ~engine );
     ( "store",
       {
         Fault.n_devices = 0;
@@ -577,7 +570,7 @@ let scenarios =
         hooks = [ "soak:tick" ];
         blk_policy = false;
       },
-      fun ~engine ~nodes:_ ~domains:_ -> build_store ~engine );
+      fun ~templates:_ ~engine ~nodes:_ ~domains:_ -> build_store ~engine );
     ("fleet", node0_caps, build_fleet);
     ("serve", node0_caps, build_serve);
   ]
@@ -589,16 +582,15 @@ let scenario name =
   | Some (_, caps, build) -> (caps, build)
   | None -> invalid_arg ("Soak: unknown scenario " ^ name)
 
-let caps_of name = fst (scenario name)
-
-let gen_plan ~scenario ~seed ~duration =
-  let caps = caps_of scenario in
-  let rng = Rng.create ((seed * 0x9e3779b9) lxor Hashtbl.hash scenario) in
+let gen_plan ~scenario:name ~seed ~duration =
+  let caps = fst (scenario name) in
+  let rng = Rng.create ((seed * 0x9e3779b9) lxor Hashtbl.hash name) in
   let n = 3 + Rng.int rng 5 in
   Fault.gen ~rng ~caps ~n ~horizon:duration
 
-let build ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenario:name ~seed ~duration () =
-  (snd (scenario name)) ~engine ~nodes ~domains ~seed ~duration
+let build ~templates ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenario:name ~seed
+    ~duration () =
+  (snd (scenario name)) ~templates ~engine ~nodes ~domains ~seed ~duration
 
 (* Oracle comparison. Exact aggregates (COUNT, MIN, MAX, QUANTILE,
    DELTA) must match bit-for-bit (or be NaN on both sides); running
@@ -632,8 +624,8 @@ type run_result = {
   slots : (string * bool * int) list;
 }
 
-let run_one ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~plan () =
-  let b = build ?nodes ?domains ?engine ~scenario ~seed ~duration () in
+let run ~templates ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~plan () =
+  let b = build ~templates ?nodes ?domains ?engine ~scenario ~seed ~duration () in
   let seen = Hashtbl.create 16 in
   let problems = ref [] in
   let push msg =
@@ -805,6 +797,10 @@ let run_one ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~pla
       |> List.sort compare;
   }
 
+let run_one ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~plan () =
+  run ~templates:(Gr_policy.Linnos.Templates.create ()) ?extra_source ?nodes ?domains ?engine
+    ~scenario ~seed ~duration ~plan ()
+
 (* Shrinking: greedy ddmin on single faults. Re-running the predicate
    is sound because runs are deterministic in (scenario, seed, plan). *)
 let shrink ~still_fails plan =
@@ -856,6 +852,7 @@ let repro_command f =
 let soak ?(log = ignore) ?extra_spec ?(nodes = default_nodes) ?(domains = 1) ?engine ~scenarios
     ~seeds ~duration () =
   let extra_source = Option.map snd extra_spec in
+  let templates = Gr_policy.Linnos.Templates.create () in
   let runs = ref 0 and passed = ref 0 and total_events = ref 0 and total_faults = ref 0 in
   let failures = ref [] in
   List.iter
@@ -864,7 +861,9 @@ let soak ?(log = ignore) ?extra_spec ?(nodes = default_nodes) ?(domains = 1) ?en
         (fun seed ->
           incr runs;
           let plan = gen_plan ~scenario ~seed ~duration in
-          let r = run_one ?extra_source ~nodes ~domains ?engine ~scenario ~seed ~duration ~plan () in
+          let r =
+            run ~templates ?extra_source ~nodes ~domains ?engine ~scenario ~seed ~duration ~plan ()
+          in
           total_events := !total_events + r.events;
           total_faults := !total_faults + r.faults_injected;
           if r.ok then begin
@@ -879,7 +878,8 @@ let soak ?(log = ignore) ?extra_spec ?(nodes = default_nodes) ?(domains = 1) ?en
                  (String.concat "; " r.problems));
             let still_fails p =
               not
-                (run_one ?extra_source ~nodes ~domains ?engine ~scenario ~seed ~duration ~plan:p ())
+                (run ~templates ?extra_source ~nodes ~domains ?engine ~scenario ~seed ~duration
+                   ~plan:p ())
                   .ok
             in
             let shrunk = shrink ~still_fails plan in

@@ -24,17 +24,15 @@ type arm = {
   model_enabled : bool;
 }
 
-(* A compressed Figure 2: aging at 1s, 4s run. *)
+let templates = Gr_policy.Linnos.Templates.create ()
+
+(* A compressed Figure 2: aging at 1s, 4s run. Both arms build the
+   same rig, so the second copies the first's model. *)
 let run_arm ~with_guardrail =
   let kernel = Gr_kernel.Kernel.create ~seed:7 in
-  let devices =
-    Array.init 4 (fun i ->
-        Gr_kernel.Ssd.create ~rng:kernel.rng ~profile:Gr_kernel.Ssd.young_profile ~id:i)
+  let { Gr_policy.Blk_rig.devices; blk; model } =
+    Gr_policy.Blk_rig.create ~templates kernel ~devices:4
   in
-  let blk = Gr_kernel.Blk.create ~engine:kernel.engine ~hooks:kernel.hooks ~devices () in
-  let model = Gr_policy.Linnos.train ~rng:kernel.rng ~devices () in
-  Gr_kernel.Policy_slot.install (Gr_kernel.Blk.slot blk) ~name:"linnos"
-    (Gr_policy.Linnos.policy model);
   let d = Guardrails.Deployment.create ~kernel () in
   Guardrails.Deployment.forward_hook_arg d ~hook:"blk:io_complete" ~arg:"false_submit" ();
   Guardrails.Deployment.derive_window_avg d ~src:"false_submit" ~dst:"false_submit_rate"
