@@ -27,13 +27,14 @@ bench:
 
 # Tiny-N benchmark pass in seconds: the aggregation micro-bench, the
 # monitor-count sweep, the execution tiers (bit-identity guard and
-# 273-instruction pin), the observability self-overhead calibration
-# and the TIMER interval sweep (exits non-zero unless its §4.1 verdict
-# holds), each as one --json line that must parse as JSON; plus the
-# small sizes of the grc verify pass-cost ablation.
+# 273-instruction pin), the observability self-overhead calibration,
+# the TIMER interval sweep (exits non-zero unless its §4.1 verdict
+# holds) and one small LinnOS training with its decision cost, each
+# as one --json line that must parse as JSON; plus the small sizes of
+# the grc verify pass-cost ablation.
 bench-smoke:
-	out=$$(dune exec bench/main.exe -- agg scale tiers obs overhead --json --smoke) && \
-	  printf '%s\n' "$$out" | python3 -c 'import json,sys; lines=[l for l in sys.stdin if l.strip()]; assert len(lines) == 5, len(lines); [json.loads(l) for l in lines]'
+	out=$$(dune exec bench/main.exe -- agg scale tiers obs overhead nn --json --smoke) && \
+	  printf '%s\n' "$$out" | python3 -c 'import json,sys; lines=[l for l in sys.stdin if l.strip()]; assert len(lines) == 6, len(lines); [json.loads(l) for l in lines]'
 	dune exec bench/main.exe -- verify --smoke
 
 # Bounded chaos soak: every scenario x seeds 1-7 with generated fault

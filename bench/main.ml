@@ -21,9 +21,10 @@
      soak         Chaos soak: fault injection vs guardrail invariants
      verify       Ablation I: grc verify pass cost (fixpoint, model checking)
      tiers        Ablation J: ns/check by execution tier x monitor count
+     nn           LinnOS training time and decision ns (learned-policy kernel)
 
    With --json, experiments that support it (fig2, overhead, scale,
-   tiers, obs, agg, soak) print one machine-readable JSON document per
+   tiers, obs, agg, soak, nn) print one machine-readable JSON document per
    line to stdout instead of the human tables, with per-monitor
    telemetry sourced from gr_trace — the BENCH_*.json format. fig2
    --json additionally writes fig2_trace.json, a Chrome trace_event
@@ -50,6 +51,7 @@ let experiments : (string * (json:bool -> unit)) list =
     ("soak", Soak.run);
     ("verify", fun ~json:_ -> Verify_bench.run ());
     ("tiers", Tiers.run);
+    ("nn", Nn.run);
   ]
 
 let () =

@@ -58,20 +58,44 @@ let input_dim t = t.layers.(0).n_in
 let output_dim t = Array.length t.final
 
 (* [dst.(o)] gets the activation of [biases.(o) + sum_i w(o,i) * src.(i)],
-   summed from the bias up in ascending [i]. The inner loops of this
-   and of [train_range] read unchecked: [weights] holds [n_out * n_in]
-   values by construction, every layer buffer is sized by the layer it
-   feeds or follows, and inputs are checked against [input_dim] before
-   they reach a kernel. *)
+   summed from the bias up in ascending [i]. Outputs go four at a time,
+   one accumulator per output sharing each input load, so the four
+   dependent add chains overlap; each chain keeps its own order, so the
+   sums are the one-output-at-a-time sums bit for bit. A width that is
+   not a multiple of four finishes one output at a time. The inner
+   loops of this and of [train_range] read unchecked: [weights] holds
+   [n_out * n_in] values by construction, every layer buffer is sized
+   by the layer it feeds or follows, and inputs are checked against
+   [input_dim] before they reach a kernel. *)
 let layer_into l (src : float array) (dst : float array) =
-  let n_in = l.n_in and w = l.weights in
-  for o = 0 to l.n_out - 1 do
+  let n_in = l.n_in and w = l.weights and b = l.biases and act = l.act in
+  let quads = l.n_out / 4 in
+  for q = 0 to quads - 1 do
+    let o = 4 * q in
+    let r0 = o * n_in in
+    let r1 = r0 + n_in in
+    let r2 = r1 + n_in in
+    let r3 = r2 + n_in in
+    let a0 = ref b.(o) and a1 = ref b.(o + 1) and a2 = ref b.(o + 2) and a3 = ref b.(o + 3) in
+    for i = 0 to n_in - 1 do
+      let x = Array.unsafe_get src i in
+      a0 := !a0 +. (Array.unsafe_get w (r0 + i) *. x);
+      a1 := !a1 +. (Array.unsafe_get w (r1 + i) *. x);
+      a2 := !a2 +. (Array.unsafe_get w (r2 + i) *. x);
+      a3 := !a3 +. (Array.unsafe_get w (r3 + i) *. x)
+    done;
+    dst.(o) <- activate act !a0;
+    dst.(o + 1) <- activate act !a1;
+    dst.(o + 2) <- activate act !a2;
+    dst.(o + 3) <- activate act !a3
+  done;
+  for o = 4 * quads to l.n_out - 1 do
     let row = o * n_in in
-    let acc = ref l.biases.(o) in
+    let acc = ref b.(o) in
     for i = 0 to n_in - 1 do
       acc := !acc +. (Array.unsafe_get w (row + i) *. Array.unsafe_get src i)
     done;
-    dst.(o) <- activate l.act !acc
+    dst.(o) <- activate act !acc
   done
 
 (* Fills every layer's [out] buffer; the result is in [t.final]. *)
@@ -118,6 +142,8 @@ let scratch t =
     grad_b = outs ();
   }
 
+let[@inline] add_at a j x = Array.unsafe_set a j (Array.unsafe_get a j +. x)
+
 (* One SGD step on [data.(start) .. data.(start + len - 1)] with mean
    squared error on the post-activation outputs. Gradients accumulate
    sample by sample; the update follows the whole batch. Returns the
@@ -149,20 +175,47 @@ let train_range t s ~lr data start len =
       let n_in = layer.n_in and w = layer.weights in
       let below = s.acts.(l) and d = s.deltas.(l) in
       let gw = s.grad_w.(l) and gb = s.grad_b.(l) in
-      for o = 0 to layer.n_out - 1 do
+      let n_out = layer.n_out and quads = n_in / 4 in
+      for o = 0 to n_out - 1 do
         let dv = d.(o) in
         gb.(o) <- gb.(o) +. dv;
         let row = o * n_in in
-        for i = 0 to n_in - 1 do
+        for q = 0 to quads - 1 do
+          let i = 4 * q in
           let j = row + i in
-          Array.unsafe_set gw j (Array.unsafe_get gw j +. (dv *. Array.unsafe_get below i))
+          add_at gw j (dv *. Array.unsafe_get below i);
+          add_at gw (j + 1) (dv *. Array.unsafe_get below (i + 1));
+          add_at gw (j + 2) (dv *. Array.unsafe_get below (i + 2));
+          add_at gw (j + 3) (dv *. Array.unsafe_get below (i + 3))
+        done;
+        for i = 4 * quads to n_in - 1 do
+          add_at gw (row + i) (dv *. Array.unsafe_get below i)
         done
       done;
+      (* The delta below sums over outputs from [0.] in ascending
+         order, four inputs per pass as in [layer_into]. *)
       if l > 0 then begin
         let next = s.deltas.(l - 1) and act = layers.(l - 1).act in
-        for i = 0 to n_in - 1 do
+        for q = 0 to quads - 1 do
+          let i = 4 * q in
+          let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+          let j = ref i in
+          for o = 0 to n_out - 1 do
+            let dv = Array.unsafe_get d o and jj = !j in
+            a0 := !a0 +. (Array.unsafe_get w jj *. dv);
+            a1 := !a1 +. (Array.unsafe_get w (jj + 1) *. dv);
+            a2 := !a2 +. (Array.unsafe_get w (jj + 2) *. dv);
+            a3 := !a3 +. (Array.unsafe_get w (jj + 3) *. dv);
+            j := jj + n_in
+          done;
+          next.(i) <- !a0 *. deriv act below.(i);
+          next.(i + 1) <- !a1 *. deriv act below.(i + 1);
+          next.(i + 2) <- !a2 *. deriv act below.(i + 2);
+          next.(i + 3) <- !a3 *. deriv act below.(i + 3)
+        done;
+        for i = 4 * quads to n_in - 1 do
           let acc = ref 0. in
-          for o = 0 to layer.n_out - 1 do
+          for o = 0 to n_out - 1 do
             acc := !acc +. (Array.unsafe_get w ((o * n_in) + i) *. Array.unsafe_get d o)
           done;
           next.(i) <- !acc *. deriv act below.(i)

@@ -16,7 +16,11 @@
     neuron's sum starts at its bias and adds [w *. x] in ascending
     input order; gradients accumulate sample by sample; a back-
     propagated delta sums over outputs in ascending order; the update
-    writes biases, then weights. Trained weights, losses and
+    writes biases, then weights. Inference fills four outputs per pass
+    over the inputs, and back-propagation four deltas per pass over
+    the outputs, each with its own accumulator kept in that order (a
+    width that is not a multiple of four finishes one at a time), so
+    the four sums overlap without changing a bit. Trained weights, losses and
     predictions are therefore bit-identical to the nested-array
     implementation this replaced (a differential property in the test
     suite holds the two to it).

@@ -11,7 +11,9 @@
 # over 64 shards; that a healthy firing of a 128-member FUNCTION
 # trigger group stays within half a minor word per member check; and
 # that an MLP training epoch allocates no more at
-# 256 samples per batch than at 8 (one boxed loss per batch). Tests
+# 256 samples per batch than at 8 (one boxed loss per batch), on a net
+# whose widths are multiples of four and on one whose widths leave the
+# four-lane kernel a remainder in every layer. Tests
 # are looked up by name, so the smoke does not depend on their
 # position in the suite.
 set -eu

@@ -133,9 +133,11 @@ let test_copy_owns_buffers () =
    epoch costs (the difference between a 2-epoch and a 1-epoch call,
    so the per-call buffers and data copy cancel) is the same at 8 and
    at 256 samples per batch, over a fixed 4 batches. What remains is
-   one boxed batch loss per batch. *)
+   one boxed batch loss per batch. The second net's widths are not
+   multiples of four, so every layer's forward, gradient and delta
+   loops also run their one-at-a-time remainders. *)
 let test_training_allocates_nothing_per_sample () =
-  let epoch_words ~per_batch =
+  let epoch_words ~layers ~per_batch =
     let n = 4 * per_batch in
     let data =
       Array.init n (fun i ->
@@ -143,7 +145,7 @@ let test_training_allocates_nothing_per_sample () =
           ([| x; 1. -. x; x *. x |], [| (if x > 0.5 then 1. else 0.) |]))
     in
     let words epochs =
-      let net = Mlp.create ~rng:(Rng.create 11) ~layers:[ 3; 16; 16; 1 ] () in
+      let net = Mlp.create ~rng:(Rng.create 11) ~layers () in
       let rng = Rng.create 12 in
       let w0 = Gc.minor_words () in
       ignore (Mlp.train net ~rng ~epochs ~batch_size:per_batch ~lr:0.05 data : float);
@@ -151,9 +153,12 @@ let test_training_allocates_nothing_per_sample () =
     in
     words 2 -. words 1
   in
-  let small = epoch_words ~per_batch:8 and large = epoch_words ~per_batch:256 in
-  Alcotest.(check (float 0.)) "epoch words independent of samples" small large;
-  Alcotest.(check (float 0.)) "one boxed loss per batch" (4. *. 2.) large
+  List.iter
+    (fun layers ->
+      let small = epoch_words ~layers ~per_batch:8 and large = epoch_words ~layers ~per_batch:256 in
+      Alcotest.(check (float 0.)) "epoch words independent of samples" small large;
+      Alcotest.(check (float 0.)) "one boxed loss per batch" (4. *. 2.) large)
+    [ [ 3; 16; 16; 1 ]; [ 3; 7; 5; 1 ] ]
 
 (* ---------- differential: flat kernel vs nested-array reference ---------- *)
 
@@ -163,15 +168,20 @@ let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
-(* A random 2-5 layer net of width 1-16, trained for 1-3 epochs on
+(* A random 3-5 layer net of width 1-19, trained for 1-3 epochs on
    [full] batches of [batch_size] plus a ragged batch of [rest]
    samples, with every hidden/output activation pair: the final epoch
    loss, every training input's output and random probes' outputs
-   match the reference bit for bit. *)
+   match the reference bit for bit. One hidden layer is 5-19 wide and
+   not a multiple of four, so every case runs the kernel's four-lane
+   blocks and their remainders, forward and in back-propagation. *)
 let mlp_matches_reference =
   let open QCheck2.Gen in
   let case =
-    let* sizes = list_size (int_range 2 5) (int_range 1 16) in
+    let* widths = list_size (int_range 2 4) (int_range 1 19) in
+    let* wide = oneofl [ 5; 6; 7; 9; 10; 11; 13; 14; 15; 17; 18; 19 ] in
+    let* at = int_range 1 (List.length widths - 1) in
+    let sizes = List.filteri (fun k _ -> k < at) widths @ (wide :: List.filteri (fun k _ -> k >= at) widths) in
     let* batch_size = int_range 1 12 in
     let* full = int_range 0 4 and* rest = int_range 0 11 in
     let* epochs = int_range 1 3 and* lr = float_range 0.01 0.5 and* seed = nat in
